@@ -589,8 +589,9 @@ func BenchmarkDetectStreamFromScratch(b *testing.B) {
 	}
 }
 
-// skewedBenchCorpus builds the skewed-key corpus of the scale suite
-// (cmd/pdbench -bench-scale): long random fields under a blocking key
+// skewedBenchCorpus builds a skewed-key corpus (the shape bench's
+// serve_skew workload drives end to end): long random fields under a
+// blocking key
 // that concentrates half the tuples in hot blocks of ~192 members, so
 // every arrival is enumerated against hundreds of candidates of which
 // almost none can reach the decision threshold. A small duplicate
@@ -660,9 +661,9 @@ func skewedBenchOpts(b *testing.B, schema []string, workers int, filtered bool) 
 // skewed corpus with the candidate pre-filter as a sweep dimension:
 // the prefilter=true/false pairs at equal size and workers measure
 // what constant-time rejection from precomputed symbol statistics buys
-// when verification cost dominates (the committed evidence at 10k/100k
-// residents lives in BENCH_scale.json; classifications are identical
-// by the filter's soundness contract, enforced by
+// when verification cost dominates (end to end, bench's serve_skew
+// workload reports it as core.filtered_share; classifications are
+// identical by the filter's soundness contract, enforced by
 // TestPreFilterEquivalence). The 1000-resident size keeps the CI
 // smoke affordable; set PDBENCH_LARGE=1 to sweep 10k and 100k too.
 func BenchmarkDetectorAddBatchSkewed(b *testing.B) {

@@ -1,153 +1,69 @@
 // Command pdbench regenerates the paper's figures and worked examples
-// (E01–E10) and runs the synthetic evaluation suite (S01–S04).
+// (E01–E10) and runs the synthetic evaluation suite (S01–S05, A01–A02).
 //
 // Usage:
 //
-//	pdbench [-exp all|paper|s01|s02|s03|s04] [-entities n] [-seed n]
-//	pdbench -bench-json BENCH_online.json [-entities n] [-seed n]
+//	pdbench [-exp all|paper|s01|s02|s03|s04|s05|a01|a02] [-entities n] [-seed n]
 //
 // The E-experiments print the exact quantities of the paper's figures next
-// to the measured values; the S-experiments print the evaluation tables
-// recorded in EXPERIMENTS.md. With -bench-json the command instead
-// measures the online detector's seeding and per-arrival ingestion cost
-// for every built-in reduction method and writes the trajectory to the
-// given file as machine-readable JSON (the BENCH_*.json regression
-// format).
+// to the measured values; the S- and A-experiments print the evaluation
+// tables recorded in EXPERIMENTS.md. Performance is measured elsewhere:
+// bench/ is the repository's one benchmark (bash bench/run.sh).
 package main
 
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"strings"
 
 	"probdedup/internal/experiments"
 )
 
-// parseIntList parses a comma-separated list of positive integers.
-func parseIntList(s string) ([]int, error) {
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		n, err := strconv.Atoi(strings.TrimSpace(part))
-		if err != nil || n <= 0 {
-			return nil, fmt.Errorf("bad size list %q: entries must be positive integers", s)
-		}
-		out = append(out, n)
-	}
-	return out, nil
+// synthetic lists the S- and A-experiments in the order -exp all runs
+// them; each renders its table for a corpus size and generator seed.
+var synthetic = []struct {
+	name string
+	run  func(entities int, seed int64) string
+}{
+	{"s01", func(n int, seed int64) string { _, out := experiments.S01(n, seed); return out }},
+	{"s02", func(n int, seed int64) string { _, out := experiments.S02(n, seed); return out }},
+	{"s03", func(n int, seed int64) string { _, out := experiments.S03(n/2, seed); return out }},
+	{"s04", func(_ int, seed int64) string { _, out := experiments.S04([]int{100, 200, 400, 800}, seed); return out }},
+	{"s05", func(n int, seed int64) string { _, out := experiments.S05(n, seed); return out }},
+	{"a01", func(n int, seed int64) string { _, out := experiments.A01(n, seed); return out }},
+	{"a02", func(n int, seed int64) string { _, out := experiments.A02(n, seed); return out }},
 }
 
 func main() {
-	exp := flag.String("exp", "all", "experiment to run: all, paper, s01, s02, s03, s04, s05, a01, a02")
-	entities := flag.Int("entities", 150, "entities in the synthetic corpus")
-	seed := flag.Int64("seed", 42, "generator seed")
-	benchJSON := flag.String("bench-json", "", "write the online ingestion trajectory to this BENCH_*.json file and exit")
-	benchScale := flag.String("bench-scale", "", "write the skewed-corpus filtered-vs-unfiltered ingestion sweep to this BENCH_*.json file and exit")
-	scaleSizes := flag.String("scale-sizes", "10000,100000", "comma-separated resident sizes for -bench-scale")
-	scaleWorkers := flag.String("scale-workers", "1,4", "comma-separated worker counts for -bench-scale")
-	benchRecovery := flag.String("bench-recovery", "", "write the durable-state checkpoint/recovery measurements to this BENCH_*.json file and exit")
-	recoverySizes := flag.String("recovery-sizes", "10000,100000", "comma-separated resident sizes for -bench-recovery")
-	flag.Parse()
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+}
 
-	if *benchJSON != "" {
-		if err := runBenchJSON(*benchJSON, *entities, *seed); err != nil {
-			fmt.Fprintf(os.Stderr, "pdbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
+// run executes the CLI; separated from main for testability.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("pdbench", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	exp := fs.String("exp", "all", "experiment to run: all, paper, s01, s02, s03, s04, s05, a01, a02")
+	entities := fs.Int("entities", 150, "entities in the synthetic corpus")
+	seed := fs.Int64("seed", 42, "generator seed")
+	if err := fs.Parse(args); err != nil {
+		return 2
 	}
-	if *benchScale != "" {
-		sizes, err := parseIntList(*scaleSizes)
-		if err == nil {
-			var workers []int
-			workers, err = parseIntList(*scaleWorkers)
-			if err == nil {
-				err = runBenchScale(*benchScale, sizes, workers, *seed, 0)
-			}
-		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pdbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	all, ran := *exp == "all", false
+	if all || *exp == "paper" {
+		fmt.Fprintln(stdout, experiments.AllPaperExperiments())
+		ran = true
 	}
-	if *benchRecovery != "" {
-		sizes, err := parseIntList(*recoverySizes)
-		if err == nil {
-			err = runBenchRecovery(*benchRecovery, sizes, *seed)
+	for _, e := range synthetic {
+		if all || *exp == e.name {
+			fmt.Fprintln(stdout, e.run(*entities, *seed))
+			ran = true
 		}
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "pdbench: %v\n", err)
-			os.Exit(1)
-		}
-		return
 	}
-
-	switch *exp {
-	case "all":
-		fmt.Println(experiments.AllPaperExperiments())
-		runS01(*entities, *seed)
-		runS02(*entities, *seed)
-		runS03(*entities, *seed)
-		runS04(*seed)
-		runS05(*entities, *seed)
-		runA01(*entities, *seed)
-		runA02(*entities, *seed)
-	case "paper":
-		fmt.Println(experiments.AllPaperExperiments())
-	case "s01":
-		runS01(*entities, *seed)
-	case "s02":
-		runS02(*entities, *seed)
-	case "s03":
-		runS03(*entities, *seed)
-	case "s04":
-		runS04(*seed)
-	case "s05":
-		runS05(*entities, *seed)
-	case "a01":
-		runA01(*entities, *seed)
-	case "a02":
-		runA02(*entities, *seed)
-	default:
-		fmt.Fprintf(os.Stderr, "pdbench: unknown experiment %q\n", *exp)
-		flag.Usage()
-		os.Exit(2)
+	if !ran {
+		fmt.Fprintf(stderr, "pdbench: unknown experiment %q\n", *exp)
+		fs.Usage()
+		return 2
 	}
-}
-
-func runS01(entities int, seed int64) {
-	_, out := experiments.S01(entities, seed)
-	fmt.Println(out)
-}
-
-func runS02(entities int, seed int64) {
-	_, out := experiments.S02(entities, seed)
-	fmt.Println(out)
-}
-
-func runS03(entities int, seed int64) {
-	_, out := experiments.S03(entities/2, seed)
-	fmt.Println(out)
-}
-
-func runS04(seed int64) {
-	_, out := experiments.S04([]int{100, 200, 400, 800}, seed)
-	fmt.Println(out)
-}
-
-func runS05(entities int, seed int64) {
-	_, out := experiments.S05(entities, seed)
-	fmt.Println(out)
-}
-
-func runA01(entities int, seed int64) {
-	_, out := experiments.A01(entities, seed)
-	fmt.Println(out)
-}
-
-func runA02(entities int, seed int64) {
-	_, out := experiments.A02(entities, seed)
-	fmt.Println(out)
+	return 0
 }

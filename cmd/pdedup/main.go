@@ -73,6 +73,7 @@ import (
 
 	"probdedup"
 	"probdedup/internal/cliopts"
+	"probdedup/internal/core"
 )
 
 func main() {
@@ -83,28 +84,24 @@ func main() {
 func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("pdedup", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	df := cliopts.Register(fs, "none", map[string]string{
+		"key":       "key definition, e.g. 'name:3+job:2' (required for reduction methods)",
+		"reduce":    "reduction: none, snm-certain, snm-alternatives, snm-ranked, snm-ranked-median, snm-multipass, blocking-certain, blocking-alternatives, blocking-cluster",
+		"workers":   "parallel matching workers",
+		"prefilter": "enable the symbol-plane candidate pre-filter: skip enumerated pairs provably below -lambda (results are identical, only fewer pairs are verified)",
+		"qgram":     "gram size of the pre-filter's q-gram count filters (0 = 2); applies with -prefilter only",
+	})
+	fs.IntVar(&df.Window, "window", df.Window, "sorted neighborhood window size")
+	fs.IntVar(&df.Worlds, "worlds", df.Worlds, "worlds for snm-multipass")
+	fs.IntVar(&df.K, "k", df.K, "clusters for blocking-cluster (0 = residents/8 heuristic, at least 2)")
+	fs.Int64Var(&df.Seed, "seed", df.Seed, "clustering seed for blocking-cluster")
 	var (
-		compareName = fs.String("compare", "hamming", "comparison function: hamming, levenshtein, damerau, jaro, jarowinkler, dice2, exact")
-		keySpec     = fs.String("key", "", "key definition, e.g. 'name:3+job:2' (required for reduction methods)")
-		reduceName  = fs.String("reduce", "none", "reduction: none, snm-certain, snm-alternatives, snm-ranked, snm-ranked-median, snm-multipass, blocking-certain, blocking-alternatives, blocking-cluster")
-		window      = fs.Int("window", 3, "sorted neighborhood window size")
-		kWorlds     = fs.Int("worlds", 8, "worlds for snm-multipass")
-		kClusters   = fs.Int("k", 0, "clusters for blocking-cluster (0 = residents/8 heuristic, at least 2)")
-		seed        = fs.Int64("seed", 1, "clustering seed for blocking-cluster")
-		deriveName  = fs.String("derive", "similarity", "derivation: similarity, decision, eta, mpw, max")
-		lambda      = fs.Float64("lambda", 0.4, "threshold Tλ (below: non-match)")
-		mu          = fs.Float64("mu", 0.7, "threshold Tμ (above: match)")
-		altLambda   = fs.Float64("alt-lambda", 0.4, "per-alternative Tλ")
-		altMu       = fs.Float64("alt-mu", 0.7, "per-alternative Tμ")
-		workers     = fs.Int("workers", 1, "parallel matching workers")
-		stream      = fs.Bool("stream", false, "stream results as they are found instead of materializing them (no per-pair state retained; unordered with -workers > 1)")
-		follow      = fs.Bool("follow", false, "incremental online mode: seed from FILEs (if any), then read NDJSON tuples from stdin and print match deltas as tuples arrive")
-		integrate   = fs.Bool("integrate", false, "with -follow: fold match deltas into a live entity set and print NDJSON entity deltas (created/merged/split/refused/retired) instead of pair deltas")
-		schemaSpec  = fs.String("schema", "", "comma-separated schema for -follow without a seed file, e.g. 'name,job'")
-		stateDir    = fs.String("state", "", "with -follow: durable state directory (snapshot + write-ahead log); recovers on reopen, seed files apply only when fresh")
-		preFilter   = fs.Bool("prefilter", false, "enable the symbol-plane candidate pre-filter: skip enumerated pairs provably below -lambda (results are identical, only fewer pairs are verified)")
-		qgram       = fs.Int("qgram", 0, "gram size of the pre-filter's q-gram count filters (0 = 2); applies with -prefilter only")
-		showAll     = fs.Bool("v", false, "print every compared pair, not only matches, plus filter/cache effectiveness counters")
+		stream     = fs.Bool("stream", false, "stream results as they are found instead of materializing them (no per-pair state retained; unordered with -workers > 1)")
+		follow     = fs.Bool("follow", false, "incremental online mode: seed from FILEs (if any), then read NDJSON tuples from stdin and print match deltas as tuples arrive")
+		integrate  = fs.Bool("integrate", false, "with -follow: fold match deltas into a live entity set and print NDJSON entity deltas (created/merged/split/refused/retired) instead of pair deltas")
+		schemaSpec = fs.String("schema", "", "comma-separated schema for -follow without a seed file, e.g. 'name,job'")
+		stateDir   = fs.String("state", "", "with -follow: durable state directory (snapshot + write-ahead log); recovers on reopen, seed files apply only when fresh")
+		showAll    = fs.Bool("v", false, "print every compared pair, not only matches, plus filter/cache effectiveness counters")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -148,11 +145,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			clusterFlags[f.Name] = true
 		}
 	})
-	if len(clusterFlags) > 0 && *reduceName != "blocking-cluster" {
+	if len(clusterFlags) > 0 && df.Reduce != "blocking-cluster" {
 		fmt.Fprintln(stderr, "pdedup: -k and -seed apply to -reduce blocking-cluster only")
 		return 2
 	}
-	if *kClusters < 0 {
+	if df.K < 0 {
 		fmt.Fprintln(stderr, "pdedup: -k must be >= 0 (0 selects the residents/8 heuristic)")
 		return 2
 	}
@@ -164,11 +161,11 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 			qgramSet = true
 		}
 	})
-	if qgramSet && !*preFilter {
+	if qgramSet && !df.PreFilter {
 		fmt.Fprintln(stderr, "pdedup: -qgram applies with -prefilter only")
 		return 2
 	}
-	if *qgram < 0 {
+	if df.QGram < 0 {
 		fmt.Fprintln(stderr, "pdedup: -qgram must be >= 0 (0 selects the default gram size 2)")
 		return 2
 	}
@@ -194,51 +191,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		xr = probdedup.NewXRelation("stdin", schema...)
 	}
 
-	cmp, err := cliopts.Compare(*compareName)
+	opts, err := df.Options(xr.Schema)
 	if err != nil {
 		fmt.Fprintln(stderr, "pdedup:", err)
 		return 1
-	}
-	compare := make([]probdedup.CompareFunc, len(xr.Schema))
-	for i := range compare {
-		compare[i] = cmp
-	}
-
-	opts := probdedup.Options{
-		Compare: compare,
-		// WeightedSumModel is bit-identical to the former
-		// SimpleModel{Phi: WeightedSum(...)} but exposes its weights, so
-		// the -prefilter bound machinery can box-bound it.
-		AltModel: probdedup.WeightedSumModel{
-			Weights: cliopts.EqualWeights(len(xr.Schema)),
-			T:       probdedup.Thresholds{Lambda: *altLambda, Mu: *altMu},
-		},
-		Final:     probdedup.Thresholds{Lambda: *lambda, Mu: *mu},
-		Workers:   *workers,
-		PreFilter: *preFilter,
-		FilterQ:   *qgram,
-	}
-	opts.Derivation, err = cliopts.Derivation(*deriveName)
-	if err != nil {
-		fmt.Fprintln(stderr, "pdedup:", err)
-		return 1
-	}
-
-	if *reduceName != "none" {
-		if *keySpec == "" {
-			fmt.Fprintf(stderr, "pdedup: reduction %q needs -key\n", *reduceName)
-			return 1
-		}
-		def, err := probdedup.ParseKeyDef(*keySpec, xr.Schema)
-		if err != nil {
-			fmt.Fprintln(stderr, "pdedup:", err)
-			return 1
-		}
-		opts.Reduction, err = cliopts.Reduction(*reduceName, def, *window, *kWorlds, *kClusters, *seed)
-		if err != nil {
-			fmt.Fprintln(stderr, "pdedup:", err)
-			return 1
-		}
 	}
 
 	if *follow {
@@ -315,13 +271,6 @@ type followLine struct {
 	err  error
 }
 
-// onlineEngine is the shared surface of the two -follow engines: the
-// pairwise Detector and the entity-level Integrator.
-type onlineEngine interface {
-	AddBatch([]*probdedup.XTuple) error
-	Remove(string) error
-}
-
 // jsonEntityDelta is the NDJSON wire form of one entity delta
 // (-follow -integrate).
 type jsonEntityDelta struct {
@@ -347,7 +296,7 @@ type jsonEntityDelta struct {
 // the pending batch first, so effects apply in input order.
 func runFollow(seed *probdedup.XRelation, opts probdedup.Options, stateDir string, stdin io.Reader, stdout, stderr io.Writer, showAll, integrate bool) int {
 	var (
-		eng     onlineEngine
+		eng     core.Engine
 		summary func() int
 		// durable is set with -state; finish closes it (final snapshot
 		// checkpoint) and the deferred call releases the directory lock on
@@ -388,26 +337,21 @@ func runFollow(seed *probdedup.XRelation, opts probdedup.Options, stateDir strin
 			}
 			return true
 		}
-		var (
-			flushRes func() (*probdedup.Resolution, error)
-			engLen   func() int
-		)
+		var flushRes func() (*probdedup.Resolution, error)
 		if stateDir != "" {
 			dig, err := probdedup.OpenDurableIntegrator(stateDir, seed.Schema, opts, emit)
 			if err != nil {
 				fmt.Fprintln(stderr, "pdedup:", err)
 				return 1
 			}
-			eng, durable = dig, dig
-			flushRes, engLen = dig.Flush, dig.Len
+			eng, durable, flushRes = dig, dig, dig.Flush
 		} else {
 			ig, err := probdedup.NewIntegrator(seed.Schema, opts, emit)
 			if err != nil {
 				fmt.Fprintln(stderr, "pdedup:", err)
 				return 1
 			}
-			eng = ig
-			flushRes, engLen = ig.Flush, ig.Len
+			eng, flushRes = ig, ig.Flush
 		}
 		summary = func() int {
 			r, err := flushRes()
@@ -416,7 +360,7 @@ func runFollow(seed *probdedup.XRelation, opts probdedup.Options, stateDir strin
 				return 1
 			}
 			fmt.Fprintf(stdout, "resident %d tuples, %d entities, %d uncertain duplicates\n",
-				engLen(), len(r.Entities), len(r.Uncertain))
+				eng.Len(), len(r.Entities), len(r.Uncertain))
 			return finish()
 		}
 	} else {
@@ -441,16 +385,14 @@ func runFollow(seed *probdedup.XRelation, opts probdedup.Options, stateDir strin
 				fmt.Fprintln(stderr, "pdedup:", err)
 				return 1
 			}
-			eng, durable = dd, dd
-			stats = dd.Stats
+			eng, durable, stats = dd, dd, dd.Stats
 		} else {
 			det, err := probdedup.NewDetector(seed.Schema, opts, emit)
 			if err != nil {
 				fmt.Fprintln(stderr, "pdedup:", err)
 				return 1
 			}
-			eng = det
-			stats = det.Stats
+			eng, stats = det, det.Stats
 		}
 		summary = func() int {
 			st := stats()

@@ -62,7 +62,6 @@ import (
 	"os/signal"
 	"syscall"
 
-	"probdedup"
 	"probdedup/internal/cliopts"
 	"probdedup/internal/shard"
 )
@@ -77,24 +76,20 @@ func main() {
 func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	fs := flag.NewFlagSet("pdedupd", flag.ContinueOnError)
 	fs.SetOutput(stderr)
+	df := cliopts.Register(fs, "blocking-certain", map[string]string{
+		"key":       "blocking key definition, e.g. 'name:3+job:2' (required)",
+		"reduce":    "reduction method; must be shardable (blocking over certain keys)",
+		"workers":   "verification workers per shard",
+		"prefilter": "enable the symbol-plane candidate pre-filter per shard",
+		"qgram":     "gram size of the pre-filter's q-gram count filters (0 = 2)",
+	})
 	var (
-		addr        = fs.String("addr", "127.0.0.1:7333", "listen address (host:port; port 0 picks a free port)")
-		schemaSpec  = fs.String("schema", "", "comma-separated attribute names, e.g. 'name,job' (required)")
-		shards      = fs.Int("shards", 4, "number of shard engines")
-		queue       = fs.Int("queue", shard.DefaultQueueDepth, "per-shard admission queue depth (full queue rejects with 429)")
-		compareName = fs.String("compare", "hamming", "comparison function: hamming, levenshtein, damerau, jaro, jarowinkler, dice2, exact")
-		keySpec     = fs.String("key", "", "blocking key definition, e.g. 'name:3+job:2' (required)")
-		reduceName  = fs.String("reduce", "blocking-certain", "reduction method; must be shardable (blocking over certain keys)")
-		deriveName  = fs.String("derive", "similarity", "derivation: similarity, decision, eta, mpw, max")
-		lambda      = fs.Float64("lambda", 0.4, "threshold Tλ (below: non-match)")
-		mu          = fs.Float64("mu", 0.7, "threshold Tμ (above: match)")
-		altLambda   = fs.Float64("alt-lambda", 0.4, "per-alternative Tλ")
-		altMu       = fs.Float64("alt-mu", 0.7, "per-alternative Tμ")
-		workers     = fs.Int("workers", 1, "verification workers per shard")
-		preFilter   = fs.Bool("prefilter", false, "enable the symbol-plane candidate pre-filter per shard")
-		qgram       = fs.Int("qgram", 0, "gram size of the pre-filter's q-gram count filters (0 = 2)")
-		integrate   = fs.Bool("integrate", false, "fold match deltas into live entity sets; /v1/entities replaces /v1/deltas")
-		stateDir    = fs.String("state", "", "durable state directory; each shard persists under DIR/shard-K and recovers on restart")
+		addr       = fs.String("addr", "127.0.0.1:7333", "listen address (host:port; port 0 picks a free port)")
+		schemaSpec = fs.String("schema", "", "comma-separated attribute names, e.g. 'name,job' (required)")
+		shards     = fs.Int("shards", 4, "number of shard engines")
+		queue      = fs.Int("queue", shard.DefaultQueueDepth, "per-shard admission queue depth (full queue rejects with 429)")
+		integrate  = fs.Bool("integrate", false, "fold match deltas into live entity sets; /v1/entities replaces /v1/deltas")
+		stateDir   = fs.String("state", "", "durable state directory; each shard persists under DIR/shard-K and recovers on restart")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -107,7 +102,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintln(stderr, "pdedupd: -schema is required")
 		return 2
 	}
-	if *keySpec == "" {
+	if df.Key == "" {
 		fmt.Fprintln(stderr, "pdedupd: -key is required (shard routing and blocking share the key)")
 		return 2
 	}
@@ -117,37 +112,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		return 2
 	}
 
-	cmp, err := cliopts.Compare(*compareName)
-	if err != nil {
-		fmt.Fprintln(stderr, "pdedupd:", err)
-		return 1
-	}
-	compare := make([]probdedup.CompareFunc, len(schema))
-	for i := range compare {
-		compare[i] = cmp
-	}
-	opts := probdedup.Options{
-		Compare: compare,
-		AltModel: probdedup.WeightedSumModel{
-			Weights: cliopts.EqualWeights(len(schema)),
-			T:       probdedup.Thresholds{Lambda: *altLambda, Mu: *altMu},
-		},
-		Final:     probdedup.Thresholds{Lambda: *lambda, Mu: *mu},
-		Workers:   *workers,
-		PreFilter: *preFilter,
-		FilterQ:   *qgram,
-	}
-	opts.Derivation, err = cliopts.Derivation(*deriveName)
-	if err != nil {
-		fmt.Fprintln(stderr, "pdedupd:", err)
-		return 1
-	}
-	def, err := probdedup.ParseKeyDef(*keySpec, schema)
-	if err != nil {
-		fmt.Fprintln(stderr, "pdedupd:", err)
-		return 1
-	}
-	opts.Reduction, err = cliopts.Reduction(*reduceName, def, 3, 8, 0, 1)
+	opts, err := df.Options(schema)
 	if err != nil {
 		fmt.Fprintln(stderr, "pdedupd:", err)
 		return 1

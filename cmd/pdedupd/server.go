@@ -177,17 +177,24 @@ func writeSSE(w io.Writer, fl http.Flusher, event string, v any) {
 	fl.Flush()
 }
 
-func (s *server) handleDeltas(w http.ResponseWriter, r *http.Request) {
+// streamSSE serves one delta subscription as server-sent events: wire
+// renders each delivered event under its event name, and a final "end"
+// event follows when the router drains or this subscriber fell behind
+// and was dropped — either way the stream is complete as delivered.
+// When the daemon's mode feeds the other stream (!served), the answer
+// is 404 with elsewhere as its body.
+func streamSSE[T any](w http.ResponseWriter, r *http.Request, served bool, elsewhere string,
+	subscribe func(buf int) (<-chan T, func()), wire func(T) (event string, v any)) {
 	if r.Method != http.MethodGet {
 		w.Header().Set("Allow", http.MethodGet)
 		http.Error(w, "GET only", http.StatusMethodNotAllowed)
 		return
 	}
-	if s.integrate {
-		http.Error(w, "match deltas are consumed by the integrator; subscribe to /v1/entities", http.StatusNotFound)
+	if !served {
+		http.Error(w, elsewhere, http.StatusNotFound)
 		return
 	}
-	sub, cancel := s.router.SubscribeMatches(sseBuffer)
+	sub, cancel := subscribe(sseBuffer)
 	defer cancel()
 	fl := startSSE(w)
 	if fl == nil {
@@ -197,61 +204,44 @@ func (s *server) handleDeltas(w http.ResponseWriter, r *http.Request) {
 		select {
 		case ev, ok := <-sub:
 			if !ok {
-				// Router drained, or this subscriber fell behind and was
-				// dropped; either way the stream is complete as delivered.
 				writeSSE(w, fl, "end", struct{}{})
 				return
 			}
-			writeSSE(w, fl, "match", sseMatch{
-				Kind:  ev.Delta.Kind.String(),
-				A:     ev.Delta.Pair.A,
-				B:     ev.Delta.Pair.B,
-				Sim:   ev.Delta.Sim,
-				Class: ev.Delta.Class.String(),
-				Shard: ev.Shard,
-			})
+			event, v := wire(ev)
+			writeSSE(w, fl, event, v)
 		case <-r.Context().Done():
 			return
 		}
 	}
 }
 
-func (s *server) handleEntities(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		w.Header().Set("Allow", http.MethodGet)
-		http.Error(w, "GET only", http.StatusMethodNotAllowed)
-		return
-	}
-	if !s.integrate {
-		http.Error(w, "entity deltas flow with -integrate only; subscribe to /v1/deltas", http.StatusNotFound)
-		return
-	}
-	sub, cancel := s.router.SubscribeEntities(sseBuffer)
-	defer cancel()
-	fl := startSSE(w)
-	if fl == nil {
-		return
-	}
-	for {
-		select {
-		case ev, ok := <-sub:
-			if !ok {
-				writeSSE(w, fl, "end", struct{}{})
-				return
-			}
-			writeSSE(w, fl, "entity", sseEntity{
-				Event: ev.Delta.Kind.String(),
-				ID:    ev.Delta.Entity.ID,
-				// The integrator emits defensive copies, so the slices are
-				// owned by this event and marshaled immediately.
-				Members: ev.Delta.Entity.Members,
-				From:    ev.Delta.From,
-				Shard:   ev.Shard,
-			})
-		case <-r.Context().Done():
-			return
+func (s *server) handleDeltas(w http.ResponseWriter, r *http.Request) {
+	const elsewhere = "match deltas are consumed by the integrator; subscribe to /v1/entities"
+	streamSSE(w, r, !s.integrate, elsewhere, s.router.SubscribeMatches, func(ev shard.MatchEvent) (string, any) {
+		return "match", sseMatch{
+			Kind:  ev.Delta.Kind.String(),
+			A:     ev.Delta.Pair.A,
+			B:     ev.Delta.Pair.B,
+			Sim:   ev.Delta.Sim,
+			Class: ev.Delta.Class.String(),
+			Shard: ev.Shard,
 		}
-	}
+	})
+}
+
+func (s *server) handleEntities(w http.ResponseWriter, r *http.Request) {
+	const elsewhere = "entity deltas flow with -integrate only; subscribe to /v1/deltas"
+	streamSSE(w, r, s.integrate, elsewhere, s.router.SubscribeEntities, func(ev shard.EntityEvent) (string, any) {
+		return "entity", sseEntity{
+			Event: ev.Delta.Kind.String(),
+			ID:    ev.Delta.Entity.ID,
+			// The integrator emits defensive copies, so the slices are
+			// owned by this event and marshaled immediately.
+			Members: ev.Delta.Entity.Members,
+			From:    ev.Delta.From,
+			Shard:   ev.Shard,
+		}
+	})
 }
 
 func (s *server) handleStats(w http.ResponseWriter, r *http.Request) {

@@ -255,13 +255,22 @@ func TestEndToEndLoopback(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var st shard.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
 		t.Fatal(err)
 	}
-	resp.Body.Close()
+	var st shard.Stats
+	if err := json.Unmarshal(body, &st); err != nil {
+		t.Fatal(err)
+	}
 	if st.Shards != 4 || len(st.PerShard) != 4 {
 		t.Fatalf("stats shards = %d (%d per-shard entries), want 4", st.Shards, len(st.PerShard))
+	}
+	// The drop counter is on the wire even at zero: an operator reads
+	// "nobody was dropped", not "this build does not count".
+	if !bytes.Contains(body, []byte(`"DroppedSubscribers":0`)) {
+		t.Fatalf("/v1/stats lacks the DroppedSubscribers counter: %s", body)
 	}
 
 	if rc := d.stop(); rc != 0 {

@@ -2,6 +2,7 @@ package probdedup_test
 
 import (
 	"errors"
+	"reflect"
 	"testing"
 
 	"probdedup"
@@ -97,5 +98,58 @@ func TestPublicDurableRoundTrip(t *testing.T) {
 	if len(recR.Entities) != len(liveR.Entities) || len(recR.Uncertain) != len(liveR.Uncertain) {
 		t.Fatalf("recovered %d entities / %d uncertain, want %d / %d",
 			len(recR.Entities), len(recR.Uncertain), len(liveR.Entities), len(liveR.Uncertain))
+	}
+}
+
+// durableOps is the logged half of both durable engines: the four
+// mutators (each appended to the WAL before it is applied) and the
+// lifecycle calls.
+type durableOps interface {
+	Add(*probdedup.XTuple) error
+	AddBatch([]*probdedup.XTuple) error
+	Remove(id string) error
+	Reseal() error
+	Checkpoint() error
+	Seq() uint64
+	Close() error
+	Abort() error
+	Len() int
+	ResidentIDs() []string
+}
+
+// The durable wrappers promote their read methods from an embedded
+// view, so go doc no longer lists them one by one; these assertions pin
+// the exported method sets at compile time.
+var (
+	_ interface {
+		durableOps
+		Flush() *probdedup.Result
+		Stats() probdedup.DetectorStats
+		Resident(id string) (*probdedup.XTuple, bool)
+	} = (*probdedup.DurableDetector)(nil)
+	_ interface {
+		durableOps
+		Flush() (*probdedup.Resolution, error)
+		FlushResult() *probdedup.Result
+		Stats() probdedup.IntegratorStats
+	} = (*probdedup.DurableIntegrator)(nil)
+)
+
+// TestDurableMethodSetsAreClosed: beyond the methods pinned above the
+// wrappers export nothing — in particular no second Add/Remove path and
+// no accessor handing out the wrapped engine, either of which would let
+// a caller mutate state around the log.
+func TestDurableMethodSetsAreClosed(t *testing.T) {
+	for typ, want := range map[reflect.Type]int{
+		reflect.TypeOf((*probdedup.DurableDetector)(nil)):   13,
+		reflect.TypeOf((*probdedup.DurableIntegrator)(nil)): 13,
+	} {
+		if got := typ.NumMethod(); got != want {
+			var names []string
+			for i := 0; i < got; i++ {
+				names = append(names, typ.Method(i).Name)
+			}
+			t.Errorf("%v exports %d methods %v, want the %d pinned above", typ, got, names, want)
+		}
 	}
 }

@@ -149,29 +149,17 @@ func (m *Matcher) nulls() NullSemantics {
 }
 
 // valueSim memoizes the comparison function of attribute k on existing
-// values. Pairs of interned values are memoized under their symbol pair
-// (hashing two uint32s instead of two strings); un-interned values fall
-// back to the string-keyed memo. Both kinds share one cache bound.
+// values under their interned symbol pair. Values that carry no symbol
+// (a relation that was never interned) are computed directly.
 func (m *Matcher) valueSim(k int, a, b pdb.Value) float64 {
-	if m.cache == nil {
+	sa, sb := a.Sym(), b.Sym()
+	if m.cache == nil || sa == 0 || sb == 0 {
 		return m.Funcs[k](a.S(), b.S())
 	}
-	if sa, sb := a.Sym(), b.Sym(); sa != 0 && sb != 0 {
-		key := symKey{attr: uint32(k), a: sa, b: sb}
-		if key.a > key.b {
-			key.a, key.b = key.b, key.a
-		}
-		if v, ok := m.cache.getSym(key); ok {
-			return v
-		}
-		v := m.Funcs[k](a.S(), b.S())
-		m.cache.putSym(key, v)
-		return v
+	if sa > sb {
+		sa, sb = sb, sa
 	}
-	key := cacheKey{attr: k, a: a.S(), b: b.S()}
-	if key.a > key.b {
-		key.a, key.b = key.b, key.a
-	}
+	key := symKey{attr: uint32(k), a: sa, b: sb}
 	if v, ok := m.cache.get(key); ok {
 		return v
 	}

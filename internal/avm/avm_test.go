@@ -8,7 +8,9 @@ import (
 
 	"probdedup/internal/paperdata"
 	"probdedup/internal/pdb"
+	"probdedup/internal/prepare"
 	"probdedup/internal/strsim"
+	"probdedup/internal/sym"
 )
 
 func almost(a, b float64) bool { return math.Abs(a-b) <= 1e-9 }
@@ -71,6 +73,13 @@ func TestNullSemanticsAblation(t *testing.T) {
 func TestMatcherCompareTuples(t *testing.T) {
 	m := NewMatcher(strsim.NormalizedHamming, strsim.NormalizedHamming)
 	r1, r2 := paperdata.R1(), paperdata.R2()
+	// The memo is keyed by symbol pair: intern both tuples into one table.
+	tab := sym.NewTable(0)
+	for _, tu := range []*pdb.Tuple{r1.TupleByID("t11"), r2.TupleByID("t22")} {
+		for i := range tu.Attrs {
+			tu.Attrs[i] = prepare.InternDist(tab, tu.Attrs[i])
+		}
+	}
 	c := m.CompareTuples(r1.TupleByID("t11"), r2.TupleByID("t22"))
 	if len(c) != 2 {
 		t.Fatalf("vector length %d", len(c))

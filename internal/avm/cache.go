@@ -5,8 +5,8 @@ import (
 )
 
 // DefaultCacheCapacity is the entry bound NewMatcher and the detection
-// engine use when no explicit capacity is configured. At two short
-// strings plus a float per entry this is a few MB — enough to hold every
+// engine use when no explicit capacity is configured. At three integers
+// plus a float per entry this is a few MB — enough to hold every
 // distinct value pair of mid-sized relations while staying bounded on
 // adversarial ones.
 const DefaultCacheCapacity = 1 << 16
@@ -16,66 +16,22 @@ const DefaultCacheCapacity = 1 << 16
 // worker count.
 const cacheShards = 64
 
-// cacheKey identifies one memoized comparison: the attribute (comparison
-// functions differ per attribute) and the canonically ordered value pair.
-type cacheKey struct {
-	attr int
-	a, b string
-}
-
-// symKey is the symbol-plane form of cacheKey: when both values carry
-// interned symbols (see internal/sym) the memo is keyed by a 12-byte
-// integer triple instead of two strings — cheaper to hash, compare and
-// store, and independent of value length.
+// symKey identifies one memoized comparison: the attribute (comparison
+// functions differ per attribute) and the canonically ordered pair of
+// interned value symbols (see internal/sym) — a 12-byte integer triple,
+// cheap to hash, compare and store, and independent of value length.
 type symKey struct {
 	attr uint32
 	a, b uint32
 }
 
-// cacheShard is one lock stripe of the cache. The string-keyed and
-// symbol-keyed entries live in separate maps but share the shard's
-// entry bound; a run uses almost exclusively one of the two, depending
-// on whether its values were interned.
+// cacheShard is one lock stripe of the cache.
 type cacheShard struct {
 	mu     sync.Mutex
-	m      map[cacheKey]float64
-	ms     map[symKey]float64
+	m      map[symKey]float64
 	hits   uint64
 	misses uint64
 	evics  uint64
-}
-
-// evictLocked drops entries so an insert keeps the shard within
-// perShard, preferring the map the insert targets (symFirst) so steady
-// workloads evict their own kind. Must be called with s.mu held.
-func (s *cacheShard) evictLocked(drop int, symFirst bool) {
-	evictSyms := func() {
-		for old := range s.ms {
-			if drop == 0 {
-				return
-			}
-			delete(s.ms, old)
-			s.evics++
-			drop--
-		}
-	}
-	evictStrs := func() {
-		for old := range s.m {
-			if drop == 0 {
-				return
-			}
-			delete(s.m, old)
-			s.evics++
-			drop--
-		}
-	}
-	if symFirst {
-		evictSyms()
-		evictStrs()
-	} else {
-		evictStrs()
-		evictSyms()
-	}
 }
 
 // Cache is a sharded, bounded, concurrency-safe memo of value-pair
@@ -128,31 +84,17 @@ func NewCache(capacity int) *Cache {
 	return c
 }
 
-// shardOf hashes the key to its stripe (FNV-1a, inlined so the lookup
-// path stays allocation-free).
-func (c *Cache) shardOf(k cacheKey) *cacheShard {
-	const (
-		offset64 = 14695981039346656037
-		prime64  = 1099511628211
-	)
-	h := uint64(offset64)
-	h ^= uint64(k.attr)
-	h *= prime64
-	for i := 0; i < len(k.a); i++ {
-		h ^= uint64(k.a[i])
-		h *= prime64
-	}
-	h ^= 0xff // separator so ("ab","c") and ("a","bc") differ
-	h *= prime64
-	for i := 0; i < len(k.b); i++ {
-		h ^= uint64(k.b[i])
-		h *= prime64
-	}
-	return &c.shards[h&(cacheShards-1)]
+// shardOf hashes a key to its stripe (multiplicative mixing; the top
+// bits carry the entropy, so the stripe index is taken there).
+func (c *Cache) shardOf(k symKey) *cacheShard {
+	const mix = 0x9E3779B97F4A7C15
+	h := (uint64(k.attr)*mix ^ uint64(k.a)) * mix
+	h = (h ^ uint64(k.b)) * mix
+	return &c.shards[h>>(64-6)&(cacheShards-1)]
 }
 
 // get returns the memoized similarity of the key.
-func (c *Cache) get(k cacheKey) (float64, bool) {
+func (c *Cache) get(k symKey) (float64, bool) {
 	s := c.shardOf(k)
 	s.mu.Lock()
 	v, ok := s.m[k]
@@ -168,67 +110,28 @@ func (c *Cache) get(k cacheKey) (float64, bool) {
 // put memoizes the similarity of the key, evicting when the shard is
 // full. Racing puts of the same key are idempotent because comparison
 // functions are deterministic.
-func (c *Cache) put(k cacheKey, v float64) {
+func (c *Cache) put(k symKey, v float64) {
 	s := c.shardOf(k)
 	s.mu.Lock()
 	if s.m == nil {
 		// Grow on demand: pre-sizing to perShard would commit the full
 		// capacity up front even for runs that never fill the cache.
-		s.m = make(map[cacheKey]float64)
+		s.m = make(map[symKey]float64)
 	}
-	if _, exists := s.m[k]; !exists && len(s.m)+len(s.ms) >= c.perShard {
+	if _, exists := s.m[k]; !exists && len(s.m) >= c.perShard {
 		// Evict an eighth of the shard (at least one entry) in map order.
 		// Batching amortizes the eviction walk over many inserts.
-		s.evictLocked(c.evictBatch(), false)
+		drop := max(c.perShard/8, 1)
+		for old := range s.m {
+			if drop == 0 {
+				break
+			}
+			delete(s.m, old)
+			s.evics++
+			drop--
+		}
 	}
 	s.m[k] = v
-	s.mu.Unlock()
-}
-
-// evictBatch is the number of entries dropped per eviction.
-func (c *Cache) evictBatch() int {
-	drop := c.perShard / 8
-	if drop < 1 {
-		drop = 1
-	}
-	return drop
-}
-
-// shardOfSym hashes a symbol key to its stripe (multiplicative mixing;
-// the top bits carry the entropy, so the stripe index is taken there).
-func (c *Cache) shardOfSym(k symKey) *cacheShard {
-	const mix = 0x9E3779B97F4A7C15
-	h := (uint64(k.attr)*mix ^ uint64(k.a)) * mix
-	h = (h ^ uint64(k.b)) * mix
-	return &c.shards[h>>(64-6)&(cacheShards-1)]
-}
-
-// getSym returns the memoized similarity of the symbol key.
-func (c *Cache) getSym(k symKey) (float64, bool) {
-	s := c.shardOfSym(k)
-	s.mu.Lock()
-	v, ok := s.ms[k]
-	if ok {
-		s.hits++
-	} else {
-		s.misses++
-	}
-	s.mu.Unlock()
-	return v, ok
-}
-
-// putSym memoizes the similarity of the symbol key under the same shard
-// bound as put.
-func (c *Cache) putSym(k symKey, v float64) {
-	s := c.shardOfSym(k)
-	s.mu.Lock()
-	if s.ms == nil {
-		s.ms = make(map[symKey]float64)
-	}
-	if _, exists := s.ms[k]; !exists && len(s.m)+len(s.ms) >= c.perShard {
-		s.evictLocked(c.evictBatch(), true)
-	}
-	s.ms[k] = v
 	s.mu.Unlock()
 }
 
@@ -238,7 +141,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += len(s.m) + len(s.ms)
+		n += len(s.m)
 		s.mu.Unlock()
 	}
 	return n
@@ -253,7 +156,7 @@ func (c *Cache) Stats() CacheStats {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		st.Entries += len(s.m) + len(s.ms)
+		st.Entries += len(s.m)
 		st.Hits += s.hits
 		st.Misses += s.misses
 		st.Evictions += s.evics
@@ -270,11 +173,6 @@ func (c *Cache) SizeByAttr(nattrs int) []int {
 		s := &c.shards[i]
 		s.mu.Lock()
 		for k := range s.m {
-			if k.attr >= 0 && k.attr < nattrs {
-				out[k.attr]++
-			}
-		}
-		for k := range s.ms {
 			if int(k.attr) < nattrs {
 				out[k.attr]++
 			}

@@ -7,15 +7,24 @@ import (
 	"testing"
 
 	"probdedup/internal/pdb"
+	"probdedup/internal/prepare"
 	"probdedup/internal/strsim"
+	"probdedup/internal/sym"
 )
+
+// certain builds a single-value distribution interned into tab — the
+// shape every value has by the time the detection engine compares it.
+func certain(tab *sym.Table, s string) pdb.Dist {
+	return prepare.InternDist(tab, pdb.Certain(s))
+}
 
 func TestCacheBoundedUnderChurn(t *testing.T) {
 	c := NewCache(1024)
 	m := NewMatcherWithCache(c, strsim.Levenshtein)
+	tab := sym.NewTable(0)
 	for i := 0; i < 20000; i++ {
-		a := pdb.Certain(fmt.Sprintf("value-%d", i))
-		b := pdb.Certain(fmt.Sprintf("value-%d", i+1))
+		a := certain(tab, fmt.Sprintf("value-%d", i))
+		b := certain(tab, fmt.Sprintf("value-%d", i+1))
 		m.AttrSim(0, a, b)
 	}
 	st := c.Stats()
@@ -33,7 +42,8 @@ func TestCacheBoundedUnderChurn(t *testing.T) {
 func TestCacheHitMissStats(t *testing.T) {
 	c := NewCache(DefaultCacheCapacity)
 	m := NewMatcherWithCache(c, strsim.Levenshtein)
-	a, b := pdb.Certain("machinist"), pdb.Certain("mechanic")
+	tab := sym.NewTable(0)
+	a, b := certain(tab, "machinist"), certain(tab, "mechanic")
 	m.AttrSim(0, a, b)
 	st := c.Stats()
 	if st.Misses != 1 || st.Hits != 0 {
@@ -63,10 +73,11 @@ func TestCacheEvictionKeepsResultsExact(t *testing.T) {
 	c := NewCache(64)
 	cached := NewMatcherWithCache(c, strsim.Levenshtein)
 	uncached := NewMatcherWithCache(nil, strsim.Levenshtein)
+	tab := sym.NewTable(0)
 	for round := 0; round < 3; round++ { // revisit pairs across evictions
 		for i := 0; i < 500; i++ {
-			a := pdb.Certain(fmt.Sprintf("left-%d", i))
-			b := pdb.Certain(fmt.Sprintf("right-%d", i%37))
+			a := certain(tab, fmt.Sprintf("left-%d", i))
+			b := certain(tab, fmt.Sprintf("right-%d", i%37))
 			got := cached.AttrSim(0, a, b)
 			want := uncached.AttrSim(0, a, b)
 			if got != want {
@@ -85,6 +96,13 @@ func TestCacheConcurrentSharedMatchers(t *testing.T) {
 	c := NewCache(DefaultCacheCapacity)
 	const workers = 8
 	const distinct = 200
+	// Interned up front, as the engine does before its workers start.
+	tab := sym.NewTable(0)
+	var as, bs [distinct]pdb.Dist
+	for i := range as {
+		as[i] = certain(tab, fmt.Sprintf("alpha-%03d", i))
+		bs[i] = certain(tab, fmt.Sprintf("alphb-%03d", i))
+	}
 	var wg sync.WaitGroup
 	results := make([][]float64, workers)
 	for w := 0; w < workers; w++ {
@@ -95,9 +113,7 @@ func TestCacheConcurrentSharedMatchers(t *testing.T) {
 			out := make([]float64, 0, 4*distinct)
 			for rep := 0; rep < 4; rep++ {
 				for i := 0; i < distinct; i++ {
-					a := pdb.Certain(fmt.Sprintf("alpha-%03d", i))
-					b := pdb.Certain(fmt.Sprintf("alphb-%03d", i))
-					out = append(out, m.AttrSim(0, a, b)+m.AttrSim(1, a, b))
+					out = append(out, m.AttrSim(0, as[i], bs[i])+m.AttrSim(1, as[i], bs[i]))
 				}
 			}
 			results[w] = out
@@ -128,8 +144,9 @@ func TestMatcherSharedCacheMatchesPrivate(t *testing.T) {
 	m1 := NewMatcherWithCache(shared, strsim.NormalizedHamming)
 	m2 := NewMatcherWithCache(shared, strsim.NormalizedHamming)
 	private := NewMatcher(strsim.NormalizedHamming)
-	d1 := pdb.MustDist(pdb.Alternative{Value: pdb.V("Tim"), P: 0.6}, pdb.Alternative{Value: pdb.V("Tom"), P: 0.4})
-	d2 := pdb.MustDist(pdb.Alternative{Value: pdb.V("Kim"), P: 0.9})
+	tab := sym.NewTable(0)
+	d1 := prepare.InternDist(tab, pdb.MustDist(pdb.Alternative{Value: pdb.V("Tim"), P: 0.6}, pdb.Alternative{Value: pdb.V("Tom"), P: 0.4}))
+	d2 := prepare.InternDist(tab, pdb.MustDist(pdb.Alternative{Value: pdb.V("Kim"), P: 0.9}))
 	want := private.AttrSim(0, d1, d2)
 	if got := m1.AttrSim(0, d1, d2); got != want {
 		t.Fatalf("m1: %v want %v", got, want)

@@ -1,19 +1,96 @@
-// Package cliopts resolves the shared flag vocabulary of the pdedup
-// and pdedupd commands — comparison functions, derivation functions
-// and reduction methods by name, schema parsing, and the equal-weight
+// Package cliopts holds the shared flag vocabulary of the pdedup and
+// pdedupd commands — the detection flags themselves, their translation
+// into engine options, comparison functions, derivation functions and
+// reduction methods by name, schema parsing, and the equal-weight
 // decision model — so both binaries accept the same spellings and an
 // option added for one is automatically available to the other.
 package cliopts
 
 import (
+	"flag"
 	"fmt"
 	"strings"
 
+	"probdedup/internal/core"
+	"probdedup/internal/decision"
 	"probdedup/internal/keys"
 	"probdedup/internal/ssr"
 	"probdedup/internal/strsim"
 	"probdedup/internal/xmatch"
 )
+
+// Flags holds the parsed detection flags both commands accept. Window,
+// Worlds, K and Seed are the reduction shape parameters: Register sets
+// their defaults and pdedup binds flags of its own to them.
+type Flags struct {
+	Compare, Key, Reduce, Derive string
+	Lambda, Mu, AltLambda, AltMu float64
+	Workers, QGram               int
+	PreFilter                    bool
+	Window, Worlds, K            int
+	Seed                         int64
+}
+
+// Register declares the shared detection flags on fs. reduceDefault is
+// the default of -reduce; usage words the flags whose help differs per
+// command (-key, -reduce, -workers, -prefilter, -qgram).
+func Register(fs *flag.FlagSet, reduceDefault string, usage map[string]string) *Flags {
+	f := &Flags{Window: 3, Worlds: 8, Seed: 1}
+	fs.StringVar(&f.Compare, "compare", "hamming", "comparison function: hamming, levenshtein, damerau, jaro, jarowinkler, dice2, exact")
+	fs.StringVar(&f.Key, "key", "", usage["key"])
+	fs.StringVar(&f.Reduce, "reduce", reduceDefault, usage["reduce"])
+	fs.StringVar(&f.Derive, "derive", "similarity", "derivation: similarity, decision, eta, mpw, max")
+	fs.Float64Var(&f.Lambda, "lambda", 0.4, "threshold Tλ (below: non-match)")
+	fs.Float64Var(&f.Mu, "mu", 0.7, "threshold Tμ (above: match)")
+	fs.Float64Var(&f.AltLambda, "alt-lambda", 0.4, "per-alternative Tλ")
+	fs.Float64Var(&f.AltMu, "alt-mu", 0.7, "per-alternative Tμ")
+	fs.IntVar(&f.Workers, "workers", 1, usage["workers"])
+	fs.BoolVar(&f.PreFilter, "prefilter", false, usage["prefilter"])
+	fs.IntVar(&f.QGram, "qgram", 0, usage["qgram"])
+	return f
+}
+
+// Options translates the parsed flags into engine options over schema:
+// one comparison function for every attribute, the equal-weight
+// weighted-sum model (which exposes its weights, so the -prefilter
+// bound machinery can box-bound it), and the named derivation and
+// reduction. -reduce none leaves Reduction nil, the cross product.
+func (f *Flags) Options(schema []string) (core.Options, error) {
+	cmp, err := Compare(f.Compare)
+	if err != nil {
+		return core.Options{}, err
+	}
+	compare := make([]strsim.Func, len(schema))
+	for i := range compare {
+		compare[i] = cmp
+	}
+	opts := core.Options{
+		Compare: compare,
+		AltModel: decision.WeightedSumModel{
+			Weights: EqualWeights(len(schema)),
+			T:       decision.Thresholds{Lambda: f.AltLambda, Mu: f.AltMu},
+		},
+		Final:     decision.Thresholds{Lambda: f.Lambda, Mu: f.Mu},
+		Workers:   f.Workers,
+		PreFilter: f.PreFilter,
+		FilterQ:   f.QGram,
+	}
+	if opts.Derivation, err = Derivation(f.Derive); err != nil {
+		return core.Options{}, err
+	}
+	if f.Reduce == "none" {
+		return opts, nil
+	}
+	if f.Key == "" {
+		return core.Options{}, fmt.Errorf("reduction %q needs -key", f.Reduce)
+	}
+	def, err := keys.ParseDef(f.Key, schema)
+	if err != nil {
+		return core.Options{}, err
+	}
+	opts.Reduction, err = Reduction(f.Reduce, def, f.Window, f.Worlds, f.K, f.Seed)
+	return opts, err
+}
 
 // Compare resolves a comparison-function name.
 func Compare(name string) (strsim.Func, error) {

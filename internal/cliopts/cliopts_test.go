@@ -1,11 +1,14 @@
 package cliopts
 
 import (
+	"flag"
 	"math"
 	"testing"
 
+	"probdedup/internal/decision"
 	"probdedup/internal/keys"
 	"probdedup/internal/ssr"
+	"probdedup/internal/xmatch"
 )
 
 func TestCompareNames(t *testing.T) {
@@ -92,6 +95,64 @@ func TestParseSchema(t *testing.T) {
 	for _, bad := range []string{"", "  ", "name,,job", "name,"} {
 		if _, err := ParseSchema(bad); err == nil {
 			t.Errorf("ParseSchema(%q) accepted", bad)
+		}
+	}
+}
+
+// TestFlagsOptions: the shared flags parse under the spellings both
+// commands document and translate into the options both used to build
+// by hand; every resolution failure surfaces as an error.
+func TestFlagsOptions(t *testing.T) {
+	schema := []string{"name", "job"}
+	parse := func(args ...string) *Flags {
+		t.Helper()
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f := Register(fs, "none", map[string]string{"key": "the key"})
+		if err := fs.Parse(args); err != nil {
+			t.Fatal(err)
+		}
+		if got := fs.Lookup("key").Usage; got != "the key" {
+			t.Fatalf("-key usage = %q, want the command's wording", got)
+		}
+		return f
+	}
+
+	opts, err := parse().Options(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if opts.Reduction != nil || len(opts.Compare) != 2 || opts.Workers != 1 || opts.PreFilter ||
+		opts.Final != (decision.Thresholds{Lambda: 0.4, Mu: 0.7}) {
+		t.Fatalf("default options = %+v", opts)
+	}
+
+	opts, err = parse("-key", "name:3", "-reduce", "snm-certain", "-compare", "levenshtein", "-derive", "eta",
+		"-lambda", "0.5", "-mu", "0.9", "-alt-lambda", "0.3", "-alt-mu", "0.8", "-workers", "4", "-prefilter", "-qgram", "3").Options(schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if red, ok := opts.Reduction.(ssr.SNMCertain); !ok || red.Window != 3 {
+		t.Fatalf("reduction = %#v, want snm-certain at the default window", opts.Reduction)
+	}
+	model := opts.AltModel.(decision.WeightedSumModel)
+	if model.T != (decision.Thresholds{Lambda: 0.3, Mu: 0.8}) || len(model.Weights) != 2 ||
+		opts.Final != (decision.Thresholds{Lambda: 0.5, Mu: 0.9}) ||
+		opts.Workers != 4 || !opts.PreFilter || opts.FilterQ != 3 {
+		t.Fatalf("translated options = %+v", opts)
+	}
+	if _, ok := opts.Derivation.(xmatch.ExpectedEta); !ok {
+		t.Fatalf("derivation = %#v", opts.Derivation)
+	}
+
+	for name, args := range map[string][]string{
+		"compare":        {"-compare", "nope"},
+		"derive":         {"-derive", "nope"},
+		"missing key":    {"-reduce", "snm-certain"},
+		"bad key":        {"-reduce", "snm-certain", "-key", "nope:3"},
+		"unknown reduce": {"-reduce", "nope", "-key", "name:3"},
+	} {
+		if _, err := parse(args...).Options(schema); err == nil {
+			t.Errorf("%s: Options accepted %v", name, args)
 		}
 	}
 }

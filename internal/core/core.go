@@ -79,9 +79,6 @@ type Options struct {
 // the log tail through the ordinary fold paths so a recovered engine
 // is bit-identical to one that never crashed.
 type Durability struct {
-	// Dir is the state directory; used when the open call does not name
-	// one explicitly.
-	Dir string
 	// FsyncEvery is the group-commit grain: one fsync per this many
 	// logged operations (0 or 1 syncs every operation). Operations
 	// since the last sync may be lost in a crash — recovery still

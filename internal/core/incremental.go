@@ -120,6 +120,19 @@ type DetectorStats struct {
 	FilterActive bool
 }
 
+// Engine is the mutation surface every online engine shares: Detector,
+// resolve.Integrator and their wal durable wrappers all satisfy it, so
+// the durability layer, the shard router and the CLIs drive any of
+// them through one type.
+type Engine interface {
+	Add(x *pdb.XTuple) error
+	AddBatch(xs []*pdb.XTuple) error
+	Remove(id string) error
+	Reseal() error
+	Len() int
+	ResidentIDs() []string
+}
+
 // Detector is the long-lived online detection engine: tuples arrive
 // (and leave) one at a time or in batches, and each arrival is
 // compared only against the candidates produced by incremental index
@@ -325,12 +338,10 @@ func (d *Detector) prepareTuple(x *pdb.XTuple) (*pdb.XTuple, error) {
 	if _, dup := d.eng.byID[x.ID]; dup {
 		return nil, fmt.Errorf("core: duplicate tuple ID %q", x.ID)
 	}
-	if d.eng.symtab != nil {
-		// Populate the symbol plane at arrival time: the tuple is the
-		// detector's private copy, so interning (which replaces value
-		// annotations) never touches the caller's instance.
-		prepare.InternXTuple(d.eng.symtab, x)
-	}
+	// Populate the symbol plane at arrival time: the tuple is the
+	// detector's private copy, so interning (which replaces value
+	// annotations) never touches the caller's instance.
+	prepare.InternXTuple(d.eng.symtab, x)
 	return x, nil
 }
 

@@ -110,9 +110,7 @@ func RestoreDetector(opts Options, emit func(MatchDelta) bool, st *DetectorState
 		if _, dup := d.eng.byID[x.ID]; dup {
 			return nil, fmt.Errorf("core: snapshot lists resident %q twice", x.ID)
 		}
-		if d.eng.symtab != nil {
-			prepare.InternXTuple(d.eng.symtab, x)
-		}
+		prepare.InternXTuple(d.eng.symtab, x)
 		d.register(x)
 		if !stateful {
 			// Discarded deltas: the maintained candidate set is what the

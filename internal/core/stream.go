@@ -63,9 +63,8 @@ type engine struct {
 	// cache is the run's shared similarity memo (nil when disabled);
 	// every worker's matcher writes into and reads from it.
 	cache *avm.Cache
-	// symtab is the run's symbol plane (nil when neither the cache nor
-	// the pre-filter wants interned values): every standardized value
-	// is interned once and annotated with its dense symbol.
+	// symtab is the run's symbol plane: every standardized value is
+	// interned once and annotated with its dense symbol.
 	symtab *sym.Table
 	// filter is the sound candidate pre-filter (nil when off or when
 	// the configuration cannot be bounded).
@@ -94,21 +93,18 @@ func newEngine(xr *pdb.XRelation, opts Options) (*engine, error) {
 	// is still the caller's — clone before the interning pass replaces
 	// value annotations. A detector's relation starts empty; its
 	// arrivals are interned in prepareTuple.
-	var symtab *sym.Table
-	if opts.PreFilter || opts.CacheCapacity >= 0 {
-		q := 0
-		if opts.PreFilter {
-			q = opts.FilterQ
-			if q <= 0 {
-				q = 2
-			}
+	q := 0
+	if opts.PreFilter {
+		q = opts.FilterQ
+		if q <= 0 {
+			q = 2
 		}
-		symtab = sym.NewTable(q)
-		if opts.Standardizer == nil {
-			xr = xr.Clone()
-		}
-		prepare.InternXRelation(symtab, xr)
 	}
+	symtab := sym.NewTable(q)
+	if opts.Standardizer == nil {
+		xr = xr.Clone()
+	}
+	prepare.InternXRelation(symtab, xr)
 
 	// Step C prerequisites: comparison functions.
 	compare := opts.Compare

@@ -16,8 +16,10 @@ import (
 	"probdedup/internal/keys"
 	"probdedup/internal/paperdata"
 	"probdedup/internal/pdb"
+	"probdedup/internal/prepare"
 	"probdedup/internal/ssr"
 	"probdedup/internal/strsim"
+	"probdedup/internal/sym"
 	"probdedup/internal/verify"
 	"probdedup/internal/worlds"
 	"probdedup/internal/xmatch"
@@ -45,6 +47,17 @@ func PaperModel() decision.Model {
 // PaperMatcher compares both attributes with normalized Hamming.
 func PaperMatcher() *avm.Matcher {
 	return avm.NewMatcher(strsim.NormalizedHamming, strsim.NormalizedHamming)
+}
+
+// internRelation annotates every value of r, in place, with its symbol
+// in t. A Matcher memoizes by symbol pair only, so relations compared
+// through one matcher must be interned into one table.
+func internRelation(t *sym.Table, r *pdb.Relation) {
+	for _, tu := range r.Tuples {
+		for i := range tu.Attrs {
+			tu.Attrs[i] = prepare.InternDist(t, tu.Attrs[i])
+		}
+	}
 }
 
 // E01 reproduces the Sec. IV-A worked example (attribute value matching and
@@ -281,6 +294,9 @@ func E10() string {
 	}
 	model := decision.RuleModel{Rules: rules, T: decision.Thresholds{Lambda: 0.7, Mu: 0.7}}
 	r1, r2 := paperdata.R1(), paperdata.R2()
+	symtab := sym.NewTable(0)
+	internRelation(symtab, r1)
+	internRelation(symtab, r2)
 	matcher := PaperMatcher()
 	var b strings.Builder
 	b.WriteString("E10 — identification rule of Fig. 1 over ℛ1 × ℛ2\n")

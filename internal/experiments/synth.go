@@ -14,6 +14,7 @@ import (
 	"probdedup/internal/keys"
 	"probdedup/internal/ssr"
 	"probdedup/internal/strsim"
+	"probdedup/internal/sym"
 	"probdedup/internal/verify"
 	"probdedup/internal/xmatch"
 )
@@ -161,6 +162,7 @@ func s01FellegiSunter(level UncertaintyLevel, d *dataset.Dataset) S01Row {
 
 	// Collect agreement patterns over conflict-resolved tuples.
 	resolved := fusion.ResolveRelation(fusion.MostProbable{}, u)
+	internRelation(sym.NewTable(0), resolved)
 	matcher := avm.NewMatcher(synthCompare()...)
 	byID := map[string]int{}
 	for i, t := range resolved.Tuples {

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/fnv"
+	"io"
 	"os"
 	"path/filepath"
 	"sort"
@@ -54,7 +55,7 @@ import (
 const DefaultQueueDepth = 1024
 
 // shardBatchCap caps how many queued insertions a shard worker
-// coalesces into one AddBatch call (mirrors pdedup -follow's batch).
+// coalesces into one AddBatch call.
 const shardBatchCap = 256
 
 // ErrNotShardable reports a reduction method whose candidate pairs can
@@ -155,18 +156,25 @@ type Stats struct {
 	Detector core.DetectorStats
 	// Entities sums the per-shard entity counts (integrate mode).
 	Entities int
+	// DroppedSubscribers counts the delta subscribers the non-blocking
+	// fan-out has dropped for falling behind, since the router opened.
+	DroppedSubscribers int
 	// PerShard lists each shard's snapshot in shard order.
 	PerShard []ShardStats
 }
 
-// engineOps is the per-shard mutation surface, satisfied by
-// core.Detector, resolve.Integrator and their wal durable wrappers.
-type engineOps interface {
-	Add(*pdb.XTuple) error
-	AddBatch([]*pdb.XTuple) error
-	Remove(id string) error
-	ResidentIDs() []string
-	Len() int
+// detectorReads and integratorReads are the typed read handles of the
+// two engine modes; the plain engines and their wal durable wrappers
+// satisfy them alike.
+type detectorReads interface {
+	Flush() *core.Result
+	Stats() core.DetectorStats
+}
+
+type integratorReads interface {
+	Flush() (*resolve.Resolution, error)
+	FlushResult() *core.Result
+	Stats() resolve.IntegratorStats
 }
 
 // op is one queued shard operation: an insertion, a removal, or a
@@ -181,20 +189,36 @@ type op struct {
 }
 
 // shardState is one shard: its engine, its FIFO queue, and its sticky
-// first apply error.
+// first apply error. eng mutates the engine; exactly one of det and ig
+// — by mode — reads it, and closer is set for durable engines only.
 type shardState struct {
-	id  int
-	ops chan op
-	eng engineOps
-
-	flushResult   func() *core.Result
-	flushEntities func() (*resolve.Resolution, error)
-	stats         func() core.DetectorStats
-	entities      func() int
-	closeEng      func() error
+	id     int
+	ops    chan op
+	eng    core.Engine
+	det    detectorReads
+	ig     integratorReads
+	closer io.Closer
 
 	mu  sync.Mutex
 	err error
+}
+
+// flushResult returns the shard's classified pair set in either mode.
+func (s *shardState) flushResult() *core.Result {
+	if s.ig != nil {
+		return s.ig.FlushResult()
+	}
+	return s.det.Flush()
+}
+
+// stats returns the shard's detector stats and, in integrate mode, its
+// entity count.
+func (s *shardState) stats() (core.DetectorStats, int) {
+	if s.ig != nil {
+		st := s.ig.Stats()
+		return st.Detector, st.Entities
+	}
+	return s.det.Stats(), 0
 }
 
 func (s *shardState) fail() error {
@@ -232,12 +256,9 @@ type Router struct {
 	// each other, so a barrier round never interleaves with teardown.
 	opMu sync.Mutex
 
-	// subMu guards the subscriber registries.
-	subMu      sync.Mutex
-	subsClosed bool
-	nextSub    int
-	matchSubs  map[int]chan MatchEvent
-	entitySubs map[int]chan EntityEvent
+	// Delta fan-out; only the one matching the mode ever publishes.
+	matches  fanout[MatchEvent]
+	entities fanout[EntityEvent]
 
 	wg     sync.WaitGroup
 	shards []*shardState
@@ -286,15 +307,13 @@ func Open(cfg Config) (*Router, error) {
 		return nil, err
 	}
 	r := &Router{
-		schema:     append([]string(nil), cfg.Schema...),
-		std:        cfg.Opts.Standardizer,
-		key:        key,
-		strategy:   strategy,
-		integrate:  cfg.Integrate,
-		ids:        map[string]int{},
-		matchSubs:  map[int]chan MatchEvent{},
-		entitySubs: map[int]chan EntityEvent{},
-		shards:     make([]*shardState, n),
+		schema:    append([]string(nil), cfg.Schema...),
+		std:       cfg.Opts.Standardizer,
+		key:       key,
+		strategy:  strategy,
+		integrate: cfg.Integrate,
+		ids:       map[string]int{},
+		shards:    make([]*shardState, n),
 	}
 	if cfg.StateDir != "" {
 		if err := checkShardMeta(cfg.StateDir, n); err != nil {
@@ -304,13 +323,13 @@ func Open(cfg Config) (*Router, error) {
 	for i := range r.shards {
 		s := &shardState{id: i, ops: make(chan op, depth)}
 		if err := r.buildEngine(s, cfg); err != nil {
-			r.closeEngines()
+			r.closeShards()
 			return nil, err
 		}
 		r.shards[i] = s
 	}
 	if err := r.rebuildIDs(); err != nil {
-		r.closeEngines()
+		r.closeShards()
 		return nil, err
 	}
 	for _, s := range r.shards {
@@ -321,73 +340,49 @@ func Open(cfg Config) (*Router, error) {
 }
 
 // buildEngine wires shard s's engine per cfg, capturing the shard
-// index in the emit closures so events carry their origin.
+// index in the emit closures so events carry their origin. The handles
+// are assigned only after a successful open, so closer is never a
+// non-nil interface around a nil durable wrapper.
 func (r *Router) buildEngine(s *shardState, cfg Config) error {
 	id := s.id
 	dir := ""
 	if cfg.StateDir != "" {
 		dir = filepath.Join(cfg.StateDir, fmt.Sprintf("shard-%d", id))
 	}
-	if cfg.Integrate {
-		emit := func(ed resolve.EntityDelta) bool {
-			r.publishEntity(id, ed)
-			return true
-		}
-		var (
-			ig interface {
-				Stats() resolve.IntegratorStats
-			}
-			err error
-		)
-		if dir != "" {
-			var d *wal.DurableIntegrator
-			d, err = wal.OpenDurableIntegrator(dir, cfg.Schema, cfg.Opts, emit)
-			if err == nil {
-				s.eng, s.closeEng = d, d.Close
-				s.flushResult = d.FlushResult
-				s.flushEntities = d.Flush
-				ig = d
-			}
-		} else {
-			var m *resolve.Integrator
-			m, err = resolve.NewIntegrator(cfg.Schema, cfg.Opts, emit)
-			if err == nil {
-				s.eng = m
-				s.flushResult = m.FlushResult
-				s.flushEntities = m.Flush
-				ig = m
-			}
-		}
-		if err != nil {
-			return err
-		}
-		s.stats = func() core.DetectorStats { return ig.Stats().Detector }
-		s.entities = func() int { return ig.Stats().Entities }
-		return nil
-	}
-	emit := func(md core.MatchDelta) bool {
-		r.publishMatch(id, md)
+	emitEntity := func(ed resolve.EntityDelta) bool {
+		r.entities.publish(EntityEvent{Shard: id, Delta: ed})
 		return true
 	}
-	s.flushEntities = nil
-	s.entities = func() int { return 0 }
-	if dir != "" {
-		d, err := wal.OpenDurable(dir, cfg.Schema, cfg.Opts, emit)
+	emitMatch := func(md core.MatchDelta) bool {
+		r.matches.publish(MatchEvent{Shard: id, Delta: md})
+		return true
+	}
+	switch {
+	case cfg.Integrate && dir != "":
+		d, err := wal.OpenDurableIntegrator(dir, cfg.Schema, cfg.Opts, emitEntity)
 		if err != nil {
 			return err
 		}
-		s.eng, s.closeEng = d, d.Close
-		s.flushResult = d.Flush
-		s.stats = d.Stats
-		return nil
+		s.eng, s.ig, s.closer = d, d, d
+	case cfg.Integrate:
+		ig, err := resolve.NewIntegrator(cfg.Schema, cfg.Opts, emitEntity)
+		if err != nil {
+			return err
+		}
+		s.eng, s.ig = ig, ig
+	case dir != "":
+		d, err := wal.OpenDurable(dir, cfg.Schema, cfg.Opts, emitMatch)
+		if err != nil {
+			return err
+		}
+		s.eng, s.det, s.closer = d, d, d
+	default:
+		det, err := core.NewDetector(cfg.Schema, cfg.Opts, emitMatch)
+		if err != nil {
+			return err
+		}
+		s.eng, s.det = det, det
 	}
-	det, err := core.NewDetector(cfg.Schema, cfg.Opts, emit)
-	if err != nil {
-		return err
-	}
-	s.eng = det
-	s.flushResult = det.Flush
-	s.stats = det.Stats
 	return nil
 }
 
@@ -431,12 +426,12 @@ func (r *Router) rebuildIDs() error {
 	return nil
 }
 
-// closeEngines tears down whatever buildEngine opened — the
+// closeShards tears down whatever buildEngine opened — the
 // construction-failure path.
-func (r *Router) closeEngines() {
+func (r *Router) closeShards() {
 	for _, s := range r.shards {
-		if s != nil && s.closeEng != nil {
-			s.closeEng() // best-effort teardown after a prior error
+		if s != nil && s.closer != nil {
+			s.closer.Close() // best-effort teardown after a prior error
 		}
 	}
 }
@@ -649,7 +644,7 @@ func (r *Router) FlushEntities() (*resolve.Resolution, error) {
 	}
 	out := &resolve.Resolution{}
 	for _, s := range r.shards {
-		res, err := s.flushEntities()
+		res, err := s.ig.Flush()
 		if err != nil {
 			return nil, err
 		}
@@ -670,13 +665,13 @@ func (r *Router) FlushEntities() (*resolve.Resolution, error) {
 func (r *Router) Stats() Stats {
 	st := Stats{Shards: len(r.shards), PerShard: make([]ShardStats, len(r.shards))}
 	for i, s := range r.shards {
-		ds := s.stats()
+		ds, entities := s.stats()
 		ss := ShardStats{
 			Shard:    i,
 			Queue:    len(s.ops),
 			QueueCap: cap(s.ops),
 			Detector: ds,
-			Entities: s.entities(),
+			Entities: entities,
 		}
 		if err := s.fail(); err != nil {
 			ss.Err = err.Error()
@@ -694,94 +689,100 @@ func (r *Router) Stats() Stats {
 		st.Entities += ss.Entities
 	}
 	st.Detector.TotalPairs = ssr.TotalPairs(st.Detector.Residents)
+	st.DroppedSubscribers = r.matches.drops() + r.entities.drops()
 	return st
+}
+
+// fanout broadcasts events of one type to buffered subscriber
+// channels without ever blocking the publisher: a subscriber whose
+// buffer is full is dropped (its channel closed, the drop counted)
+// rather than stalling a shard worker. The zero value is ready to use.
+type fanout[T any] struct {
+	mu      sync.Mutex
+	closed  bool
+	next    int
+	subs    map[int]chan T
+	dropped int
+}
+
+// subscribe registers a subscriber with the given channel buffer (0
+// means 64); cancel unregisters early and is idempotent. After close
+// the returned channel is already closed.
+func (f *fanout[T]) subscribe(buf int) (<-chan T, func()) {
+	if buf <= 0 {
+		buf = 64
+	}
+	ch := make(chan T, buf)
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.closed {
+		close(ch)
+		return ch, func() {}
+	}
+	if f.subs == nil {
+		f.subs = map[int]chan T{}
+	}
+	id := f.next
+	f.next++
+	f.subs[id] = ch
+	return ch, func() {
+		f.mu.Lock()
+		if c, ok := f.subs[id]; ok {
+			delete(f.subs, id)
+			close(c)
+		}
+		f.mu.Unlock()
+	}
+}
+
+// publish hands ev to every subscriber, dropping the ones whose
+// buffers are full.
+func (f *fanout[T]) publish(ev T) {
+	f.mu.Lock()
+	for id, ch := range f.subs {
+		select {
+		case ch <- ev:
+		default:
+			delete(f.subs, id)
+			close(ch)
+			f.dropped++
+		}
+	}
+	f.mu.Unlock()
+}
+
+// close ends every subscription and refuses new ones.
+func (f *fanout[T]) close() {
+	f.mu.Lock()
+	f.closed = true
+	for id, ch := range f.subs {
+		delete(f.subs, id)
+		close(ch)
+	}
+	f.mu.Unlock()
+}
+
+// drops reports how many subscribers publish has dropped.
+func (f *fanout[T]) drops() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return f.dropped
 }
 
 // SubscribeMatches registers a match-delta subscriber with the given
 // channel buffer (0 means 64). The channel closes when the subscriber
 // falls behind (a full buffer drops the subscriber rather than
-// stalling shard workers) or when the router closes; cancel
-// unregisters early and is idempotent.
+// stalling shard workers; Stats.DroppedSubscribers counts it) or when
+// the router closes; cancel unregisters early and is idempotent.
 func (r *Router) SubscribeMatches(buf int) (<-chan MatchEvent, func()) {
-	if buf <= 0 {
-		buf = 64
-	}
-	ch := make(chan MatchEvent, buf)
-	r.subMu.Lock()
-	defer r.subMu.Unlock()
-	if r.subsClosed {
-		close(ch)
-		return ch, func() {}
-	}
-	id := r.nextSub
-	r.nextSub++
-	r.matchSubs[id] = ch
-	return ch, func() {
-		r.subMu.Lock()
-		if c, ok := r.matchSubs[id]; ok {
-			delete(r.matchSubs, id)
-			close(c)
-		}
-		r.subMu.Unlock()
-	}
+	return r.matches.subscribe(buf)
 }
 
 // SubscribeEntities registers an entity-delta subscriber; same
 // contract as SubscribeMatches. Entity deltas flow only in integrate
 // mode.
 func (r *Router) SubscribeEntities(buf int) (<-chan EntityEvent, func()) {
-	if buf <= 0 {
-		buf = 64
-	}
-	ch := make(chan EntityEvent, buf)
-	r.subMu.Lock()
-	defer r.subMu.Unlock()
-	if r.subsClosed {
-		close(ch)
-		return ch, func() {}
-	}
-	id := r.nextSub
-	r.nextSub++
-	r.entitySubs[id] = ch
-	return ch, func() {
-		r.subMu.Lock()
-		if c, ok := r.entitySubs[id]; ok {
-			delete(r.entitySubs, id)
-			close(c)
-		}
-		r.subMu.Unlock()
-	}
-}
-
-// publishMatch fans one shard's match delta to every subscriber,
-// dropping (closing) subscribers whose buffers are full.
-func (r *Router) publishMatch(shard int, md core.MatchDelta) {
-	ev := MatchEvent{Shard: shard, Delta: md}
-	r.subMu.Lock()
-	for id, ch := range r.matchSubs {
-		select {
-		case ch <- ev:
-		default:
-			delete(r.matchSubs, id)
-			close(ch)
-		}
-	}
-	r.subMu.Unlock()
-}
-
-// publishEntity is publishMatch for entity deltas.
-func (r *Router) publishEntity(shard int, ed resolve.EntityDelta) {
-	ev := EntityEvent{Shard: shard, Delta: ed}
-	r.subMu.Lock()
-	for id, ch := range r.entitySubs {
-		select {
-		case ch <- ev:
-		default:
-			delete(r.entitySubs, id)
-			close(ch)
-		}
-	}
-	r.subMu.Unlock()
+	return r.entities.subscribe(buf)
 }
 
 // Close drains and tears the router down: admission stops (ErrClosed),
@@ -809,23 +810,14 @@ func (r *Router) Close() error {
 		}
 	}
 	for _, s := range r.shards {
-		if s.closeEng == nil {
+		if s.closer == nil {
 			continue
 		}
-		if err := s.closeEng(); err != nil && first == nil {
+		if err := s.closer.Close(); err != nil && first == nil {
 			first = fmt.Errorf("shard %d: %w", s.id, err)
 		}
 	}
-	r.subMu.Lock()
-	r.subsClosed = true
-	for id, ch := range r.matchSubs {
-		delete(r.matchSubs, id)
-		close(ch)
-	}
-	for id, ch := range r.entitySubs {
-		delete(r.entitySubs, id)
-		close(ch)
-	}
-	r.subMu.Unlock()
+	r.matches.close()
+	r.entities.close()
 	return first
 }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"math"
+	"path/filepath"
 	"runtime"
 	"sort"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"probdedup/internal/pdb"
 	"probdedup/internal/ssr"
 	"probdedup/internal/strsim"
+	"probdedup/internal/wal"
 )
 
 // testOptions configures the shard engines over the synthetic corpus's
@@ -232,6 +234,9 @@ func TestSubscriberDroppedOnOverflow(t *testing.T) {
 	r := mustOpen(t, Config{Shards: 1, Schema: testSchema, Opts: testOptions(t, testSchema, 1)})
 	defer r.Close()
 	slow, _ := r.SubscribeMatches(1)
+	if n := r.Stats().DroppedSubscribers; n != 0 {
+		t.Fatalf("DroppedSubscribers = %d before any overflow, want 0", n)
+	}
 	// Three same-block pairwise matches emit three add deltas; the
 	// undrained buffer of one forces a drop.
 	for i := 0; i < 3; i++ {
@@ -249,6 +254,9 @@ func TestSubscriberDroppedOnOverflow(t *testing.T) {
 	if got != 1 {
 		t.Fatalf("dropped subscriber drained %d events, want the 1 buffered", got)
 	}
+	if n := r.Stats().DroppedSubscribers; n != 1 {
+		t.Fatalf("DroppedSubscribers = %d after the drop, want 1", n)
+	}
 	// The router itself is unaffected: a fresh subscriber still works.
 	fresh, cancel := r.SubscribeMatches(16)
 	if err := r.Ingest(tup("t9", "Johnson", "pilot", "44")); err != nil {
@@ -265,6 +273,10 @@ func TestSubscriberDroppedOnOverflow(t *testing.T) {
 	cancel() // idempotent
 	for range fresh {
 		// cancel closed the channel; drain any buffered tail
+	}
+	// A cancel is not a drop.
+	if n := r.Stats().DroppedSubscribers; n != 1 {
+		t.Fatalf("DroppedSubscribers = %d after a cancel, want still 1", n)
 	}
 }
 
@@ -490,4 +502,60 @@ func canonDeltas(deltas []core.MatchDelta) string {
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
+}
+
+// TestOpenFailureReleasesOpenedShards: when a later shard fails to
+// open, the shards already opened are torn down and their directory
+// locks released.
+func TestOpenFailureReleasesOpenedShards(t *testing.T) {
+	for _, integrate := range []bool{false, true} {
+		t.Run(fmt.Sprintf("integrate=%t", integrate), func(t *testing.T) {
+			dir := t.TempDir()
+			cfg := Config{Shards: 2, Schema: testSchema, Opts: testOptions(t, testSchema, 1), StateDir: dir, Integrate: integrate}
+			held, err := wal.OpenStateDir(filepath.Join(dir, "shard-1"))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := Open(cfg); !errors.Is(err, wal.ErrStateLocked) {
+				t.Fatalf("open over a held shard-1: want ErrStateLocked, got %v", err)
+			}
+			first, err := wal.OpenStateDir(filepath.Join(dir, "shard-0"))
+			if err != nil {
+				t.Fatalf("shard-0 still locked after the failed open: %v", err)
+			}
+			first.Close()
+			held.Close()
+			mustOpen(t, cfg).Close()
+		})
+	}
+}
+
+// TestIntegrateModeReadsPairsAndEntities: an integrating router still
+// answers the pair-level Flush and detector stats — read through the
+// integrator — next to its entity view.
+func TestIntegrateModeReadsPairsAndEntities(t *testing.T) {
+	opts := testOptions(t, testSchema, 1)
+	r := mustOpen(t, Config{Shards: 3, Schema: testSchema, Opts: opts, Integrate: true})
+	defer r.Close()
+	names := []string{"Johnson", "Jonson", "Miller", "Millar", "Smith"}
+	for i, n := range names {
+		if err := r.Ingest(tup(fmt.Sprintf("t%d", i), n, "job", "1")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := r.Flush()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := singleResult(t, testSchema, opts, schedOf(names, 0)); canonResult(res) != canonResult(want) {
+		t.Fatalf("integrate-mode pair flush diverges:\n--- got ---\n%s--- want ---\n%s", canonResult(res), canonResult(want))
+	}
+	ents, err := r.FlushEntities()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := r.Stats()
+	if st.Detector.Residents != len(names) || st.Entities != len(ents.Entities) || st.Entities == 0 {
+		t.Fatalf("stats report %d residents / %d entities, want %d / %d", st.Detector.Residents, st.Entities, len(names), len(ents.Entities))
+	}
 }

@@ -6,21 +6,12 @@ import (
 	"testing"
 
 	"probdedup/internal/core"
-	"probdedup/internal/pdb"
 )
-
-// opTarget is the schedule surface shared by durable and plain engines.
-type opTarget interface {
-	Add(x *pdb.XTuple) error
-	AddBatch(xs []*pdb.XTuple) error
-	Remove(id string) error
-	Reseal() error
-}
 
 // handle wraps one open durable engine (detector or integrator) with a
 // uniform fingerprint surface for the crash tests.
 type handle struct {
-	ops opTarget
+	ops core.Engine
 	d   *durable
 	fp  func(tb testing.TB) string
 }
@@ -208,6 +199,100 @@ func TestCrashCycleSchedulesTouchEveryOp(t *testing.T) {
 	for _, k := range []Op{OpAdd, OpAddBatch, OpRemove, OpReseal} {
 		if kinds[k] == 0 {
 			t.Fatalf("no schedule contains op %d; kinds=%v", k, kinds)
+		}
+	}
+}
+
+// transientFault fails exactly one call — the failAt-th Write (tearing
+// it: half the frame persists) or the failAt-th Sync — and passes every
+// other call through: a disk that was briefly full, not a dead process.
+type transientFault struct {
+	File
+	failWrite, failSync int
+	writes, syncs       int
+	closed              bool
+}
+
+func (f *transientFault) Write(p []byte) (int, error) {
+	if f.writes++; f.writes == f.failWrite {
+		n, _ := f.File.Write(p[:len(p)/2])
+		return n, ErrInjectedFault
+	}
+	return f.File.Write(p)
+}
+
+func (f *transientFault) Sync() error {
+	if f.syncs++; f.syncs == f.failSync {
+		return ErrInjectedFault
+	}
+	return f.File.Sync()
+}
+
+func (f *transientFault) Close() error {
+	f.closed = true
+	return f.File.Close()
+}
+
+// TestLogWriterFailStop is invariant 12: after the first failed write
+// or fsync the WAL writer refuses everything, so a durable engine
+// rejects further operations until reopened, the damage stays a torn
+// tail, and recovery is bit-identical to the never-crashed engine on
+// the acknowledged prefix. Appending past the half-written frame
+// instead (the pre-fix behavior) buried it mid-segment and made the
+// directory unrecoverable ("corrupt record ... CRC mismatch").
+func TestLogWriterFailStop(t *testing.T) {
+	const nops, failAt = 12, 5
+	for _, engine := range []string{"detector", "integrator"} {
+		for _, kind := range []string{"write", "sync"} {
+			t.Run(engine+"/"+kind, func(t *testing.T) {
+				schema, ops := genSchedule(t, 3, nops)
+				opts := testOptions(crashReductions(t, schema)["blocking-certain"])
+				dir := t.TempDir()
+				h := mustOpenHandle(t, engine, dir, schema, opts)
+				fault := &transientFault{File: h.d.log.f}
+				// A torn write loses the failing record; a failed fsync
+				// leaves it whole on disk, unacknowledged but replayable.
+				survivors := failAt - 1
+				if kind == "write" {
+					fault.failWrite = failAt
+				} else {
+					fault.failSync = failAt
+					survivors = failAt
+				}
+				h.d.log.f = fault
+				for i, op := range ops {
+					err := applyOp(h.ops, op)
+					if i < failAt-1 && err != nil {
+						t.Fatalf("op %d before the fault: %v", i, err)
+					}
+					if i >= failAt-1 && !errors.Is(err, ErrInjectedFault) {
+						t.Fatalf("op %d at or after the fault: got %v, want the sticky fault", i, err)
+					}
+				}
+				if err := h.d.Checkpoint(); !errors.Is(err, ErrInjectedFault) {
+					t.Fatalf("checkpoint after the fault: got %v, want the sticky fault", err)
+				}
+				if got, want := h.fp(t), cleanFingerprint(t, engine, schema, opts, ops[:failAt-1]); got != want {
+					t.Fatalf("live state moved past the acknowledged prefix\n--- got ---\n%s--- want ---\n%s", got, want)
+				}
+				if err := h.d.Abort(); !errors.Is(err, ErrInjectedFault) || !fault.closed {
+					t.Fatalf("abort: err=%v closed=%t, want the sticky fault and a closed file", err, fault.closed)
+				}
+
+				h2 := mustOpenHandle(t, engine, dir, schema, opts)
+				defer h2.d.Abort()
+				if got, want := h2.fp(t), cleanFingerprint(t, engine, schema, opts, ops[:survivors]); got != want {
+					t.Fatalf("recovered state diverges from the never-crashed prefix\n--- got ---\n%s--- want ---\n%s", got, want)
+				}
+				for i, op := range ops[survivors:] {
+					if err := applyOp(h2.ops, op); err != nil {
+						t.Fatalf("continuation op %d: %v", survivors+i, err)
+					}
+				}
+				if got, want := h2.fp(t), cleanFingerprint(t, engine, schema, opts, ops); got != want {
+					t.Fatalf("continued run diverges from the never-crashed full run\n--- got ---\n%s--- want ---\n%s", got, want)
+				}
+			})
 		}
 	}
 }

@@ -21,13 +21,11 @@ var ErrClosed = errors.New("wal: durable engine is closed")
 // every persisted distribution, so the open is refused.
 var ErrSchemaMismatch = errors.New("wal: state directory schema does not match engine schema")
 
-// engineOps is the operation surface the durability layer logs and
-// replays. Both core.Detector and resolve.Integrator satisfy it.
-type engineOps interface {
-	Add(x *pdb.XTuple) error
-	AddBatch(xs []*pdb.XTuple) error
-	Remove(id string) error
-	Reseal() error
+// snapshotEngine is what the durability layer logs, replays and
+// checkpoints: the shared engine surface plus the state export. Both
+// core.Detector and resolve.Integrator satisfy it.
+type snapshotEngine interface {
+	core.Engine
 	SnapshotState() *core.DetectorState
 }
 
@@ -62,7 +60,7 @@ func gateEmit[T any](g *emitGate, emit func(T) bool) func(T) bool {
 // fold over the log.
 type durable struct {
 	mu            sync.Mutex
-	eng           engineOps
+	eng           snapshotEngine
 	sd            *StateDir
 	log           *LogWriter
 	gate          *emitGate
@@ -76,36 +74,48 @@ type durable struct {
 	closed        bool
 }
 
-// openShared locks the state directory, loads the newest snapshot (if
-// any), rebuilds the engine through makeFresh/makeRestored, replays
-// every WAL segment with the emit gate closed, then opens the gate and
-// positions the log for appending. Torn tails are truncated silently;
-// interior corruption aborts the open loudly.
-func openShared(dir string, schema []string, dur core.Durability, gate *emitGate,
-	makeFresh func() (engineOps, error),
-	makeRestored func(*core.DetectorState) (engineOps, error),
-) (*durable, error) {
+// open locks the state directory, loads the newest snapshot (if any),
+// rebuilds the engine through fresh or restored, replays every WAL
+// segment with the emit gate closed, then opens the gate and positions
+// the log for appending. Torn tails are truncated silently; interior
+// corruption aborts the open loudly. fresh and restored are the plain
+// engine's own constructors (core.NewDetector/core.RestoreDetector or
+// their resolve counterparts).
+func open[E snapshotEngine, D any](dir string, schema []string, opts core.Options, emit func(D) bool,
+	fresh func([]string, core.Options, func(D) bool) (E, error),
+	restored func(core.Options, func(D) bool, *core.DetectorState) (E, error),
+) (*durable, E, error) {
+	var eng E
 	if dir == "" {
-		dir = dur.Dir
-	}
-	if dir == "" {
-		return nil, fmt.Errorf("wal: no state directory configured")
+		return nil, eng, fmt.Errorf("wal: no state directory configured")
 	}
 	sd, err := OpenStateDir(dir)
 	if err != nil {
-		return nil, err
+		return nil, eng, err
 	}
-	d, err := recoverInDir(sd, schema, dur, gate, makeFresh, makeRestored)
+	gate := &emitGate{}
+	gated := gateEmit(gate, emit)
+	d, err := recoverInDir(sd, schema, opts.Durability, gate, func(st *core.DetectorState) (snapshotEngine, error) {
+		var err error
+		if st == nil {
+			eng, err = fresh(schema, opts, gated)
+		} else {
+			eng, err = restored(opts, gated, st)
+		}
+		return eng, err
+	})
 	if err != nil {
 		sd.Close()
-		return nil, err
+		return nil, eng, err
 	}
-	return d, nil
+	return d, eng, nil
 }
 
+// recoverInDir runs recovery inside an already locked state directory;
+// build makes the engine from the newest snapshot's state, or a fresh
+// one when st is nil.
 func recoverInDir(sd *StateDir, schema []string, dur core.Durability, gate *emitGate,
-	makeFresh func() (engineOps, error),
-	makeRestored func(*core.DetectorState) (engineOps, error),
+	build func(st *core.DetectorState) (snapshotEngine, error),
 ) (*durable, error) {
 	d := &durable{
 		sd:            sd,
@@ -118,8 +128,10 @@ func recoverInDir(sd *StateDir, schema []string, dur core.Durability, gate *emit
 	if err != nil {
 		return nil, err
 	}
+	var st *core.DetectorState
 	if haveSnap {
-		st, seq, err := DecodeSnapshot(snapData)
+		var seq uint64
+		st, seq, err = DecodeSnapshot(snapData)
 		if err != nil {
 			return nil, err
 		}
@@ -129,16 +141,10 @@ func recoverInDir(sd *StateDir, schema []string, dur core.Durability, gate *emit
 		if !equalSchema(st.Schema, schema) {
 			return nil, fmt.Errorf("%w: state has %q, engine has %q", ErrSchemaMismatch, st.Schema, schema)
 		}
-		d.eng, err = makeRestored(st)
-		if err != nil {
-			return nil, err
-		}
 		d.snapSeq = seq
-	} else {
-		d.eng, err = makeFresh()
-		if err != nil {
-			return nil, err
-		}
+	}
+	if d.eng, err = build(st); err != nil {
+		return nil, err
 	}
 
 	d.seq = d.snapSeq
@@ -204,7 +210,7 @@ func equalSchema(a, b []string) bool {
 	return true
 }
 
-func applyRecord(eng engineOps, rec *Record) error {
+func applyRecord(eng core.Engine, rec *Record) error {
 	switch rec.Op {
 	case OpAdd:
 		return eng.Add(rec.Tuple)
@@ -374,15 +380,29 @@ func (d *durable) Abort() error {
 	return err
 }
 
+// detectorReads is the read-only view of a core.Detector that
+// DurableDetector promotes. The mutators are deliberately absent — the
+// engine itself is never embedded — so the only way to change durable
+// state is through the logged operations of *durable.
+type detectorReads interface {
+	Flush() *core.Result
+	Stats() core.DetectorStats
+	Len() int
+	Resident(id string) (*pdb.XTuple, bool)
+	ResidentIDs() []string
+}
+
 // DurableDetector is a core.Detector whose state survives crashes: a
 // write-ahead log makes every operation durable before it is applied,
 // and periodic snapshots bound recovery time. Recovery is exact —
 // reopening after a crash yields a detector whose Flush is
 // bit-identical to one that never crashed (minus any final operations
 // whose log records did not survive, which were never acknowledged).
+// Flush, Stats, Len, Resident and ResidentIDs read the wrapped detector
+// (see the core.Detector methods of the same names).
 type DurableDetector struct {
 	*durable
-	det *core.Detector
+	detectorReads
 }
 
 // OpenDurable opens (or creates) the durable detector state in dir and
@@ -392,89 +412,38 @@ type DurableDetector struct {
 // ErrStateLocked if another process holds dir and ErrSchemaMismatch if
 // the persisted state was built under a different schema.
 func OpenDurable(dir string, schema []string, opts core.Options, emit func(core.MatchDelta) bool) (*DurableDetector, error) {
-	dd := &DurableDetector{}
-	gate := &emitGate{}
-	gated := gateEmit(gate, emit)
-	d, err := openShared(dir, schema, opts.Durability, gate,
-		func() (engineOps, error) {
-			det, err := core.NewDetector(schema, opts, gated)
-			dd.det = det
-			return det, err
-		},
-		func(st *core.DetectorState) (engineOps, error) {
-			det, err := core.RestoreDetector(opts, gated, st)
-			dd.det = det
-			return det, err
-		})
+	d, det, err := open(dir, schema, opts, emit, core.NewDetector, core.RestoreDetector)
 	if err != nil {
 		return nil, err
 	}
-	dd.durable = d
-	return dd, nil
+	return &DurableDetector{durable: d, detectorReads: det}, nil
 }
 
-// Flush returns the classified pair set (see core.Detector.Flush).
-func (d *DurableDetector) Flush() *core.Result { return d.det.Flush() }
-
-// Stats returns cumulative work counters (see core.Detector.Stats).
-func (d *DurableDetector) Stats() core.DetectorStats { return d.det.Stats() }
-
-// Len reports the number of resident tuples.
-func (d *DurableDetector) Len() int { return d.det.Len() }
-
-// Resident looks up a resident tuple by ID (see core.Detector.Resident).
-func (d *DurableDetector) Resident(id string) (*pdb.XTuple, bool) { return d.det.Resident(id) }
-
-// ResidentIDs returns the sorted resident tuple IDs (see
-// core.Detector.ResidentIDs).
-func (d *DurableDetector) ResidentIDs() []string { return d.det.ResidentIDs() }
+// integratorReads is detectorReads for a resolve.Integrator.
+type integratorReads interface {
+	Flush() (*resolve.Resolution, error)
+	FlushResult() *core.Result
+	Stats() resolve.IntegratorStats
+	Len() int
+	ResidentIDs() []string
+}
 
 // DurableIntegrator is a resolve.Integrator with the same durability
 // contract as DurableDetector: WAL-logged operations, snapshot
-// checkpoints, and exact recovery of the live entity set.
+// checkpoints, and exact recovery of the live entity set. Flush,
+// FlushResult, Stats, Len and ResidentIDs read the wrapped integrator
+// (see the resolve.Integrator methods of the same names).
 type DurableIntegrator struct {
 	*durable
-	ig *resolve.Integrator
+	integratorReads
 }
 
 // OpenDurableIntegrator opens (or creates) durable online-integration
 // state in dir; see OpenDurable for the recovery and error contract.
 func OpenDurableIntegrator(dir string, schema []string, opts core.Options, emit func(resolve.EntityDelta) bool) (*DurableIntegrator, error) {
-	di := &DurableIntegrator{}
-	gate := &emitGate{}
-	gated := gateEmit(gate, emit)
-	d, err := openShared(dir, schema, opts.Durability, gate,
-		func() (engineOps, error) {
-			ig, err := resolve.NewIntegrator(schema, opts, gated)
-			di.ig = ig
-			return ig, err
-		},
-		func(st *core.DetectorState) (engineOps, error) {
-			ig, err := resolve.RestoreIntegrator(opts, gated, st)
-			di.ig = ig
-			return ig, err
-		})
+	d, ig, err := open(dir, schema, opts, emit, resolve.NewIntegrator, resolve.RestoreIntegrator)
 	if err != nil {
 		return nil, err
 	}
-	di.durable = d
-	return di, nil
+	return &DurableIntegrator{durable: d, integratorReads: ig}, nil
 }
-
-// Flush returns the fused entity view (see resolve.Integrator.Flush).
-func (d *DurableIntegrator) Flush() (*resolve.Resolution, error) { return d.ig.Flush() }
-
-// FlushResult returns the pair-level view (see
-// resolve.Integrator.FlushResult).
-func (d *DurableIntegrator) FlushResult() *core.Result { return d.ig.FlushResult() }
-
-// Stats returns cumulative work counters (see
-// resolve.Integrator.Stats).
-func (d *DurableIntegrator) Stats() resolve.IntegratorStats { return d.ig.Stats() }
-
-// Len reports the number of resident tuples.
-func (d *DurableIntegrator) Len() int { return d.ig.Len() }
-
-// ResidentIDs returns the sorted resident tuple IDs (see
-// core.Detector.ResidentIDs).
-func (d *DurableIntegrator) ResidentIDs() []string { return d.ig.ResidentIDs() }

@@ -39,7 +39,7 @@ func fuzzSnapshotSeeds(tb testing.TB) [][]byte {
 				tb.Fatal(err)
 			}
 		}
-		seeds = append(seeds, EncodeSnapshot(dd.det.SnapshotState(), uint64(n)))
+		seeds = append(seeds, EncodeSnapshot(dd.eng.SnapshotState(), uint64(n)))
 		if err := dd.Abort(); err != nil {
 			tb.Fatal(err)
 		}

@@ -192,12 +192,20 @@ type File interface {
 // final record), and fsync is issued once per fsyncEvery appends rather
 // than per record. Sync flushes any deferred batch explicitly —
 // checkpoints and clean shutdown call it before relying on the log.
+//
+// The writer is fail-stop: the first failed Write or Sync is sticky and
+// every later Append or Sync returns it. A failed write may have left
+// half a frame behind, and appending past it would bury the damage
+// mid-segment, where recovery must refuse it as corruption; stopping
+// keeps it a torn tail. The segment accepts appends again only through
+// a reopen, which truncates the tail.
 type LogWriter struct {
 	f          File
 	nattrs     int
 	fsyncEvery int
 	pending    int
 	buf        []byte
+	err        error // first Write/Sync failure
 }
 
 // NewLogWriter wraps an append-positioned file. fsyncEvery <= 1 syncs
@@ -213,13 +221,17 @@ func NewLogWriter(f File, nattrs, fsyncEvery int) *LogWriter {
 // not durable and the caller must not apply the operation — the
 // log-then-apply protocol keeps memory and disk consistent.
 func (w *LogWriter) Append(rec *Record) error {
+	if w.err != nil {
+		return w.err
+	}
 	buf, err := appendRecord(w.buf[:0], rec)
 	if err != nil {
 		return err
 	}
 	w.buf = buf[:0]
 	if _, err := w.f.Write(buf); err != nil {
-		return fmt.Errorf("wal: append: %w", err)
+		w.err = fmt.Errorf("wal: append: %w", err)
+		return w.err
 	}
 	w.pending++
 	if w.pending >= w.fsyncEvery {
@@ -231,17 +243,22 @@ func (w *LogWriter) Append(rec *Record) error {
 // Sync flushes the current group-commit batch; a no-op when nothing is
 // pending.
 func (w *LogWriter) Sync() error {
+	if w.err != nil {
+		return w.err
+	}
 	if w.pending == 0 {
 		return nil
 	}
 	if err := w.f.Sync(); err != nil {
-		return fmt.Errorf("wal: fsync: %w", err)
+		w.err = fmt.Errorf("wal: fsync: %w", err)
+		return w.err
 	}
 	w.pending = 0
 	return nil
 }
 
-// Close syncs any pending batch and closes the underlying file.
+// Close syncs any pending batch and closes the underlying file (also
+// after a sticky failure, which it returns).
 func (w *LogWriter) Close() error {
 	err := w.Sync()
 	if cerr := w.f.Close(); err == nil {

@@ -75,7 +75,7 @@ func genSchedule(tb testing.TB, seed int64, n int) ([]string, []testOp) {
 }
 
 // applyOp feeds one schedule operation to an engine.
-func applyOp(eng opTarget, op testOp) error {
+func applyOp(eng core.Engine, op testOp) error {
 	switch op.op {
 	case OpAdd:
 		return eng.Add(op.x)
