@@ -107,13 +107,17 @@ type DetectorStats struct {
 	// Cache holds the shared similarity cache counters (zero value
 	// when memoization is disabled).
 	Cache avm.CacheStats
-	// Enumerated counts the candidate pairs the pre-filter inspected
-	// since construction: the comparisons that would have run without
-	// it are Enumerated − (pairs found already live); Compared plus
-	// Filtered in steady state.
+	// Enumerated counts the add deltas the reduction index presented
+	// to the pre-filter since construction (0 with the filter off).
+	// Every one of them is either rejected (Filtered) or compared, so
+	// Enumerated = Compared + Filtered whenever no pair enters and
+	// leaves the candidate set inside one AddBatch — always for
+	// blocking and the cross product. A windowed reduction's batch can
+	// admit a pair that a later insertion of the same batch pushes out
+	// again, uncompared: there Enumerated ≥ Compared + Filtered.
 	Enumerated int
-	// Filtered counts the inspected pairs rejected as provable
-	// non-matches.
+	// Filtered counts the presented pairs rejected as provable
+	// non-matches; they never become deltas.
 	Filtered int
 	// FilterActive reports whether the candidate pre-filter is
 	// constructed and consulted.
@@ -191,6 +195,9 @@ type Detector struct {
 	arrivalSeq uint64
 	compared   int
 	dropped    int
+	// matches and possible count the live pairs of class M and P,
+	// maintained where pairs enter and leave live so Stats never walks it.
+	matches, possible int
 
 	// comparers is the lazily grown per-worker comparer pool: the
 	// fold scratch is not shareable, while every matcher memoizes
@@ -290,13 +297,12 @@ func (d *Detector) addBatchLocked(xs []*pdb.XTuple) error {
 		d.register(y)
 		prepared = append(prepared, y)
 	}
-	batch := ssr.InsertBatch(d.idx, prepared)
-	deltas := d.deltaBuf[:0]
+	batch := ssr.InsertBatch(d.idx, prepared, d.admit)
+	d.deltaBuf = d.deltaBuf[:0]
 	for _, bd := range batch {
-		deltas = append(deltas, bd.PairDelta)
+		d.deltaBuf = append(d.deltaBuf, bd.PairDelta)
 	}
-	d.deltaBuf = deltas
-	if k, err := d.applyDeltas(deltas); err != nil {
+	if k, err := d.applyDeltas(d.deltaBuf); err != nil {
 		return &BatchError{Index: batch[k].Source, Err: err}
 	}
 	if prepErr != nil {
@@ -311,14 +317,28 @@ func (d *Detector) addLocked(x *pdb.XTuple) error {
 		return err
 	}
 	d.register(y)
-	deltas := d.deltaBuf[:0]
-	d.idx.Insert(y, func(pd ssr.PairDelta) bool {
-		deltas = append(deltas, pd)
-		return true
-	})
-	d.deltaBuf = deltas
-	_, err = d.applyDeltas(deltas)
+	d.deltaBuf = d.deltaBuf[:0]
+	d.idx.Insert(y, d.collect)
+	_, err = d.applyDeltas(d.deltaBuf)
 	return err
+}
+
+// admit is the detector's one pre-filter site: every add delta an
+// index yields — from Add, AddBatch, Remove's window re-entries and
+// Reseal — passes it where it is generated, the same place the batch
+// engine's producers filter, so a provable non-match never becomes a
+// delta, a netting entry or a live lookup. Drops are never asked.
+func (d *Detector) admit(p verify.Pair) bool {
+	return d.eng.filter == nil || d.eng.filter.Admit(p)
+}
+
+// collect is the yield of the single-operation index calls: it gathers
+// the operation's drops and admitted adds in deltaBuf.
+func (d *Detector) collect(pd ssr.PairDelta) bool {
+	if pd.Dropped || d.admit(pd.Pair) {
+		d.deltaBuf = append(d.deltaBuf, pd)
+	}
+	return true
 }
 
 // prepareTuple standardizes, deep-copies and validates one arriving
@@ -380,13 +400,9 @@ func (d *Detector) resealLocked() error {
 	if !ok {
 		return nil
 	}
-	deltas := d.deltaBuf[:0]
-	ei.Reseal(func(pd ssr.PairDelta) bool {
-		deltas = append(deltas, pd)
-		return true
-	})
-	d.deltaBuf = deltas
-	_, err := d.applyDeltas(deltas)
+	d.deltaBuf = d.deltaBuf[:0]
+	ei.Reseal(d.collect)
+	_, err := d.applyDeltas(d.deltaBuf)
 	return err
 }
 
@@ -414,13 +430,9 @@ func (d *Detector) removeLocked(id string) error {
 		return fmt.Errorf("core: Remove: %w %q", ErrUnknownID, id)
 	}
 
-	deltas := d.deltaBuf[:0]
-	d.idx.Remove(id, func(pd ssr.PairDelta) bool {
-		deltas = append(deltas, pd)
-		return true
-	})
-	d.deltaBuf = deltas
-	_, firstErr := d.applyDeltas(deltas)
+	d.deltaBuf = d.deltaBuf[:0]
+	d.idx.Remove(id, d.collect)
+	_, firstErr := d.applyDeltas(d.deltaBuf)
 
 	// Defensive sweep: the index contract already retracts every pair
 	// of id, but a buggy user-defined IncrementalMethod must not be
@@ -454,8 +466,9 @@ func (d *Detector) removeLocked(id string) error {
 	return firstErr
 }
 
-// applyDeltas folds index deltas into the classified set: dropped
-// pairs are retracted, net-new pairs are compared and recorded, and
+// applyDeltas folds index deltas — already past the pre-filter, see
+// admit — into the classified set: dropped pairs are retracted,
+// net-new pairs are compared and recorded, and
 // every resulting MatchDelta is enqueued for emission — all in delta
 // order, so the delivered stream is deterministic for a given delta
 // sequence. Large batches fan the comparisons across the engine's
@@ -466,7 +479,9 @@ func (d *Detector) removeLocked(id string) error {
 func (d *Detector) applyDeltas(deltas []ssr.PairDelta) (int, error) {
 	// Gate on the addition count, not the delta count: a high-degree
 	// Remove yields many drops and no comparison work, which the
-	// inline loop handles with plain map operations.
+	// inline loop handles with plain map operations. The additions are
+	// the pre-filter's survivors, so the gate counts pairs that will
+	// really be compared, not a hot block's rejected candidates.
 	adds := 0
 	for _, pd := range deltas {
 		if !pd.Dropped {
@@ -508,13 +523,6 @@ func (d *Detector) applyDeltas(deltas []ssr.PairDelta) (int, error) {
 		if projectedLive(pd.Pair) {
 			continue
 		}
-		if d.eng.filter != nil && !d.eng.filter.Admit(pd.Pair) {
-			// Provably class U: never verified, never live. The overlay
-			// stays false so a repeated add of the pair in the same
-			// sequence re-consults the filter, exactly like the inline
-			// path would.
-			continue
-		}
 		overlay[pd.Pair] = true
 		compareIdx = append(compareIdx, i)
 	}
@@ -553,9 +561,6 @@ func (d *Detector) applyOne(c *xmatch.Comparer, pd ssr.PairDelta) error {
 		// to recompute.
 		return nil
 	}
-	if d.eng.filter != nil && !d.eng.filter.Admit(pd.Pair) {
-		return nil // provably class U: skip verification
-	}
 	m, err := d.eng.compare(c, pd.Pair)
 	if err != nil {
 		return err
@@ -568,10 +573,28 @@ func (d *Detector) applyOne(c *xmatch.Comparer, pd ssr.PairDelta) error {
 // enqueues its add delta.
 func (d *Detector) recordMatch(p verify.Pair, m Match) {
 	d.compared++
+	d.setLive(p, m)
+	d.enqueueDelta(MatchDelta{Kind: DeltaAdd, Match: m})
+}
+
+// setLive installs one pair decision in the live state and its
+// indexes and counters; retractPair is its inverse.
+func (d *Detector) setLive(p verify.Pair, m Match) {
 	d.live[p] = m
 	d.indexPair(p.A, p)
 	d.indexPair(p.B, p)
-	d.enqueueDelta(MatchDelta{Kind: DeltaAdd, Match: m})
+	d.countClass(m.Class, +1)
+}
+
+// countClass moves the live M/P counters by delta for one pair of the
+// class.
+func (d *Detector) countClass(c decision.Class, delta int) {
+	switch c {
+	case decision.M:
+		d.matches += delta
+	case decision.P:
+		d.possible += delta
+	}
 }
 
 // compareAll computes the match of deltas[compareIdx[j]] into
@@ -625,6 +648,7 @@ func (d *Detector) retractPair(p verify.Pair) {
 		return
 	}
 	delete(d.live, p)
+	d.countClass(m.Class, -1)
 	for _, id := range []string{p.A, p.B} {
 		if set := d.pairsOf[id]; set != nil {
 			delete(set, p)
@@ -721,16 +745,10 @@ func (d *Detector) Stats() DetectorStats {
 		Compared:   d.compared,
 		Dropped:    d.dropped,
 		Live:       len(d.live),
+		Matches:    d.matches,
+		Possible:   d.possible,
 		TotalPairs: ssr.TotalPairs(len(d.eng.xr.Tuples)),
 		Stopped:    d.emits.Stopped(),
-	}
-	for _, m := range d.live {
-		switch m.Class {
-		case decision.M:
-			st.Matches++
-		case decision.P:
-			st.Possible++
-		}
 	}
 	if ei, ok := d.idx.(ssr.EpochIndex); ok {
 		stale := ei.Staleness()

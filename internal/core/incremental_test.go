@@ -2,6 +2,7 @@ package core
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -461,4 +462,87 @@ func TestDetectorResealNoOpOnExactTier(t *testing.T) {
 		t.Fatalf("Reseal on exact tier emitted %d deltas", emitted-n)
 	}
 	sameResult(t, det.Flush(), before)
+}
+
+// TestDetectorStatsCountersMatchFlush pins the live M/P counters of
+// Stats — maintained where pairs enter and leave the live set, so Stats
+// never walks it — to a recount from Flush: after every operation of a
+// random Add/AddBatch/Remove/Reseal schedule, and again across a
+// snapshot → restore round trip followed by more of the schedule.
+func TestDetectorStatsCountersMatchFlush(t *testing.T) {
+	u := shuffledUnion(t, 30, 53)
+	def, err := keys.ParseDef("name:3+job:2", u.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(t *testing.T, det *Detector, when string) {
+		t.Helper()
+		st, res := det.Stats(), det.Flush()
+		if st.Live != len(res.ByPair) || st.Matches != len(res.Matches) || st.Possible != len(res.Possible) {
+			t.Fatalf("%s: Stats live/M/P = %d/%d/%d, Flush recounts %d/%d/%d", when,
+				st.Live, st.Matches, st.Possible, len(res.ByPair), len(res.Matches), len(res.Possible))
+		}
+	}
+	for name, c := range map[string]struct {
+		reduction ssr.Method
+		prefilter bool
+	}{
+		"cross-product":              {nil, false},
+		"snm-certain+prefilter":      {ssr.SNMCertain{Key: def, Window: 4}, true},
+		"blocking-certain+prefilter": {ssr.BlockingCertain{Key: def}, true},
+		"blocking-cluster":           {ssr.BlockingCluster{Key: def, K: 4, Seed: 1, MaxDrift: 0.3}, false},
+	} {
+		t.Run(name, func(t *testing.T) {
+			opts := incrementalOpts(c.reduction)
+			opts.PreFilter = c.prefilter
+			det, err := NewDetector(u.Schema, opts, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rng := rand.New(rand.NewSource(59))
+			next, sawM := 0, false
+			var resident []string
+			step := func(i int) {
+				switch op := rng.Intn(10); {
+				case op < 4 && next < len(u.Tuples):
+					x := u.Tuples[next]
+					next++
+					resident = append(resident, x.ID)
+					err = det.Add(x)
+				case op < 6 && next < len(u.Tuples):
+					hi := min(next+1+rng.Intn(6), len(u.Tuples))
+					for _, x := range u.Tuples[next:hi] {
+						resident = append(resident, x.ID)
+					}
+					err = det.AddBatch(u.Tuples[next:hi])
+					next = hi
+				case op < 9 && len(resident) > 0:
+					k := rng.Intn(len(resident))
+					err = det.Remove(resident[k])
+					resident = append(resident[:k], resident[k+1:]...)
+				default:
+					err = det.Reseal()
+				}
+				if err != nil {
+					t.Fatalf("op %d: %v", i, err)
+				}
+				check(t, det, fmt.Sprintf("after op %d", i))
+				sawM = sawM || det.Stats().Matches > 0
+			}
+			for i := 0; i < 60; i++ {
+				step(i)
+			}
+			det, err = RestoreDetector(opts, nil, det.SnapshotState())
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, det, "after restore")
+			for i := 60; i < 90; i++ {
+				step(i)
+			}
+			if !sawM {
+				t.Fatal("schedule never held a match: the counters were not exercised")
+			}
+		})
+	}
 }

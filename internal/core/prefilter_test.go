@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 
 	"probdedup/internal/avm"
@@ -104,7 +105,13 @@ func samePairSet(t *testing.T, what string, got, want verify.PairSet) {
 // the filter: a Detector with PreFilter on, fed the shuffled relation
 // in batches (parallel verification), must Flush exactly the result
 // of the unfiltered batch Detect — the filter state is maintained
-// under Insert and the Admit decisions match the batch run's.
+// under Insert and the Admit decisions match the batch run's. The
+// counter contract of DetectorStats.Enumerated rides along: every add
+// the index presents is either filtered or compared, so blocking and
+// the cross product conserve Enumerated = Compared + Filtered, and a
+// windowed batch — where a pair can enter and leave the window inside
+// the one AddBatch, admitted but never compared — keeps Enumerated ≥
+// Compared + Filtered.
 func TestPreFilterDetectorEquivalesBatch(t *testing.T) {
 	u := shuffledUnion(t, 35, 19)
 	for name, reduction := range incrementalReductions(t, u.Schema) {
@@ -131,6 +138,11 @@ func TestPreFilterDetectorEquivalesBatch(t *testing.T) {
 			}
 			if st.Enumerated < st.Filtered {
 				t.Fatalf("Enumerated %d < Filtered %d", st.Enumerated, st.Filtered)
+			}
+			windowed := strings.HasPrefix(name, "snm-")
+			if sum := st.Compared + st.Filtered; st.Enumerated < sum || (!windowed && st.Enumerated != sum) {
+				t.Fatalf("Enumerated %d, Compared %d + Filtered %d (windowed=%t)",
+					st.Enumerated, st.Compared, st.Filtered, windowed)
 			}
 		})
 	}

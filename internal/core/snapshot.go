@@ -149,9 +149,7 @@ func RestoreDetector(opts Options, emit func(MatchDelta) bool, st *DetectorState
 		if math.IsNaN(m.Sim) {
 			return nil, fmt.Errorf("core: snapshot pair (%q,%q) has NaN similarity", p.A, p.B)
 		}
-		d.live[p] = m
-		d.indexPair(p.A, p)
-		d.indexPair(p.B, p)
+		d.setLive(p, m)
 	}
 	if st.Compared < 0 || st.Dropped < 0 {
 		return nil, fmt.Errorf("core: snapshot has negative work counters")

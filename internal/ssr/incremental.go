@@ -110,40 +110,50 @@ type BatchDelta struct {
 // the deduplicated form lets the expensive downstream verification
 // fan out over distinct pairs only.
 //
+// admit, when non-nil, is consulted for every add the index yields,
+// before any bookkeeping: a rejected add is dropped where it is
+// generated and costs no netting entry. It must answer the same for a
+// pair every time it is asked (the candidate pre-filter does: resident
+// values are immutable), so a rejected pair contributes at most drops —
+// callers must tolerate a drop of a pair they never held.
+//
 // Structural updates are applied unconditionally for every tuple;
 // the caller is expected to have validated the batch first.
-func InsertBatch(idx IncrementalIndex, xs []*pdb.XTuple) []BatchDelta {
+func InsertBatch(idx IncrementalIndex, xs []*pdb.XTuple, admit func(verify.Pair) bool) []BatchDelta {
 	// Per pair, deltas alternate add/drop (the index maintains an
 	// exact set), so an even delta count nets to no change and an odd
 	// count nets to the first (= last) kind.
 	type churn struct {
+		pair         verify.Pair
 		firstDropped bool
 		count        int
 		source       int
 	}
-	seen := map[verify.Pair]*churn{}
-	var order []verify.Pair
+	var order []churn
+	seen := map[verify.Pair]int{} // position in order
 	for i, x := range xs {
 		idx.Insert(x, func(pd PairDelta) bool {
-			c := seen[pd.Pair]
-			if c == nil {
-				c = &churn{firstDropped: pd.Dropped}
-				seen[pd.Pair] = c
-				order = append(order, pd.Pair)
+			if !pd.Dropped && admit != nil && !admit(pd.Pair) {
+				return true
 			}
-			c.count++
-			c.source = i
+			at, ok := seen[pd.Pair]
+			if !ok {
+				at = len(order)
+				seen[pd.Pair] = at
+				order = append(order, churn{pair: pd.Pair, firstDropped: pd.Dropped})
+			}
+			order[at].count++
+			order[at].source = i
 			return true
 		})
 	}
 	out := make([]BatchDelta, 0, len(order))
-	for _, p := range order {
-		c := seen[p]
+	for _, c := range order {
 		if c.count%2 == 0 {
 			continue
 		}
 		out = append(out, BatchDelta{
-			PairDelta: PairDelta{Pair: p, Dropped: c.firstDropped},
+			PairDelta: PairDelta{Pair: c.pair, Dropped: c.firstDropped},
 			Source:    c.source,
 		})
 	}

@@ -273,7 +273,7 @@ func TestInsertBatchNetEquivalence(t *testing.T) {
 				maintained := verify.PairSet{}
 				for lo := 0; lo < len(u.Tuples); lo += chunk {
 					hi := min(lo+chunk, len(u.Tuples))
-					for _, d := range InsertBatch(idx, u.Tuples[lo:hi]) {
+					for _, d := range InsertBatch(idx, u.Tuples[lo:hi], nil) {
 						if d.Source < 0 || d.Source >= hi-lo {
 							t.Fatalf("delta %v attributes to batch position %d of %d", d.Pair, d.Source, hi-lo)
 						}
@@ -334,7 +334,7 @@ func TestInsertBatchCancelsWindowChurn(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	net := InsertBatch(idx, tuples)
+	net := InsertBatch(idx, tuples, nil)
 	want := map[verify.Pair]int{ // pair -> settling batch position
 		verify.NewPair("a", "b"): 2,
 		verify.NewPair("b", "c"): 2,

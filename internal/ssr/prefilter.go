@@ -2,6 +2,7 @@ package ssr
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -14,11 +15,12 @@ import (
 	"probdedup/internal/xmatch"
 )
 
-// PreFilter is the symbol-plane candidate pre-filter: it sits between
-// candidate enumeration (the search space reduction methods) and
-// verification (the full Fig. 6 comparison) and rejects pairs that
-// provably cannot reach the final lower threshold Tλ — pairs whose
-// classification is therefore U no matter what the comparison computes.
+// PreFilter is the symbol-plane candidate pre-filter: it sits where
+// candidate pairs are generated — the batch engine's producers and the
+// yield of the incremental engine's index — ahead of verification (the
+// full Fig. 6 comparison), and rejects pairs that provably cannot reach
+// the final lower threshold Tλ — pairs whose classification is
+// therefore U no matter what the comparison computes.
 // It generalizes the Pruning length heuristic into a sound, always-on
 // filter built from three bound layers:
 //
@@ -36,7 +38,14 @@ import (
 // so the M and P result sets are bit-identical with the filter on or
 // off; only the number of verified (Compared) pairs shrinks. Tuples are
 // summarized once at Insert into per-attribute signature slices, so
-// Admit performs no table lookups and no string work.
+// Admit performs no table lookups, no string work and no allocation.
+//
+// Admit is one cascade over the two tiers of layer 1 (strsim.Tier):
+// the whole chain is first folded with the O(1) signature estimates of
+// the gram overlaps, and only a pair that survives is folded again with
+// the exact gram merges. Every layer is monotone and quick ≥ exact, so
+// the quick fold rejects nothing the exact fold would admit — the
+// outcome is the exact fold's, most rejects just never pay a merge.
 //
 // A PreFilter is safe for concurrent use: Admit takes only a read lock
 // plus two atomic counters, Insert/Remove a write lock.
@@ -53,9 +62,11 @@ type PreFilter struct {
 
 	enumerated atomic.Uint64
 	filtered   atomic.Uint64
-
-	vecs sync.Pool // *[]float64 scratch for the per-attribute bound vector
 }
+
+// stackAttrs is the schema width up to which Admit keeps its
+// per-attribute bound vector on the stack.
+const stackAttrs = 16
 
 // PreFilterConfig carries everything NewPreFilter needs to prove the
 // filter sound for one engine configuration.
@@ -117,7 +128,7 @@ func NewPreFilter(cfg PreFilterConfig) (*PreFilter, error) {
 			bounds[k] = b
 		}
 	}
-	pf := &PreFilter{
+	return &PreFilter{
 		table:  cfg.Table,
 		bounds: bounds,
 		model:  model,
@@ -125,12 +136,7 @@ func NewPreFilter(cfg PreFilterConfig) (*PreFilter, error) {
 		lambda: cfg.Lambda,
 		nulls:  cfg.Nulls,
 		sigs:   map[string]*tupleSig{},
-	}
-	pf.vecs.New = func() any {
-		v := make([]float64, len(bounds))
-		return &v
-	}
-	return pf, nil
+	}, nil
 }
 
 // Insert summarizes the (interned) x-tuple so later Admit calls can
@@ -175,8 +181,8 @@ func (f *PreFilter) signature(x *pdb.XTuple) *tupleSig {
 			for _, a := range d.Alternatives() {
 				st := f.table.Stats(a.Value.Sym())
 				dup := false
-				for _, have := range as.stats {
-					if have.Sym == st.Sym {
+				for i := range as.stats {
+					if as.stats[i].Sym == st.Sym {
 						dup = true
 						break
 					}
@@ -203,27 +209,49 @@ func (f *PreFilter) Admit(p verify.Pair) bool {
 	if !ok1 || !ok2 {
 		return true
 	}
-	vp := f.vecs.Get().(*[]float64)
-	hi := *vp
-	for k := range f.bounds {
-		hi[k] = f.attrUB(k, &s1.attrs[k], &s2.attrs[k])
+	var buf [stackAttrs]float64
+	hi := buf[:]
+	if len(f.bounds) > len(buf) {
+		hi = make([]float64, len(f.bounds))
 	}
-	cellUB := f.model.SimilarityUpperBound(hi)
-	f.vecs.Put(vp)
-	if cellUB < 0 {
-		cellUB = 0
-	}
-	if f.derive.SimUpperBound(cellUB, f.model) < f.lambda {
+	hi = hi[:len(f.bounds)]
+	if f.below(s1, s2, hi, strsim.TierQuick) || f.below(s1, s2, hi, strsim.TierExact) {
 		f.filtered.Add(1)
 		return false
 	}
 	return true
 }
 
+// below folds the per-attribute bounds of one tier through the model
+// and the derivation and reports whether the pair provably stays below
+// Tλ. hi is scratch for the bound vector.
+func (f *PreFilter) below(s1, s2 *tupleSig, hi []float64, t strsim.Tier) bool {
+	for k := range f.bounds {
+		hi[k] = f.attrUB(k, &s1.attrs[k], &s2.attrs[k], t)
+	}
+	cellUB := f.cellUB(hi)
+	if cellUB < 0 {
+		cellUB = 0
+	}
+	return f.derive.SimUpperBound(cellUB, f.model) < f.lambda
+}
+
+// cellUB folds the bound vector through the decision model. An
+// interface call leaks its argument to the heap, which would cost
+// Admit an allocation per pair: the engine's weighted-sum model is
+// called on its concrete type so the caller's scratch stays on the
+// stack, any other model gets a copy.
+func (f *PreFilter) cellUB(hi []float64) float64 {
+	if ws, ok := f.model.(decision.WeightedSumModel); ok {
+		return ws.SimilarityUpperBound(hi)
+	}
+	return f.model.SimilarityUpperBound(slices.Clone(hi))
+}
+
 // attrUB bounds the Eq. 5 attribute similarity over every alternative
 // pair of the two tuples: the expectation is a convex combination of
 // value-pair similarities and ⊥ terms, so its maximum term bounds it.
-func (f *PreFilter) attrUB(k int, a, b *attrSig) float64 {
+func (f *PreFilter) attrUB(k int, a, b *attrSig, t strsim.Tier) float64 {
 	best := 0.0
 	if a.hasNull && b.hasNull && f.nulls.NullNull > best {
 		best = f.nulls.NullNull
@@ -236,9 +264,9 @@ func (f *PreFilter) attrUB(k int, a, b *attrSig) float64 {
 		if bound == nil {
 			return 1
 		}
-		for _, sa := range a.stats {
-			for _, sb := range b.stats {
-				if v := bound(sa, sb); v > best {
+		for i := range a.stats {
+			for j := range b.stats {
+				if v := bound(&a.stats[i], &b.stats[j], t); v > best {
 					if v >= 1 {
 						return 1
 					}

@@ -1,6 +1,8 @@
 package ssr
 
 import (
+	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -265,4 +267,135 @@ func TestAdmitMaximizesOverAlternatives(t *testing.T) {
 	if pf.Admit(verify.Pair{A: "a1", B: "z1"}) {
 		t.Fatal("disjoint-name pair admitted")
 	}
+}
+
+// hotBlock builds a PreFilter over n tuples shaped like one hot block
+// of the serve_skew workload — three attributes (name of 10–14 random
+// letters, job from a 512-word vocabulary, one shared block value), 30 %
+// two-alternative x-tuples whose second alternative is unrelated — and
+// returns it with every pair of the block. nullShare of the name
+// distributions additionally carry ⊥ mass.
+func hotBlock(tb testing.TB, n int, nullShare float64) (*PreFilter, []verify.Pair) {
+	tb.Helper()
+	rng := rand.New(rand.NewSource(16))
+	tab := sym.NewTable(2)
+	pf, err := NewPreFilter(PreFilterConfig{
+		Table:  tab,
+		Funcs:  []strsim.Func{strsim.Levenshtein, strsim.Levenshtein, strsim.Levenshtein},
+		Model:  decision.WeightedSumModel{Weights: decision.EqualWeights(3), T: decision.Thresholds{Lambda: 0.75, Mu: 0.9}},
+		Derive: xmatch.SimilarityBased{Conditioned: true},
+		Lambda: 0.75,
+		Nulls:  avm.PaperNulls,
+	})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	word := func(min, spread int) string {
+		b := make([]byte, min+rng.Intn(spread))
+		for i := range b {
+			b[i] = byte('a' + rng.Intn(26))
+		}
+		return string(b)
+	}
+	name := func() string { return word(10, 5) }
+	jobs := make([]string, 512)
+	for i := range jobs {
+		jobs[i] = word(5, 6)
+	}
+	alt := func(p float64, nm string) pdb.Alt {
+		d := pdb.Certain(nm)
+		if rng.Float64() < nullShare {
+			d = pdb.MustDist(pdb.Alternative{Value: pdb.V(nm), P: 0.6})
+		}
+		return pdb.NewAltDists(p, d, pdb.Certain(jobs[rng.Intn(len(jobs))]), pdb.Certain("block-07"))
+	}
+	ids := make([]string, n)
+	prev := ""
+	for i := range ids {
+		ids[i] = fmt.Sprintf("t%03d", i)
+		nm := name()
+		if i%7 == 6 {
+			nm = "x" + prev[1:] // a planted near-duplicate: one edit
+		}
+		prev = nm
+		x := pdb.NewXTuple(ids[i], alt(1, nm))
+		if rng.Float64() < 0.3 {
+			p2 := 0.03 + 0.17*rng.Float64()
+			x = pdb.NewXTuple(ids[i], alt(1-p2, nm), alt(p2, name()))
+		}
+		prepare.InternXTuple(tab, x)
+		pf.Insert(x)
+	}
+	var pairs []verify.Pair
+	for i := range ids {
+		for j := i + 1; j < len(ids); j++ {
+			pairs = append(pairs, verify.NewPair(ids[i], ids[j]))
+		}
+	}
+	return pf, pairs
+}
+
+// TestAdmitQuickTierNeverChangesOutcome is the cascade's soundness
+// test: on random two-alternative tuples with ⊥ mass, Admit decides
+// exactly as an exact-only evaluation of the bound chain does — the
+// quick tier only ever rejects what the exact tier rejects — while
+// doing real work (it rejects most pairs before any merge).
+func TestAdmitQuickTierNeverChangesOutcome(t *testing.T) {
+	pf, pairs := hotBlock(t, 96, 0.25)
+	hi := make([]float64, len(pf.bounds))
+	quickRejects, exactRejects := 0, 0
+	for _, p := range pairs {
+		s1, s2 := pf.sigs[p.A], pf.sigs[p.B]
+		quick := pf.below(s1, s2, hi, strsim.TierQuick)
+		exact := pf.below(s1, s2, hi, strsim.TierExact)
+		if quick && !exact {
+			t.Fatalf("pair %v: quick tier rejects what the exact tier admits", p)
+		}
+		if got := pf.Admit(p); got == exact {
+			t.Fatalf("pair %v: Admit = %v, exact-only evaluation admits = %v", p, got, !exact)
+		}
+		if quick {
+			quickRejects++
+		}
+		if exact {
+			exactRejects++
+		}
+	}
+	st := pf.Stats()
+	if int(st.Enumerated) != len(pairs) || int(st.Filtered) != exactRejects {
+		t.Fatalf("stats %+v, want %d enumerated, %d filtered", st, len(pairs), exactRejects)
+	}
+	t.Logf("%d pairs: %d exact rejects, %d of them at the quick tier", len(pairs), exactRejects, quickRejects)
+	if exactRejects == len(pairs) || quickRejects*2 < exactRejects {
+		t.Fatalf("fixture is vacuous: %d pairs, %d exact rejects, %d quick rejects", len(pairs), exactRejects, quickRejects)
+	}
+}
+
+// TestAdmitDoesNotAllocate pins the per-pair cost model: no pool, no
+// heap scratch, for rejected and admitted pairs alike.
+func TestAdmitDoesNotAllocate(t *testing.T) {
+	pf, pairs := hotBlock(t, 32, 0.25)
+	i := 0
+	if avg := testing.AllocsPerRun(len(pairs), func() {
+		pf.Admit(pairs[i%len(pairs)])
+		i++
+	}); avg != 0 {
+		t.Fatalf("Admit allocates %v times per call, want 0", avg)
+	}
+}
+
+// BenchmarkPreFilterAdmit measures the reject where serve_skew pays for
+// it: every pair of one hot block of 192, > 99 % of them provable
+// non-matches. One iteration is one pair.
+func BenchmarkPreFilterAdmit(b *testing.B) {
+	pf, pairs := hotBlock(b, 192, 0)
+	b.ReportAllocs()
+	b.ResetTimer()
+	admitted := 0
+	for i := 0; i < b.N; i++ {
+		if pf.Admit(pairs[i%len(pairs)]) {
+			admitted++
+		}
+	}
+	b.ReportMetric(float64(admitted)/float64(b.N), "admitted/pair")
 }

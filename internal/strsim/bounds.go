@@ -1,6 +1,7 @@
 package strsim
 
 import (
+	"math/bits"
 	"reflect"
 
 	"probdedup/internal/sym"
@@ -18,12 +19,36 @@ import (
 // edit similarity from above. Hashed grams (q > sym.MaxExactQ) can
 // only merge distinct grams, over-counting overlap — the bounds stay
 // sound, they just reject less.
+//
+// Every bound that reads the gram overlap is non-decreasing in it, so
+// it can be evaluated at two tiers (see Tier): with the O(1) signature
+// estimate of the overlap, or with the exact multiset merge. The
+// estimate never undercounts, hence quick bound ≥ exact bound ≥ true
+// similarity, and a pair the quick tier rejects the exact tier rejects
+// too.
+
+// Tier selects how a bound estimates the gram-multiset overlap of two
+// values.
+type Tier uint8
+
+const (
+	// TierQuick estimates the overlap from the two 64-bit gram
+	// signatures alone: every signature bucket of a that b lacks holds
+	// at least one gram of a without a partner in b, so
+	// overlap ≤ min(|Ga| − popcount(Sa &^ Sb), |Gb| − popcount(Sb &^ Sa)).
+	TierQuick Tier = iota
+	// TierExact merges the two sorted gram multisets (sym.Overlap).
+	TierExact
+)
 
 // SimBound bounds a comparison function from symbol statistics: it
 // must return a value ≥ f(a, b) for the strings the two Stats were
-// computed from. Bounds are consulted only for interned values; a
-// SimBound must return 1 (no information) when either Stats is zero.
-type SimBound func(a, b sym.Stats) float64
+// computed from, at either tier, and its TierQuick value must be ≥ its
+// TierExact value. Bounds are consulted only for interned values; a
+// SimBound must return 1 (no information) when either Stats is zero,
+// and returns 1 at once for two Stats of one symbol (equal strings).
+// The Stats are read-only.
+type SimBound func(a, b *sym.Stats, t Tier) float64
 
 // boundRegistry maps a Func's code pointer to its bound. Populated
 // only in init, read-only afterwards, hence safe for concurrent use.
@@ -47,13 +72,16 @@ func BoundFor(f Func) (SimBound, bool) {
 	return b, ok
 }
 
-// guard wraps a bound so zero (un-interned) Stats yield 1.
+// guard wraps a bound so zero (un-interned) Stats and two Stats of one
+// symbol yield 1 without evaluating it: equal strings compare as 1
+// under every registered function, and inside a block the key
+// attribute is exactly that case for every pair.
 func guard(b SimBound) SimBound {
-	return func(x, y sym.Stats) float64 {
-		if x.Sym == sym.NoSym || y.Sym == sym.NoSym {
+	return func(x, y *sym.Stats, t Tier) float64 {
+		if x.Sym == y.Sym || x.Sym == sym.NoSym || y.Sym == sym.NoSym {
 			return 1
 		}
-		return b(x, y)
+		return b(x, y, t)
 	}
 }
 
@@ -82,7 +110,7 @@ func init() {
 }
 
 // boundExact: distinct symbols are distinct strings, so Exact is 0.
-func boundExact(a, b sym.Stats) float64 {
+func boundExact(a, b *sym.Stats, _ Tier) float64 {
 	if a.Sym == b.Sym {
 		return 1
 	}
@@ -92,7 +120,7 @@ func boundExact(a, b sym.Stats) float64 {
 // boundMinOverMax bounds any function whose value is at most
 // matchingPositions/maxLen with matchingPositions ≤ minLen
 // (NormalizedHamming, and the fallback inside other bounds).
-func boundMinOverMax(a, b sym.Stats) float64 {
+func boundMinOverMax(a, b *sym.Stats, _ Tier) float64 {
 	mn, mx := minMaxLen(a, b)
 	if mx == 0 {
 		return 1 // both empty: equal strings
@@ -103,16 +131,20 @@ func boundMinOverMax(a, b sym.Stats) float64 {
 	return float64(mn) / float64(mx)
 }
 
-// gramOverlap returns the gram-multiset overlap of two stats and
-// whether gram information is usable (same positive gram size on both
-// sides). The signature pre-check skips the merge when the overlap is
-// provably empty.
-func gramOverlap(a, b sym.Stats) (int, bool) {
+// gramOverlap returns an upper estimate of the gram-multiset overlap
+// of two stats at the given tier — exact at TierExact — and whether
+// gram information is usable (same positive gram size on both sides).
+// Disjoint signatures prove an empty overlap at either tier.
+func gramOverlap(a, b *sym.Stats, t Tier) (int, bool) {
 	if a.Q <= 0 || a.Q != b.Q {
 		return 0, false
 	}
 	if a.Sig&b.Sig == 0 {
 		return 0, true
+	}
+	if t == TierQuick {
+		return min(len(a.Grams)-bits.OnesCount64(a.Sig&^b.Sig),
+			len(b.Grams)-bits.OnesCount64(b.Sig&^a.Sig)), true
 	}
 	return sym.Overlap(a.Grams, b.Grams), true
 }
@@ -122,12 +154,12 @@ func gramOverlap(a, b sym.Stats) (int, bool) {
 // when gram statistics are available. perOp is the maximum number of
 // padded grams one edit operation can change: q for unit edits, q+1
 // when adjacent transposition is also allowed.
-func editLB(a, b sym.Stats, transpositions bool) int {
+func editLB(a, b *sym.Stats, t Tier, transpositions bool) int {
 	lb := a.Len - b.Len
 	if lb < 0 {
 		lb = -lb
 	}
-	overlap, ok := gramOverlap(a, b)
+	overlap, ok := gramOverlap(a, b, t)
 	if !ok {
 		return lb
 	}
@@ -149,21 +181,21 @@ func editLB(a, b sym.Stats, transpositions bool) int {
 
 // boundEditSim turns an edit-distance lower bound into a similarity
 // upper bound 1 − edLB/maxLen.
-func boundEditSim(a, b sym.Stats, transpositions bool) float64 {
+func boundEditSim(a, b *sym.Stats, t Tier, transpositions bool) float64 {
 	_, mx := minMaxLen(a, b)
 	if mx == 0 {
 		return 1 // both empty: equal strings
 	}
-	ub := 1 - float64(editLB(a, b, transpositions))/float64(mx)
+	ub := 1 - float64(editLB(a, b, t, transpositions))/float64(mx)
 	if ub < 0 {
 		return 0
 	}
 	return ub
 }
 
-func boundLevenshtein(a, b sym.Stats) float64 { return boundEditSim(a, b, false) }
+func boundLevenshtein(a, b *sym.Stats, t Tier) float64 { return boundEditSim(a, b, t, false) }
 
-func boundOSA(a, b sym.Stats) float64 { return boundEditSim(a, b, true) }
+func boundOSA(a, b *sym.Stats, t Tier) float64 { return boundEditSim(a, b, t, true) }
 
 // fpSlack absorbs floating-point drift between a bound and the kernel
 // it dominates: the Jaro family sums three individually rounded terms,
@@ -175,7 +207,7 @@ const fpSlack = 1e-12
 
 // boundJaro: Jaro matches at most minLen runes, so
 // m/la + m/lb ≤ 1 + min/max and (m−t)/m ≤ 1.
-func boundJaro(a, b sym.Stats) float64 {
+func boundJaro(a, b *sym.Stats, _ Tier) float64 {
 	mn, mx := minMaxLen(a, b)
 	if mx == 0 {
 		return 1
@@ -194,7 +226,7 @@ func boundJaro(a, b sym.Stats) float64 {
 // the common-prefix length p, with p ≤ min(4, minLen) — and p = 0 when
 // the gram overlap is provably empty, because the first padded gram of
 // each string determines its first rune.
-func boundJaroWinkler(a, b sym.Stats) float64 {
+func boundJaroWinkler(a, b *sym.Stats, t Tier) float64 {
 	mn, mx := minMaxLen(a, b)
 	if mx == 0 {
 		return 1
@@ -207,7 +239,7 @@ func boundJaroWinkler(a, b sym.Stats) float64 {
 	if mn < pmax {
 		pmax = mn
 	}
-	if overlap, ok := gramOverlap(a, b); ok && overlap == 0 {
+	if overlap, ok := gramOverlap(a, b, t); ok && overlap == 0 {
 		pmax = 0
 	}
 	ub := j + float64(pmax)*0.1*(1-j) + fpSlack
@@ -220,7 +252,7 @@ func boundJaroWinkler(a, b sym.Stats) float64 {
 // boundCommonPrefix: the common prefix is at most minLen runes, and
 // empty when the gram overlap is provably empty (shared first rune ⇒
 // shared first padded gram).
-func boundCommonPrefix(a, b sym.Stats) float64 {
+func boundCommonPrefix(a, b *sym.Stats, t Tier) float64 {
 	mn, mx := minMaxLen(a, b)
 	if mx == 0 {
 		return 1
@@ -228,7 +260,7 @@ func boundCommonPrefix(a, b sym.Stats) float64 {
 	if mn == 0 {
 		return 0
 	}
-	if overlap, ok := gramOverlap(a, b); ok && overlap == 0 {
+	if overlap, ok := gramOverlap(a, b, t); ok && overlap == 0 {
 		return 0
 	}
 	return float64(mn) / float64(mx)
@@ -237,7 +269,7 @@ func boundCommonPrefix(a, b sym.Stats) float64 {
 // boundLCS: a common substring of length L ≥ q contributes L−q+1
 // shared interior grams, so L ≤ overlap+q−1; without usable grams the
 // substring is at most minLen.
-func boundLCS(a, b sym.Stats) float64 {
+func boundLCS(a, b *sym.Stats, t Tier) float64 {
 	mn, mx := minMaxLen(a, b)
 	if mx == 0 {
 		return 1
@@ -246,7 +278,7 @@ func boundLCS(a, b sym.Stats) float64 {
 		return 0
 	}
 	lcs := mn
-	if overlap, ok := gramOverlap(a, b); ok {
+	if overlap, ok := gramOverlap(a, b, t); ok {
 		if lim := overlap + a.Q - 1; lim < lcs {
 			lcs = lim
 		}
@@ -260,7 +292,7 @@ func boundLCS(a, b sym.Stats) float64 {
 // boundEmptyOrOne is the q-independent envelope of the q-gram
 // coefficients: 1 in general (both empty compare as 1), 0 when exactly
 // one side is empty.
-func boundEmptyOrOne(a, b sym.Stats) float64 {
+func boundEmptyOrOne(a, b *sym.Stats, _ Tier) float64 {
 	mn, mx := minMaxLen(a, b)
 	if mn == 0 && mx > 0 {
 		return 0
@@ -268,7 +300,7 @@ func boundEmptyOrOne(a, b sym.Stats) float64 {
 	return 1
 }
 
-func minMaxLen(a, b sym.Stats) (int, int) {
+func minMaxLen(a, b *sym.Stats) (int, int) {
 	if a.Len < b.Len {
 		return a.Len, b.Len
 	}

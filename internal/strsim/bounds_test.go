@@ -34,15 +34,50 @@ func boundedFuncs() map[string]Func {
 	}
 }
 
-// TestRegisteredBoundsAreSound is the property underpinning the whole
-// candidate pre-filter: for every registered bound and random string
-// pairs (short words, shared prefixes, multi-byte runes, empties), the
-// bound computed from symbol statistics alone must dominate the actual
-// similarity — at every gram size a table can be built with.
+// checkBoundTiers is the property underpinning the whole candidate
+// pre-filter, for one string pair: at every gram size a table can be
+// built with and for every registered function, the bounds computed
+// from symbol statistics alone satisfy quick ≥ exact ≥ f(a, b) — the
+// quick tier may only ever reject what the exact tier rejects, and
+// neither a pair the function scores higher — they are symmetric, and
+// two Stats of one symbol bound to 1.
+func checkBoundTiers(t testing.TB, a, b string) {
+	t.Helper()
+	for _, q := range []int{1, 2, 3, 4} {
+		tab := sym.NewTable(q)
+		sa := tab.Stats(tab.Intern(a))
+		sb := tab.Stats(tab.Intern(b))
+		for name, f := range boundedFuncs() {
+			bound, ok := BoundFor(f)
+			if !ok {
+				t.Fatalf("%s: no bound registered", name)
+			}
+			actual := f(a, b)
+			quick, exact := bound(&sa, &sb, TierQuick), bound(&sa, &sb, TierExact)
+			if exact < actual {
+				t.Fatalf("q=%d %s(%q, %q) = %v exceeds exact bound %v", q, name, a, b, actual, exact)
+			}
+			if quick < exact {
+				t.Fatalf("q=%d %s(%q, %q): quick bound %v below exact bound %v", q, name, a, b, quick, exact)
+			}
+			if quick != bound(&sb, &sa, TierQuick) || exact != bound(&sb, &sa, TierExact) {
+				t.Fatalf("q=%d %s(%q, %q): bound is asymmetric", q, name, a, b)
+			}
+			if sa.Sym == sb.Sym && (quick != 1 || exact != 1) {
+				t.Fatalf("q=%d %s(%q, %q): equal symbols bound to %v/%v, want 1", q, name, a, b, quick, exact)
+			}
+		}
+	}
+}
+
+// TestRegisteredBoundsAreSound runs checkBoundTiers over fixed corner
+// cases and random Unicode words, each paired with an unrelated word
+// and with its own empty, equal, one-edit, transposed and disjoint
+// variants.
 func TestRegisteredBoundsAreSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	alphabet := []rune("abcdeé漢 #x")
-	word := func() string {
+	word := func(alphabet []rune) string {
 		n := rng.Intn(10)
 		rs := make([]rune, n)
 		for i := range rs {
@@ -55,31 +90,35 @@ func TestRegisteredBoundsAreSound(t *testing.T) {
 		{"martha", "marhta"}, {"dixon", "dicksonx"},
 		{"aaaa", "aaaaaaaaaa"}, {"é", "e"},
 	}
-	for i := 0; i < 400; i++ {
-		pairs = append(pairs, [2]string{word(), word()})
-	}
-	for _, q := range []int{1, 2, 3, 4} {
-		tab := sym.NewTable(q)
-		for name, f := range boundedFuncs() {
-			bound, ok := BoundFor(f)
-			if !ok {
-				t.Fatalf("%s: no bound registered", name)
-			}
-			for _, p := range pairs {
-				a, b := p[0], p[1]
-				sa := tab.Stats(tab.Intern(a))
-				sb := tab.Stats(tab.Intern(b))
-				actual := f(a, b)
-				ub := bound(sa, sb)
-				if ub < actual {
-					t.Fatalf("q=%d %s(%q, %q) = %v exceeds bound %v", q, name, a, b, actual, ub)
-				}
-				if ub != bound(sb, sa) {
-					t.Fatalf("q=%d %s(%q, %q): bound is asymmetric", q, name, a, b)
-				}
-			}
+	for i := 0; i < 150; i++ {
+		w := word(alphabet)
+		rs := []rune(w)
+		edited, swapped := w+"z", w
+		if len(rs) > 1 {
+			k := rng.Intn(len(rs) - 1)
+			sub := append([]rune(nil), rs...)
+			sub[k] = 'q'
+			edited = [3]string{w + "z", string(rs[:k]) + string(rs[k+1:]), string(sub)}[rng.Intn(3)]
+			sw := append([]rune(nil), rs...)
+			sw[k], sw[k+1] = sw[k+1], sw[k]
+			swapped = string(sw)
+		}
+		for _, other := range []string{word(alphabet), "", w, edited, swapped, word([]rune("ｗｙzößł"))} {
+			pairs = append(pairs, [2]string{w, other})
 		}
 	}
+	for _, p := range pairs {
+		checkBoundTiers(t, p[0], p[1])
+	}
+}
+
+// FuzzBoundTiers lets the fuzzer search for a string pair that breaks
+// the tier-dominance property.
+func FuzzBoundTiers(f *testing.F) {
+	for _, p := range [][2]string{{"", ""}, {"", "a"}, {"martha", "marhta"}, {"é漢", "e漢漢"}, {"aaaa", "zzzzzzzz"}} {
+		f.Add(p[0], p[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) { checkBoundTiers(t, a, b) })
 }
 
 // TestBoundsGuardUninterned: a bound consulted with zero (un-interned)
@@ -92,11 +131,13 @@ func TestBoundsGuardUninterned(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no bound registered", name)
 		}
-		if got := bound(sym.Stats{}, st); got != 1 {
-			t.Fatalf("%s: bound(zero, x) = %v, want 1", name, got)
-		}
-		if got := bound(st, sym.Stats{}); got != 1 {
-			t.Fatalf("%s: bound(x, zero) = %v, want 1", name, got)
+		for _, tier := range []Tier{TierQuick, TierExact} {
+			if got := bound(&sym.Stats{}, &st, tier); got != 1 {
+				t.Fatalf("%s: bound(zero, x) = %v, want 1", name, got)
+			}
+			if got := bound(&st, &sym.Stats{}, tier); got != 1 {
+				t.Fatalf("%s: bound(x, zero) = %v, want 1", name, got)
+			}
 		}
 	}
 }
@@ -131,8 +172,10 @@ func TestBoundsRejectObviousNonMatches(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no bound", name)
 		}
-		if got := bound(sa, sb); got > c.max {
-			t.Fatalf("%s: bound %v, want ≤ %v", name, got, c.max)
+		for _, tier := range []Tier{TierQuick, TierExact} {
+			if got := bound(&sa, &sb, tier); got > c.max {
+				t.Fatalf("%s: tier %d bound %v, want ≤ %v", name, tier, got, c.max)
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package sym
 
 import (
-	"sort"
+	"slices"
 	"unicode/utf8"
 )
 
@@ -29,35 +29,45 @@ func PackedQGrams(s string, q int) []uint64 {
 	if s == "" {
 		return nil
 	}
-	n := utf8.RuneCountInString(s)
-	rs := make([]rune, 0, n+2*(q-1))
-	for i := 0; i < q-1; i++ {
-		rs = append(rs, PadRune)
+	// win holds the last q runes read, the oldest at win[at]: q−1 pad
+	// runes to start with, then the string's runes, then q−1 pad runes
+	// again — the padded string, never materialized.
+	var buf [8]rune
+	win := buf[:]
+	if q > len(buf) {
+		win = make([]rune, q)
 	}
+	win = win[:q]
+	for i := range win {
+		win[i] = PadRune
+	}
+	at := 0
+	out := make([]uint64, 0, utf8.RuneCountInString(s)+q-1)
 	for _, r := range s {
-		rs = append(rs, r)
+		win[at] = r
+		at = (at + 1) % q
+		out = append(out, packGram(win[at:], win[:at]))
 	}
 	for i := 0; i < q-1; i++ {
-		rs = append(rs, PadRune)
+		win[at] = PadRune
+		at = (at + 1) % q
+		out = append(out, packGram(win[at:], win[:at]))
 	}
-	if len(rs) < q {
-		return nil
-	}
-	out := make([]uint64, 0, len(rs)-q+1)
-	for i := 0; i+q <= len(rs); i++ {
-		out = append(out, packGram(rs[i:i+q]))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
+	slices.Sort(out)
 	return out
 }
 
-// packGram encodes one gram. For len(g) ≤ MaxExactQ each rune occupies
-// a 21-bit field (offset by 1 so NUL differs from absence), which is
-// injective for a fixed gram size; longer grams are FNV-1a hashed.
-func packGram(g []rune) uint64 {
-	if len(g) <= MaxExactQ {
+// packGram encodes the gram whose runes are head followed by tail (the
+// two halves of a ring). Up to MaxExactQ runes each occupy a 21-bit
+// field (offset by 1 so NUL differs from absence), which is injective
+// for a fixed gram size; longer grams are FNV-1a hashed.
+func packGram(head, tail []rune) uint64 {
+	if len(head)+len(tail) <= MaxExactQ {
 		v := uint64(0)
-		for _, r := range g {
+		for _, r := range head {
+			v = v<<21 | (uint64(r) + 1)
+		}
+		for _, r := range tail {
 			v = v<<21 | (uint64(r) + 1)
 		}
 		return v
@@ -67,7 +77,11 @@ func packGram(g []rune) uint64 {
 		prime64  = 1099511628211
 	)
 	h := uint64(offset64)
-	for _, r := range g {
+	for _, r := range head {
+		h ^= uint64(r)
+		h *= prime64
+	}
+	for _, r := range tail {
 		h ^= uint64(r)
 		h *= prime64
 	}

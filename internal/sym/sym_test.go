@@ -3,6 +3,8 @@ package sym
 import (
 	"fmt"
 	"math/rand"
+	"slices"
+	"strings"
 	"sync"
 	"testing"
 )
@@ -159,6 +161,44 @@ func TestPackedQGramsMatchNaive(t *testing.T) {
 			}()
 			if got := Dice(ga, gb); got != naiveDice {
 				t.Fatalf("q=%d (%q,%q): Dice %v, want %v", q, a, b, got, naiveDice)
+			}
+		}
+	}
+}
+
+// TestPackedQGramsMatchStagedPadding pins the ring walk bit for bit to
+// the definition it implements: stage the padded string as runes, pack
+// every window of q, sort. Exact (q ≤ MaxExactQ) and hashed sizes,
+// multi-byte runes and invalid UTF-8 included — interned Stats, and so
+// every bound and gram kernel, must not move.
+func TestPackedQGramsMatchStagedPadding(t *testing.T) {
+	staged := func(s string, q int) []uint64 {
+		if s == "" {
+			return nil
+		}
+		pad := strings.Repeat(string(PadRune), q-1)
+		rs := []rune(pad + s + pad)
+		var out []uint64
+		for i := 0; i+q <= len(rs); i++ {
+			out = append(out, packGram(rs[i:i+q], nil))
+		}
+		slices.Sort(out)
+		return out
+	}
+	rng := rand.New(rand.NewSource(13))
+	alphabet := []rune("abcé漢#\x00")
+	words := []string{"", "a", "#", "\xff\xfeab", "duplicate detection"}
+	for i := 0; i < 300; i++ {
+		rs := make([]rune, rng.Intn(14))
+		for j := range rs {
+			rs[j] = alphabet[rng.Intn(len(alphabet))]
+		}
+		words = append(words, string(rs))
+	}
+	for _, q := range []int{1, 2, 3, 4, 5, 9} {
+		for _, w := range words {
+			if got, want := PackedQGrams(w, q), staged(w, q); !slices.Equal(got, want) {
+				t.Fatalf("q=%d %q: packed %v, staged %v", q, w, got, want)
 			}
 		}
 	}
