@@ -1,6 +1,7 @@
-// Benchmarks regenerating every experiment of EXPERIMENTS.md (one bench per
-// paper figure/table, E01–E10, plus the synthetic evaluation S01–S04) and
-// micro-benchmarks of the hot paths.
+// Micro-benchmarks of the hot paths. The paper's experiments (E01–E10,
+// S01–S05, A01–A02) are not benchmarked here: TestGoldenExperiments
+// regenerates every one of them against EXPERIMENTS.md, and end-to-end
+// performance is bench/'s business (bash bench/run.sh).
 //
 // Run with:
 //
@@ -14,116 +15,9 @@ import (
 	"testing"
 
 	"probdedup"
-	"probdedup/internal/experiments"
 	"probdedup/internal/paperdata"
 	"probdedup/internal/ssr"
 )
-
-// ---- Paper experiments E01–E10 ----
-
-func BenchmarkE01AttrMatching(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.E01()
-	}
-}
-
-func BenchmarkE02Worlds(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.E02()
-	}
-}
-
-func BenchmarkE03SimDerivation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _ = experiments.E03()
-	}
-}
-
-func BenchmarkE04DecDerivation(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _, _, _ = experiments.E04()
-	}
-}
-
-func BenchmarkE05MultiPass(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.E05()
-	}
-}
-
-func BenchmarkE06CertainKeys(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.E06()
-	}
-}
-
-func BenchmarkE07SortAlternatives(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.E07()
-	}
-}
-
-func BenchmarkE08UncertainKeys(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.E08()
-	}
-}
-
-func BenchmarkE09Blocking(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.E09()
-	}
-}
-
-func BenchmarkE10Rules(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = experiments.E10()
-	}
-}
-
-// ---- Synthetic evaluation S01–S04 ----
-
-func BenchmarkS01Effectiveness(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _ = experiments.S01(40, 11)
-	}
-}
-
-func BenchmarkS02Reduction(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _ = experiments.S02(40, 11)
-	}
-}
-
-func BenchmarkS03WorldSelection(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _ = experiments.S03(30, 13)
-	}
-}
-
-func BenchmarkS04Scaling(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _ = experiments.S04([]int{50, 100}, 5)
-	}
-}
-
-func BenchmarkS05WindowSweep(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _ = experiments.S05(40, 11)
-	}
-}
-
-func BenchmarkA01Conditioning(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _ = experiments.A01(40, 11)
-	}
-}
-
-func BenchmarkA02NullSemantics(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_, _ = experiments.A02(40, 11)
-	}
-}
 
 // ---- Streaming vs. materialized pipeline ----
 

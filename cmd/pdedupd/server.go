@@ -8,7 +8,7 @@ import (
 	"net/http"
 	"sync/atomic"
 
-	"probdedup"
+	"probdedup/internal/codec"
 	"probdedup/internal/core"
 	"probdedup/internal/shard"
 )
@@ -97,38 +97,33 @@ func (s *server) handleTuples(w http.ResponseWriter, r *http.Request) {
 	}
 	// json.Decoder reads a concatenation of JSON values, which NDJSON
 	// is — no per-line framing needed, and a pretty-printed single
-	// tuple works too.
+	// tuple works too. Each value is decoded exactly once.
 	dec := json.NewDecoder(r.Body)
 	var reply ingestReply
 	for item := 0; ; item++ {
-		var raw json.RawMessage
-		if err := dec.Decode(&raw); err == io.EOF {
+		var it codec.IngestItem
+		if err := dec.Decode(&it); err == io.EOF {
 			break
 		} else if err != nil {
 			failItem(w, reply, item, fmt.Errorf("json: %w", err))
 			return
 		}
-		var probe struct {
-			Remove *string `json:"remove"`
-		}
-		if err := json.Unmarshal(raw, &probe); err == nil && probe.Remove != nil {
-			if err := s.router.Remove(*probe.Remove); err != nil {
-				failItem(w, reply, item, err)
-				return
+		x, err := it.XTuple()
+		switch {
+		case err != nil: // a shape the codec refuses
+		case x == nil:
+			if err = s.router.Remove(*it.Remove); err == nil {
+				reply.Removed++
 			}
-			reply.Removed++
-			continue
+		default:
+			if err = s.router.Ingest(x); err == nil {
+				reply.Accepted++
+			}
 		}
-		x, err := probdedup.DecodeXTupleJSON(raw)
 		if err != nil {
 			failItem(w, reply, item, err)
 			return
 		}
-		if err := s.router.Ingest(x); err != nil {
-			failItem(w, reply, item, err)
-			return
-		}
-		reply.Accepted++
 	}
 	writeJSON(w, http.StatusOK, reply)
 }

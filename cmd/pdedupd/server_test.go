@@ -391,6 +391,65 @@ func TestRemovalsAndAdmissionErrors(t *testing.T) {
 	}
 }
 
+// TestIngestItemShapes pins the one-pass decode of /v1/tuples: a
+// removal whose ID is not a string and a removal mixed with tuple fields
+// are refused as what they are, with the item index and nothing of the
+// item applied; a pretty-printed tuple spanning several lines is one
+// value; and the top-level cache counters of /v1/stats are the per-shard
+// sums.
+func TestIngestItemShapes(t *testing.T) {
+	d := startDaemon(t, daemonArgs("-shards", "2")...)
+
+	code, reply := postTuples(t, d, `{
+  "id": "a",
+  "attrs": [
+    [{"v": "Johnson"}],
+    [{"v": "pilot"}]
+  ]
+}
+{"id":"b","attrs":[[{"v":"Johnsen"}],[{"v":"pilot"}]]}`)
+	if code != http.StatusOK || reply.Accepted != 2 {
+		t.Fatalf("pretty-printed tuple: %d %+v", code, reply)
+	}
+
+	code, reply = postTuples(t, d, `{"remove":"a"}`+"\n"+`{"remove":5}`)
+	if code != http.StatusBadRequest || reply.Removed != 1 || reply.Item == nil || *reply.Item != 1 ||
+		!strings.Contains(reply.Error, "remove") || strings.Contains(reply.Error, "tuple") {
+		t.Fatalf("non-string remove: %d %+v", code, reply)
+	}
+
+	code, reply = postTuples(t, d, `{"id":"c","attrs":[[{"v":"Johnsons"}],[{"v":"pilot"}]]}`+"\n"+
+		`{"remove":"b","id":"e","alts":[{"p":1,"values":[[{"v":"X"}],[{"v":"y"}]]}]}`)
+	if code != http.StatusBadRequest || reply.Accepted != 1 || reply.Removed != 0 ||
+		reply.Item == nil || *reply.Item != 1 || !strings.Contains(reply.Error, "mixed") {
+		t.Fatalf("removal mixed with a tuple: %d %+v", code, reply)
+	}
+
+	resp, err := http.Get(d.url("/v1/stats"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st shard.Stats
+	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if st.Detector.Residents != 2 {
+		t.Fatalf("residents = %d, want 2 (b and c: neither refused item was half applied)", st.Detector.Residents)
+	}
+	var misses, capacity uint64
+	for _, ss := range st.PerShard {
+		misses += ss.Detector.Cache.Misses
+		capacity += uint64(ss.Detector.Cache.Capacity)
+	}
+	if c := st.Detector.Cache; capacity == 0 || uint64(c.Capacity) != capacity || c.Misses != misses {
+		t.Fatalf("top-level cache counters %+v are not the per-shard sums (capacity %d, misses %d)", c, capacity, misses)
+	}
+	if rc := d.stop(); rc != 0 {
+		t.Fatalf("daemon exited %d: %s", rc, d.errOut.String())
+	}
+}
+
 // TestIntegrateEntities runs the daemon in entity-resolution mode: the
 // /v1/entities stream reports created/merged events and /v1/deltas is
 // gone (the integrator consumes match deltas).

@@ -9,7 +9,7 @@ import (
 // itself and against existing values. The paper's choice is {1, 0}: two
 // non-existent values refer to the same real-world fact, while a
 // non-existent value is definitely not similar to any existing one. The
-// struct exists as an ablation hook (DESIGN.md §5).
+// struct exists as an ablation hook (EXPERIMENTS.md A02).
 type NullSemantics struct {
 	// NullNull is sim(⊥,⊥); the paper uses 1.
 	NullNull float64

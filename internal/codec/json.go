@@ -205,6 +205,34 @@ func DecodeXTupleJSON(data []byte) (*pdb.XTuple, error) {
 	if err := json.Unmarshal(data, &jt); err != nil {
 		return nil, fmt.Errorf("codec: %w", err)
 	}
+	return jt.xtuple()
+}
+
+// IngestItem is one value of pdedupd's NDJSON ingest stream, decoded
+// in one pass: a tuple in either form DecodeXTupleJSON accepts, or a
+// removal {"remove": ID}. A "remove" that is not a JSON string fails
+// the decode itself.
+type IngestItem struct {
+	jsonAnyTuple
+	// Remove is the ID of the resident to drop; nil for a tuple.
+	Remove *string `json:"remove"`
+}
+
+// XTuple returns the item's tuple, or nil when the item is a removal
+// of *Remove. A removal that also carries tuple fields is ambiguous and
+// refused rather than half applied.
+func (it *IngestItem) XTuple() (*pdb.XTuple, error) {
+	if it.Remove == nil {
+		return it.xtuple()
+	}
+	if it.ID != "" || it.P != nil || it.Alts != nil || it.Attrs != nil {
+		return nil, fmt.Errorf("codec: removal of %s mixed with tuple fields (id/p/alts/attrs)", *it.Remove)
+	}
+	return nil, nil
+}
+
+// xtuple builds the x-tuple of a decoded NDJSON tuple value.
+func (jt *jsonAnyTuple) xtuple() (*pdb.XTuple, error) {
 	x := &pdb.XTuple{ID: jt.ID}
 	if len(jt.Alts) > 0 {
 		// Membership lives on the alternatives in the x-tuple form; a

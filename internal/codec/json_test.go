@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -153,6 +154,64 @@ func TestXTupleJSONLiftsTupleForm(t *testing.T) {
 	} {
 		if _, err := DecodeXTupleJSON([]byte(mixed)); err == nil {
 			t.Fatalf("want an error for mixed form %s", mixed)
+		}
+	}
+}
+
+// TestIngestItemDecodesOnce pins the ingest item: one json.Unmarshal
+// yields the same tuple DecodeXTupleJSON builds, a removal yields no
+// tuple, and the two shapes that are neither are refused — a non-string
+// "remove" by the decode itself, a removal carrying tuple fields by
+// XTuple.
+func TestIngestItemDecodesOnce(t *testing.T) {
+	decode := func(src string) (*IngestItem, error) {
+		var it IngestItem
+		return &it, json.Unmarshal([]byte(src), &it)
+	}
+	for _, src := range []string{
+		`{"id":"a","p":0.8,"attrs":[[{"v":"Tim","p":0.9}],[{"v":"pilot"}]]}`,
+		`{"id":"x","alts":[{"p":0.6,"values":[[{"v":"Tim"}],[{"v":"pilot"}]]},{"p":0.4,"values":[[{"v":"Tom"}],[{}]]}]}`,
+	} {
+		it, err := decode(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := it.XTuple()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := DecodeXTupleJSON([]byte(src))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == nil || got.String() != want.String() {
+			t.Fatalf("IngestItem built %+v, DecodeXTupleJSON %+v", got, want)
+		}
+	}
+
+	it, err := decode(`{"remove":"a"}`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if x, err := it.XTuple(); err != nil || x != nil || *it.Remove != "a" {
+		t.Fatalf("removal: tuple %v, err %v, remove %v", x, err, it.Remove)
+	}
+
+	if _, err := decode(`{"remove":5}`); err == nil || !strings.Contains(err.Error(), "remove") {
+		t.Fatalf("non-string remove: err = %v, want a decode error naming the field", err)
+	}
+	for _, mixed := range []string{
+		`{"remove":"a","id":"b"}`,
+		`{"remove":"a","p":0.5}`,
+		`{"remove":"a","attrs":[[{"v":"Tim"}]]}`,
+		`{"remove":"a","alts":[{"p":1,"values":[[{"v":"Tim"}]]}]}`,
+	} {
+		it, err := decode(mixed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if x, err := it.XTuple(); err == nil || x != nil {
+			t.Fatalf("%s: tuple %v, err %v, want a refusal", mixed, x, err)
 		}
 	}
 }

@@ -50,8 +50,8 @@ type Options struct {
 	// simply recomputed on demand.
 	CacheCapacity int
 	// Nulls overrides the ⊥ semantics of attribute value matching; nil
-	// means the paper's sim(⊥,⊥)=1, sim(a,⊥)=0 (ablation hook, DESIGN.md
-	// §5).
+	// means the paper's sim(⊥,⊥)=1, sim(a,⊥)=0 (ablation hook,
+	// EXPERIMENTS.md A02).
 	Nulls *avm.NullSemantics
 	// PreFilter enables the symbol-plane candidate pre-filter: between
 	// candidate enumeration and verification, pairs whose derived

@@ -10,7 +10,7 @@ import (
 	"probdedup/internal/xmatch"
 )
 
-// The DESIGN.md §5 ablations: each switches off one of the paper's design
+// The EXPERIMENTS.md A-experiments: each switches off one of the paper's design
 // decisions and measures the effectiveness delta on the synthetic corpus.
 
 // A01Row is one conditioning-ablation measurement.

@@ -1,8 +1,8 @@
 // Package experiments regenerates every checkable figure and worked example
 // of the paper (E01–E10) plus the synthetic evaluation its verification
-// step implies (S01–S04). The experiment IDs follow DESIGN.md §4 and
-// EXPERIMENTS.md; cmd/pdbench prints them and the root benchmark suite
-// exercises the same entry points.
+// step implies (S01–S05, A01–A02). The experiment IDs follow
+// EXPERIMENTS.md, the committed record cmd/pdbench prints and the root
+// golden test regenerates.
 package experiments
 
 import (

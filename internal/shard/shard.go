@@ -686,6 +686,11 @@ func (r *Router) Stats() Stats {
 		st.Detector.Enumerated += ds.Enumerated
 		st.Detector.Filtered += ds.Filtered
 		st.Detector.FilterActive = st.Detector.FilterActive || ds.FilterActive
+		st.Detector.Cache.Entries += ds.Cache.Entries
+		st.Detector.Cache.Capacity += ds.Cache.Capacity
+		st.Detector.Cache.Hits += ds.Cache.Hits
+		st.Detector.Cache.Misses += ds.Cache.Misses
+		st.Detector.Cache.Evictions += ds.Cache.Evictions
 		st.Entities += ss.Entities
 	}
 	st.Detector.TotalPairs = ssr.TotalPairs(st.Detector.Residents)

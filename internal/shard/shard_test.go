@@ -11,6 +11,7 @@ import (
 	"sync"
 	"testing"
 
+	"probdedup/internal/avm"
 	"probdedup/internal/core"
 	"probdedup/internal/dataset"
 	"probdedup/internal/decision"
@@ -219,14 +220,26 @@ func TestStatsAggregatesShards(t *testing.T) {
 		t.Fatalf("aggregate TotalPairs = %d, want merged-input %d", st.Detector.TotalPairs, want)
 	}
 	sum := 0
+	var cache avm.CacheStats
 	for i, ss := range st.PerShard {
 		if ss.Shard != i || ss.QueueCap != DefaultQueueDepth {
 			t.Fatalf("per-shard snapshot: %+v", ss)
 		}
 		sum += ss.Detector.Residents
+		cache.Entries += ss.Detector.Cache.Entries
+		cache.Capacity += ss.Detector.Cache.Capacity
+		cache.Hits += ss.Detector.Cache.Hits
+		cache.Misses += ss.Detector.Cache.Misses
+		cache.Evictions += ss.Detector.Cache.Evictions
 	}
 	if sum != len(names) {
 		t.Fatalf("per-shard residents sum %d, want %d", sum, len(names))
+	}
+	if cache.Misses == 0 || cache.Capacity == 0 {
+		t.Fatalf("per-shard caches saw no lookups (%+v): the fixture no longer compares anything", cache)
+	}
+	if st.Detector.Cache != cache {
+		t.Fatalf("aggregate cache counters = %+v, want the per-shard sum %+v", st.Detector.Cache, cache)
 	}
 }
 

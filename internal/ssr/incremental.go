@@ -120,43 +120,21 @@ type BatchDelta struct {
 // Structural updates are applied unconditionally for every tuple;
 // the caller is expected to have validated the batch first.
 func InsertBatch(idx IncrementalIndex, xs []*pdb.XTuple, admit func(verify.Pair) bool) []BatchDelta {
-	// Per pair, deltas alternate add/drop (the index maintains an
-	// exact set), so an even delta count nets to no change and an odd
-	// count nets to the first (= last) kind.
-	type churn struct {
-		pair         verify.Pair
-		firstDropped bool
-		count        int
-		source       int
-	}
-	var order []churn
-	seen := map[verify.Pair]int{} // position in order
+	var net pairNet
 	for i, x := range xs {
+		net.source = i
 		idx.Insert(x, func(pd PairDelta) bool {
-			if !pd.Dropped && admit != nil && !admit(pd.Pair) {
-				return true
+			if pd.Dropped || admit == nil || admit(pd.Pair) {
+				net.add(pd)
 			}
-			at, ok := seen[pd.Pair]
-			if !ok {
-				at = len(order)
-				seen[pd.Pair] = at
-				order = append(order, churn{pair: pd.Pair, firstDropped: pd.Dropped})
-			}
-			order[at].count++
-			order[at].source = i
 			return true
 		})
 	}
-	out := make([]BatchDelta, 0, len(order))
-	for _, c := range order {
-		if c.count%2 == 0 {
-			continue
-		}
-		out = append(out, BatchDelta{
-			PairDelta: PairDelta{Pair: c.pair, Dropped: c.firstDropped},
-			Source:    c.source,
-		})
-	}
+	out := make([]BatchDelta, 0, len(net.entries))
+	net.drain(func(d BatchDelta) bool {
+		out = append(out, d)
+		return true
+	})
 	return out
 }
 
@@ -399,21 +377,22 @@ func (b *blockingAlternativesIndex) Len() int { return len(b.keysOf) }
 
 // ---- Sorted neighborhood over conflict-resolved keys ----
 
-// snmCertainIndex keeps the conflict-resolved key entries in sorted
-// order (ties by insertion order, matching the batch method's stable
-// sort) and maintains the exact window pair set: inserting a tuple
-// adds its window neighbors and drops the straddling pairs its
+// snmCertainIndex is one keyedSeq over the conflict-resolved keys (ties
+// by insertion order, matching the batch method's stable sort): inserting
+// a tuple adds its window neighbors and drops the straddling pairs its
 // insertion pushed exactly one position out of the window; removing a
 // tuple drops its window pairs and re-adds the straddling pairs the
-// removal pulled back in. Insertion is a binary search plus an O(n)
-// slice shift — cheap in practice (a memmove of small structs) but
-// not logarithmic; see the package benchmarks.
+// removal pulled back in. Tuple IDs are unique in the sequence, so no two
+// deltas of one splice share a pair and nothing needs netting. Insertion
+// is a binary search plus an O(n) slice shift — cheap in practice (a
+// memmove of string headers) but not logarithmic; see the package
+// benchmarks.
 type snmCertainIndex struct {
 	key      keys.Def
 	strategy fusion.Strategy
-	window   int
-	entries  []KeyEntry
+	seq      keyedSeq
 	keyOf    map[string]string
+	scratch  []PairDelta
 }
 
 // Incremental implements IncrementalMethod.
@@ -422,104 +401,36 @@ func (m SNMCertain) Incremental() (IncrementalIndex, error) {
 	if strategy == nil {
 		strategy = fusion.MostProbable{}
 	}
-	w := m.Window
-	if w < 2 {
-		w = 2 // mirror windowStream's minimum
-	}
 	return &snmCertainIndex{
 		key:      m.Key,
 		strategy: strategy,
-		window:   w,
+		seq:      keyedSeq{windowSeq: newWindowSeq(m.Window)},
 		keyOf:    map[string]string{},
 	}, nil
 }
 
-func (s *snmCertainIndex) Len() int { return len(s.entries) }
-
-// position locates the entry of id via its remembered key: binary
-// search to the key's run, then a short scan.
-func (s *snmCertainIndex) position(id string) (int, bool) {
-	k, ok := s.keyOf[id]
-	if !ok {
-		return 0, false
-	}
-	i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Key >= k })
-	for ; i < len(s.entries) && s.entries[i].Key == k; i++ {
-		if s.entries[i].ID == id {
-			return i, true
-		}
-	}
-	return 0, false
-}
+func (s *snmCertainIndex) Len() int { return len(s.seq.ids) }
 
 func (s *snmCertainIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
 	k := s.key.FromValues(s.strategy.ResolveX(x))
-	// Upper bound: after all equal keys, reproducing the stable sort of
-	// the batch method for the same arrival order.
-	p := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].Key > k })
-	w := s.window
-
-	// Deltas are computed against the pre-insertion ordering, then the
-	// entry is spliced in, then the deltas are delivered (structural
-	// updates must not depend on the yield outcome).
-	var deltas []PairDelta
-	// Straddling pairs at distance exactly w-1 move to distance w: out.
-	for a := p - w + 1; a <= p-1; a++ {
-		b := a + w - 1
-		if a < 0 || b >= len(s.entries) {
-			continue
-		}
-		deltas = append(deltas, PairDelta{Pair: verify.NewPair(s.entries[a].ID, s.entries[b].ID), Dropped: true})
-	}
-	// The new tuple pairs with its w-1 predecessors and successors.
-	for a := p - 1; a >= 0 && a >= p-w+1; a-- {
-		deltas = append(deltas, PairDelta{Pair: verify.NewPair(s.entries[a].ID, x.ID)})
-	}
-	for b := p; b < len(s.entries) && b <= p+w-2; b++ {
-		deltas = append(deltas, PairDelta{Pair: verify.NewPair(x.ID, s.entries[b].ID)})
-	}
-
-	s.entries = append(s.entries, KeyEntry{})
-	copy(s.entries[p+1:], s.entries[p:])
-	s.entries[p] = KeyEntry{Key: k, ID: x.ID}
 	s.keyOf[x.ID] = k
-
-	for _, d := range deltas {
-		if !yield(d) {
-			return false
-		}
-	}
-	return true
+	s.scratch = s.seq.insert(k, x.ID, s.scratch[:0])
+	return yieldAll(s.scratch, yield)
 }
 
 func (s *snmCertainIndex) Remove(id string, yield func(PairDelta) bool) bool {
-	p, ok := s.position(id)
+	k, ok := s.keyOf[id]
 	if !ok {
 		return true
 	}
-	w := s.window
-
-	var deltas []PairDelta
-	// Every window pair of the removed tuple drops.
-	for j := p - w + 1; j <= p+w-1; j++ {
-		if j == p || j < 0 || j >= len(s.entries) {
-			continue
-		}
-		deltas = append(deltas, PairDelta{Pair: verify.NewPair(s.entries[j].ID, id), Dropped: true})
-	}
-	// Straddling pairs at distance exactly w move to distance w-1: in.
-	for a := p - w + 1; a <= p-1; a++ {
-		b := a + w
-		if a < 0 || b >= len(s.entries) {
-			continue
-		}
-		deltas = append(deltas, PairDelta{Pair: verify.NewPair(s.entries[a].ID, s.entries[b].ID)})
-	}
-
-	s.entries = append(s.entries[:p], s.entries[p+1:]...)
 	delete(s.keyOf, id)
+	s.scratch = s.seq.remove(k, id, s.scratch[:0])
+	return yieldAll(s.scratch, yield)
+}
 
-	for _, d := range deltas {
+// yieldAll delivers a splice's deltas in order.
+func yieldAll(ds []PairDelta, yield func(PairDelta) bool) bool {
+	for _, d := range ds {
 		if !yield(d) {
 			return false
 		}

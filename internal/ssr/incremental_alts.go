@@ -19,18 +19,19 @@ import (
 //   - the kept flag of an entry is a local property of its predecessor, so
 //     every entry splice rechecks only the spliced position and its
 //     successor;
-//   - the ledger tracks, per distinct-ID pair, how many kept-window
+//   - the kept entries are a windowSeq in which a tuple ID may recur, and
+//     the ledger tracks, per distinct-ID pair, how many of its window
 //     position pairs currently cover it (the executed-matching set,
 //     refcounted). A pair enters the candidate set when its count rises
 //     from zero and leaves when it returns to zero; intra-operation churn
-//     cancels via coalescePairDeltas.
+//     cancels in the ledger's pairNet.
 type snmAltsIndex struct {
 	key     keys.Def
-	window  int
 	entries []altEntry
-	kept    []string // IDs of kept entries, in entry order
+	kept    windowSeq // IDs of kept entries, in entry order
 	keysOf  map[string][]string
 	ledger  *pairLedger
+	scratch []PairDelta
 }
 
 type altEntry struct {
@@ -41,13 +42,9 @@ type altEntry struct {
 
 // Incremental implements IncrementalMethod.
 func (m SNMAlternatives) Incremental() (IncrementalIndex, error) {
-	w := m.Window
-	if w < 2 {
-		w = 2 // mirror windowStream's minimum
-	}
 	return &snmAltsIndex{
 		key:    m.Key,
-		window: w,
+		kept:   newWindowSeq(m.Window),
 		keysOf: map[string][]string{},
 		ledger: newPairLedger(),
 	}, nil
@@ -67,53 +64,17 @@ func (s *snmAltsIndex) keptIndexOf(fpos int) int {
 	return n
 }
 
-// insertKept splices id into the kept list at kpos and accounts the
-// window occurrences: straddling position pairs at distance exactly
-// window-1 lose their occurrence, the new entry gains occurrences with
-// its window neighbors.
+// insertKept splices id into the kept sequence at kpos; the window
+// position pairs the splice gains and loses are the ledger's coverage.
 func (s *snmAltsIndex) insertKept(kpos int, id string) {
-	w := s.window
-	for a := kpos - w + 1; a <= kpos-1; a++ {
-		b := a + w - 1
-		if a < 0 || b >= len(s.kept) {
-			continue
-		}
-		s.ledger.drop(s.kept[a], s.kept[b])
-	}
-	for a := kpos - w + 1; a <= kpos-1; a++ {
-		if a < 0 {
-			continue
-		}
-		s.ledger.bump(s.kept[a], id)
-	}
-	for b := kpos; b < len(s.kept) && b <= kpos+w-2; b++ {
-		s.ledger.bump(id, s.kept[b])
-	}
-	s.kept = append(s.kept, "")
-	copy(s.kept[kpos+1:], s.kept[kpos:])
-	s.kept[kpos] = id
+	s.scratch = s.kept.insertAt(kpos, id, s.scratch[:0])
+	s.ledger.coverAll(s.scratch)
 }
 
-// removeKept splices the kept entry at kpos out: its window occurrences
-// vanish and straddling position pairs at distance exactly window regain
-// one.
+// removeKept splices the kept entry at kpos out.
 func (s *snmAltsIndex) removeKept(kpos int) {
-	w := s.window
-	id := s.kept[kpos]
-	for j := kpos - w + 1; j <= kpos+w-1; j++ {
-		if j == kpos || j < 0 || j >= len(s.kept) {
-			continue
-		}
-		s.ledger.drop(s.kept[j], id)
-	}
-	for a := kpos - w + 1; a <= kpos-1; a++ {
-		b := a + w
-		if a < 0 || b >= len(s.kept) {
-			continue
-		}
-		s.ledger.bump(s.kept[a], s.kept[b])
-	}
-	s.kept = append(s.kept[:kpos], s.kept[kpos+1:]...)
+	s.scratch = s.kept.removeAt(kpos, s.scratch[:0])
+	s.ledger.coverAll(s.scratch)
 }
 
 // insertEntry splices one (key, id) entry into the full list at fpos and

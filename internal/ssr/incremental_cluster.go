@@ -27,7 +27,7 @@ const defaultMaxDrift = 0.25
 // leaves its block. Each such stale placement counts toward drift;
 // when drift exceeds MaxDrift·residents, the index reseals inside the
 // same operation, so the epoch flip reaches consumers as ordinary pair
-// deltas (re-blocked pairs net out via coalescePairDeltas).
+// deltas (re-blocked pairs net out in the pairNet).
 type blockingClusterIndex struct {
 	method   BlockingCluster
 	maxDrift float64
@@ -43,7 +43,7 @@ type blockingClusterIndex struct {
 	blocks    map[int][]string
 	drifted   int
 
-	deltas []PairDelta
+	net pairNet // the operation's deltas; re-blocked pairs cancel in it
 }
 
 // Incremental implements IncrementalMethod.
@@ -90,7 +90,7 @@ func nearestCentroid(centroids []float64, p float64) int {
 
 // reseal runs the batch clustering over the residents in insertion
 // order and rebuilds the blocks, recording the pair churn as deltas
-// (unchanged pairs cancel in coalescePairDeltas). It freezes the new
+// (unchanged pairs cancel in the pairNet). It freezes the new
 // epoch's embedding and centroids and resets the drift counter.
 func (b *blockingClusterIndex) reseal() {
 	// Withdraw the old blocks' pairs.
@@ -98,7 +98,7 @@ func (b *blockingClusterIndex) reseal() {
 		members := b.blocks[c]
 		for i := 0; i < len(members); i++ {
 			for j := i + 1; j < len(members); j++ {
-				b.deltas = append(b.deltas, PairDelta{Pair: verify.NewPair(members[i], members[j]), Dropped: true})
+				b.net.add(PairDelta{Pair: verify.NewPair(members[i], members[j]), Dropped: true})
 			}
 		}
 	}
@@ -123,7 +123,7 @@ func (b *blockingClusterIndex) reseal() {
 	for i, a := range c.Assign {
 		id := items[i].ID
 		for _, other := range b.blocks[a] {
-			b.deltas = append(b.deltas, PairDelta{Pair: verify.NewPair(other, id)})
+			b.net.add(PairDelta{Pair: verify.NewPair(other, id)})
 		}
 		b.blocks[a] = append(b.blocks[a], id)
 		b.labelOf[id] = a
@@ -139,18 +139,6 @@ func (b *blockingClusterIndex) maybeReseal() {
 	}
 }
 
-// flushDeltas coalesces and delivers the op-local deltas.
-func (b *blockingClusterIndex) flushDeltas(yield func(PairDelta) bool) bool {
-	deltas := coalescePairDeltas(b.deltas)
-	b.deltas = b.deltas[:0]
-	for _, d := range deltas {
-		if !yield(d) {
-			return false
-		}
-	}
-	return true
-}
-
 func (b *blockingClusterIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
 	it := cluster.Item{ID: x.ID, Keys: b.method.Key.XTupleKeyDist(x, true)}
 	b.items[x.ID] = it
@@ -160,14 +148,14 @@ func (b *blockingClusterIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool)
 	} else {
 		c := nearestCentroid(b.centroids, b.emb.Pos(it.Keys))
 		for _, other := range b.blocks[c] {
-			b.deltas = append(b.deltas, PairDelta{Pair: verify.NewPair(other, x.ID)})
+			b.net.add(PairDelta{Pair: verify.NewPair(other, x.ID)})
 		}
 		b.blocks[c] = append(b.blocks[c], x.ID)
 		b.labelOf[x.ID] = c
 		b.drifted++
 		b.maybeReseal()
 	}
-	return b.flushDeltas(yield)
+	return b.net.flush(yield)
 }
 
 func (b *blockingClusterIndex) Remove(id string, yield func(PairDelta) bool) bool {
@@ -180,7 +168,7 @@ func (b *blockingClusterIndex) Remove(id string, yield func(PairDelta) bool) boo
 	delete(b.labelOf, id)
 	b.blocks[c] = removeID(b.blocks[c], id)
 	for _, other := range b.blocks[c] {
-		b.deltas = append(b.deltas, PairDelta{Pair: verify.NewPair(other, id), Dropped: true})
+		b.net.add(PairDelta{Pair: verify.NewPair(other, id), Dropped: true})
 	}
 	if len(b.arrivals) == 0 {
 		// Empty index: clear the epoch state so the next insertion
@@ -194,7 +182,7 @@ func (b *blockingClusterIndex) Remove(id string, yield func(PairDelta) bool) boo
 		b.drifted++
 		b.maybeReseal()
 	}
-	return b.flushDeltas(yield)
+	return b.net.flush(yield)
 }
 
 // Reseal implements EpochIndex.
@@ -203,7 +191,7 @@ func (b *blockingClusterIndex) Reseal(yield func(PairDelta) bool) bool {
 		return true
 	}
 	b.reseal()
-	return b.flushDeltas(yield)
+	return b.net.flush(yield)
 }
 
 // Interface conformance checks.

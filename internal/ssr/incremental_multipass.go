@@ -11,68 +11,19 @@ import (
 	"probdedup/internal/worlds"
 )
 
-// pairLedger refcounts how many independent sources (kept-window position
-// pairs, per-world passes) currently cover each candidate pair and records
-// the 0↔positive transitions as deltas — the incremental form of the
-// executed-matching set (Fig. 12).
-type pairLedger struct {
-	counts map[verify.Pair]int
-	deltas []PairDelta
-}
-
-func newPairLedger() *pairLedger { return &pairLedger{counts: map[verify.Pair]int{}} }
-
-// bump counts one more coverage of the pair; the first yields an add.
-// Same-ID pairs are ignored (windowStream skips them).
-func (l *pairLedger) bump(a, b string) {
-	if a == b {
-		return
-	}
-	p := verify.NewPair(a, b)
-	l.counts[p]++
-	if l.counts[p] == 1 {
-		l.deltas = append(l.deltas, PairDelta{Pair: p})
-	}
-}
-
-// drop removes one coverage; the last yields a drop.
-func (l *pairLedger) drop(a, b string) {
-	if a == b {
-		return
-	}
-	p := verify.NewPair(a, b)
-	l.counts[p]--
-	if l.counts[p] == 0 {
-		delete(l.counts, p)
-		l.deltas = append(l.deltas, PairDelta{Pair: p, Dropped: true})
-	}
-}
-
-// flush coalesces and delivers the accumulated transition deltas.
-func (l *pairLedger) flush(yield func(PairDelta) bool) bool {
-	deltas := coalescePairDeltas(l.deltas)
-	l.deltas = l.deltas[:0]
-	for _, d := range deltas {
-		if !yield(d) {
-			return false
-		}
-	}
-	return true
-}
-
 // ---- Multi-pass sorted neighborhood over possible worlds ----
 
 // mpWorld is one selected possible world of the incremental multi-pass
-// index: the per-resident raw choice indices that identify it, its sorted
-// (key, arrival-order) entry list, and the window pair set of its pass.
+// index: the per-resident raw choice indices that identify it and the
+// sorted (key, arrival-order) sequence of its pass.
 type mpWorld struct {
-	rawIdx  []int
-	entries []KeyEntry
-	pairs   verify.PairSet
+	rawIdx []int
+	seq    keyedSeq
 }
 
 // snmMultiPassIndex maintains the exact SNMMultiPass candidate set online
-// by composing one SNMCertain-style pass per selected possible world.
+// by composing one SNMCertain-style pass (a keyedSeq) per selected possible
+// world.
 //
 // Per resident it caches the conditioned choice list (raw enumeration
 // order and the stable probability-sorted order the top-k expansion
@@ -93,7 +44,6 @@ type mpWorld struct {
 // exactly as the batch executed-matching union does.
 type snmMultiPassIndex struct {
 	method    SNMMultiPass
-	window    int
 	key       keys.Def
 	arrivals  []string
 	raw       [][]worlds.Choice
@@ -102,17 +52,13 @@ type snmMultiPassIndex struct {
 	choiceKey [][]string // raw position -> sorting key of the choice
 	worlds    []*mpWorld
 	ledger    *pairLedger
+	scratch   []PairDelta
 }
 
 // Incremental implements IncrementalMethod.
 func (m SNMMultiPass) Incremental() (IncrementalIndex, error) {
-	w := m.Window
-	if w < 2 {
-		w = 2 // mirror windowStream's minimum
-	}
 	return &snmMultiPassIndex{
 		method: m,
-		window: w,
 		key:    m.Key,
 		ledger: newPairLedger(),
 	}, nil
@@ -170,85 +116,16 @@ func (s *snmMultiPassIndex) selectRaw() [][]int {
 	return out
 }
 
-// worldIDs projects the entry IDs of a world's pass in sorted order.
-func worldIDs(entries []KeyEntry) []string {
-	ids := make([]string, len(entries))
-	for i, e := range entries {
-		ids[i] = e.ID
-	}
-	return ids
-}
-
-// applyWorldDelta folds one pass-level window delta into the world's
-// pair set and the global union ledger.
-func (s *snmMultiPassIndex) applyWorldDelta(w *mpWorld, d PairDelta) {
-	if d.Dropped {
-		delete(w.pairs, d.Pair)
-		s.ledger.drop(d.Pair.A, d.Pair.B)
-	} else {
-		w.pairs[d.Pair] = true
-		s.ledger.bump(d.Pair.A, d.Pair.B)
-	}
-}
-
-// worldInsert splices (k, id) into the world's pass with the standard
-// sorted-neighborhood window delta math.
+// worldInsert splices (k, id) into the world's pass; worldRemove splices
+// it out. The pass's window deltas are its coverage in the union ledger.
 func (s *snmMultiPassIndex) worldInsert(w *mpWorld, id, k string) {
-	p := sort.Search(len(w.entries), func(i int) bool { return w.entries[i].Key > k })
-	win := s.window
-	var ds []PairDelta
-	for a := p - win + 1; a <= p-1; a++ {
-		b := a + win - 1
-		if a < 0 || b >= len(w.entries) {
-			continue
-		}
-		ds = append(ds, PairDelta{Pair: verify.NewPair(w.entries[a].ID, w.entries[b].ID), Dropped: true})
-	}
-	for a := p - 1; a >= 0 && a >= p-win+1; a-- {
-		ds = append(ds, PairDelta{Pair: verify.NewPair(w.entries[a].ID, id)})
-	}
-	for b := p; b < len(w.entries) && b <= p+win-2; b++ {
-		ds = append(ds, PairDelta{Pair: verify.NewPair(id, w.entries[b].ID)})
-	}
-	w.entries = append(w.entries, KeyEntry{})
-	copy(w.entries[p+1:], w.entries[p:])
-	w.entries[p] = KeyEntry{Key: k, ID: id}
-	for _, d := range ds {
-		s.applyWorldDelta(w, d)
-	}
+	s.scratch = w.seq.insert(k, id, s.scratch[:0])
+	s.ledger.coverAll(s.scratch)
 }
 
-// worldRemove splices id out of the world's pass.
-func (s *snmMultiPassIndex) worldRemove(w *mpWorld, id string) {
-	p := -1
-	for i, e := range w.entries {
-		if e.ID == id {
-			p = i
-			break
-		}
-	}
-	if p < 0 {
-		return
-	}
-	win := s.window
-	var ds []PairDelta
-	for j := p - win + 1; j <= p+win-1; j++ {
-		if j == p || j < 0 || j >= len(w.entries) {
-			continue
-		}
-		ds = append(ds, PairDelta{Pair: verify.NewPair(w.entries[j].ID, id), Dropped: true})
-	}
-	for a := p - win + 1; a <= p-1; a++ {
-		b := a + win
-		if a < 0 || b >= len(w.entries) {
-			continue
-		}
-		ds = append(ds, PairDelta{Pair: verify.NewPair(w.entries[a].ID, w.entries[b].ID)})
-	}
-	w.entries = append(w.entries[:p], w.entries[p+1:]...)
-	for _, d := range ds {
-		s.applyWorldDelta(w, d)
-	}
+func (s *snmMultiPassIndex) worldRemove(w *mpWorld, id, k string) {
+	s.scratch = w.seq.remove(k, id, s.scratch[:0])
+	s.ledger.coverAll(s.scratch)
 }
 
 // worldBuild constructs a world's pass from scratch over all residents.
@@ -257,37 +134,22 @@ func (s *snmMultiPassIndex) worldBuild(rawIdx []int) *mpWorld {
 	for t, id := range s.arrivals {
 		ents[t] = KeyEntry{Key: s.choiceKey[t][rawIdx[t]], ID: id}
 	}
-	sort.SliceStable(ents, func(a, b int) bool { return ents[a].Key < ents[b].Key })
-	w := &mpWorld{rawIdx: rawIdx, entries: ents, pairs: verify.PairSet{}}
-	windowStream(worldIDs(ents), s.window, func(p verify.Pair) bool {
-		w.pairs[p] = true
-		s.ledger.bump(p.A, p.B)
-		return true
-	})
-	return w
-}
-
-// worldClone builds a world around a copy of an existing pass entry list
-// and registers its pair coverage with the ledger (deterministically, by
-// re-streaming the window pairs of the entry list).
-func (s *snmMultiPassIndex) worldClone(entries []KeyEntry) *mpWorld {
-	w := &mpWorld{
-		entries: append([]KeyEntry(nil), entries...),
-		pairs:   verify.PairSet{},
+	w := &mpWorld{rawIdx: rawIdx, seq: keyedSeq{windowSeq: newWindowSeq(s.method.Window)}}
+	w.seq.ids = sortEntryIDs(ents)
+	w.seq.keys = make([]string, len(ents))
+	for i, e := range ents {
+		w.seq.keys[i] = e.Key
 	}
-	windowStream(worldIDs(w.entries), s.window, func(p verify.Pair) bool {
-		w.pairs[p] = true
-		s.ledger.bump(p.A, p.B)
-		return true
-	})
+	s.worldCover(w, false)
 	return w
 }
 
-// worldRetire withdraws a departing world's pair coverage
-// (deterministically, via the window stream of its entries).
-func (s *snmMultiPassIndex) worldRetire(w *mpWorld) {
-	windowStream(worldIDs(w.entries), s.window, func(p verify.Pair) bool {
-		s.ledger.drop(p.A, p.B)
+// worldCover registers a whole pass's window pairs with the union ledger
+// or (retire) withdraws them — deterministically, via the window stream of
+// its sequence.
+func (s *snmMultiPassIndex) worldCover(w *mpWorld, retire bool) {
+	windowStream(w.seq.ids, w.seq.window, func(p verify.Pair) bool {
+		s.ledger.cover(PairDelta{Pair: p, Dropped: retire})
 		return true
 	})
 }
@@ -334,10 +196,10 @@ func (s *snmMultiPassIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bo
 			children[parent]++
 		}
 	}
-	snapshots := map[*mpWorld][]KeyEntry{}
+	snapshots := map[*mpWorld]keyedSeq{}
 	for parent, c := range children {
 		if c > 1 {
-			snapshots[parent] = append([]KeyEntry(nil), parent.entries...)
+			snapshots[parent] = parent.seq.clone()
 		}
 	}
 
@@ -355,7 +217,8 @@ func (s *snmMultiPassIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bo
 			w = parent
 		default:
 			// Later children clone the parent's pre-insertion pass.
-			w = s.worldClone(snapshots[parent])
+			w = &mpWorld{seq: snapshots[parent].clone()}
+			s.worldCover(w, false)
 		}
 		used[parent]++
 		w.rawIdx = ri
@@ -364,7 +227,7 @@ func (s *snmMultiPassIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bo
 	}
 	for _, w := range oldWorlds {
 		if used[w] == 0 {
-			s.worldRetire(w)
+			s.worldCover(w, true)
 		}
 	}
 	s.worlds = newWorlds
@@ -383,6 +246,7 @@ func (s *snmMultiPassIndex) Remove(id string, yield func(PairDelta) bool) bool {
 		return true
 	}
 	oldWorlds := s.worlds
+	ck := s.choiceKey[pos] // the departing tuple's key per raw choice
 	s.arrivals = append(s.arrivals[:pos], s.arrivals[pos+1:]...)
 	s.raw = append(s.raw[:pos], s.raw[pos+1:]...)
 	s.sorted = append(s.sorted[:pos], s.sorted[pos+1:]...)
@@ -414,13 +278,13 @@ func (s *snmMultiPassIndex) Remove(id string, yield func(PairDelta) bool) bool {
 			continue
 		}
 		used[w] = true
+		s.worldRemove(w, id, ck[w.rawIdx[pos]])
 		w.rawIdx = ri
-		s.worldRemove(w, id)
 		newWorlds = append(newWorlds, w)
 	}
 	for _, w := range oldWorlds {
 		if !used[w] {
-			s.worldRetire(w)
+			s.worldCover(w, true)
 		}
 	}
 	s.worlds = newWorlds

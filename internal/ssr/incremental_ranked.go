@@ -6,107 +6,7 @@ import (
 	"probdedup/internal/keys"
 	"probdedup/internal/pdb"
 	"probdedup/internal/rank"
-	"probdedup/internal/verify"
 )
-
-// windowSeq maintains a totally ordered sequence of unique tuple IDs and
-// the exact sorted-neighborhood pair set over it: every splice records the
-// window-pair deltas it causes (straddling pairs pushed out or pulled back
-// in, neighbor pairs of the spliced ID). It is the ordering-agnostic core
-// shared by the incremental SNMRanked strategies; the caller owns the
-// comparator and all splice positions — including removal positions, so
-// the sequence never pays for id→position bookkeeping (the caller finds
-// them by binary search under its own order).
-type windowSeq struct {
-	window int
-	ids    []string
-}
-
-func newWindowSeq(window int) *windowSeq {
-	if window < 2 {
-		window = 2 // mirror windowStream's minimum
-	}
-	return &windowSeq{window: window}
-}
-
-// insertAt splices id in at position p, appending the caused window-pair
-// deltas: straddling pairs at distance exactly window-1 drop, and the new
-// ID pairs with its window neighbors on both sides.
-func (s *windowSeq) insertAt(p int, id string, deltas *[]PairDelta) {
-	w := s.window
-	for a := p - w + 1; a <= p-1; a++ {
-		b := a + w - 1
-		if a < 0 || b >= len(s.ids) {
-			continue
-		}
-		*deltas = append(*deltas, PairDelta{Pair: verify.NewPair(s.ids[a], s.ids[b]), Dropped: true})
-	}
-	for a := p - 1; a >= 0 && a >= p-w+1; a-- {
-		*deltas = append(*deltas, PairDelta{Pair: verify.NewPair(s.ids[a], id)})
-	}
-	for b := p; b < len(s.ids) && b <= p+w-2; b++ {
-		*deltas = append(*deltas, PairDelta{Pair: verify.NewPair(id, s.ids[b])})
-	}
-	s.ids = append(s.ids, "")
-	copy(s.ids[p+1:], s.ids[p:])
-	s.ids[p] = id
-}
-
-// removeAt splices the ID at position p out, appending the caused
-// deltas: every window pair of the ID drops, and straddling pairs at
-// distance exactly window re-enter.
-func (s *windowSeq) removeAt(p int, deltas *[]PairDelta) {
-	id := s.ids[p]
-	w := s.window
-	for j := p - w + 1; j <= p+w-1; j++ {
-		if j == p || j < 0 || j >= len(s.ids) {
-			continue
-		}
-		*deltas = append(*deltas, PairDelta{Pair: verify.NewPair(s.ids[j], id), Dropped: true})
-	}
-	for a := p - w + 1; a <= p-1; a++ {
-		b := a + w
-		if a < 0 || b >= len(s.ids) {
-			continue
-		}
-		*deltas = append(*deltas, PairDelta{Pair: verify.NewPair(s.ids[a], s.ids[b])})
-	}
-	s.ids = append(s.ids[:p], s.ids[p+1:]...)
-}
-
-// coalescePairDeltas nets out intra-operation churn: per pair, deltas
-// alternate add/drop (the indexes maintain exact sets), so an even count
-// cancels and an odd count nets to the first kind. Surviving deltas keep
-// first-affected order, the same convention as InsertBatch.
-func coalescePairDeltas(deltas []PairDelta) []PairDelta {
-	if len(deltas) <= 1 {
-		return deltas
-	}
-	type churn struct {
-		firstDropped bool
-		count        int
-	}
-	seen := map[verify.Pair]*churn{}
-	var order []verify.Pair
-	for _, d := range deltas {
-		c := seen[d.Pair]
-		if c == nil {
-			c = &churn{firstDropped: d.Dropped}
-			seen[d.Pair] = c
-			order = append(order, d.Pair)
-		}
-		c.count++
-	}
-	out := make([]PairDelta, 0, len(order))
-	for _, p := range order {
-		c := seen[p]
-		if c.count%2 == 0 {
-			continue
-		}
-		out = append(out, PairDelta{Pair: p, Dropped: c.firstDropped})
-	}
-	return out
-}
 
 // ---- Sorted neighborhood over ranked uncertain keys ----
 
@@ -134,7 +34,8 @@ func coalescePairDeltas(deltas []PairDelta) []PairDelta {
 // clean mover-adjacent pairs imply the whole sequence is still sorted
 // — and splices out exactly the movers caught out of order
 // (extractDisordered), re-placing that handful by binary search under
-// the new ranks. Intra-operation churn cancels via coalescePairDeltas.
+// the new ranks. Every splice goes through the one windowSeq;
+// intra-operation churn cancels in the pairNet.
 //
 // Rank values are evaluated through the same rank.Universe code path the
 // batch ExpectedRanks uses, over contributions in the same arrival order,
@@ -144,7 +45,9 @@ func coalescePairDeltas(deltas []PairDelta) []PairDelta {
 type snmRankedIndex struct {
 	key      keys.Def
 	strategy RankStrategy
-	seq      *windowSeq
+	seq      windowSeq
+	deltas   []PairDelta // the operation's splices, netted by flush
+	net      pairNet
 	items    map[string]rank.Item
 	uni      *rank.Universe           // ExpectedRank only
 	own      map[string]rank.OwnStats // per-resident own-mass tables
@@ -217,9 +120,18 @@ func (s *snmRankedIndex) less(a, b string) bool {
 }
 
 // place splices id into its sorted position.
-func (s *snmRankedIndex) place(id string, deltas *[]PairDelta) {
+func (s *snmRankedIndex) place(id string) {
 	p := sort.Search(len(s.seq.ids), func(i int) bool { return s.less(id, s.seq.ids[i]) })
-	s.seq.insertAt(p, id, deltas)
+	s.deltas = s.seq.insertAt(p, id, s.deltas)
+}
+
+// flush nets the operation's splices and delivers what survives.
+func (s *snmRankedIndex) flush(yield func(PairDelta) bool) bool {
+	for _, d := range s.deltas {
+		s.net.add(d)
+	}
+	s.deltas = s.deltas[:0]
+	return s.net.flush(yield)
 }
 
 // locate finds a resident's current position by binary search under the
@@ -252,7 +164,7 @@ func (s *snmRankedIndex) moverSet(lo, hi, skipID string) map[string]bool {
 // so rounds repeat until the scan is clean. Movers that kept their
 // order are never touched, which is the common case even when the
 // mover set spans most of the relation.
-func (s *snmRankedIndex) extractDisordered(movers map[string]bool, deltas *[]PairDelta) []string {
+func (s *snmRankedIndex) extractDisordered(movers map[string]bool) []string {
 	var out []string
 	for {
 		ids := s.seq.ids
@@ -275,14 +187,13 @@ func (s *snmRankedIndex) extractDisordered(movers map[string]bool, deltas *[]Pai
 		}
 		for i := len(bad) - 1; i >= 0; i-- {
 			out = append(out, s.seq.ids[bad[i]])
-			s.seq.removeAt(bad[i], deltas)
+			s.deltas = s.seq.removeAt(bad[i], s.deltas)
 		}
 	}
 }
 
 func (s *snmRankedIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
 	it := rank.Item{ID: x.ID, Keys: s.key.XTupleKeyDist(x, true)}
-	var deltas []PairDelta
 	if s.strategy == ExpectedRank {
 		lo, hi := rank.KeySpan(it)
 		movers := s.moverSet(lo, hi, "")
@@ -290,10 +201,10 @@ func (s *snmRankedIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool 
 		s.items[x.ID] = it
 		s.own[x.ID] = rank.OwnStatsOf(it)
 		s.rankMemo = map[string]float64{}
-		moved := s.extractDisordered(movers, &deltas)
-		s.place(x.ID, &deltas)
+		moved := s.extractDisordered(movers)
+		s.place(x.ID)
 		for _, id := range moved {
-			s.place(id, &deltas)
+			s.place(id)
 		}
 	} else {
 		s.items[x.ID] = it
@@ -302,14 +213,9 @@ func (s *snmRankedIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool 
 		} else {
 			s.sortKey[x.ID] = itemTopKey(it)
 		}
-		s.place(x.ID, &deltas)
+		s.place(x.ID)
 	}
-	for _, d := range coalescePairDeltas(deltas) {
-		if !yield(d) {
-			return false
-		}
-	}
-	return true
+	return s.flush(yield)
 }
 
 func (s *snmRankedIndex) Remove(id string, yield func(PairDelta) bool) bool {
@@ -317,30 +223,24 @@ func (s *snmRankedIndex) Remove(id string, yield func(PairDelta) bool) bool {
 	if !ok {
 		return true
 	}
-	var deltas []PairDelta
 	if s.strategy == ExpectedRank {
 		lo, hi := rank.KeySpan(it)
 		idPos := s.locate(id) // old ranks still valid here
 		movers := s.moverSet(lo, hi, id)
-		s.seq.removeAt(idPos, &deltas)
+		s.deltas = s.seq.removeAt(idPos, s.deltas)
 		s.uni.Remove(it)
 		delete(s.items, id)
 		delete(s.own, id)
 		s.rankMemo = map[string]float64{}
-		for _, mid := range s.extractDisordered(movers, &deltas) {
-			s.place(mid, &deltas)
+		for _, mid := range s.extractDisordered(movers) {
+			s.place(mid)
 		}
 	} else {
-		s.seq.removeAt(s.locate(id), &deltas)
+		s.deltas = s.seq.removeAt(s.locate(id), s.deltas)
 		delete(s.items, id)
 		delete(s.sortKey, id)
 	}
-	for _, d := range coalescePairDeltas(deltas) {
-		if !yield(d) {
-			return false
-		}
-	}
-	return true
+	return s.flush(yield)
 }
 
 // Interface conformance check.

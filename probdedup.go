@@ -52,7 +52,7 @@
 // component-local rebuilds and reported as typed EntityDelta events —
 // Flush always equals batch Resolve over Detect on the residents.
 //
-// See the examples directory for complete programs and DESIGN.md /
+// See the examples directory for complete programs and ARCHITECTURE.md /
 // EXPERIMENTS.md for the mapping to the paper.
 package probdedup
 
