@@ -26,7 +26,9 @@
 //	                   and removed counts and, on failure, the 0-based
 //	                   failing item and its error. A full shard queue
 //	                   yields 429 with Retry-After; resend the items
-//	                   from the reported index. During shutdown the
+//	                   from the reported index. A body over 16 MiB
+//	                   yields 413 at the item the limit cuts (the items
+//	                   before it stay applied). During shutdown the
 //	                   endpoint yields 503.
 //	GET  /v1/deltas    server-sent events: one "match" event per match
 //	                   delta ({"kind","a","b","sim","class","shard"}),
@@ -46,6 +48,9 @@
 // with the delta stream is dropped (its stream ends) rather than
 // stalling shard workers.
 //
+// Request headers must arrive within 10 s of connecting; there is no
+// write timeout, so event streams live as long as their subscriber.
+//
 // SIGINT/SIGTERM drain gracefully: new ingest is refused, every queued
 // operation is applied, durable shards checkpoint and release their
 // locks, every event stream ends, and the process exits 0.
@@ -57,7 +62,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"net/http"
 	"os"
 	"os/signal"
 	"syscall"
@@ -146,7 +150,7 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 	signal.Notify(sigc, os.Interrupt, syscall.SIGTERM)
 	defer signal.Stop(sigc)
 
-	hs := &http.Server{Handler: srv}
+	hs := newHTTPServer(srv)
 	errc := make(chan error, 1)
 	go func() { errc <- hs.Serve(ln) }()
 	fmt.Fprintf(stdout, "pdedupd: listening on %s (%d shards, schema %v)\n", ln.Addr(), *shards, schema)

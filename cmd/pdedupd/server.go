@@ -7,6 +7,7 @@ import (
 	"io"
 	"net/http"
 	"sync/atomic"
+	"time"
 
 	"probdedup/internal/codec"
 	"probdedup/internal/core"
@@ -15,8 +16,31 @@ import (
 
 // sseBuffer is the per-subscriber event buffer: deep enough to absorb
 // a verification burst while the client reads, small enough that a
-// stuck client is dropped before it holds meaningful memory.
-const sseBuffer = 1 << 12
+// stuck client is dropped before it holds meaningful memory (about
+// 1.4 MB of entity events). Each shard emits a coalesced batch of up
+// to 256 insertions at once; on a 2-core box, with two shards ingesting
+// at full speed, the stream writer was measured up to ~2k events
+// behind, so a buffer of 4k dropped live subscribers now and then.
+const sseBuffer = 1 << 14
+
+// Fixed limits against hostile or broken clients. There is no write
+// timeout: an event stream lives as long as its subscriber reads.
+const (
+	// maxIngestBody bounds one POST /v1/tuples body. Items that end
+	// within it are applied; the item it cuts answers 413, and the
+	// client resends from there in a new request.
+	maxIngestBody = 16 << 20
+	// readHeaderTimeout bounds how long a client may take to send its
+	// request headers, so a slow sender cannot hold a connection open
+	// without ever making a request.
+	readHeaderTimeout = 10 * time.Second
+)
+
+// newHTTPServer wraps the handler in an http.Server with the limits
+// above.
+func newHTTPServer(h http.Handler) *http.Server {
+	return &http.Server{Handler: h, ReadHeaderTimeout: readHeaderTimeout}
+}
 
 // server is the HTTP surface over one shard.Router.
 type server struct {
@@ -63,9 +87,12 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 // reports whether the client should back off and resend (429).
 func statusFor(err error) (code int, retryable bool) {
 	var over *shard.OverloadedError
+	var tooBig *http.MaxBytesError
 	switch {
 	case errors.As(err, &over):
 		return http.StatusTooManyRequests, true
+	case errors.As(err, &tooBig):
+		return http.StatusRequestEntityTooLarge, false
 	case errors.Is(err, shard.ErrClosed):
 		return http.StatusServiceUnavailable, false
 	case errors.Is(err, core.ErrUnknownID):
@@ -98,7 +125,7 @@ func (s *server) handleTuples(w http.ResponseWriter, r *http.Request) {
 	// json.Decoder reads a concatenation of JSON values, which NDJSON
 	// is — no per-line framing needed, and a pretty-printed single
 	// tuple works too. Each value is decoded exactly once.
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxIngestBody))
 	var reply ingestReply
 	for item := 0; ; item++ {
 		var it codec.IngestItem

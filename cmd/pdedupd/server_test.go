@@ -450,6 +450,63 @@ func TestIngestItemShapes(t *testing.T) {
 	}
 }
 
+// TestIngestBodyLimit: a body that outgrows maxIngestBody is answered
+// 413 at the item the limit cuts, the items before it stay applied, and
+// the daemon keeps serving.
+func TestIngestBodyLimit(t *testing.T) {
+	d := startDaemon(t, daemonArgs("-shards", "2")...)
+	head := `{"id":"a","attrs":[[{"v":"Johnson"}],[{"v":"pilot"}]]}` + "\n" +
+		`{"id":"b","attrs":[[{"v":"Johnsen"}],[{"v":"pilot"}]]}` + "\n" +
+		`{"id":"c","attrs":[[{"v":"`
+	body := io.MultiReader(strings.NewReader(head), strings.NewReader(strings.Repeat("x", maxIngestBody)),
+		strings.NewReader(`"}],[{"v":"pilot"}]]}`))
+	resp, err := http.Post(d.url("/v1/tuples"), "application/x-ndjson", body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var reply ingestReply
+	err = json.NewDecoder(resp.Body).Decode(&reply)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusRequestEntityTooLarge || reply.Accepted != 2 || reply.Item == nil || *reply.Item != 2 {
+		t.Fatalf("oversized body: %d %+v", resp.StatusCode, reply)
+	}
+
+	if code, reply := postTuples(t, d, `{"id":"e","attrs":[[{"v":"Johnsan"}],[{"v":"pilot"}]]}`); code != http.StatusOK || reply.Accepted != 1 {
+		t.Fatalf("post after the 413: %d %+v", code, reply)
+	}
+	resp, err = http.Get(d.url("/v1/stats"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var st shard.Stats
+	err = json.NewDecoder(resp.Body).Decode(&st)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Detector.Residents != 3 {
+		t.Fatalf("residents = %d, want 3 (a, b and e)", st.Detector.Residents)
+	}
+	if rc := d.stop(); rc != 0 {
+		t.Fatalf("daemon exited %d: %s", rc, d.errOut.String())
+	}
+}
+
+// TestHTTPServerLimits pins the server's fixed timeouts: headers are
+// bounded, writes are not (event streams must live).
+func TestHTTPServerLimits(t *testing.T) {
+	hs := newHTTPServer(http.NotFoundHandler())
+	if hs.ReadHeaderTimeout != readHeaderTimeout || readHeaderTimeout <= 0 {
+		t.Fatalf("ReadHeaderTimeout = %v, want %v", hs.ReadHeaderTimeout, readHeaderTimeout)
+	}
+	if hs.WriteTimeout != 0 || hs.ReadTimeout != 0 {
+		t.Fatalf("WriteTimeout %v, ReadTimeout %v: both would cut event streams and long bodies", hs.WriteTimeout, hs.ReadTimeout)
+	}
+}
+
 // TestIntegrateEntities runs the daemon in entity-resolution mode: the
 // /v1/entities stream reports created/merged events and /v1/deltas is
 // gone (the integrator consumes match deltas).
@@ -584,6 +641,7 @@ func TestStatusFor(t *testing.T) {
 		{fmt.Errorf("wrap: %w", &shard.OverloadedError{}), http.StatusTooManyRequests, true},
 		{shard.ErrClosed, http.StatusServiceUnavailable, false},
 		{fmt.Errorf("shard: Remove: %w %q", probdedup.ErrUnknownID, "x"), http.StatusNotFound, false},
+		{fmt.Errorf("json: %w", &http.MaxBytesError{Limit: maxIngestBody}), http.StatusRequestEntityTooLarge, false},
 		{fmt.Errorf("arity"), http.StatusBadRequest, false},
 	}
 	for _, tc := range cases {

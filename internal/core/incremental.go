@@ -174,11 +174,15 @@ type Engine interface {
 // Add or Remove) without deadlocking. Deltas caused by a re-entrant
 // mutation are delivered after the deltas already queued.
 type Detector struct {
-	mu   sync.Mutex
-	eng  *engine
-	idx  ssr.IncrementalIndex
-	std  *prepare.Standardizer
-	live map[verify.Pair]Match
+	mu  sync.Mutex
+	eng *engine
+	idx ssr.IncrementalIndex
+	// filter is the pre-filter the detector asks per pair: the engine's,
+	// unless the index took it over (ssr.IncrementalFiltered) — then nil,
+	// as with the filter off, and eng.filter only counts.
+	filter *ssr.PreFilter
+	std    *prepare.Standardizer
+	live   map[verify.Pair]Match
 	// pairsOf indexes the live pairs by member tuple, so Remove
 	// retracts in O(degree) instead of sweeping the whole live set.
 	pairsOf map[string]map[verify.Pair]struct{}
@@ -232,13 +236,16 @@ func NewDetector(schema []string, opts Options, emit func(MatchDelta) bool) (*De
 	if err != nil {
 		return nil, err
 	}
-	idx, err := ssr.IncrementalOf(opts.Reduction)
-	if err != nil {
+	idx, filter := ssr.IncrementalFiltered(opts.Reduction, eng.filter), eng.filter
+	if idx != nil {
+		filter = nil
+	} else if idx, err = ssr.IncrementalOf(opts.Reduction); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &Detector{
 		eng:       eng,
 		idx:       idx,
+		filter:    filter,
 		std:       opts.Standardizer,
 		live:      map[verify.Pair]Match{},
 		pairsOf:   map[string]map[verify.Pair]struct{}{},
@@ -323,13 +330,14 @@ func (d *Detector) addLocked(x *pdb.XTuple) error {
 	return err
 }
 
-// admit is the detector's one pre-filter site: every add delta an
-// index yields — from Add, AddBatch, Remove's window re-entries and
+// admit is the detector's one per-pair pre-filter site: every add delta
+// an index yields — from Add, AddBatch, Remove's window re-entries and
 // Reseal — passes it where it is generated, the same place the batch
 // engine's producers filter, so a provable non-match never becomes a
-// delta, a netting entry or a live lookup. Drops are never asked.
+// delta, a netting entry or a live lookup. Drops are never asked. An
+// index that took the filter over has already admitted what it yields.
 func (d *Detector) admit(p verify.Pair) bool {
-	return d.eng.filter == nil || d.eng.filter.Admit(p)
+	return d.filter == nil || d.filter.Admit(p)
 }
 
 // collect is the yield of the single-operation index calls: it gathers
@@ -366,15 +374,16 @@ func (d *Detector) prepareTuple(x *pdb.XTuple) (*pdb.XTuple, error) {
 }
 
 // register appends a prepared tuple to the resident relation and
-// summarizes it for the pre-filter.
+// summarizes it for the per-pair pre-filter (an index holding the
+// filter summarizes its own residents).
 func (d *Detector) register(x *pdb.XTuple) {
 	d.eng.byID[x.ID] = x
 	d.posOf[x.ID] = len(d.eng.xr.Tuples)
 	d.seqOf[x.ID] = d.arrivalSeq
 	d.arrivalSeq++
 	d.eng.xr.Append(x)
-	if d.eng.filter != nil {
-		d.eng.filter.Insert(x)
+	if d.filter != nil {
+		d.filter.Insert(x)
 	}
 }
 
@@ -460,8 +469,8 @@ func (d *Detector) removeLocked(id string) error {
 	ts[last] = nil
 	delete(d.posOf, id)
 	delete(d.seqOf, id)
-	if d.eng.filter != nil {
-		d.eng.filter.Remove(id)
+	if d.filter != nil {
+		d.filter.Remove(id)
 	}
 	return firstErr
 }

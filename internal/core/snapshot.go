@@ -79,12 +79,15 @@ func (d *Detector) SnapshotState() *DetectorState {
 // the snapshot's pairs were already reported when they entered the
 // live set.
 //
-// Restoring re-runs no comparisons: residents are re-registered in
-// arrival order (re-interning the symbol plane and re-summarizing the
-// pre-filter), exact-tier index state is re-derived by re-inserting
-// them — the index contract makes the maintained candidate set a pure
-// function of the residents in insertion order — and the live pair
-// decisions are installed directly from the snapshot. A
+// Restoring re-runs no comparisons and no pre-filter cascade: residents
+// are re-registered in arrival order (re-interning the symbol plane and
+// re-summarizing the pre-filter), exact-tier index state is re-derived
+// by re-filing them — ssr.RestoringIndex.Restore where the index has
+// it, else an Insert whose deltas are discarded; the index contract
+// makes the maintained candidate set a pure function of the residents
+// in insertion order — and the live pair decisions are installed
+// directly from the snapshot. The pre-filter's Enumerated and Filtered
+// counters are not part of the snapshot and start at 0. A
 // bounded-staleness index restores its persisted placement state
 // instead (ssr.StatefulEpochIndex). The state is validated as it is
 // applied; untrusted snapshots (a corrupt or crafted file) fail with
@@ -112,7 +115,9 @@ func RestoreDetector(opts Options, emit func(MatchDelta) bool, st *DetectorState
 		}
 		prepare.InternXTuple(d.eng.symtab, x)
 		d.register(x)
-		if !stateful {
+		if ri, ok := d.idx.(ssr.RestoringIndex); ok {
+			ri.Restore(x)
+		} else if !stateful {
 			// Discarded deltas: the maintained candidate set is what the
 			// restore is after; the pair decisions come from the snapshot.
 			d.idx.Insert(x, func(ssr.PairDelta) bool { return true })

@@ -53,4 +53,11 @@
 // Insert/Remove yield stream. Methods that implement neither
 // IncrementalMethod tier fail IncrementalOf with an error wrapping
 // ErrNotIncremental.
+//
+// PreFilter rejects candidate pairs that provably stay below Tλ, over
+// one packed signature layout (rows) and one cascade, reached two ways:
+// Admit asks about one pair of tuples summarized in the filter's per-ID
+// map, and the BlockingCertain index built by IncrementalFiltered keeps
+// its members' rows per block and admits each arrival against its whole
+// block in one scan.
 package ssr

@@ -3,6 +3,7 @@ package ssr
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"probdedup/internal/fusion"
@@ -223,15 +224,32 @@ func (c *crossIndex) Len() int { return len(c.ids) }
 // BlockingCertain: a tuple joins exactly one block and pairs with its
 // co-members; blocks only grow under insertion, so no pair ever drops
 // until its tuple is removed.
+//
+// Built by IncrementalFiltered, the index also holds a pre-filter: each
+// block keeps its members' signature rows beside their IDs, in the same
+// order, and an arrival is admitted against its whole block in one scan
+// over them (PreFilter.admitRows). Only survivors become pairs.
 type blockingCertainIndex struct {
 	key      keys.Def
 	strategy fusion.Strategy
-	blocks   map[string][]string
+	blocks   map[string]block
 	keyOf    map[string]string
+	filter   *PreFilter // nil: every co-member is yielded
+}
+
+// block is one bucket: its members in insertion order and, when the
+// index holds a filter, their signature rows in the same order.
+type block struct {
+	ids  []string
+	rows rows
 }
 
 // Incremental implements IncrementalMethod.
 func (m BlockingCertain) Incremental() (IncrementalIndex, error) {
+	return m.incremental(nil), nil
+}
+
+func (m BlockingCertain) incremental(f *PreFilter) *blockingCertainIndex {
 	strategy := m.Strategy
 	if strategy == nil {
 		strategy = fusion.MostProbable{}
@@ -239,17 +257,62 @@ func (m BlockingCertain) Incremental() (IncrementalIndex, error) {
 	return &blockingCertainIndex{
 		key:      m.Key,
 		strategy: strategy,
-		blocks:   map[string][]string{},
+		blocks:   map[string]block{},
 		keyOf:    map[string]string{},
-	}, nil
+		filter:   f,
+	}
+}
+
+// IncrementalFiltered returns an empty incremental index for the method
+// that applies the pre-filter f itself, where the method's candidates
+// make that cheaper than asking f per pair: today BlockingCertain, whose
+// candidates for one arrival all share it and lie contiguously in one
+// block. The index keeps its residents' signature rows (so the caller
+// must not Insert them into f, nor ask f.Admit about its pairs), yields
+// only the add deltas f admits and moves f's counters exactly as one
+// Admit per yielded add would. For any other method, or a nil f, it
+// returns nil: the caller builds IncrementalOf(m) and asks f per pair.
+func IncrementalFiltered(m Method, f *PreFilter) IncrementalIndex {
+	if bc, ok := m.(BlockingCertain); ok && f != nil {
+		return bc.incremental(f)
+	}
+	return nil
+}
+
+// RestoringIndex is an IncrementalIndex that can file a tuple without
+// enumerating its candidate pairs. Restoring a snapshot installs the
+// pair decisions directly, so it rebuilds such an index with Restore:
+// an index that pre-filters its own adds then runs no cascade and moves
+// no counter.
+type RestoringIndex interface {
+	IncrementalIndex
+	// Restore registers the tuple exactly as Insert does and yields
+	// nothing.
+	Restore(x *pdb.XTuple)
+}
+
+// place files x into its block and returns the block as stored and x's
+// position in it.
+func (b *blockingCertainIndex) place(x *pdb.XTuple) (block, int) {
+	k := b.key.FromValues(b.strategy.ResolveX(x))
+	blk := b.blocks[k]
+	blk.ids = append(blk.ids, x.ID)
+	if b.filter != nil {
+		b.filter.appendRow(&blk.rows, x)
+	}
+	b.blocks[k] = blk
+	b.keyOf[x.ID] = k
+	return blk, len(blk.ids) - 1
 }
 
 func (b *blockingCertainIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
-	k := b.key.FromValues(b.strategy.ResolveX(x))
-	members := b.blocks[k]
-	b.blocks[k] = append(members, x.ID)
-	b.keyOf[x.ID] = k
-	for _, id := range members {
+	blk, n := b.place(x)
+	if b.filter != nil {
+		return b.filter.admitRows(&blk.rows, n, func(i int) bool {
+			return yield(PairDelta{Pair: verify.NewPair(blk.ids[i], x.ID)})
+		})
+	}
+	for _, id := range blk.ids[:n] {
 		if !yield(PairDelta{Pair: verify.NewPair(id, x.ID)}) {
 			return false
 		}
@@ -257,17 +320,27 @@ func (b *blockingCertainIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool)
 	return true
 }
 
+// Restore implements RestoringIndex.
+func (b *blockingCertainIndex) Restore(x *pdb.XTuple) { b.place(x) }
+
 func (b *blockingCertainIndex) Remove(id string, yield func(PairDelta) bool) bool {
 	k, ok := b.keyOf[id]
 	if !ok {
 		return true
 	}
 	delete(b.keyOf, id)
-	b.blocks[k] = removeID(b.blocks[k], id)
-	if len(b.blocks[k]) == 0 {
-		delete(b.blocks, k)
+	blk := b.blocks[k]
+	i := slices.Index(blk.ids, id)
+	blk.ids = slices.Delete(blk.ids, i, i+1)
+	if b.filter != nil {
+		b.filter.deleteRow(&blk.rows, i)
 	}
-	for _, other := range b.blocks[k] {
+	if len(blk.ids) == 0 {
+		delete(b.blocks, k)
+	} else {
+		b.blocks[k] = blk
+	}
+	for _, other := range blk.ids {
 		if !yield(PairDelta{Pair: verify.NewPair(other, id), Dropped: true}) {
 			return false
 		}
@@ -514,4 +587,5 @@ var (
 	_ IncrementalMethod = BlockingCertain{}
 	_ IncrementalMethod = BlockingAlternatives{}
 	_ IncrementalMethod = Filter{}
+	_ RestoringIndex    = (*blockingCertainIndex)(nil)
 )

@@ -37,18 +37,26 @@ import (
 // A pair is filtered only when that final bound lies strictly below Tλ,
 // so the M and P result sets are bit-identical with the filter on or
 // off; only the number of verified (Compared) pairs shrinks. Tuples are
-// summarized once at Insert into per-attribute signature slices, so
-// Admit performs no table lookups, no string work and no allocation.
+// summarized once into packed signature rows (see rows), so the cascade
+// performs no table lookups, no string work and no allocation.
 //
-// Admit is one cascade over the two tiers of layer 1 (strsim.Tier):
-// the whole chain is first folded with the O(1) signature estimates of
-// the gram overlaps, and only a pair that survives is folded again with
-// the exact gram merges. Every layer is monotone and quick ≥ exact, so
-// the quick fold rejects nothing the exact fold would admit — the
-// outcome is the exact fold's, most rejects just never pay a merge.
+// The cascade runs over the two tiers of layer 1 (strsim.Tier): the
+// whole chain is first folded with the O(1) signature estimates of the
+// gram overlaps, and only a pair that survives is folded again with the
+// exact gram merges. Every layer is monotone and quick ≥ exact, so the
+// quick fold rejects nothing the exact fold would admit — the outcome is
+// the exact fold's, most rejects just never pay a merge.
+//
+// Two loops feed the one cascade. Admit asks it about one pair whose
+// rows live in the filter's per-ID map (Insert/Remove). An index built
+// by IncrementalFiltered keeps its members' rows itself, one rows per
+// block, and admits each arrival against its whole block in one scan;
+// such tuples are never Inserted here.
 //
 // A PreFilter is safe for concurrent use: Admit takes only a read lock
-// plus two atomic counters, Insert/Remove a write lock.
+// plus two atomic counters, Insert/Remove a write lock. A block scan
+// touches only rows its index owns (the index serializes access) and the
+// counters, once per scan.
 type PreFilter struct {
 	table  *sym.Table
 	bounds []strsim.SimBound // per attribute; nil = no bound known (UB 1)
@@ -58,13 +66,13 @@ type PreFilter struct {
 	nulls  avm.NullSemantics
 
 	mu   sync.RWMutex
-	sigs map[string]*tupleSig
+	sigs map[string]rows // one row each
 
 	enumerated atomic.Uint64
 	filtered   atomic.Uint64
 }
 
-// stackAttrs is the schema width up to which Admit keeps its
+// stackAttrs is the schema width up to which the cascade keeps its
 // per-attribute bound vector on the stack.
 const stackAttrs = 16
 
@@ -89,17 +97,34 @@ type PreFilterConfig struct {
 	Nulls avm.NullSemantics
 }
 
-// tupleSig is the per-tuple summary Admit works on.
-type tupleSig struct {
-	attrs []attrSig
+// rows is the one signature layout the cascade reads: a sequence of
+// tuple rows, each summarizing one x-tuple across all its alternatives.
+// With w attributes, row r owns spans[r*w : (r+1)*w], and the symbol
+// statistics of its distinct values lie contiguously in stats, in row
+// and attribute order. The per-ID map holds one-row rows; a filtering
+// blocking index holds one rows per block, so a block's candidates sit
+// in two flat arrays.
+type rows struct {
+	spans []span
+	stats []sym.Stats
 }
 
-// attrSig summarizes one attribute of one x-tuple across all its
-// alternatives: the symbol statistics of every distinct value and
-// whether any alternative's distribution carries ⊥ mass.
-type attrSig struct {
-	stats   []sym.Stats
-	hasNull bool
+// span closes one attribute of one row: its distinct value stats run
+// from the previous span's end (0 for the first span) to end, and null
+// reports whether any alternative's distribution of the attribute
+// carries ⊥ mass.
+type span struct {
+	end  uint32
+	null bool
+}
+
+// values returns the distinct value stats and the ⊥ flag of span s.
+func (r *rows) values(s int) ([]sym.Stats, bool) {
+	start := uint32(0)
+	if s > 0 {
+		start = r.spans[s-1].end
+	}
+	return r.stats[start:r.spans[s].end], r.spans[s].null
 }
 
 // NewPreFilter validates that the configuration supports sound
@@ -135,7 +160,7 @@ func NewPreFilter(cfg PreFilterConfig) (*PreFilter, error) {
 		derive: derive,
 		lambda: cfg.Lambda,
 		nulls:  cfg.Nulls,
-		sigs:   map[string]*tupleSig{},
+		sigs:   map[string]rows{},
 	}, nil
 }
 
@@ -143,9 +168,10 @@ func NewPreFilter(cfg PreFilterConfig) (*PreFilter, error) {
 // bound pairs involving it. Inserting an ID again replaces its
 // signature.
 func (f *PreFilter) Insert(x *pdb.XTuple) {
-	sig := f.signature(x)
+	var r rows
+	f.appendRow(&r, x)
 	f.mu.Lock()
-	f.sigs[x.ID] = sig
+	f.sigs[x.ID] = r
 	f.mu.Unlock()
 }
 
@@ -156,44 +182,65 @@ func (f *PreFilter) Remove(id string) {
 	f.mu.Unlock()
 }
 
-// Len returns the number of summarized tuples.
+// Len returns the number of summarized tuples in the per-ID map.
 func (f *PreFilter) Len() int {
 	f.mu.RLock()
 	defer f.mu.RUnlock()
 	return len(f.sigs)
 }
 
-// signature builds the per-attribute summary, deduplicating value
-// stats by symbol. Values without a symbol contribute the zero Stats,
-// which every bound treats as "no information" — sound, just useless.
-func (f *PreFilter) signature(x *pdb.XTuple) *tupleSig {
-	sig := &tupleSig{attrs: make([]attrSig, len(f.bounds))}
+// appendRow summarizes x as the next row of r, deduplicating value
+// stats by symbol per attribute. Values without a symbol contribute the
+// zero Stats, which every bound treats as "no information" — sound,
+// just useless.
+func (f *PreFilter) appendRow(r *rows, x *pdb.XTuple) {
+	most := 0
 	for _, alt := range x.Alts {
-		for k := range f.bounds {
+		for k := range min(len(f.bounds), len(alt.Values)) {
+			most += alt.Values[k].Len()
+		}
+	}
+	r.spans = slices.Grow(r.spans, len(f.bounds))
+	r.stats = slices.Grow(r.stats, most)
+	for k := range f.bounds {
+		var s span
+		start := len(r.stats)
+		for _, alt := range x.Alts {
 			if k >= len(alt.Values) {
 				continue
 			}
-			as := &sig.attrs[k]
 			d := alt.Values[k]
 			if d.NullP() > pdb.Eps {
-				as.hasNull = true
+				s.null = true
 			}
 			for _, a := range d.Alternatives() {
 				st := f.table.Stats(a.Value.Sym())
-				dup := false
-				for i := range as.stats {
-					if as.stats[i].Sym == st.Sym {
-						dup = true
-						break
-					}
-				}
-				if !dup {
-					as.stats = append(as.stats, st)
+				if !slices.ContainsFunc(r.stats[start:], func(have sym.Stats) bool { return have.Sym == st.Sym }) {
+					r.stats = append(r.stats, st)
 				}
 			}
 		}
+		s.end = uint32(len(r.stats))
+		r.spans = append(r.spans, s)
 	}
-	return sig
+}
+
+// deleteRow removes row i from r, shifting the later rows down — the
+// O(block) splice a blocking index already pays for its member IDs.
+func (f *PreFilter) deleteRow(r *rows, i int) {
+	w := len(f.bounds)
+	if w == 0 {
+		return
+	}
+	lo, hi := uint32(0), r.spans[(i+1)*w-1].end
+	if i > 0 {
+		lo = r.spans[i*w-1].end
+	}
+	r.stats = slices.Delete(r.stats, int(lo), int(hi))
+	r.spans = slices.Delete(r.spans, i*w, (i+1)*w)
+	for s := i * w; s < len(r.spans); s++ {
+		r.spans[s].end -= hi - lo
+	}
 }
 
 // Admit reports whether the pair must be verified. It returns false
@@ -203,31 +250,67 @@ func (f *PreFilter) signature(x *pdb.XTuple) *tupleSig {
 func (f *PreFilter) Admit(p verify.Pair) bool {
 	f.enumerated.Add(1)
 	f.mu.RLock()
-	s1, ok1 := f.sigs[p.A]
-	s2, ok2 := f.sigs[p.B]
+	r1, ok1 := f.sigs[p.A]
+	r2, ok2 := f.sigs[p.B]
 	f.mu.RUnlock()
 	if !ok1 || !ok2 {
 		return true
 	}
 	var buf [stackAttrs]float64
-	hi := buf[:]
-	if len(f.bounds) > len(buf) {
-		hi = make([]float64, len(f.bounds))
-	}
-	hi = hi[:len(f.bounds)]
-	if f.below(s1, s2, hi, strsim.TierQuick) || f.below(s1, s2, hi, strsim.TierExact) {
+	if f.rejects(&r1, 0, &r2, 0, f.scratch(&buf)) {
 		f.filtered.Add(1)
 		return false
 	}
 	return true
 }
 
-// below folds the per-attribute bounds of one tier through the model
-// and the derivation and reports whether the pair provably stays below
-// Tλ. hi is scratch for the bound vector.
-func (f *PreFilter) below(s1, s2 *tupleSig, hi []float64, t strsim.Tier) bool {
+// admitRows is the block scan: it offers the arrival in row x of r to
+// every earlier row i < x through the same cascade Admit runs and calls
+// yield(i) for the survivors only. A reject costs no lock, no lookup,
+// no allocation and no pair; the counters move once per scan. It
+// returns false if yield stopped the scan early.
+func (f *PreFilter) admitRows(r *rows, x int, yield func(i int) bool) bool {
+	var buf [stackAttrs]float64
+	hi := f.scratch(&buf)
+	scanned, rejected, ok := 0, 0, true
+	for i := 0; i < x && ok; i++ {
+		scanned++
+		if f.rejects(r, x, r, i, hi) {
+			rejected++
+			continue
+		}
+		ok = yield(i)
+	}
+	f.enumerated.Add(uint64(scanned))
+	f.filtered.Add(uint64(rejected))
+	return ok
+}
+
+// scratch returns the bound vector: buf when the schema fits, else a
+// heap slice (once per Admit or per scan, never per pair of a scan).
+func (f *PreFilter) scratch(buf *[stackAttrs]float64) []float64 {
+	if len(f.bounds) > stackAttrs {
+		return make([]float64, len(f.bounds))
+	}
+	return buf[:len(f.bounds)]
+}
+
+// rejects is the cascade: the quick tier first, the exact tier only for
+// a quick survivor. It reports whether row i of a and row j of b
+// provably stay below Tλ.
+func (f *PreFilter) rejects(a *rows, i int, b *rows, j int, hi []float64) bool {
+	return f.below(a, i, b, j, hi, strsim.TierQuick) || f.below(a, i, b, j, hi, strsim.TierExact)
+}
+
+// below folds the per-attribute bounds of one tier for row i of a and
+// row j of b through the model and the derivation and reports whether
+// the pair provably stays below Tλ. hi is scratch for the bound vector.
+func (f *PreFilter) below(a *rows, i int, b *rows, j int, hi []float64, t strsim.Tier) bool {
+	w := len(f.bounds)
 	for k := range f.bounds {
-		hi[k] = f.attrUB(k, &s1.attrs[k], &s2.attrs[k], t)
+		av, aNull := a.values(i*w + k)
+		bv, bNull := b.values(j*w + k)
+		hi[k] = f.attrUB(k, av, aNull, bv, bNull, t)
 	}
 	cellUB := f.cellUB(hi)
 	if cellUB < 0 {
@@ -251,22 +334,22 @@ func (f *PreFilter) cellUB(hi []float64) float64 {
 // attrUB bounds the Eq. 5 attribute similarity over every alternative
 // pair of the two tuples: the expectation is a convex combination of
 // value-pair similarities and ⊥ terms, so its maximum term bounds it.
-func (f *PreFilter) attrUB(k int, a, b *attrSig, t strsim.Tier) float64 {
+func (f *PreFilter) attrUB(k int, a []sym.Stats, aNull bool, b []sym.Stats, bNull bool, t strsim.Tier) float64 {
 	best := 0.0
-	if a.hasNull && b.hasNull && f.nulls.NullNull > best {
+	if aNull && bNull && f.nulls.NullNull > best {
 		best = f.nulls.NullNull
 	}
-	if ((a.hasNull && len(b.stats) > 0) || (b.hasNull && len(a.stats) > 0)) && f.nulls.NullValue > best {
+	if ((aNull && len(b) > 0) || (bNull && len(a) > 0)) && f.nulls.NullValue > best {
 		best = f.nulls.NullValue
 	}
-	if len(a.stats) > 0 && len(b.stats) > 0 {
+	if len(a) > 0 && len(b) > 0 {
 		bound := f.bounds[k]
 		if bound == nil {
 			return 1
 		}
-		for i := range a.stats {
-			for j := range b.stats {
-				if v := bound(&a.stats[i], &b.stats[j], t); v > best {
+		for i := range a {
+			for j := range b {
+				if v := bound(&a[i], &b[j], t); v > best {
 					if v >= 1 {
 						return 1
 					}
@@ -283,7 +366,8 @@ func (f *PreFilter) attrUB(k int, a, b *attrSig, t strsim.Tier) float64 {
 
 // FilterStats are the cumulative counters of one PreFilter.
 type FilterStats struct {
-	// Enumerated counts the pairs presented to Admit.
+	// Enumerated counts the pairs presented to the cascade, by Admit or
+	// by a block scan.
 	Enumerated uint64
 	// Filtered counts the pairs rejected (provably class U).
 	Filtered uint64

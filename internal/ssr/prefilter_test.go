@@ -8,6 +8,7 @@ import (
 
 	"probdedup/internal/avm"
 	"probdedup/internal/decision"
+	"probdedup/internal/keys"
 	"probdedup/internal/pdb"
 	"probdedup/internal/prepare"
 	"probdedup/internal/strsim"
@@ -269,13 +270,13 @@ func TestAdmitMaximizesOverAlternatives(t *testing.T) {
 	}
 }
 
-// hotBlock builds a PreFilter over n tuples shaped like one hot block
-// of the serve_skew workload — three attributes (name of 10–14 random
-// letters, job from a 512-word vocabulary, one shared block value), 30 %
-// two-alternative x-tuples whose second alternative is unrelated — and
-// returns it with every pair of the block. nullShare of the name
-// distributions additionally carry ⊥ mass.
-func hotBlock(tb testing.TB, n int, nullShare float64) (*PreFilter, []verify.Pair) {
+// hotTuples builds a PreFilter and n interned tuples shaped like one hot
+// block of the serve_skew workload — three attributes (name of 10–14
+// random letters, job from a 512-word vocabulary, one shared block
+// value), 30 % two-alternative x-tuples whose second alternative is
+// unrelated. nullShare of the name distributions additionally carry ⊥
+// mass. The tuples are not summarized yet.
+func hotTuples(tb testing.TB, n int, nullShare float64) (*PreFilter, []*pdb.XTuple) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(16))
 	tab := sym.NewTable(2)
@@ -309,30 +310,56 @@ func hotBlock(tb testing.TB, n int, nullShare float64) (*PreFilter, []verify.Pai
 		}
 		return pdb.NewAltDists(p, d, pdb.Certain(jobs[rng.Intn(len(jobs))]), pdb.Certain("block-07"))
 	}
-	ids := make([]string, n)
+	xs := make([]*pdb.XTuple, n)
 	prev := ""
-	for i := range ids {
-		ids[i] = fmt.Sprintf("t%03d", i)
+	for i := range xs {
+		id := fmt.Sprintf("t%03d", i)
 		nm := name()
 		if i%7 == 6 {
 			nm = "x" + prev[1:] // a planted near-duplicate: one edit
 		}
 		prev = nm
-		x := pdb.NewXTuple(ids[i], alt(1, nm))
+		x := pdb.NewXTuple(id, alt(1, nm))
 		if rng.Float64() < 0.3 {
 			p2 := 0.03 + 0.17*rng.Float64()
-			x = pdb.NewXTuple(ids[i], alt(1-p2, nm), alt(p2, name()))
+			x = pdb.NewXTuple(id, alt(1-p2, nm), alt(p2, name()))
 		}
 		prepare.InternXTuple(tab, x)
-		pf.Insert(x)
+		xs[i] = x
 	}
+	return pf, xs
+}
+
+// hotBlock summarizes hotTuples in the filter's per-ID map and returns
+// the filter with every pair of the block.
+func hotBlock(tb testing.TB, n int, nullShare float64) (*PreFilter, []verify.Pair) {
+	tb.Helper()
+	pf, xs := hotTuples(tb, n, nullShare)
 	var pairs []verify.Pair
-	for i := range ids {
-		for j := i + 1; j < len(ids); j++ {
-			pairs = append(pairs, verify.NewPair(ids[i], ids[j]))
+	for j, x := range xs {
+		pf.Insert(x)
+		for _, y := range xs[:j] {
+			pairs = append(pairs, verify.NewPair(y.ID, x.ID))
 		}
 	}
 	return pf, pairs
+}
+
+// hotBlockIndex files n+1 hotTuples into a BlockingCertain index that
+// holds the filter — one block, keyed by the shared block value — and
+// returns the index, the block, and the row of the last arrival, which
+// faces the n others.
+func hotBlockIndex(tb testing.TB, n int) (*blockingCertainIndex, block, int) {
+	tb.Helper()
+	pf, xs := hotTuples(tb, n+1, 0)
+	idx := IncrementalFiltered(BlockingCertain{Key: keys.NewDef(keys.Part{Attr: 2})}, pf).(*blockingCertainIndex)
+	for _, x := range xs {
+		idx.Restore(x)
+	}
+	if len(idx.blocks) != 1 {
+		tb.Fatalf("%d blocks, want one", len(idx.blocks))
+	}
+	return idx, idx.blocks["block-07"], n
 }
 
 // TestAdmitQuickTierNeverChangesOutcome is the cascade's soundness
@@ -345,9 +372,9 @@ func TestAdmitQuickTierNeverChangesOutcome(t *testing.T) {
 	hi := make([]float64, len(pf.bounds))
 	quickRejects, exactRejects := 0, 0
 	for _, p := range pairs {
-		s1, s2 := pf.sigs[p.A], pf.sigs[p.B]
-		quick := pf.below(s1, s2, hi, strsim.TierQuick)
-		exact := pf.below(s1, s2, hi, strsim.TierExact)
+		r1, r2 := pf.sigs[p.A], pf.sigs[p.B]
+		quick := pf.below(&r1, 0, &r2, 0, hi, strsim.TierQuick)
+		exact := pf.below(&r1, 0, &r2, 0, hi, strsim.TierExact)
 		if quick && !exact {
 			t.Fatalf("pair %v: quick tier rejects what the exact tier admits", p)
 		}
@@ -384,9 +411,10 @@ func TestAdmitDoesNotAllocate(t *testing.T) {
 	}
 }
 
-// BenchmarkPreFilterAdmit measures the reject where serve_skew pays for
-// it: every pair of one hot block of 192, > 99 % of them provable
-// non-matches. One iteration is one pair.
+// BenchmarkPreFilterAdmit measures the per-pair path where serve_skew
+// paid for it before the block scan: every pair of one hot block of
+// 192, > 99 % of them provable non-matches, each looked up by ID. One
+// iteration is one pair.
 func BenchmarkPreFilterAdmit(b *testing.B) {
 	pf, pairs := hotBlock(b, 192, 0)
 	b.ReportAllocs()
@@ -398,4 +426,20 @@ func BenchmarkPreFilterAdmit(b *testing.B) {
 		}
 	}
 	b.ReportMetric(float64(admitted)/float64(b.N), "admitted/pair")
+}
+
+// BenchmarkBlockAdmit measures the same work as the block scan does it:
+// one arrival against a hot block of 192, in one pass over the block's
+// packed rows. One iteration is one arrival; ns/candidate is the figure
+// to set beside BenchmarkPreFilterAdmit's ns/op.
+func BenchmarkBlockAdmit(b *testing.B) {
+	idx, blk, n := hotBlockIndex(b, 192)
+	b.ReportAllocs()
+	b.ResetTimer()
+	admitted := 0
+	for i := 0; i < b.N; i++ {
+		idx.filter.admitRows(&blk.rows, n, func(int) bool { admitted++; return true })
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/candidate")
+	b.ReportMetric(float64(admitted)/float64(b.N*n), "admitted/candidate")
 }

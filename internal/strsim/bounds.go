@@ -109,25 +109,18 @@ func init() {
 	RegisterBound(QGramJaccard(sym.MaxExactQ+1), guard(boundEmptyOrOne))
 }
 
+// The raw bounds below are reached only through guard: their two Stats
+// belong to distinct symbols, hence to distinct strings, so at most one
+// of them is empty and maxLen ≥ 1.
+
 // boundExact: distinct symbols are distinct strings, so Exact is 0.
-func boundExact(a, b *sym.Stats, _ Tier) float64 {
-	if a.Sym == b.Sym {
-		return 1
-	}
-	return 0
-}
+func boundExact(_, _ *sym.Stats, _ Tier) float64 { return 0 }
 
 // boundMinOverMax bounds any function whose value is at most
 // matchingPositions/maxLen with matchingPositions ≤ minLen
 // (NormalizedHamming, and the fallback inside other bounds).
 func boundMinOverMax(a, b *sym.Stats, _ Tier) float64 {
 	mn, mx := minMaxLen(a, b)
-	if mx == 0 {
-		return 1 // both empty: equal strings
-	}
-	if mn == 0 {
-		return 0
-	}
 	return float64(mn) / float64(mx)
 }
 
@@ -180,17 +173,12 @@ func editLB(a, b *sym.Stats, t Tier, transpositions bool) int {
 }
 
 // boundEditSim turns an edit-distance lower bound into a similarity
-// upper bound 1 − edLB/maxLen.
+// upper bound 1 − edLB/maxLen. It is never negative: a string of n ≥ 1
+// runes has n+q−1 padded grams and ⌈(n+q−1)/q⌉ ≤ n, so neither the
+// length filter nor the count filter exceeds maxLen.
 func boundEditSim(a, b *sym.Stats, t Tier, transpositions bool) float64 {
 	_, mx := minMaxLen(a, b)
-	if mx == 0 {
-		return 1 // both empty: equal strings
-	}
-	ub := 1 - float64(editLB(a, b, t, transpositions))/float64(mx)
-	if ub < 0 {
-		return 0
-	}
-	return ub
+	return 1 - float64(editLB(a, b, t, transpositions))/float64(mx)
 }
 
 func boundLevenshtein(a, b *sym.Stats, t Tier) float64 { return boundEditSim(a, b, t, false) }
@@ -209,9 +197,6 @@ const fpSlack = 1e-12
 // m/la + m/lb ≤ 1 + min/max and (m−t)/m ≤ 1.
 func boundJaro(a, b *sym.Stats, _ Tier) float64 {
 	mn, mx := minMaxLen(a, b)
-	if mx == 0 {
-		return 1
-	}
 	if mn == 0 {
 		return 0
 	}
@@ -228,9 +213,6 @@ func boundJaro(a, b *sym.Stats, _ Tier) float64 {
 // each string determines its first rune.
 func boundJaroWinkler(a, b *sym.Stats, t Tier) float64 {
 	mn, mx := minMaxLen(a, b)
-	if mx == 0 {
-		return 1
-	}
 	if mn == 0 {
 		return 0
 	}
@@ -254,9 +236,6 @@ func boundJaroWinkler(a, b *sym.Stats, t Tier) float64 {
 // shared first padded gram).
 func boundCommonPrefix(a, b *sym.Stats, t Tier) float64 {
 	mn, mx := minMaxLen(a, b)
-	if mx == 0 {
-		return 1
-	}
 	if mn == 0 {
 		return 0
 	}
@@ -271,9 +250,6 @@ func boundCommonPrefix(a, b *sym.Stats, t Tier) float64 {
 // substring is at most minLen.
 func boundLCS(a, b *sym.Stats, t Tier) float64 {
 	mn, mx := minMaxLen(a, b)
-	if mx == 0 {
-		return 1
-	}
 	if mn == 0 {
 		return 0
 	}
@@ -283,18 +259,13 @@ func boundLCS(a, b *sym.Stats, t Tier) float64 {
 			lcs = lim
 		}
 	}
-	if lcs < 0 {
-		lcs = 0
-	}
 	return float64(lcs) / float64(mx)
 }
 
 // boundEmptyOrOne is the q-independent envelope of the q-gram
-// coefficients: 1 in general (both empty compare as 1), 0 when exactly
-// one side is empty.
+// coefficients: 1 in general, 0 when one side is empty.
 func boundEmptyOrOne(a, b *sym.Stats, _ Tier) float64 {
-	mn, mx := minMaxLen(a, b)
-	if mn == 0 && mx > 0 {
+	if mn, _ := minMaxLen(a, b); mn == 0 {
 		return 0
 	}
 	return 1

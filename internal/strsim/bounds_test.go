@@ -36,14 +36,15 @@ func boundedFuncs() map[string]Func {
 
 // checkBoundTiers is the property underpinning the whole candidate
 // pre-filter, for one string pair: at every gram size a table can be
-// built with and for every registered function, the bounds computed
-// from symbol statistics alone satisfy quick ≥ exact ≥ f(a, b) — the
-// quick tier may only ever reject what the exact tier rejects, and
-// neither a pair the function scores higher — they are symmetric, and
-// two Stats of one symbol bound to 1.
+// built with — including none (q = 0: lengths only, so every bound
+// falls back to its length filter) — and for every registered function,
+// the bounds computed from symbol statistics alone satisfy
+// quick ≥ exact ≥ f(a, b) — the quick tier may only ever reject what the
+// exact tier rejects, and neither a pair the function scores higher —
+// they are symmetric, and two Stats of one symbol bound to 1.
 func checkBoundTiers(t testing.TB, a, b string) {
 	t.Helper()
-	for _, q := range []int{1, 2, 3, 4} {
+	for _, q := range []int{0, 1, 2, 3, 4} {
 		tab := sym.NewTable(q)
 		sa := tab.Stats(tab.Intern(a))
 		sb := tab.Stats(tab.Intern(b))
