@@ -226,6 +226,11 @@ func BenchmarkExpectedRanking(b *testing.B) {
 }
 
 // ---- Incremental online engine ----
+//
+// The cost of one online arrival and the batch-versus-incremental gap
+// are bench's traced lib_snm cells (core.add_ns_per_tuple,
+// core.detect_batch_s, resolve.resolve_batch_s); only the AddBatch
+// worker sweeps live here.
 
 // detectorBenchOpts configures the online engine over the synthetic
 // schema. Blocking pairs an arrival with its whole block (block sizes
@@ -247,14 +252,6 @@ func detectorBenchOpts(b *testing.B, schema []string, reduction string) probdedu
 		opts.Reduction = probdedup.BlockingCertain{Key: def}
 	case "snm":
 		opts.Reduction = probdedup.SNMCertain{Key: def, Window: 4}
-	case "snm-alternatives":
-		opts.Reduction = probdedup.SNMAlternatives{Key: def, Window: 4}
-	case "snm-ranked":
-		opts.Reduction = probdedup.SNMRanked{Key: def, Window: 4}
-	case "snm-multipass":
-		opts.Reduction = probdedup.SNMMultiPass{Key: def, Window: 4, Select: probdedup.TopWorlds, K: 3}
-	case "blocking-cluster":
-		opts.Reduction = probdedup.BlockingCluster{Key: def, K: 16, Seed: 1}
 	default:
 		b.Fatalf("unknown reduction %q", reduction)
 	}
@@ -271,68 +268,6 @@ func detectorBenchCorpus(b *testing.B, n int) (resident, pool []*probdedup.XTupl
 		b.Fatalf("corpus too small: %d tuples for %d residents", len(u.Tuples), n)
 	}
 	return u.Tuples[:n], u.Tuples[n:], u.Schema
-}
-
-// BenchmarkDetectorAdd measures the per-tuple cost of one online
-// arrival at fixed resident relation sizes: the point of the
-// incremental engine is that this stays roughly flat from 1k to 10k
-// residents, while re-running the batch pipeline from scratch
-// (BenchmarkDetectStreamFromScratch, same sizes) grows with the
-// relation. Each iteration adds one arrival and retires it again so
-// the resident size genuinely stays at n regardless of b.N; ns/op
-// therefore covers one Add plus one Remove (the Remove share is the
-// pair retraction, plus the window re-entry comparisons for SNM).
-//
-// Every incremental reduction is in the sweep. The per-alternative
-// sorted neighborhood and the epoch-based cluster blocking run at the
-// same sizes as the certain-key methods — their per-arrival cost must
-// stay roughly flat too (the cluster reseal is amortized over
-// MaxDrift·n arrivals). The ranked sorted neighborhood avoids any
-// from-scratch re-rank, but its order re-check is Θ(movers) per
-// arrival — residents whose key span overlaps the arrival's, a
-// data-dependent fraction that the synthetic corpus's fuzzy keys push
-// toward Θ(n) — so it sweeps smaller sizes, as does the multi-pass
-// method, which re-selects its possible-world sample per arrival
-// (linear in the residents by construction).
-func BenchmarkDetectorAdd(b *testing.B) {
-	sweep := []struct {
-		reduction string
-		sizes     []int
-	}{
-		{"blocking", []int{1000, 5000, 10000}},
-		{"snm", []int{1000, 5000, 10000}},
-		{"snm-alternatives", []int{1000, 5000, 10000}},
-		{"snm-ranked", []int{500, 1000, 2000}},
-		{"blocking-cluster", []int{1000, 5000, 10000}},
-		{"snm-multipass", []int{100, 250}},
-	}
-	for _, sw := range sweep {
-		reduction := sw.reduction
-		for _, n := range sw.sizes {
-			b.Run(fmt.Sprintf("%s/resident=%d", reduction, n), func(b *testing.B) {
-				resident, pool, schema := detectorBenchCorpus(b, n)
-				det, err := probdedup.NewDetector(schema, detectorBenchOpts(b, schema, reduction), nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := det.AddBatch(resident); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					x := pool[i%len(pool)].Clone()
-					x.ID = fmt.Sprintf("arrival-%d", i)
-					if err := det.Add(x); err != nil {
-						b.Fatal(err)
-					}
-					if err := det.Remove(x.ID); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
 }
 
 // BenchmarkDetectorAddBatch measures online ingestion throughput at a
@@ -389,96 +324,6 @@ func BenchmarkDetectorAddBatch(b *testing.B) {
 					b.ReportMetric(float64(batchSize)*float64(b.N)/b.Elapsed().Seconds(), "tuples/s")
 				})
 			}
-		}
-	}
-}
-
-// BenchmarkIntegratorAdd measures the per-arrival cost of the full
-// online integration stack — Detector classification plus
-// component-local entity maintenance (re-group, re-fuse, re-derive
-// uncertain context of touched components only). Each iteration adds
-// one arrival and retires it again, so ns/op covers one Add plus one
-// Remove at a genuinely fixed resident size. The point is that this
-// is O(touched component), not O(residents): compare against
-// BenchmarkBatchReResolve at the same size, which is what one arrival
-// would cost if integration still required a batch Detect + Resolve
-// over the whole relation (the acceptance target is ≥10× at 10k
-// residents; measured gaps are 3–5 orders of magnitude).
-func BenchmarkIntegratorAdd(b *testing.B) {
-	for _, reduction := range []string{"blocking", "snm"} {
-		for _, n := range []int{1000, 10000} {
-			b.Run(fmt.Sprintf("%s/resident=%d", reduction, n), func(b *testing.B) {
-				resident, pool, schema := detectorBenchCorpus(b, n)
-				ig, err := probdedup.NewIntegrator(schema, detectorBenchOpts(b, schema, reduction), nil)
-				if err != nil {
-					b.Fatal(err)
-				}
-				if err := ig.AddBatch(resident); err != nil {
-					b.Fatal(err)
-				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					x := pool[i%len(pool)].Clone()
-					x.ID = fmt.Sprintf("arrival-%d", i)
-					if err := ig.Add(x); err != nil {
-						b.Fatal(err)
-					}
-					if err := ig.Remove(x.ID); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkBatchReResolve is the per-arrival integration cost without
-// the incremental engine: re-running batch Detect plus Resolve over
-// the whole resident relation, as required before the Integrator
-// existed. Compare ns/op against BenchmarkIntegratorAdd.
-func BenchmarkBatchReResolve(b *testing.B) {
-	for _, reduction := range []string{"blocking", "snm"} {
-		for _, n := range []int{1000, 10000} {
-			b.Run(fmt.Sprintf("%s/resident=%d", reduction, n), func(b *testing.B) {
-				resident, _, schema := detectorBenchCorpus(b, n)
-				xr := probdedup.NewXRelation("bench", schema...).Append(resident...)
-				opts := detectorBenchOpts(b, schema, reduction)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					res, err := probdedup.Detect(xr, opts)
-					if err != nil {
-						b.Fatal(err)
-					}
-					if _, err := probdedup.Resolve(xr, res, opts.Final, nil); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		}
-	}
-}
-
-// BenchmarkDetectStreamFromScratch is the cost one arrival would pay
-// without the incremental engine: re-running the batch streaming
-// pipeline over the whole resident relation. Compare ns/op against
-// BenchmarkDetectorAdd at the same reduction and size.
-func BenchmarkDetectStreamFromScratch(b *testing.B) {
-	for _, reduction := range []string{"blocking", "snm"} {
-		for _, n := range []int{1000, 5000, 10000} {
-			b.Run(fmt.Sprintf("%s/resident=%d", reduction, n), func(b *testing.B) {
-				resident, _, schema := detectorBenchCorpus(b, n)
-				xr := probdedup.NewXRelation("bench", schema...).Append(resident...)
-				opts := detectorBenchOpts(b, schema, reduction)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if _, err := probdedup.DetectStream(xr, opts, func(probdedup.PairMatch) bool { return true }); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
 		}
 	}
 }

@@ -29,7 +29,9 @@
 //	                   from the reported index. A body over 16 MiB
 //	                   yields 413 at the item the limit cuts (the items
 //	                   before it stay applied). During shutdown the
-//	                   endpoint yields 503.
+//	                   endpoint yields 503. A shard whose engine has
+//	                   failed yields 500 for every item routed to it;
+//	                   resending does not help.
 //	GET  /v1/deltas    server-sent events: one "match" event per match
 //	                   delta ({"kind","a","b","sim","class","shard"}),
 //	                   then a final "end" event when the daemon drains

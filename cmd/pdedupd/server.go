@@ -95,6 +95,8 @@ func statusFor(err error) (code int, retryable bool) {
 		return http.StatusRequestEntityTooLarge, false
 	case errors.Is(err, shard.ErrClosed):
 		return http.StatusServiceUnavailable, false
+	case errors.Is(err, shard.ErrShardFailed):
+		return http.StatusInternalServerError, false
 	case errors.Is(err, core.ErrUnknownID):
 		return http.StatusNotFound, false
 	default:

@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -14,6 +15,7 @@ import (
 	"sync"
 	"syscall"
 	"testing"
+	"time"
 
 	"probdedup"
 	"probdedup/internal/cliopts"
@@ -82,6 +84,33 @@ func postTuples(t *testing.T, d *daemon, body string) (int, ingestReply) {
 		t.Fatalf("decoding /v1/tuples reply: %v", err)
 	}
 	return resp.StatusCode, reply
+}
+
+// statsWithResidents polls /v1/stats until it reports want residents,
+// for up to ~10 s, and returns the last snapshot. A POST answers once
+// its items are queued, before the shard workers apply (and with -state
+// log and sync) them, so a read right after one may see the engines
+// behind.
+func statsWithResidents(t *testing.T, d *daemon, want int) shard.Stats {
+	t.Helper()
+	var st shard.Stats
+	for try := 0; try < 1000; try++ {
+		resp, err := http.Get(d.url("/v1/stats"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		st = shard.Stats{}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Detector.Residents == want {
+			break
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+	return st
 }
 
 // sseEvent is one parsed server-sent event.
@@ -425,15 +454,7 @@ func TestIngestItemShapes(t *testing.T) {
 		t.Fatalf("removal mixed with a tuple: %d %+v", code, reply)
 	}
 
-	resp, err := http.Get(d.url("/v1/stats"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st shard.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
+	st := statsWithResidents(t, d, 2)
 	if st.Detector.Residents != 2 {
 		t.Fatalf("residents = %d, want 2 (b and c: neither refused item was half applied)", st.Detector.Residents)
 	}
@@ -477,17 +498,7 @@ func TestIngestBodyLimit(t *testing.T) {
 	if code, reply := postTuples(t, d, `{"id":"e","attrs":[[{"v":"Johnsan"}],[{"v":"pilot"}]]}`); code != http.StatusOK || reply.Accepted != 1 {
 		t.Fatalf("post after the 413: %d %+v", code, reply)
 	}
-	resp, err = http.Get(d.url("/v1/stats"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st shard.Stats
-	err = json.NewDecoder(resp.Body).Decode(&st)
-	resp.Body.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Detector.Residents != 3 {
+	if st := statsWithResidents(t, d, 3); st.Detector.Residents != 3 {
 		t.Fatalf("residents = %d, want 3 (a, b and e)", st.Detector.Residents)
 	}
 	if rc := d.stop(); rc != 0 {
@@ -576,16 +587,7 @@ func TestDurableRestart(t *testing.T) {
 	if code != http.StatusOK || reply.Removed != 1 || reply.Accepted != 1 {
 		t.Fatalf("post after recovery: %d %+v", code, reply)
 	}
-	resp, err := http.Get(d.url("/v1/stats"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st shard.Stats
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if st.Detector.Residents != 2 {
+	if st := statsWithResidents(t, d, 2); st.Detector.Residents != 2 {
 		t.Fatalf("residents after recovery = %d, want 2 (a and c)", st.Detector.Residents)
 	}
 	// Restarting with a different shard count must be refused: the
@@ -640,6 +642,7 @@ func TestStatusFor(t *testing.T) {
 		{&shard.OverloadedError{Shard: 1, Queued: 9}, http.StatusTooManyRequests, true},
 		{fmt.Errorf("wrap: %w", &shard.OverloadedError{}), http.StatusTooManyRequests, true},
 		{shard.ErrClosed, http.StatusServiceUnavailable, false},
+		{fmt.Errorf("shard 2: %w: %w", shard.ErrShardFailed, errors.New("disk full")), http.StatusInternalServerError, false},
 		{fmt.Errorf("shard: Remove: %w %q", probdedup.ErrUnknownID, "x"), http.StatusNotFound, false},
 		{fmt.Errorf("json: %w", &http.MaxBytesError{Limit: maxIngestBody}), http.StatusRequestEntityTooLarge, false},
 		{fmt.Errorf("arity"), http.StatusBadRequest, false},

@@ -183,18 +183,16 @@ type Detector struct {
 	filter *ssr.PreFilter
 	std    *prepare.Standardizer
 	live   map[verify.Pair]Match
-	// pairsOf indexes the live pairs by member tuple, so Remove
-	// retracts in O(degree) instead of sweeping the whole live set.
-	pairsOf map[string]map[verify.Pair]struct{}
-	// posOf locates a resident tuple in eng.xr.Tuples for O(1)
-	// swap-removal; nothing in the detector depends on tuple order.
-	posOf map[string]int
+	// pairsOf indexes the live pairs by member tuple — tuple → partner
+	// → class — so Remove retracts in O(degree) instead of sweeping the
+	// whole live set, and the Integrator walks M and P partners
+	// (Partners) without a copy of its own.
+	pairsOf map[string]map[string]decision.Class
 	// seqOf records each resident's arrival number (arrivalSeq is the
-	// running counter). eng.xr.Tuples loses insertion order to
-	// swap-removal, but the incremental-index contract ties candidate
-	// tie-breaking to it — so a durable snapshot must list residents in
-	// arrival order to restore the indexes bit-identically
-	// (SnapshotState sorts by seqOf).
+	// running counter). eng.byID has no order, but the
+	// incremental-index contract ties candidate tie-breaking to it — so
+	// a durable snapshot must list residents in arrival order to restore
+	// the indexes bit-identically (SnapshotState sorts by seqOf).
 	seqOf      map[string]uint64
 	arrivalSeq uint64
 	compared   int
@@ -248,8 +246,7 @@ func NewDetector(schema []string, opts Options, emit func(MatchDelta) bool) (*De
 		filter:    filter,
 		std:       opts.Standardizer,
 		live:      map[verify.Pair]Match{},
-		pairsOf:   map[string]map[verify.Pair]struct{}{},
-		posOf:     map[string]int{},
+		pairsOf:   map[string]map[string]decision.Class{},
 		seqOf:     map[string]uint64{},
 		comparers: []*xmatch.Comparer{eng.newComparer()},
 		emits:     NewEmitQueue(emit),
@@ -373,15 +370,13 @@ func (d *Detector) prepareTuple(x *pdb.XTuple) (*pdb.XTuple, error) {
 	return x, nil
 }
 
-// register appends a prepared tuple to the resident relation and
-// summarizes it for the per-pair pre-filter (an index holding the
-// filter summarizes its own residents).
+// register makes a prepared tuple resident and summarizes it for the
+// per-pair pre-filter (an index holding the filter summarizes its own
+// residents).
 func (d *Detector) register(x *pdb.XTuple) {
 	d.eng.byID[x.ID] = x
-	d.posOf[x.ID] = len(d.eng.xr.Tuples)
 	d.seqOf[x.ID] = d.arrivalSeq
 	d.arrivalSeq++
-	d.eng.xr.Append(x)
 	if d.filter != nil {
 		d.filter.Insert(x)
 	}
@@ -446,28 +441,13 @@ func (d *Detector) removeLocked(id string) error {
 	// Defensive sweep: the index contract already retracts every pair
 	// of id, but a buggy user-defined IncrementalMethod must not be
 	// able to leave stale decisions behind. The per-tuple pair index
-	// makes this O(degree), not O(live set).
-	if rest := d.pairsOf[id]; len(rest) > 0 {
-		pairs := make([]verify.Pair, 0, len(rest))
-		for p := range rest {
-			pairs = append(pairs, p)
-		}
-		for _, p := range pairs {
-			d.retractPair(p)
-		}
+	// makes this O(degree), not O(live set); retractPair deletes from
+	// the map being ranged over, which Go permits.
+	for partner := range d.pairsOf[id] {
+		d.retractPair(verify.NewPair(id, partner))
 	}
-	delete(d.pairsOf, id)
 
 	delete(d.eng.byID, id)
-	// Swap-remove from the resident slice: O(1), order is irrelevant
-	// (Flush sorts pairs, the indexes keep their own order).
-	ts := d.eng.xr.Tuples
-	i, last := d.posOf[id], len(ts)-1
-	ts[i] = ts[last]
-	d.posOf[ts[i].ID] = i
-	d.eng.xr.Tuples = ts[:last]
-	ts[last] = nil
-	delete(d.posOf, id)
 	delete(d.seqOf, id)
 	if d.filter != nil {
 		d.filter.Remove(id)
@@ -590,8 +570,8 @@ func (d *Detector) recordMatch(p verify.Pair, m Match) {
 // indexes and counters; retractPair is its inverse.
 func (d *Detector) setLive(p verify.Pair, m Match) {
 	d.live[p] = m
-	d.indexPair(p.A, p)
-	d.indexPair(p.B, p)
+	d.indexPartner(p.A, p.B, m.Class)
+	d.indexPartner(p.B, p.A, m.Class)
 	d.countClass(m.Class, +1)
 }
 
@@ -639,14 +619,23 @@ func (d *Detector) compareAll(compareIdx []int, deltas []ssr.PairDelta, matches 
 	wg.Wait()
 }
 
-// indexPair records a live pair under one member tuple.
-func (d *Detector) indexPair(id string, p verify.Pair) {
-	set := d.pairsOf[id]
-	if set == nil {
-		set = map[verify.Pair]struct{}{}
-		d.pairsOf[id] = set
+// indexPartner records a live pair's class under one member tuple.
+func (d *Detector) indexPartner(id, partner string, c decision.Class) {
+	partners := d.pairsOf[id]
+	if partners == nil {
+		partners = map[string]decision.Class{}
+		d.pairsOf[id] = partners
 	}
-	set[p] = struct{}{}
+	partners[partner] = c
+}
+
+// unindexPartner is indexPartner's inverse, dropping an emptied entry.
+func (d *Detector) unindexPartner(id, partner string) {
+	partners := d.pairsOf[id]
+	delete(partners, partner)
+	if len(partners) == 0 {
+		delete(d.pairsOf, id)
+	}
 }
 
 // retractPair removes a live pair from both indexes and enqueues the
@@ -658,14 +647,8 @@ func (d *Detector) retractPair(p verify.Pair) {
 	}
 	delete(d.live, p)
 	d.countClass(m.Class, -1)
-	for _, id := range []string{p.A, p.B} {
-		if set := d.pairsOf[id]; set != nil {
-			delete(set, p)
-			if len(set) == 0 {
-				delete(d.pairsOf, id)
-			}
-		}
-	}
+	d.unindexPartner(p.A, p.B)
+	d.unindexPartner(p.B, p.A)
 	d.dropped++
 	d.enqueueDelta(MatchDelta{Kind: DeltaDrop, Match: m})
 }
@@ -689,7 +672,7 @@ func (d *Detector) Flush() *Result {
 		Possible:   verify.PairSet{},
 		Compared:   make([]verify.Pair, 0, len(d.live)),
 		ByPair:     make(map[verify.Pair]Match, len(d.live)),
-		TotalPairs: ssr.TotalPairs(len(d.eng.xr.Tuples)),
+		TotalPairs: ssr.TotalPairs(len(d.eng.byID)),
 	}
 	for p, m := range d.live {
 		res.Compared = append(res.Compared, p)
@@ -724,6 +707,23 @@ func (d *Detector) Resident(id string) (*pdb.XTuple, bool) {
 	return x, ok
 }
 
+// Partners appends to dst every tuple that holds a live pair of class
+// c with id, in no particular order, and returns the extended slice —
+// the M and P graphs the resolve.Integrator groups entities and
+// propagates refusals over, read from the detector's own pair index
+// instead of a mirror. A function rather than a method, so the public
+// Detector type does not grow.
+func Partners(d *Detector, dst []string, id string, c decision.Class) []string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for partner, pc := range d.pairsOf[id] {
+		if pc == c {
+			dst = append(dst, partner)
+		}
+	}
+	return dst
+}
+
 // ResidentIDs returns the IDs of all resident tuples in sorted order.
 // Shard routers use it after durable recovery to rebuild their
 // ID-to-shard admission map from the engines themselves.
@@ -742,7 +742,7 @@ func (d *Detector) ResidentIDs() []string {
 func (d *Detector) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.eng.xr.Tuples)
+	return len(d.eng.byID)
 }
 
 // Stats summarizes the detector's state and cumulative work.
@@ -750,13 +750,13 @@ func (d *Detector) Stats() DetectorStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := DetectorStats{
-		Residents:  len(d.eng.xr.Tuples),
+		Residents:  len(d.eng.byID),
 		Compared:   d.compared,
 		Dropped:    d.dropped,
 		Live:       len(d.live),
 		Matches:    d.matches,
 		Possible:   d.possible,
-		TotalPairs: ssr.TotalPairs(len(d.eng.xr.Tuples)),
+		TotalPairs: ssr.TotalPairs(len(d.eng.byID)),
 		Stopped:    d.emits.Stopped(),
 	}
 	if ei, ok := d.idx.(ssr.EpochIndex); ok {

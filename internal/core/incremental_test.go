@@ -236,6 +236,91 @@ func TestDetectorRemoveInvalidatesPairDecisions(t *testing.T) {
 	}
 }
 
+// silentRemoveIndex wraps the cross-product index but swallows every
+// delta its Remove yields: a user-defined IncrementalMethod that breaks
+// the retraction half of the index contract, leaving the detector's
+// defensive sweep as the only thing that retracts a removed tuple's
+// pairs.
+type silentRemoveIndex struct{ ssr.IncrementalIndex }
+
+func (s silentRemoveIndex) Remove(id string, _ func(ssr.PairDelta) bool) bool {
+	return s.IncrementalIndex.Remove(id, func(ssr.PairDelta) bool { return true })
+}
+
+// silentRemoveMethod is the user-defined IncrementalMethod behind
+// silentRemoveIndex; batch Detect runs it as the plain cross product.
+type silentRemoveMethod struct{ ssr.CrossProduct }
+
+func (silentRemoveMethod) Incremental() (ssr.IncrementalIndex, error) {
+	inner, err := ssr.CrossProduct{}.Incremental()
+	return silentRemoveIndex{inner}, err
+}
+
+// TestDetectorRemoveSweepsWhatTheIndexKeeps is the regression test for
+// Remove's defensive sweep: with an index whose Remove yields no drops,
+// the removed tuple's pairs must still leave the live set, each with one
+// drop delta, and a re-Add of the ID with other values must classify
+// exactly as batch Detect over the new relation.
+func TestDetectorRemoveSweepsWhatTheIndexKeeps(t *testing.T) {
+	u := shuffledUnion(t, 12, 41)
+	opts := incrementalOpts(silentRemoveMethod{})
+	var deltas []MatchDelta
+	det, err := NewDetector(u.Schema, opts, func(md MatchDelta) bool {
+		deltas = append(deltas, md)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := det.AddBatch(u.Tuples); err != nil {
+		t.Fatal(err)
+	}
+	victim, other := u.Tuples[0], u.Tuples[1]
+	before := map[verify.Pair]Match{}
+	for p, m := range det.Flush().ByPair {
+		if p.A == victim.ID || p.B == victim.ID {
+			before[p] = m
+		}
+	}
+	if len(before) != len(u.Tuples)-1 {
+		t.Fatalf("victim holds %d live pairs, want the cross product's %d", len(before), len(u.Tuples)-1)
+	}
+
+	deltas = nil
+	if err := det.Remove(victim.ID); err != nil {
+		t.Fatal(err)
+	}
+	if len(deltas) != len(before) {
+		t.Fatalf("Remove emitted %d deltas, want one drop per retracted pair (%d)", len(deltas), len(before))
+	}
+	for _, md := range deltas {
+		if md.Kind != DeltaDrop || before[md.Pair] != md.Match {
+			t.Fatalf("Remove emitted %v %+v, want a drop of a victim pair with its last decision", md.Kind, md.Match)
+		}
+		delete(before, md.Pair)
+	}
+	for p := range det.Flush().ByPair {
+		if p.A == victim.ID || p.B == victim.ID {
+			t.Fatalf("live pair %v names the removed tuple", p)
+		}
+	}
+
+	// Re-add the ID with another tuple's values: nothing of the old
+	// version may leak into its classification.
+	changed := &pdb.XTuple{ID: victim.ID, Alts: other.Clone().Alts}
+	if err := det.Add(changed); err != nil {
+		t.Fatal(err)
+	}
+	rel := pdb.NewXRelation(u.Name, u.Schema...)
+	rel.Append(changed)
+	rel.Append(u.Tuples[1:]...)
+	batch, err := Detect(rel, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, det.Flush(), batch)
+}
+
 // TestDetectorStandardizer checks online per-tuple standardization
 // matches the batch path's whole-relation standardization.
 func TestDetectorStandardizer(t *testing.T) {

@@ -47,10 +47,13 @@ func (d *Detector) SnapshotState() *DetectorState {
 	defer d.mu.Unlock()
 	st := &DetectorState{
 		Schema:    append([]string(nil), d.eng.xr.Schema...),
-		Residents: append([]*pdb.XTuple(nil), d.eng.xr.Tuples...),
+		Residents: make([]*pdb.XTuple, 0, len(d.eng.byID)),
 		Pairs:     make([]Match, 0, len(d.live)),
 		Compared:  d.compared,
 		Dropped:   d.dropped,
+	}
+	for _, x := range d.eng.byID {
+		st.Residents = append(st.Residents, x)
 	}
 	sort.Slice(st.Residents, func(i, j int) bool {
 		return d.seqOf[st.Residents[i].ID] < d.seqOf[st.Residents[j].ID]

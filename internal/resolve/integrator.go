@@ -118,17 +118,11 @@ type Integrator struct {
 	det *core.Detector
 	cal Calibration
 
-	// tuples holds the standardized resident tuples, shared read-only
-	// with the detector (core.Detector.Resident).
-	tuples map[string]*pdb.XTuple
-	// madj is the declared-match (M) adjacency — edges define the
-	// entity components. padj is the possible-match (P) adjacency,
-	// used to find the entities whose uncertain-duplicate context an
-	// operation touches. ppairs holds the live possible matches.
-	madj   map[string]map[string]struct{}
-	padj   map[string]map[string]struct{}
-	ppairs map[verify.Pair]core.Match
-	// compOf locates every resident tuple's live component.
+	// compOf locates every resident tuple's live component. It is the
+	// integrator's only per-tuple state: the resident tuples, the match
+	// (M) and possible-match (P) partners and the pair decisions are
+	// the detector's, read through core.Detector.Resident, core.Partners
+	// and core.Detector.Flush instead of mirrored.
 	compOf map[string]*component
 	ncomps int
 	events int
@@ -156,16 +150,21 @@ type Integrator struct {
 // only Flush snapshots are needed; returning false permanently stops
 // delta delivery (state maintenance continues).
 func NewIntegrator(schema []string, opts core.Options, emit func(EntityDelta) bool) (*Integrator, error) {
+	return newIntegrator(opts, emit, func(collect func(core.MatchDelta) bool) (*core.Detector, error) {
+		return core.NewDetector(schema, opts, collect)
+	})
+}
+
+// newIntegrator is the one constructor behind NewIntegrator and
+// RestoreIntegrator: it composes the detector build returns, handing it
+// the callback that collects the detector's match deltas into pending.
+func newIntegrator(opts core.Options, emit func(EntityDelta) bool, build func(collect func(core.MatchDelta) bool) (*core.Detector, error)) (*Integrator, error) {
 	ig := &Integrator{
 		cal:    LinearCalibration(opts.Final, 0.1, 0.9),
-		tuples: map[string]*pdb.XTuple{},
-		madj:   map[string]map[string]struct{}{},
-		padj:   map[string]map[string]struct{}{},
-		ppairs: map[verify.Pair]core.Match{},
 		compOf: map[string]*component{},
 		emits:  core.NewEmitQueue(emit),
 	}
-	det, err := core.NewDetector(schema, opts, func(md core.MatchDelta) bool {
+	det, err := build(func(md core.MatchDelta) bool {
 		ig.pending = append(ig.pending, md)
 		return true
 	})
@@ -194,8 +193,6 @@ func (ig *Integrator) addLocked(x *pdb.XTuple) error {
 	if err := ig.det.Add(x); err != nil {
 		return err
 	}
-	t, _ := ig.det.Resident(x.ID)
-	ig.tuples[x.ID] = t
 	return ig.applyOp(ig.pending, []string{x.ID}, "")
 }
 
@@ -217,16 +214,14 @@ func (ig *Integrator) AddBatch(xs []*pdb.XTuple) error {
 func (ig *Integrator) addBatchLocked(xs []*pdb.XTuple) error {
 	ig.pending = ig.pending[:0]
 	batchErr := ig.det.AddBatch(xs)
+	// A batch tuple is new when the detector holds it and no component
+	// does yet (an ID already integrated is a rejected duplicate).
 	var added []string
 	for _, x := range xs {
-		if x == nil {
+		if x == nil || ig.compOf[x.ID] != nil {
 			continue
 		}
-		if _, already := ig.tuples[x.ID]; already {
-			continue
-		}
-		if t, ok := ig.det.Resident(x.ID); ok {
-			ig.tuples[x.ID] = t
+		if _, ok := ig.det.Resident(x.ID); ok {
 			added = append(added, x.ID)
 		}
 	}
@@ -256,10 +251,7 @@ func (ig *Integrator) removeLocked(id string) error {
 		return err
 	}
 	err := ig.applyOp(ig.pending, nil, id)
-	delete(ig.tuples, id)
 	delete(ig.compOf, id)
-	delete(ig.madj, id)
-	delete(ig.padj, id)
 	return err
 }
 
@@ -273,42 +265,18 @@ func snapshotEntity(e Entity) Entity {
 	return e
 }
 
-// addEdge records an undirected edge in an adjacency map.
-func addEdge(adj map[string]map[string]struct{}, a, b string) {
-	for _, e := range [2][2]string{{a, b}, {b, a}} {
-		set := adj[e[0]]
-		if set == nil {
-			set = map[string]struct{}{}
-			adj[e[0]] = set
-		}
-		set[e[1]] = struct{}{}
-	}
-}
-
-// delEdge removes an undirected edge, dropping empty adjacency sets.
-func delEdge(adj map[string]map[string]struct{}, a, b string) {
-	for _, e := range [2][2]string{{a, b}, {b, a}} {
-		if set := adj[e[0]]; set != nil {
-			delete(set, e[1])
-			if len(set) == 0 {
-				delete(adj, e[0])
-			}
-		}
-	}
-}
-
 // applyOp folds one operation's match deltas into the live entity
-// state: the M/P graphs are updated delta by delta, then the
-// components an M-edge change, arrival or removal touches are rebuilt
-// locally (re-grouped via the match adjacency, re-fused per
-// component), and typed entity deltas are enqueued in a deterministic
-// order — retirements first, then membership changes, then refusals,
-// each sorted by entity ID. removed names a tuple the detector
-// already dropped; added lists tuple IDs that became resident in this
+// state: the components an M-edge change, arrival or removal touches
+// are rebuilt locally (re-grouped over the detector's match partners,
+// which already reflect the operation, and re-fused per component), and
+// typed entity deltas are enqueued in a deterministic order —
+// retirements first, then membership changes, then refusals, each
+// sorted by entity ID. removed names a tuple the detector already
+// dropped; added lists tuple IDs that became resident in this
 // operation.
 func (ig *Integrator) applyOp(deltas []core.MatchDelta, added []string, removed string) error {
-	// Phase 1: graph maintenance. dirty collects components whose
-	// membership may change; refused collects components whose
+	// Phase 1: mark what the deltas touch. dirty collects components
+	// whose membership may change; refused collects components whose
 	// uncertain-duplicate context changed without a membership change.
 	dirty := map[*component]bool{}
 	refused := map[*component]bool{}
@@ -328,23 +296,11 @@ func (ig *Integrator) applyOp(deltas []core.MatchDelta, added []string, removed 
 		}
 	}
 	for _, md := range deltas {
-		a, b := md.Pair.A, md.Pair.B
-		switch {
-		case md.Class == decision.M && md.Kind == core.DeltaAdd:
-			addEdge(ig.madj, a, b)
-			mark(a)
-			mark(b)
-		case md.Class == decision.M && md.Kind == core.DeltaDrop:
-			delEdge(ig.madj, a, b)
-			mark(a)
-			mark(b)
-		case md.Class == decision.P && md.Kind == core.DeltaAdd:
-			ig.ppairs[md.Pair] = md.Match
-			addEdge(ig.padj, a, b)
-			markRefused(md.Pair)
-		case md.Class == decision.P && md.Kind == core.DeltaDrop:
-			delete(ig.ppairs, md.Pair)
-			delEdge(ig.padj, a, b)
+		switch md.Class {
+		case decision.M:
+			mark(md.Pair.A)
+			mark(md.Pair.B)
+		case decision.P:
 			markRefused(md.Pair)
 		}
 		// Class U pairs never appear in the integrated result.
@@ -396,7 +352,7 @@ func (ig *Integrator) applyOp(deltas []core.MatchDelta, added []string, removed 
 		oldLive[c.entity.ID] = n
 	}
 
-	// Re-group the affected universe over the match adjacency,
+	// Re-group the affected universe over the match partners,
 	// deterministically (seeds in sorted order, members sorted).
 	ids := make([]string, 0, len(affected))
 	for id := range affected {
@@ -409,19 +365,17 @@ func (ig *Integrator) applyOp(deltas []core.MatchDelta, added []string, removed 
 		if assigned[id] {
 			continue
 		}
-		assigned[id] = true
 		members := []string{}
 		stack := []string{id}
 		for len(stack) > 0 {
 			cur := stack[len(stack)-1]
 			stack = stack[:len(stack)-1]
-			members = append(members, cur)
-			for n := range ig.madj[cur] {
-				if !assigned[n] {
-					assigned[n] = true
-					stack = append(stack, n)
-				}
+			if assigned[cur] {
+				continue
 			}
+			assigned[cur] = true
+			members = append(members, cur)
+			stack = core.Partners(ig.det, stack, cur, decision.M)
 		}
 		sort.Strings(members)
 		groups = append(groups, members)
@@ -455,7 +409,7 @@ func (ig *Integrator) applyOp(deltas []core.MatchDelta, added []string, removed 
 			reused[oldCompByID[srcs[0]]] = true
 			continue
 		}
-		e, err := buildEntity(members, ig.tuples)
+		e, err := buildEntity(members, ig.det.Resident)
 		if err != nil {
 			return fmt.Errorf("resolve: re-fusing component %v: %w", members, err)
 		}
@@ -500,9 +454,11 @@ func (ig *Integrator) applyOp(deltas []core.MatchDelta, added []string, removed 
 			dead[c] = true
 		}
 	}
+	var partners []string
 	for c := range isNew {
 		for _, m := range c.members {
-			for n := range ig.padj[m] {
+			partners = core.Partners(ig.det, partners[:0], m, decision.P)
+			for _, n := range partners {
 				if cn := ig.compOf[n]; cn != nil && cn != c {
 					refused[cn] = true
 				}
@@ -569,7 +525,7 @@ func (ig *Integrator) Flush() (*Resolution, error) {
 	}
 	sort.Slice(entities, func(i, j int) bool { return entities[i].Members[0] < entities[j].Members[0] })
 	r := &Resolution{Universe: lineage.NewUniverse(), Entities: entities}
-	if err := finishResolution(r, ig.ppairs, ig.cal); err != nil {
+	if err := finishResolution(r, possibleOf(ig.det.Flush()), ig.cal); err != nil {
 		return nil, err
 	}
 	return r, nil

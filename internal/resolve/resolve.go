@@ -9,6 +9,13 @@
 //     the separate representations as mutually exclusive sets of tuples,
 //     wired up with ULDB-style lineage over a "dup(a,b)" symbol whose
 //     probability is calibrated from the pair's similarity.
+//
+// Resolve is the batch form. Integrator is the online form over a
+// composed core.Detector: it folds the detector's match deltas into
+// live entity components and owns nothing else per tuple — the
+// resident tuples, the M and P partners and the pair decisions are
+// read from the detector (core.Detector.Resident, core.Partners,
+// core.Detector.Flush), so the live pair graph exists once.
 package resolve
 
 import (
@@ -111,12 +118,16 @@ func Resolve(xr *pdb.XRelation, res *core.Result, final decision.Thresholds, cal
 		byID[x.ID] = x
 		ids = append(ids, x.ID)
 	}
+	lookup := func(id string) (*pdb.XTuple, bool) {
+		x, ok := byID[id]
+		return x, ok
+	}
 
 	// 1+2. Transitive closure over declared matches, one fused entity
 	// per group.
 	r := &Resolution{Universe: lineage.NewUniverse()}
 	for _, members := range matchGroups(ids, res.Matches) {
-		e, err := buildEntity(members, byID)
+		e, err := buildEntity(members, lookup)
 		if err != nil {
 			return nil, err
 		}
@@ -168,9 +179,11 @@ func possibleOf(res *core.Result) map[verify.Pair]core.Match {
 
 // buildEntity fuses one member group (sorted by ID) into an Entity —
 // the per-component unit of step 2, reused by the incremental
-// Integrator to re-fuse only touched components.
-func buildEntity(members []string, byID map[string]*pdb.XTuple) (Entity, error) {
-	fused, err := fuseMembers(members, byID)
+// Integrator to re-fuse only touched components. lookup finds a member
+// tuple by ID: batch Resolve's map, or the Integrator's detector
+// (core.Detector.Resident).
+func buildEntity(members []string, lookup func(string) (*pdb.XTuple, bool)) (Entity, error) {
+	fused, err := fuseMembers(members, lookup)
 	if err != nil {
 		return Entity{}, err
 	}
@@ -267,20 +280,24 @@ func finishResolution(r *Resolution, possible map[verify.Pair]core.Match, cal Ca
 // weights, folding in the canonical sorted-ID order the members arrive
 // in — never in map-iteration order, so two runs over the same input
 // produce bit-identical fused tuples. The fused ID is the member IDs
-// joined with '+'.
-func fuseMembers(members []string, byID map[string]*pdb.XTuple) (*pdb.XTuple, error) {
-	cur := deannotate(byID[members[0]])
-	if len(members) == 1 {
-		return cur, nil
-	}
-	weight := 1.0
-	for _, m := range members[1:] {
-		next, err := fusion.MergeXTuples(cur.ID+"+"+m, cur, deannotate(byID[m]), weight, 1)
+// joined with '+'. The fused prefix of i members carries weight i
+// against the next member's 1, so every member weighs the same.
+func fuseMembers(members []string, lookup func(string) (*pdb.XTuple, bool)) (*pdb.XTuple, error) {
+	var cur *pdb.XTuple
+	for i, m := range members {
+		x, ok := lookup(m)
+		if !ok {
+			return nil, fmt.Errorf("resolve: entity member %q is not resident", m)
+		}
+		if i == 0 {
+			cur = deannotate(x)
+			continue
+		}
+		next, err := fusion.MergeXTuples(cur.ID+"+"+m, cur, deannotate(x), float64(i), 1)
 		if err != nil {
 			return nil, err
 		}
 		cur = next
-		weight++
 	}
 	return cur, nil
 }

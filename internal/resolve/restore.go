@@ -2,19 +2,15 @@ package resolve
 
 import (
 	"probdedup/internal/core"
-	"probdedup/internal/decision"
-	"probdedup/internal/pdb"
-	"probdedup/internal/verify"
 )
 
 // SnapshotState captures the composed detector's live state for a
 // durable snapshot (see core.Detector.SnapshotState). The integrator
-// persists nothing of its own: the match graph, the entity components
-// and the uncertain-duplicate context are all deterministic functions
-// of the resident tuples and the live pair decisions, so
-// RestoreIntegrator rebuilds them from the detector state — the same
-// derivation batch Resolve runs, keeping recovery correct by
-// construction.
+// persists nothing of its own: the entity components and the
+// uncertain-duplicate context are deterministic functions of the
+// resident tuples and the live pair decisions, so RestoreIntegrator
+// rebuilds them from the detector state — the same derivation batch
+// Resolve runs, keeping recovery correct by construction.
 func (ig *Integrator) SnapshotState() *core.DetectorState {
 	return ig.det.SnapshotState()
 }
@@ -44,56 +40,22 @@ func (ig *Integrator) resealLocked() error {
 
 // RestoreIntegrator rebuilds an online integration engine from a
 // detector snapshot taken with SnapshotState, bit-identically: the
-// composed detector is restored (core.RestoreDetector), and the match
-// graph plus entity components are re-derived from the restored pair
-// decisions through the same grouping and fusion steps batch Resolve
-// uses. opts must be the configuration the snapshot was taken under.
-// The restore emits no entity deltas; the first post-restore operation
-// reports changes relative to the restored state, exactly as the
-// never-crashed engine would have.
+// composed detector is restored (core.RestoreDetector), and the entity
+// components are re-derived from its one pair set through the same
+// grouping and fusion steps batch Resolve uses. opts must be the
+// configuration the snapshot was taken under. The restore emits no
+// entity deltas; the first post-restore operation reports changes
+// relative to the restored state, exactly as the never-crashed engine
+// would have.
 func RestoreIntegrator(opts core.Options, emit func(EntityDelta) bool, st *core.DetectorState) (*Integrator, error) {
-	ig := &Integrator{
-		cal:    LinearCalibration(opts.Final, 0.1, 0.9),
-		tuples: map[string]*pdb.XTuple{},
-		madj:   map[string]map[string]struct{}{},
-		padj:   map[string]map[string]struct{}{},
-		ppairs: map[verify.Pair]core.Match{},
-		compOf: map[string]*component{},
-		emits:  core.NewEmitQueue(emit),
-	}
-	det, err := core.RestoreDetector(opts, func(md core.MatchDelta) bool {
-		ig.pending = append(ig.pending, md)
-		return true
-	}, st)
+	ig, err := newIntegrator(opts, emit, func(collect func(core.MatchDelta) bool) (*core.Detector, error) {
+		return core.RestoreDetector(opts, collect, st)
+	})
 	if err != nil {
 		return nil, err
 	}
-	ig.det = det
-
-	ids := make([]string, 0, len(st.Residents))
-	for _, x := range st.Residents {
-		t, ok := det.Resident(x.ID)
-		if !ok {
-			// RestoreDetector registered every snapshot resident; this is
-			// unreachable but kept loud rather than silently divergent.
-			return nil, core.ErrUnknownID
-		}
-		ig.tuples[x.ID] = t
-		ids = append(ids, x.ID)
-	}
-	matches := verify.PairSet{}
-	for _, m := range st.Pairs {
-		switch m.Class {
-		case decision.M:
-			matches[m.Pair] = true
-			addEdge(ig.madj, m.Pair.A, m.Pair.B)
-		case decision.P:
-			ig.ppairs[m.Pair] = m
-			addEdge(ig.padj, m.Pair.A, m.Pair.B)
-		}
-	}
-	for _, members := range matchGroups(ids, matches) {
-		e, err := buildEntity(members, ig.tuples)
+	for _, members := range matchGroups(ig.det.ResidentIDs(), ig.det.Flush().Matches) {
+		e, err := buildEntity(members, ig.det.Resident)
 		if err != nil {
 			return nil, err
 		}

@@ -67,6 +67,12 @@ var ErrNotShardable = errors.New("shard: reduction method is not shardable")
 // ErrClosed reports an operation on a closed Router.
 var ErrClosed = errors.New("shard: router closed")
 
+// ErrShardFailed marks a shard's sticky apply error: once a shard
+// worker's engine fails, every later operation routed to that shard
+// returns it, wrapping the cause. The fault is the server's, not the
+// request's — pdedupd answers 500 — and retrying does not clear it.
+var ErrShardFailed = errors.New("shard failed")
+
 // OverloadedError reports an admission rejected because the owning
 // shard's queue was at capacity. Callers should retry after draining;
 // pdedupd maps it to HTTP 429 with Retry-After.
@@ -230,7 +236,7 @@ func (s *shardState) fail() error {
 func (s *shardState) setErr(err error) {
 	s.mu.Lock()
 	if s.err == nil {
-		s.err = fmt.Errorf("shard %d: %w", s.id, err)
+		s.err = fmt.Errorf("shard %d: %w: %w", s.id, ErrShardFailed, err)
 	}
 	s.mu.Unlock()
 }
@@ -496,8 +502,8 @@ func (r *Router) ShardOf(x *pdb.XTuple) int {
 // Ingest validates and enqueues one insertion on its owning shard.
 // It returns *OverloadedError without enqueuing when the shard's
 // queue is full, a duplicate-ID error when the ID is already admitted,
-// and the shard's sticky error when it has failed. The tuple is
-// cloned at admission; the caller may reuse it.
+// and the shard's sticky error (wrapping ErrShardFailed) when it has
+// failed. The tuple is cloned at admission; the caller may reuse it.
 func (r *Router) Ingest(x *pdb.XTuple) error {
 	if x == nil {
 		return errors.New("shard: nil tuple")

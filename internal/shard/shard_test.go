@@ -197,6 +197,63 @@ func TestBackpressureRejectsWithoutBlocking(t *testing.T) {
 	}
 }
 
+// errEngineBroke is the cause failingEngine reports.
+var errEngineBroke = errors.New("engine broke")
+
+// failingEngine is a shard engine whose AddBatch always fails.
+type failingEngine struct{ core.Engine }
+
+func (failingEngine) AddBatch([]*pdb.XTuple) error { return errEngineBroke }
+
+// TestFailedShardIsStickyAndIsolated checks a shard worker's apply
+// failure: every later operation routed to that shard returns the
+// sticky error, which matches ErrShardFailed and the cause, while the
+// other shard keeps admitting and applying.
+func TestFailedShardIsStickyAndIsolated(t *testing.T) {
+	r := mustOpen(t, Config{Shards: 2, Schema: testSchema, Opts: testOptions(t, testSchema, 1)})
+	defer r.Close()
+	bad := tup("a", "Johnson", "pilot", "44")
+	var good *pdb.XTuple
+	for _, name := range []string{"Miller", "Baker", "Smith", "Turner", "Walker", "Young"} {
+		if x := tup("g", name, "baker", "31"); r.ShardOf(x) != r.ShardOf(bad) {
+			good = x
+			break
+		}
+	}
+	if good == nil {
+		t.Fatal("no test tuple routes away from the failing shard")
+	}
+	failing := r.shards[r.ShardOf(bad)]
+	// The worker reads eng only after receiving an op, so swapping before
+	// the first send is race-free.
+	failing.eng = failingEngine{failing.eng}
+
+	if err := r.Ingest(bad); err != nil {
+		t.Fatalf("admission before the failure: %v", err)
+	}
+	err := r.Drain()
+	if !errors.Is(err, ErrShardFailed) || !errors.Is(err, errEngineBroke) {
+		t.Fatalf("drain after the failure: want ErrShardFailed wrapping the cause, got %v", err)
+	}
+	for name, op := range map[string]func() error{
+		"ingest": func() error { return r.Ingest(tup("b", "Johnson", "pilot", "45")) },
+		"remove": func() error { return r.Remove(bad.ID) },
+	} {
+		if err := op(); !errors.Is(err, ErrShardFailed) || !errors.Is(err, errEngineBroke) {
+			t.Errorf("%s on the failed shard: want the sticky ErrShardFailed, got %v", name, err)
+		}
+	}
+
+	if err := r.Ingest(good); err != nil {
+		t.Fatalf("ingest on the healthy shard: %v", err)
+	}
+	r.Drain() // waits for every shard; the error is the failed one's
+	healthy := r.shards[r.ShardOf(good)]
+	if healthy.fail() != nil || healthy.eng.Len() != 1 {
+		t.Fatalf("healthy shard: err %v, %d residents, want nil and 1", healthy.fail(), healthy.eng.Len())
+	}
+}
+
 func TestStatsAggregatesShards(t *testing.T) {
 	r := mustOpen(t, Config{Shards: 4, Schema: testSchema, Opts: testOptions(t, testSchema, 1)})
 	defer r.Close()
