@@ -139,18 +139,6 @@ func BenchmarkAttrSimUncertain(b *testing.B) {
 	}
 }
 
-func BenchmarkLevenshtein(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = probdedup.Levenshtein("machinist", "mechanist")
-	}
-}
-
-func BenchmarkJaroWinkler(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		_ = probdedup.JaroWinkler("machinist", "mechanist")
-	}
-}
-
 func BenchmarkTopKWorldsR34(b *testing.B) {
 	xr := paperdata.R34()
 	for i := 0; i < b.N; i++ {

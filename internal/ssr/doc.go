@@ -37,13 +37,15 @@
 // forms (and, for windowed methods, the straddling pairs pushed out of
 // the window), removing one retracts its pairs (and re-admits window
 // neighbors). The four sorted-neighborhood indexes are assembled from
-// one set of pieces (incremental_window.go): windowSeq, the only copy
-// of the window arithmetic; keyedSeq, its form sorted by key; pairNet,
-// the only delta netting; and pairLedger, the refcounted union of
-// several window passes. Every built-in method is incremental, on one
-// of two tiers. On the exact tier — every method except BlockingCluster —
-// the maintained set equals the batch candidate set over the resident
-// tuples after every operation: insert-one-at-a-time ≡ Candidates.
+// one set of pieces (incremental_window.go): chunkSeq, the one order,
+// in chunks so a splice or position query costs O(chunks + chunk), not
+// O(entries); windowSeq, the only copy of the window arithmetic over it;
+// keyedSeq, its form sorted by key; pairNet, the only delta netting; and
+// pairLedger, the refcounted union of several window passes. Every
+// built-in method is incremental, on one of two tiers. On the exact tier
+// — every method except BlockingCluster — the maintained set equals the
+// batch candidate set over the resident tuples after every operation:
+// insert-one-at-a-time ≡ Candidates.
 // BlockingCluster is on the bounded-staleness tier (EpochIndex):
 // between epoch reseals arrivals are placed by a cheap stale rule
 // (nearest sealed centroid) and equality with Candidates is

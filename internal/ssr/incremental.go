@@ -456,10 +456,9 @@ func (b *blockingAlternativesIndex) Len() int { return len(b.keysOf) }
 // insertion pushed exactly one position out of the window; removing a
 // tuple drops its window pairs and re-adds the straddling pairs the
 // removal pulled back in. Tuple IDs are unique in the sequence, so no two
-// deltas of one splice share a pair and nothing needs netting. Insertion
-// is a binary search plus an O(n) slice shift — cheap in practice (a
-// memmove of string headers) but not logarithmic; see the package
-// benchmarks.
+// deltas of one splice share a pair and nothing needs netting. A splice
+// costs a binary search, a walk of the chunk directory and a shift inside
+// one chunk (chunkSeq).
 type snmCertainIndex struct {
 	key      keys.Def
 	strategy fusion.Strategy
@@ -477,12 +476,12 @@ func (m SNMCertain) Incremental() (IncrementalIndex, error) {
 	return &snmCertainIndex{
 		key:      m.Key,
 		strategy: strategy,
-		seq:      keyedSeq{windowSeq: newWindowSeq(m.Window)},
+		seq:      keyedSeq{newWindowSeq(m.Window, seqChunkCap)},
 		keyOf:    map[string]string{},
 	}, nil
 }
 
-func (s *snmCertainIndex) Len() int { return len(s.seq.ids) }
+func (s *snmCertainIndex) Len() int { return s.seq.n }
 
 func (s *snmCertainIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
 	k := s.key.FromValues(s.strategy.ResolveX(x))

@@ -1,8 +1,6 @@
 package ssr
 
 import (
-	"sort"
-
 	"probdedup/internal/keys"
 	"probdedup/internal/pdb"
 )
@@ -15,7 +13,8 @@ import (
 // executed-matching set. The index mirrors that construction exactly:
 //
 //   - entries is the full sorted entry list (ties in arrival order,
-//     matching the batch stable sort for the same insertion order);
+//     matching the batch stable sort for the same insertion order), whose
+//     chunks count their kept entries (chunkSeq.keptIndexOf);
 //   - the kept flag of an entry is a local property of its predecessor, so
 //     every entry splice rechecks only the spliced position and its
 //     successor;
@@ -27,97 +26,63 @@ import (
 //     cancels in the ledger's pairNet.
 type snmAltsIndex struct {
 	key     keys.Def
-	entries []altEntry
+	entries chunkSeq
 	kept    windowSeq // IDs of kept entries, in entry order
 	keysOf  map[string][]string
 	ledger  *pairLedger
 	scratch []PairDelta
 }
 
-type altEntry struct {
-	key  string
-	id   string
-	kept bool
-}
-
 // Incremental implements IncrementalMethod.
 func (m SNMAlternatives) Incremental() (IncrementalIndex, error) {
 	return &snmAltsIndex{
-		key:    m.Key,
-		kept:   newWindowSeq(m.Window),
-		keysOf: map[string][]string{},
-		ledger: newPairLedger(),
+		key:     m.Key,
+		entries: chunkSeq{cap: seqChunkCap},
+		kept:    newWindowSeq(m.Window, seqChunkCap),
+		keysOf:  map[string][]string{},
+		ledger:  newPairLedger(),
 	}, nil
 }
 
 func (s *snmAltsIndex) Len() int { return len(s.keysOf) }
 
-// keptIndexOf counts the kept entries strictly before entry position
-// fpos — the position the entry holds (or would hold) in the kept list.
-func (s *snmAltsIndex) keptIndexOf(fpos int) int {
-	n := 0
-	for i := 0; i < fpos; i++ {
-		if s.entries[i].kept {
-			n++
-		}
+// flipKept toggles the kept flag of the entry at fpos and splices its ID
+// into or out of the kept sequence; the window position pairs the splice
+// gains and loses are the ledger's coverage.
+func (s *snmAltsIndex) flipKept(fpos int) {
+	e, _ := s.entries.get(fpos)
+	if kpos := s.entries.keptIndexOf(fpos); e.kept {
+		s.scratch = s.kept.removeAt(kpos, s.scratch[:0])
+	} else {
+		s.scratch = s.kept.insertAt(kpos, seqEntry{id: e.id}, s.scratch[:0])
 	}
-	return n
-}
-
-// insertKept splices id into the kept sequence at kpos; the window
-// position pairs the splice gains and loses are the ledger's coverage.
-func (s *snmAltsIndex) insertKept(kpos int, id string) {
-	s.scratch = s.kept.insertAt(kpos, id, s.scratch[:0])
 	s.ledger.coverAll(s.scratch)
-}
-
-// removeKept splices the kept entry at kpos out.
-func (s *snmAltsIndex) removeKept(kpos int) {
-	s.scratch = s.kept.removeAt(kpos, s.scratch[:0])
-	s.ledger.coverAll(s.scratch)
+	s.entries.setKept(fpos, !e.kept)
 }
 
 // insertEntry splices one (key, id) entry into the full list at fpos and
-// maintains the kept statuses of the new entry and its successor (the
-// only entries whose predecessor changed).
+// maintains the kept statuses of its successor and then of the new entry
+// (the only entries whose predecessor changed).
 func (s *snmAltsIndex) insertEntry(fpos int, key, id string) {
-	s.entries = append(s.entries, altEntry{})
-	copy(s.entries[fpos+1:], s.entries[fpos:])
-	s.entries[fpos] = altEntry{key: key, id: id}
-
-	if succ := fpos + 1; succ < len(s.entries) {
-		e := &s.entries[succ]
-		if newKept := e.id != id; newKept != e.kept {
-			if e.kept {
-				s.removeKept(s.keptIndexOf(succ))
-			} else {
-				s.insertKept(s.keptIndexOf(succ), e.id)
-			}
-			e.kept = newKept
-		}
+	s.entries.splice(fpos, seqEntry{key: key, id: id})
+	if succ, ok := s.entries.get(fpos + 1); ok && (succ.id != id) != succ.kept {
+		s.flipKept(fpos + 1)
 	}
-	if kept := fpos == 0 || s.entries[fpos-1].id != id; kept {
-		s.insertKept(s.keptIndexOf(fpos), id)
-		s.entries[fpos].kept = true
+	if pred, ok := s.entries.get(fpos - 1); !ok || pred.id != id {
+		s.flipKept(fpos)
 	}
 }
 
 // removeEntry splices the entry at fpos out and rechecks its successor.
 func (s *snmAltsIndex) removeEntry(fpos int) {
-	if s.entries[fpos].kept {
-		s.removeKept(s.keptIndexOf(fpos))
+	if e, _ := s.entries.get(fpos); e.kept {
+		s.flipKept(fpos)
 	}
-	s.entries = append(s.entries[:fpos], s.entries[fpos+1:]...)
-
-	if fpos < len(s.entries) {
-		e := &s.entries[fpos]
-		if newKept := fpos == 0 || s.entries[fpos-1].id != e.id; newKept != e.kept {
-			if newKept {
-				s.insertKept(s.keptIndexOf(fpos), e.id)
-			} else {
-				s.removeKept(s.keptIndexOf(fpos))
-			}
-			e.kept = newKept
+	s.entries.cut(fpos)
+	if e, ok := s.entries.get(fpos); ok {
+		pred, ok := s.entries.get(fpos - 1)
+		if kept := !ok || pred.id != e.id; kept != e.kept {
+			s.flipKept(fpos)
 		}
 	}
 }
@@ -132,8 +97,7 @@ func (s *snmAltsIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
 	for _, k := range ks {
 		// Upper bound: after all equal keys, reproducing the batch
 		// stable sort for the same arrival order.
-		fpos := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].key > k })
-		s.insertEntry(fpos, k, x.ID)
+		s.insertEntry(s.entries.search(func(e seqEntry) bool { return e.key > k }), k, x.ID)
 	}
 	return s.ledger.flush(yield)
 }
@@ -145,12 +109,8 @@ func (s *snmAltsIndex) Remove(id string, yield func(PairDelta) bool) bool {
 	}
 	delete(s.keysOf, id)
 	for _, k := range ks {
-		i := sort.Search(len(s.entries), func(i int) bool { return s.entries[i].key >= k })
-		for ; i < len(s.entries) && s.entries[i].key == k; i++ {
-			if s.entries[i].id == id {
-				s.removeEntry(i)
-				break
-			}
+		if fpos := s.entries.lookup(k, id); fpos >= 0 {
+			s.removeEntry(fpos)
 		}
 	}
 	return s.ledger.flush(yield)

@@ -45,6 +45,7 @@ type mpWorld struct {
 type snmMultiPassIndex struct {
 	method    SNMMultiPass
 	key       keys.Def
+	chunk     int // chunk capacity of every pass
 	arrivals  []string
 	raw       [][]worlds.Choice
 	sorted    [][]worlds.Choice
@@ -60,6 +61,7 @@ func (m SNMMultiPass) Incremental() (IncrementalIndex, error) {
 	return &snmMultiPassIndex{
 		method: m,
 		key:    m.Key,
+		chunk:  seqChunkCap,
 		ledger: newPairLedger(),
 	}, nil
 }
@@ -130,15 +132,10 @@ func (s *snmMultiPassIndex) worldRemove(w *mpWorld, id, k string) {
 
 // worldBuild constructs a world's pass from scratch over all residents.
 func (s *snmMultiPassIndex) worldBuild(rawIdx []int) *mpWorld {
-	ents := make([]KeyEntry, len(s.arrivals))
-	for t, id := range s.arrivals {
-		ents[t] = KeyEntry{Key: s.choiceKey[t][rawIdx[t]], ID: id}
-	}
-	w := &mpWorld{rawIdx: rawIdx, seq: keyedSeq{windowSeq: newWindowSeq(s.method.Window)}}
-	w.seq.ids = sortEntryIDs(ents)
-	w.seq.keys = make([]string, len(ents))
-	for i, e := range ents {
-		w.seq.keys[i] = e.Key
+	w := &mpWorld{rawIdx: rawIdx, seq: keyedSeq{newWindowSeq(s.method.Window, s.chunk)}}
+	for t, id := range s.arrivals { // upper-bound splices in arrival order: a stable sort
+		k := s.choiceKey[t][rawIdx[t]]
+		w.seq.splice(w.seq.search(func(e seqEntry) bool { return e.key > k }), seqEntry{key: k, id: id})
 	}
 	s.worldCover(w, false)
 	return w
@@ -148,7 +145,7 @@ func (s *snmMultiPassIndex) worldBuild(rawIdx []int) *mpWorld {
 // or (retire) withdraws them — deterministically, via the window stream of
 // its sequence.
 func (s *snmMultiPassIndex) worldCover(w *mpWorld, retire bool) {
-	windowStream(w.seq.ids, w.seq.window, func(p verify.Pair) bool {
+	windowStream(w.seq.ids(), w.seq.window, func(p verify.Pair) bool {
 		s.ledger.cover(PairDelta{Pair: p, Dropped: retire})
 		return true
 	})

@@ -1,8 +1,6 @@
 package ssr
 
 import (
-	"sort"
-
 	"probdedup/internal/keys"
 	"probdedup/internal/pdb"
 	"probdedup/internal/rank"
@@ -60,7 +58,7 @@ func (m SNMRanked) Incremental() (IncrementalIndex, error) {
 	idx := &snmRankedIndex{
 		key:      m.Key,
 		strategy: m.Strategy,
-		seq:      newWindowSeq(m.Window),
+		seq:      newWindowSeq(m.Window, seqChunkCap),
 		items:    map[string]rank.Item{},
 		sortKey:  map[string]string{},
 	}
@@ -71,7 +69,7 @@ func (m SNMRanked) Incremental() (IncrementalIndex, error) {
 	return idx, nil
 }
 
-func (s *snmRankedIndex) Len() int { return len(s.seq.ids) }
+func (s *snmRankedIndex) Len() int { return s.seq.n }
 
 func itemTopKey(it rank.Item) string {
 	if len(it.Keys) == 0 {
@@ -121,8 +119,8 @@ func (s *snmRankedIndex) less(a, b string) bool {
 
 // place splices id into its sorted position.
 func (s *snmRankedIndex) place(id string) {
-	p := sort.Search(len(s.seq.ids), func(i int) bool { return s.less(id, s.seq.ids[i]) })
-	s.deltas = s.seq.insertAt(p, id, s.deltas)
+	p := s.seq.search(func(e seqEntry) bool { return s.less(id, e.id) })
+	s.deltas = s.seq.insertAt(p, seqEntry{id: id}, s.deltas)
 }
 
 // flush nets the operation's splices and delivers what survives.
@@ -139,7 +137,7 @@ func (s *snmRankedIndex) flush(yield func(PairDelta) bool) bool {
 // unchanged since the resident was last placed, which is why every
 // splice-out happens before the universe mutates.
 func (s *snmRankedIndex) locate(id string) int {
-	return sort.Search(len(s.seq.ids), func(i int) bool { return !s.less(s.seq.ids[i], id) })
+	return s.seq.search(func(e seqEntry) bool { return !s.less(e.id, id) })
 }
 
 // moverSet returns the residents whose key span overlaps [lo, hi],
@@ -147,9 +145,9 @@ func (s *snmRankedIndex) locate(id string) int {
 // order after the universe mutation.
 func (s *snmRankedIndex) moverSet(lo, hi, skipID string) map[string]bool {
 	movers := map[string]bool{}
-	for _, id := range s.seq.ids {
-		if id != skipID && rank.SpanOverlaps(s.items[id], lo, hi) {
-			movers[id] = true
+	for e := range s.seq.from(0) {
+		if e.id != skipID && rank.SpanOverlaps(s.items[e.id], lo, hi) {
+			movers[e.id] = true
 		}
 	}
 	return movers
@@ -167,26 +165,25 @@ func (s *snmRankedIndex) moverSet(lo, hi, skipID string) map[string]bool {
 func (s *snmRankedIndex) extractDisordered(movers map[string]bool) []string {
 	var out []string
 	for {
-		ids := s.seq.ids
 		var bad []int
-		for i := 1; i < len(ids); i++ {
-			if !movers[ids[i-1]] && !movers[ids[i]] {
-				continue
-			}
-			if s.less(ids[i], ids[i-1]) {
-				if movers[ids[i-1]] && (len(bad) == 0 || bad[len(bad)-1] != i-1) {
-					bad = append(bad, i-1)
+		var badIDs []string
+		i, prev := 0, ""
+		for e := range s.seq.from(0) {
+			if i > 0 && (movers[prev] || movers[e.id]) && s.less(e.id, prev) {
+				if movers[prev] && (len(bad) == 0 || bad[len(bad)-1] != i-1) {
+					bad, badIDs = append(bad, i-1), append(badIDs, prev)
 				}
-				if movers[ids[i]] {
-					bad = append(bad, i)
+				if movers[e.id] {
+					bad, badIDs = append(bad, i), append(badIDs, e.id)
 				}
 			}
+			i, prev = i+1, e.id
 		}
 		if len(bad) == 0 {
 			return out
 		}
 		for i := len(bad) - 1; i >= 0; i-- {
-			out = append(out, s.seq.ids[bad[i]])
+			out = append(out, badIDs[i])
 			s.deltas = s.seq.removeAt(bad[i], s.deltas)
 		}
 	}

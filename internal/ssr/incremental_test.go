@@ -87,6 +87,52 @@ func diffSets(a, b verify.PairSet) []string {
 	return out
 }
 
+// equivalenceChunk is the chunk capacity the equivalence tests also run
+// the sorted-neighborhood indexes at, small enough that their relations
+// span at least ten chunks.
+const equivalenceChunk = 4
+
+// rechunk sets the chunk capacity of a fresh sorted-neighborhood index and
+// returns it; other indexes come back nil.
+func rechunk(idx IncrementalIndex, chunk int) IncrementalIndex {
+	switch x := idx.(type) {
+	case *snmCertainIndex:
+		x.seq.cap = chunk
+	case *snmAltsIndex:
+		x.entries.cap, x.kept.cap = chunk, chunk
+	case *snmRankedIndex:
+		x.seq.cap = chunk
+	case *snmMultiPassIndex:
+		x.chunk = chunk
+	default:
+		return nil
+	}
+	return idx
+}
+
+func mustIncremental(t *testing.T, m Method) IncrementalIndex {
+	t.Helper()
+	idx, err := IncrementalOf(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return idx
+}
+
+// runChunked runs check, as subtest chunk=4, on a fresh index of a
+// sorted-neighborhood method at equivalenceChunk; other methods are
+// skipped. n is the relation's size.
+func runChunked(t *testing.T, m Method, n int, check func(*testing.T, IncrementalIndex)) {
+	idx := rechunk(mustIncremental(t, m), equivalenceChunk)
+	if idx == nil {
+		return
+	}
+	if n < 10*equivalenceChunk {
+		t.Fatalf("%d tuples span fewer than ten chunks of %d", n, equivalenceChunk)
+	}
+	t.Run(fmt.Sprintf("chunk=%d", equivalenceChunk), func(t *testing.T) { check(t, idx) })
+}
+
 // TestIncrementalInsertEquivalence proves the core contract: inserting
 // a shuffled relation tuple by tuple and folding the deltas yields
 // exactly the batch candidate set of the same relation, for every
@@ -98,11 +144,7 @@ func TestIncrementalInsertEquivalence(t *testing.T) {
 		if m != nil {
 			name = m.Name()
 		}
-		t.Run(name, func(t *testing.T) {
-			idx, err := IncrementalOf(m)
-			if err != nil {
-				t.Fatal(err)
-			}
+		check := func(t *testing.T, idx IncrementalIndex) {
 			maintained := verify.PairSet{}
 			for _, x := range u.Tuples {
 				idx.Insert(x, func(d PairDelta) bool {
@@ -117,6 +159,14 @@ func TestIncrementalInsertEquivalence(t *testing.T) {
 			if d := diffSets(maintained, batch); len(d) != 0 {
 				t.Fatalf("maintained set diverges from batch (%d deltas): %v", len(d), d[:min(len(d), 8)])
 			}
+		}
+		t.Run(name, func(t *testing.T) {
+			idx, err := IncrementalOf(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, idx)
+			runChunked(t, m, len(u.Tuples), check)
 		})
 	}
 }
@@ -131,11 +181,7 @@ func TestIncrementalRemoveEquivalence(t *testing.T) {
 		if m != nil {
 			name = m.Name()
 		}
-		t.Run(name, func(t *testing.T) {
-			idx, err := IncrementalOf(m)
-			if err != nil {
-				t.Fatal(err)
-			}
+		check := func(t *testing.T, idx IncrementalIndex) {
 			maintained := verify.PairSet{}
 			on := func(d PairDelta) bool {
 				applyDelta(t, maintained, d)
@@ -159,6 +205,14 @@ func TestIncrementalRemoveEquivalence(t *testing.T) {
 			if d := diffSets(maintained, batch); len(d) != 0 {
 				t.Fatalf("maintained set diverges from batch after removals: %v", d[:min(len(d), 8)])
 			}
+		}
+		t.Run(name, func(t *testing.T) {
+			idx, err := IncrementalOf(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, idx)
+			runChunked(t, m, len(u.Tuples), check)
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package ssr
 
 import (
+	"iter"
 	"slices"
 	"sort"
 
@@ -8,9 +9,191 @@ import (
 )
 
 // This file holds the pieces every incremental sorted-neighborhood index
-// is assembled from: the window arithmetic (windowSeq), its keyed form
-// (keyedSeq), delta netting (pairNet) and the refcounted union of several
-// window passes (pairLedger).
+// is assembled from: the order (chunkSeq), the window arithmetic over it
+// (windowSeq), its keyed form (keyedSeq), delta netting (pairNet) and the
+// refcounted union of several window passes (pairLedger).
+
+// seqChunkCap is the most entries one chunk of a chunkSeq holds. lib_snm's
+// closed loop is flat within noise from 64 to 1024 (CHANGES.md).
+const seqChunkCap = 256
+
+// seqEntry is one position of a chunkSeq: a tuple ID, its sort key where
+// the sequence is ordered by key, and SNMAlternatives' kept flag.
+type seqEntry struct {
+	key, id string
+	kept    bool
+}
+
+// chunkSeq is the ordered sequence behind every incremental
+// sorted-neighborhood index: chunks of at most cap entries, each counting
+// its kept ones, so a splice and a position query cost O(chunks + cap)
+// where one flat slice cost O(entries).
+type chunkSeq struct {
+	cap, n int
+	chunks []seqChunk // none empty
+}
+
+type seqChunk struct {
+	entries []seqEntry
+	kept    int // countKept(entries)
+}
+
+func countKept(es []seqEntry) int {
+	n := 0
+	for _, e := range es {
+		if e.kept {
+			n++
+		}
+	}
+	return n
+}
+
+// find locates position p, 0 ≤ p ≤ n, as chunk c and offset i; p = n is
+// the end of the last chunk.
+func (s *chunkSeq) find(p int) (c, i int) {
+	for c, ch := range s.chunks {
+		if p < len(ch.entries) || c == len(s.chunks)-1 {
+			return c, p
+		}
+		p -= len(ch.entries)
+	}
+	return 0, 0
+}
+
+// get returns the entry at position p, false outside the sequence.
+func (s *chunkSeq) get(p int) (seqEntry, bool) {
+	if p >= 0 {
+		for e := range s.from(p) {
+			return e, true
+		}
+	}
+	return seqEntry{}, false
+}
+
+// from yields the entries from position p on.
+func (s *chunkSeq) from(p int) iter.Seq[seqEntry] {
+	return func(yield func(seqEntry) bool) {
+		for c, i := s.find(p); c < len(s.chunks); c, i = c+1, 0 {
+			for _, e := range s.chunks[c].entries[i:] {
+				if !yield(e) {
+					return
+				}
+			}
+		}
+	}
+}
+
+// splice inserts e at position p. A full chunk splits first: its upper
+// half, kept count included, moves to a new chunk after it.
+func (s *chunkSeq) splice(p int, e seqEntry) {
+	if len(s.chunks) == 0 {
+		s.chunks = []seqChunk{{}}
+	}
+	c, i := s.find(p)
+	if lo := s.chunks[c].entries; len(lo) == s.cap {
+		h := len(lo) / 2
+		hi := seqChunk{entries: append(make([]seqEntry, 0, s.cap), lo[h:]...)}
+		hi.kept = countKept(hi.entries)
+		clear(lo[h:])
+		s.chunks[c] = seqChunk{lo[:h], s.chunks[c].kept - hi.kept}
+		s.chunks = slices.Insert(s.chunks, c+1, hi)
+		if i > h {
+			c, i = c+1, i-h
+		}
+	}
+	ch := &s.chunks[c]
+	ch.entries = slices.Insert(ch.entries, i, e)
+	ch.kept += countKept(ch.entries[i : i+1])
+	s.n++
+}
+
+// cut removes the entry at position p; an emptied chunk goes.
+func (s *chunkSeq) cut(p int) {
+	c, i := s.find(p)
+	ch := &s.chunks[c]
+	ch.kept -= countKept(ch.entries[i : i+1])
+	if ch.entries = slices.Delete(ch.entries, i, i+1); len(ch.entries) == 0 {
+		s.chunks = slices.Delete(s.chunks, c, c+1)
+	}
+	s.n--
+}
+
+// setKept sets the kept flag of the entry at position p.
+func (s *chunkSeq) setKept(p int, kept bool) {
+	c, i := s.find(p)
+	ch := &s.chunks[c]
+	ch.kept -= countKept(ch.entries[i : i+1])
+	ch.entries[i].kept = kept
+	ch.kept += countKept(ch.entries[i : i+1])
+}
+
+// keptIndexOf counts the kept entries before position p — the kept counts
+// of the chunks before p's, then a scan of p's.
+func (s *chunkSeq) keptIndexOf(p int) int {
+	n := 0
+	for _, ch := range s.chunks {
+		if p < len(ch.entries) {
+			return n + countKept(ch.entries[:p])
+		}
+		n += ch.kept
+		p -= len(ch.entries)
+	}
+	return n
+}
+
+// search is sort.Search over the entries (f false, then true): a binary
+// search of the chunks by their last entries, then of one chunk.
+func (s *chunkSeq) search(f func(seqEntry) bool) int {
+	c := sort.Search(len(s.chunks), func(c int) bool {
+		es := s.chunks[c].entries
+		return f(es[len(es)-1])
+	})
+	p := 0
+	for _, ch := range s.chunks[:c] {
+		p += len(ch.entries)
+	}
+	if c < len(s.chunks) {
+		es := s.chunks[c].entries
+		p += sort.Search(len(es), func(i int) bool { return f(es[i]) })
+	}
+	return p
+}
+
+// lookup returns the position of the entry (key, id) of a key-ordered
+// sequence, -1 if absent: a binary search to the key's run, then a scan
+// along it.
+func (s *chunkSeq) lookup(key, id string) int {
+	p := s.search(func(e seqEntry) bool { return e.key >= key })
+	for e := range s.from(p) {
+		if e.key != key {
+			break
+		}
+		if e.id == id {
+			return p
+		}
+		p++
+	}
+	return -1
+}
+
+// ids returns the IDs in order, as one slice.
+func (s *chunkSeq) ids() []string {
+	out := make([]string, 0, s.n)
+	for e := range s.from(0) {
+		out = append(out, e.id)
+	}
+	return out
+}
+
+// clone returns a deep copy: no chunk is shared, so either side may be
+// spliced afterwards.
+func (s chunkSeq) clone() chunkSeq {
+	s.chunks = slices.Clone(s.chunks)
+	for i := range s.chunks {
+		s.chunks[i].entries = slices.Clone(s.chunks[i].entries)
+	}
+	return s
+}
 
 // windowSeq maintains an ordered sequence of tuple IDs and the
 // sorted-neighborhood window pairs over it: every splice appends the
@@ -24,48 +207,65 @@ import (
 // (SNMAlternatives' kept entries); the deltas are then per position pair,
 // same-ID pairs included, and the consumer refcounts them (pairLedger).
 type windowSeq struct {
+	chunkSeq
 	window int
-	ids    []string
+	nb     []string // the IDs around one splice
 }
 
-func newWindowSeq(window int) windowSeq {
+func newWindowSeq(window, chunk int) windowSeq {
 	if window < 2 {
 		window = 2 // mirror windowStream's minimum
 	}
-	return windowSeq{window: window}
+	return windowSeq{chunkSeq: chunkSeq{cap: chunk}, window: window}
 }
 
-// insertAt splices id in at position p: straddling pairs at distance
+// neighbors reads the IDs at positions [lo, hi) into nb, locating lo once,
+// and returns the end of what it read (hi or len).
+func (s *windowSeq) neighbors(lo, hi int) int {
+	s.nb = s.nb[:0]
+	for e := range s.from(lo) {
+		if lo+len(s.nb) == hi {
+			break
+		}
+		s.nb = append(s.nb, e.id)
+	}
+	return lo + len(s.nb)
+}
+
+// insertAt splices e in at position p: straddling pairs at distance
 // exactly window-1 drop, and the new ID pairs with its window neighbors,
 // nearest left neighbor first, then rightwards.
-func (s *windowSeq) insertAt(p int, id string, out []PairDelta) []PairDelta {
-	w := s.window
-	for a := max(p-w+1, 0); a <= p-1 && a+w-1 < len(s.ids); a++ {
-		out = append(out, PairDelta{Pair: verify.NewPair(s.ids[a], s.ids[a+w-1]), Dropped: true})
+func (s *windowSeq) insertAt(p int, e seqEntry, out []PairDelta) []PairDelta {
+	w, lo := s.window, max(p-s.window+1, 0)
+	end, ids := s.neighbors(lo, p+w-1), s.nb // ids[a-lo] is at position a
+	for a := lo; a <= p-1 && a+w-1 < end; a++ {
+		out = append(out, PairDelta{Pair: verify.NewPair(ids[a-lo], ids[a+w-1-lo]), Dropped: true})
 	}
-	for a := p - 1; a >= 0 && a >= p-w+1; a-- {
-		out = append(out, PairDelta{Pair: verify.NewPair(s.ids[a], id)})
+	for a := p - 1; a >= lo; a-- {
+		out = append(out, PairDelta{Pair: verify.NewPair(ids[a-lo], e.id)})
 	}
-	for b := p; b < len(s.ids) && b <= p+w-2; b++ {
-		out = append(out, PairDelta{Pair: verify.NewPair(id, s.ids[b])})
+	for b := p; b < end; b++ {
+		out = append(out, PairDelta{Pair: verify.NewPair(e.id, ids[b-lo])})
 	}
-	s.ids = slices.Insert(s.ids, p, id)
+	s.splice(p, e)
 	return out
 }
 
 // removeAt splices the ID at position p out: every window pair of the ID
 // drops, and straddling pairs at distance exactly window re-enter.
 func (s *windowSeq) removeAt(p int, out []PairDelta) []PairDelta {
-	id, w := s.ids[p], s.window
-	for j := max(p-w+1, 0); j <= p+w-1 && j < len(s.ids); j++ {
+	w, lo := s.window, max(p-s.window+1, 0)
+	end, ids := s.neighbors(lo, p+w), s.nb
+	id := ids[p-lo]
+	for j := lo; j < end; j++ {
 		if j != p {
-			out = append(out, PairDelta{Pair: verify.NewPair(s.ids[j], id), Dropped: true})
+			out = append(out, PairDelta{Pair: verify.NewPair(ids[j-lo], id), Dropped: true})
 		}
 	}
-	for a := max(p-w+1, 0); a <= p-1 && a+w < len(s.ids); a++ {
-		out = append(out, PairDelta{Pair: verify.NewPair(s.ids[a], s.ids[a+w])})
+	for a := lo; a <= p-1 && a+w < end; a++ {
+		out = append(out, PairDelta{Pair: verify.NewPair(ids[a-lo], ids[a+w-lo])})
 	}
-	s.ids = slices.Delete(s.ids, p, p+1)
+	s.cut(p)
 	return out
 }
 
@@ -73,33 +273,25 @@ func (s *windowSeq) removeAt(p int, out []PairDelta) []PairDelta {
 // arrival order — the order of the batch methods' stable sort over the
 // same arrivals. It is the whole index of SNMCertain and one pass of
 // SNMMultiPass.
-type keyedSeq struct {
-	windowSeq
-	keys []string // parallel to ids
-}
+type keyedSeq struct{ windowSeq }
 
 // insert splices (key, id) in after all equal keys (upper bound).
 func (s *keyedSeq) insert(key, id string, out []PairDelta) []PairDelta {
-	p := sort.Search(len(s.keys), func(i int) bool { return s.keys[i] > key })
-	s.keys = slices.Insert(s.keys, p, key)
-	return s.insertAt(p, id, out)
+	p := s.search(func(e seqEntry) bool { return e.key > key })
+	return s.insertAt(p, seqEntry{key: key, id: id}, out)
 }
 
-// remove splices the entry (key, id) out: binary search to the key's run,
-// then a short scan. An absent entry is a no-op.
+// remove splices the entry (key, id) out. An absent entry is a no-op.
 func (s *keyedSeq) remove(key, id string, out []PairDelta) []PairDelta {
-	for p := sort.SearchStrings(s.keys, key); p < len(s.keys) && s.keys[p] == key; p++ {
-		if s.ids[p] == id {
-			s.keys = slices.Delete(s.keys, p, p+1)
-			return s.removeAt(p, out)
-		}
+	if p := s.lookup(key, id); p >= 0 {
+		return s.removeAt(p, out)
 	}
 	return out
 }
 
 // clone returns an independent copy of the sequence.
 func (s keyedSeq) clone() keyedSeq {
-	return keyedSeq{windowSeq{s.window, slices.Clone(s.ids)}, slices.Clone(s.keys)}
+	return keyedSeq{windowSeq{chunkSeq: s.chunkSeq.clone(), window: s.window}}
 }
 
 // pairNet nets a run of pair deltas down to the changes that survive it.

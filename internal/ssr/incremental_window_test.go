@@ -8,6 +8,8 @@ import (
 	"sort"
 	"testing"
 
+	"probdedup/internal/keys"
+	"probdedup/internal/pdb"
 	"probdedup/internal/verify"
 )
 
@@ -39,6 +41,67 @@ func streamCover(ids []string, window int) map[verify.Pair]int {
 	return counts
 }
 
+// testChunks are the chunk capacities the sequence tests run at: tiny, so
+// a sequence of ~200 entries crosses every split, empty-chunk removal and
+// chunk boundary. Every other test runs at seqChunkCap.
+var testChunks = []int{2, 3, 4}
+
+// checkChunks fails unless every chunk of s is non-empty, within capacity
+// and counts its kept entries, and the chunks sum to len.
+func checkChunks(t *testing.T, s *chunkSeq) {
+	t.Helper()
+	n := 0
+	for c, ch := range s.chunks {
+		kept := countKept(ch.entries)
+		if len(ch.entries) == 0 || len(ch.entries) > s.cap || ch.kept != kept {
+			t.Fatalf("chunk %d of %d: %d entries (capacity %d), kept count %d, want %d", c, len(s.chunks), len(ch.entries), s.cap, ch.kept, kept)
+		}
+		n += len(ch.entries)
+	}
+	if n != s.n {
+		t.Fatalf("chunks hold %d entries, n = %d", n, s.n)
+	}
+}
+
+// windowSeqModel drives a windowSeq against a []string model: after every
+// splice the sequence equals the model and the folded deltas equal the
+// window stream of it.
+type windowSeqModel struct {
+	t      *testing.T
+	seq    windowSeq
+	model  []string
+	counts map[verify.Pair]int
+	ds     []PairDelta
+}
+
+func newWindowSeqModel(t *testing.T, window, chunk int) *windowSeqModel {
+	return &windowSeqModel{t: t, seq: newWindowSeq(window, chunk), counts: map[verify.Pair]int{}}
+}
+
+func (m *windowSeqModel) insert(p int, id string) {
+	m.ds = m.seq.insertAt(p, seqEntry{id: id}, m.ds[:0])
+	m.model = slices.Insert(m.model, p, id)
+	m.check()
+}
+
+func (m *windowSeqModel) remove(p int) {
+	m.ds = m.seq.removeAt(p, m.ds[:0])
+	m.model = slices.Delete(m.model, p, p+1)
+	m.check()
+}
+
+func (m *windowSeqModel) check() {
+	m.t.Helper()
+	foldCover(m.counts, m.ds)
+	checkChunks(m.t, &m.seq.chunkSeq)
+	if got := m.seq.ids(); !slices.Equal(got, m.model) {
+		m.t.Fatalf("sequence %v, want %v", got, m.model)
+	}
+	if want := streamCover(m.model, m.seq.window); !maps.Equal(m.counts, want) {
+		m.t.Fatalf("over %v: folded deltas %v, window stream %v", m.model, m.counts, want)
+	}
+}
+
 // TestWindowSeqFoldEqualsWindowStream is the contract of the one window
 // arithmetic: after every random insertAt/removeAt, the folded deltas equal
 // the window stream of the current sequence — as multisets of position
@@ -48,32 +111,44 @@ func TestWindowSeqFoldEqualsWindowStream(t *testing.T) {
 	for window := 1; window <= 6; window++ {
 		for _, pool := range []int{3, 8, 1000} { // heavy, some and no duplication
 			t.Run(fmt.Sprintf("w=%d/pool=%d", window, pool), func(t *testing.T) {
-				rng := rand.New(rand.NewSource(int64(100*window + pool)))
-				seq := newWindowSeq(window)
-				var model []string
-				counts := map[verify.Pair]int{}
-				var scratch []PairDelta
-				for op := 0; op < 400; op++ {
-					if len(model) == 0 || (len(model) < 24 && rng.Intn(3) > 0) {
-						p, id := rng.Intn(len(model)+1), fmt.Sprintf("t%d", rng.Intn(pool))
-						scratch = seq.insertAt(p, id, scratch[:0])
-						model = slices.Insert(model, p, id)
-					} else {
-						p := rng.Intn(len(model))
-						scratch = seq.removeAt(p, scratch[:0])
-						model = slices.Delete(model, p, p+1)
-					}
-					foldCover(counts, scratch)
-					if !slices.Equal(seq.ids, model) {
-						t.Fatalf("op %d: sequence %v, want %v", op, seq.ids, model)
-					}
-					if want := streamCover(model, window); !maps.Equal(counts, want) {
-						t.Fatalf("op %d over %v: folded deltas %v, window stream %v", op, model, counts, want)
-					}
+				for _, chunk := range testChunks {
+					t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
+						rng := rand.New(rand.NewSource(int64(100*window + pool)))
+						m := newWindowSeqModel(t, window, chunk)
+						for op := 0; op < 500; op++ {
+							if len(m.model) == 0 || (len(m.model) < 200 && rng.Intn(5) > 0) {
+								m.insert(rng.Intn(len(m.model)+1), fmt.Sprintf("t%d", rng.Intn(pool)))
+							} else {
+								m.remove(rng.Intn(len(m.model)))
+							}
+						}
+					})
 				}
 			})
 		}
 	}
+}
+
+// FuzzWindowSeq lets the fuzzer pick the window, a tiny chunk capacity and
+// up to 127 splices: each pair of bytes is an insert or remove position
+// and an ID from a pool of four.
+func FuzzWindowSeq(f *testing.F) {
+	f.Add([]byte{3, 0, 0, 1, 2, 3, 4, 5, 0, 7, 2, 9, 0, 1})
+	f.Add([]byte{5, 1, 0, 0, 2, 2, 4, 4, 6, 6, 1, 1, 3, 3, 0, 0, 0, 0})
+	f.Fuzz(func(t *testing.T, ops []byte) {
+		if len(ops) < 2 {
+			return
+		}
+		ops = ops[:min(len(ops), 256)]
+		m := newWindowSeqModel(t, 1+int(ops[0]%6), 2+int(ops[1]%3))
+		for ops = ops[2:]; len(ops) >= 2; ops = ops[2:] {
+			if p := int(ops[0] >> 1); ops[0]&1 == 0 || len(m.model) == 0 {
+				m.insert(p%(len(m.model)+1), fmt.Sprintf("t%d", ops[1]%4))
+			} else {
+				m.remove(p % len(m.model))
+			}
+		}
+	})
 }
 
 // TestKeyedSeqMatchesStableSort drives keyedSeq.insert/remove with few
@@ -83,37 +158,139 @@ func TestWindowSeqFoldEqualsWindowStream(t *testing.T) {
 func TestKeyedSeqMatchesStableSort(t *testing.T) {
 	for window := 1; window <= 6; window++ {
 		t.Run(fmt.Sprintf("w=%d", window), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(int64(window)))
-			seq := keyedSeq{windowSeq: newWindowSeq(window)}
-			var arrivals []KeyEntry // survivors in arrival order
-			counts := map[verify.Pair]int{}
-			for op := 0; op < 400; op++ {
-				var ds []PairDelta
-				switch {
-				case len(arrivals) == 0 || (len(arrivals) < 24 && rng.Intn(3) > 0):
-					e := KeyEntry{Key: fmt.Sprintf("k%d", rng.Intn(5)), ID: fmt.Sprintf("t%d", op)}
-					ds = seq.insert(e.Key, e.ID, nil)
-					arrivals = append(arrivals, e)
-				case rng.Intn(8) == 0:
-					if ds = seq.remove("k2", "absent", nil); len(ds) != 0 {
-						t.Fatalf("op %d: removing an absent entry yielded %v", op, ds)
+			for _, chunk := range testChunks {
+				t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
+					rng := rand.New(rand.NewSource(int64(window)))
+					seq := keyedSeq{newWindowSeq(window, chunk)}
+					var arrivals []KeyEntry // survivors in arrival order
+					counts := map[verify.Pair]int{}
+					for op := 0; op < 500; op++ {
+						var ds []PairDelta
+						switch {
+						case len(arrivals) == 0 || (len(arrivals) < 200 && rng.Intn(5) > 0):
+							e := KeyEntry{Key: fmt.Sprintf("k%d", rng.Intn(5)), ID: fmt.Sprintf("t%d", op)}
+							ds = seq.insert(e.Key, e.ID, nil)
+							arrivals = append(arrivals, e)
+						case rng.Intn(8) == 0:
+							if ds = seq.remove("k2", "absent", nil); len(ds) != 0 {
+								t.Fatalf("op %d: removing an absent entry yielded %v", op, ds)
+							}
+						default:
+							i := rng.Intn(len(arrivals))
+							ds = seq.remove(arrivals[i].Key, arrivals[i].ID, nil)
+							arrivals = append(arrivals[:i], arrivals[i+1:]...)
+						}
+						foldCover(counts, ds)
+						checkChunks(t, &seq.chunkSeq)
+						want := sortEntryIDs(append([]KeyEntry(nil), arrivals...))
+						if got := seq.ids(); !slices.Equal(got, want) {
+							t.Fatalf("op %d: order %v, want stable sort %v", op, got, want)
+						}
+						var ks []string
+						for e := range seq.from(0) {
+							ks = append(ks, e.key)
+						}
+						if !sort.StringsAreSorted(ks) {
+							t.Fatalf("op %d: keys %v out of order", op, ks)
+						}
+						if wantCover := streamCover(want, window); !maps.Equal(counts, wantCover) {
+							t.Fatalf("op %d: folded deltas %v, window stream %v", op, counts, wantCover)
+						}
 					}
-				default:
-					i := rng.Intn(len(arrivals))
-					ds = seq.remove(arrivals[i].Key, arrivals[i].ID, nil)
-					arrivals = append(arrivals[:i], arrivals[i+1:]...)
+				})
+			}
+		})
+	}
+}
+
+// TestKeyedSeqCloneIsDeep mutates a pass and its clone independently:
+// SNMMultiPass clones a parent pass and then splices into both.
+func TestKeyedSeqCloneIsDeep(t *testing.T) {
+	a := keyedSeq{newWindowSeq(3, 2)}
+	for i := range 9 {
+		a.insert(fmt.Sprintf("k%d", i%3), fmt.Sprintf("t%d", i), nil)
+	}
+	want := a.ids()
+	b := a.clone()
+	b.insert("k1", "x", nil)
+	b.remove("k0", "t0", nil)
+	if got := a.ids(); !slices.Equal(got, want) {
+		t.Fatalf("splicing the clone changed the original: %v, want %v", got, want)
+	}
+	a.insert("k2", "y", nil)
+	if got := b.ids(); slices.Contains(got, "y") || !slices.Contains(got, "x") {
+		t.Fatalf("clone %v shares state with the original", got)
+	}
+}
+
+// TestSNMAltsEntriesMatchFlatModel drives SNMAlternatives' index at tiny
+// chunk capacities with tuples of one to three nearby alternative keys, so
+// key runs are short and one tuple's entries often sit side by side.
+// After every Insert and Remove the flattened entries must be the stable
+// sort of the residents' entries, each kept flag the batch rule (the
+// predecessor references another tuple), each chunk's kept count and
+// keptIndexOf(i) for every i a flat recount, and the kept sequence the
+// kept entries' IDs.
+func TestSNMAltsEntriesMatchFlatModel(t *testing.T) {
+	def, err := keys.ParseDef("name", []string{"name"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, chunk := range testChunks {
+		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(int64(chunk)))
+			idx := rechunk(mustIncremental(t, SNMAlternatives{Key: def, Window: 3}), chunk).(*snmAltsIndex)
+			var residents []string // arrival order
+			omitted := 0
+			for op := 0; op < 400; op++ {
+				if len(residents) == 0 || (len(residents) < 80 && rng.Intn(4) > 0) {
+					id, base := fmt.Sprintf("t%d", op), rng.Intn(60)
+					var alts []pdb.Alt
+					for range 1 + rng.Intn(3) {
+						alts = append(alts, pdb.NewAlt(0.3, fmt.Sprintf("k%03d", base+rng.Intn(3))))
+					}
+					idx.Insert(pdb.NewXTuple(id, alts...), func(PairDelta) bool { return true })
+					residents = append(residents, id)
+				} else {
+					i := rng.Intn(len(residents))
+					idx.Remove(residents[i], func(PairDelta) bool { return true })
+					residents = slices.Delete(residents, i, i+1)
 				}
-				foldCover(counts, ds)
-				want := sortEntryIDs(append([]KeyEntry(nil), arrivals...))
-				if !slices.Equal(seq.ids, want) {
-					t.Fatalf("op %d: order %v, want stable sort %v", op, seq.ids, want)
+
+				var want []seqEntry
+				for _, id := range residents {
+					for _, k := range idx.keysOf[id] {
+						want = append(want, seqEntry{key: k, id: id})
+					}
 				}
-				if !sort.StringsAreSorted(seq.keys) || len(seq.keys) != len(seq.ids) {
-					t.Fatalf("op %d: keys %v out of step with ids %v", op, seq.keys, seq.ids)
+				sort.SliceStable(want, func(a, b int) bool { return want[a].key < want[b].key })
+				var keptIDs []string
+				for i := range want {
+					if want[i].kept = i == 0 || want[i-1].id != want[i].id; want[i].kept {
+						keptIDs = append(keptIDs, want[i].id)
+					} else {
+						omitted++
+					}
 				}
-				if wantCover := streamCover(want, window); !maps.Equal(counts, wantCover) {
-					t.Fatalf("op %d: folded deltas %v, window stream %v", op, counts, wantCover)
+				if got := slices.Collect(idx.entries.from(0)); !slices.Equal(got, want) {
+					t.Fatalf("op %d: entries %v, want %v", op, got, want)
 				}
+				checkChunks(t, &idx.entries)
+				checkChunks(t, &idx.kept.chunkSeq)
+				for i, n := 0, 0; i <= len(want); i++ {
+					if got := idx.entries.keptIndexOf(i); got != n {
+						t.Fatalf("op %d: keptIndexOf(%d) = %d, want %d", op, i, got, n)
+					}
+					if i < len(want) && want[i].kept {
+						n++
+					}
+				}
+				if got := idx.kept.ids(); !slices.Equal(got, keptIDs) {
+					t.Fatalf("op %d: kept sequence %v, want %v", op, got, keptIDs)
+				}
+			}
+			if omitted == 0 {
+				t.Fatal("no entry was ever omitted: the fixture does not reach the kept rule")
 			}
 		})
 	}
