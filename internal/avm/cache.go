@@ -1,14 +1,14 @@
 package avm
 
 import (
+	"math/bits"
 	"sync"
 )
 
 // DefaultCacheCapacity is the entry bound NewMatcher and the detection
-// engine use when no explicit capacity is configured. At three integers
-// plus a float per entry this is a few MB — enough to hold every
-// distinct value pair of mid-sized relations while staying bounded on
-// adversarial ones.
+// engine use when no explicit capacity is configured. At 24 bytes per
+// slot this is 1.5 MiB — enough to hold every distinct value pair of
+// mid-sized relations while staying bounded on adversarial ones.
 const DefaultCacheCapacity = 1 << 16
 
 // cacheShards is the number of lock stripes. A power of two so the shard
@@ -16,19 +16,36 @@ const DefaultCacheCapacity = 1 << 16
 // worker count.
 const cacheShards = 64
 
+// initialSlots is the length of a stripe's slot array at its first
+// insert; it doubles from there up to the stripe's share of the capacity.
+const initialSlots = 8
+
+// probeWindow is how many consecutive slots, starting at its home slot,
+// a key may occupy. Lookups scan at most this many.
+const probeWindow = 8
+
 // symKey identifies one memoized comparison: the attribute (comparison
 // functions differ per attribute) and the canonically ordered pair of
 // interned value symbols (see internal/sym) — a 12-byte integer triple,
 // cheap to hash, compare and store, and independent of value length.
+// Symbol 0 is never interned, so a zero a marks an empty slot.
 type symKey struct {
 	attr uint32
 	a, b uint32
 }
 
-// cacheShard is one lock stripe of the cache.
+// cacheSlot is one memoized similarity.
+type cacheSlot struct {
+	key symKey
+	v   float64
+}
+
+// cacheShard is one lock stripe of the cache: a power-of-two slot array
+// probed linearly from each key's home slot.
 type cacheShard struct {
 	mu     sync.Mutex
-	m      map[symKey]float64
+	slots  []cacheSlot
+	n      int // occupied slots
 	hits   uint64
 	misses uint64
 	evics  uint64
@@ -37,13 +54,18 @@ type cacheShard struct {
 // Cache is a sharded, bounded, concurrency-safe memo of value-pair
 // similarities, shared by all matchers (and therefore all detection
 // workers) of a run. Entries are striped over cacheShards lock-protected
-// maps by a hash of attribute and value pair, so concurrent lookups of
-// different pairs rarely contend. Each shard holds at most capacity/
-// cacheShards entries: an insert into a full shard first evicts a batch
-// of entries in map-iteration (effectively random) order. Random batch
-// eviction is deliberately cheap — no recency bookkeeping on the hit
-// path — and close enough to LRU for this workload, where blocking/SNM
-// locality makes recently used pairs dominate.
+// slot arrays by a hash of attribute and value pair, so concurrent
+// lookups of different pairs rarely contend.
+//
+// A key lives within probeWindow slots of its home slot, and no slot is
+// ever emptied once filled, so a lookup stops at the first empty slot or
+// at the end of the window. A stripe's slot array doubles when an
+// insert finds its window full, up to the stripe's share of the
+// capacity; at that bound the insert replaces its home slot in place
+// and counts one eviction. Replacement keeps the slot occupied, so no
+// other key's probe chain breaks, and the footprint stays bounded in
+// bytes, not just in entries, however long the cache churns. The hit
+// path keeps no recency bookkeeping.
 //
 // The zero Cache is not usable; use NewCache.
 type Cache struct {
@@ -73,32 +95,60 @@ func (s CacheStats) HitRate() float64 {
 }
 
 // NewCache builds a similarity cache bounded to roughly the given number
-// of entries (rounded up to a multiple of the shard count; capacity ≤ 0
-// means DefaultCacheCapacity).
+// of entries (rounded up so each stripe's share is a power of two;
+// capacity ≤ 0 means DefaultCacheCapacity).
 func NewCache(capacity int) *Cache {
 	if capacity <= 0 {
 		capacity = DefaultCacheCapacity
 	}
 	perShard := (capacity + cacheShards - 1) / cacheShards
-	c := &Cache{perShard: perShard}
-	return c
+	return &Cache{perShard: 1 << bits.Len(uint(perShard-1))}
 }
 
-// shardOf hashes a key to its stripe (multiplicative mixing; the top
-// bits carry the entropy, so the stripe index is taken there).
-func (c *Cache) shardOf(k symKey) *cacheShard {
+// hashKey mixes a key multiplicatively; the top bits carry the entropy,
+// so the stripe and the home slot are both taken there.
+func hashKey(k symKey) uint64 {
 	const mix = 0x9E3779B97F4A7C15
 	h := (uint64(k.attr)*mix ^ uint64(k.a)) * mix
-	h = (h ^ uint64(k.b)) * mix
-	return &c.shards[h>>(64-6)&(cacheShards-1)]
+	return (h ^ uint64(k.b)) * mix
+}
+
+// shardOf returns the stripe of hash h (its top six bits).
+func (c *Cache) shardOf(h uint64) *cacheShard {
+	return &c.shards[h>>(64-6)]
+}
+
+// home returns the home slot of hash h: the bits right below the
+// stripe index.
+func (s *cacheShard) home(h uint64) int {
+	return int(h << 6 >> (64 - bits.TrailingZeros(uint(len(s.slots)))))
+}
+
+// probe scans k's window. It returns k's slot and true, or the first
+// empty slot and false, or -1 when the window is full of other keys.
+func (s *cacheShard) probe(k symKey, h uint64) (int, bool) {
+	mask := len(s.slots) - 1
+	home := s.home(h)
+	for i := range min(probeWindow, len(s.slots)) {
+		j := (home + i) & mask
+		if key := s.slots[j].key; key == k {
+			return j, true
+		} else if key.a == 0 {
+			return j, false
+		}
+	}
+	return -1, false
 }
 
 // get returns the memoized similarity of the key.
 func (c *Cache) get(k symKey) (float64, bool) {
-	s := c.shardOf(k)
+	h := hashKey(k)
+	s := c.shardOf(h)
 	s.mu.Lock()
-	v, ok := s.m[k]
+	j, ok := s.probe(k, h)
+	var v float64
 	if ok {
+		v = s.slots[j].v
 		s.hits++
 	} else {
 		s.misses++
@@ -107,32 +157,57 @@ func (c *Cache) get(k symKey) (float64, bool) {
 	return v, ok
 }
 
-// put memoizes the similarity of the key, evicting when the shard is
-// full. Racing puts of the same key are idempotent because comparison
-// functions are deterministic.
+// put memoizes the similarity of the key, growing the stripe before it
+// replaces anything. Racing puts of the same key are idempotent because
+// comparison functions are deterministic.
 func (c *Cache) put(k symKey, v float64) {
-	s := c.shardOf(k)
+	h := hashKey(k)
+	s := c.shardOf(h)
 	s.mu.Lock()
-	if s.m == nil {
-		// Grow on demand: pre-sizing to perShard would commit the full
-		// capacity up front even for runs that never fill the cache.
-		s.m = make(map[symKey]float64)
+	if s.slots == nil {
+		s.slots = make([]cacheSlot, min(initialSlots, c.perShard))
 	}
-	if _, exists := s.m[k]; !exists && len(s.m) >= c.perShard {
-		// Evict an eighth of the shard (at least one entry) in map order.
-		// Batching amortizes the eviction walk over many inserts.
-		drop := max(c.perShard/8, 1)
-		for old := range s.m {
-			if drop == 0 {
-				break
-			}
-			delete(s.m, old)
-			s.evics++
-			drop--
-		}
+	for !s.place(cacheSlot{key: k, v: v}, h, len(s.slots) >= c.perShard) {
+		s.grow(c.perShard)
 	}
-	s.m[k] = v
 	s.mu.Unlock()
+}
+
+// place stores sl (whose key hashes to h) in its window. When the
+// window is full of other keys it reports false, unless atBound is set:
+// then sl replaces its home slot in place and counts one eviction.
+func (s *cacheShard) place(sl cacheSlot, h uint64, atBound bool) bool {
+	j, found := s.probe(sl.key, h)
+	switch {
+	case j < 0 && !atBound:
+		return false
+	case j < 0:
+		j = s.home(h)
+		s.evics++
+	case !found:
+		s.n++
+	}
+	s.slots[j] = sl
+	return true
+}
+
+// grow doubles the slot array and re-places every entry, doubling again
+// if an entry's new window overflows. Only an array at the bound drops
+// an overflowing entry, as an eviction.
+func (s *cacheShard) grow(bound int) {
+	old := s.slots
+	size := len(old)
+resize:
+	for {
+		size *= 2
+		s.slots, s.n = make([]cacheSlot, size), 0
+		for _, sl := range old {
+			if sl.key.a != 0 && !s.place(sl, hashKey(sl.key), size >= bound) {
+				continue resize
+			}
+		}
+		return
+	}
 }
 
 // Len returns the current number of memoized entries.
@@ -141,7 +216,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += len(s.m)
+		n += s.n
 		s.mu.Unlock()
 	}
 	return n
@@ -156,7 +231,7 @@ func (c *Cache) Stats() CacheStats {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		st.Entries += len(s.m)
+		st.Entries += s.n
 		st.Hits += s.hits
 		st.Misses += s.misses
 		st.Evictions += s.evics
@@ -172,9 +247,9 @@ func (c *Cache) SizeByAttr(nattrs int) []int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for k := range s.m {
-			if int(k.attr) < nattrs {
-				out[k.attr]++
+		for _, sl := range s.slots {
+			if sl.key.a != 0 && int(sl.key.attr) < nattrs {
+				out[sl.key.attr]++
 			}
 		}
 		s.mu.Unlock()

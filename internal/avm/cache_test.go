@@ -39,6 +39,145 @@ func TestCacheBoundedUnderChurn(t *testing.T) {
 	}
 }
 
+// slotCount is the total length of the stripes' slot arrays.
+func slotCount(c *Cache) int {
+	n := 0
+	for i := range c.shards {
+		n += len(c.shards[i].slots)
+	}
+	return n
+}
+
+// memoize is valueSim's miss path on a raw key.
+func memoize(c *Cache, k symKey, v float64) {
+	if _, ok := c.get(k); !ok {
+		c.put(k, v)
+	}
+}
+
+// TestCacheFootprintBoundedUnderChurn pushes 50× capacity distinct pairs
+// through a small cache: the slot arrays stop growing at the rounded
+// capacity, so the footprint after 10× and after 50× capacity is the
+// same. Below the bound nothing is evicted.
+func TestCacheFootprintBoundedUnderChurn(t *testing.T) {
+	ample := NewCache(DefaultCacheCapacity)
+	for i := 1; i <= 5000; i++ {
+		memoize(ample, symKey{attr: uint32(i % 3), a: uint32(i), b: uint32(i + 7)}, float64(i))
+	}
+	if st := ample.Stats(); st.Evictions != 0 || st.Entries != 5000 {
+		t.Fatalf("ample capacity: %+v, want 5000 entries and no eviction", st)
+	}
+
+	if got := NewCache(0).Capacity(); got != DefaultCacheCapacity {
+		t.Fatalf("NewCache(0).Capacity() = %d, want %d", got, DefaultCacheCapacity)
+	}
+	c := NewCache(1000)
+	if c.Capacity() != 1024 {
+		t.Fatalf("Capacity() = %d, want 1000 rounded to 64 stripes × 16", c.Capacity())
+	}
+	var slotsAt10 int
+	for i := 1; i <= 50*c.Capacity(); i++ {
+		memoize(c, symKey{attr: uint32(i % 3), a: uint32(i), b: uint32(i + 7)}, float64(i))
+		if i%c.Capacity() != 0 {
+			continue
+		}
+		if n := slotCount(c); n > c.Capacity() {
+			t.Fatalf("after %d pairs: %d slots, capacity %d", i, n, c.Capacity())
+		}
+		if i == 10*c.Capacity() {
+			slotsAt10 = slotCount(c)
+		}
+	}
+	if n := slotCount(c); n != slotsAt10 {
+		t.Fatalf("%d slots after 50× capacity, %d after 10×", n, slotsAt10)
+	}
+	st := c.Stats()
+	if st.Entries > st.Capacity || c.Len() != st.Entries {
+		t.Fatalf("Len() = %d, stats %+v", c.Len(), st)
+	}
+	if st.Evictions == 0 {
+		t.Fatal("50× capacity distinct pairs must evict")
+	}
+}
+
+// TestCacheReplacedSlotForgetsItsKey fills one window of a stripe at its
+// bound with keys sharing a home slot, then inserts one more: it
+// replaces the home slot, the key it displaced misses from then on, and
+// every other key of the window still hits.
+func TestCacheReplacedSlotForgetsItsKey(t *testing.T) {
+	c := NewCache(probeWindow * cacheShards) // one full-size window per stripe
+	var keys []symKey
+	for i := uint32(1); len(keys) < probeWindow+1; i++ {
+		k := symKey{a: i, b: i + 1}
+		if hashKey(k)>>(64-9) == 0 { // stripe 0, home slot 0
+			keys = append(keys, k)
+		}
+	}
+	window, extra := keys[:probeWindow], keys[probeWindow]
+	for i, k := range window {
+		c.put(k, float64(i))
+	}
+	for i, k := range window {
+		if v, ok := c.get(k); !ok || v != float64(i) {
+			t.Fatalf("window key %d: (%v, %v), want (%d, true)", i, v, ok, i)
+		}
+	}
+	c.put(extra, -1)
+	if v, ok := c.get(window[0]); ok {
+		t.Fatalf("displaced key still answers %v", v)
+	}
+	if v, ok := c.get(extra); !ok || v != -1 {
+		t.Fatalf("replacing key: (%v, %v), want (-1, true)", v, ok)
+	}
+	for i, k := range window[1:] {
+		if v, ok := c.get(k); !ok || v != float64(i+1) {
+			t.Fatalf("window key %d after replacement: (%v, %v)", i+1, v, ok)
+		}
+	}
+	if st := c.Stats(); st.Entries != probeWindow || st.Evictions != 1 {
+		t.Fatalf("stats %+v, want %d entries and 1 eviction", st, probeWindow)
+	}
+}
+
+// TestCacheGrowRehashesOverflowingWindows hands grow nine entries that
+// share home slot 0 up to 64 slots, more than one window holds. Below
+// the bound grow keeps doubling until all nine fit; with the bound at
+// 64 the ninth replaces its home slot as one eviction.
+func TestCacheGrowRehashesOverflowingWindows(t *testing.T) {
+	var crowd []cacheSlot
+	for i := uint32(1); len(crowd) < probeWindow+1; i++ {
+		k := symKey{a: i, b: i + 1}
+		if hashKey(k)>>(64-6-6) == 0 { // stripe 0, home 0 at ≤ 64 slots
+			crowd = append(crowd, cacheSlot{key: k, v: float64(i)})
+		}
+	}
+	stripe := func() *cacheShard {
+		s := &cacheShard{slots: make([]cacheSlot, 16), n: len(crowd)}
+		copy(s.slots, crowd)
+		return s
+	}
+	found := func(s *cacheShard) int {
+		n := 0
+		for _, sl := range crowd {
+			if j, ok := s.probe(sl.key, hashKey(sl.key)); ok && s.slots[j].v == sl.v {
+				n++
+			}
+		}
+		return n
+	}
+
+	s := stripe()
+	s.grow(1 << 10)
+	if len(s.slots) <= 64 || s.evics != 0 || s.n != len(crowd) || found(s) != len(crowd) {
+		t.Fatalf("below the bound: %d slots, %d evictions, n=%d, %d of %d found", len(s.slots), s.evics, s.n, found(s), len(crowd))
+	}
+	s = stripe()
+	s.grow(64)
+	if len(s.slots) != 64 || s.evics != 1 || s.n != probeWindow || found(s) != probeWindow {
+		t.Fatalf("at the bound: %d slots, %d evictions, n=%d, %d of %d found", len(s.slots), s.evics, s.n, found(s), len(crowd))
+	}
+}
+
 func TestCacheHitMissStats(t *testing.T) {
 	c := NewCache(DefaultCacheCapacity)
 	m := NewMatcherWithCache(c, strsim.Levenshtein)

@@ -16,8 +16,11 @@
 // bounded, concurrency-safe Cache. One cache is shared by all matchers
 // of a detection run — across workers of a batch run and across the
 // lifetime of an incremental Detector — so total memo memory stays
-// capped while a pair computed once is a hit everywhere. Cache entries
-// are keyed by attribute and value content, never by tuple identity,
-// which is why resident-set changes (tuple removal, re-insertion) need
-// no cache invalidation.
+// capped while a pair computed once is a hit everywhere. Each stripe of
+// the cache is a flat open-addressed slot array that never deletes: at
+// its bound an insert overwrites a slot in place, so the memo's bytes,
+// not just its entries, stay bounded however long it churns. Cache
+// entries are keyed by attribute and value content, never by tuple
+// identity, which is why resident-set changes (tuple removal,
+// re-insertion) need no cache invalidation.
 package avm

@@ -7,6 +7,11 @@ var benchPairs = [][2]string{
 	{"Tim", "Kim"},
 	{"confectioner", "confectionist"},
 	{"Johannes Albrecht", "Johann Albrecht"},
+	// Both sides over 64 bytes: Levenshtein's DP fallback.
+	{
+		"Department of mechanical engineering, building 4, second floor, room 12",
+		"Department of mechanical engineering, bldg. 4, second floor, room 12a",
+	},
 }
 
 func benchFunc(b *testing.B, f Func) {

@@ -3,6 +3,8 @@ package strsim
 import (
 	"math"
 	"math/rand"
+	"slices"
+	"strings"
 	"testing"
 )
 
@@ -34,10 +36,33 @@ func referenceLevenshtein(a, b string) int {
 // randWord draws a short word over the given alphabet (non-ASCII
 // alphabets exercise the rune path).
 func randWord(r *rand.Rand, alphabet []rune, maxLen int) string {
-	n := r.Intn(maxLen + 1)
+	return wordOfLen(r, alphabet, r.Intn(maxLen+1))
+}
+
+// wordOfLen draws a word of exactly n runes over the given alphabet.
+func wordOfLen(r *rand.Rand, alphabet []rune, n int) string {
 	out := make([]rune, n)
 	for i := range out {
 		out[i] = alphabet[r.Intn(len(alphabet))]
+	}
+	return string(out)
+}
+
+// editWord applies k random single-rune insertions, deletions and
+// substitutions to s, so near-duplicates (small distances) are drawn
+// as well as unrelated words.
+func editWord(r *rand.Rand, alphabet []rune, s string, k int) string {
+	out := []rune(s)
+	for ; k > 0; k-- {
+		c := alphabet[r.Intn(len(alphabet))]
+		switch i, op := r.Intn(len(out)+1), r.Intn(3); {
+		case op == 0 || i == len(out):
+			out = slices.Insert(out, i, c)
+		case op == 1:
+			out = slices.Delete(out, i, i+1)
+		default:
+			out[i] = c
+		}
 	}
 	return string(out)
 }
@@ -47,22 +72,58 @@ var (
 	unicodeAlphabet = []rune("äöüßéñ日本")
 )
 
+// levenshteinSim is the reference similarity: the normalisation
+// Levenshtein applies, over referenceLevenshtein's distance.
+func levenshteinSim(a, b string) float64 {
+	n := max2(RuneLen(a), RuneLen(b))
+	if n == 0 {
+		return 1
+	}
+	return 1 - float64(referenceLevenshtein(a, b))/float64(n)
+}
+
+// TestLevenshteinAgainstReference draws words of 0–130 runes, so both
+// the shorter and the longer side cross the 64-byte limit of the
+// bit-parallel kernel, and requires bit-identical similarities.
 func TestLevenshteinAgainstReference(t *testing.T) {
 	r := rand.New(rand.NewSource(7))
-	for _, alphabet := range [][]rune{asciiAlphabet, unicodeAlphabet} {
-		for i := 0; i < 500; i++ {
-			a, b := randWord(r, alphabet, 12), randWord(r, alphabet, 12)
-			want := referenceLevenshtein(a, b)
-			n := max2(RuneLen(a), RuneLen(b))
-			wantSim := 1.0
-			if n > 0 {
-				wantSim = 1 - float64(want)/float64(n)
-			}
-			if got := Levenshtein(a, b); math.Abs(got-wantSim) > 1e-12 {
-				t.Fatalf("Levenshtein(%q,%q) = %v, want %v", a, b, got, wantSim)
-			}
+	lengths := []int{0, 1, 2, 12, 63, 64, 65, 130}
+	check := func(a, b string) {
+		t.Helper()
+		if got, want := Levenshtein(a, b), levenshteinSim(a, b); got != want {
+			t.Fatalf("Levenshtein(%q,%q) = %v, want %v", a, b, got, want)
 		}
 	}
+	for _, alphabet := range [][]rune{asciiAlphabet, unicodeAlphabet} {
+		for _, la := range lengths {
+			for _, lb := range lengths {
+				for rep := 0; rep < 3; rep++ {
+					a := wordOfLen(r, alphabet, la)
+					check(a, wordOfLen(r, alphabet, lb))
+					check(a, editWord(r, alphabet, a, rep+1))
+				}
+			}
+		}
+		for i := 0; i < 500; i++ {
+			a := randWord(r, alphabet, 130)
+			check(a, randWord(r, alphabet, 130))
+			check(a, editWord(r, alphabet, a, 1+r.Intn(8)))
+		}
+	}
+}
+
+// FuzzLevenshtein checks Levenshtein against the reference DP on
+// arbitrary byte strings: ASCII, multi-byte and invalid UTF-8 alike.
+func FuzzLevenshtein(f *testing.F) {
+	long := strings.Repeat("abcdefgh", 8)
+	for _, p := range [][2]string{{"", ""}, {"", "a"}, {"kitten", "sitting"}, {"é漢", "e漢漢"}, {long, long + "x"}, {long[1:], "x" + long}, {"\xff", "\xfe"}} {
+		f.Add(p[0], p[1])
+	}
+	f.Fuzz(func(t *testing.T, a, b string) {
+		if got, want := Levenshtein(a, b), levenshteinSim(a, b); got != want {
+			t.Fatalf("Levenshtein(%q,%q) = %v, want %v", a, b, got, want)
+		}
+	})
 }
 
 func TestLevenshteinWithin(t *testing.T) {

@@ -8,10 +8,13 @@
 // implemented here as NormalizedHamming.
 //
 // The edit-distance, Jaro and Hamming kernels are allocation-free in
-// steady state: ASCII inputs are copied into pooled byte buffers without a
-// []rune conversion, non-ASCII inputs decode into pooled rune buffers, and
-// the DP rows come from the same pool (see scratch.go). All functions are
-// safe for concurrent use.
+// steady state. Levenshtein on ASCII pairs whose shorter side has 1–64
+// bytes runs Myers' bit-vector algorithm straight on the strings, with
+// its match table on the stack. Every other DP kernel copies ASCII
+// inputs into pooled byte buffers without a []rune conversion, decodes
+// non-ASCII inputs into pooled rune buffers, and takes its DP rows from
+// the same pool (see scratch.go). All functions are safe for concurrent
+// use.
 package strsim
 
 import (
@@ -87,6 +90,13 @@ func Levenshtein(a, b string) float64 {
 	if a == b {
 		return 1
 	}
+	short, long := a, b
+	if len(short) > len(long) {
+		short, long = long, short
+	}
+	if len(short) >= 1 && len(short) <= 64 && isASCII(short) && isASCII(long) {
+		return 1 - float64(myersDistance(short, long))/float64(len(long))
+	}
 	s := getScratch()
 	var d, n int
 	if isASCII(a) && isASCII(b) {
@@ -127,6 +137,40 @@ func levenshteinDistance[E charElem](a, b []E, s *scratch) int {
 	}
 	s.row0, s.row1 = prev, cur
 	return prev[lb]
+}
+
+// myersDistance is the unit-cost edit distance of ASCII strings whose
+// shorter side p has 1–64 bytes, by Myers' bit-vector algorithm in
+// Hyyrö's formulation (one DP column per 64-bit word): O(len(t)) word
+// operations, no DP rows and no allocation. Bit i of pv/mv says the
+// vertical delta D[i+1][j] − D[i][j] is +1/−1; score tracks D[m][j].
+func myersDistance(p, t string) int {
+	var peq [128]uint64
+	for i := 0; i < len(p); i++ {
+		peq[p[i]&127] |= 1 << i
+	}
+	last := uint64(1) << (len(p) - 1)
+	pv, mv := ^uint64(0), uint64(0)
+	score := len(p)
+	for j := 0; j < len(t); j++ {
+		eq := peq[t[j]&127]
+		xv := eq | mv
+		xh := ((eq & pv) + pv) ^ pv | eq
+		ph := mv | ^(xh | pv)
+		mh := pv & xh
+		if ph&last != 0 {
+			score++
+		} else if mh&last != 0 {
+			score--
+		}
+		// Row 0 of the DP is D[0][j] = j, so every column's top
+		// horizontal delta is +1: shift it in.
+		ph = ph<<1 | 1
+		mh <<= 1
+		pv = mh | ^(xv | ph)
+		mv = ph & xv
+	}
+	return score
 }
 
 // LevenshteinWithin reports the unit-cost edit distance of a and b when it
