@@ -36,12 +36,16 @@
 // candidate set online: inserting a tuple yields exactly the pairs it
 // forms (and, for windowed methods, the straddling pairs pushed out of
 // the window), removing one retracts its pairs (and re-admits window
-// neighbors). The four sorted-neighborhood indexes are assembled from
-// one set of pieces (incremental_window.go): chunkSeq, the one order,
-// in chunks so a splice or position query costs O(chunks + chunk), not
-// O(entries); windowSeq, the only copy of the window arithmetic over it;
-// keyedSeq, its form sorted by key; pairNet, the only delta netting; and
-// pairLedger, the refcounted union of several window passes. Every
+// neighbors). Three sorted-neighborhood indexes (certain, per-alternative,
+// ranked) are assembled from one set of pieces (incremental_window.go):
+// chunkSeq, the one order, in chunks so a splice or position query costs
+// O(chunks + chunk), not O(entries); windowSeq, the only copy of the
+// window arithmetic over it; keyedSeq, its form sorted by key; pairNet,
+// the only delta netting; and pairLedger, the refcounted union of several
+// window passes. SNMMultiPass has no splice of its own: its world
+// selection depends on the whole relation, so its index (recomputeIndex)
+// re-runs the batch stream per operation and nets the old pairs against
+// the new in a pairNet; Restore defers that to the next operation. Every
 // built-in method is incremental, on one of two tiers. On the exact tier
 // — every method except BlockingCluster — the maintained set equals the
 // batch candidate set over the resident tuples after every operation:

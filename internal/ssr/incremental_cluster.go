@@ -2,7 +2,6 @@ package ssr
 
 import (
 	"math"
-	"math/rand"
 
 	"probdedup/internal/cluster"
 	"probdedup/internal/pdb"
@@ -107,14 +106,7 @@ func (b *blockingClusterIndex) reseal() {
 	for i, id := range b.arrivals {
 		items[i] = b.items[id]
 	}
-	k := b.method.K
-	if k <= 0 {
-		k = len(items) / 8
-		if k < 2 {
-			k = 2
-		}
-	}
-	c := cluster.UKMeans(items, k, 0, rand.New(rand.NewSource(b.method.Seed)))
+	c := b.method.clusterItems(items)
 	b.k = c.K
 	b.centroids = c.Centroids
 	b.emb = cluster.NewEmbedding(items)

@@ -3,7 +3,9 @@ package ssr
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -93,7 +95,7 @@ func diffSets(a, b verify.PairSet) []string {
 const equivalenceChunk = 4
 
 // rechunk sets the chunk capacity of a fresh sorted-neighborhood index and
-// returns it; other indexes come back nil.
+// returns it (multi-pass's unchanged); other indexes come back nil.
 func rechunk(idx IncrementalIndex, chunk int) IncrementalIndex {
 	switch x := idx.(type) {
 	case *snmCertainIndex:
@@ -102,8 +104,7 @@ func rechunk(idx IncrementalIndex, chunk int) IncrementalIndex {
 		x.entries.cap, x.kept.cap = chunk, chunk
 	case *snmRankedIndex:
 		x.seq.cap = chunk
-	case *snmMultiPassIndex:
-		x.chunk = chunk
+	case *recomputeIndex: // no sequence of its own; the subtest reruns it
 	default:
 		return nil
 	}
@@ -481,7 +482,7 @@ func TestIncrementalEarlyStopKeepsStructure(t *testing.T) {
 
 // TestIncrementalMultiPassWorldSelection pins the all-worlds multipass
 // configurations at a scale where full enumeration is feasible, covering
-// both the EnumerateIdx success path and the top-k fallback for an
+// both the enumeration success path and the top-k fallback for an
 // infeasible MaxWorlds — including the mid-stream switches between the
 // two bases as the relation grows past (and, via removals, shrinks back
 // under) the world limit.
@@ -531,5 +532,154 @@ func TestIncrementalMultiPassWorldSelection(t *testing.T) {
 				t.Fatalf("maintained set diverges from batch after removals: %v", d[:min(len(d), 8)])
 			}
 		})
+	}
+}
+
+// scheduleOp is one operation of an index schedule: insert x or, with x
+// nil, remove id.
+type scheduleOp struct {
+	x  *pdb.XTuple
+	id string
+}
+
+// apply runs the operation on idx.
+func (op scheduleOp) apply(idx IncrementalIndex, yield func(PairDelta) bool) bool {
+	if op.x != nil {
+		return idx.Insert(op.x, yield)
+	}
+	return idx.Remove(op.id, yield)
+}
+
+// runSchedule applies ops to idx and renders each operation's deltas in
+// yield order, one string per operation.
+func runSchedule(idx IncrementalIndex, ops []scheduleOp) []string {
+	out := make([]string, len(ops))
+	for i, op := range ops {
+		var b strings.Builder
+		op.apply(idx, func(d PairDelta) bool {
+			fmt.Fprintf(&b, "%t %s,%s;", d.Dropped, d.Pair.A, d.Pair.B)
+			return true
+		})
+		out[i] = b.String()
+	}
+	return out
+}
+
+// TestRecomputeIndex covers what multi-pass's recompute index adds to the
+// contract the equivalence tests hold it to: a lazy Restore, a truncated
+// yield, and the removal of an unknown ID.
+func TestRecomputeIndex(t *testing.T) {
+	u := shuffledUnion(10, 23)
+	def, err := keys.ParseDef("name:3+job:2", u.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const k = 8 // residents filed before the schedule
+	if len(u.Tuples) < k+4 {
+		t.Fatalf("%d tuples, want at least %d", len(u.Tuples), k+4)
+	}
+	resident, rest := u.Tuples[:k], u.Tuples[k:]
+	candidates := func(m Method, ts []*pdb.XTuple) verify.PairSet {
+		return StreamOf(m).Candidates(&pdb.XRelation{Schema: u.Schema, Tuples: ts})
+	}
+	inserted := func(t *testing.T, m Method) IncrementalIndex {
+		idx := mustIncremental(t, m)
+		for _, x := range resident {
+			idx.Insert(x, func(PairDelta) bool { return true })
+		}
+		return idx
+	}
+	restored := func(t *testing.T, m Method) RestoringIndex {
+		idx, ok := mustIncremental(t, m).(RestoringIndex)
+		if !ok {
+			t.Fatalf("%s: index is not a RestoringIndex", m.Name())
+		}
+		for _, x := range resident {
+			idx.Restore(x)
+		}
+		return idx
+	}
+
+	cases := []struct {
+		name  string
+		check func(t *testing.T, m Method)
+	}{
+		{"restore-yields-as-inserted", func(t *testing.T, m Method) {
+			// The first operation after the restore is a removal in one
+			// schedule and an insertion in the other.
+			for _, ops := range [][]scheduleOp{
+				{{id: resident[0].ID}, {x: rest[0]}, {id: resident[3].ID}, {x: rest[1]}, {id: rest[0].ID}},
+				{{x: rest[0]}, {id: resident[0].ID}, {x: rest[1]}, {id: resident[5].ID}, {x: rest[2]}},
+			} {
+				want := runSchedule(inserted(t, m), ops)
+				got := runSchedule(restored(t, m), ops)
+				if strings.Join(want, "") == "" {
+					t.Fatal("schedule yields no deltas; it tests nothing")
+				}
+				for i := range ops {
+					if got[i] != want[i] {
+						t.Fatalf("operation %d after Restore yields\n %s\nwant\n %s", i, got[i], want[i])
+					}
+				}
+			}
+		}},
+		{"stopped-yield-keeps-set", func(t *testing.T, m Method) {
+			// Every other operation stops its yield after the first
+			// delta; the one after it must still fold from batch
+			// Candidates before it to batch Candidates after it.
+			idx := mustIncremental(t, m)
+			var live []*pdb.XTuple
+			stopped := 0
+			step := func(i int, op scheduleOp) {
+				next := slices.DeleteFunc(slices.Clone(live), func(x *pdb.XTuple) bool { return x.ID == op.id })
+				if op.x != nil {
+					next = append(next, op.x)
+				}
+				if i%2 == 1 {
+					if !op.apply(idx, func(PairDelta) bool { return false }) {
+						stopped++
+					}
+				} else {
+					set := maps.Clone(candidates(m, live))
+					op.apply(idx, func(d PairDelta) bool {
+						applyDelta(t, set, d)
+						return true
+					})
+					if d := diffSets(set, candidates(m, next)); len(d) != 0 {
+						t.Fatalf("operation %d after a stopped yield diverges from batch: %v", i, d[:min(len(d), 8)])
+					}
+				}
+				live = next
+			}
+			for i, x := range u.Tuples {
+				step(i, scheduleOp{x: x})
+			}
+			for i, x := range u.Tuples[:len(u.Tuples)-2] {
+				step(i, scheduleOp{id: x.ID})
+			}
+			if stopped == 0 {
+				t.Fatal("no yield was stopped early; the check tests nothing")
+			}
+		}},
+		{"unknown-remove-is-noop", func(t *testing.T, m Method) {
+			for i, idx := range []IncrementalIndex{inserted(t, m), restored(t, m)} {
+				state := []string{"inserted", "restored"}[i]
+				yielded := 0
+				if !idx.Remove("no-such-id", func(PairDelta) bool { yielded++; return true }) || yielded != 0 {
+					t.Fatalf("%s: removing an unknown ID yielded %d deltas", state, yielded)
+				}
+				if idx.Len() != len(resident) {
+					t.Fatalf("%s: Len = %d after removing an unknown ID, want %d", state, idx.Len(), len(resident))
+				}
+			}
+		}},
+	}
+	for _, tc := range cases {
+		for _, m := range []Method{
+			SNMMultiPass{Key: def, Window: 3, Select: TopWorlds, K: 3},
+			SNMMultiPass{Key: def, Window: 3, Select: DissimilarWorlds, K: 2},
+		} {
+			t.Run(tc.name+"/"+m.Name(), func(t *testing.T) { tc.check(t, m) })
+		}
 	}
 }

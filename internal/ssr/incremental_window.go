@@ -8,8 +8,8 @@ import (
 	"probdedup/internal/verify"
 )
 
-// This file holds the pieces every incremental sorted-neighborhood index
-// is assembled from: the order (chunkSeq), the window arithmetic over it
+// This file holds the pieces the splicing sorted-neighborhood indexes
+// are assembled from: the order (chunkSeq), the window arithmetic over it
 // (windowSeq), its keyed form (keyedSeq), delta netting (pairNet) and the
 // refcounted union of several window passes (pairLedger).
 
@@ -271,8 +271,7 @@ func (s *windowSeq) removeAt(p int, out []PairDelta) []PairDelta {
 
 // keyedSeq is a windowSeq ordered by one sort key per entry, ties in
 // arrival order — the order of the batch methods' stable sort over the
-// same arrivals. It is the whole index of SNMCertain and one pass of
-// SNMMultiPass.
+// same arrivals. It is the whole index of SNMCertain.
 type keyedSeq struct{ windowSeq }
 
 // insert splices (key, id) in after all equal keys (upper bound).
@@ -348,9 +347,9 @@ func (n *pairNet) flush(yield func(PairDelta) bool) bool {
 }
 
 // pairLedger refcounts how many window position pairs (kept entries of
-// SNMAlternatives, per-world passes of SNMMultiPass) currently cover each
-// candidate pair and nets the 0↔positive transitions — the incremental
-// form of the executed-matching set (Fig. 12).
+// SNMAlternatives) currently cover each candidate pair and nets the
+// 0↔positive transitions — the incremental form of the executed-matching
+// set (Fig. 12).
 type pairLedger struct {
 	counts map[verify.Pair]int
 	net    pairNet

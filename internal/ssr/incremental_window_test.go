@@ -203,8 +203,8 @@ func TestKeyedSeqMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestKeyedSeqCloneIsDeep mutates a pass and its clone independently:
-// SNMMultiPass clones a parent pass and then splices into both.
+// TestKeyedSeqCloneIsDeep mutates a sequence and its clone independently:
+// a splice into either side must not show in the other.
 func TestKeyedSeqCloneIsDeep(t *testing.T) {
 	a := keyedSeq{newWindowSeq(3, 2)}
 	for i := range 9 {

@@ -333,20 +333,25 @@ func (m BlockingCluster) Partitions(xr *pdb.XRelation) []Partition {
 	for i, x := range xr.Tuples {
 		items[i] = cluster.Item{ID: x.ID, Keys: m.Key.XTupleKeyDist(x, true)}
 	}
-	k := m.K
-	if k <= 0 {
-		k = len(items) / 8
-		if k < 2 {
-			k = 2
-		}
-	}
-	c := cluster.UKMeans(items, k, 0, rand.New(rand.NewSource(m.Seed)))
+	c := m.clusterItems(items)
 	blocks := map[string][]string{}
 	for i, b := range c.Assign {
 		label := "b" + strconv.Itoa(b)
 		blocks[label] = append(blocks[label], items[i].ID)
 	}
 	return disjointPartitions(blocks)
+}
+
+// clusterItems is the method's one clustering recipe, shared by the batch
+// partitions and the incremental reseal: UK-means over the items in
+// order, K clusters (len/8, at least 2, when K ≤ 0) and a fresh rng from
+// Seed.
+func (m BlockingCluster) clusterItems(items []cluster.Item) cluster.Clustering {
+	k := m.K
+	if k <= 0 {
+		k = max(len(items)/8, 2)
+	}
+	return cluster.UKMeans(items, k, 0, rand.New(rand.NewSource(m.Seed)))
 }
 
 // Partitions implements Partitioner. An x-tuple joins the block of

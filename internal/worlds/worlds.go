@@ -163,7 +163,7 @@ func Enumerate(xr *pdb.XRelation, cond bool, limit int) ([]World, error) {
 		ids[i] = x.ID
 		lists[i] = Choices(x, cond)
 	}
-	states, err := EnumerateIdx(lists, limit)
+	states, err := enumerateIdx(lists, limit)
 	if err != nil {
 		return nil, err
 	}
@@ -174,12 +174,10 @@ func Enumerate(xr *pdb.XRelation, cond bool, limit int) ([]World, error) {
 	return out, nil
 }
 
-// WorldIdx identifies a possible world by its per-tuple choice-list
-// indices plus the world probability — the representation the
-// incremental multi-pass index works with: prefix relationships between
-// index vectors expose parent/child worlds across insertions without
-// re-deriving canonical signatures from values.
-type WorldIdx struct {
+// worldIdx identifies a possible world by its per-tuple choice-list
+// indices plus the world probability — the form the selections work in
+// before worldFromIdx materializes the chosen worlds.
+type worldIdx struct {
 	// Idx holds one choice-list index per x-tuple (parallel to the list
 	// slice the selection ran over).
 	Idx []int
@@ -187,8 +185,8 @@ type WorldIdx struct {
 	P float64
 }
 
-// worldFromIdx materializes a WorldIdx against its choice lists.
-func worldFromIdx(ids []string, lists [][]Choice, s WorldIdx) World {
+// worldFromIdx materializes a worldIdx against its choice lists.
+func worldFromIdx(ids []string, lists [][]Choice, s worldIdx) World {
 	w := World{P: s.P, IDs: ids, Choices: make([]Choice, len(lists))}
 	for i, j := range s.Idx {
 		w.Choices[i] = lists[i][j]
@@ -206,12 +204,12 @@ func CountOf(lists [][]Choice) float64 {
 	return total
 }
 
-// EnumerateIdx enumerates every index combination of the given choice
+// enumerateIdx enumerates every index combination of the given choice
 // lists in lexicographic (odometer) order — the list-level core of
 // Enumerate. It fails with ErrTooManyWorlds when more than limit worlds
 // exist (limit ≤ 0 means 1e6) and returns nil when any tuple has no
 // admissible choice.
-func EnumerateIdx(lists [][]Choice, limit int) ([]WorldIdx, error) {
+func enumerateIdx(lists [][]Choice, limit int) ([]worldIdx, error) {
 	if limit <= 0 {
 		limit = 1_000_000
 	}
@@ -225,9 +223,9 @@ func EnumerateIdx(lists [][]Choice, limit int) ([]WorldIdx, error) {
 		}
 	}
 	idx := make([]int, n)
-	var out []WorldIdx
+	var out []worldIdx
 	for {
-		s := WorldIdx{Idx: make([]int, n), P: 1}
+		s := worldIdx{Idx: make([]int, n), P: 1}
 		for i, j := range idx {
 			s.Idx[i] = j
 			s.P *= lists[i][j].P
@@ -346,7 +344,7 @@ func TopK(xr *pdb.XRelation, cond bool, k int) []World {
 		SortChoices(cs)
 		lists[i] = cs
 	}
-	states := TopKIdx(lists, k)
+	states := topKIdx(lists, k)
 	out := make([]World, len(states))
 	for i, s := range states {
 		out[i] = worldFromIdx(ids, lists, s)
@@ -354,10 +352,10 @@ func TopK(xr *pdb.XRelation, cond bool, k int) []World {
 	return out
 }
 
-// TopKIdx is the list-level core of TopK: lazy best-first expansion over
+// topKIdx is the list-level core of TopK: lazy best-first expansion over
 // choice lists that must each be non-empty and ordered by SortChoices.
 // It returns nil when no list is given or any list is empty.
-func TopKIdx(lists [][]Choice, k int) []WorldIdx {
+func topKIdx(lists [][]Choice, k int) []worldIdx {
 	n := len(lists)
 	if k <= 0 || n == 0 {
 		return nil
@@ -367,13 +365,13 @@ func TopKIdx(lists [][]Choice, k int) []WorldIdx {
 			return nil
 		}
 	}
-	start := WorldIdx{Idx: make([]int, n), P: 1}
+	start := worldIdx{Idx: make([]int, n), P: 1}
 	for i := range lists {
 		start.P *= lists[i][0].P
 	}
-	heap := []WorldIdx{start}
+	heap := []worldIdx{start}
 	seen := map[string]bool{key(start.Idx): true}
-	pop := func() WorldIdx {
+	pop := func() worldIdx {
 		best := 0
 		for i := 1; i < len(heap); i++ {
 			if heap[i].P > heap[best].P {
@@ -385,7 +383,7 @@ func TopKIdx(lists [][]Choice, k int) []WorldIdx {
 		heap = heap[:len(heap)-1]
 		return s
 	}
-	var out []WorldIdx
+	var out []worldIdx
 	for len(out) < k && len(heap) > 0 {
 		s := pop()
 		out = append(out, s)
@@ -402,7 +400,7 @@ func TopKIdx(lists [][]Choice, k int) []WorldIdx {
 			}
 			seen[kk] = true
 			p := s.P / lists[i][s.Idx[i]].P * lists[i][next[i]].P
-			heap = append(heap, WorldIdx{Idx: next, P: p})
+			heap = append(heap, worldIdx{Idx: next, P: p})
 		}
 	}
 	return out
@@ -436,7 +434,7 @@ func Dissimilar(xr *pdb.XRelation, cond bool, k, pool int) []World {
 		SortChoices(cs)
 		lists[i] = cs
 	}
-	states := DissimilarIdx(lists, k, pool)
+	states := dissimilarIdx(lists, k, pool)
 	out := make([]World, len(states))
 	for i, s := range states {
 		out[i] = worldFromIdx(ids, lists, s)
@@ -444,20 +442,20 @@ func Dissimilar(xr *pdb.XRelation, cond bool, k, pool int) []World {
 	return out
 }
 
-// DissimilarIdx is the list-level core of Dissimilar over choice lists
+// dissimilarIdx is the list-level core of Dissimilar over choice lists
 // ordered by SortChoices. Distance between index vectors counts the
 // tuples whose choice indices differ — identical to Distance on the
 // materialized worlds, because the choices of one list are pairwise
 // distinct.
-func DissimilarIdx(lists [][]Choice, k, pool int) []WorldIdx {
+func dissimilarIdx(lists [][]Choice, k, pool int) []worldIdx {
 	if pool < k {
 		pool = k * 4
 	}
-	cands := TopKIdx(lists, pool)
+	cands := topKIdx(lists, pool)
 	if len(cands) == 0 || k <= 0 {
 		return nil
 	}
-	dist := func(a, b WorldIdx) float64 {
+	dist := func(a, b worldIdx) float64 {
 		if len(a.Idx) == 0 {
 			return 0
 		}
@@ -469,7 +467,7 @@ func DissimilarIdx(lists [][]Choice, k, pool int) []WorldIdx {
 		}
 		return float64(diff) / float64(len(a.Idx))
 	}
-	out := []WorldIdx{cands[0]} // most probable world always included
+	out := []worldIdx{cands[0]} // most probable world always included
 	used := map[int]bool{0: true}
 	for len(out) < k && len(out) < len(cands) {
 		bestIdx, bestScore := -1, math.Inf(-1)
