@@ -75,10 +75,26 @@ func (q *EmitQueue[T]) Drain() {
 			// Reclaim the delivered batch's backing array so
 			// steady-state emission (one small queue per operation)
 			// allocates nothing.
-			q.queue = batch[:0]
+			q.queue = ReuseScratch(batch)
 		}
 		q.mu.Unlock()
 	}
+}
+
+// maxKeptScratch is the largest backing array, in items, that a
+// per-operation buffer keeps from one operation to the next.
+const maxKeptScratch = 4096
+
+// ReuseScratch empties a per-operation buffer of the online engines for
+// the next operation. It keeps the backing array, so steady-state
+// operations allocate nothing, unless one large AddBatch grew it past
+// maxKeptScratch items: that array is dropped rather than pinned for
+// the engine's lifetime.
+func ReuseScratch[T any](s []T) []T {
+	if cap(s) > maxKeptScratch {
+		return nil
+	}
+	return s[:0]
 }
 
 // Stopped reports that the callback ended delivery.

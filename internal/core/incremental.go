@@ -182,24 +182,14 @@ type Detector struct {
 	// as with the filter off, and eng.filter only counts.
 	filter *ssr.PreFilter
 	std    *prepare.Standardizer
-	live   map[verify.Pair]Match
-	// pairsOf indexes the live pairs by member tuple — tuple → partner
-	// → class — so Remove retracts in O(degree) instead of sweeping the
-	// whole live set, and the Integrator walks M and P partners
-	// (Partners) without a copy of its own.
-	pairsOf map[string]map[string]decision.Class
-	// seqOf records each resident's arrival number (arrivalSeq is the
-	// running counter). eng.byID has no order, but the
-	// incremental-index contract ties candidate tie-breaking to it — so
-	// a durable snapshot must list residents in arrival order to restore
-	// the indexes bit-identically (SnapshotState sorts by seqOf).
-	seqOf      map[string]uint64
-	arrivalSeq uint64
-	compared   int
-	dropped    int
-	// matches and possible count the live pairs of class M and P,
-	// maintained where pairs enter and leave live so Stats never walks it.
-	matches, possible int
+	// live holds the residents and the live pair decisions. Each
+	// resident's pairs are chained into its partner list, so Remove
+	// retracts in O(degree) instead of sweeping the whole live set, and
+	// the Integrator walks M and P partners (Partners) without a copy of
+	// its own.
+	live     pairTable
+	compared int
+	dropped  int
 
 	// comparers is the lazily grown per-worker comparer pool: the
 	// fold scratch is not shareable, while every matcher memoizes
@@ -245,9 +235,7 @@ func NewDetector(schema []string, opts Options, emit func(MatchDelta) bool) (*De
 		idx:       idx,
 		filter:    filter,
 		std:       opts.Standardizer,
-		live:      map[verify.Pair]Match{},
-		pairsOf:   map[string]map[string]decision.Class{},
-		seqOf:     map[string]uint64{},
+		live:      newPairTable(),
 		comparers: []*xmatch.Comparer{eng.newComparer()},
 		emits:     NewEmitQueue(emit),
 	}, nil
@@ -302,7 +290,7 @@ func (d *Detector) addBatchLocked(xs []*pdb.XTuple) error {
 		prepared = append(prepared, y)
 	}
 	batch := ssr.InsertBatch(d.idx, prepared, d.admit)
-	d.deltaBuf = d.deltaBuf[:0]
+	d.deltaBuf = ReuseScratch(d.deltaBuf)
 	for _, bd := range batch {
 		d.deltaBuf = append(d.deltaBuf, bd.PairDelta)
 	}
@@ -321,7 +309,7 @@ func (d *Detector) addLocked(x *pdb.XTuple) error {
 		return err
 	}
 	d.register(y)
-	d.deltaBuf = d.deltaBuf[:0]
+	d.deltaBuf = ReuseScratch(d.deltaBuf)
 	d.idx.Insert(y, d.collect)
 	_, err = d.applyDeltas(d.deltaBuf)
 	return err
@@ -360,7 +348,7 @@ func (d *Detector) prepareTuple(x *pdb.XTuple) (*pdb.XTuple, error) {
 	if err := x.Validate(len(d.eng.xr.Schema)); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
-	if _, dup := d.eng.byID[x.ID]; dup {
+	if _, dup := d.live.slotOf[x.ID]; dup {
 		return nil, fmt.Errorf("core: duplicate tuple ID %q", x.ID)
 	}
 	// Populate the symbol plane at arrival time: the tuple is the
@@ -374,9 +362,7 @@ func (d *Detector) prepareTuple(x *pdb.XTuple) (*pdb.XTuple, error) {
 // per-pair pre-filter (an index holding the filter summarizes its own
 // residents).
 func (d *Detector) register(x *pdb.XTuple) {
-	d.eng.byID[x.ID] = x
-	d.seqOf[x.ID] = d.arrivalSeq
-	d.arrivalSeq++
+	d.live.admit(x)
 	if d.filter != nil {
 		d.filter.Insert(x)
 	}
@@ -404,7 +390,7 @@ func (d *Detector) resealLocked() error {
 	if !ok {
 		return nil
 	}
-	d.deltaBuf = d.deltaBuf[:0]
+	d.deltaBuf = ReuseScratch(d.deltaBuf)
 	ei.Reseal(d.collect)
 	_, err := d.applyDeltas(d.deltaBuf)
 	return err
@@ -430,25 +416,26 @@ func (d *Detector) Remove(id string) error {
 }
 
 func (d *Detector) removeLocked(id string) error {
-	if _, ok := d.eng.byID[id]; !ok {
+	s, ok := d.live.slotOf[id]
+	if !ok {
 		return fmt.Errorf("core: Remove: %w %q", ErrUnknownID, id)
 	}
 
-	d.deltaBuf = d.deltaBuf[:0]
+	d.live.pinRemoving(s)
+	d.deltaBuf = ReuseScratch(d.deltaBuf)
 	d.idx.Remove(id, d.collect)
 	_, firstErr := d.applyDeltas(d.deltaBuf)
 
 	// Defensive sweep: the index contract already retracts every pair
 	// of id, but a buggy user-defined IncrementalMethod must not be
-	// able to leave stale decisions behind. The per-tuple pair index
-	// makes this O(degree), not O(live set); retractPair deletes from
-	// the map being ranged over, which Go permits.
-	for partner := range d.pairsOf[id] {
-		d.retractPair(verify.NewPair(id, partner))
+	// able to leave stale decisions behind. The partner list makes this
+	// O(degree), not O(live set), and it must be empty before the slot
+	// is released for reuse.
+	for l := d.live.slots[s].head; l != noLink; l = d.live.slots[s].head {
+		d.retractAt(l.pair())
 	}
 
-	delete(d.eng.byID, id)
-	delete(d.seqOf, id)
+	d.live.release(s)
 	if d.filter != nil {
 		d.filter.Remove(id)
 	}
@@ -495,47 +482,60 @@ func (d *Detector) applyDeltas(deltas []ssr.PairDelta) (int, error) {
 	// user-defined IncrementalMethod may yield one; the built-in
 	// indexes and InsertBatch never repeat a pair) is re-compared
 	// exactly as the sequential path would.
-	var compareIdx []int
-	overlay := map[verify.Pair]bool{}
-	projectedLive := func(p verify.Pair) bool {
-		if live, ok := overlay[p]; ok {
-			return live
-		}
-		_, ok := d.live[p]
-		return ok
-	}
+	var jobs []compareJob
+	overlay := map[uint64]bool{}
 	for i, pd := range deltas {
+		a, b, ok := d.live.ends(pd.Pair)
+		if !ok {
+			if !pd.Dropped {
+				jobs = append(jobs, compareJob{delta: i, err: unknownTuples(pd.Pair)})
+			}
+			continue
+		}
+		k := pairKey(a, b)
 		if pd.Dropped {
-			overlay[pd.Pair] = false
+			overlay[k] = false
 			continue
 		}
-		if projectedLive(pd.Pair) {
+		live, seen := overlay[k]
+		if !seen {
+			_, live = d.live.find(a, b)
+		}
+		if live {
 			continue
 		}
-		overlay[pd.Pair] = true
-		compareIdx = append(compareIdx, i)
+		overlay[k] = true
+		jobs = append(jobs, compareJob{delta: i, a: a, b: b})
 	}
-	matches := make([]Match, len(compareIdx))
-	errs := make([]error, len(compareIdx))
-	d.compareAll(compareIdx, deltas, matches, errs)
+	d.compareAll(jobs, deltas)
 
 	// Sequential apply-and-enqueue phase, in delta order.
-	mi := 0
+	ji := 0
 	for i, pd := range deltas {
 		if pd.Dropped {
 			d.retractPair(pd.Pair)
 			continue
 		}
-		if mi >= len(compareIdx) || compareIdx[mi] != i {
+		if ji >= len(jobs) || jobs[ji].delta != i {
 			continue // already live, nothing to recompute
 		}
-		if errs[mi] != nil {
-			return i, errs[mi]
+		j := &jobs[ji]
+		if j.err != nil {
+			return i, j.err
 		}
-		d.recordMatch(pd.Pair, matches[mi])
-		mi++
+		d.recordMatch(j.a, j.b, j.m)
+		ji++
 	}
 	return 0, nil
+}
+
+// compareJob is one comparison of applyDeltas' parallel phase: the
+// add delta at position delta, between slots a and b, and its outcome.
+type compareJob struct {
+	delta int
+	a, b  uint32
+	m     Match
+	err   error
 }
 
 // applyOne folds a single delta inline: the sequential counterpart of
@@ -545,58 +545,38 @@ func (d *Detector) applyOne(c *xmatch.Comparer, pd ssr.PairDelta) error {
 		d.retractPair(pd.Pair)
 		return nil
 	}
-	if _, ok := d.live[pd.Pair]; ok {
+	a, b, ok := d.live.ends(pd.Pair)
+	if !ok {
+		return unknownTuples(pd.Pair)
+	}
+	if _, live := d.live.find(a, b); live {
 		// Already live (values are immutable while resident), nothing
 		// to recompute.
 		return nil
 	}
-	m, err := d.eng.compare(c, pd.Pair)
-	if err != nil {
-		return err
-	}
-	d.recordMatch(pd.Pair, m)
+	d.recordMatch(a, b, compareTuples(c, pd.Pair, d.live.slots[a].x, d.live.slots[b].x))
 	return nil
 }
 
-// recordMatch applies one freshly compared pair to the live state and
-// enqueues its add delta.
-func (d *Detector) recordMatch(p verify.Pair, m Match) {
+// recordMatch installs one freshly compared pair of slots a and b in
+// the live state and enqueues its add delta.
+func (d *Detector) recordMatch(a, b uint32, m Match) {
 	d.compared++
-	d.setLive(p, m)
+	d.live.put(a, b, m.Sim, m.Class)
 	d.enqueueDelta(MatchDelta{Kind: DeltaAdd, Match: m})
 }
 
-// setLive installs one pair decision in the live state and its
-// indexes and counters; retractPair is its inverse.
-func (d *Detector) setLive(p verify.Pair, m Match) {
-	d.live[p] = m
-	d.indexPartner(p.A, p.B, m.Class)
-	d.indexPartner(p.B, p.A, m.Class)
-	d.countClass(m.Class, +1)
-}
-
-// countClass moves the live M/P counters by delta for one pair of the
-// class.
-func (d *Detector) countClass(c decision.Class, delta int) {
-	switch c {
-	case decision.M:
-		d.matches += delta
-	case decision.P:
-		d.possible += delta
-	}
-}
-
-// compareAll computes the match of deltas[compareIdx[j]] into
-// matches[j] (or errs[j]), fanning the work across the engine's
-// workers. Each worker owns a pooled comparer (the fold scratch is
-// not shareable) while all matchers memoize into the shared bounded
-// cache; comparison functions are deterministic, so the results are
-// identical to an inline run. Work is handed out pair by pair via an
-// atomic cursor so uneven comparison costs still balance.
-func (d *Detector) compareAll(compareIdx []int, deltas []ssr.PairDelta, matches []Match, errs []error) {
+// compareAll computes each job's match, fanning the work across the
+// engine's workers. Each worker owns a pooled comparer (the fold
+// scratch is not shareable) while all matchers memoize into the shared
+// bounded cache; comparison functions are deterministic, so the
+// results are identical to an inline run. Work is handed out pair by
+// pair via an atomic cursor so uneven comparison costs still balance.
+// Jobs that already carry an error are skipped.
+func (d *Detector) compareAll(jobs []compareJob, deltas []ssr.PairDelta) {
 	workers := d.eng.workers
-	if workers > len(compareIdx) {
-		workers = len(compareIdx)
+	if workers > len(jobs) {
+		workers = len(jobs)
 	}
 	for len(d.comparers) < workers {
 		d.comparers = append(d.comparers, d.eng.newComparer())
@@ -609,46 +589,29 @@ func (d *Detector) compareAll(compareIdx []int, deltas []ssr.PairDelta, matches 
 			defer wg.Done()
 			for {
 				j := int(next.Add(1)) - 1
-				if j >= len(compareIdx) {
+				if j >= len(jobs) {
 					return
 				}
-				matches[j], errs[j] = d.eng.compare(c, deltas[compareIdx[j]].Pair)
+				if job := &jobs[j]; job.err == nil {
+					job.m = compareTuples(c, deltas[job.delta].Pair, d.live.slots[job.a].x, d.live.slots[job.b].x)
+				}
 			}
 		}(d.comparers[w])
 	}
 	wg.Wait()
 }
 
-// indexPartner records a live pair's class under one member tuple.
-func (d *Detector) indexPartner(id, partner string, c decision.Class) {
-	partners := d.pairsOf[id]
-	if partners == nil {
-		partners = map[string]decision.Class{}
-		d.pairsOf[id] = partners
-	}
-	partners[partner] = c
-}
-
-// unindexPartner is indexPartner's inverse, dropping an emptied entry.
-func (d *Detector) unindexPartner(id, partner string) {
-	partners := d.pairsOf[id]
-	delete(partners, partner)
-	if len(partners) == 0 {
-		delete(d.pairsOf, id)
-	}
-}
-
-// retractPair removes a live pair from both indexes and enqueues the
-// drop; unknown pairs are ignored.
+// retractPair retracts a live pair; unknown pairs are ignored.
 func (d *Detector) retractPair(p verify.Pair) {
-	m, ok := d.live[p]
-	if !ok {
-		return
+	if i, ok := d.live.lookup(p); ok {
+		d.retractAt(i)
 	}
-	delete(d.live, p)
-	d.countClass(m.Class, -1)
-	d.unindexPartner(p.A, p.B)
-	d.unindexPartner(p.B, p.A)
+}
+
+// retractAt removes the live pair at position i of the pair table and
+// enqueues its drop.
+func (d *Detector) retractAt(i int32) {
+	m := d.live.remove(i)
 	d.dropped++
 	d.enqueueDelta(MatchDelta{Kind: DeltaDrop, Match: m})
 }
@@ -670,18 +633,19 @@ func (d *Detector) Flush() *Result {
 	res := &Result{
 		Matches:    verify.PairSet{},
 		Possible:   verify.PairSet{},
-		Compared:   make([]verify.Pair, 0, len(d.live)),
-		ByPair:     make(map[verify.Pair]Match, len(d.live)),
-		TotalPairs: ssr.TotalPairs(len(d.eng.byID)),
+		Compared:   make([]verify.Pair, 0, len(d.live.pairs)),
+		ByPair:     make(map[verify.Pair]Match, len(d.live.pairs)),
+		TotalPairs: ssr.TotalPairs(len(d.live.slotOf)),
 	}
-	for p, m := range d.live {
-		res.Compared = append(res.Compared, p)
-		res.ByPair[p] = m
+	for i := range d.live.pairs {
+		m := d.live.match(int32(i))
+		res.Compared = append(res.Compared, m.Pair)
+		res.ByPair[m.Pair] = m
 		switch m.Class {
 		case decision.M:
-			res.Matches[p] = true
+			res.Matches[m.Pair] = true
 		case decision.P:
-			res.Possible[p] = true
+			res.Possible[m.Pair] = true
 		}
 	}
 	sort.Slice(res.Compared, func(i, j int) bool {
@@ -703,8 +667,7 @@ func (d *Detector) Flush() *Result {
 func (d *Detector) Resident(id string) (*pdb.XTuple, bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	x, ok := d.eng.byID[id]
-	return x, ok
+	return d.live.tuple(id)
 }
 
 // Partners appends to dst every tuple that holds a live pair of class
@@ -716,10 +679,8 @@ func (d *Detector) Resident(id string) (*pdb.XTuple, bool) {
 func Partners(d *Detector, dst []string, id string, c decision.Class) []string {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	for partner, pc := range d.pairsOf[id] {
-		if pc == c {
-			dst = append(dst, partner)
-		}
+	if s, ok := d.live.slotOf[id]; ok {
+		dst = d.live.partners(dst, s, c)
 	}
 	return dst
 }
@@ -729,9 +690,11 @@ func Partners(d *Detector, dst []string, id string, c decision.Class) []string {
 // ID-to-shard admission map from the engines themselves.
 func (d *Detector) ResidentIDs() []string {
 	d.mu.Lock()
-	ids := make([]string, 0, len(d.eng.byID))
-	for id := range d.eng.byID {
-		ids = append(ids, id)
+	ids := make([]string, 0, len(d.live.slotOf))
+	for _, s := range d.live.slots {
+		if s.x != nil {
+			ids = append(ids, s.x.ID)
+		}
 	}
 	d.mu.Unlock()
 	sort.Strings(ids)
@@ -742,7 +705,7 @@ func (d *Detector) ResidentIDs() []string {
 func (d *Detector) Len() int {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	return len(d.eng.byID)
+	return len(d.live.slotOf)
 }
 
 // Stats summarizes the detector's state and cumulative work.
@@ -750,13 +713,13 @@ func (d *Detector) Stats() DetectorStats {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	st := DetectorStats{
-		Residents:  len(d.eng.byID),
+		Residents:  len(d.live.slotOf),
 		Compared:   d.compared,
 		Dropped:    d.dropped,
-		Live:       len(d.live),
-		Matches:    d.matches,
-		Possible:   d.possible,
-		TotalPairs: ssr.TotalPairs(len(d.eng.byID)),
+		Live:       len(d.live.pairs),
+		Matches:    d.live.matches,
+		Possible:   d.live.possible,
+		TotalPairs: ssr.TotalPairs(len(d.live.slotOf)),
 		Stopped:    d.emits.Stopped(),
 	}
 	if ei, ok := d.idx.(ssr.EpochIndex); ok {

@@ -631,3 +631,33 @@ func TestDetectorStatsCountersMatchFlush(t *testing.T) {
 		})
 	}
 }
+
+// TestDetectorDropsLargeBatchScratch pins that one large AddBatch does
+// not leave its delta buffer and emit queue at the batch's size for
+// the detector's lifetime: the next operation starts from a buffer of
+// at most maxKeptScratch items.
+func TestDetectorDropsLargeBatchScratch(t *testing.T) {
+	u := shuffledUnion(t, 60, 31)
+	opts := incrementalOpts(nil)
+	opts.Workers = 1
+	det, err := NewDetector(u.Schema, opts, func(MatchDelta) bool { return true })
+	if err != nil {
+		t.Fatal(err)
+	}
+	last := len(u.Tuples) - 1
+	if err := det.AddBatch(u.Tuples[:last]); err != nil {
+		t.Fatal(err)
+	}
+	if n := cap(det.deltaBuf); n <= maxKeptScratch {
+		t.Fatalf("the batch grew the delta buffer to %d items only; the test needs more than %d", n, maxKeptScratch)
+	}
+	if err := det.Add(u.Tuples[last]); err != nil {
+		t.Fatal(err)
+	}
+	if n := cap(det.deltaBuf); n > maxKeptScratch {
+		t.Fatalf("delta buffer keeps %d items after a single Add", n)
+	}
+	if n := cap(det.emits.queue); n > maxKeptScratch {
+		t.Fatalf("emit queue keeps %d items after a single Add", n)
+	}
+}

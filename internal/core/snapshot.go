@@ -47,19 +47,23 @@ func (d *Detector) SnapshotState() *DetectorState {
 	defer d.mu.Unlock()
 	st := &DetectorState{
 		Schema:    append([]string(nil), d.eng.xr.Schema...),
-		Residents: make([]*pdb.XTuple, 0, len(d.eng.byID)),
-		Pairs:     make([]Match, 0, len(d.live)),
+		Residents: make([]*pdb.XTuple, 0, len(d.live.slotOf)),
+		Pairs:     make([]Match, 0, len(d.live.pairs)),
 		Compared:  d.compared,
 		Dropped:   d.dropped,
 	}
-	for _, x := range d.eng.byID {
-		st.Residents = append(st.Residents, x)
+	slots := make([]slot, 0, len(d.live.slotOf))
+	for _, s := range d.live.slots {
+		if s.x != nil {
+			slots = append(slots, s)
+		}
 	}
-	sort.Slice(st.Residents, func(i, j int) bool {
-		return d.seqOf[st.Residents[i].ID] < d.seqOf[st.Residents[j].ID]
-	})
-	for _, m := range d.live {
-		st.Pairs = append(st.Pairs, m)
+	sort.Slice(slots, func(i, j int) bool { return slots[i].seq < slots[j].seq })
+	for _, s := range slots {
+		st.Residents = append(st.Residents, s.x)
+	}
+	for i := range d.live.pairs {
+		st.Pairs = append(st.Pairs, d.live.match(int32(i)))
 	}
 	sort.Slice(st.Pairs, func(i, j int) bool {
 		if st.Pairs[i].Pair.A != st.Pairs[j].Pair.A {
@@ -113,7 +117,7 @@ func RestoreDetector(opts Options, emit func(MatchDelta) bool, st *DetectorState
 		if err := x.Validate(len(st.Schema)); err != nil {
 			return nil, fmt.Errorf("core: snapshot resident: %w", err)
 		}
-		if _, dup := d.eng.byID[x.ID]; dup {
+		if _, dup := d.live.slotOf[x.ID]; dup {
 			return nil, fmt.Errorf("core: snapshot lists resident %q twice", x.ID)
 		}
 		prepare.InternXTuple(d.eng.symtab, x)
@@ -127,10 +131,7 @@ func RestoreDetector(opts Options, emit func(MatchDelta) bool, st *DetectorState
 		}
 	}
 	if stateful && st.Epoch != nil {
-		err := d.idx.(ssr.StatefulEpochIndex).RestoreEpochState(st.Epoch, func(id string) (*pdb.XTuple, bool) {
-			x, ok := d.eng.byID[id]
-			return x, ok
-		})
+		err := d.idx.(ssr.StatefulEpochIndex).RestoreEpochState(st.Epoch, d.live.tuple)
 		if err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -140,13 +141,15 @@ func RestoreDetector(opts Options, emit func(MatchDelta) bool, st *DetectorState
 		if p.A >= p.B {
 			return nil, fmt.Errorf("core: snapshot pair (%q,%q) is not in canonical order", p.A, p.B)
 		}
-		if _, ok := d.eng.byID[p.A]; !ok {
+		a, okA := d.live.slotOf[p.A]
+		if !okA {
 			return nil, fmt.Errorf("core: snapshot pair references non-resident tuple %q", p.A)
 		}
-		if _, ok := d.eng.byID[p.B]; !ok {
+		b, okB := d.live.slotOf[p.B]
+		if !okB {
 			return nil, fmt.Errorf("core: snapshot pair references non-resident tuple %q", p.B)
 		}
-		if _, dup := d.live[p]; dup {
+		if _, dup := d.live.find(a, b); dup {
 			return nil, fmt.Errorf("core: snapshot lists pair (%q,%q) twice", p.A, p.B)
 		}
 		switch m.Class {
@@ -157,7 +160,7 @@ func RestoreDetector(opts Options, emit func(MatchDelta) bool, st *DetectorState
 		if math.IsNaN(m.Sim) {
 			return nil, fmt.Errorf("core: snapshot pair (%q,%q) has NaN similarity", p.A, p.B)
 		}
-		d.setLive(p, m)
+		d.live.put(a, b, m.Sim, m.Class)
 	}
 	if st.Compared < 0 || st.Dropped < 0 {
 		return nil, fmt.Errorf("core: snapshot has negative work counters")

@@ -55,7 +55,10 @@ type StreamStats struct {
 // engine is the validated, defaulted configuration shared by the
 // streaming and the materializing entry points.
 type engine struct {
-	xr          *pdb.XRelation
+	xr *pdb.XRelation
+	// byID indexes xr's tuples for the batch entry points. A Detector's
+	// relation starts empty and stays so: its residents live in its
+	// pairTable.
 	byID        map[string]*pdb.XTuple
 	reduction   ssr.Method
 	newComparer func() *xmatch.Comparer
@@ -213,10 +216,21 @@ func (e *engine) compare(c *xmatch.Comparer, p verify.Pair) (Match, error) {
 	x1, ok1 := e.byID[p.A]
 	x2, ok2 := e.byID[p.B]
 	if !ok1 || !ok2 {
-		return Match{}, fmt.Errorf("core: candidate pair %v references unknown tuples", p)
+		return Match{}, unknownTuples(p)
 	}
+	return compareTuples(c, p, x1, x2), nil
+}
+
+// compareTuples matches the pair p of the tuples x1 and x2.
+func compareTuples(c *xmatch.Comparer, p verify.Pair, x1, x2 *pdb.XTuple) Match {
 	r := c.Compare(x1, x2)
-	return Match{Pair: p, Sim: r.Sim, Class: r.Class}, nil
+	return Match{Pair: p, Sim: r.Sim, Class: r.Class}
+}
+
+// unknownTuples is the error of a candidate pair naming a tuple outside
+// the relation, which only a misbehaving user-defined reduction yields.
+func unknownTuples(p verify.Pair) error {
+	return fmt.Errorf("core: candidate pair %v references unknown tuples", p)
 }
 
 // DetectStream runs the pipeline over an x-relation and emits each

@@ -189,7 +189,7 @@ func (ig *Integrator) Add(x *pdb.XTuple) error {
 }
 
 func (ig *Integrator) addLocked(x *pdb.XTuple) error {
-	ig.pending = ig.pending[:0]
+	ig.pending = core.ReuseScratch(ig.pending)
 	if err := ig.det.Add(x); err != nil {
 		return err
 	}
@@ -212,7 +212,7 @@ func (ig *Integrator) AddBatch(xs []*pdb.XTuple) error {
 }
 
 func (ig *Integrator) addBatchLocked(xs []*pdb.XTuple) error {
-	ig.pending = ig.pending[:0]
+	ig.pending = core.ReuseScratch(ig.pending)
 	batchErr := ig.det.AddBatch(xs)
 	// A batch tuple is new when the detector holds it and no component
 	// does yet (an ID already integrated is a rejected duplicate).
@@ -246,7 +246,7 @@ func (ig *Integrator) Remove(id string) error {
 }
 
 func (ig *Integrator) removeLocked(id string) error {
-	ig.pending = ig.pending[:0]
+	ig.pending = core.ReuseScratch(ig.pending)
 	if err := ig.det.Remove(id); err != nil {
 		return err
 	}

@@ -30,7 +30,7 @@ func (ig *Integrator) Reseal() error {
 }
 
 func (ig *Integrator) resealLocked() error {
-	ig.pending = ig.pending[:0]
+	ig.pending = core.ReuseScratch(ig.pending)
 	err := ig.det.Reseal()
 	if aerr := ig.applyOp(ig.pending, nil, ""); err == nil {
 		err = aerr
