@@ -28,9 +28,10 @@
 // {"id":"t1","alts":[{"p":1,"values":[[{"v":"Tim"}],[{"v":"pilot"}]]}]}
 // or the dependency-free form {"id":"t1","p":1,"attrs":[...]} — and
 // each arrival is compared only against incrementally maintained
-// candidates. Deltas are printed as they happen ("+" for a new pair,
-// "-" for a retracted one) and the summary follows at EOF. A line
-// "remove ID" drops a resident tuple. With no seed file, -schema
+// candidates. Deltas are printed as they happen ("+" for a pair
+// entering M or P, "-" for one leaving) and the summary follows at
+// EOF; a pair compared as a non-match is counted, never printed, even
+// with -v. A line "remove ID" drops a resident tuple. With no seed file, -schema
 // (comma-separated attribute names) defines the relation. Arrivals
 // already buffered in the pipe coalesce into batches so the
 // verification work fans out across -workers; interactive input is
@@ -101,7 +102,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		integrate  = fs.Bool("integrate", false, "with -follow: fold match deltas into a live entity set and print NDJSON entity deltas (created/merged/split/refused/retired) instead of pair deltas")
 		schemaSpec = fs.String("schema", "", "comma-separated schema for -follow without a seed file, e.g. 'name,job'")
 		stateDir   = fs.String("state", "", "with -follow: durable state directory (snapshot + write-ahead log); recovers on reopen, seed files apply only when fresh")
-		showAll    = fs.Bool("v", false, "print every compared pair, not only matches, plus filter/cache effectiveness counters")
+		showAll    = fs.Bool("v", false, "print every compared pair, not only matches (batch and -stream), plus filter/cache effectiveness counters")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -364,13 +365,7 @@ func runFollow(seed *probdedup.XRelation, opts probdedup.Options, stateDir strin
 			return finish()
 		}
 	} else {
-		wanted := func(c probdedup.Class) bool {
-			return showAll || c == probdedup.ClassM || c == probdedup.ClassP
-		}
 		emit := func(md probdedup.MatchDelta) bool {
-			if !wanted(md.Class) {
-				return true
-			}
 			sign := "+"
 			if md.Kind == probdedup.DeltaDrop {
 				sign = "-"

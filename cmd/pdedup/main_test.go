@@ -627,17 +627,23 @@ func TestRunFollowVerbosePreFilter(t *testing.T) {
 }
 
 // TestRunFollowVerboseNoFilter: without -prefilter the summary reports
-// the filter off with nothing filtered.
+// the filter off with nothing filtered, and -v prints no delta for a
+// pair compared as a non-match: it is counted, not state.
 func TestRunFollowVerboseNoFilter(t *testing.T) {
 	stdin := strings.NewReader(`
 {"id":"a","attrs":[[{"v":"Tim"}],[{"v":"pilot"}]]}
+{"id":"b","attrs":[[{"v":"Zoe"}],[{"v":"baker"}]]}
 `)
 	var out, errOut bytes.Buffer
 	code := run([]string{"-follow", "-v", "-schema", "name,job"}, stdin, &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
-	if !strings.Contains(out.String(), "prefilter off: enumerated=0 filtered=0") {
-		t.Fatalf("missing off summary in:\n%s", out.String())
+	s := out.String()
+	if !strings.Contains(s, "prefilter off: enumerated=0 filtered=0") {
+		t.Fatalf("missing off summary in:\n%s", s)
+	}
+	if !strings.Contains(s, "0 live pairs of 1 (compared 1, retracted 0)") || strings.Contains(s, "+u") {
+		t.Fatalf("the non-match (a,b) must be compared and printed by no delta:\n%s", s)
 	}
 }

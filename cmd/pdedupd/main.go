@@ -33,7 +33,8 @@
 //	                   failed yields 500 for every item routed to it;
 //	                   resending does not help.
 //	GET  /v1/deltas    server-sent events: one "match" event per match
-//	                   delta ({"kind","a","b","sim","class","shard"}),
+//	                   delta ({"kind","a","b","sim","class","shard"};
+//	                   class is "m" or "p", a non-match is no delta),
 //	                   then a final "end" event when the daemon drains
 //	                   or the subscriber falls behind. Unavailable with
 //	                   -integrate (the integrator consumes match

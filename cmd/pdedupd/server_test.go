@@ -318,6 +318,9 @@ func TestEndToEndLoopback(t *testing.T) {
 			if err := json.Unmarshal([]byte(ev.data), &m); err != nil {
 				t.Fatalf("bad match event %q: %v", ev.data, err)
 			}
+			if m.Class != "m" && m.Class != "p" {
+				t.Fatalf("match event of class %q: only M and P pairs have deltas", m.Class)
+			}
 			got = append(got, canonDelta(m.Kind, m.A, m.B, m.Sim, m.Class))
 		case "end":
 			sawEnd = true

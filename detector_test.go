@@ -10,7 +10,7 @@ import (
 
 // TestPublicDetectorMatchesDetectStream exercises the exported
 // incremental surface end to end: Add-one-at-a-time over a shuffled
-// synthetic relation reproduces the classified pair set of the batch
+// synthetic relation reproduces the M and P pairs of the batch
 // streaming engine, through the public API.
 func TestPublicDetectorMatchesDetectStream(t *testing.T) {
 	d := probdedup.GenerateDataset(probdedup.DefaultDatasetConfig(30, 41))
@@ -32,7 +32,9 @@ func TestPublicDetectorMatchesDetectStream(t *testing.T) {
 
 	batch := map[probdedup.Pair]probdedup.PairMatch{}
 	if _, err := probdedup.DetectStream(u, opts, func(m probdedup.PairMatch) bool {
-		batch[m.Pair] = m
+		if m.Class != probdedup.ClassU {
+			batch[m.Pair] = m
+		}
 		return true
 	}); err != nil {
 		t.Fatal(err)
@@ -64,8 +66,8 @@ func TestPublicDetectorMatchesDetectStream(t *testing.T) {
 
 // TestPublicDetectorAddBatchParallel drives the parallel online
 // ingestion path through the exported surface: AddBatch with
-// Workers=4 over a shuffled synthetic relation reproduces the batch
-// streaming engine's classified pair set exactly.
+// Workers=4 over a shuffled synthetic relation compares every pair the
+// batch streaming engine compares and keeps exactly its M and P pairs.
 func TestPublicDetectorAddBatchParallel(t *testing.T) {
 	d := probdedup.GenerateDataset(probdedup.DefaultDatasetConfig(30, 43))
 	u := d.Union()
@@ -84,10 +86,13 @@ func TestPublicDetectorAddBatchParallel(t *testing.T) {
 		Workers:   4,
 	}
 	batch := map[probdedup.Pair]probdedup.PairMatch{}
-	if _, err := probdedup.DetectStream(u, opts, func(m probdedup.PairMatch) bool {
-		batch[m.Pair] = m
+	stats, err := probdedup.DetectStream(u, opts, func(m probdedup.PairMatch) bool {
+		if m.Class != probdedup.ClassU {
+			batch[m.Pair] = m
+		}
 		return true
-	}); err != nil {
+	})
+	if err != nil {
 		t.Fatal(err)
 	}
 	det, err := probdedup.NewDetector(u.Schema, opts, nil)
@@ -96,6 +101,9 @@ func TestPublicDetectorAddBatchParallel(t *testing.T) {
 	}
 	if err := det.AddBatch(u.Tuples); err != nil {
 		t.Fatal(err)
+	}
+	if got := det.Stats().Compared; got != stats.Compared {
+		t.Fatalf("parallel AddBatch made %d comparisons, batch %d", got, stats.Compared)
 	}
 	res := det.Flush()
 	if len(res.Compared) != len(batch) {

@@ -159,8 +159,9 @@ func ExampleDetectStream() {
 // ExampleDetector runs the incremental online engine: tuples arrive
 // one at a time, each is compared only against incrementally
 // maintained candidates, and removing a tuple retracts its pair
-// decisions. Flush returns exactly what batch Detect would on the
-// resident relation.
+// decisions. Only M and P pairs are state: a comparison that ends in u
+// is counted and emits no delta. Flush returns exactly the M and P
+// pairs batch Detect would find on the resident relation.
 func ExampleDetector() {
 	schema := []string{"name", "job"}
 	det, err := probdedup.NewDetector(schema, probdedup.Options{
@@ -185,15 +186,12 @@ func ExampleDetector() {
 	must(det.Add(probdedup.NewXTuple("b", probdedup.NewAlt(0.8, "Tim", "mechanic"))))
 	must(det.Add(probdedup.NewXTuple("c", probdedup.NewAlt(1.0, "Zoe", "pilot"))))
 	must(det.Remove("b"))
-	res := det.Flush()
-	fmt.Printf("resident %d tuples, matches=%d\n", det.Len(), len(res.Matches))
+	st := det.Stats()
+	fmt.Printf("resident %d tuples, %d comparisons, matches=%d\n", st.Residents, st.Compared, st.Matches)
 	// Output:
 	// + η(a,b) = m
-	// + η(a,c) = u
-	// + η(b,c) = u
 	// - η(a,b) = m
-	// - η(b,c) = u
-	// resident 2 tuples, matches=0
+	// resident 2 tuples, 3 comparisons, matches=0
 }
 
 // ExampleResolve fuses a clear match and keeps a possible match as

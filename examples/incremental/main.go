@@ -36,8 +36,9 @@ func main() {
 		Workers: 4,
 	}
 
-	// Every change to the classified pair set arrives through the
-	// callback: "+" when a pair enters, "−" when a pair is retracted.
+	// Every change to the live pairs — M and P; a non-match is counted,
+	// not kept — arrives through the callback: "+" when a pair enters,
+	// "−" when a pair is retracted.
 	det, err := probdedup.NewDetector(schema, opts, func(md probdedup.MatchDelta) bool {
 		sign := "+"
 		if md.Kind == probdedup.DeltaDrop {

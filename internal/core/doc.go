@@ -26,8 +26,9 @@
 //     verification across Options.Workers, and deltas are emitted
 //     outside the internal lock so the callback can re-enter — and
 //     Flush materializes exactly the Result Detect would produce on
-//     the resident relation: the continuous-arrival workload of the
-//     paper's Sec. III pipeline, without re-running it per tuple.
+//     the resident relation, restricted to M ∪ P (a pair compared as
+//     U is counted, never kept): the continuous-arrival workload of
+//     the paper's Sec. III pipeline, without re-running it per tuple.
 //
 // All entry points validate options identically (thresholds, the
 // comparison-function arity against the schema, the decision model's

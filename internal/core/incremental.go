@@ -54,17 +54,18 @@ func (e *BatchError) Error() string {
 func (e *BatchError) Unwrap() error { return e.Err }
 
 // DeltaKind distinguishes the two changes an online detection run can
-// make to its classified pair set.
+// make to its declared pair sets M and P.
 type DeltaKind int
 
 const (
-	// DeltaAdd reports a pair that entered the compared set, with its
-	// freshly computed similarity and class.
+	// DeltaAdd reports a pair that entered M or P, with its freshly
+	// computed similarity and class. A comparison that ends in U is
+	// counted (DetectorStats.Compared) and reported by no delta: U is
+	// the complement of M and P, not state.
 	DeltaAdd DeltaKind = iota
-	// DeltaDrop reports a pair that left the compared set — because a
-	// tuple was removed, or because a later insertion pushed the pair
-	// out of a sorted-neighborhood window. Match holds the pair's last
-	// decision.
+	// DeltaDrop reports a pair that left M or P — because a tuple was
+	// removed, or because a later insertion pushed the pair out of a
+	// sorted-neighborhood window. Match holds the pair's last decision.
 	DeltaDrop
 )
 
@@ -76,7 +77,7 @@ func (k DeltaKind) String() string {
 	return "add"
 }
 
-// MatchDelta is one change to the detector's classified pair set,
+// MatchDelta is one change to the detector's live pair set M ∪ P,
 // emitted through the callback as it happens.
 type MatchDelta struct {
 	Kind DeltaKind
@@ -89,11 +90,13 @@ type DetectorStats struct {
 	// Residents is the current number of resident tuples.
 	Residents int
 	// Compared counts the pair comparisons performed since
-	// construction (re-entering pairs are re-compared).
+	// construction, whatever their class (re-entering pairs are
+	// re-compared).
 	Compared int
-	// Dropped counts the pairs retracted since construction.
+	// Dropped counts the live pairs retracted since construction.
 	Dropped int
-	// Live, Matches and Possible are the current classified set sizes.
+	// Live, Matches and Possible are the current sizes of M ∪ P, M and
+	// P; Live = Matches + Possible.
 	Live, Matches, Possible int
 	// TotalPairs is the unreduced search-space size of the resident
 	// relation, n(n-1)/2.
@@ -147,7 +150,8 @@ type Engine interface {
 // BlockingAlternatives, and pruned compositions — ingestion is
 // equivalent to batch Detect: after any sequence of Add, AddBatch and
 // Remove calls, Flush returns exactly the Result Detect would produce
-// on the resident relation, at any Options.Workers setting.
+// on the resident relation restricted to M ∪ P, at any
+// Options.Workers setting.
 // BlockingCluster runs on the bounded-staleness tier (ssr.EpochIndex):
 // between epoch reseals arrivals join the block of their nearest
 // centroid, and Flush matches batch Detect right after a reseal —
@@ -164,15 +168,16 @@ type Engine interface {
 // state updates and delta emission remain sequential and
 // deterministic either way.
 //
-// Unlike DetectStream, the detector retains per-pair state (the
-// current classified set) so it can retract decisions on Remove and
-// answer Flush exactly; memory grows with the live candidate pair
-// count. All methods are safe for concurrent use. The emit callback
-// is invoked sequentially (never concurrently with itself), in
-// state-change order, strictly outside the detector's internal lock:
-// it may call back into the detector (Stats, Len, Flush, a follow-up
-// Add or Remove) without deadlocking. Deltas caused by a re-entrant
-// mutation are delivered after the deltas already queued.
+// Unlike DetectStream, the detector retains per-pair state — the
+// pairs currently in M or P, never a U pair — so it can retract
+// decisions on Remove and answer Flush exactly; memory grows with the
+// live M ∪ P count, not with the candidate count. All methods are
+// safe for concurrent use. The emit callback is invoked sequentially
+// (never concurrently with itself), in state-change order, strictly
+// outside the detector's internal lock: it may call back into the
+// detector (Stats, Len, Flush, a follow-up Add or Remove) without
+// deadlocking. Deltas caused by a re-entrant mutation are delivered
+// after the deltas already queued.
 type Detector struct {
 	mu  sync.Mutex
 	eng *engine
@@ -182,7 +187,7 @@ type Detector struct {
 	// as with the filter off, and eng.filter only counts.
 	filter *ssr.PreFilter
 	std    *prepare.Standardizer
-	// live holds the residents and the live pair decisions. Each
+	// live holds the residents and the live M and P decisions. Each
 	// resident's pairs are chained into its partner list, so Remove
 	// retracts in O(degree) instead of sweeping the whole live set, and
 	// the Integrator walks M and P partners (Partners) without a copy of
@@ -215,7 +220,7 @@ type Detector struct {
 // verification phase fans out across when a single Add or AddBatch
 // produces enough candidate pairs; it never changes classifications
 // or the emitted delta stream, only throughput. emit receives every
-// change to the classified pair set as it happens and may be nil when
+// change to the live pair set M ∪ P as it happens and may be nil when
 // only Flush snapshots are needed; a false return permanently stops
 // delta delivery (state maintenance continues).
 func NewDetector(schema []string, opts Options, emit func(MatchDelta) bool) (*Detector, error) {
@@ -474,57 +479,40 @@ func (d *Detector) applyDeltas(deltas []ssr.PairDelta) (int, error) {
 		return 0, nil
 	}
 
-	// Parallel verification phase: collect the additions that need a
-	// comparison — drops and pairs live at their apply point (values
-	// are immutable while resident) don't. Liveness is projected
-	// through the slice rather than read from d.live alone, so a
-	// drop-then-re-add of one pair within a single delta sequence (a
-	// user-defined IncrementalMethod may yield one; the built-in
-	// indexes and InsertBatch never repeat a pair) is re-compared
-	// exactly as the sequential path would.
-	var jobs []compareJob
-	overlay := map[uint64]bool{}
+	// Parallel verification phase: compare every addition. The apply
+	// phase then skips one whose pair is live by its turn (values are
+	// immutable while resident), as the sequential path does, so both
+	// count the same comparisons. Only a user-defined IncrementalMethod
+	// can yield an addition of a live pair, and only its result is
+	// wasted: the built-in indexes and InsertBatch never repeat a pair.
+	jobs := make([]compareJob, 0, adds)
 	for i, pd := range deltas {
-		a, b, ok := d.live.ends(pd.Pair)
-		if !ok {
-			if !pd.Dropped {
-				jobs = append(jobs, compareJob{delta: i, err: unknownTuples(pd.Pair)})
+		if !pd.Dropped {
+			a, b, ok := d.live.ends(pd.Pair)
+			jobs = append(jobs, compareJob{delta: i, a: a, b: b})
+			if !ok {
+				jobs[len(jobs)-1].err = unknownTuples(pd.Pair)
 			}
-			continue
 		}
-		k := pairKey(a, b)
-		if pd.Dropped {
-			overlay[k] = false
-			continue
-		}
-		live, seen := overlay[k]
-		if !seen {
-			_, live = d.live.find(a, b)
-		}
-		if live {
-			continue
-		}
-		overlay[k] = true
-		jobs = append(jobs, compareJob{delta: i, a: a, b: b})
 	}
 	d.compareAll(jobs, deltas)
 
-	// Sequential apply-and-enqueue phase, in delta order.
+	// Sequential apply-and-enqueue phase, in delta order; jobs follow
+	// the additions one to one.
 	ji := 0
 	for i, pd := range deltas {
 		if pd.Dropped {
 			d.retractPair(pd.Pair)
 			continue
 		}
-		if ji >= len(jobs) || jobs[ji].delta != i {
-			continue // already live, nothing to recompute
-		}
 		j := &jobs[ji]
+		ji++
 		if j.err != nil {
 			return i, j.err
 		}
-		d.recordMatch(j.a, j.b, j.m)
-		ji++
+		if _, live := d.live.find(j.a, j.b); !live {
+			d.recordMatch(j.a, j.b, j.m)
+		}
 	}
 	return 0, nil
 }
@@ -558,10 +546,14 @@ func (d *Detector) applyOne(c *xmatch.Comparer, pd ssr.PairDelta) error {
 	return nil
 }
 
-// recordMatch installs one freshly compared pair of slots a and b in
-// the live state and enqueues its add delta.
+// recordMatch counts one fresh comparison of slots a and b. A pair
+// classified M or P enters the live state and enqueues its add delta;
+// a U pair leaves nothing behind, so its later drop is a no-op.
 func (d *Detector) recordMatch(a, b uint32, m Match) {
 	d.compared++
+	if m.Class == decision.U {
+		return
+	}
 	d.live.put(a, b, m.Sim, m.Class)
 	d.enqueueDelta(MatchDelta{Kind: DeltaAdd, Match: m})
 }
@@ -623,10 +615,11 @@ func (d *Detector) enqueueDelta(md MatchDelta) { d.emits.Enqueue(md) }
 
 func (d *Detector) drainEmits() { d.emits.Drain() }
 
-// Flush materializes the current classified state as an exact Result —
-// the same Result Detect would produce on the resident relation:
-// every live pair in deterministic order with similarity and class,
-// the declared M and P sets, and the arithmetic search-space size.
+// Flush materializes the current state as an exact Result — the Result
+// Detect would produce on the resident relation, restricted to M ∪ P:
+// every live pair in deterministic order with similarity and class
+// (Compared and ByPair hold no U pair), the declared M and P sets, and
+// the arithmetic search-space size.
 func (d *Detector) Flush() *Result {
 	d.mu.Lock()
 	defer d.mu.Unlock()

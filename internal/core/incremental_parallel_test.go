@@ -60,7 +60,7 @@ func TestDetectorAddBatchParallelEquivalence(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			sameResult(t, seq.Flush(), batch)
+			sameResult(t, seq.Flush(), liveOnly(batch))
 
 			for _, chunk := range []int{len(u.Tuples), 7} {
 				emit, folded := foldDeltas()
@@ -75,7 +75,7 @@ func TestDetectorAddBatchParallelEquivalence(t *testing.T) {
 					}
 				}
 				res := par.Flush()
-				sameResult(t, res, batch)
+				sameResult(t, res, liveOnly(batch))
 				if len(folded) != len(res.ByPair) {
 					t.Fatalf("chunk %d: folded deltas hold %d pairs, flush %d", chunk, len(folded), len(res.ByPair))
 				}
@@ -365,7 +365,7 @@ func TestDetectorConcurrentCallers(t *testing.T) {
 				t.Fatal(err)
 			}
 			res := det.Flush()
-			sameResult(t, res, batch)
+			sameResult(t, res, liveOnly(batch))
 			if len(folded) != len(res.ByPair) {
 				t.Fatalf("folded deltas hold %d pairs, flush %d", len(folded), len(res.ByPair))
 			}
@@ -379,13 +379,14 @@ func TestDetectorConcurrentCallers(t *testing.T) {
 }
 
 // churnyIndex wraps the cross-product index and, once a first pair
-// exists, prefixes every later insertion's deltas with a
-// drop-then-re-add of that pair. That sequence is legal under the
-// IncrementalIndex contract (the maintained set ends up identical —
-// deltas per pair alternate) and is exactly the shape the parallel
-// verification phase must not mishandle: the re-add needs a
+// exists, prefixes every later insertion's deltas with a drop of that
+// pair and two re-adds. That sequence bends the IncrementalIndex
+// contract (a pair is added while it is in the set) the way a
+// user-defined index might, and it is exactly the shape the parallel
+// verification phase must not mishandle: the first re-add needs a
 // comparison because the pair is retracted by the time it applies,
-// even though it is live when the batch is collected.
+// even though it is live when the batch is collected, and the second
+// must be skipped because the first made the pair live again.
 type churnyIndex struct {
 	inner ssr.IncrementalIndex
 	first *verify.Pair
@@ -396,8 +397,10 @@ func (c *churnyIndex) Insert(x *pdb.XTuple, yield func(ssr.PairDelta) bool) bool
 		if !yield(ssr.PairDelta{Pair: *c.first, Dropped: true}) {
 			return false
 		}
-		if !yield(ssr.PairDelta{Pair: *c.first}) {
-			return false
+		for range 2 {
+			if !yield(ssr.PairDelta{Pair: *c.first}) {
+				return false
+			}
 		}
 	}
 	return c.inner.Insert(x, func(pd ssr.PairDelta) bool {
@@ -430,34 +433,55 @@ func (churnyMethod) Incremental() (ssr.IncrementalIndex, error) {
 // TestDetectorParallelDropReAddDelta is the regression test for the
 // parallel verification phase against a user-defined index that
 // drops and re-adds one pair within a single delta sequence: the
-// classified state must be identical at Workers 1 and 4 (the
-// sequential path re-compares the re-added pair; the parallel path
-// must project liveness through the slice to reach the same answer),
-// and the churned pair must survive.
+// classified state and the comparison count must be identical at
+// Workers 1 and 4 (the sequential path re-compares the re-added pair;
+// the parallel path must see that it is retracted by its turn to reach
+// the same answer), and the churned pair — a match, so it is live when
+// each sequence is collected — must survive.
 func TestDetectorParallelDropReAddDelta(t *testing.T) {
 	u := shuffledUnion(t, 25, 31)
+	// The first two arrivals are one tuple under two IDs, so the pair the
+	// index churns is an M pair.
+	twin := u.Tuples[0].Clone()
+	twin.ID = "twin"
+	rel := pdb.NewXRelation(u.Name, u.Schema...)
+	rel.Append(u.Tuples[0], twin)
+	rel.Append(u.Tuples[1:]...)
+	churned := verify.NewPair(u.Tuples[0].ID, twin.ID)
+
 	results := map[int]*Result{}
+	compared := map[int]int{}
 	for _, workers := range []int{1, 4} {
 		opts := incrementalOpts(churnyMethod{})
 		opts.Workers = workers
-		det, err := NewDetector(u.Schema, opts, nil)
+		det, err := NewDetector(rel.Schema, opts, nil)
 		if err != nil {
 			t.Fatal(err)
 		}
 		// Single Adds: later insertions each yield enough cross-product
 		// deltas (plus the churn prefix) to cross the inline threshold,
 		// so the Workers=4 run exercises the parallel path.
-		for _, x := range u.Tuples {
+		for _, x := range rel.Tuples {
 			if err := det.Add(x); err != nil {
 				t.Fatal(err)
 			}
 		}
-		results[workers] = det.Flush()
+		results[workers], compared[workers] = det.Flush(), det.Stats().Compared
 	}
-	if len(results[1].Compared) != ssr.TotalPairs(len(u.Tuples)) {
-		t.Fatalf("sequential run holds %d pairs, want the full cross product %d",
-			len(results[1].Compared), ssr.TotalPairs(len(u.Tuples)))
+	if m := results[1].ByPair[churned]; m.Class != decision.M {
+		t.Fatalf("churned pair %v = %+v, want a live match", churned, m)
 	}
+	// Every cross-product pair once, plus the churned pair once more per
+	// later arrival: its second re-add finds it live.
+	n := len(rel.Tuples)
+	if want := ssr.TotalPairs(n) + n - 2; compared[1] != want || compared[4] != want {
+		t.Fatalf("compared %d (workers=1) and %d (workers=4) pairs, want %d", compared[1], compared[4], want)
+	}
+	batch, err := Detect(rel, incrementalOpts(churnyMethod{}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameResult(t, results[1], liveOnly(batch))
 	sameResult(t, results[4], results[1])
 }
 

@@ -65,6 +65,20 @@ func incrementalReductions(t *testing.T, schema []string) map[string]ssr.Method 
 	}
 }
 
+// liveOnly restricts a batch Result to M ∪ P: what a Detector's Flush
+// holds for the same relation, since a pair compared as U is no online
+// state.
+func liveOnly(res *Result) *Result {
+	out := &Result{Matches: res.Matches, Possible: res.Possible, ByPair: map[verify.Pair]Match{}, TotalPairs: res.TotalPairs}
+	for _, p := range res.Compared {
+		if m := res.ByPair[p]; m.Class != decision.U {
+			out.Compared = append(out.Compared, p)
+			out.ByPair[p] = m
+		}
+	}
+	return out
+}
+
 // sameResult fails unless the two results carry identical classified
 // pair sets, similarities, and classes.
 func sameResult(t *testing.T, got, want *Result) {
@@ -121,7 +135,7 @@ func TestDetectorEquivalentToBatch(t *testing.T) {
 				}
 			}
 			res := det.Flush()
-			sameResult(t, res, batch)
+			sameResult(t, res, liveOnly(batch))
 			// The emitted delta stream folds to the same state.
 			if len(folded) != len(res.ByPair) {
 				t.Fatalf("folded deltas hold %d pairs, flush %d", len(folded), len(res.ByPair))
@@ -167,8 +181,83 @@ func TestDetectorAddBatchAndRemoveEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			sameResult(t, det.Flush(), batch)
+			sameResult(t, det.Flush(), liveOnly(batch))
 		})
+	}
+}
+
+// TestDetectorKeepsNoNonMatch pins that a comparison ending in U
+// leaves no trace but the Compared counter: over an AddBatch, Add and
+// Remove schedule on the cross product, no delta carries class U, the
+// stream folds to Flush, neither Flush nor the snapshot holds a U pair,
+// Live = Matches + Possible, Dropped counts exactly the drop deltas,
+// and Compared counts every pair the cross product presented, U
+// included.
+func TestDetectorKeepsNoNonMatch(t *testing.T) {
+	u := shuffledUnion(t, 20, 61)
+	n := len(u.Tuples)
+	fold, folded := foldDeltas()
+	drops := 0
+	det, err := NewDetector(u.Schema, incrementalOpts(nil), func(md MatchDelta) bool {
+		if md.Class == decision.U {
+			t.Errorf("%v delta of the U pair %v", md.Kind, md.Pair)
+		}
+		if md.Kind == DeltaDrop {
+			drops++
+		}
+		return fold(md)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := det.AddBatch(u.Tuples[:n/2]); err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range u.Tuples[n/2:] {
+		if err := det.Add(x); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := det.Stats().Compared; got != ssr.TotalPairs(n) {
+		t.Fatalf("compared %d pairs, want every pair of the cross product (%d)", got, ssr.TotalPairs(n))
+	}
+	rest := pdb.NewXRelation(u.Name, u.Schema...)
+	for i, x := range u.Tuples {
+		if i%4 == 0 {
+			if err := det.Remove(x.ID); err != nil {
+				t.Fatal(err)
+			}
+			continue
+		}
+		rest.Append(x)
+	}
+
+	batch, err := Detect(rest, incrementalOpts(nil))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(liveOnly(batch).Compared) == len(batch.Compared) {
+		t.Fatal("the fixture has no U pair; the test needs some")
+	}
+	res := det.Flush()
+	sameResult(t, res, liveOnly(batch))
+	st := det.Stats()
+	if st.Live != st.Matches+st.Possible || st.Live != len(folded) || st.Dropped != drops || drops == 0 {
+		t.Fatalf("stats %+v, %d folded pairs, %d drop deltas", st, len(folded), drops)
+	}
+	for p, m := range folded {
+		if res.ByPair[p] != m {
+			t.Fatalf("folded pair %v = %+v, flush %+v", p, m, res.ByPair[p])
+		}
+	}
+	snap := det.SnapshotState()
+	if len(snap.Pairs) != st.Live {
+		t.Fatalf("snapshot holds %d pairs, %d live", len(snap.Pairs), st.Live)
+	}
+	for _, m := range snap.Pairs {
+		if m.Class == decision.U {
+			t.Fatalf("snapshot holds the U pair %v", m.Pair)
+		}
 	}
 }
 
@@ -275,15 +364,19 @@ func TestDetectorRemoveSweepsWhatTheIndexKeeps(t *testing.T) {
 	if err := det.AddBatch(u.Tuples); err != nil {
 		t.Fatal(err)
 	}
-	victim, other := u.Tuples[0], u.Tuples[1]
+	batch, err := Detect(u, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	victim, other := victimWithPartners(t, liveOnly(batch), u)
 	before := map[verify.Pair]Match{}
 	for p, m := range det.Flush().ByPair {
 		if p.A == victim.ID || p.B == victim.ID {
 			before[p] = m
 		}
 	}
-	if len(before) != len(u.Tuples)-1 {
-		t.Fatalf("victim holds %d live pairs, want the cross product's %d", len(before), len(u.Tuples)-1)
+	if want := partnersOf(liveOnly(batch), victim.ID); len(before) != want {
+		t.Fatalf("victim holds %d live pairs, want its %d M and P pairs of batch Detect", len(before), want)
 	}
 
 	deltas = nil
@@ -312,13 +405,44 @@ func TestDetectorRemoveSweepsWhatTheIndexKeeps(t *testing.T) {
 		t.Fatal(err)
 	}
 	rel := pdb.NewXRelation(u.Name, u.Schema...)
-	rel.Append(changed)
-	rel.Append(u.Tuples[1:]...)
-	batch, err := Detect(rel, opts)
-	if err != nil {
+	for _, x := range u.Tuples {
+		if x.ID == victim.ID {
+			x = changed
+		}
+		rel.Append(x)
+	}
+	if batch, err = Detect(rel, opts); err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, det.Flush(), batch)
+	sameResult(t, det.Flush(), liveOnly(batch))
+}
+
+// partnersOf counts the pairs of res naming id.
+func partnersOf(res *Result, id string) int {
+	n := 0
+	for _, p := range res.Compared {
+		if p.A == id || p.B == id {
+			n++
+		}
+	}
+	return n
+}
+
+// victimWithPartners picks the tuple of u holding the most M and P
+// pairs in res (the first on a tie), and the tuple after it to borrow
+// values from.
+func victimWithPartners(t *testing.T, res *Result, u *pdb.XRelation) (victim, other *pdb.XTuple) {
+	t.Helper()
+	best, most := 0, 0
+	for i, x := range u.Tuples {
+		if n := partnersOf(res, x.ID); n > most {
+			best, most = i, n
+		}
+	}
+	if most == 0 {
+		t.Fatal("no tuple holds a live pair; the test needs one")
+	}
+	return u.Tuples[best], u.Tuples[(best+1)%len(u.Tuples)]
 }
 
 // TestDetectorStandardizer checks online per-tuple standardization
@@ -342,7 +466,7 @@ func TestDetectorStandardizer(t *testing.T) {
 	if err := det.AddBatch(u.Tuples); err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, det.Flush(), batch)
+	sameResult(t, det.Flush(), liveOnly(batch))
 }
 
 // batchOnlyMethod is a third-party reduction without the Incremental
@@ -412,7 +536,7 @@ func TestDetectorEmitStop(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, det.Flush(), batch)
+	sameResult(t, det.Flush(), liveOnly(batch))
 }
 
 // TestDetectorAddIsolatesCallerTuple checks the deep copy: mutating
@@ -515,7 +639,7 @@ func TestDetectorBlockingClusterEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	sameResult(t, results[1], batch)
+	sameResult(t, results[1], liveOnly(batch))
 }
 
 // TestDetectorResealNoOpOnExactTier checks that Reseal on an

@@ -103,9 +103,12 @@ func samePairSet(t *testing.T, what string, got, want verify.PairSet) {
 
 // TestPreFilterDetectorEquivalesBatch proves the incremental path of
 // the filter: a Detector with PreFilter on, fed the shuffled relation
-// in batches (parallel verification), must Flush exactly the result
-// of the unfiltered batch Detect — the filter state is maintained
-// under Insert and the Admit decisions match the batch run's. The
+// in batches (parallel verification), must Flush exactly the M and P
+// pairs of the unfiltered batch Detect — the filter state is
+// maintained under Insert and the Admit decisions match the batch
+// run's. Since a U pair is no online state, the filter is neutral on
+// everything a Detector shows: the filtered and unfiltered detectors
+// emit the identical delta stream and Flush the identical result. The
 // counter contract of DetectorStats.Enumerated rides along: every add
 // the index presents is either filtered or compared, so blocking and
 // the cross product conserve Enumerated = Compared + Filtered, and a
@@ -121,17 +124,34 @@ func TestPreFilterDetectorEquivalesBatch(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			run := func(opts Options) (*Detector, []MatchDelta) {
+				var deltas []MatchDelta
+				det, err := NewDetector(u.Schema, opts, func(md MatchDelta) bool {
+					deltas = append(deltas, md)
+					return true
+				})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := det.AddBatch(u.Tuples); err != nil {
+					t.Fatal(err)
+				}
+				return det, deltas
+			}
+			unfiltered, plainDeltas := run(opts)
 			opts.PreFilter = true
-			det, err := NewDetector(u.Schema, opts, nil)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := det.AddBatch(u.Tuples); err != nil {
-				t.Fatal(err)
-			}
+			det, deltas := run(opts)
 			res := det.Flush()
-			samePairSet(t, "M", res.Matches, plain.Matches)
-			samePairSet(t, "P", res.Possible, plain.Possible)
+			sameResult(t, res, liveOnly(plain))
+			sameResult(t, res, unfiltered.Flush())
+			if len(deltas) != len(plainDeltas) {
+				t.Fatalf("filtered detector emitted %d deltas, unfiltered %d", len(deltas), len(plainDeltas))
+			}
+			for i := range deltas {
+				if deltas[i] != plainDeltas[i] {
+					t.Fatalf("delta %d: filtered %+v, unfiltered %+v", i, deltas[i], plainDeltas[i])
+				}
+			}
 			st := det.Stats()
 			if !st.FilterActive {
 				t.Fatal("FilterActive = false")

@@ -15,7 +15,7 @@ import (
 // everything a recovered detector cannot re-derive from its Options:
 // the resident tuples in arrival order (already standardized; the
 // incremental-index contract ties candidate tie-breaking to insertion
-// order), every live pair decision, the cumulative work counters, and
+// order), every live M and P decision, the cumulative work counters, and
 // the placement state of a bounded-staleness reduction index. What is
 // deliberately absent is re-derived on restore: exact-tier index state
 // and the pre-filter summaries are pure functions of the residents in
@@ -28,7 +28,8 @@ type DetectorState struct {
 	// order. The slices and tuples are shared with the live detector —
 	// read-only by contract (resident tuples are immutable).
 	Residents []*pdb.XTuple
-	// Pairs lists every live classified pair sorted by (A, B).
+	// Pairs lists every live pair, each of class M or P, sorted by
+	// (A, B).
 	Pairs []Match
 	// Compared and Dropped are the cumulative work counters.
 	Compared, Dropped int
@@ -152,10 +153,8 @@ func RestoreDetector(opts Options, emit func(MatchDelta) bool, st *DetectorState
 		if _, dup := d.live.find(a, b); dup {
 			return nil, fmt.Errorf("core: snapshot lists pair (%q,%q) twice", p.A, p.B)
 		}
-		switch m.Class {
-		case decision.M, decision.P, decision.U:
-		default:
-			return nil, fmt.Errorf("core: snapshot pair (%q,%q) has unknown class %d", p.A, p.B, int(m.Class))
+		if m.Class != decision.M && m.Class != decision.P {
+			return nil, fmt.Errorf("core: snapshot pair (%q,%q) has class %d; only M and P pairs are live", p.A, p.B, int(m.Class))
 		}
 		if math.IsNaN(m.Sim) {
 			return nil, fmt.Errorf("core: snapshot pair (%q,%q) has NaN similarity", p.A, p.B)

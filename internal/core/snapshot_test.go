@@ -159,6 +159,7 @@ func TestRestoreDetectorRejectsCorrupt(t *testing.T) {
 		{"pair references ghost", func(st *DetectorState) { st.Pairs[0].Pair.B = "zzzz-ghost" }, "non-resident"},
 		{"duplicate pair", func(st *DetectorState) { st.Pairs[1] = st.Pairs[0] }, "twice"},
 		{"unknown class", func(st *DetectorState) { st.Pairs[0].Class = decision.Class(99) }, "class"},
+		{"U pair", func(st *DetectorState) { st.Pairs[0].Class = decision.U }, "only M and P"},
 		{"NaN similarity", func(st *DetectorState) { st.Pairs[0].Sim = math.NaN() }, "NaN"},
 		{"negative counters", func(st *DetectorState) { st.Compared = -1 }, "negative"},
 		{"epoch state on exact tier", func(st *DetectorState) { st.Epoch = &ssr.EpochState{} }, "epoch"},

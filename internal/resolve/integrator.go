@@ -92,7 +92,7 @@ type component struct {
 // Integrator is the long-lived online integration engine — the
 // incremental form of Resolve, one layer above the Detector. Tuples
 // arrive (Add/AddBatch) and leave (Remove); a composed core.Detector
-// maintains the classified pair set and the Integrator folds its
+// maintains the live M and P pairs and the Integrator folds its
 // MatchDelta stream into a live Resolution: declared matches (M)
 // maintain entity membership through component-local rebuilds (only
 // the connected components an operation touches are re-grouped and
@@ -303,7 +303,6 @@ func (ig *Integrator) applyOp(deltas []core.MatchDelta, added []string, removed 
 		case decision.P:
 			markRefused(md.Pair)
 		}
-		// Class U pairs never appear in the integrated result.
 	}
 	if removed != "" {
 		mark(removed)

@@ -11,8 +11,13 @@ import (
 )
 
 // snapMagic versions the snapshot format; a future layout change gets
-// a new magic and a fallback reader.
-const snapMagic = "PDSNAPv1"
+// a new magic and a fallback reader. Version 2 lists only M and P
+// pairs. Version 1 also listed the live U pairs of its time; they are
+// dropped on decode, since a U pair is no longer state (DetectorState).
+const (
+	snapMagic   = "PDSNAPv2"
+	snapMagicV1 = "PDSNAPv1"
+)
 
 // EncodeSnapshot serializes a detector state as one self-verifying
 // binary snapshot: magic, the operation sequence number the state
@@ -80,7 +85,8 @@ func DecodeSnapshot(data []byte) (*core.DetectorState, uint64, error) {
 	if len(data) < len(snapMagic)+8+4 {
 		return nil, 0, fmt.Errorf("wal: snapshot too short (%d bytes)", len(data))
 	}
-	if string(data[:len(snapMagic)]) != snapMagic {
+	v1 := string(data[:len(snapMagic)]) == snapMagicV1
+	if !v1 && string(data[:len(snapMagic)]) != snapMagic {
 		return nil, 0, fmt.Errorf("wal: snapshot has bad magic %q", data[:len(snapMagic)])
 	}
 	body, tail := data[:len(data)-4], data[len(data)-4:]
@@ -107,9 +113,12 @@ func DecodeSnapshot(data []byte) (*core.DetectorState, uint64, error) {
 		a, b := d.str(), d.str()
 		sim := d.f64()
 		class := d.u8()
-		if class > byte(decision.M) {
-			d.fail("unknown pair class %d", class)
+		if class > byte(decision.M) || class == byte(decision.U) && !v1 {
+			d.fail("pair of class %d in a snapshot of M and P pairs", class)
 			break
+		}
+		if class == byte(decision.U) {
+			continue
 		}
 		st.Pairs = append(st.Pairs, core.Match{
 			Pair:  verify.Pair{A: a, B: b},

@@ -1,15 +1,19 @@
 package wal
 
 import (
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
 	"probdedup/internal/core"
+	"probdedup/internal/decision"
 	"probdedup/internal/pdb"
 	"probdedup/internal/resolve"
+	"probdedup/internal/verify"
 )
 
 // TestDecodeSnapshotErrorPaths: every structural failure of the
@@ -71,6 +75,50 @@ func TestDecodeSnapshotErrorPaths(t *testing.T) {
 	}
 	if len(st.Schema) != len(schema) {
 		t.Fatalf("schema %v", st.Schema)
+	}
+}
+
+// TestDecodeSnapshotVersions pins what each snapshot version may hold:
+// a version 2 snapshot lists M and P pairs only, so a U record in it is
+// refused; a version 1 snapshot (written when U pairs were live state)
+// decodes with its U records dropped and everything else kept.
+func TestDecodeSnapshotVersions(t *testing.T) {
+	x := pdb.NewXTuple("a", pdb.NewAlt(1, "Tim"))
+	y := pdb.NewXTuple("b", pdb.NewAlt(1, "Tom"))
+	z := pdb.NewXTuple("c", pdb.NewAlt(1, "Tam"))
+	st := &core.DetectorState{
+		Schema:    []string{"name"},
+		Residents: []*pdb.XTuple{x, y, z},
+		Pairs: []core.Match{
+			{Pair: verify.Pair{A: "a", B: "b"}, Sim: 0.9, Class: decision.M},
+			{Pair: verify.Pair{A: "a", B: "c"}, Sim: 0.1, Class: decision.U},
+			{Pair: verify.Pair{A: "b", B: "c"}, Sim: 0.6, Class: decision.P},
+		},
+		Compared: 3,
+		Dropped:  1,
+	}
+	v2 := EncodeSnapshot(st, 7)
+	if _, _, err := DecodeSnapshot(v2); err == nil || !strings.Contains(err.Error(), "class 0") {
+		t.Fatalf("version 2 snapshot with a U pair: err = %v, want a refusal naming the class", err)
+	}
+
+	v1 := append([]byte(snapMagicV1), v2[len(snapMagic):len(v2)-4]...)
+	v1 = binary.LittleEndian.AppendUint32(v1, crc32.ChecksumIEEE(v1))
+	got, seq, err := DecodeSnapshot(v1)
+	if err != nil {
+		t.Fatalf("version 1 snapshot: %v", err)
+	}
+	want := []core.Match{st.Pairs[0], st.Pairs[2]}
+	if seq != 7 || len(got.Residents) != 3 || got.Compared != 3 || got.Dropped != 1 || len(got.Pairs) != len(want) {
+		t.Fatalf("version 1 decode: seq %d, %d residents, counters %d/%d, pairs %+v", seq, len(got.Residents), got.Compared, got.Dropped, got.Pairs)
+	}
+	for i := range want {
+		if got.Pairs[i] != want[i] {
+			t.Fatalf("version 1 pair %d = %+v, want %+v", i, got.Pairs[i], want[i])
+		}
+	}
+	if _, err := core.RestoreDetector(core.Options{Final: decision.Thresholds{Lambda: 0.5, Mu: 0.8}}, nil, got); err != nil {
+		t.Fatalf("restore of a decoded version 1 snapshot: %v", err)
 	}
 }
 

@@ -507,10 +507,11 @@ type (
 	// the pair decisions up to the failing delta applied. Extract
 	// with errors.As.
 	DetectorBatchError = core.BatchError
-	// MatchDelta is one change to a detector's classified pair set: a
-	// freshly classified pair (DeltaAdd) or a retracted one
+	// MatchDelta is one change to a detector's live pair set M ∪ P: a
+	// pair freshly classified m or p (DeltaAdd) or a retracted one
 	// (DeltaDrop, after a removal or a sorted-neighborhood window
-	// drift).
+	// drift). A comparison that ends in u is counted in
+	// DetectorStats.Compared and emits no delta.
 	MatchDelta = core.MatchDelta
 	// DeltaKind distinguishes additions from retractions.
 	DeltaKind = core.DeltaKind
@@ -561,14 +562,15 @@ var ErrNotIncremental = ssr.ErrNotIncremental
 // built-in method does (also under a pruned ReductionFilter), and
 // user-defined methods opt in by implementing IncrementalReduction;
 // anything else fails with ErrNotIncremental. Online ingestion is
-// equivalent to batch Detect on the resident relation at any worker
-// count — for BlockingCluster, at every epoch boundary (see
-// EpochIndex; Detector.Stats reports the staleness in between): Options.Workers fans the verification of a large delta
-// batch (AddBatch, big blocks) across goroutines sharing the
+// equivalent to batch Detect on the resident relation, restricted to
+// the M and P pairs, at any worker count — for BlockingCluster, at
+// every epoch boundary (see EpochIndex; Detector.Stats reports the
+// staleness in between): Options.Workers fans the verification of a
+// large delta batch (AddBatch, big blocks) across goroutines sharing the
 // detector-lifetime bounded similarity cache, without changing
 // classifications or the emitted delta stream.
 //
-// emit receives every change to the classified pair set as it
+// emit receives every change to the live pair set M ∪ P as it
 // happens and may be nil when only Flush snapshots are needed;
 // returning false permanently stops delta delivery. The callback is
 // invoked sequentially (never concurrently with itself), in
@@ -661,7 +663,7 @@ const (
 // NewIntegrator builds an empty online integration engine over the
 // given schema — the incremental form of Resolve, one layer above
 // NewDetector. Tuples arrive (Add/AddBatch) and leave (Remove); the
-// composed Detector maintains the classified pair set and the
+// composed Detector maintains the live M and P pairs and the
 // integrator folds its delta stream into a live entity set: declared
 // matches maintain entity membership through component-local rebuilds
 // (only touched components are re-grouped and re-fused), and possible
