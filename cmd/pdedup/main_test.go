@@ -94,10 +94,12 @@ func TestRunStream(t *testing.T) {
 	if code := run([]string{r3, r4}, strings.NewReader(""), &matOut, &errOut); code != 0 {
 		t.Fatalf("exit %d: %s", code, errOut.String())
 	}
+	// The worker count changes nothing on stdout, -v footer included.
+	streamed := map[string]string{}
 	for _, workers := range []string{"1", "4"} {
 		var out bytes.Buffer
 		errOut.Reset()
-		code := run([]string{"-stream", "-workers", workers, r3, r4}, strings.NewReader(""), &out, &errOut)
+		code := run([]string{"-stream", "-v", "-workers", workers, r3, r4}, strings.NewReader(""), &out, &errOut)
 		if code != 0 {
 			t.Fatalf("workers=%s exit %d: %s", workers, code, errOut.String())
 		}
@@ -111,6 +113,10 @@ func TestRunStream(t *testing.T) {
 		if !strings.Contains(s, strings.TrimSpace(matSummary)) {
 			t.Fatalf("workers=%s: summary diverges from materialized run:\n%s\nvs\n%s", workers, s, matOut.String())
 		}
+		streamed[workers] = s
+	}
+	if streamed["1"] != streamed["4"] {
+		t.Fatalf("stdout differs between -workers 1 and 4:\n%s\nvs\n%s", streamed["1"], streamed["4"])
 	}
 
 	// Streaming errors surface with a non-zero exit.

@@ -67,20 +67,16 @@ func TestSharedCacheResultsMatchUncached(t *testing.T) {
 func TestSharedCacheBoundedAndSharedAcrossWorkers(t *testing.T) {
 	d, opts := cacheTestOptions(t, 8, 512)
 	u := d.Union()
-	eng, err := newEngine(u, opts)
+	stats, err := DetectStream(u, opts, func(Match) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats StreamStats
-	if err := eng.runParallel(&stats, func(Match) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	if eng.cache == nil {
+	st := stats.Cache
+	if st.Capacity == 0 {
 		t.Fatal("engine has no shared cache")
 	}
-	st := eng.cache.Stats()
-	if st.Entries > eng.cache.Capacity() {
-		t.Fatalf("cache entries %d exceed capacity %d", st.Entries, eng.cache.Capacity())
+	if st.Entries > st.Capacity {
+		t.Fatalf("cache entries %d exceed capacity %d", st.Entries, st.Capacity)
 	}
 	if st.Hits == 0 {
 		t.Fatalf("no cache hits in a blocking run: %+v", st)
@@ -93,21 +89,17 @@ func TestSharedCacheBoundedAndSharedAcrossWorkers(t *testing.T) {
 	// Same run with ample capacity: misses are then bounded by the
 	// distinct value-pair universe — not multiplied by the 8 workers,
 	// which proves the workers share one memo.
-	eng2, err := newEngine(u, Options{
+	stats2, err := DetectStream(u, Options{
 		Compare:       opts.Compare,
 		Final:         opts.Final,
 		Derivation:    opts.Derivation,
 		Workers:       8,
 		CacheCapacity: 1 << 20,
-	})
+	}, func(Match) bool { return true })
 	if err != nil {
 		t.Fatal(err)
 	}
-	var stats2 StreamStats
-	if err := eng2.runParallel(&stats2, func(Match) bool { return true }); err != nil {
-		t.Fatal(err)
-	}
-	st2 := eng2.cache.Stats()
+	st2 := stats2.Cache
 	if st2.Evictions != 0 {
 		t.Fatalf("ample capacity must not evict: %+v", st2)
 	}
@@ -122,8 +114,8 @@ func TestSharedCacheBoundedAndSharedAcrossWorkers(t *testing.T) {
 	}
 }
 
-// TestCrossProductStreamSharedCache covers the non-partitioned parallel
-// path (single producer) under -race as well.
+// TestCrossProductStreamSharedCache covers a non-partitioned reduction
+// through the worker pool under -race as well.
 func TestCrossProductStreamSharedCache(t *testing.T) {
 	d, opts := cacheTestOptions(t, 4, 0)
 	opts.Reduction = ssr.CrossProduct{}

@@ -34,13 +34,12 @@ type Options struct {
 	// Final classifies the derived x-tuple similarity into {M,P,U}.
 	Final decision.Thresholds
 	// Workers parallelizes the matching/decision stage across goroutines
-	// (0 or 1 means sequential). Candidate pairs are streamed to the
-	// workers in batches; reductions that partition their search space
-	// (the blocking variants) are additionally enumerated block by
-	// block in parallel. All workers share one bounded similarity
-	// cache (see CacheCapacity), so they hit each other's memoized
-	// value pairs; comparison functions are deterministic, so results
-	// are identical to a sequential run.
+	// (0 or 1 means sequential): DetectStream's chunks and a Detector's
+	// additions are verified through one worker pool. All workers share
+	// one bounded similarity cache (see CacheCapacity), so they hit each
+	// other's memoized value pairs; comparison functions are
+	// deterministic, so the worker count changes only throughput, in
+	// every engine.
 	Workers int
 	// CacheCapacity bounds the run's shared similarity cache (memoized
 	// value pairs across all workers): 0 means
@@ -122,15 +121,25 @@ func Detect(xr *pdb.XRelation, opts Options) (*Result, error) {
 
 // DetectWithStats is Detect additionally returning the run's
 // StreamStats — cache counters, pre-filter effectiveness, partition
-// fan-out — without changing the materialized Result.
+// count — without changing the materialized Result.
 func DetectWithStats(xr *pdb.XRelation, opts Options) (*Result, StreamStats, error) {
-	res := &Result{
-		Matches:  verify.PairSet{},
-		Possible: verify.PairSet{},
-		ByPair:   map[verify.Pair]Match{},
-	}
+	var matches []Match
 	stats, err := DetectStream(xr, opts, func(m Match) bool {
-		res.Compared = append(res.Compared, m.Pair)
+		matches = append(matches, m)
+		return true
+	})
+	if err != nil {
+		return nil, stats, err
+	}
+	res := &Result{
+		Matches:    verify.PairSet{},
+		Possible:   verify.PairSet{},
+		Compared:   make([]verify.Pair, len(matches)),
+		ByPair:     make(map[verify.Pair]Match, len(matches)),
+		TotalPairs: stats.TotalPairs,
+	}
+	for i, m := range matches {
+		res.Compared[i] = m.Pair
 		res.ByPair[m.Pair] = m
 		switch m.Class {
 		case decision.M:
@@ -138,12 +147,7 @@ func DetectWithStats(xr *pdb.XRelation, opts Options) (*Result, StreamStats, err
 		case decision.P:
 			res.Possible[m.Pair] = true
 		}
-		return true
-	})
-	if err != nil {
-		return nil, stats, err
 	}
-	res.TotalPairs = stats.TotalPairs
 	sort.Slice(res.Compared, func(i, j int) bool {
 		if res.Compared[i].A != res.Compared[j].A {
 			return res.Compared[i].A < res.Compared[j].A

@@ -3,9 +3,9 @@ package core
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"probdedup/internal/avm"
 	"probdedup/internal/decision"
@@ -13,15 +13,7 @@ import (
 	"probdedup/internal/prepare"
 	"probdedup/internal/ssr"
 	"probdedup/internal/verify"
-	"probdedup/internal/xmatch"
 )
-
-// minParallelCompares is the delta-batch size below which the online
-// verification phase stays on the caller's goroutine: per-arrival
-// candidate sets (a window, a small block) are cheaper to compare
-// inline than to fan out. Larger batches — AddBatch seeding, big
-// blocks — split across Options.Workers.
-const minParallelCompares = 32
 
 // ErrUnknownID reports a Remove whose tuple ID is not resident.
 // Removing is intentionally not idempotent: a remove-twice or a
@@ -161,12 +153,11 @@ type Engine interface {
 // The detector reuses the batch engine's machinery: one bounded
 // similarity cache (Options.CacheCapacity) shared across the
 // detector's lifetime and all workers, the fold-based comparison
-// kernel, and the configured decision model. Small per-arrival
-// candidate sets are compared inline on the calling goroutine; large
-// delta batches (AddBatch, big blocks) fan the verification across
-// Options.Workers goroutines, mirroring DetectStream's worker pool —
-// state updates and delta emission remain sequential and
-// deterministic either way.
+// kernel, the configured decision model and DetectStream's worker
+// pool: an operation's additions are verified through it (small
+// per-arrival candidate sets on the calling goroutine, AddBatch and big
+// blocks across Options.Workers), then state updates and delta
+// emission run sequentially and deterministically.
 //
 // Unlike DetectStream, the detector retains per-pair state — the
 // pairs currently in M or P, never a U pair — so it can retract
@@ -196,15 +187,10 @@ type Detector struct {
 	compared int
 	dropped  int
 
-	// comparers is the lazily grown per-worker comparer pool: the
-	// fold scratch is not shareable, while every matcher memoizes
-	// into the engine's one bounded cache. comparers[0] serves the
-	// inline path. Guarded by mu.
-	comparers []*xmatch.Comparer
-
-	// deltaBuf is reusable scratch for collecting one operation's
-	// index deltas. Guarded by mu.
+	// deltaBuf and jobBuf are reusable scratch for one operation's
+	// index deltas and its comparisons. Guarded by mu.
 	deltaBuf []ssr.PairDelta
+	jobBuf   []compareJob
 
 	// emits buffers deltas in state-change order while mu is held and
 	// delivers them strictly outside it, so the callback can re-enter
@@ -236,13 +222,12 @@ func NewDetector(schema []string, opts Options, emit func(MatchDelta) bool) (*De
 		return nil, fmt.Errorf("core: %w", err)
 	}
 	return &Detector{
-		eng:       eng,
-		idx:       idx,
-		filter:    filter,
-		std:       opts.Standardizer,
-		live:      newPairTable(),
-		comparers: []*xmatch.Comparer{eng.newComparer()},
-		emits:     NewEmitQueue(emit),
+		eng:    eng,
+		idx:    idx,
+		filter: filter,
+		std:    opts.Standardizer,
+		live:   newPairTable(),
+		emits:  NewEmitQueue(emit),
 	}, nil
 }
 
@@ -322,8 +307,8 @@ func (d *Detector) addLocked(x *pdb.XTuple) error {
 
 // admit is the detector's one per-pair pre-filter site: every add delta
 // an index yields — from Add, AddBatch, Remove's window re-entries and
-// Reseal — passes it where it is generated, the same place the batch
-// engine's producers filter, so a provable non-match never becomes a
+// Reseal — passes it where it is generated, the same place
+// DetectStream filters, so a provable non-match never becomes a
 // delta, a netting entry or a live lookup. Drops are never asked. An
 // index that took the filter over has already admitted what it yields.
 func (d *Detector) admit(p verify.Pair) bool {
@@ -448,102 +433,55 @@ func (d *Detector) removeLocked(id string) error {
 }
 
 // applyDeltas folds index deltas — already past the pre-filter, see
-// admit — into the classified set: dropped pairs are retracted,
-// net-new pairs are compared and recorded, and
-// every resulting MatchDelta is enqueued for emission — all in delta
-// order, so the delivered stream is deterministic for a given delta
-// sequence. Large batches fan the comparisons across the engine's
-// workers first (compareAll); state updates are always applied
-// sequentially on the caller's goroutine. On a comparison error the
-// deltas preceding the failing one stay applied and its position in
-// deltas is returned.
+// admit — into the classified set. Every addition is compared first,
+// through the engine's worker pool; then, in delta order, dropped pairs
+// are retracted, compared pairs are recorded and every resulting
+// MatchDelta is enqueued, so the delivered stream is deterministic for
+// a given delta sequence at any worker count. An addition whose pair is
+// live by its turn is skipped (values are immutable while resident):
+// only a user-defined IncrementalMethod yields one, and only its
+// comparison is wasted. On a comparison error the deltas preceding the
+// failing one stay applied and its position in deltas is returned.
 func (d *Detector) applyDeltas(deltas []ssr.PairDelta) (int, error) {
-	// Gate on the addition count, not the delta count: a high-degree
-	// Remove yields many drops and no comparison work, which the
-	// inline loop handles with plain map operations. The additions are
-	// the pre-filter's survivors, so the gate counts pairs that will
-	// really be compared, not a hot block's rejected candidates.
 	adds := 0
 	for _, pd := range deltas {
 		if !pd.Dropped {
 			adds++
 		}
 	}
-	if d.eng.workers <= 1 || adds < minParallelCompares {
-		c := d.comparers[0]
-		for i, pd := range deltas {
-			if err := d.applyOne(c, pd); err != nil {
-				return i, err
-			}
-		}
-		return 0, nil
-	}
-
-	// Parallel verification phase: compare every addition. The apply
-	// phase then skips one whose pair is live by its turn (values are
-	// immutable while resident), as the sequential path does, so both
-	// count the same comparisons. Only a user-defined IncrementalMethod
-	// can yield an addition of a live pair, and only its result is
-	// wasted: the built-in indexes and InsertBatch never repeat a pair.
-	jobs := make([]compareJob, 0, adds)
-	for i, pd := range deltas {
+	jobs := slices.Grow(d.jobBuf, adds)
+	defer func() {
+		clear(jobs) // the kept scratch must not pin a removed tuple
+		d.jobBuf = ReuseScratch(jobs)
+	}()
+	for _, pd := range deltas {
 		if !pd.Dropped {
-			a, b, ok := d.live.ends(pd.Pair)
-			jobs = append(jobs, compareJob{delta: i, a: a, b: b})
-			if !ok {
-				jobs[len(jobs)-1].err = unknownTuples(pd.Pair)
+			j := compareJob{m: Match{Pair: pd.Pair}}
+			var ok bool
+			if j.a, j.b, ok = d.live.ends(pd.Pair); ok {
+				j.x1, j.x2 = d.live.slots[j.a].x, d.live.slots[j.b].x
 			}
+			jobs = append(jobs, j)
 		}
 	}
-	d.compareAll(jobs, deltas)
+	d.eng.compareAll(jobs)
 
-	// Sequential apply-and-enqueue phase, in delta order; jobs follow
-	// the additions one to one.
-	ji := 0
+	k := 0
 	for i, pd := range deltas {
 		if pd.Dropped {
 			d.retractPair(pd.Pair)
 			continue
 		}
-		j := &jobs[ji]
-		ji++
-		if j.err != nil {
-			return i, j.err
+		j := &jobs[k]
+		k++
+		if j.x1 == nil {
+			return i, unknownTuples(pd.Pair)
 		}
 		if _, live := d.live.find(j.a, j.b); !live {
 			d.recordMatch(j.a, j.b, j.m)
 		}
 	}
 	return 0, nil
-}
-
-// compareJob is one comparison of applyDeltas' parallel phase: the
-// add delta at position delta, between slots a and b, and its outcome.
-type compareJob struct {
-	delta int
-	a, b  uint32
-	m     Match
-	err   error
-}
-
-// applyOne folds a single delta inline: the sequential counterpart of
-// the parallel phases in applyDeltas.
-func (d *Detector) applyOne(c *xmatch.Comparer, pd ssr.PairDelta) error {
-	if pd.Dropped {
-		d.retractPair(pd.Pair)
-		return nil
-	}
-	a, b, ok := d.live.ends(pd.Pair)
-	if !ok {
-		return unknownTuples(pd.Pair)
-	}
-	if _, live := d.live.find(a, b); live {
-		// Already live (values are immutable while resident), nothing
-		// to recompute.
-		return nil
-	}
-	d.recordMatch(a, b, compareTuples(c, pd.Pair, d.live.slots[a].x, d.live.slots[b].x))
-	return nil
 }
 
 // recordMatch counts one fresh comparison of slots a and b. A pair
@@ -556,41 +494,6 @@ func (d *Detector) recordMatch(a, b uint32, m Match) {
 	}
 	d.live.put(a, b, m.Sim, m.Class)
 	d.enqueueDelta(MatchDelta{Kind: DeltaAdd, Match: m})
-}
-
-// compareAll computes each job's match, fanning the work across the
-// engine's workers. Each worker owns a pooled comparer (the fold
-// scratch is not shareable) while all matchers memoize into the shared
-// bounded cache; comparison functions are deterministic, so the
-// results are identical to an inline run. Work is handed out pair by
-// pair via an atomic cursor so uneven comparison costs still balance.
-// Jobs that already carry an error are skipped.
-func (d *Detector) compareAll(jobs []compareJob, deltas []ssr.PairDelta) {
-	workers := d.eng.workers
-	if workers > len(jobs) {
-		workers = len(jobs)
-	}
-	for len(d.comparers) < workers {
-		d.comparers = append(d.comparers, d.eng.newComparer())
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(c *xmatch.Comparer) {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(jobs) {
-					return
-				}
-				if job := &jobs[j]; job.err == nil {
-					job.m = compareTuples(c, deltas[job.delta].Pair, d.live.slots[job.a].x, d.live.slots[job.b].x)
-				}
-			}
-		}(d.comparers[w])
-	}
-	wg.Wait()
 }
 
 // retractPair retracts a live pair; unknown pairs are ignored.

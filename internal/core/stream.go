@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"probdedup/internal/avm"
 	"probdedup/internal/decision"
@@ -15,10 +16,17 @@ import (
 	"probdedup/internal/xmatch"
 )
 
-// streamBatchSize is the number of candidate pairs per unit of work
-// handed to the matching workers. Batching amortizes channel traffic;
-// the value trades scheduling overhead against load-balancing grain.
-const streamBatchSize = 128
+// streamChunkSize bounds the candidate pairs DetectStream holds: it
+// enumerates this many, verifies them through the worker pool, emits
+// them and starts over. The value trades the pool's per-chunk start-up
+// against the pairs verified past an early stop.
+const streamChunkSize = 1024
+
+// minParallelCompares is the job count below which the worker pool
+// stays on the caller's goroutine: per-arrival candidate sets (a
+// window, a small block) are cheaper to compare inline than to fan
+// out.
+const minParallelCompares = 32
 
 // StreamStats summarizes a DetectStream run.
 type StreamStats struct {
@@ -29,9 +37,8 @@ type StreamStats struct {
 	// TotalPairs is the unreduced search-space size n(n-1)/2, computed
 	// arithmetically — the full cross product is never materialized.
 	TotalPairs int
-	// Partitions is the number of independent blocks fanned out when
-	// the reduction partitions its search space and the run is
-	// parallel; 0 otherwise.
+	// Partitions is the number of independent blocks of a reduction
+	// that partitions its search space (ssr.Partitioner); 0 otherwise.
 	Partitions int
 	// Stopped reports that the emit callback ended the run early.
 	Stopped bool
@@ -39,12 +46,12 @@ type StreamStats struct {
 	// cache — entries, capacity, hits, misses, evictions (zero value
 	// when memoization was disabled via Options.CacheCapacity < 0).
 	Cache avm.CacheStats
-	// Enumerated counts the candidate pairs the reduction produced:
-	// Compared plus Filtered (pairs the run did not reach after an
-	// early stop are not counted).
+	// Enumerated counts the candidate pairs the reduction produced up
+	// to the last emitted pair: Compared plus Filtered.
 	Enumerated int
-	// Filtered counts the enumerated pairs the pre-filter rejected as
-	// provable non-matches (0 when the filter is off or inert).
+	// Filtered counts the pairs the pre-filter rejected as provable
+	// non-matches before the last emitted pair, or in the whole run
+	// when it was not stopped (0 when the filter is off or inert).
 	Filtered int
 	// FilterActive reports whether the candidate pre-filter was
 	// constructed and consulted (Options.PreFilter set and the
@@ -72,6 +79,9 @@ type engine struct {
 	// filter is the sound candidate pre-filter (nil when off or when
 	// the configuration cannot be bounded).
 	filter *ssr.PreFilter
+	// comparers is compareAll's lazily grown per-worker comparer pool,
+	// guarded by whoever serializes the calls.
+	comparers []*xmatch.Comparer
 }
 
 // newEngine validates the options and applies the defaults documented
@@ -210,21 +220,69 @@ func newEngine(xr *pdb.XRelation, opts Options) (*engine, error) {
 	}, nil
 }
 
-// compare matches one candidate pair, or fails when the pair references
-// tuples outside the relation.
-func (e *engine) compare(c *xmatch.Comparer, p verify.Pair) (Match, error) {
-	x1, ok1 := e.byID[p.A]
-	x2, ok2 := e.byID[p.B]
-	if !ok1 || !ok2 {
-		return Match{}, unknownTuples(p)
-	}
-	return compareTuples(c, p, x1, x2), nil
+// compareJob is one verification the pool runs: the pair (in m) and
+// its two tuples go in, m's similarity and class come out. The other
+// fields are the caller's bookkeeping, which the pool leaves alone.
+type compareJob struct {
+	m      Match
+	x1, x2 *pdb.XTuple
+	// a and b are the pair's slots in the Detector's pair table.
+	a, b uint32
+	// filtered is DetectStream's running count of the pairs its
+	// pre-filter rejected before this one was enumerated.
+	filtered int
 }
 
-// compareTuples matches the pair p of the tuples x1 and x2.
-func compareTuples(c *xmatch.Comparer, p verify.Pair, x1, x2 *pdb.XTuple) Match {
-	r := c.Compare(x1, x2)
-	return Match{Pair: p, Sim: r.Sim, Class: r.Class}
+// compare fills in the job's similarity and class, unless its tuples
+// are unset.
+func (j *compareJob) compare(c *xmatch.Comparer) {
+	if j.x1 != nil {
+		r := c.Compare(j.x1, j.x2)
+		j.m.Sim, j.m.Class = r.Sim, r.Class
+	}
+}
+
+// compareAll is the one verification pool of both engines: it fills in
+// the Match of every job whose tuples are set, leaving the others
+// alone. Fewer than minParallelCompares jobs, or one worker, run on the
+// caller's goroutine; otherwise the caller and Options.Workers−1 more
+// goroutines take the jobs pair by pair through an atomic cursor, so
+// uneven comparison costs still balance. Each worker owns a pooled
+// comparer (the fold scratch is not shareable) while every matcher
+// memoizes into the engine's one bounded cache. Comparison functions
+// are deterministic, so the results do not depend on the worker count.
+// The caller serializes calls (DetectStream's goroutine, the
+// Detector's lock).
+func (e *engine) compareAll(jobs []compareJob) {
+	workers := min(e.workers, len(jobs))
+	if len(jobs) < minParallelCompares {
+		workers = 1
+	}
+	for len(e.comparers) < workers {
+		e.comparers = append(e.comparers, e.newComparer())
+	}
+	if workers <= 1 {
+		for j := range jobs {
+			jobs[j].compare(e.comparers[0])
+		}
+		return
+	}
+	var next atomic.Int64
+	work := func(c *xmatch.Comparer) {
+		for j := int(next.Add(1)) - 1; j < len(jobs); j = int(next.Add(1)) - 1 {
+			jobs[j].compare(c)
+		}
+	}
+	var wg sync.WaitGroup
+	for _, c := range e.comparers[1:workers] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			work(c)
+		}()
+	}
+	work(e.comparers[0])
+	wg.Wait()
 }
 
 // unknownTuples is the error of a candidate pair naming a tuple outside
@@ -236,45 +294,86 @@ func unknownTuples(p verify.Pair) error {
 // DetectStream runs the pipeline over an x-relation and emits each
 // compared pair's Match through the callback, without retaining the
 // candidate set or the results: candidate pairs are enumerated
-// incrementally (see ssr.Streamer), batched through the worker pool,
-// and discarded after emission. The engine itself holds no per-pair
-// state, so with the blocking variants, cross product, SNMCertain,
-// SNMRanked and pruning, memory stays proportional to the relation;
-// SNMMultiPass and SNMAlternatives additionally keep their
-// executed-matching set while enumerating, and reduction methods
-// without streaming support are adapted by materializing their
-// candidate set once.
+// incrementally (see ssr.Streamer) into one bounded chunk, the chunk
+// is verified through the worker pool, emitted and discarded. The
+// engine holds no other per-pair state, so with the blocking variants,
+// cross product, SNMCertain, SNMRanked and pruning, memory stays
+// proportional to the relation; SNMMultiPass and SNMAlternatives
+// additionally keep their executed-matching set while enumerating, and
+// reduction methods without streaming support are adapted by
+// materializing their candidate set once.
 //
-// emit is always called sequentially from the caller's goroutine; it
-// returns false to stop the run early (Stopped is then set in the
-// stats). With Options.Workers > 1 the emission order is unspecified;
-// a sequential run emits in the reduction method's enumeration order.
-// Classifications are identical to Detect in either case. When the
-// reduction partitions its search space (the blocking variants), a
-// parallel run fans out block by block so partitions are enumerated
-// and compared concurrently.
+// emit is always called sequentially from the caller's goroutine, in
+// the reduction method's enumeration order (a partitioning reduction,
+// ssr.Partitioner, is enumerated partition by partition); it returns
+// false to stop the run early (Stopped is then set in the stats).
+// Options.Workers changes only throughput: the emitted sequence and
+// the stats, apart from the cache counters, are the same at any
+// worker count.
 //
-// On error the already-emitted matches stand, the stats cover the work
-// done so far, and the error is returned.
+// On error the matches of the pairs enumerated before the failing one
+// are emitted, the stats cover them, and the error is returned.
 func DetectStream(xr *pdb.XRelation, opts Options, emit func(Match) bool) (StreamStats, error) {
 	eng, err := newEngine(xr, opts)
 	if err != nil {
 		return StreamStats{}, err
 	}
-	stats := StreamStats{TotalPairs: ssr.TotalPairs(len(eng.xr.Tuples))}
-	if eng.workers <= 1 {
-		err = eng.runSequential(&stats, emit)
-	} else {
-		err = eng.runParallel(&stats, emit)
+	stats := StreamStats{
+		TotalPairs:   ssr.TotalPairs(len(eng.xr.Tuples)),
+		FilterActive: eng.filter != nil,
 	}
+	enumerate := ssr.StreamOf(eng.reduction).EnumeratePairs
+	if part, ok := eng.reduction.(ssr.Partitioner); ok {
+		parts := part.Partitions(eng.xr)
+		stats.Partitions = len(parts)
+		enumerate = func(_ *pdb.XRelation, yield func(verify.Pair) bool) bool {
+			for _, p := range parts {
+				if !p.Enumerate(yield) {
+					return false
+				}
+			}
+			return true
+		}
+	}
+
+	chunk := make([]compareJob, 0, streamChunkSize)
+	filtered := 0
+	// flush verifies the chunk and emits it in order; it reports
+	// whether the run goes on.
+	flush := func() bool {
+		eng.compareAll(chunk)
+		for _, j := range chunk {
+			stats.count(j.m)
+			stats.Filtered = j.filtered
+			if !emit(j.m) {
+				stats.Stopped = true
+				return false
+			}
+		}
+		chunk = chunk[:0]
+		return true
+	}
+	enumerate(eng.xr, func(p verify.Pair) bool {
+		if eng.filter != nil && !eng.filter.Admit(p) {
+			filtered++ // provably class U: skip verification
+			return true
+		}
+		x1, ok1 := eng.byID[p.A]
+		x2, ok2 := eng.byID[p.B]
+		if !ok1 || !ok2 {
+			err = unknownTuples(p)
+			return false
+		}
+		chunk = append(chunk, compareJob{m: Match{Pair: p}, x1: x1, x2: x2, filtered: filtered})
+		return len(chunk) < cap(chunk) || flush()
+	})
+	if !stats.Stopped && flush() {
+		stats.Filtered = filtered
+	}
+	stats.Enumerated = stats.Compared + stats.Filtered
 	if eng.cache != nil {
 		stats.Cache = eng.cache.Stats()
 	}
-	if eng.filter != nil {
-		stats.FilterActive = true
-		stats.Filtered = int(eng.filter.Stats().Filtered)
-	}
-	stats.Enumerated = stats.Compared + stats.Filtered
 	return stats, err
 }
 
@@ -287,180 +386,4 @@ func (s *StreamStats) count(m Match) {
 	case decision.P:
 		s.Possible++
 	}
-}
-
-// runSequential streams candidates straight through one comparer on
-// the caller's goroutine.
-func (e *engine) runSequential(stats *StreamStats, emit func(Match) bool) error {
-	comparer := e.newComparer()
-	var err error
-	ssr.StreamOf(e.reduction).EnumeratePairs(e.xr, func(p verify.Pair) bool {
-		if e.filter != nil && !e.filter.Admit(p) {
-			return true // provably class U: skip verification
-		}
-		var m Match
-		if m, err = e.compare(comparer, p); err != nil {
-			return false
-		}
-		stats.count(m)
-		if !emit(m) {
-			stats.Stopped = true
-			return false
-		}
-		return true
-	})
-	return err
-}
-
-// runParallel builds the batched pipeline: producers enumerate
-// candidate pairs (one per partition for partitioned reductions),
-// workers match-and-decide batches, and the caller's goroutine
-// collects results and emits them.
-func (e *engine) runParallel(stats *StreamStats, emit func(Match) bool) error {
-	stop := make(chan struct{})
-	var stopOnce sync.Once
-	cancel := func() { stopOnce.Do(func() { close(stop) }) }
-
-	var errMu sync.Mutex
-	var firstErr error
-	fail := func(err error) {
-		errMu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		errMu.Unlock()
-		cancel()
-	}
-	failed := func() bool {
-		errMu.Lock()
-		defer errMu.Unlock()
-		return firstErr != nil
-	}
-
-	batches := make(chan []verify.Pair, 2*e.workers)
-	results := make(chan []Match, 2*e.workers)
-
-	// sendBatch hands a full batch to the workers unless the run was
-	// canceled; it reports whether production should continue.
-	sendBatch := func(batch []verify.Pair) bool {
-		select {
-		case batches <- batch:
-			return true
-		case <-stop:
-			return false
-		}
-	}
-
-	// Producers: partition fan-out when the reduction supports it, a
-	// single enumerator otherwise.
-	var prodWg sync.WaitGroup
-	produce := func(enumerate func(yield func(verify.Pair) bool) bool) {
-		defer prodWg.Done()
-		batch := make([]verify.Pair, 0, streamBatchSize)
-		enumerate(func(p verify.Pair) bool {
-			// Filter at the producer: rejected pairs never enter a
-			// batch, so workers and channels only see pairs that need
-			// real verification (Admit is safe for concurrent use).
-			if e.filter != nil && !e.filter.Admit(p) {
-				return true
-			}
-			batch = append(batch, p)
-			if len(batch) == streamBatchSize {
-				if !sendBatch(batch) {
-					return false
-				}
-				batch = make([]verify.Pair, 0, streamBatchSize)
-			}
-			return true
-		})
-		if len(batch) > 0 {
-			sendBatch(batch)
-		}
-	}
-	if part, ok := e.reduction.(ssr.Partitioner); ok {
-		parts := part.Partitions(e.xr)
-		stats.Partitions = len(parts)
-		partCh := make(chan ssr.Partition, len(parts))
-		for _, p := range parts {
-			partCh <- p
-		}
-		close(partCh)
-		producers := e.workers
-		if producers > len(parts) {
-			producers = len(parts)
-		}
-		for i := 0; i < producers; i++ {
-			prodWg.Add(1)
-			go produce(func(yield func(verify.Pair) bool) bool {
-				for p := range partCh {
-					if !p.Enumerate(yield) {
-						return false
-					}
-				}
-				return true
-			})
-		}
-	} else {
-		prodWg.Add(1)
-		stream := ssr.StreamOf(e.reduction)
-		go produce(func(yield func(verify.Pair) bool) bool {
-			return stream.EnumeratePairs(e.xr, yield)
-		})
-	}
-	go func() {
-		prodWg.Wait()
-		close(batches)
-	}()
-
-	// Workers: match and decide batches; each worker owns its comparer
-	// (the fold scratch is not shareable) while all matchers memoize
-	// into the engine's shared cache. Comparison functions are
-	// deterministic, so results are identical to a sequential run.
-	var workWg sync.WaitGroup
-	for w := 0; w < e.workers; w++ {
-		workWg.Add(1)
-		go func() {
-			defer workWg.Done()
-			comparer := e.newComparer()
-			for batch := range batches {
-				out := make([]Match, 0, len(batch))
-				for _, p := range batch {
-					m, err := e.compare(comparer, p)
-					if err != nil {
-						fail(err)
-						return
-					}
-					out = append(out, m)
-				}
-				select {
-				case results <- out:
-				case <-stop:
-					return
-				}
-			}
-		}()
-	}
-	go func() {
-		workWg.Wait()
-		close(results)
-	}()
-
-	// Collector: the caller's goroutine emits sequentially. After an
-	// error or an early stop the remaining results are drained so the
-	// pipeline goroutines can exit.
-	for out := range results {
-		if stats.Stopped || failed() {
-			continue
-		}
-		for _, m := range out {
-			stats.count(m)
-			if !emit(m) {
-				stats.Stopped = true
-				cancel()
-				break
-			}
-		}
-	}
-	prodWg.Wait()
-	return firstErr
 }

@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
+	"probdedup/internal/avm"
 	"probdedup/internal/dataset"
 	"probdedup/internal/decision"
 	"probdedup/internal/keys"
@@ -200,26 +203,139 @@ func TestDetectStreamLargeBlocking(t *testing.T) {
 }
 
 // TestDetectStreamEarlyStop asserts that emit returning false ends the
-// run promptly in both the sequential and the parallel engine.
+// run at that pair, and that the worker count changes nothing a caller
+// sees: at Workers 1, 2, 4 and 8, with the pre-filter on and off, and
+// stopping after the first pair, after 50 or never, the emitted
+// sequence and every StreamStats field but the cache counters are the
+// same.
 func TestDetectStreamEarlyStop(t *testing.T) {
-	d := dataset.Generate(dataset.DefaultConfig(50, 23))
-	u := d.Union()
-	for _, workers := range []int{1, 4} {
-		opts := streamOptions()
-		opts.Workers = workers
-		emitted := 0
-		stats, err := DetectStream(u, opts, func(Match) bool {
-			emitted++
-			return emitted < 10
+	u := dataset.Generate(dataset.DefaultConfig(400, 9)).Union()
+	def, err := keys.ParseDef("name:2", u.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	final := decision.Thresholds{Lambda: 0.6, Mu: 0.8}
+	base := Options{
+		Compare:    []strsim.Func{strsim.Levenshtein, strsim.Levenshtein, strsim.Levenshtein},
+		AltModel:   decision.WeightedSumModel{Weights: []float64{0.4, 0.3, 0.3}, T: final},
+		Derivation: xmatch.SimilarityBased{Conditioned: true},
+		Final:      final,
+	}
+	reductions := []struct {
+		name string
+		m    ssr.Method
+	}{
+		{"blocking-certain", ssr.BlockingCertain{Key: def}},
+		{"snm-alternatives", ssr.SNMAlternatives{Key: def, Window: 5}},
+	}
+	for _, red := range reductions {
+		var enum []verify.Pair
+		ssr.StreamOf(red.m).EnumeratePairs(u, func(p verify.Pair) bool {
+			enum = append(enum, p)
+			return true
 		})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
+		for _, filter := range []bool{false, true} {
+			for _, stop := range []int{1, 50, 0} {
+				name := fmt.Sprintf("%s/prefilter=%t/stop=%d", red.name, filter, stop)
+				var ref []Match
+				var refStats StreamStats
+				for _, workers := range []int{1, 2, 4, 8} {
+					opts := base
+					opts.Reduction, opts.PreFilter, opts.Workers = red.m, filter, workers
+					var got []Match
+					stats, err := DetectStream(u, opts, func(m Match) bool {
+						got = append(got, m)
+						return stop == 0 || len(got) < stop
+					})
+					if err != nil {
+						t.Fatalf("%s workers=%d: %v", name, workers, err)
+					}
+					if stats.Stopped != (stop > 0) || (stop > 0 && len(got) != stop) || stats.Compared != len(got) {
+						t.Fatalf("%s workers=%d: emitted %d, stats %+v", name, workers, len(got), stats)
+					}
+					if stats.FilterActive != filter || stats.Enumerated != stats.Compared+stats.Filtered {
+						t.Fatalf("%s workers=%d: filter stats %+v", name, workers, stats)
+					}
+					// The stats stop at the last emitted pair, not
+					// where enumeration stopped.
+					wantEnum := len(enum)
+					if stop > 0 {
+						wantEnum = slices.Index(enum, got[len(got)-1].Pair) + 1
+					}
+					if stats.Enumerated != wantEnum {
+						t.Fatalf("%s workers=%d: Enumerated %d, want %d", name, workers, stats.Enumerated, wantEnum)
+					}
+					if filter && stop == 0 && stats.Filtered == 0 {
+						t.Fatalf("%s workers=%d: the pre-filter rejected nothing", name, workers)
+					}
+					stats.Cache = avm.CacheStats{}
+					if workers == 1 {
+						ref, refStats = got, stats
+						continue
+					}
+					if stats != refStats {
+						t.Fatalf("%s: stats differ\nworkers=1: %+v\nworkers=%d: %+v", name, refStats, workers, stats)
+					}
+					if !slices.Equal(got, ref) {
+						t.Fatalf("%s workers=%d: emitted sequence differs from workers=1", name, workers)
+					}
+				}
+			}
 		}
-		if !stats.Stopped {
-			t.Fatalf("workers=%d: Stopped not set", workers)
+	}
+}
+
+// TestDetectStreamEmitsEnumerationOrder checks the worker pool against
+// the reduction and one comparer, sharing no code with the pool: for
+// every built-in reduction, with the pre-filter off, DetectStream emits
+// exactly the pairs ssr.StreamOf enumerates, in the same order, each
+// with the match the comparer computes, at any worker count — no pair
+// dropped, repeated, reordered or left uncompared.
+func TestDetectStreamEmitsEnumerationOrder(t *testing.T) {
+	u := dataset.Generate(dataset.DefaultConfig(400, 23)).Union()
+	def, err := keys.ParseDef("name:2", u.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reductions := map[string]ssr.Method{
+		"snm-certain":           ssr.SNMCertain{Key: def, Window: 5},
+		"snm-alternatives":      ssr.SNMAlternatives{Key: def, Window: 5},
+		"snm-ranked":            ssr.SNMRanked{Key: def, Window: 5},
+		"snm-ranked-median":     ssr.SNMRanked{Key: def, Window: 5, Strategy: ssr.MedianKey},
+		"snm-multipass":         ssr.SNMMultiPass{Key: def, Window: 5, Select: ssr.TopWorlds, K: 3},
+		"blocking-certain":      ssr.BlockingCertain{Key: def},
+		"blocking-alternatives": ssr.BlockingAlternatives{Key: def},
+		"blocking-cluster":      ssr.BlockingCluster{Key: def, K: 8, Seed: 1},
+	}
+	eng, err := newEngine(u, streamOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := eng.newComparer()
+	for name, m := range reductions {
+		var want []Match
+		ssr.StreamOf(m).EnumeratePairs(u, func(p verify.Pair) bool {
+			r := c.Compare(eng.byID[p.A], eng.byID[p.B])
+			want = append(want, Match{Pair: p, Sim: r.Sim, Class: r.Class})
+			return true
+		})
+		if len(want) <= streamChunkSize {
+			t.Fatalf("%s: %d pairs fit in one chunk", name, len(want))
 		}
-		if emitted != 10 || stats.Compared != 10 {
-			t.Fatalf("workers=%d: emitted %d, stats.Compared %d, want 10", workers, emitted, stats.Compared)
+		for _, workers := range []int{1, 2, 4, 8} {
+			opts := streamOptions()
+			opts.Reduction, opts.Workers = m, workers
+			var got []Match
+			if _, err := DetectStream(u, opts, func(m Match) bool {
+				got = append(got, m)
+				return true
+			}); err != nil {
+				t.Fatalf("%s workers=%d: %v", name, workers, err)
+			}
+			if !slices.Equal(got, want) {
+				t.Fatalf("%s workers=%d: emitted %d matches, want %d, or their order or values differ",
+					name, workers, len(got), len(want))
+			}
 		}
 	}
 }

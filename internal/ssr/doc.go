@@ -29,8 +29,8 @@
 // Beyond batch Candidates, methods expose two enumeration refinements:
 // every method implements Streamer (candidate pairs one at a time,
 // nothing materialized), and the blocking variants implement
-// Partitioner (independent per-block units the engine fans out
-// concurrently).
+// Partitioner (independent per-block units, enumerated one after
+// another and counted in the engine's stats).
 //
 // For continuous arrivals, IncrementalIndex maintains a method's
 // candidate set online: inserting a tuple yields exactly the pairs it

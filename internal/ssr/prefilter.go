@@ -16,9 +16,9 @@ import (
 )
 
 // PreFilter is the symbol-plane candidate pre-filter: it sits where
-// candidate pairs are generated — the batch engine's producers and the
-// yield of the incremental engine's index — ahead of verification (the
-// full Fig. 6 comparison), and rejects pairs that provably cannot reach
+// candidate pairs are generated — DetectStream's enumeration loop and
+// the yield of the incremental engine's index — ahead of verification
+// (the full Fig. 6 comparison), and rejects pairs that provably cannot reach
 // the final lower threshold Tλ — pairs whose classification is
 // therefore U no matter what the comparison computes.
 // It generalizes the Pruning length heuristic into a sound, always-on

@@ -49,8 +49,8 @@ type Partition struct {
 
 // Partitioner is a Method whose search space decomposes into
 // independent partitions — the blocking variants of Sec. V-B. The
-// detection engine fans out one partition per unit of work so blocks
-// match-and-decide concurrently.
+// detection engine enumerates them one after another and reports
+// their count (core.StreamStats.Partitions).
 type Partitioner interface {
 	Method
 	// Partitions splits the candidate space into independent units.

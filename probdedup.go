@@ -39,9 +39,10 @@
 //	    return true // false stops the run early
 //	})
 //
-// Options.Workers parallelizes matching in both entry points; blocking
-// reductions additionally fan out per block. Worker count never
-// changes the classifications, only throughput and emission order.
+// Options.Workers parallelizes matching through one worker pool in
+// every engine. The worker count changes only throughput: never the
+// classifications, DetectStream's emission order or stats (cache
+// counters aside), or a Detector's delta stream.
 //
 // For continuously arriving data, NewDetector maintains the classified
 // pair set online (Add/AddBatch/Remove) for every built-in reduction —
@@ -457,20 +458,21 @@ func DetectRelations(r1, r2 *Relation, opts Options) (*Result, error) {
 
 // DetectStream runs the full pipeline on an x-relation and emits each
 // compared pair's match through the callback instead of materializing
-// a Result: candidate pairs are enumerated incrementally, batched
-// through the worker pool (Options.Workers), and discarded after
-// emission, so no per-pair state is retained. With the blocking
-// variants, cross product, SNMCertain, SNMRanked and pruning, memory
-// stays proportional to the relation rather than the candidate pair
-// set; SNMMultiPass and SNMAlternatives keep their executed-matching
-// set while enumerating, and methods without streaming support are
-// adapted by materializing their candidates once. Blocking reductions
-// fan out per block, with partitions enumerated and compared
-// concurrently. A nil Options.Reduction streams the cross product.
+// a Result: candidate pairs are enumerated incrementally into one
+// bounded chunk, verified through the worker pool (Options.Workers),
+// emitted and discarded, so no per-pair state is retained. With the
+// blocking variants, cross product, SNMCertain, SNMRanked and pruning,
+// memory stays proportional to the relation rather than the candidate
+// pair set; SNMMultiPass and SNMAlternatives keep their
+// executed-matching set while enumerating, and methods without
+// streaming support are adapted by materializing their candidates
+// once. A nil Options.Reduction streams the cross product.
 //
-// emit is called sequentially from the caller's goroutine and returns
-// false to stop the run early. With Workers > 1 the emission order is
-// unspecified, but classifications are identical to Detect.
+// emit is called sequentially from the caller's goroutine, in the
+// reduction's enumeration order, and returns false to stop the run
+// early. Classifications are identical to Detect, and the emitted
+// sequence and the stats (cache counters aside) are the same at any
+// Workers setting.
 func DetectStream(xr *XRelation, opts Options, emit func(PairMatch) bool) (StreamStats, error) {
 	return core.DetectStream(xr, opts, emit)
 }
