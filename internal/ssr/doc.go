@@ -38,11 +38,14 @@
 // the window), removing one retracts its pairs (and re-admits window
 // neighbors). Three sorted-neighborhood indexes (certain, per-alternative,
 // ranked) are assembled from one set of pieces (incremental_window.go):
-// chunkSeq, the one order, in chunks so a splice or position query costs
-// O(chunks + chunk), not O(entries); windowSeq, the only copy of the
-// window arithmetic over it; keyedSeq, its form sorted by key; pairNet,
-// the only delta netting; and pairLedger, the refcounted union of several
-// window passes. SNMMultiPass has no splice of its own: its world
+// handleTable, a uint32 handle per resident, reused through a free list;
+// chunkSeq, the one order over handles, in chunks so a splice or position
+// query costs O(chunks + chunk), not O(entries); windowSeq, the only copy
+// of the window arithmetic over it, emitting handle pairs; keyedSeq, its
+// form sorted by key; pairNet, the only delta netting, by ID pair; and
+// pairLedger, the refcounted union of several window passes, keyed by
+// packed handle pairs. A handle becomes an ID only where a pair leaves
+// the index, and never orders anything. SNMMultiPass has no splice of its own: its world
 // selection depends on the whole relation, so its index (recomputeIndex)
 // re-runs the batch stream per operation and nets the old pairs against
 // the new in a pairNet; Restore defers that to the next operation. Every

@@ -455,16 +455,16 @@ func (b *blockingAlternativesIndex) Len() int { return len(b.keysOf) }
 // a tuple adds its window neighbors and drops the straddling pairs its
 // insertion pushed exactly one position out of the window; removing a
 // tuple drops its window pairs and re-adds the straddling pairs the
-// removal pulled back in. Tuple IDs are unique in the sequence, so no two
-// deltas of one splice share a pair and nothing needs netting. A splice
-// costs a binary search, a walk of the chunk directory and a shift inside
-// one chunk (chunkSeq).
+// removal pulled back in. Each resident occurs once in the sequence, so
+// no two deltas of one splice share a pair and nothing needs netting. A
+// splice costs a binary search, a walk of the chunk directory and a shift
+// inside one chunk (chunkSeq).
 type snmCertainIndex struct {
 	key      keys.Def
 	strategy fusion.Strategy
 	seq      keyedSeq
-	keyOf    map[string]string
-	scratch  []PairDelta
+	res      handleTable[string] // each resident's key
+	scratch  []seqDelta
 }
 
 // Incremental implements IncrementalMethod.
@@ -477,7 +477,7 @@ func (m SNMCertain) Incremental() (IncrementalIndex, error) {
 		key:      m.Key,
 		strategy: strategy,
 		seq:      keyedSeq{newWindowSeq(m.Window, seqChunkCap)},
-		keyOf:    map[string]string{},
+		res:      newHandleTable[string](),
 	}, nil
 }
 
@@ -485,25 +485,25 @@ func (s *snmCertainIndex) Len() int { return s.seq.n }
 
 func (s *snmCertainIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
 	k := s.key.FromValues(s.strategy.ResolveX(x))
-	s.keyOf[x.ID] = k
-	s.scratch = s.seq.insert(k, x.ID, s.scratch[:0])
-	return yieldAll(s.scratch, yield)
+	s.scratch = s.seq.insert(k, s.res.add(x.ID, k), s.scratch[:0])
+	return yieldAll(s.scratch, s.res.ids, yield)
 }
 
 func (s *snmCertainIndex) Remove(id string, yield func(PairDelta) bool) bool {
-	k, ok := s.keyOf[id]
+	h, ok := s.res.of[id]
 	if !ok {
 		return true
 	}
-	delete(s.keyOf, id)
-	s.scratch = s.seq.remove(k, id, s.scratch[:0])
-	return yieldAll(s.scratch, yield)
+	s.scratch = s.seq.remove(s.res.vals[h], h, s.scratch[:0])
+	ok = yieldAll(s.scratch, s.res.ids, yield)
+	s.res.release(h)
+	return ok
 }
 
-// yieldAll delivers a splice's deltas in order.
-func yieldAll(ds []PairDelta, yield func(PairDelta) bool) bool {
+// yieldAll delivers a splice's deltas in order, as pairs of IDs.
+func yieldAll(ds []seqDelta, ids []string, yield func(PairDelta) bool) bool {
 	for _, d := range ds {
-		if !yield(d) {
+		if !yield(d.pair(ids)) {
 			return false
 		}
 	}

@@ -18,19 +18,19 @@ import (
 //   - the kept flag of an entry is a local property of its predecessor, so
 //     every entry splice rechecks only the spliced position and its
 //     successor;
-//   - the kept entries are a windowSeq in which a tuple ID may recur, and
-//     the ledger tracks, per distinct-ID pair, how many of its window
-//     position pairs currently cover it (the executed-matching set,
-//     refcounted). A pair enters the candidate set when its count rises
-//     from zero and leaves when it returns to zero; intra-operation churn
-//     cancels in the ledger's pairNet.
+//   - the kept entries are a windowSeq in which a tuple's handle may
+//     recur, and the ledger tracks, per distinct-tuple pair, how many of
+//     its window position pairs currently cover it (the executed-matching
+//     set, refcounted). A pair enters the candidate set when its count
+//     rises from zero and leaves when it returns to zero; intra-operation
+//     churn cancels in the ledger's pairNet.
 type snmAltsIndex struct {
 	key     keys.Def
 	entries chunkSeq
-	kept    windowSeq // IDs of kept entries, in entry order
-	keysOf  map[string][]string
+	kept    windowSeq             // handles of kept entries, in entry order
+	res     handleTable[[]string] // each resident's distinct keys
 	ledger  *pairLedger
-	scratch []PairDelta
+	scratch []seqDelta
 }
 
 // Incremental implements IncrementalMethod.
@@ -39,36 +39,36 @@ func (m SNMAlternatives) Incremental() (IncrementalIndex, error) {
 		key:     m.Key,
 		entries: chunkSeq{cap: seqChunkCap},
 		kept:    newWindowSeq(m.Window, seqChunkCap),
-		keysOf:  map[string][]string{},
+		res:     newHandleTable[[]string](),
 		ledger:  newPairLedger(),
 	}, nil
 }
 
-func (s *snmAltsIndex) Len() int { return len(s.keysOf) }
+func (s *snmAltsIndex) Len() int { return len(s.res.of) }
 
-// flipKept toggles the kept flag of the entry at fpos and splices its ID
-// into or out of the kept sequence; the window position pairs the splice
-// gains and loses are the ledger's coverage.
+// flipKept toggles the kept flag of the entry at fpos and splices its
+// handle into or out of the kept sequence; the window position pairs the
+// splice gains and loses are the ledger's coverage.
 func (s *snmAltsIndex) flipKept(fpos int) {
 	e, _ := s.entries.get(fpos)
 	if kpos := s.entries.keptIndexOf(fpos); e.kept {
 		s.scratch = s.kept.removeAt(kpos, s.scratch[:0])
 	} else {
-		s.scratch = s.kept.insertAt(kpos, seqEntry{id: e.id}, s.scratch[:0])
+		s.scratch = s.kept.insertAt(kpos, seqEntry{h: e.h}, s.scratch[:0])
 	}
-	s.ledger.coverAll(s.scratch)
+	s.ledger.coverAll(s.scratch, s.res.ids)
 	s.entries.setKept(fpos, !e.kept)
 }
 
-// insertEntry splices one (key, id) entry into the full list at fpos and
+// insertEntry splices one (key, h) entry into the full list at fpos and
 // maintains the kept statuses of its successor and then of the new entry
 // (the only entries whose predecessor changed).
-func (s *snmAltsIndex) insertEntry(fpos int, key, id string) {
-	s.entries.splice(fpos, seqEntry{key: key, id: id})
-	if succ, ok := s.entries.get(fpos + 1); ok && (succ.id != id) != succ.kept {
+func (s *snmAltsIndex) insertEntry(fpos int, key string, h uint32) {
+	s.entries.splice(fpos, seqEntry{key: key, h: h})
+	if succ, ok := s.entries.get(fpos + 1); ok && (succ.h != h) != succ.kept {
 		s.flipKept(fpos + 1)
 	}
-	if pred, ok := s.entries.get(fpos - 1); !ok || pred.id != id {
+	if pred, ok := s.entries.get(fpos - 1); !ok || pred.h != h {
 		s.flipKept(fpos)
 	}
 }
@@ -81,7 +81,7 @@ func (s *snmAltsIndex) removeEntry(fpos int) {
 	s.entries.cut(fpos)
 	if e, ok := s.entries.get(fpos); ok {
 		pred, ok := s.entries.get(fpos - 1)
-		if kept := !ok || pred.id != e.id; kept != e.kept {
+		if kept := !ok || pred.h != e.h; kept != e.kept {
 			s.flipKept(fpos)
 		}
 	}
@@ -93,26 +93,26 @@ func (s *snmAltsIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
 	for i, kp := range kps {
 		ks[i] = kp.Key
 	}
-	s.keysOf[x.ID] = ks
+	h := s.res.add(x.ID, ks)
 	for _, k := range ks {
 		// Upper bound: after all equal keys, reproducing the batch
 		// stable sort for the same arrival order.
-		s.insertEntry(s.entries.search(func(e seqEntry) bool { return e.key > k }), k, x.ID)
+		s.insertEntry(s.entries.search(func(e seqEntry) bool { return e.key > k }), k, h)
 	}
 	return s.ledger.flush(yield)
 }
 
 func (s *snmAltsIndex) Remove(id string, yield func(PairDelta) bool) bool {
-	ks, ok := s.keysOf[id]
+	h, ok := s.res.of[id]
 	if !ok {
 		return true
 	}
-	delete(s.keysOf, id)
-	for _, k := range ks {
-		if fpos := s.entries.lookup(k, id); fpos >= 0 {
+	for _, k := range s.res.vals[h] {
+		if fpos := s.entries.lookup(k, h); fpos >= 0 {
 			s.removeEntry(fpos)
 		}
 	}
+	s.res.release(h) // the ledger holds no pair of h any more
 	return s.ledger.flush(yield)
 }
 

@@ -1,6 +1,8 @@
 package ssr
 
 import (
+	"slices"
+
 	"probdedup/internal/keys"
 	"probdedup/internal/pdb"
 	"probdedup/internal/rank"
@@ -33,7 +35,9 @@ import (
 // — and splices out exactly the movers caught out of order
 // (extractDisordered), re-placing that handful by binary search under
 // the new ranks. Every splice goes through the one windowSeq;
-// intra-operation churn cancels in the pairNet.
+// intra-operation churn cancels in the pairNet. The sequence holds
+// handles; what the order reads of a resident sits at its handle
+// (rankedRes), and the final tiebreak is the tuple ID.
 //
 // Rank values are evaluated through the same rank.Universe code path the
 // batch ExpectedRanks uses, over contributions in the same arrival order,
@@ -44,13 +48,21 @@ type snmRankedIndex struct {
 	key      keys.Def
 	strategy RankStrategy
 	seq      windowSeq
-	deltas   []PairDelta // the operation's splices, netted by flush
+	deltas   []seqDelta // the operation's splices, netted by flush
 	net      pairNet
-	items    map[string]rank.Item
-	uni      *rank.Universe           // ExpectedRank only
-	own      map[string]rank.OwnStats // per-resident own-mass tables
-	sortKey  map[string]string        // MedianKey/ModeKey: static primary key
-	rankMemo map[string]float64       // per-operation expected-rank memo
+	res      handleTable[rankedRes]
+	uni      *rank.Universe // ExpectedRank only
+	epoch    int            // universe mutations so far; dates rank memos
+	movers   []bool         // by handle: the operation's movers
+}
+
+// rankedRes is what the order reads of one resident.
+type rankedRes struct {
+	item    rank.Item
+	own     rank.OwnStats // ExpectedRank: own-mass tables
+	sortKey string        // MedianKey/ModeKey: static primary key
+	rank    float64       // ExpectedRank: memo, valid while rankAt = epoch
+	rankAt  int
 }
 
 // Incremental implements IncrementalMethod.
@@ -59,12 +71,11 @@ func (m SNMRanked) Incremental() (IncrementalIndex, error) {
 		key:      m.Key,
 		strategy: m.Strategy,
 		seq:      newWindowSeq(m.Window, seqChunkCap),
-		items:    map[string]rank.Item{},
-		sortKey:  map[string]string{},
+		res:      newHandleTable[rankedRes](),
+		epoch:    1,
 	}
 	if m.Strategy == ExpectedRank {
 		idx.uni = rank.NewUniverse()
-		idx.own = map[string]rank.OwnStats{}
 	}
 	return idx, nil
 }
@@ -78,55 +89,52 @@ func itemTopKey(it rank.Item) string {
 	return it.Keys[0].Key
 }
 
-// rankOf memoizes expected ranks within one operation (the universe is
-// stable between mutations, so memoized values stay valid).
-func (s *snmRankedIndex) rankOf(id string) float64 {
-	if r, ok := s.rankMemo[id]; ok {
-		return r
+// rankOf memoizes expected ranks between universe mutations.
+func (s *snmRankedIndex) rankOf(h uint32) float64 {
+	r := &s.res.vals[h]
+	if r.rankAt != s.epoch {
+		r.rank, r.rankAt = s.uni.RankOfWith(r.item, r.own), s.epoch
 	}
-	r := s.uni.RankOfWith(s.items[id], s.own[id])
-	s.rankMemo[id] = r
-	return r
+	return r.rank
 }
 
 // less is the strategy's strict total order — the same comparator the
 // batch RankedIDs sort uses, with the unique tuple ID as final tiebreak.
-func (s *snmRankedIndex) less(a, b string) bool {
+func (s *snmRankedIndex) less(a, b uint32) bool {
+	ra, rb := &s.res.vals[a], &s.res.vals[b]
 	switch s.strategy {
 	case MedianKey:
-		if ka, kb := s.sortKey[a], s.sortKey[b]; ka != kb {
-			return ka < kb
+		if ra.sortKey != rb.sortKey {
+			return ra.sortKey < rb.sortKey
 		}
-		if ta, tb := itemTopKey(s.items[a]), itemTopKey(s.items[b]); ta != tb {
+		if ta, tb := itemTopKey(ra.item), itemTopKey(rb.item); ta != tb {
 			return ta < tb
 		}
-		return a < b
 	case ModeKey:
-		if ka, kb := s.sortKey[a], s.sortKey[b]; ka != kb {
-			return ka < kb
+		if ra.sortKey != rb.sortKey {
+			return ra.sortKey < rb.sortKey
 		}
-		return a < b
 	default:
-		if ra, rb := s.rankOf(a), s.rankOf(b); ra != rb {
-			return ra < rb
+		if x, y := s.rankOf(a), s.rankOf(b); x != y {
+			return x < y
 		}
-		if ta, tb := itemTopKey(s.items[a]), itemTopKey(s.items[b]); ta != tb {
+		if ta, tb := itemTopKey(ra.item), itemTopKey(rb.item); ta != tb {
 			return ta < tb
 		}
-		return a < b
 	}
+	return s.res.ids[a] < s.res.ids[b]
 }
 
-// place splices id into its sorted position.
-func (s *snmRankedIndex) place(id string) {
-	p := s.seq.search(func(e seqEntry) bool { return s.less(id, e.id) })
-	s.deltas = s.seq.insertAt(p, seqEntry{id: id}, s.deltas)
+// place splices h into its sorted position.
+func (s *snmRankedIndex) place(h uint32) {
+	p := s.seq.search(func(e seqEntry) bool { return s.less(h, e.h) })
+	s.deltas = s.seq.insertAt(p, seqEntry{h: h}, s.deltas)
 }
 
 // flush nets the operation's splices and delivers what survives.
 func (s *snmRankedIndex) flush(yield func(PairDelta) bool) bool {
 	for _, d := range s.deltas {
-		s.net.add(d)
+		s.net.add(d.pair(s.res.ids))
 	}
 	s.deltas = s.deltas[:0]
 	return s.net.flush(yield)
@@ -136,21 +144,19 @@ func (s *snmRankedIndex) flush(yield func(PairDelta) bool) bool {
 // strategy order — valid only while the ranks backing the order are
 // unchanged since the resident was last placed, which is why every
 // splice-out happens before the universe mutates.
-func (s *snmRankedIndex) locate(id string) int {
-	return s.seq.search(func(e seqEntry) bool { return !s.less(e.id, id) })
+func (s *snmRankedIndex) locate(h uint32) int {
+	return s.seq.search(func(e seqEntry) bool { return !s.less(e.h, h) })
 }
 
-// moverSet returns the residents whose key span overlaps [lo, hi],
-// skipping skipID. Only these can have changed relative expected-rank
-// order after the universe mutation.
-func (s *snmRankedIndex) moverSet(lo, hi, skipID string) map[string]bool {
-	movers := map[string]bool{}
+// markMovers flags the residents in the sequence whose key span overlaps
+// [lo, hi]. Only these can have changed relative expected-rank order
+// after the universe mutation.
+func (s *snmRankedIndex) markMovers(lo, hi string) {
+	s.movers = slices.Grow(s.movers[:0], len(s.res.ids))[:len(s.res.ids)]
+	clear(s.movers)
 	for e := range s.seq.from(0) {
-		if e.id != skipID && rank.SpanOverlaps(s.items[e.id], lo, hi) {
-			movers[e.id] = true
-		}
+		s.movers[e.h] = rank.SpanOverlaps(s.res.vals[e.h].item, lo, hi)
 	}
-	return movers
 }
 
 // extractDisordered splices out exactly the movers that ended up out of
@@ -162,82 +168,77 @@ func (s *snmRankedIndex) moverSet(lo, hi, skipID string) map[string]bool {
 // so rounds repeat until the scan is clean. Movers that kept their
 // order are never touched, which is the common case even when the
 // mover set spans most of the relation.
-func (s *snmRankedIndex) extractDisordered(movers map[string]bool) []string {
-	var out []string
+func (s *snmRankedIndex) extractDisordered() []uint32 {
+	var out []uint32
 	for {
 		var bad []int
-		var badIDs []string
-		i, prev := 0, ""
+		var badHs []uint32
+		i, prev := 0, uint32(0)
 		for e := range s.seq.from(0) {
-			if i > 0 && (movers[prev] || movers[e.id]) && s.less(e.id, prev) {
-				if movers[prev] && (len(bad) == 0 || bad[len(bad)-1] != i-1) {
-					bad, badIDs = append(bad, i-1), append(badIDs, prev)
+			if i > 0 && (s.movers[prev] || s.movers[e.h]) && s.less(e.h, prev) {
+				if s.movers[prev] && (len(bad) == 0 || bad[len(bad)-1] != i-1) {
+					bad, badHs = append(bad, i-1), append(badHs, prev)
 				}
-				if movers[e.id] {
-					bad, badIDs = append(bad, i), append(badIDs, e.id)
+				if s.movers[e.h] {
+					bad, badHs = append(bad, i), append(badHs, e.h)
 				}
 			}
-			i, prev = i+1, e.id
+			i, prev = i+1, e.h
 		}
 		if len(bad) == 0 {
 			return out
 		}
 		for i := len(bad) - 1; i >= 0; i-- {
-			out = append(out, badIDs[i])
+			out = append(out, badHs[i])
 			s.deltas = s.seq.removeAt(bad[i], s.deltas)
 		}
 	}
 }
 
 func (s *snmRankedIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
-	it := rank.Item{ID: x.ID, Keys: s.key.XTupleKeyDist(x, true)}
+	r := rankedRes{item: rank.Item{ID: x.ID, Keys: s.key.XTupleKeyDist(x, true)}}
+	switch s.strategy {
+	case MedianKey:
+		r.sortKey = rank.MedianKey(r.item)
+	case ModeKey:
+		r.sortKey = itemTopKey(r.item)
+	default:
+		r.own = rank.OwnStatsOf(r.item)
+	}
+	h := s.res.add(x.ID, r)
 	if s.strategy == ExpectedRank {
-		lo, hi := rank.KeySpan(it)
-		movers := s.moverSet(lo, hi, "")
-		s.uni.Add(it)
-		s.items[x.ID] = it
-		s.own[x.ID] = rank.OwnStatsOf(it)
-		s.rankMemo = map[string]float64{}
-		moved := s.extractDisordered(movers)
-		s.place(x.ID)
-		for _, id := range moved {
-			s.place(id)
+		s.markMovers(rank.KeySpan(r.item))
+		s.uni.Add(r.item)
+		s.epoch++
+		moved := s.extractDisordered()
+		s.place(h)
+		for _, m := range moved {
+			s.place(m)
 		}
 	} else {
-		s.items[x.ID] = it
-		if s.strategy == MedianKey {
-			s.sortKey[x.ID] = rank.MedianKey(it)
-		} else {
-			s.sortKey[x.ID] = itemTopKey(it)
-		}
-		s.place(x.ID)
+		s.place(h)
 	}
 	return s.flush(yield)
 }
 
 func (s *snmRankedIndex) Remove(id string, yield func(PairDelta) bool) bool {
-	it, ok := s.items[id]
+	h, ok := s.res.of[id]
 	if !ok {
 		return true
 	}
+	s.deltas = s.seq.removeAt(s.locate(h), s.deltas) // old ranks still valid here
 	if s.strategy == ExpectedRank {
-		lo, hi := rank.KeySpan(it)
-		idPos := s.locate(id) // old ranks still valid here
-		movers := s.moverSet(lo, hi, id)
-		s.deltas = s.seq.removeAt(idPos, s.deltas)
+		it := s.res.vals[h].item
+		s.markMovers(rank.KeySpan(it))
 		s.uni.Remove(it)
-		delete(s.items, id)
-		delete(s.own, id)
-		s.rankMemo = map[string]float64{}
-		for _, mid := range s.extractDisordered(movers) {
-			s.place(mid)
+		s.epoch++
+		for _, m := range s.extractDisordered() {
+			s.place(m)
 		}
-	} else {
-		s.deltas = s.seq.removeAt(s.locate(id), s.deltas)
-		delete(s.items, id)
-		delete(s.sortKey, id)
 	}
-	return s.flush(yield)
+	ok = s.flush(yield)
+	s.res.release(h)
+	return ok
 }
 
 // Interface conformance check.

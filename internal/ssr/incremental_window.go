@@ -9,19 +9,70 @@ import (
 )
 
 // This file holds the pieces the splicing sorted-neighborhood indexes
-// are assembled from: the order (chunkSeq), the window arithmetic over it
-// (windowSeq), its keyed form (keyedSeq), delta netting (pairNet) and the
-// refcounted union of several window passes (pairLedger).
+// are assembled from: the residents' handles (handleTable), the order
+// (chunkSeq), the window arithmetic over it (windowSeq), its keyed form
+// (keyedSeq), delta netting (pairNet) and the refcounted union of several
+// window passes (pairLedger).
+
+// handleTable gives every resident of a window index a uint32 handle, the
+// index of its ID and of the index's per-resident value in two slices. A
+// removed resident's handle goes on a free list and the next arrival
+// takes it. Sequence entries, window deltas and ledger keys carry handles;
+// an ID is looked up only where a pair leaves the index, and handles never
+// order anything (ties break by arrival or by ID).
+type handleTable[V any] struct {
+	of   map[string]uint32 // resident ID → handle
+	ids  []string          // handle → ID, "" while free
+	vals []V
+	free []uint32
+}
+
+func newHandleTable[V any]() handleTable[V] { return handleTable[V]{of: map[string]uint32{}} }
+
+// add registers a resident and returns its handle, a freed one if any.
+func (t *handleTable[V]) add(id string, v V) uint32 {
+	h := uint32(len(t.ids))
+	if n := len(t.free); n > 0 {
+		h, t.free = t.free[n-1], t.free[:n-1]
+		t.ids[h], t.vals[h] = id, v
+	} else {
+		t.ids, t.vals = append(t.ids, id), append(t.vals, v)
+	}
+	t.of[id] = h
+	return h
+}
+
+// release frees a resident's handle. Nothing may refer to it any more: a
+// later arrival takes it.
+func (t *handleTable[V]) release(h uint32) {
+	var zero V
+	delete(t.of, t.ids[h])
+	t.ids[h], t.vals[h] = "", zero
+	t.free = append(t.free, h)
+}
+
+// seqDelta is one window position pair a splice gained or (dropped) lost,
+// as the two entries' handles.
+type seqDelta struct {
+	a, b    uint32
+	dropped bool
+}
+
+// pair is the delta with the handles' IDs, normalized by ID.
+func (d seqDelta) pair(ids []string) PairDelta {
+	return PairDelta{Pair: verify.NewPair(ids[d.a], ids[d.b]), Dropped: d.dropped}
+}
 
 // seqChunkCap is the most entries one chunk of a chunkSeq holds. lib_snm's
 // closed loop is flat within noise from 64 to 1024 (CHANGES.md).
 const seqChunkCap = 256
 
-// seqEntry is one position of a chunkSeq: a tuple ID, its sort key where
-// the sequence is ordered by key, and SNMAlternatives' kept flag.
+// seqEntry is one position of a chunkSeq: a resident's handle, its sort
+// key where the sequence is ordered by key, and SNMAlternatives' kept flag.
 type seqEntry struct {
-	key, id string
-	kept    bool
+	key  string
+	h    uint32
+	kept bool
 }
 
 // chunkSeq is the ordered sequence behind every incremental
@@ -159,30 +210,21 @@ func (s *chunkSeq) search(f func(seqEntry) bool) int {
 	return p
 }
 
-// lookup returns the position of the entry (key, id) of a key-ordered
+// lookup returns the position of the entry (key, h) of a key-ordered
 // sequence, -1 if absent: a binary search to the key's run, then a scan
 // along it.
-func (s *chunkSeq) lookup(key, id string) int {
+func (s *chunkSeq) lookup(key string, h uint32) int {
 	p := s.search(func(e seqEntry) bool { return e.key >= key })
 	for e := range s.from(p) {
 		if e.key != key {
 			break
 		}
-		if e.id == id {
+		if e.h == h {
 			return p
 		}
 		p++
 	}
 	return -1
-}
-
-// ids returns the IDs in order, as one slice.
-func (s *chunkSeq) ids() []string {
-	out := make([]string, 0, s.n)
-	for e := range s.from(0) {
-		out = append(out, e.id)
-	}
-	return out
 }
 
 // clone returns a deep copy: no chunk is shared, so either side may be
@@ -195,21 +237,22 @@ func (s chunkSeq) clone() chunkSeq {
 	return s
 }
 
-// windowSeq maintains an ordered sequence of tuple IDs and the
+// windowSeq maintains an ordered sequence of resident handles and the
 // sorted-neighborhood window pairs over it: every splice appends the
 // window-pair deltas it causes (straddling pairs pushed out or pulled back
-// in, neighbor pairs of the spliced ID). It is the only copy of the
+// in, neighbor pairs of the spliced handle). It is the only copy of the
 // incremental window arithmetic. The caller owns the order and every
 // splice position — including removal positions, so the sequence never
-// pays for id→position bookkeeping. Deltas are computed against the
+// pays for handle→position bookkeeping. Deltas are computed against the
 // pre-splice sequence and returned, never delivered, so a structural
-// update cannot depend on a yield outcome. An ID may occur more than once
-// (SNMAlternatives' kept entries); the deltas are then per position pair,
-// same-ID pairs included, and the consumer refcounts them (pairLedger).
+// update cannot depend on a yield outcome. A handle may occur more than
+// once (SNMAlternatives' kept entries); the deltas are then per position
+// pair, same-handle pairs included, and the consumer refcounts them
+// (pairLedger).
 type windowSeq struct {
 	chunkSeq
 	window int
-	nb     []string // the IDs around one splice
+	nb     []uint32 // the handles around one splice
 }
 
 func newWindowSeq(window, chunk int) windowSeq {
@@ -219,51 +262,51 @@ func newWindowSeq(window, chunk int) windowSeq {
 	return windowSeq{chunkSeq: chunkSeq{cap: chunk}, window: window}
 }
 
-// neighbors reads the IDs at positions [lo, hi) into nb, locating lo once,
-// and returns the end of what it read (hi or len).
+// neighbors reads the handles at positions [lo, hi) into nb, locating lo
+// once, and returns the end of what it read (hi or len).
 func (s *windowSeq) neighbors(lo, hi int) int {
 	s.nb = s.nb[:0]
 	for e := range s.from(lo) {
 		if lo+len(s.nb) == hi {
 			break
 		}
-		s.nb = append(s.nb, e.id)
+		s.nb = append(s.nb, e.h)
 	}
 	return lo + len(s.nb)
 }
 
 // insertAt splices e in at position p: straddling pairs at distance
-// exactly window-1 drop, and the new ID pairs with its window neighbors,
-// nearest left neighbor first, then rightwards.
-func (s *windowSeq) insertAt(p int, e seqEntry, out []PairDelta) []PairDelta {
+// exactly window-1 drop, and the new handle pairs with its window
+// neighbors, nearest left neighbor first, then rightwards.
+func (s *windowSeq) insertAt(p int, e seqEntry, out []seqDelta) []seqDelta {
 	w, lo := s.window, max(p-s.window+1, 0)
-	end, ids := s.neighbors(lo, p+w-1), s.nb // ids[a-lo] is at position a
+	end, hs := s.neighbors(lo, p+w-1), s.nb // hs[a-lo] is at position a
 	for a := lo; a <= p-1 && a+w-1 < end; a++ {
-		out = append(out, PairDelta{Pair: verify.NewPair(ids[a-lo], ids[a+w-1-lo]), Dropped: true})
+		out = append(out, seqDelta{hs[a-lo], hs[a+w-1-lo], true})
 	}
 	for a := p - 1; a >= lo; a-- {
-		out = append(out, PairDelta{Pair: verify.NewPair(ids[a-lo], e.id)})
+		out = append(out, seqDelta{hs[a-lo], e.h, false})
 	}
 	for b := p; b < end; b++ {
-		out = append(out, PairDelta{Pair: verify.NewPair(e.id, ids[b-lo])})
+		out = append(out, seqDelta{e.h, hs[b-lo], false})
 	}
 	s.splice(p, e)
 	return out
 }
 
-// removeAt splices the ID at position p out: every window pair of the ID
+// removeAt splices the handle at position p out: every window pair of it
 // drops, and straddling pairs at distance exactly window re-enter.
-func (s *windowSeq) removeAt(p int, out []PairDelta) []PairDelta {
+func (s *windowSeq) removeAt(p int, out []seqDelta) []seqDelta {
 	w, lo := s.window, max(p-s.window+1, 0)
-	end, ids := s.neighbors(lo, p+w), s.nb
-	id := ids[p-lo]
+	end, hs := s.neighbors(lo, p+w), s.nb
+	h := hs[p-lo]
 	for j := lo; j < end; j++ {
 		if j != p {
-			out = append(out, PairDelta{Pair: verify.NewPair(ids[j-lo], id), Dropped: true})
+			out = append(out, seqDelta{hs[j-lo], h, true})
 		}
 	}
 	for a := lo; a <= p-1 && a+w < end; a++ {
-		out = append(out, PairDelta{Pair: verify.NewPair(ids[a-lo], ids[a+w-lo])})
+		out = append(out, seqDelta{hs[a-lo], hs[a+w-lo], false})
 	}
 	s.cut(p)
 	return out
@@ -274,15 +317,15 @@ func (s *windowSeq) removeAt(p int, out []PairDelta) []PairDelta {
 // same arrivals. It is the whole index of SNMCertain.
 type keyedSeq struct{ windowSeq }
 
-// insert splices (key, id) in after all equal keys (upper bound).
-func (s *keyedSeq) insert(key, id string, out []PairDelta) []PairDelta {
+// insert splices (key, h) in after all equal keys (upper bound).
+func (s *keyedSeq) insert(key string, h uint32, out []seqDelta) []seqDelta {
 	p := s.search(func(e seqEntry) bool { return e.key > key })
-	return s.insertAt(p, seqEntry{key: key, id: id}, out)
+	return s.insertAt(p, seqEntry{key: key, h: h}, out)
 }
 
-// remove splices the entry (key, id) out. An absent entry is a no-op.
-func (s *keyedSeq) remove(key, id string, out []PairDelta) []PairDelta {
-	if p := s.lookup(key, id); p >= 0 {
+// remove splices the entry (key, h) out. An absent entry is a no-op.
+func (s *keyedSeq) remove(key string, h uint32, out []seqDelta) []seqDelta {
+	if p := s.lookup(key, h); p >= 0 {
 		return s.removeAt(p, out)
 	}
 	return out
@@ -349,38 +392,42 @@ func (n *pairNet) flush(yield func(PairDelta) bool) bool {
 // pairLedger refcounts how many window position pairs (kept entries of
 // SNMAlternatives) currently cover each candidate pair and nets the
 // 0↔positive transitions — the incremental form of the executed-matching
-// set (Fig. 12).
+// set (Fig. 12). The counts are keyed by packed handle pairs and hold no
+// pointer, so the collector never scans them; only a transition looks up
+// the two IDs.
 type pairLedger struct {
-	counts map[verify.Pair]int
+	counts map[uint64]int32 // handlePair → covering position pairs
 	net    pairNet
 }
 
-func newPairLedger() *pairLedger { return &pairLedger{counts: map[verify.Pair]int{}} }
+func newPairLedger() *pairLedger { return &pairLedger{counts: map[uint64]int32{}} }
 
-// cover counts one more coverage of the pair (or, dropped, one fewer); the
-// first yields an add, the last a drop. Same-ID pairs are ignored
-// (windowStream skips them).
-func (l *pairLedger) cover(d PairDelta) {
-	if d.Pair.A == d.Pair.B {
-		return
-	}
-	n := l.counts[d.Pair]
-	if d.Dropped {
-		if n--; n == 0 {
-			delete(l.counts, d.Pair)
-			l.net.add(d)
-			return
-		}
-	} else if n++; n == 1 {
-		l.net.add(d)
-	}
-	l.counts[d.Pair] = n
+// handlePair packs two handles into one key, the smaller in the high half.
+func handlePair(a, b uint32) uint64 {
+	return uint64(min(a, b))<<32 | uint64(max(a, b))
 }
 
-// coverAll folds one splice's window deltas into the coverage counts.
-func (l *pairLedger) coverAll(ds []PairDelta) {
+// coverAll folds one splice's window deltas into the coverage counts: one
+// more coverage per add, one fewer per drop; the first yields an add, the
+// last a drop, as the pair of the handles' IDs. Same-handle pairs are
+// ignored (windowStream skips same-ID pairs).
+func (l *pairLedger) coverAll(ds []seqDelta, ids []string) {
 	for _, d := range ds {
-		l.cover(d)
+		if d.a == d.b {
+			continue
+		}
+		k := handlePair(d.a, d.b)
+		n := l.counts[k]
+		if d.dropped {
+			if n--; n == 0 {
+				delete(l.counts, k)
+				l.net.add(d.pair(ids))
+				continue
+			}
+		} else if n++; n == 1 {
+			l.net.add(d.pair(ids))
+		}
+		l.counts[k] = n
 	}
 }
 

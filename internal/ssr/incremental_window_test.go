@@ -3,6 +3,7 @@ package ssr
 import (
 	"fmt"
 	"maps"
+	"math"
 	"math/rand"
 	"slices"
 	"sort"
@@ -13,10 +14,12 @@ import (
 	"probdedup/internal/verify"
 )
 
-// foldCover folds a splice's deltas into per-pair coverage counts the way
-// pairLedger does (same-ID pairs skipped, zero counts deleted).
-func foldCover(counts map[verify.Pair]int, ds []PairDelta) {
-	for _, d := range ds {
+// foldCover folds a splice's deltas, as pairs of the handles' IDs, into
+// per-pair coverage counts the way pairLedger does (same-ID pairs skipped,
+// zero counts deleted).
+func foldCover(counts map[verify.Pair]int, ds []seqDelta, ids []string) {
+	for _, sd := range ds {
+		d := sd.pair(ids)
 		if d.Pair.A == d.Pair.B {
 			continue
 		}
@@ -29,6 +32,15 @@ func foldCover(counts map[verify.Pair]int, ds []PairDelta) {
 			delete(counts, d.Pair)
 		}
 	}
+}
+
+// seqIDs returns the IDs of a sequence's handles, in order.
+func seqIDs(s *chunkSeq, ids []string) []string {
+	out := make([]string, 0, s.n)
+	for e := range s.from(0) {
+		out = append(out, ids[e.h])
+	}
+	return out
 }
 
 // streamCover counts how often windowStream yields each pair over ids.
@@ -65,40 +77,69 @@ func checkChunks(t *testing.T, s *chunkSeq) {
 
 // windowSeqModel drives a windowSeq against a []string model: after every
 // splice the sequence equals the model and the folded deltas equal the
-// window stream of it.
+// window stream of it. An ID holds one handle while it occurs in the
+// sequence; the handle is released with its last occurrence, and the next
+// absent ID to arrive takes it.
 type windowSeqModel struct {
 	t      *testing.T
 	seq    windowSeq
+	res    handleTable[int] // occurrences in the sequence
 	model  []string
 	counts map[verify.Pair]int
-	ds     []PairDelta
+	ds     []seqDelta
 }
 
 func newWindowSeqModel(t *testing.T, window, chunk int) *windowSeqModel {
-	return &windowSeqModel{t: t, seq: newWindowSeq(window, chunk), counts: map[verify.Pair]int{}}
+	return &windowSeqModel{t: t, seq: newWindowSeq(window, chunk), res: newHandleTable[int](), counts: map[verify.Pair]int{}}
 }
 
 func (m *windowSeqModel) insert(p int, id string) {
-	m.ds = m.seq.insertAt(p, seqEntry{id: id}, m.ds[:0])
+	h, ok := m.res.of[id]
+	if !ok {
+		h = m.res.add(id, 0)
+	}
+	m.res.vals[h]++
+	m.ds = m.seq.insertAt(p, seqEntry{h: h}, m.ds[:0])
 	m.model = slices.Insert(m.model, p, id)
 	m.check()
 }
 
 func (m *windowSeqModel) remove(p int) {
+	h := m.res.of[m.model[p]]
 	m.ds = m.seq.removeAt(p, m.ds[:0])
 	m.model = slices.Delete(m.model, p, p+1)
 	m.check()
+	if m.res.vals[h]--; m.res.vals[h] == 0 {
+		m.res.release(h)
+	}
 }
 
 func (m *windowSeqModel) check() {
 	m.t.Helper()
-	foldCover(m.counts, m.ds)
+	foldCover(m.counts, m.ds, m.res.ids)
 	checkChunks(m.t, &m.seq.chunkSeq)
-	if got := m.seq.ids(); !slices.Equal(got, m.model) {
+	if got := seqIDs(&m.seq.chunkSeq, m.res.ids); !slices.Equal(got, m.model) {
 		m.t.Fatalf("sequence %v, want %v", got, m.model)
 	}
 	if want := streamCover(m.model, m.seq.window); !maps.Equal(m.counts, want) {
 		m.t.Fatalf("over %v: folded deltas %v, window stream %v", m.model, m.counts, want)
+	}
+}
+
+// checkRebuilt compares the model's sequence with one built from scratch
+// over the same ID order, with handles handed out afresh: the same IDs in
+// the same order, and the same folded coverage.
+func (m *windowSeqModel) checkRebuilt() {
+	m.t.Helper()
+	fresh := newWindowSeqModel(m.t, m.seq.window, m.seq.cap)
+	for p, id := range m.model {
+		fresh.insert(p, id)
+	}
+	if got, want := seqIDs(&m.seq.chunkSeq, m.res.ids), seqIDs(&fresh.seq.chunkSeq, fresh.res.ids); !slices.Equal(got, want) {
+		m.t.Fatalf("sequence %v, rebuilt %v", got, want)
+	}
+	if !maps.Equal(m.counts, fresh.counts) {
+		m.t.Fatalf("over %v: folded deltas %v, rebuilt %v", m.model, m.counts, fresh.counts)
 	}
 }
 
@@ -131,10 +172,13 @@ func TestWindowSeqFoldEqualsWindowStream(t *testing.T) {
 
 // FuzzWindowSeq lets the fuzzer pick the window, a tiny chunk capacity and
 // up to 127 splices: each pair of bytes is an insert or remove position
-// and an ID from a pool of four.
+// and an ID from a pool of eight. An ID's handle is freed with its last
+// occurrence, so re-inserted and fresh IDs take freed handles; after every
+// splice the sequence must equal one rebuilt from scratch.
 func FuzzWindowSeq(f *testing.F) {
 	f.Add([]byte{3, 0, 0, 1, 2, 3, 4, 5, 0, 7, 2, 9, 0, 1})
 	f.Add([]byte{5, 1, 0, 0, 2, 2, 4, 4, 6, 6, 1, 1, 3, 3, 0, 0, 0, 0})
+	f.Add([]byte{2, 2, 0, 1, 0, 2, 1, 0, 0, 3, 2, 4, 1, 0, 1, 0, 0, 1, 2, 5, 3, 0})
 	f.Fuzz(func(t *testing.T, ops []byte) {
 		if len(ops) < 2 {
 			return
@@ -143,10 +187,11 @@ func FuzzWindowSeq(f *testing.F) {
 		m := newWindowSeqModel(t, 1+int(ops[0]%6), 2+int(ops[1]%3))
 		for ops = ops[2:]; len(ops) >= 2; ops = ops[2:] {
 			if p := int(ops[0] >> 1); ops[0]&1 == 0 || len(m.model) == 0 {
-				m.insert(p%(len(m.model)+1), fmt.Sprintf("t%d", ops[1]%4))
+				m.insert(p%(len(m.model)+1), fmt.Sprintf("t%d", ops[1]%8))
 			} else {
 				m.remove(p % len(m.model))
 			}
+			m.checkRebuilt()
 		}
 	})
 }
@@ -162,28 +207,31 @@ func TestKeyedSeqMatchesStableSort(t *testing.T) {
 				t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
 					rng := rand.New(rand.NewSource(int64(window)))
 					seq := keyedSeq{newWindowSeq(window, chunk)}
+					res := newHandleTable[string]()
 					var arrivals []KeyEntry // survivors in arrival order
 					counts := map[verify.Pair]int{}
 					for op := 0; op < 500; op++ {
-						var ds []PairDelta
+						var ds []seqDelta
 						switch {
 						case len(arrivals) == 0 || (len(arrivals) < 200 && rng.Intn(5) > 0):
 							e := KeyEntry{Key: fmt.Sprintf("k%d", rng.Intn(5)), ID: fmt.Sprintf("t%d", op)}
-							ds = seq.insert(e.Key, e.ID, nil)
+							ds = seq.insert(e.Key, res.add(e.ID, e.Key), nil)
 							arrivals = append(arrivals, e)
 						case rng.Intn(8) == 0:
-							if ds = seq.remove("k2", "absent", nil); len(ds) != 0 {
+							if ds = seq.remove("k2", math.MaxUint32, nil); len(ds) != 0 {
 								t.Fatalf("op %d: removing an absent entry yielded %v", op, ds)
 							}
 						default:
 							i := rng.Intn(len(arrivals))
-							ds = seq.remove(arrivals[i].Key, arrivals[i].ID, nil)
+							h := res.of[arrivals[i].ID]
+							foldCover(counts, seq.remove(arrivals[i].Key, h, nil), res.ids)
+							res.release(h) // the next arrival takes h
 							arrivals = append(arrivals[:i], arrivals[i+1:]...)
 						}
-						foldCover(counts, ds)
+						foldCover(counts, ds, res.ids)
 						checkChunks(t, &seq.chunkSeq)
 						want := sortEntryIDs(append([]KeyEntry(nil), arrivals...))
-						if got := seq.ids(); !slices.Equal(got, want) {
+						if got := seqIDs(&seq.chunkSeq, res.ids); !slices.Equal(got, want) {
 							t.Fatalf("op %d: order %v, want stable sort %v", op, got, want)
 						}
 						var ks []string
@@ -207,18 +255,19 @@ func TestKeyedSeqMatchesStableSort(t *testing.T) {
 // a splice into either side must not show in the other.
 func TestKeyedSeqCloneIsDeep(t *testing.T) {
 	a := keyedSeq{newWindowSeq(3, 2)}
+	res := newHandleTable[struct{}]()
 	for i := range 9 {
-		a.insert(fmt.Sprintf("k%d", i%3), fmt.Sprintf("t%d", i), nil)
+		a.insert(fmt.Sprintf("k%d", i%3), res.add(fmt.Sprintf("t%d", i), struct{}{}), nil)
 	}
-	want := a.ids()
+	want := seqIDs(&a.chunkSeq, res.ids)
 	b := a.clone()
-	b.insert("k1", "x", nil)
-	b.remove("k0", "t0", nil)
-	if got := a.ids(); !slices.Equal(got, want) {
+	b.insert("k1", res.add("x", struct{}{}), nil)
+	b.remove("k0", res.of["t0"], nil)
+	if got := seqIDs(&a.chunkSeq, res.ids); !slices.Equal(got, want) {
 		t.Fatalf("splicing the clone changed the original: %v, want %v", got, want)
 	}
-	a.insert("k2", "y", nil)
-	if got := b.ids(); slices.Contains(got, "y") || !slices.Contains(got, "x") {
+	a.insert("k2", res.add("y", struct{}{}), nil)
+	if got := seqIDs(&b.chunkSeq, res.ids); slices.Contains(got, "y") || !slices.Contains(got, "x") {
 		t.Fatalf("clone %v shares state with the original", got)
 	}
 }
@@ -259,15 +308,16 @@ func TestSNMAltsEntriesMatchFlatModel(t *testing.T) {
 
 				var want []seqEntry
 				for _, id := range residents {
-					for _, k := range idx.keysOf[id] {
-						want = append(want, seqEntry{key: k, id: id})
+					h := idx.res.of[id]
+					for _, k := range idx.res.vals[h] {
+						want = append(want, seqEntry{key: k, h: h})
 					}
 				}
 				sort.SliceStable(want, func(a, b int) bool { return want[a].key < want[b].key })
 				var keptIDs []string
 				for i := range want {
-					if want[i].kept = i == 0 || want[i-1].id != want[i].id; want[i].kept {
-						keptIDs = append(keptIDs, want[i].id)
+					if want[i].kept = i == 0 || want[i-1].h != want[i].h; want[i].kept {
+						keptIDs = append(keptIDs, idx.res.ids[want[i].h])
 					} else {
 						omitted++
 					}
@@ -285,7 +335,7 @@ func TestSNMAltsEntriesMatchFlatModel(t *testing.T) {
 						n++
 					}
 				}
-				if got := idx.kept.ids(); !slices.Equal(got, keptIDs) {
+				if got := seqIDs(&idx.kept.chunkSeq, idx.res.ids); !slices.Equal(got, keptIDs) {
 					t.Fatalf("op %d: kept sequence %v, want %v", op, got, keptIDs)
 				}
 			}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -107,11 +108,27 @@ func TestYieldOrderGolden(t *testing.T) {
 		BlockingCluster{Key: def, K: 4, Seed: 1})
 
 	var got strings.Builder
-	for i, m := range methods {
+	record := func(row string, m Method, u *pdb.XRelation) {
 		ordered, sorted := yieldTranscript(t, m, u)
-		fmt.Fprintf(&got, "%02d %s deltas=%d ordered=%x sets=%x\n", i, m.Name(),
+		fmt.Fprintf(&got, "%s %s deltas=%d ordered=%x sets=%x\n", row, m.Name(),
 			strings.Count(ordered, "\n+")+strings.Count(ordered, "\n-"),
 			sha256.Sum256([]byte(ordered)), sha256.Sum256([]byte(sorted)))
+	}
+	for i, m := range methods {
+		record(fmt.Sprintf("%02d", i), m, u)
+	}
+	// The desc rows run the window indexes over the same tuples arriving
+	// in descending ID order, so the order in which an index hands out
+	// its internal handles is the reverse of ID order: a handle that
+	// leaks into the yield order shows here.
+	desc := *u
+	desc.Tuples = slices.Clone(u.Tuples)
+	slices.SortFunc(desc.Tuples, func(a, b *pdb.XTuple) int { return strings.Compare(b.ID, a.ID) })
+	for i, m := range methods {
+		switch m.(type) {
+		case SNMCertain, SNMRanked, SNMAlternatives:
+			record(fmt.Sprintf("desc%02d", i), m, &desc)
+		}
 	}
 
 	path := filepath.Join("testdata", "yield_order.golden")
