@@ -20,13 +20,10 @@ func TestPublicDurableRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts := probdedup.Options{
-		Compare:   []probdedup.CompareFunc{probdedup.Levenshtein, probdedup.Levenshtein, probdedup.Levenshtein},
-		Reduction: probdedup.BlockingCertain{Key: def},
-		Final:     probdedup.Thresholds{Lambda: 0.6, Mu: 0.8},
-		Durability: probdedup.Durability{
-			FsyncEvery:       2,
-			SnapshotEveryOps: 8,
-		},
+		Compare:    []probdedup.CompareFunc{probdedup.Levenshtein, probdedup.Levenshtein, probdedup.Levenshtein},
+		Reduction:  probdedup.BlockingCertain{Key: def},
+		Final:      probdedup.Thresholds{Lambda: 0.6, Mu: 0.8},
+		Durability: probdedup.Durability{FsyncEvery: 2},
 	}
 
 	dir := t.TempDir()

@@ -2,7 +2,7 @@ package core
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 
 	"probdedup/internal/avm"
 	"probdedup/internal/decision"
@@ -76,18 +76,16 @@ type Options struct {
 // Durability configures the durable online engines: state lives in a
 // write-ahead-logged, snapshot-rotated directory, and recovery replays
 // the log tail through the ordinary fold paths so a recovered engine
-// is bit-identical to one that never crashed.
+// is bit-identical to one that never crashed. Checkpoints need no
+// setting: an engine snapshots once the log behind its newest snapshot
+// has grown to that snapshot's size (1 MiB at least), so recovery
+// reads one snapshot and at most that much log.
 type Durability struct {
 	// FsyncEvery is the group-commit grain: one fsync per this many
 	// logged operations (0 or 1 syncs every operation). Operations
 	// since the last sync may be lost in a crash — recovery still
 	// yields a consistent prefix of the operation history.
 	FsyncEvery int
-	// SnapshotEveryOps rotates the log automatically: after this many
-	// operations since the last snapshot, the next operation triggers a
-	// checkpoint (0 disables automatic checkpoints; Checkpoint and
-	// Close still snapshot on demand).
-	SnapshotEveryOps int
 }
 
 // Match is one compared pair with its derived similarity and class.
@@ -131,14 +129,22 @@ func DetectWithStats(xr *pdb.XRelation, opts Options) (*Result, StreamStats, err
 	if err != nil {
 		return nil, stats, err
 	}
+	return newResult(len(matches), stats.TotalPairs, func(i int) Match { return matches[i] }), stats, nil
+}
+
+// newResult materializes n classified pairs, read through at, as a
+// Result: every pair in verify.ComparePairs order with its similarity
+// and class, and the declared M and P sets.
+func newResult(n, totalPairs int, at func(i int) Match) *Result {
 	res := &Result{
 		Matches:    verify.PairSet{},
 		Possible:   verify.PairSet{},
-		Compared:   make([]verify.Pair, len(matches)),
-		ByPair:     make(map[verify.Pair]Match, len(matches)),
-		TotalPairs: stats.TotalPairs,
+		Compared:   make([]verify.Pair, n),
+		ByPair:     make(map[verify.Pair]Match, n),
+		TotalPairs: totalPairs,
 	}
-	for i, m := range matches {
+	for i := range n {
+		m := at(i)
 		res.Compared[i] = m.Pair
 		res.ByPair[m.Pair] = m
 		switch m.Class {
@@ -148,13 +154,8 @@ func DetectWithStats(xr *pdb.XRelation, opts Options) (*Result, StreamStats, err
 			res.Possible[m.Pair] = true
 		}
 	}
-	sort.Slice(res.Compared, func(i, j int) bool {
-		if res.Compared[i].A != res.Compared[j].A {
-			return res.Compared[i].A < res.Compared[j].A
-		}
-		return res.Compared[i].B < res.Compared[j].B
-	})
-	return res, stats, nil
+	slices.SortFunc(res.Compared, verify.ComparePairs)
+	return res
 }
 
 // DetectRelations lifts two dependency-free relations, unions them, and

@@ -526,31 +526,9 @@ func (d *Detector) drainEmits() { d.emits.Drain() }
 func (d *Detector) Flush() *Result {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	res := &Result{
-		Matches:    verify.PairSet{},
-		Possible:   verify.PairSet{},
-		Compared:   make([]verify.Pair, 0, len(d.live.pairs)),
-		ByPair:     make(map[verify.Pair]Match, len(d.live.pairs)),
-		TotalPairs: ssr.TotalPairs(len(d.live.slotOf)),
-	}
-	for i := range d.live.pairs {
-		m := d.live.match(int32(i))
-		res.Compared = append(res.Compared, m.Pair)
-		res.ByPair[m.Pair] = m
-		switch m.Class {
-		case decision.M:
-			res.Matches[m.Pair] = true
-		case decision.P:
-			res.Possible[m.Pair] = true
-		}
-	}
-	sort.Slice(res.Compared, func(i, j int) bool {
-		if res.Compared[i].A != res.Compared[j].A {
-			return res.Compared[i].A < res.Compared[j].A
-		}
-		return res.Compared[i].B < res.Compared[j].B
+	return newResult(len(d.live.pairs), ssr.TotalPairs(len(d.live.slotOf)), func(i int) Match {
+		return d.live.match(int32(i))
 	})
-	return res
 }
 
 // Resident returns the resident tuple stored for id — the

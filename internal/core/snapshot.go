@@ -3,12 +3,14 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"probdedup/internal/decision"
 	"probdedup/internal/pdb"
 	"probdedup/internal/prepare"
 	"probdedup/internal/ssr"
+	"probdedup/internal/verify"
 )
 
 // DetectorState is the portable snapshot of a Detector's live state —
@@ -66,12 +68,7 @@ func (d *Detector) SnapshotState() *DetectorState {
 	for i := range d.live.pairs {
 		st.Pairs = append(st.Pairs, d.live.match(int32(i)))
 	}
-	sort.Slice(st.Pairs, func(i, j int) bool {
-		if st.Pairs[i].Pair.A != st.Pairs[j].Pair.A {
-			return st.Pairs[i].Pair.A < st.Pairs[j].Pair.A
-		}
-		return st.Pairs[i].Pair.B < st.Pairs[j].Pair.B
-	})
+	slices.SortFunc(st.Pairs, func(a, b Match) int { return verify.ComparePairs(a.Pair, b.Pair) })
 	if ei, ok := d.idx.(ssr.StatefulEpochIndex); ok {
 		st.Epoch = ei.ExportEpochState()
 	}

@@ -20,6 +20,7 @@ package resolve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"probdedup/internal/core"
@@ -230,12 +231,7 @@ func finishResolution(r *Resolution, possible map[verify.Pair]core.Match, cal Ca
 	for k := range strongest {
 		keys = append(keys, k)
 	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].A != keys[j].A {
-			return keys[i].A < keys[j].A
-		}
-		return keys[i].B < keys[j].B
-	})
+	slices.SortFunc(keys, verify.ComparePairs)
 	uncertainEntity := map[string]lineage.Expr{} // entity ID → ¬dup ∧ ¬dup …
 	for _, key := range keys {
 		m := strongest[key]

@@ -34,6 +34,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -624,12 +625,7 @@ func (r *Router) Flush() (*core.Result, error) {
 		residents += s.eng.Len()
 	}
 	out.TotalPairs = ssr.TotalPairs(residents)
-	sort.Slice(out.Compared, func(i, j int) bool {
-		if out.Compared[i].A != out.Compared[j].A {
-			return out.Compared[i].A < out.Compared[j].A
-		}
-		return out.Compared[i].B < out.Compared[j].B
-	})
+	slices.SortFunc(out.Compared, verify.ComparePairs)
 	return out, nil
 }
 

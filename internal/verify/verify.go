@@ -6,8 +6,9 @@
 package verify
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -43,19 +44,20 @@ func (s PairSet) Add(a, b string) { s[NewPair(a, b)] = true }
 // Has reports membership in either order.
 func (s PairSet) Has(a, b string) bool { return s[NewPair(a, b)] }
 
-// Sorted returns the pairs in lexicographic order (for deterministic
+// ComparePairs orders pairs by A, then B — the one pair order of every
+// deterministic output (use with slices.SortFunc).
+func ComparePairs(a, b Pair) int {
+	return cmp.Or(strings.Compare(a.A, b.A), strings.Compare(a.B, b.B))
+}
+
+// Sorted returns the pairs in ComparePairs order (for deterministic
 // output).
 func (s PairSet) Sorted() []Pair {
 	out := make([]Pair, 0, len(s))
 	for p := range s {
 		out = append(out, p)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].A != out[j].A {
-			return out[i].A < out[j].A
-		}
-		return out[i].B < out[j].B
-	})
+	slices.SortFunc(out, ComparePairs)
 	return out
 }
 

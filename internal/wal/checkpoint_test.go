@@ -72,23 +72,43 @@ func TestRecoverAtEveryBoundary(t *testing.T) {
 	}
 }
 
-// TestAutoCheckpointEquivalence drives the SnapshotEveryOps trigger:
-// with automatic checkpoints firing every few operations, a clean Close
-// and reopen must be bit-identical to the never-crashed run, and the
-// final WAL tail must be empty (a clean restart replays nothing).
+// setCheckpointFloor lowers (or raises) the log floor of the engines
+// the calling test opens, restoring it when the test ends. Engines read
+// the floor once, at open, so a test that calls this must not be
+// parallel itself; its parallel subtests only read it.
+func setCheckpointFloor(t *testing.T, n int64) {
+	old := checkpointFloor
+	checkpointFloor = n
+	t.Cleanup(func() { checkpointFloor = old })
+}
+
+// TestAutoCheckpointEquivalence drives the log-size trigger: with the
+// floor lowered so automatic checkpoints fire every few operations, a
+// clean Close and reopen must be bit-identical to the never-crashed
+// run, and the final WAL tail must be empty (a clean restart replays
+// nothing).
 func TestAutoCheckpointEquivalence(t *testing.T) {
+	setCheckpointFloor(t, 512)
 	schema, ops := genSchedule(t, 3, 20)
 	red := crashReductions(t, schema)["blocking-cluster"]
 	opts := testOptions(red)
-	opts.Durability = core.Durability{FsyncEvery: 2, SnapshotEveryOps: 4}
+	opts.Durability = core.Durability{FsyncEvery: 2}
 	want := cleanFingerprint(t, "detector", schema, opts, ops)
 
 	dir := t.TempDir()
 	h := mustOpenHandle(t, "detector", dir, schema, opts)
+	checkpoints := 0
 	for i, op := range ops {
+		before := h.d.snapSeq
 		if err := applyOp(h.ops, op); err != nil {
 			t.Fatalf("op %d: %v", i, err)
 		}
+		if h.d.snapSeq != before {
+			checkpoints++
+		}
+	}
+	if checkpoints < 3 {
+		t.Fatalf("%d automatic checkpoints in %d ops; the lowered floor should fire at least 3", checkpoints, len(ops))
 	}
 	seq := h.d.Seq()
 	if err := h.d.Close(); err != nil {
@@ -356,5 +376,53 @@ func TestSchemaMismatchRejected(t *testing.T) {
 	renamed[len(renamed)-1] = "renamed"
 	if _, err := OpenDurable(dir, renamed, opts, nil); !errors.Is(err, ErrSchemaMismatch) {
 		t.Fatalf("renamed attr: want ErrSchemaMismatch, got %v", err)
+	}
+}
+
+// TestDurableInheritedTailCheckpoints reopens, at the normal floor, a
+// directory whose log tail already exceeds the checkpoint threshold —
+// written with the floor raised, as by an engine that never
+// checkpointed. The first operation after the reopen must checkpoint,
+// rotate the WAL and garbage-collect the inherited segment, and the
+// state must equal the never-crashed fold.
+func TestDurableInheritedTailCheckpoints(t *testing.T) {
+	floor := checkpointFloor
+	setCheckpointFloor(t, 1<<40)
+	schema, opts, ops := wideSchedule(t, 1200)
+	head, last := ops[:len(ops)-1], ops[len(ops)-1]
+	dir := t.TempDir()
+	h := mustOpenHandle(t, "detector", dir, schema, opts)
+	for i, op := range head {
+		if err := applyOp(h.ops, op); err != nil {
+			t.Fatalf("op %d: %v", i, err)
+		}
+	}
+	if err := h.d.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	inherited := walSegments(t, dir)
+	if snap, live, _ := logState(t, dir); len(inherited) != 1 || live < max(snap, floor) {
+		t.Fatalf("setup: %d segments, tail %d B against snapshot %d B; want one segment above the threshold",
+			len(inherited), live, snap)
+	}
+
+	checkpointFloor = floor
+	h2 := mustOpenHandle(t, "detector", dir, schema, opts)
+	defer h2.d.Abort()
+	if err := applyOp(h2.ops, last); err != nil {
+		t.Fatal(err)
+	}
+	seq := h2.d.Seq()
+	if _, err := os.Stat(h2.d.sd.snapshotPath(seq)); err != nil {
+		t.Fatalf("first operation after the reopen took no checkpoint: %v", err)
+	}
+	if segs := walSegments(t, dir); len(segs) != 1 || segs[0] != h2.d.sd.walPath(seq) {
+		t.Fatalf("WAL segments after the checkpoint: %v; want only %s", segs, h2.d.sd.walPath(seq))
+	}
+	if _, err := os.Stat(inherited[0]); !os.IsNotExist(err) {
+		t.Fatalf("inherited segment %s not garbage-collected: %v", inherited[0], err)
+	}
+	if got, want := h2.fp(t), cleanFingerprint(t, "detector", schema, opts, ops); got != want {
+		t.Fatalf("state after the checkpoint diverges from the never-crashed fold\n--- got ---\n%s--- want ---\n%s", got, want)
 	}
 }

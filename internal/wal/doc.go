@@ -15,7 +15,11 @@
 // makes recovered state exact rather than approximate: replay re-runs
 // the same deterministic code the live process ran. Deltas are gated
 // during replay (they were already delivered before the crash) and
-// flow again from the first post-recovery operation.
+// flow again from the first post-recovery operation. A checkpoint
+// (snapshot, WAL rotation, removal of the files it covers) follows any
+// operation that leaves the log behind the newest snapshot at
+// max(snapshot size, 1 MiB) bytes or more, so recovery reads one
+// snapshot and a bounded tail however long the engine has run.
 //
 // On-disk layout, per state directory: a LOCK file held via flock
 // (ErrStateLocked when another live process owns it),

@@ -51,27 +51,36 @@ func gateEmit[T any](g *emitGate, emit func(T) bool) func(T) bool {
 	}
 }
 
+// checkpointFloor is the least log a durable engine lets grow behind
+// its newest snapshot before it checkpoints: a small state still
+// batches a megabyte of operations per snapshot. Tests lower it to put
+// automatic checkpoints inside short schedules; an engine reads it once,
+// when it opens.
+var checkpointFloor int64 = 1 << 20
+
 // durable is the shared durability mechanics under DurableDetector and
 // DurableIntegrator: the log-then-apply protocol, checkpoint rotation
 // and recovery. Operations first append a WAL record (a failed append
 // rejects the operation with state unchanged), then apply it to the
 // in-memory engine; engine-level failures are deliberately logged too,
 // because replaying them fails identically, keeping recovery a pure
-// fold over the log.
+// fold over the log. Once the log behind the newest snapshot reaches
+// max(snapshot size, floor) bytes, the operation that crossed it
+// checkpoints, so recovery never reads more than that plus one record.
 type durable struct {
-	mu            sync.Mutex
-	eng           snapshotEngine
-	sd            *StateDir
-	log           *LogWriter
-	gate          *emitGate
-	nattrs        int
-	fsyncEvery    int
-	snapshotEvery int
-	seq           uint64 // last logged sequence number
-	snapSeq       uint64 // sequence covered by the newest snapshot
-	segStart      uint64 // start sequence of the live WAL segment
-	sinceSnap     int
-	closed        bool
+	mu         sync.Mutex
+	eng        snapshotEngine
+	sd         *StateDir
+	log        *LogWriter
+	gate       *emitGate
+	nattrs     int
+	fsyncEvery int
+	floor      int64  // checkpointFloor at open
+	snapBytes  int64  // size of the newest snapshot
+	seq        uint64 // last logged sequence number
+	snapSeq    uint64 // sequence covered by the newest snapshot
+	segStart   uint64 // start sequence of the live WAL segment
+	closed     bool
 }
 
 // open locks the state directory, loads the newest snapshot (if any),
@@ -118,11 +127,11 @@ func recoverInDir(sd *StateDir, schema []string, dur core.Durability, gate *emit
 	build func(st *core.DetectorState) (snapshotEngine, error),
 ) (*durable, error) {
 	d := &durable{
-		sd:            sd,
-		gate:          gate,
-		nattrs:        len(schema),
-		fsyncEvery:    dur.FsyncEvery,
-		snapshotEvery: dur.SnapshotEveryOps,
+		sd:         sd,
+		gate:       gate,
+		nattrs:     len(schema),
+		fsyncEvery: dur.FsyncEvery,
+		floor:      checkpointFloor,
 	}
 	snapData, fileSeq, haveSnap, err := sd.LatestSnapshot()
 	if err != nil {
@@ -142,6 +151,7 @@ func recoverInDir(sd *StateDir, schema []string, dur core.Durability, gate *emit
 			return nil, fmt.Errorf("%w: state has %q, engine has %q", ErrSchemaMismatch, st.Schema, schema)
 		}
 		d.snapSeq = seq
+		d.snapBytes = int64(len(snapData))
 	}
 	if d.eng, err = build(st); err != nil {
 		return nil, err
@@ -152,6 +162,7 @@ func recoverInDir(sd *StateDir, schema []string, dur core.Durability, gate *emit
 	if err != nil {
 		return nil, err
 	}
+	var logBytes int64 // every intact byte of log this recovery read
 	for i, seg := range segs {
 		data, err := os.ReadFile(seg.Path)
 		if err != nil {
@@ -169,6 +180,7 @@ func recoverInDir(sd *StateDir, schema []string, dur core.Durability, gate *emit
 		if err != nil {
 			return nil, err
 		}
+		logBytes += tail
 		if tail < int64(len(data)) {
 			if i != len(segs)-1 {
 				// Only the segment being appended to at crash time can have
@@ -180,7 +192,6 @@ func recoverInDir(sd *StateDir, schema []string, dur core.Durability, gate *emit
 			}
 		}
 	}
-	d.sinceSnap = int(d.seq - d.snapSeq)
 	gate.open.Store(true)
 
 	var f *os.File
@@ -195,6 +206,10 @@ func recoverInDir(sd *StateDir, schema []string, dur core.Durability, gate *emit
 		return nil, err
 	}
 	d.log = NewLogWriter(f, d.nattrs, d.fsyncEvery)
+	// The next reopen reads this log again (records the snapshot
+	// covers included) until a checkpoint rotates it away, so all of it
+	// counts toward the checkpoint threshold.
+	d.log.written = logBytes
 	return d, nil
 }
 
@@ -227,9 +242,10 @@ func applyRecord(eng core.Engine, rec *Record) error {
 
 // logThen runs the log-then-apply protocol for one operation: append
 // the record (a failed append rejects the operation before any state
-// change), apply it to the engine, and checkpoint when the op budget
-// since the last snapshot is spent. apply defaults to replaying rec;
-// AddBatch passes a wider application than it logs.
+// change), apply it to the engine, and checkpoint once the log has
+// outgrown the newest snapshot (or the floor, whichever is larger).
+// apply defaults to replaying rec; AddBatch passes a wider application
+// than it logs.
 func (d *durable) logThen(rec *Record, apply func() error) error {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -241,14 +257,13 @@ func (d *durable) logThen(rec *Record, apply func() error) error {
 		return err // nothing applied; memory and disk still agree
 	}
 	d.seq++
-	d.sinceSnap++
 	var err error
 	if apply != nil {
 		err = apply()
 	} else {
 		err = applyRecord(d.eng, rec)
 	}
-	if d.snapshotEvery > 0 && d.sinceSnap >= d.snapshotEvery {
+	if d.log.written >= max(d.snapBytes, d.floor) {
 		if cerr := d.checkpointLocked(); err == nil {
 			err = cerr
 		}
@@ -329,7 +344,8 @@ func (d *durable) checkpointLocked() error {
 		old.Close()
 	}
 	d.snapSeq = d.seq
-	d.sinceSnap = 0
+	d.snapBytes = int64(len(data))
+	d.log.written = 0 // the live segment now starts at the snapshot
 	// GC failures cost disk space, not correctness.
 	_ = d.sd.RemoveObsolete(d.snapSeq)
 	return nil
@@ -394,10 +410,11 @@ type detectorReads interface {
 
 // DurableDetector is a core.Detector whose state survives crashes: a
 // write-ahead log makes every operation durable before it is applied,
-// and periodic snapshots bound recovery time. Recovery is exact —
-// reopening after a crash yields a detector whose Flush is
-// bit-identical to one that never crashed (minus any final operations
-// whose log records did not survive, which were never acknowledged).
+// and a snapshot taken whenever the log outgrows the previous one
+// bounds recovery time. Recovery is exact — reopening after a crash
+// yields a detector whose Flush is bit-identical to one that never
+// crashed (minus any final operations whose log records did not
+// survive, which were never acknowledged).
 // Flush, Stats, Len, Resident and ResidentIDs read the wrapped detector
 // (see the core.Detector methods of the same names).
 type DurableDetector struct {

@@ -26,11 +26,15 @@ func killOptions(tb testing.TB, env killEnv, schema []string) core.Options {
 	tb.Helper()
 	opts := testOptions(crashReductions(tb, schema)[env.red])
 	// FsyncEvery=1 makes every acknowledged op durable, so the survivor
-	// set after SIGKILL is exactly the acknowledged prefix. Periodic
-	// snapshots put kills both before and after checkpoints.
-	opts.Durability = core.Durability{FsyncEvery: 1, SnapshotEveryOps: 5}
+	// set after SIGKILL is exactly the acknowledged prefix.
+	opts.Durability = core.Durability{FsyncEvery: 1}
 	return opts
 }
+
+// killFloor lowers the checkpoint floor in both the child and the
+// recovering parent, so automatic checkpoints fire every few ops and
+// kills land both before and after them.
+const killFloor = 512
 
 // TestDurableCrashChild is the subprocess half of the kill test: it
 // opens a durable engine in the directory named by WAL_CRASH_DIR,
@@ -41,6 +45,7 @@ func TestDurableCrashChild(t *testing.T) {
 	if dir == "" {
 		t.Skip("subprocess helper; driven by TestKillAtRandomOp")
 	}
+	setCheckpointFloor(t, killFloor)
 	seed, err := strconv.ParseInt(os.Getenv("WAL_CRASH_SEED"), 10, 64)
 	if err != nil {
 		t.Fatal(err)
@@ -77,6 +82,7 @@ func TestKillAtRandomOp(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns subprocesses")
 	}
+	setCheckpointFloor(t, killFloor)
 	redNames := make([]string, 0, 3)
 	{
 		schema, _ := genSchedule(t, 0, 4)
@@ -93,7 +99,7 @@ func TestKillAtRandomOp(t *testing.T) {
 				seed:   seed,
 				// Deterministic pseudo-random kill point in [1, killOps],
 				// spread so different seeds die in different checkpoint
-				// phases (SnapshotEveryOps=5).
+				// phases.
 				crashAt: 1 + int((seed*7+3)%killOps),
 			}
 			t.Run(fmt.Sprintf("%s/%s/seed%d/op%d", engine, env.red, seed, env.crashAt), func(t *testing.T) {

@@ -204,6 +204,7 @@ type LogWriter struct {
 	nattrs     int
 	fsyncEvery int
 	pending    int
+	written    int64 // bytes of the records written
 	buf        []byte
 	err        error // first Write/Sync failure
 }
@@ -233,6 +234,7 @@ func (w *LogWriter) Append(rec *Record) error {
 		w.err = fmt.Errorf("wal: append: %w", err)
 		return w.err
 	}
+	w.written += int64(len(buf))
 	w.pending++
 	if w.pending >= w.fsyncEvery {
 		return w.Sync()

@@ -725,8 +725,9 @@ var ErrDurableClosed = wal.ErrClosed
 // unacknowledged final operations whose log records did not survive).
 // Operations (Add, AddBatch, Remove, Reseal) are made durable before
 // they are applied — group-committed per Durability.FsyncEvery — and a
-// snapshot is taken every Durability.SnapshotEveryOps operations, on
-// Checkpoint, and on Close. Deltas re-generated during replay are not
+// snapshot is taken once the log behind the newest snapshot has grown
+// to that snapshot's size (1 MiB at least), on Checkpoint, and on
+// Close, so recovery replays at most that much log. Deltas re-generated during replay are not
 // re-emitted; emit sees only post-recovery changes. The open fails
 // with ErrStateLocked when another process holds dir and with
 // ErrSchemaMismatch when the persisted state used a different schema.
