@@ -13,7 +13,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 golden=testdata/bench_counts.golden
-traced_cells='ssr.candidates_per_insert|core.enumerated_per_op|core.compared_per_op|core.filtered_share|ssr.prefilter_reject_share|codec.wire_bytes_per_tuple|sym.symbols_per_resident|resolve.events_per_op'
+traced_cells='ssr.candidates_per_insert|core.enumerated_per_op|core.compared_per_op|core.filtered_share|ssr.prefilter_reject_share|codec.wire_bytes_per_tuple|sym.symbols_per_resident|resolve.events_per_op|wal.log_bytes_per_op|wal.snapshot_bytes_per_resident'
 untraced_cells='match_f1'
 
 record=0
