@@ -37,15 +37,19 @@ import (
 // A pair is filtered only when that final bound lies strictly below Tλ,
 // so the M and P result sets are bit-identical with the filter on or
 // off; only the number of verified (Compared) pairs shrinks. Tuples are
-// summarized once into packed signature rows (see rows), so the cascade
-// performs no table lookups, no string work and no allocation.
+// summarized once into packed signature rows (see rows) of 16-byte,
+// pointer-free sym.Stats records, and the cascade does no string work
+// and no allocation.
 //
 // The cascade runs over the two tiers of layer 1 (strsim.Tier): the
 // whole chain is first folded with the O(1) signature estimates of the
 // gram overlaps, and only a pair that survives is folded again with the
 // exact gram merges. Every layer is monotone and quick ≥ exact, so the
 // quick fold rejects nothing the exact fold would admit — the outcome is
-// the exact fold's, most rejects just never pay a merge.
+// the exact fold's, most rejects just never pay a merge. The quick tier
+// reads the rows alone and performs no table lookup; the exact tier
+// reads the two values' gram multisets from the table, under its read
+// lock.
 //
 // Two loops feed the one cascade. Admit asks it about one pair whose
 // rows live in the filter's per-ID map (Insert/Remove). An index built
@@ -100,8 +104,9 @@ type PreFilterConfig struct {
 // rows is the one signature layout the cascade reads: a sequence of
 // tuple rows, each summarizing one x-tuple across all its alternatives.
 // With w attributes, row r owns spans[r*w : (r+1)*w], and the symbol
-// statistics of its distinct values lie contiguously in stats, in row
-// and attribute order. The per-ID map holds one-row rows; a filtering
+// records of its distinct values lie contiguously in stats, in row and
+// attribute order. Neither array holds a pointer, so the collector never
+// scans them. The per-ID map holds one-row rows; a filtering
 // blocking index holds one rows per block, so a block's candidates sit
 // in two flat arrays.
 type rows struct {
@@ -347,9 +352,17 @@ func (f *PreFilter) attrUB(k int, a []sym.Stats, aNull bool, b []sym.Stats, bNul
 		if bound == nil {
 			return 1
 		}
+		q := f.table.Q()
 		for i := range a {
 			for j := range b {
-				if v := bound(&a[i], &b[j], t); v > best {
+				if a[i].Sym == b[j].Sym {
+					return 1 // equal strings, the one case every bound answers at once
+				}
+				overlap := strsim.QuickOverlap(&a[i], &b[j], q) // GramOverlap's quick tier, inlined
+				if t == strsim.TierExact {
+					overlap = strsim.GramOverlap(f.table, &a[i], &b[j], t)
+				}
+				if v := bound(&a[i], &b[j], q, overlap); v > best {
 					if v >= 1 {
 						return 1
 					}

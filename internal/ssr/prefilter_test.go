@@ -3,8 +3,12 @@ package ssr
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
+	"unsafe"
 
 	"probdedup/internal/avm"
 	"probdedup/internal/decision"
@@ -431,7 +435,9 @@ func BenchmarkPreFilterAdmit(b *testing.B) {
 // BenchmarkBlockAdmit measures the same work as the block scan does it:
 // one arrival against a hot block of 192, in one pass over the block's
 // packed rows. One iteration is one arrival; ns/candidate is the figure
-// to set beside BenchmarkPreFilterAdmit's ns/op.
+// to set beside BenchmarkPreFilterAdmit's ns/op. row-B/member is the
+// footprint of the block's rows: the bytes their spans and value
+// records hold by capacity, per member.
 func BenchmarkBlockAdmit(b *testing.B) {
 	idx, blk, n := hotBlockIndex(b, 192)
 	b.ReportAllocs()
@@ -442,4 +448,111 @@ func BenchmarkBlockAdmit(b *testing.B) {
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/candidate")
 	b.ReportMetric(float64(admitted)/float64(b.N*n), "admitted/candidate")
+	rowBytes := cap(blk.rows.spans)*int(unsafe.Sizeof(span{})) + cap(blk.rows.stats)*int(unsafe.Sizeof(sym.Stats{}))
+	b.ReportMetric(float64(rowBytes)/float64(len(blk.ids)), "row-B/member")
+}
+
+// TestSymbolPlaneIsPointerFree keeps the symbol records and the
+// pre-filter's rows out of the collector's mark phase: sym.Stats is a
+// 16-byte record without a pointer, and neither element type of rows
+// holds one, so a block's rows are two flat arrays the collector never
+// scans.
+func TestSymbolPlaneIsPointerFree(t *testing.T) {
+	if size := unsafe.Sizeof(sym.Stats{}); size != 16 {
+		t.Fatalf("sym.Stats is %d bytes, want 16", size)
+	}
+	var r rows
+	for _, elem := range []reflect.Type{reflect.TypeOf(sym.Stats{}), reflect.TypeOf(r.stats).Elem(), reflect.TypeOf(r.spans).Elem()} {
+		if hasPointers(elem) {
+			t.Fatalf("%v holds a pointer", elem)
+		}
+	}
+}
+
+// TestExactTierReadsGramsWhileInterning: only the exact tier reads gram
+// multisets, and it reads them from the symbol table, which other
+// goroutines keep growing. Admit and a block scan whose pairs reach the
+// exact tier must decide exactly as a sequential run does while fresh
+// values are interned into the same tables (run under -race in CI).
+func TestExactTierReadsGramsWhileInterning(t *testing.T) {
+	pf, pairs := hotBlock(t, 64, 0.25)
+	idx, blk, n := hotBlockIndex(t, 64)
+	hi := make([]float64, len(pf.bounds))
+	admits := func() []bool {
+		out := make([]bool, len(pairs))
+		for i, p := range pairs {
+			out[i] = pf.Admit(p)
+		}
+		return out
+	}
+	scans := func() [][]int {
+		out := make([][]int, n+1)
+		for x := range out {
+			idx.filter.admitRows(&blk.rows, x, func(i int) bool { out[x] = append(out[x], i); return true })
+		}
+		return out
+	}
+	exactPairs := 0
+	for _, p := range pairs {
+		r1, r2 := pf.sigs[p.A], pf.sigs[p.B]
+		if !pf.below(&r1, 0, &r2, 0, hi, strsim.TierQuick) {
+			exactPairs++
+		}
+	}
+	exactRows := 0
+	for x := range n + 1 {
+		for i := range x {
+			if !idx.filter.below(&blk.rows, x, &blk.rows, i, hi, strsim.TierQuick) {
+				exactRows++
+			}
+		}
+	}
+	if exactPairs == 0 || exactRows == 0 {
+		t.Fatalf("fixture is vacuous: %d pairs and %d block candidates reach the exact tier", exactPairs, exactRows)
+	}
+	wantAdmits, wantScans := admits(), scans()
+	symbols := pf.table.Len()
+
+	stop := make(chan struct{})
+	var interning, checking sync.WaitGroup
+	interning.Add(1)
+	go func() {
+		defer interning.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			v := fmt.Sprintf("fresh-value-%d", i)
+			pf.table.Intern(v)
+			idx.filter.table.Intern(v)
+		}
+	}()
+	const rounds = 20
+	checking.Add(2)
+	go func() {
+		defer checking.Done()
+		for range rounds {
+			if got := admits(); !slices.Equal(got, wantAdmits) {
+				t.Error("Admit decided differently while the table grew")
+				return
+			}
+		}
+	}()
+	go func() {
+		defer checking.Done()
+		for range rounds {
+			if got := scans(); !slices.EqualFunc(got, wantScans, slices.Equal[[]int]) {
+				t.Error("the block scan decided differently while the table grew")
+				return
+			}
+		}
+	}()
+	checking.Wait()
+	close(stop)
+	interning.Wait()
+	if pf.table.Len() == symbols {
+		t.Fatal("the interning goroutine added no value")
+	}
 }

@@ -34,6 +34,12 @@ func boundedFuncs() map[string]Func {
 	}
 }
 
+// boundAt evaluates bound on two records of tab with the tier's
+// overlap estimate, as the pre-filter's cascade does.
+func boundAt(bound SimBound, tab *sym.Table, a, b *sym.Stats, t Tier) float64 {
+	return bound(a, b, tab.Q(), GramOverlap(tab, a, b, t))
+}
+
 // checkBoundTiers is the property underpinning the whole candidate
 // pre-filter, for one string pair: at every gram size a table can be
 // built with — including none (q = 0: lengths only, so every bound
@@ -41,27 +47,33 @@ func boundedFuncs() map[string]Func {
 // the bounds computed from symbol statistics alone satisfy
 // quick ≥ exact ≥ f(a, b) — the quick tier may only ever reject what the
 // exact tier rejects, and neither a pair the function scores higher —
-// they are symmetric, and two Stats of one symbol bound to 1.
+// they are symmetric, and two Stats of one symbol bound to 1. Under them
+// lies the overlap estimator's own contract: quick ≥ exact, and exact
+// is the merge of the table's two gram multisets.
 func checkBoundTiers(t testing.TB, a, b string) {
 	t.Helper()
 	for _, q := range []int{0, 1, 2, 3, 4} {
 		tab := sym.NewTable(q)
 		sa := tab.Stats(tab.Intern(a))
 		sb := tab.Stats(tab.Intern(b))
+		oq, oe := GramOverlap(tab, &sa, &sb, TierQuick), GramOverlap(tab, &sa, &sb, TierExact)
+		if want := sym.Overlap(tab.Grams(sa.Sym), tab.Grams(sb.Sym)); oe != want || oq < oe {
+			t.Fatalf("q=%d (%q, %q): overlap quick %d, exact %d, merge %d", q, a, b, oq, oe, want)
+		}
 		for name, f := range boundedFuncs() {
 			bound, ok := BoundFor(f)
 			if !ok {
 				t.Fatalf("%s: no bound registered", name)
 			}
 			actual := f(a, b)
-			quick, exact := bound(&sa, &sb, TierQuick), bound(&sa, &sb, TierExact)
+			quick, exact := boundAt(bound, tab, &sa, &sb, TierQuick), boundAt(bound, tab, &sa, &sb, TierExact)
 			if exact < actual {
 				t.Fatalf("q=%d %s(%q, %q) = %v exceeds exact bound %v", q, name, a, b, actual, exact)
 			}
 			if quick < exact {
 				t.Fatalf("q=%d %s(%q, %q): quick bound %v below exact bound %v", q, name, a, b, quick, exact)
 			}
-			if quick != bound(&sb, &sa, TierQuick) || exact != bound(&sb, &sa, TierExact) {
+			if quick != boundAt(bound, tab, &sb, &sa, TierQuick) || exact != boundAt(bound, tab, &sb, &sa, TierExact) {
 				t.Fatalf("q=%d %s(%q, %q): bound is asymmetric", q, name, a, b)
 			}
 			if sa.Sym == sb.Sym && (quick != 1 || exact != 1) {
@@ -133,10 +145,10 @@ func TestBoundsGuardUninterned(t *testing.T) {
 			t.Fatalf("%s: no bound registered", name)
 		}
 		for _, tier := range []Tier{TierQuick, TierExact} {
-			if got := bound(&sym.Stats{}, &st, tier); got != 1 {
+			if got := boundAt(bound, tab, &sym.Stats{}, &st, tier); got != 1 {
 				t.Fatalf("%s: bound(zero, x) = %v, want 1", name, got)
 			}
-			if got := bound(&st, &sym.Stats{}, tier); got != 1 {
+			if got := boundAt(bound, tab, &st, &sym.Stats{}, tier); got != 1 {
 				t.Fatalf("%s: bound(x, zero) = %v, want 1", name, got)
 			}
 		}
@@ -174,7 +186,7 @@ func TestBoundsRejectObviousNonMatches(t *testing.T) {
 			t.Fatalf("%s: no bound", name)
 		}
 		for _, tier := range []Tier{TierQuick, TierExact} {
-			if got := bound(&sa, &sb, tier); got > c.max {
+			if got := boundAt(bound, tab, &sa, &sb, tier); got > c.max {
 				t.Fatalf("%s: tier %d bound %v, want ≤ %v", name, tier, got, c.max)
 			}
 		}

@@ -1,44 +1,51 @@
 // Package sym is the run-wide symbol plane: it interns every
 // standardized attribute value (Sec. III-A output) to a dense uint32
-// symbol and precomputes per-symbol statistics — rune length, the
-// padded q-gram multiset, and a 64-bit gram signature — once per
-// distinct value instead of once per comparison. Downstream layers
-// thread the symbols end-to-end: the avm similarity cache keys value
-// pairs by (attr, symA, symB) integer triples instead of strings, and
-// the ssr candidate pre-filter derives sound similarity upper bounds
-// from the precomputed stats without ever touching the strings (the
-// PPJoin-style length + q-gram filtering in front of verification,
-// ROADMAP item 4a).
+// symbol and precomputes, once per distinct value instead of once per
+// comparison, a 16-byte pointer-free record (rune length and a 64-bit
+// gram signature) and the padded q-gram multiset, which the table keeps
+// apart from the record. Downstream layers thread the symbols
+// end-to-end: the avm similarity cache keys value pairs by (attr, symA,
+// symB) integer triples instead of strings, and the ssr candidate
+// pre-filter derives sound similarity upper bounds from the records
+// without ever touching the strings (the PPJoin-style length + q-gram
+// filtering in front of verification, ROADMAP item 4a), reading the
+// grams only for the few pairs the records cannot settle.
 package sym
 
-import "sync"
+import (
+	"math"
+	"sync"
+)
 
 // NoSym is the reserved "not interned" symbol. Symbols handed out by a
 // Table start at 1, so a zero-valued annotation is always detectable.
 const NoSym uint32 = 0
 
-// Stats are the precomputed signature statistics of one interned value.
-// All fields are immutable after interning; the Grams slice must be
-// treated as read-only.
+// Stats is the precomputed record of one interned value: 16 bytes and
+// no pointer, so the pre-filter keeps dense slices of them that the
+// garbage collector never scans. The value's padded q-grams live in the
+// table (Table.Grams), and their count follows from Len (GramCount). A
+// value whose rune length does not fit Len gets the zero Stats, which
+// every bound reads as "no information".
 type Stats struct {
 	// Sym is the symbol the stats belong to (NoSym in the zero Stats).
 	Sym uint32
 	// Len is the value's rune length.
-	Len int
-	// Q is the gram size Grams was built with; 0 means the table was
-	// created without gram statistics and Grams is nil.
-	Q int
-	// Grams is the sorted multiset of padded q-grams in packed form
-	// (see PackedQGrams). For Q ≤ MaxExactQ the packing is injective,
-	// so multiset intersections are exact; for larger Q grams are
-	// hashed, which can only over-count intersections — still sound
-	// for the upper bounds the pre-filter derives.
-	Grams []uint64
-	// Sig is a 64-bit membership signature over the distinct grams:
-	// two values whose signatures do not intersect share no gram, so a
-	// single AND rejects before any multiset merge (the O(1) prefix
-	// filter test).
+	Len uint32
+	// Sig is a 64-bit membership signature over the distinct grams (0
+	// when the table keeps none): two values whose signatures do not
+	// intersect share no gram, so a single AND rejects before any
+	// multiset merge (the O(1) prefix filter test).
 	Sig uint64
+}
+
+// GramCount returns the size of the value's padded q-gram multiset:
+// n+q−1 for a value of n ≥ 1 runes, 0 for the empty value or q < 1.
+func (s *Stats) GramCount(q int) int {
+	if s.Len == 0 || q < 1 {
+		return 0
+	}
+	return int(s.Len) + q - 1
 }
 
 // Table interns strings to dense symbols and owns their Stats. A Table
@@ -52,9 +59,11 @@ type Table struct {
 	mu sync.RWMutex
 	// ids maps the value string to its 1-based symbol.
 	ids map[string]uint32
-	// vals and stats are indexed by symbol−1.
+	// vals, stats and grams are indexed by symbol−1 (grams is empty when
+	// q = 0); a slice per symbol lets one symbol's grams be dropped.
 	vals  []string
 	stats []Stats
+	grams [][]uint64
 }
 
 // NewTable builds an empty symbol table. q > 0 precomputes the padded
@@ -93,16 +102,25 @@ func (t *Table) Intern(s string) uint32 {
 		return sy
 	}
 	sy = uint32(len(t.vals) + 1)
-	st := Stats{Sym: sy, Len: runeLen(s)}
+	var grams []uint64
 	if t.q > 0 {
-		st.Q = t.q
-		st.Grams = PackedQGrams(s, t.q)
-		st.Sig = GramSig(st.Grams)
+		grams = PackedQGrams(s, t.q)
+		t.grams = append(t.grams, grams)
 	}
 	t.ids[s] = sy
 	t.vals = append(t.vals, s)
-	t.stats = append(t.stats, st)
+	t.stats = append(t.stats, record(sy, runeLen(s), grams))
 	return sy
+}
+
+// record builds the Stats of symbol sy, a value of n runes with the
+// given grams: the zero Stats when n does not fit Len, never a
+// truncated length.
+func record(sy uint32, n int, grams []uint64) Stats {
+	if uint64(n) > math.MaxUint32 {
+		return Stats{}
+	}
+	return Stats{Sym: sy, Len: uint32(n), Sig: GramSig(grams)}
 }
 
 // Lookup returns the symbol of s without interning it.
@@ -113,9 +131,8 @@ func (t *Table) Lookup(s string) (uint32, bool) {
 	return sy, ok
 }
 
-// Stats returns the precomputed statistics of sym (the zero Stats for
-// NoSym or an unknown symbol). The contained Grams slice is shared and
-// read-only.
+// Stats returns the precomputed record of sym (the zero Stats for NoSym
+// or an unknown symbol).
 func (t *Table) Stats(sym uint32) Stats {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -123,6 +140,19 @@ func (t *Table) Stats(sym uint32) Stats {
 		return Stats{}
 	}
 	return t.stats[sym-1]
+}
+
+// Grams returns the sorted packed q-gram multiset of sym's value (see
+// PackedQGrams; exact for q ≤ MaxExactQ, hashed above): nil for NoSym,
+// an unknown symbol, the empty value or a table without grams. The
+// slice is shared and read-only.
+func (t *Table) Grams(sym uint32) []uint64 {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	if sym == NoSym || int(sym) > len(t.grams) {
+		return nil
+	}
+	return t.grams[sym-1]
 }
 
 // Str returns the canonical string of sym ("" for NoSym or an unknown

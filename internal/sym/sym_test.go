@@ -2,6 +2,7 @@ package sym
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"strings"
@@ -49,24 +50,28 @@ func TestStatsPrecomputed(t *testing.T) {
 	if st.Len != 5 {
 		t.Fatalf("rune length = %d, want 5", st.Len)
 	}
-	if st.Q != 2 {
-		t.Fatalf("Q = %d, want 2", st.Q)
+	if tab.Q() != 2 {
+		t.Fatalf("Q = %d, want 2", tab.Q())
 	}
 	// 5 runes with q=2 padding on both sides: n+q−1 = 6 grams.
-	if len(st.Grams) != 6 {
-		t.Fatalf("gram count = %d, want 6", len(st.Grams))
+	grams := tab.Grams(sy)
+	if len(grams) != 6 || st.GramCount(tab.Q()) != 6 {
+		t.Fatalf("gram count = %d (derived %d), want 6", len(grams), st.GramCount(tab.Q()))
+	}
+	if !slices.Equal(grams, PackedQGrams("héllo", 2)) {
+		t.Fatalf("table grams %v differ from PackedQGrams", grams)
 	}
 	if st.Sig == 0 {
 		t.Fatal("signature empty for a non-empty value")
 	}
-	if got := GramSig(st.Grams); got != st.Sig {
+	if got := GramSig(grams); got != st.Sig {
 		t.Fatalf("stored signature %x != recomputed %x", st.Sig, got)
 	}
 	// Zero Stats for the sentinel and out-of-range symbols.
-	if st := tab.Stats(NoSym); st.Sym != NoSym || st.Len != 0 || st.Grams != nil {
+	if st := tab.Stats(NoSym); st != (Stats{}) || tab.Grams(NoSym) != nil {
 		t.Fatalf("Stats(NoSym) = %+v, want zero", st)
 	}
-	if st := tab.Stats(42); st.Sym != NoSym {
+	if st := tab.Stats(42); st != (Stats{}) || tab.Grams(42) != nil {
 		t.Fatalf("Stats(unknown) = %+v, want zero", st)
 	}
 }
@@ -74,11 +79,43 @@ func TestStatsPrecomputed(t *testing.T) {
 func TestTableWithoutGrams(t *testing.T) {
 	tab := NewTable(0)
 	st := tab.Stats(tab.Intern("value"))
-	if st.Q != 0 || st.Grams != nil || st.Sig != 0 {
+	if tab.Q() != 0 || tab.Grams(st.Sym) != nil || st.Sig != 0 || st.GramCount(tab.Q()) != 0 {
 		t.Fatalf("q=0 table precomputed grams: %+v", st)
 	}
 	if st.Len != 5 {
 		t.Fatalf("Len = %d, want 5", st.Len)
+	}
+}
+
+// TestGramCountFollowsLength pins the derivation that replaced the
+// stored gram slice in Stats: for every gram size, exact and hashed,
+// the table's gram multiset has exactly GramCount grams.
+func TestGramCountFollowsLength(t *testing.T) {
+	for _, q := range []int{1, 2, 3, 4, 5} {
+		tab := NewTable(q)
+		for _, s := range []string{"", "a", "é漢", "duplicate detection", "\xff\xfeab"} {
+			sy := tab.Intern(s)
+			st := tab.Stats(sy)
+			if got := len(tab.Grams(sy)); st.GramCount(q) != got {
+				t.Fatalf("q=%d %q: GramCount %d, table holds %d grams", q, s, st.GramCount(q), got)
+			}
+		}
+	}
+}
+
+// TestOverlongValueGetsZeroStats: a rune length that does not fit the
+// record's 32 bits yields the zero Stats ("no information"), never a
+// truncated length.
+func TestOverlongValueGetsZeroStats(t *testing.T) {
+	n := math.MaxInt
+	if uint64(n) <= math.MaxUint32 {
+		t.Skip("int is 32 bits: every rune length fits")
+	}
+	if st := record(7, n, []uint64{1}); st != (Stats{}) {
+		t.Fatalf("record of %d runes = %+v, want the zero Stats", n, st)
+	}
+	if st := record(7, math.MaxUint32, nil); st.Sym != 7 || st.Len != math.MaxUint32 {
+		t.Fatalf("record of MaxUint32 runes = %+v", st)
 	}
 }
 
@@ -313,7 +350,7 @@ func TestInternConcurrent(t *testing.T) {
 		if !ok {
 			t.Fatalf("%q not interned", s)
 		}
-		if st := tab.Stats(sy); st.Sym != sy || st.Len != 3 || len(st.Grams) != 4 {
+		if st := tab.Stats(sy); st.Sym != sy || st.Len != 3 || len(tab.Grams(sy)) != 4 || GramSig(tab.Grams(sy)) != st.Sig {
 			t.Fatalf("%q: inconsistent stats %+v", s, st)
 		}
 	}
