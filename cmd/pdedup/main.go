@@ -202,20 +202,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		return runFollow(xr, opts, *stateDir, stdin, stdout, stderr, *showAll, *integrate)
 	}
 
-	// The -v effectiveness footer: how much verification work the
-	// pre-filter removed and how well the shared similarity cache
-	// served the rest.
-	effectiveness := func(enumerated, filtered, verified int, active bool, cache probdedup.SimCacheStats) {
-		state := "off"
-		if active {
-			state = "on"
-		}
-		fmt.Fprintf(stdout, "prefilter %s: enumerated=%d filtered=%d verified=%d\n",
-			state, enumerated, filtered, verified)
-		fmt.Fprintf(stdout, "cache: hits=%d misses=%d hit-rate=%.3f\n",
-			cache.Hits, cache.Misses, cache.HitRate())
-	}
-
 	if *stream {
 		// Streaming path: emit pairs as the engine finds them, retain
 		// nothing. The summary line moves after the pairs because the
@@ -233,7 +219,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "compared %d of %d pairs\n", stats.Compared, stats.TotalPairs)
 		fmt.Fprintf(stdout, "matches=%d possible=%d\n", stats.Matches, stats.Possible)
 		if *showAll {
-			effectiveness(stats.Enumerated, stats.Filtered, stats.Compared, stats.FilterActive, stats.Cache)
+			printEffectiveness(stdout, stats.Enumerated, stats.Filtered, stats.Compared, stats.FilterActive, stats.Cache)
 		}
 		return 0
 	}
@@ -253,9 +239,23 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "matches=%d possible=%d\n", len(res.Matches), len(res.Possible))
 	if *showAll {
-		effectiveness(stats.Enumerated, stats.Filtered, stats.Compared, stats.FilterActive, stats.Cache)
+		printEffectiveness(stdout, stats.Enumerated, stats.Filtered, stats.Compared, stats.FilterActive, stats.Cache)
 	}
 	return 0
+}
+
+// printEffectiveness prints the -v footer: how much verification work
+// the pre-filter removed and how well the shared similarity cache
+// served the rest.
+func printEffectiveness(w io.Writer, enumerated, filtered, verified int, active bool, cache probdedup.SimCacheStats) {
+	state := "off"
+	if active {
+		state = "on"
+	}
+	fmt.Fprintf(w, "prefilter %s: enumerated=%d filtered=%d verified=%d\n",
+		state, enumerated, filtered, verified)
+	fmt.Fprintf(w, "cache: hits=%d misses=%d hit-rate=%.3f\n",
+		cache.Hits, cache.Misses, cache.HitRate())
 }
 
 // followBatchCap bounds one AddBatch unit of the -follow loop: big
@@ -395,14 +395,7 @@ func runFollow(seed *probdedup.XRelation, opts probdedup.Options, stateDir strin
 				st.Residents, st.Live, st.TotalPairs, st.Compared, st.Dropped)
 			fmt.Fprintf(stdout, "matches=%d possible=%d\n", st.Matches, st.Possible)
 			if showAll {
-				state := "off"
-				if st.FilterActive {
-					state = "on"
-				}
-				fmt.Fprintf(stdout, "prefilter %s: enumerated=%d filtered=%d verified=%d\n",
-					state, st.Enumerated, st.Filtered, st.Compared)
-				fmt.Fprintf(stdout, "cache: hits=%d misses=%d hit-rate=%.3f\n",
-					st.Cache.Hits, st.Cache.Misses, st.Cache.HitRate())
+				printEffectiveness(stdout, st.Enumerated, st.Filtered, st.Compared, st.FilterActive, st.Cache)
 			}
 			return finish()
 		}

@@ -98,14 +98,13 @@ func TestPublicDurableRoundTrip(t *testing.T) {
 	}
 }
 
-// durableOps is the logged half of both durable engines: the four
+// durableOps is the logged half of both durable engines: the three
 // mutators (each appended to the WAL before it is applied) and the
 // lifecycle calls.
 type durableOps interface {
 	Add(*probdedup.XTuple) error
 	AddBatch([]*probdedup.XTuple) error
 	Remove(id string) error
-	Reseal() error
 	Checkpoint() error
 	Seq() uint64
 	Close() error
@@ -138,8 +137,8 @@ var (
 // a caller mutate state around the log.
 func TestDurableMethodSetsAreClosed(t *testing.T) {
 	for typ, want := range map[reflect.Type]int{
-		reflect.TypeOf((*probdedup.DurableDetector)(nil)):   13,
-		reflect.TypeOf((*probdedup.DurableIntegrator)(nil)): 13,
+		reflect.TypeOf((*probdedup.DurableDetector)(nil)):   12,
+		reflect.TypeOf((*probdedup.DurableIntegrator)(nil)): 12,
 	} {
 		if got := typ.NumMethod(); got != want {
 			var names []string

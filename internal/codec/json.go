@@ -143,17 +143,9 @@ func DecodeXRelationJSON(r io.Reader) (*pdb.XRelation, error) {
 	}
 	rel := pdb.NewXRelation(jr.Name, jr.Schema...)
 	for _, jx := range jr.Tuples {
-		x := &pdb.XTuple{ID: jx.ID}
-		for ai, ja := range jx.Alts {
-			values := make([]pdb.Dist, 0, len(ja.Values))
-			for i, jd := range ja.Values {
-				d, err := distFromJSON(jd)
-				if err != nil {
-					return nil, fmt.Errorf("codec: x-tuple %s alt %d attribute %d: %w", jx.ID, ai, i, err)
-				}
-				values = append(values, d)
-			}
-			x.Alts = append(x.Alts, pdb.Alt{Values: values, P: ja.P})
+		x, err := jx.xtuple()
+		if err != nil {
+			return nil, err
 		}
 		rel.Append(x)
 	}
@@ -231,9 +223,25 @@ func (it *IngestItem) XTuple() (*pdb.XTuple, error) {
 	return nil, nil
 }
 
+// xtuple builds the x-tuple of a decoded x-tuple value.
+func (jx *jsonXTuple) xtuple() (*pdb.XTuple, error) {
+	x := &pdb.XTuple{ID: jx.ID}
+	for ai, ja := range jx.Alts {
+		values := make([]pdb.Dist, 0, len(ja.Values))
+		for i, jd := range ja.Values {
+			d, err := distFromJSON(jd)
+			if err != nil {
+				return nil, fmt.Errorf("codec: x-tuple %s alt %d attribute %d: %w", jx.ID, ai, i, err)
+			}
+			values = append(values, d)
+		}
+		x.Alts = append(x.Alts, pdb.Alt{Values: values, P: ja.P})
+	}
+	return x, nil
+}
+
 // xtuple builds the x-tuple of a decoded NDJSON tuple value.
 func (jt *jsonAnyTuple) xtuple() (*pdb.XTuple, error) {
-	x := &pdb.XTuple{ID: jt.ID}
 	if len(jt.Alts) > 0 {
 		// Membership lives on the alternatives in the x-tuple form; a
 		// top-level "p" or "attrs" alongside "alts" is ambiguous and
@@ -241,18 +249,7 @@ func (jt *jsonAnyTuple) xtuple() (*pdb.XTuple, error) {
 		if jt.P != nil || len(jt.Attrs) > 0 {
 			return nil, fmt.Errorf("codec: tuple %s mixes the x-tuple form (alts) with the dependency-free form (p/attrs)", jt.ID)
 		}
-		for ai, ja := range jt.Alts {
-			values := make([]pdb.Dist, 0, len(ja.Values))
-			for i, jd := range ja.Values {
-				d, err := distFromJSON(jd)
-				if err != nil {
-					return nil, fmt.Errorf("codec: x-tuple %s alt %d attribute %d: %w", jt.ID, ai, i, err)
-				}
-				values = append(values, d)
-			}
-			x.Alts = append(x.Alts, pdb.Alt{Values: values, P: ja.P})
-		}
-		return x, nil
+		return (&jsonXTuple{ID: jt.ID, Alts: jt.Alts}).xtuple()
 	}
 	p := 1.0
 	if jt.P != nil {
@@ -266,6 +263,5 @@ func (jt *jsonAnyTuple) xtuple() (*pdb.XTuple, error) {
 		}
 		values = append(values, d)
 	}
-	x.Alts = []pdb.Alt{{Values: values, P: p}}
-	return x, nil
+	return &pdb.XTuple{ID: jt.ID, Alts: []pdb.Alt{{Values: values, P: p}}}, nil
 }

@@ -127,7 +127,6 @@ type Engine interface {
 	Add(x *pdb.XTuple) error
 	AddBatch(xs []*pdb.XTuple) error
 	Remove(id string) error
-	Reseal() error
 	Len() int
 	ResidentIDs() []string
 }
@@ -147,8 +146,8 @@ type Engine interface {
 // BlockingCluster runs on the bounded-staleness tier (ssr.EpochIndex):
 // between epoch reseals arrivals join the block of their nearest
 // centroid, and Flush matches batch Detect right after a reseal —
-// automatic when the configured drift bound is crossed, or forced with
-// Reseal. Stats reports the current drift.
+// automatic when the fixed drift bound (a quarter of the residents) is
+// crossed, or forced with Reseal. Stats reports the current drift.
 //
 // The detector reuses the batch engine's machinery: one bounded
 // similarity cache (Options.CacheCapacity) shared across the
@@ -367,22 +366,18 @@ func (d *Detector) register(x *pdb.XTuple) {
 // equals batch Detect on the resident relation. For exact-tier
 // reductions (every other built-in method) Reseal is a no-op: their
 // maintained set already equals the batch set after every operation.
+// Reseal is not part of Engine: the Integrator and the durable engines
+// see only the in-band reseals of Add, AddBatch and Remove.
 func (d *Detector) Reseal() error {
 	d.mu.Lock()
-	err := d.resealLocked()
+	var err error
+	if ei, ok := d.idx.(ssr.EpochIndex); ok {
+		d.deltaBuf = ReuseScratch(d.deltaBuf)
+		ei.Reseal(d.collect)
+		_, err = d.applyDeltas(d.deltaBuf)
+	}
 	d.mu.Unlock()
 	d.drainEmits()
-	return err
-}
-
-func (d *Detector) resealLocked() error {
-	ei, ok := d.idx.(ssr.EpochIndex)
-	if !ok {
-		return nil
-	}
-	d.deltaBuf = ReuseScratch(d.deltaBuf)
-	ei.Reseal(d.collect)
-	_, err := d.applyDeltas(d.deltaBuf)
 	return err
 }
 

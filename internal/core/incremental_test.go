@@ -582,7 +582,7 @@ func TestDetectorBlockingClusterEpochs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reduction := ssr.BlockingCluster{Key: def, K: 4, Seed: 1, MaxDrift: 0.2}
+	reduction := ssr.BlockingCluster{Key: def, K: 4, Seed: 1}
 	results := map[int]*Result{}
 	for _, workers := range []int{1, 4} {
 		opts := incrementalOpts(reduction)
@@ -699,7 +699,7 @@ func TestDetectorStatsCountersMatchFlush(t *testing.T) {
 		"cross-product":              {nil, false},
 		"snm-certain+prefilter":      {ssr.SNMCertain{Key: def, Window: 4}, true},
 		"blocking-certain+prefilter": {ssr.BlockingCertain{Key: def}, true},
-		"blocking-cluster":           {ssr.BlockingCluster{Key: def, K: 4, Seed: 1, MaxDrift: 0.3}, false},
+		"blocking-cluster":           {ssr.BlockingCluster{Key: def, K: 4, Seed: 1}, false},
 	} {
 		t.Run(name, func(t *testing.T) {
 			opts := incrementalOpts(c.reduction)

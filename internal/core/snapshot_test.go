@@ -57,7 +57,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	reds["blocking-cluster"] = ssr.BlockingCluster{Key: def, K: 4, Seed: 1, MaxDrift: 0.5}
+	reds["blocking-cluster"] = ssr.BlockingCluster{Key: def, K: 4, Seed: 1}
 	for name, red := range reds {
 		red := red
 		t.Run(name, func(t *testing.T) {
@@ -140,7 +140,7 @@ func TestRestoreDetectorRejectsCorrupt(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	stateful := ssr.BlockingCluster{Key: def, K: 4, Seed: 1, MaxDrift: 0.5}
+	stateful := ssr.BlockingCluster{Key: def, K: 4, Seed: 1}
 	base := func() *DetectorState {
 		det, _, _ := snapshotFixture(t, exact, 20, 17)
 		return det.SnapshotState()

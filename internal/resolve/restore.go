@@ -15,29 +15,6 @@ func (ig *Integrator) SnapshotState() *core.DetectorState {
 	return ig.det.SnapshotState()
 }
 
-// Reseal forces the composed detector's bounded-staleness reduction
-// index to seal its epoch now (see core.Detector.Reseal) and folds the
-// resulting pair churn into the live entity set like any other
-// operation: re-blocked pairs may merge entities, vanished ones may
-// split them, and the emit callback sees the corresponding entity
-// deltas. For exact-tier reductions Reseal is a no-op.
-func (ig *Integrator) Reseal() error {
-	ig.mu.Lock()
-	err := ig.resealLocked()
-	ig.mu.Unlock()
-	ig.drainEvents()
-	return err
-}
-
-func (ig *Integrator) resealLocked() error {
-	ig.pending = core.ReuseScratch(ig.pending)
-	err := ig.det.Reseal()
-	if aerr := ig.applyOp(ig.pending, nil, ""); err == nil {
-		err = aerr
-	}
-	return err
-}
-
 // RestoreIntegrator rebuilds an online integration engine from a
 // detector snapshot taken with SnapshotState, bit-identically: the
 // composed detector is restored (core.RestoreDetector), and the entity

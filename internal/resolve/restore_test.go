@@ -48,8 +48,7 @@ func tupleID(i int) string {
 // TestRestoreIntegratorRoundTrip: restoring the integrator's snapshot
 // yields a bit-identical Resolution, identical stats and pairwise
 // result, and the restored engine then tracks the live one exactly —
-// including across removals, batches and (on the bounded-staleness
-// tier) an epoch reseal.
+// including across removals and batches.
 func TestRestoreIntegratorRoundTrip(t *testing.T) {
 	cases := []struct {
 		name string
@@ -62,7 +61,7 @@ func TestRestoreIntegratorRoundTrip(t *testing.T) {
 			return ssr.SNMCertain{Key: keyDef(t, "name:4+job:2"), Window: 3}
 		}},
 		{"blocking-cluster", func(t *testing.T) ssr.Method {
-			return ssr.BlockingCluster{Key: keyDef(t, "name:3+job:2"), K: 3, Seed: 1, MaxDrift: 0.5}
+			return ssr.BlockingCluster{Key: keyDef(t, "name:3+job:2"), K: 3, Seed: 1}
 		}},
 	}
 	for _, c := range cases {
@@ -92,7 +91,7 @@ func TestRestoreIntegratorRoundTrip(t *testing.T) {
 				t.Fatalf("entity count %d vs %d", a, b)
 			}
 
-			// Future behavior on both engines, with an epoch flip.
+			// Future behavior on both engines.
 			for _, x := range xs[18:24] {
 				if err := ig.Add(x); err != nil {
 					t.Fatal(err)
@@ -100,12 +99,6 @@ func TestRestoreIntegratorRoundTrip(t *testing.T) {
 				if err := restored.Add(x); err != nil {
 					t.Fatal(err)
 				}
-			}
-			if err := ig.Reseal(); err != nil {
-				t.Fatal(err)
-			}
-			if err := restored.Reseal(); err != nil {
-				t.Fatal(err)
 			}
 			rm := xs[18].ID
 			if err := ig.Remove(rm); err != nil {

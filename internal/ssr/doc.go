@@ -57,9 +57,11 @@
 // between epoch reseals arrivals are placed by a cheap stale rule
 // (nearest sealed centroid) and equality with Candidates is
 // guaranteed only at epoch boundaries, while Staleness bounds how
-// many residents a stale decision placed — crossing the bound
-// triggers an in-band reseal whose net deltas ride the ordinary
-// Insert/Remove yield stream. Methods that implement neither
+// many residents a stale decision placed — crossing the bound, a
+// constant quarter of the residents, triggers an in-band reseal whose
+// net deltas ride the ordinary Insert/Remove yield stream. The tier's
+// forced Reseal has one caller, core.Detector.Reseal; nothing above the
+// Detector reaches it. Methods that implement neither
 // IncrementalMethod tier fail IncrementalOf with an error wrapping
 // ErrNotIncremental.
 //

@@ -8,9 +8,11 @@ import (
 	"probdedup/internal/verify"
 )
 
-// defaultMaxDrift is the drift fraction an incremental BlockingCluster
-// tolerates before resealing its epoch (see BlockingCluster.MaxDrift).
-const defaultMaxDrift = 0.25
+// maxDrift is the fraction of residents an incremental BlockingCluster
+// may place by nearest-centroid assignment (instead of a full
+// re-clustering) before it reseals its epoch in-band; Staleness.Bound
+// reports it.
+const maxDrift = 0.25
 
 // blockingClusterIndex maintains the BlockingCluster candidate set on
 // the bounded-staleness tier (EpochIndex).
@@ -24,12 +26,11 @@ const defaultMaxDrift = 0.25
 // tuple is embedded in the frozen space and joins the block of its
 // nearest centroid — an O(k) decision — and a departing tuple just
 // leaves its block. Each such stale placement counts toward drift;
-// when drift exceeds MaxDrift·residents, the index reseals inside the
+// when drift exceeds maxDrift·residents, the index reseals inside the
 // same operation, so the epoch flip reaches consumers as ordinary pair
 // deltas (re-blocked pairs net out in the pairNet).
 type blockingClusterIndex struct {
-	method   BlockingCluster
-	maxDrift float64
+	method BlockingCluster
 
 	arrivals []string
 	items    map[string]cluster.Item
@@ -47,16 +48,11 @@ type blockingClusterIndex struct {
 
 // Incremental implements IncrementalMethod.
 func (m BlockingCluster) Incremental() (IncrementalIndex, error) {
-	maxDrift := m.MaxDrift
-	if maxDrift <= 0 {
-		maxDrift = defaultMaxDrift
-	}
 	return &blockingClusterIndex{
-		method:   m,
-		maxDrift: maxDrift,
-		items:    map[string]cluster.Item{},
-		labelOf:  map[string]int{},
-		blocks:   map[int][]string{},
+		method:  m,
+		items:   map[string]cluster.Item{},
+		labelOf: map[string]int{},
+		blocks:  map[int][]string{},
 	}, nil
 }
 
@@ -71,7 +67,7 @@ func (b *blockingClusterIndex) Staleness() Staleness {
 		Epoch:     b.epoch,
 		Residents: len(b.arrivals),
 		Drifted:   b.drifted,
-		Bound:     b.maxDrift,
+		Bound:     maxDrift,
 	}
 }
 
@@ -126,7 +122,7 @@ func (b *blockingClusterIndex) reseal() {
 
 // maybeReseal reseals in-band once the drift bound is crossed.
 func (b *blockingClusterIndex) maybeReseal() {
-	if float64(b.drifted) > b.maxDrift*float64(len(b.arrivals)) {
+	if float64(b.drifted) > maxDrift*float64(len(b.arrivals)) {
 		b.reseal()
 	}
 }

@@ -294,12 +294,6 @@ type BlockingCluster struct {
 	K int
 	// Seed makes the clustering deterministic.
 	Seed int64
-	// MaxDrift bounds the staleness of the incremental index: the
-	// fraction of residents that may be placed by nearest-centroid
-	// assignment (instead of a full re-clustering) before the index
-	// reseals its epoch in-band. Zero means the default of 0.25. The
-	// batch path ignores it.
-	MaxDrift float64
 }
 
 // Name implements Method.

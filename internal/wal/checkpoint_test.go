@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"hash/crc32"
 	"os"
 	"path/filepath"
 	"strings"
@@ -201,6 +202,9 @@ func TestTornFinalRecordSilent(t *testing.T) {
 			data[frames[len(frames)-1]+frameHeader+2] ^= 0x40
 			return data, len(frames) - 1
 		}},
+		{"zero-header", func(data []byte, frames []int) ([]byte, int) {
+			return append(data, make([]byte, frameHeader)...), len(frames)
+		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			schema, ops := genSchedule(t, 7, 8)
@@ -295,6 +299,85 @@ func TestCorruptInteriorLoud(t *testing.T) {
 	if ce.Offset != int64(target) {
 		t.Fatalf("corruption offset: got %d, want %d", ce.Offset, target)
 	}
+}
+
+// TestUndecodableRecordLoud: a record whose CRC matches but which does
+// not decode was written that way, not torn, so recovery refuses it
+// wherever it sits and changes no file. Forced-reseal records (op 4),
+// which older builds logged, name the removed op and the way out.
+func TestUndecodableRecordLoud(t *testing.T) {
+	// frame encodes a payload of just seq and op under a valid header.
+	frame := func(op byte) []byte {
+		payload := binary.LittleEndian.AppendUint64(nil, 1<<40)
+		payload = append(payload, op)
+		b := binary.LittleEndian.AppendUint32(nil, uint32(len(payload)))
+		b = binary.LittleEndian.AppendUint32(b, crc32.ChecksumIEEE(payload))
+		return append(b, payload...)
+	}
+	schema, _ := genSchedule(t, 7, 8)
+	def, err := keys.ParseDef("name:3+job:2", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := testOptions(ssr.BlockingCertain{Key: def})
+	opts.Durability = core.Durability{FsyncEvery: 1}
+	for _, tc := range []struct {
+		name   string
+		op     byte
+		mid    bool // insert before the third record instead of appending
+		reason string
+	}{
+		{"unknown-op-final", 0xee, false, "unknown op 238"},
+		{"reseal-mid", 4, true, "op 4 (reseal) was removed; close this state directory cleanly with the previous build first"},
+		{"reseal-final", 4, false, "op 4 (reseal) was removed; close this state directory cleanly with the previous build first"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir, _, _ := buildDetectorDir(t, 7, 8, opts)
+			seg := walSegments(t, dir)[0]
+			data, err := os.ReadFile(seg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			at := len(data)
+			if tc.mid {
+				at = frameOffsets(t, data)[2]
+			}
+			data = append(data[:at:at], append(frame(tc.op), data[at:]...)...)
+			if err := os.WriteFile(seg, data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			before := dirContents(t, dir)
+			_, err = OpenDurable(dir, schema, opts, nil)
+			var ce *CorruptRecordError
+			if !errors.As(err, &ce) {
+				t.Fatalf("want *CorruptRecordError, got %T: %v", err, err)
+			}
+			if ce.Offset != int64(at) || !strings.Contains(ce.Reason, tc.reason) {
+				t.Fatalf("got offset %d reason %q, want offset %d reason containing %q", ce.Offset, ce.Reason, at, tc.reason)
+			}
+			if after := dirContents(t, dir); after != before {
+				t.Fatalf("the refused open changed the directory\n--- before ---\n%s--- after ---\n%s", before, after)
+			}
+		})
+	}
+}
+
+// dirContents lists each file of dir with a digest of its bytes.
+func dirContents(tb testing.TB, dir string) string {
+	tb.Helper()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var b strings.Builder
+	for _, e := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, e.Name()))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		fmt.Fprintf(&b, "%s %d %08x\n", e.Name(), len(data), crc32.ChecksumIEEE(data))
+	}
+	return b.String()
 }
 
 // frameOffsets walks the WAL framing and returns each record's start

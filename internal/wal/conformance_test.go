@@ -9,7 +9,7 @@ import (
 	"probdedup/internal/resolve"
 )
 
-// TestEngineConformance drives one seeded Add/AddBatch/Remove/Reseal
+// TestEngineConformance drives one seeded Add/AddBatch/Remove
 // schedule through core.Engine for all four concrete engines. The
 // interface is the only handle the schedule gets, so whatever drives an
 // engine through it (the durability layer, the shard router, pdedup

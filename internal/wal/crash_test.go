@@ -182,9 +182,8 @@ func runCrashCycle(t *testing.T, engine string, schema []string, opts core.Optio
 }
 
 // TestCrashCycleSchedulesTouchEveryOp sanity-checks the generated
-// schedules: across the crash-test seeds every operation kind occurs,
-// and the epoch tier sees Reseal ops — otherwise the grid above would
-// silently prove less than it claims.
+// schedules: across the crash-test seeds every operation kind occurs —
+// otherwise the grid above would silently prove less than it claims.
 func TestCrashCycleSchedulesTouchEveryOp(t *testing.T) {
 	kinds := map[Op]int{}
 	for seed := int64(0); seed < 5; seed++ {
@@ -196,7 +195,7 @@ func TestCrashCycleSchedulesTouchEveryOp(t *testing.T) {
 			kinds[op.op]++
 		}
 	}
-	for _, k := range []Op{OpAdd, OpAddBatch, OpRemove, OpReseal} {
+	for _, k := range []Op{OpAdd, OpAddBatch, OpRemove} {
 		if kinds[k] == 0 {
 			t.Fatalf("no schedule contains op %d; kinds=%v", k, kinds)
 		}

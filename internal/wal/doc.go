@@ -7,7 +7,7 @@
 // never crashed.
 //
 // The durability protocol is log-then-apply: every mutating operation
-// (Add, AddBatch, Remove, Reseal) first appends one CRC-framed record
+// (Add, AddBatch, Remove) first appends one CRC-framed record
 // to the current WAL segment — a failed append rejects the operation
 // with engine state unchanged — and only then reaches the in-memory
 // engine. Recovery loads the newest intact snapshot and replays the
@@ -30,10 +30,17 @@
 // interrupted an unacknowledged write — and is silently truncated;
 // the same damage with intact bytes after it is interior corruption
 // and recovery refuses loudly with the byte offset
-// (*CorruptRecordError).
+// (*CorruptRecordError). A record whose CRC matches but which does not
+// decode is never a torn tail and is refused wherever it sits — among
+// them the forced-reseal records (op 4) older builds wrote, which this
+// log no longer replays; such a directory must first be closed cleanly
+// by the build that wrote it.
 //
 // DurableDetector and DurableIntegrator wrap core.Detector and
-// resolve.Integrator with this contract; FaultFile injects write
+// resolve.Integrator with this contract. They have no Reseal: inside
+// them the epoch tier (BlockingCluster) reseals in-band only, within a
+// logged Add, AddBatch or Remove, so replay reproduces every reseal.
+// FaultFile injects write
 // failures at chosen points so the crash-recovery equivalence is
 // provable at every write boundary rather than assumed.
 package wal

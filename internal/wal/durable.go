@@ -233,8 +233,6 @@ func applyRecord(eng core.Engine, rec *Record) error {
 		return eng.AddBatch(rec.Batch)
 	case OpRemove:
 		return eng.Remove(rec.ID)
-	case OpReseal:
-		return eng.Reseal()
 	default:
 		return fmt.Errorf("wal: unknown op %d", rec.Op)
 	}
@@ -300,11 +298,6 @@ func (d *durable) AddBatch(xs []*pdb.XTuple) error {
 // Remove durably retracts a tuple by ID (see core.Detector.Remove).
 func (d *durable) Remove(id string) error {
 	return d.logThen(&Record{Op: OpRemove, ID: id}, nil)
-}
-
-// Reseal durably forces an epoch seal (see core.Detector.Reseal).
-func (d *durable) Reseal() error {
-	return d.logThen(&Record{Op: OpReseal}, nil)
 }
 
 // Checkpoint takes a snapshot of the full live state, installs it

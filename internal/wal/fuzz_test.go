@@ -27,7 +27,7 @@ func fuzzSnapshotSeeds(tb testing.TB) [][]byte {
 		}
 		var red ssr.Method = ssr.BlockingCertain{Key: def}
 		if n == 12 {
-			red = ssr.BlockingCluster{Key: def, K: 3, Seed: 1, MaxDrift: 0.5}
+			red = ssr.BlockingCluster{Key: def, K: 3, Seed: 1}
 		}
 		dir := tb.TempDir()
 		dd, err := OpenDurable(dir, schema, testOptions(red), nil)

@@ -18,12 +18,14 @@ const (
 	OpAddBatch Op = 2
 	// OpRemove logs a tuple retraction by ID.
 	OpRemove Op = 3
-	// OpReseal logs a forced epoch seal of a bounded-staleness index.
-	OpReseal Op = 4
+	// opReseal was a forced epoch seal. It is no longer written, and a
+	// log that still holds one is refused rather than replayed without
+	// it; the number is never reused.
+	opReseal Op = 4
 )
 
 // Record is one logged operation. Exactly one of Tuple, Batch or ID is
-// populated, matching Op; OpReseal carries no payload.
+// populated, matching Op.
 type Record struct {
 	Seq   uint64
 	Op    Op
@@ -71,7 +73,6 @@ func encodePayload(buf []byte, rec *Record) ([]byte, error) {
 		}
 	case OpRemove:
 		e.str(rec.ID)
-	case OpReseal:
 	default:
 		return nil, fmt.Errorf("wal: unknown op %d", rec.Op)
 	}
@@ -91,7 +92,8 @@ func decodePayload(payload []byte, nattrs int) (*Record, error) {
 		}
 	case OpRemove:
 		rec.ID = d.str()
-	case OpReseal:
+	case opReseal:
+		d.fail("op %d (reseal) was removed; close this state directory cleanly with the previous build first (a clean Close checkpoints and empties the log)", rec.Op)
 	default:
 		d.fail("unknown op %d", rec.Op)
 	}
@@ -129,11 +131,14 @@ func appendRecord(buf []byte, rec *Record) ([]byte, error) {
 // the last intact record, so the caller can truncate a torn tail.
 //
 // A damaged frame that runs to the end of the data — a truncated
-// header, a length prefix pointing past EOF, or a CRC/decode failure on
-// the final record — is a torn tail: the crash interrupted that write,
-// the operation was never acknowledged, and the record is silently
-// dropped. The same damage with intact bytes after it cannot be
-// explained by a torn write and surfaces as *CorruptRecordError.
+// header, a length prefix pointing past EOF, a CRC mismatch on the
+// final record, or a final zero-length frame (zero fill) — is a torn
+// tail: the crash interrupted that write, the operation was never
+// acknowledged, and the record is silently dropped. The same damage
+// with intact bytes after it cannot be explained by a torn write and
+// surfaces as *CorruptRecordError, and so does a non-empty payload
+// whose CRC matches but which does not decode, wherever it sits: a
+// torn write does not produce a valid CRC.
 func ReplayLog(data []byte, nattrs int, skipSeq uint64, apply func(*Record) error) (int64, error) {
 	off := 0
 	for off < len(data) {
@@ -156,15 +161,16 @@ func ReplayLog(data []byte, nattrs int, skipSeq uint64, apply func(*Record) erro
 			return int64(off), nil // torn tail: payload cut short
 		}
 		payload := data[off+frameHeader : end]
-		rec, err := func() (*Record, error) {
-			if got := crc32.ChecksumIEEE(payload); got != sum {
-				return nil, fmt.Errorf("CRC mismatch (got %08x, want %08x)", got, sum)
-			}
-			return decodePayload(payload, nattrs)
-		}()
-		if err != nil {
+		if got := crc32.ChecksumIEEE(payload); got != sum {
 			if end == len(data) {
 				return int64(off), nil // torn tail: final record damaged
+			}
+			return corrupt(fmt.Sprintf("CRC mismatch (got %08x, want %08x)", got, sum))
+		}
+		rec, err := decodePayload(payload, nattrs)
+		if err != nil {
+			if length == 0 && end == len(data) {
+				return int64(off), nil // torn tail: zero fill
 			}
 			return corrupt(err.Error())
 		}

@@ -566,8 +566,10 @@ var ErrNotIncremental = ssr.ErrNotIncremental
 // anything else fails with ErrNotIncremental. Online ingestion is
 // equivalent to batch Detect on the resident relation, restricted to
 // the M and P pairs, at any worker count — for BlockingCluster, at
-// every epoch boundary (see EpochIndex; Detector.Stats reports the
-// staleness in between): Options.Workers fans the verification of a
+// every epoch boundary: the index reseals in-band once more than a
+// quarter of the residents were placed by the stale rule, and
+// Detector.Reseal forces a boundary (see EpochIndex; Detector.Stats
+// reports the staleness in between). Options.Workers fans the verification of a
 // large delta batch (AddBatch, big blocks) across goroutines sharing the
 // detector-lifetime bounded similarity cache, without changing
 // classifications or the emitted delta stream.
@@ -723,7 +725,7 @@ var ErrDurableClosed = wal.ErrClosed
 // log tail is replayed through the ordinary Detector fold, so the
 // recovered engine is bit-identical to one that never crashed (minus
 // unacknowledged final operations whose log records did not survive).
-// Operations (Add, AddBatch, Remove, Reseal) are made durable before
+// Operations (Add, AddBatch, Remove) are made durable before
 // they are applied — group-committed per Durability.FsyncEvery — and a
 // snapshot is taken once the log behind the newest snapshot has grown
 // to that snapshot's size (1 MiB at least), on Checkpoint, and on
@@ -731,6 +733,11 @@ var ErrDurableClosed = wal.ErrClosed
 // re-emitted; emit sees only post-recovery changes. The open fails
 // with ErrStateLocked when another process holds dir and with
 // ErrSchemaMismatch when the persisted state used a different schema.
+// The durable engines have no Reseal: BlockingCluster's epoch reseals
+// happen in-band inside the logged operations, and replay repeats them.
+// A directory whose log still holds a forced reseal written by an
+// older build fails to open, changing no file; close it cleanly with
+// that build first, which checkpoints and empties the log.
 func OpenDurable(dir string, schema []string, opts Options, emit func(MatchDelta) bool) (*DurableDetector, error) {
 	return wal.OpenDurable(dir, schema, opts, emit)
 }
