@@ -90,22 +90,13 @@ func EqualitySim(a1, a2 pdb.Dist) float64 {
 // similarity of the values of each attribute, each in [0,1].
 type Vector []float64
 
-// Matrix is the comparison matrix of an x-tuple pair: one comparison vector
-// per pair of alternative tuples (c⃗ᵢⱼ for tⁱ1 × tʲ2).
-type Matrix struct {
-	// K and L are the alternative counts of the two x-tuples.
-	K, L int
-	// Vecs[i][j] is c⃗ᵢⱼ.
-	Vecs [][]Vector
-}
-
-// At returns c⃗ᵢⱼ.
-func (m Matrix) At(i, j int) Vector { return m.Vecs[i][j] }
-
 // Matcher compares tuples attribute by attribute using one comparison
-// function per attribute. Pairwise value similarities are memoized per
-// attribute in a bounded, sharded Cache, which matters because
-// blocking/SNM evaluate the same value pairs many times.
+// function per attribute: dependency-free tuples with CompareTuples (the
+// certain-data matcher, run per possible world) and one alternative pair
+// of an x-tuple pair at a time with CompareAltsInto, which package xmatch
+// folds over; no K×L matrix is ever built. Pairwise value similarities
+// are memoized per attribute in a bounded, sharded Cache, which matters
+// because blocking/SNM evaluate the same value pairs many times.
 //
 // A Matcher is safe for concurrent use, and several matchers may share
 // one Cache (NewMatcherWithCache) — the detection engine does exactly
@@ -191,15 +182,11 @@ func (m *Matcher) CompareTuplesInto(dst Vector, t1, t2 *pdb.Tuple) Vector {
 	return dst
 }
 
-// CompareAlts computes the comparison vector of two alternative tuples
-// (whose attribute values may themselves be uncertain, e.g. 'mu*').
-func (m *Matcher) CompareAlts(a1, a2 pdb.Alt) Vector {
-	return m.CompareAltsInto(nil, a1, a2)
-}
-
-// CompareAltsInto is CompareAlts writing into dst (grown as needed), the
-// kernel of the fold-based x-tuple comparison: the caller reuses one
-// scratch vector across all K×L alternative pairs.
+// CompareAltsInto computes into dst (grown as needed) the comparison
+// vector c⃗ᵢⱼ of two alternative tuples, whose attribute values may
+// themselves be uncertain (e.g. 'mu*'). It is the kernel of the x-tuple
+// comparison in package xmatch: the caller reuses one scratch vector
+// across all K×L alternative pairs.
 func (m *Matcher) CompareAltsInto(dst Vector, a1, a2 pdb.Alt) Vector {
 	dst = growVector(dst, len(m.Funcs))
 	for k := range m.Funcs {
@@ -215,22 +202,6 @@ func growVector(dst Vector, n int) Vector {
 		return make(Vector, n)
 	}
 	return dst[:n]
-}
-
-// CompareXTuples computes the k×l comparison matrix of an x-tuple pair
-// (step 1 input of the adapted decision models, Fig. 6). It materializes
-// every vector; the fold-based path in package xmatch consumes the
-// vectors one at a time instead and should be preferred on hot paths.
-func (m *Matcher) CompareXTuples(x1, x2 *pdb.XTuple) Matrix {
-	mat := Matrix{K: len(x1.Alts), L: len(x2.Alts)}
-	mat.Vecs = make([][]Vector, mat.K)
-	for i, a1 := range x1.Alts {
-		mat.Vecs[i] = make([]Vector, mat.L)
-		for j, a2 := range x2.Alts {
-			mat.Vecs[i][j] = m.CompareAlts(a1, a2)
-		}
-	}
-	return mat
 }
 
 // CacheSize reports the number of memoized value pairs per attribute

@@ -103,17 +103,17 @@ func TestMatcherCompareXTuples(t *testing.T) {
 	m := NewMatcher(strsim.NormalizedHamming, strsim.NormalizedHamming)
 	r3, r4 := paperdata.R3(), paperdata.R4()
 	t32, t42 := r3.TupleByID("t32"), r4.TupleByID("t42")
-	mat := m.CompareXTuples(t32, t42)
-	if mat.K != 3 || mat.L != 1 {
-		t.Fatalf("matrix dims %dx%d", mat.K, mat.L)
+	if len(t32.Alts) != 3 || len(t42.Alts) != 1 {
+		t.Fatalf("alternative counts %dx%d", len(t32.Alts), len(t42.Alts))
 	}
 	// Per the paper (given sim(Jim,Tom)=1/3, sim(baker,mechanic)=0):
 	// c⃗ for (t132,t42) = [sim(Tim,Tom), sim(mechanic,mechanic)] = [2/3, 1]
 	// c⃗ for (t232,t42) = [1/3, 1]
 	// c⃗ for (t332,t42) = [1/3, 0]
 	want := [][2]float64{{2.0 / 3, 1}, {1.0 / 3, 1}, {1.0 / 3, 0}}
+	var got Vector
 	for i, w := range want {
-		got := mat.At(i, 0)
+		got = m.CompareAltsInto(got, t32.Alts[i], t42.Alts[0])
 		if !almost(got[0], w[0]) || !almost(got[1], w[1]) {
 			t.Errorf("c⃗[%d][0] = %v, want %v", i, got, w)
 		}
@@ -127,7 +127,7 @@ func TestCompareAltsWithUncertainAttr(t *testing.T) {
 	m := NewMatcher(strsim.Exact, strsim.Exact)
 	t31 := paperdata.R3().TupleByID("t31")
 	other := pdb.NewAlt(1, "Johan", "musician")
-	c := m.CompareAlts(t31.Alts[1], other)
+	c := m.CompareAltsInto(nil, t31.Alts[1], other)
 	if !almost(c[0], 1) || !almost(c[1], 0.5) {
 		t.Fatalf("c⃗ = %v, want [1, 0.5]", c)
 	}

@@ -1,7 +1,7 @@
 // Package avm implements attribute value matching for probabilistic data
 // (Sec. IV-A of the paper): the similarity of two uncertain attribute
-// values, comparison vectors c⃗ for tuple pairs, and comparison matrices for
-// x-tuple pairs.
+// values and the comparison vectors c⃗ of tuple pairs and of the
+// alternative pairs of x-tuple pairs.
 //
 // The similarity of two uncertain values a1, a2 over domain D̂ = D ∪ {⊥} is
 //

@@ -1,0 +1,191 @@
+package core
+
+import (
+	"math"
+	"slices"
+	"testing"
+
+	"probdedup/internal/dataset"
+	"probdedup/internal/decision"
+	"probdedup/internal/fusion"
+	"probdedup/internal/keys"
+	"probdedup/internal/pdb"
+	"probdedup/internal/ssr"
+	"probdedup/internal/strsim"
+	"probdedup/internal/xmatch"
+)
+
+// metamorphicCase is one derivation with final thresholds on its scale.
+type metamorphicCase struct {
+	derive xmatch.Derivation
+	final  decision.Thresholds
+}
+
+var (
+	similarityScale = decision.Thresholds{Lambda: 0.6, Mu: 0.8}
+	weightScale     = decision.Thresholds{Lambda: 0.5, Mu: 2}
+	etaScale        = decision.Thresholds{Lambda: 0.8, Mu: 1.5}
+)
+
+// metamorphicOpts configures detection under BlockingCertain with
+// Levenshtein on the synthetic schema and a thresholded weighted sum
+// per alternative pair.
+func metamorphicOpts(t *testing.T, schema []string, c metamorphicCase, prefilter bool) Options {
+	t.Helper()
+	def, err := keys.ParseDef("name:3+job:2", schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return Options{
+		Compare:    []strsim.Func{strsim.Levenshtein, strsim.Levenshtein, strsim.Levenshtein},
+		Reduction:  ssr.BlockingCertain{Key: def},
+		AltModel:   decision.WeightedSumModel{Weights: decision.EqualWeights(3), T: decision.Thresholds{Lambda: 0.6, Mu: 0.8}},
+		Derivation: c.derive,
+		Final:      c.final,
+		PreFilter:  prefilter,
+	}
+}
+
+// transform returns a copy of xr with f applied to every x-tuple.
+func transform(xr *pdb.XRelation, f func(*pdb.XTuple) *pdb.XTuple) *pdb.XRelation {
+	out := pdb.NewXRelation(xr.Name, xr.Schema...)
+	for _, x := range xr.Tuples {
+		out.Append(f(x.Clone()))
+	}
+	return out
+}
+
+// scaleMembership multiplies every alternative probability by s, which
+// changes p(t) and nothing a conditioned derivation may see.
+func scaleMembership(s float64) func(*pdb.XTuple) *pdb.XTuple {
+	return func(x *pdb.XTuple) *pdb.XTuple {
+		for i := range x.Alts {
+			x.Alts[i].P *= s
+		}
+		return x
+	}
+}
+
+// splitAlternative replaces one alternative by two equal halves with its
+// values, which leaves every possible world and its probability as it
+// was. The alternative is the last one whose split keeps the tuple's
+// conflict-resolved blocking key: fusion.MostProbable ranks
+// alternatives, not worlds, so halving its winner may hand the key to
+// another alternative and change which pairs are candidates at all.
+func splitAlternative(x *pdb.XTuple) *pdb.XTuple {
+	key := fusion.MostProbable{}.ResolveX(x)
+	for i := len(x.Alts) - 1; i >= 0; i-- {
+		half := x.Alts[i]
+		half.P /= 2
+		alts := slices.Concat(x.Alts[:i], []pdb.Alt{half, half}, x.Alts[i+1:])
+		split := pdb.NewXTuple(x.ID, alts...)
+		if slices.EqualFunc(fusion.MostProbable{}.ResolveX(split), key, pdb.Value.Equal) {
+			return split
+		}
+	}
+	return x
+}
+
+// sameClasses fails unless got holds exactly want's pairs with equal
+// classes and similarities within 1e-12 (relative beyond 1; ±Inf only
+// equal to itself).
+func sameClasses(t *testing.T, what string, got, want *Result) {
+	t.Helper()
+	if len(got.ByPair) != len(want.ByPair) {
+		t.Fatalf("%s: %d pairs, want %d", what, len(got.ByPair), len(want.ByPair))
+	}
+	for p, wm := range want.ByPair {
+		gm, ok := got.ByPair[p]
+		if !ok {
+			t.Fatalf("%s: pair %v missing", what, p)
+		}
+		close := gm.Sim == wm.Sim ||
+			!math.IsInf(wm.Sim, 0) && math.Abs(gm.Sim-wm.Sim) <= 1e-12*math.Max(1, math.Abs(wm.Sim))
+		if gm.Class != wm.Class || !close {
+			t.Fatalf("%s: pair %v is (%v, %v), want (%v, %v)", what, p, gm.Sim, gm.Class, wm.Sim, wm.Class)
+		}
+	}
+}
+
+// detectorFlush adds xr to a fresh Detector and returns its Flush.
+func detectorFlush(t *testing.T, xr *pdb.XRelation, opts Options) *Result {
+	t.Helper()
+	det, err := NewDetector(xr.Schema, opts, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := det.AddBatch(xr.Tuples); err != nil {
+		t.Fatal(err)
+	}
+	return det.Flush()
+}
+
+// checkMetamorphic runs Detect and a pre-filtering Detector on xr and on
+// its image under f, for every case, and requires every pair's class to
+// stay and its similarity to move by at most 1e-12.
+func checkMetamorphic(t *testing.T, xr *pdb.XRelation, f func(*pdb.XTuple) *pdb.XTuple, cases []metamorphicCase) {
+	t.Helper()
+	image := transform(xr, f)
+	for _, c := range cases {
+		opts := metamorphicOpts(t, xr.Schema, c, false)
+		want, err := Detect(xr, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := Detect(image, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameClasses(t, c.derive.Name()+" Detect", got, want)
+		opts = metamorphicOpts(t, xr.Schema, c, true)
+		sameClasses(t, c.derive.Name()+" Detector", detectorFlush(t, image, opts), detectorFlush(t, xr, opts))
+	}
+}
+
+// metamorphicRelation is the synthetic corpus both relations run on:
+// multi-alternative, maybe- and uncertain-valued tuples.
+func metamorphicRelation() *pdb.XRelation {
+	return dataset.Generate(dataset.DefaultConfig(60, 11)).Union()
+}
+
+// TestMetamorphicAlternativeSplit: splitting an alternative into two
+// equal halves leaves the possible worlds unchanged, so no derivation
+// that aggregates over worlds or over alternative-pair weights may
+// notice. (The most probable world and the weighted maximum read single
+// alternatives' probabilities and are exempt.)
+func TestMetamorphicAlternativeSplit(t *testing.T) {
+	xr := metamorphicRelation()
+	split := 0
+	for _, x := range transform(xr, splitAlternative).Tuples {
+		if len(x.Alts) > len(xr.TupleByID(x.ID).Alts) {
+			split++
+		}
+	}
+	if split < len(xr.Tuples)/2 {
+		t.Fatalf("only %d of %d tuples split", split, len(xr.Tuples))
+	}
+	checkMetamorphic(t, xr, splitAlternative, []metamorphicCase{
+		{xmatch.SimilarityBased{Conditioned: true}, similarityScale},
+		{xmatch.DecisionBased{Conditioned: true}, weightScale},
+		{xmatch.ExpectedEta{Conditioned: true}, etaScale},
+		{xmatch.MaxSim{Conditioned: true}, similarityScale},
+	})
+}
+
+// TestMetamorphicMembershipScale: scaling every tuple's alternatives by
+// 0.5, or by 1e-12 (far below pdb.Eps), changes only p(t), which no
+// conditioned derivation may see (Sec. IV-B).
+func TestMetamorphicMembershipScale(t *testing.T) {
+	xr := metamorphicRelation()
+	cases := []metamorphicCase{
+		{xmatch.SimilarityBased{Conditioned: true}, similarityScale},
+		{xmatch.DecisionBased{Conditioned: true}, weightScale},
+		{xmatch.ExpectedEta{Conditioned: true}, etaScale},
+		{xmatch.MostProbableWorld{Conditioned: true}, similarityScale},
+		{xmatch.MaxSim{Conditioned: true}, similarityScale},
+		{xmatch.MaxSim{Conditioned: true, Weighted: true}, similarityScale},
+	}
+	for _, s := range []float64{0.5, 1e-12} {
+		checkMetamorphic(t, xr, scaleMembership(s), cases)
+	}
+}

@@ -121,9 +121,8 @@ func choiceLabel(c worlds.Choice) string {
 func E03() (float64, string) {
 	t32 := paperdata.R3().TupleByID("t32")
 	t42 := paperdata.R4().TupleByID("t42")
-	m := PaperMatcher()
-	mat := m.CompareXTuples(t32, t42)
-	sim := xmatch.SimilarityBased{Conditioned: true}.Sim(t32, t42, mat, PaperModel())
+	src := xmatch.NewPairSource(PaperMatcher(), t32, t42)
+	sim := xmatch.SimilarityBased{Conditioned: true}.Sim(src, PaperModel())
 	return sim, fmt.Sprintf("E03 — similarity-based derivation (Eq. 6): sim(t32,t42) = %.6f (paper: 7/15 = %.6f)\n",
 		sim, 7.0/15)
 }
@@ -133,11 +132,10 @@ func E03() (float64, string) {
 func E04() (pm, pu, sim float64, out string) {
 	t32 := paperdata.R3().TupleByID("t32")
 	t42 := paperdata.R4().TupleByID("t42")
-	m := PaperMatcher()
-	mat := m.CompareXTuples(t32, t42)
+	src := xmatch.NewPairSource(PaperMatcher(), t32, t42)
 	d := xmatch.DecisionBased{Conditioned: true}
-	pm, pu = d.Probabilities(t32, t42, mat, PaperModel())
-	sim = d.Sim(t32, t42, mat, PaperModel())
+	pm, pu = d.Probabilities(src, PaperModel())
+	sim = d.Sim(src, PaperModel())
 	out = fmt.Sprintf("E04 — decision-based derivation (Eq. 7–9): P(m)=%.4f P(u)=%.4f sim=%.4f (paper: 3/9, 4/9, 0.75)\n",
 		pm, pu, sim)
 	return

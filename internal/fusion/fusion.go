@@ -34,14 +34,14 @@ func (MostProbable) Name() string { return "most-probable" }
 // ResolveX implements Strategy.
 func (MostProbable) ResolveX(x *pdb.XTuple) []pdb.Value {
 	// The most probable concrete instantiation maximizes
-	// alt.P · Π mode(attr): with per-attribute independence inside an
-	// alternative the argmax factorizes per attribute, but the alternative
-	// choice must account for the mode products. The argmax pass works on
-	// mode probabilities alone; only the winning alternative's values are
-	// materialized (this runs per tuple on the blocking/SNM key paths).
-	best, bestP := -1, -1.0
+	// alt.P/p(t) · Π mode(attr) (conditioned, so p(t) cannot matter): the
+	// argmax factorizes per attribute inside an alternative, but the
+	// alternative choice must account for the mode products. Only the
+	// winning alternative's values are materialized (this runs per tuple
+	// on the blocking/SNM key paths).
+	best, bestP, pt := -1, -1.0, x.P()
 	for idx, alt := range x.Alts {
-		p := alt.P
+		p := alt.P / pt
 		for _, d := range alt.Values {
 			_, vp := d.Mode()
 			p *= vp

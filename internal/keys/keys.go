@@ -174,8 +174,7 @@ func (d Def) XTupleKeyDist(x *pdb.XTuple, cond bool) []KeyProb {
 		}
 	}
 	if cond {
-		pt := x.P()
-		if pt > pdb.Eps {
+		if pt := x.P(); pt > 0 {
 			for k := range acc {
 				acc[k] /= pt
 			}

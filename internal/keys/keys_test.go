@@ -143,6 +143,12 @@ func TestConditionedKeyDist(t *testing.T) {
 	if len(ks) != 1 || !almost(ks[0].P, 1.0) {
 		t.Fatalf("conditioned key dist = %v", ks)
 	}
+	// However small p(t) is, it is divided out.
+	tiny := t42.Clone()
+	tiny.Alts[0].P = 1e-12
+	if ks := d.XTupleKeyDist(tiny, true); len(ks) != 1 || !almost(ks[0].P, 1.0) {
+		t.Fatalf("conditioned key dist at p(t)=1e-12 = %v", ks)
+	}
 	// Sum of conditioned probabilities is 1 for every x-tuple.
 	for _, x := range paperdata.R34().Tuples {
 		total := 0.0

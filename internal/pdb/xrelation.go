@@ -66,22 +66,22 @@ func (x *XTuple) Maybe() bool { return x.P() < 1-Eps }
 // NormalizedAltP returns p(tⁱ)/p(t), the alternative probability conditioned
 // on the x-tuple belonging to its relation. This is the conditioning /
 // scaling of Sec. IV-B: tuple membership must not influence duplicate
-// detection.
+// detection, however small p(t) is.
 func (x *XTuple) NormalizedAltP(i int) float64 {
 	pt := x.P()
-	if pt <= Eps {
+	if pt <= 0 {
 		return 0
 	}
 	return x.Alts[i].P / pt
 }
 
-// MostProbableAlt returns the index of the most probable alternative.
-// Ties are broken by the lower index, making the choice deterministic.
+// MostProbableAlt returns the index of the most probable alternative by
+// NormalizedAltP, so p(t) cannot matter; ties within Eps go to the lower.
 func (x *XTuple) MostProbableAlt() int {
 	best, bestP := 0, math.Inf(-1)
-	for i, a := range x.Alts {
-		if a.P > bestP+Eps {
-			best, bestP = i, a.P
+	for i := range x.Alts {
+		if p := x.NormalizedAltP(i); p > bestP+Eps {
+			best, bestP = i, p
 		}
 	}
 	return best

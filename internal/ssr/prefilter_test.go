@@ -26,7 +26,7 @@ import (
 type unboundedDerivation struct{}
 
 func (unboundedDerivation) Name() string { return "unbounded" }
-func (unboundedDerivation) Sim(x1, x2 *pdb.XTuple, mat avm.Matrix, model decision.Model) float64 {
+func (unboundedDerivation) Sim(src *xmatch.PairSource, model decision.Model) float64 {
 	return 0
 }
 

@@ -108,7 +108,7 @@ func Choices(x *pdb.XTuple, cond bool) []Choice {
 	scale := 1.0
 	if cond {
 		pt := x.P()
-		if pt <= pdb.Eps {
+		if pt <= 0 {
 			return nil
 		}
 		scale = 1 / pt

@@ -392,3 +392,72 @@ func word(r *rand.Rand) string {
 }
 
 func fid(i int) string { return string(rune('a'+i)) + "x" }
+
+// TestConditioningTinyMembership: conditioning divides p(t) out however
+// small it is, so an x-tuple with p(t) = 1e-12 still spans the
+// conditioned space, and a world that drops it materializes without it.
+func TestConditioningTinyMembership(t *testing.T) {
+	x := pdb.NewXTuple("x", pdb.NewAlt(0.25e-12, "Tim", "baker"), pdb.NewAlt(0.75e-12, "Tom", "baker"))
+	cs := Choices(x, true)
+	if len(cs) != 2 || !almost(cs[0].P, 0.25) || !almost(cs[1].P, 0.75) {
+		t.Fatalf("conditioned choices %+v, want 0.25 and 0.75", cs)
+	}
+	xr := PairRelation([]string{"name", "job"}, x, paperdata.R4().TupleByID("t42"))
+	ws, err := Enumerate(xr, false, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	absent := 0
+	for _, w := range ws {
+		if !w.Contains(0) {
+			absent++
+			want := 0
+			if w.Contains(1) {
+				want = 1
+			}
+			if r := Materialize(xr, w); len(r.Tuples) != want {
+				t.Fatalf("world %s materializes %d tuples, want %d", w.Key(), len(r.Tuples), want)
+			}
+		}
+	}
+	if absent == 0 {
+		t.Fatal("no world drops the maybe x-tuple")
+	}
+}
+
+// TestDegenerateInputs: no alternatives, an empty relation, k ≤ 0 and
+// worlds of different relations give empty results or distance 1.
+func TestDegenerateInputs(t *testing.T) {
+	none := &pdb.XTuple{ID: "none"}
+	if cs := Choices(none, true); cs != nil {
+		t.Fatalf("choices of an x-tuple without alternatives: %+v", cs)
+	}
+	xr := PairRelation([]string{"name", "job"}, paperdata.R4().TupleByID("t42"), none)
+	if ws, err := Enumerate(xr, true, 0); err != nil || len(ws) != 0 {
+		t.Fatalf("Enumerate = %v, %v; want no worlds", ws, err)
+	}
+	ForEach(xr, true, func(World) bool {
+		t.Fatal("ForEach yielded a world")
+		return false
+	})
+	empty := pdb.NewXRelation("empty", "name", "job")
+	for _, ws := range [][]World{TopK(xr, true, 3), TopK(empty, true, 3), TopK(pairT32T42(), true, 0),
+		Dissimilar(xr, true, 2, 4), Dissimilar(empty, true, 2, 4), Dissimilar(pairT32T42(), true, 0, 4)} {
+		if ws != nil {
+			t.Fatalf("got worlds %+v, want none", ws)
+		}
+	}
+	a := MostProbable(pairT32T42(), true)
+	if d := Distance(a, World{}); d != 1 {
+		t.Fatalf("distance to a world of another relation = %v, want 1", d)
+	}
+	if d := Distance(World{}, World{}); d != 0 {
+		t.Fatalf("distance of empty worlds = %v, want 0", d)
+	}
+	b := a
+	b.Choices = append([]Choice(nil), a.Choices...)
+	b.Choices[0].Values = b.Choices[0].Values[:1]
+	if d := Distance(a, b); d != 0.5 {
+		t.Fatalf("distance with one truncated choice = %v, want 0.5", d)
+	}
+}

@@ -10,8 +10,8 @@ import (
 // soundness chain (internal/ssr): given a sound upper bound on every
 // alternative-pair similarity φ(c⃗ᵢⱼ), a Bounded derivation bounds the
 // derived x-tuple similarity without seeing a single comparison
-// vector. SimUpperBound must return a value ≥ Sim(x1, x2, mat, model)
-// for every x-tuple pair whose cells all satisfy
+// vector. SimUpperBound must return a value ≥ Sim(src, model) for
+// every x-tuple pair whose cells all satisfy
 // model.Similarity(c⃗ᵢⱼ) ≤ cellUB; +Inf is always sound and disables
 // filtering for the derivation.
 type Bounded interface {

@@ -17,10 +17,11 @@
 // (p(tⁱ)/p(t)), because membership must not influence duplicate detection;
 // the Conditioned flag exists as an ablation hook.
 //
-// Comparer runs the complete Fig. 6 scheme on x-tuple pairs. Every
-// derivation of this package additionally implements Folder, the
-// fold-based kernel that consumes alternative-pair comparison vectors
-// as they are computed instead of materializing the K×L matrix first;
-// the fold and matrix paths are bit-identical, and the fold path is
-// allocation-free in steady state through per-comparer scratch.
+// Every derivation is written once, as a fold over a PairSource that
+// computes alternative-pair comparison vectors as the derivation asks
+// for them; no K×L matrix is ever materialized. Comparer runs the
+// complete Fig. 6 scheme on x-tuple pairs and is allocation-free in
+// steady state through per-comparer scratch. The tests check each
+// derivation against its definition: the aggregate over the possible
+// worlds (internal/worlds) in which both x-tuples exist.
 package xmatch

@@ -3,9 +3,7 @@ package xmatch
 import (
 	"math"
 
-	"probdedup/internal/avm"
 	"probdedup/internal/decision"
-	"probdedup/internal/pdb"
 )
 
 // The paper notes that "further adequate derivation functions are possible"
@@ -29,24 +27,16 @@ func (d MostProbableWorld) Name() string {
 	return "most-probable-world"
 }
 
-// Sim implements Derivation.
-func (d MostProbableWorld) Sim(x1, x2 *pdb.XTuple, mat avm.Matrix, model decision.Model) float64 {
-	i := argmaxAlt(x1)
-	j := argmaxAlt(x2)
-	if i < 0 || j < 0 {
+// Sim implements Derivation. Only the single cell of the most probable
+// alternative pair is ever computed — the derivation is blind to the
+// rest of the pairs by definition, so it skips K·L−1 attribute value
+// matchings.
+func (d MostProbableWorld) Sim(src *PairSource, model decision.Model) float64 {
+	x1, x2 := src.XTuples()
+	if len(x1.Alts) == 0 || len(x2.Alts) == 0 {
 		return 0
 	}
-	return model.Similarity(mat.At(i, j))
-}
-
-func argmaxAlt(x *pdb.XTuple) int {
-	best, bestP := -1, math.Inf(-1)
-	for i, a := range x.Alts {
-		if a.P > bestP+pdb.Eps {
-			best, bestP = i, a.P
-		}
-	}
-	return best
+	return model.Similarity(src.At(x1.MostProbableAlt(), x2.MostProbableAlt()))
 }
 
 // MaxSim derives the x-tuple similarity as the maximum alternative-pair
@@ -74,14 +64,14 @@ func (d MaxSim) Name() string {
 	return name
 }
 
-// Sim implements Derivation.
-func (d MaxSim) Sim(x1, x2 *pdb.XTuple, mat avm.Matrix, model decision.Model) float64 {
-	w1 := altWeights(x1, d.Conditioned)
-	w2 := altWeights(x2, d.Conditioned)
+// Sim implements Derivation: the running maximum over the pairs.
+func (d MaxSim) Sim(src *PairSource, model decision.Model) float64 {
+	w1, w2 := src.Weights(d.Conditioned)
+	k, l := src.Dims()
 	best := math.Inf(-1)
-	for i := 0; i < mat.K; i++ {
-		for j := 0; j < mat.L; j++ {
-			s := model.Similarity(mat.At(i, j))
+	for i := 0; i < k; i++ {
+		for j := 0; j < l; j++ {
+			s := model.Similarity(src.At(i, j))
 			if d.Weighted {
 				s *= w1[i] * w2[j]
 			}

@@ -11,11 +11,9 @@ import (
 func TestMostProbableWorldDerivation(t *testing.T) {
 	m, model := paperSetup()
 	x1, x2 := t32t42()
-	mat := m.CompareXTuples(x1, x2)
-	d := MostProbableWorld{Conditioned: true}
 	// Most probable alternatives: t32 → (Jim,baker), t42 → (Tom,mechanic);
 	// their pair similarity is 4/15.
-	if got := d.Sim(x1, x2, mat, model); !almost(got, 4.0/15) {
+	if got := derive(MostProbableWorld{Conditioned: true}, m, model, x1, x2); !almost(got, 4.0/15) {
 		t.Fatalf("sim = %v, want 4/15", got)
 	}
 }
@@ -23,15 +21,14 @@ func TestMostProbableWorldDerivation(t *testing.T) {
 func TestMaxSimDerivation(t *testing.T) {
 	m, model := paperSetup()
 	x1, x2 := t32t42()
-	mat := m.CompareXTuples(x1, x2)
 	// The best alternative pair is (Tim,mechanic)×(Tom,mechanic) = 11/15.
-	if got := (MaxSim{Conditioned: true}).Sim(x1, x2, mat, model); !almost(got, 11.0/15) {
+	if got := derive(MaxSim{Conditioned: true}, m, model, x1, x2); !almost(got, 11.0/15) {
 		t.Fatalf("max-sim = %v, want 11/15", got)
 	}
 	// Weighted: 11/15 damped by (0.3/0.9)·(0.8/0.8) = 1/3 → 11/45 — unless
 	// another pair scores higher after weighting. Pairs: 11/15·1/3=11/45,
 	// 7/15·(2/9)=14/135, 4/15·(4/9)=16/135. Max is 11/45.
-	if got := (MaxSim{Conditioned: true, Weighted: true}).Sim(x1, x2, mat, model); !almost(got, 11.0/45) {
+	if got := derive(MaxSim{Conditioned: true, Weighted: true}, m, model, x1, x2); !almost(got, 11.0/45) {
 		t.Fatalf("weighted max-sim = %v, want 11/45", got)
 	}
 }
@@ -42,9 +39,8 @@ func TestMaxSimUpperBoundsSimilarityBased(t *testing.T) {
 	all := append(paperdata.R3().Tuples, paperdata.R4().Tuples...)
 	for i := 0; i < len(all); i++ {
 		for j := i + 1; j < len(all); j++ {
-			mat := m.CompareXTuples(all[i], all[j])
-			exp := SimilarityBased{Conditioned: true}.Sim(all[i], all[j], mat, model)
-			max := MaxSim{Conditioned: true}.Sim(all[i], all[j], mat, model)
+			exp := derive(SimilarityBased{Conditioned: true}, m, model, all[i], all[j])
+			max := derive(MaxSim{Conditioned: true}, m, model, all[i], all[j])
 			if exp > max+1e-9 {
 				t.Fatalf("E[sim]=%v > max=%v for (%s,%s)", exp, max, all[i].ID, all[j].ID)
 			}
@@ -70,14 +66,13 @@ func TestExtraDerivationsEmptyish(t *testing.T) {
 	m, model := paperSetup()
 	a := pdb.NewXTuple("a", pdb.NewAlt(1, "x", "y"))
 	b := pdb.NewXTuple("b", pdb.NewAlt(1, "x", "y"))
-	mat := m.CompareXTuples(a, b)
-	if got := (MostProbableWorld{Conditioned: true}).Sim(a, b, mat, model); !almost(got, 1) {
+	if got := derive(MostProbableWorld{Conditioned: true}, m, model, a, b); !almost(got, 1) {
 		t.Fatalf("identical mpw = %v", got)
 	}
-	if got := (MaxSim{Conditioned: true}).Sim(a, b, mat, model); !almost(got, 1) {
+	if got := derive(MaxSim{Conditioned: true}, m, model, a, b); !almost(got, 1) {
 		t.Fatalf("identical max = %v", got)
 	}
-	if math.IsNaN((MaxSim{}).Sim(a, b, mat, model)) {
+	if math.IsNaN(derive(MaxSim{}, m, model, a, b)) {
 		t.Fatal("NaN")
 	}
 }

@@ -1,29 +1,16 @@
 package xmatch
 
 import (
-	"math"
-
 	"probdedup/internal/avm"
-	"probdedup/internal/decision"
 	"probdedup/internal/pdb"
 )
 
-// mathInfNeg is −Inf, hoisted so the MaxSim fold loop stays branch-lean.
-var mathInfNeg = math.Inf(-1)
-
-// This file is the fold-based comparison kernel: derivations consume
-// alternative-pair similarities one at a time, as they are computed,
-// instead of requiring the K×L avm.Matrix of CompareXTuples to be
-// materialized first. The matrix path remains as the compatibility
-// surface (Derivation.Sim); every derivation of this package also
-// implements Folder, and the two paths produce bit-identical results
-// because they run the same attribute value matching in the same order.
-
-// PairSource is a lazy view of an x-tuple pair's comparison matrix: At
+// PairSource is a lazy view of an x-tuple pair's alternative pairs: At
 // computes c⃗ᵢⱼ on demand into a scratch vector owned by the source, and
 // Weights exposes the (optionally conditioned) alternative probabilities
-// from scratch buffers. One PairSource is reused across all comparisons
-// of a Comparer, which makes the steady-state fold path allocation-free.
+// from scratch buffers. Every derivation folds over a PairSource; one
+// source is reused across all comparisons of a Comparer, which makes the
+// steady state allocation-free.
 //
 // A PairSource is not safe for concurrent use; the vector returned by At
 // and the slices returned by Weights are valid only until the next call
@@ -73,7 +60,24 @@ func (p *PairSource) Weights(cond bool) (w1, w2 []float64) {
 	return p.w1, p.w2
 }
 
-// altWeightsInto is altWeights writing into dst (grown as needed).
+// expect folds Σᵢ Σⱼ w1ᵢ·w2ⱼ·f(c⃗ᵢⱼ) over the alternative pairs: the
+// expectation of f over the worlds in which both x-tuples exist,
+// conditioned on that event when cond is true.
+func (p *PairSource) expect(cond bool, f func(avm.Vector) float64) float64 {
+	w1, w2 := p.Weights(cond)
+	k, l := p.Dims()
+	total := 0.0
+	for i := 0; i < k; i++ {
+		for j := 0; j < l; j++ {
+			total += w1[i] * w2[j] * f(p.At(i, j))
+		}
+	}
+	return total
+}
+
+// altWeightsInto writes the per-alternative probabilities of x into dst
+// (grown as needed), conditioned (p(tⁱ)/p(t)) when cond is true. Any
+// p(t) > 0 is divided out, however small, so membership never leaks.
 func altWeightsInto(dst []float64, x *pdb.XTuple, cond bool) []float64 {
 	if cap(dst) < len(x.Alts) {
 		dst = make([]float64, len(x.Alts))
@@ -84,8 +88,7 @@ func altWeightsInto(dst []float64, x *pdb.XTuple, cond bool) []float64 {
 		dst[i] = a.P
 	}
 	if cond {
-		pt := x.P()
-		if pt > pdb.Eps {
+		if pt := x.P(); pt > 0 {
 			for i := range dst {
 				dst[i] /= pt
 			}
@@ -93,114 +96,3 @@ func altWeightsInto(dst []float64, x *pdb.XTuple, cond bool) []float64 {
 	}
 	return dst
 }
-
-// Folder is a Derivation that can fold over the alternative-pair
-// similarities as they are computed, without a materialized matrix.
-// SimFold must agree exactly with Sim on the matrix of the same pair.
-type Folder interface {
-	Derivation
-	// SimFold derives sim(t1,t2) from the lazy pair source.
-	SimFold(src *PairSource, model decision.Model) float64
-}
-
-// SimFold implements Folder: the conditional expectation of Eq. 6
-// accumulated pair by pair.
-func (d SimilarityBased) SimFold(src *PairSource, model decision.Model) float64 {
-	w1, w2 := src.Weights(d.Conditioned)
-	k, l := src.Dims()
-	total := 0.0
-	for i := 0; i < k; i++ {
-		for j := 0; j < l; j++ {
-			total += w1[i] * w2[j] * model.Similarity(src.At(i, j))
-		}
-	}
-	return total
-}
-
-// SimFold implements Folder: P(m) and P(u) of Eq. 8/9 accumulated pair
-// by pair, then combined as in Sim.
-func (d DecisionBased) SimFold(src *PairSource, model decision.Model) float64 {
-	pm, pu := d.probabilitiesFold(src, model)
-	return matchingWeight(pm, pu)
-}
-
-// ProbabilitiesFold returns P(m) and P(u) (Eq. 8 and 9) from the lazy
-// pair source, the fold analogue of Probabilities.
-func (d DecisionBased) ProbabilitiesFold(src *PairSource, model decision.Model) (pm, pu float64) {
-	return d.probabilitiesFold(src, model)
-}
-
-func (d DecisionBased) probabilitiesFold(src *PairSource, model decision.Model) (pm, pu float64) {
-	w1, w2 := src.Weights(d.Conditioned)
-	k, l := src.Dims()
-	for i := 0; i < k; i++ {
-		for j := 0; j < l; j++ {
-			switch decision.Decide(model, src.At(i, j)) {
-			case decision.M:
-				pm += w1[i] * w2[j]
-			case decision.U:
-				pu += w1[i] * w2[j]
-			}
-		}
-	}
-	return pm, pu
-}
-
-// SimFold implements Folder: E(η|B) with {m=2, p=1, u=0} accumulated
-// pair by pair.
-func (d ExpectedEta) SimFold(src *PairSource, model decision.Model) float64 {
-	w1, w2 := src.Weights(d.Conditioned)
-	k, l := src.Dims()
-	total := 0.0
-	for i := 0; i < k; i++ {
-		for j := 0; j < l; j++ {
-			total += w1[i] * w2[j] * decision.Decide(model, src.At(i, j)).Score()
-		}
-	}
-	return total
-}
-
-// SimFold implements Folder. Unlike the matrix path, only the single
-// cell of the most probable alternative pair is ever computed — the
-// derivation is blind to the rest of the matrix by definition, so the
-// fold skips K·L−1 attribute value matchings.
-func (d MostProbableWorld) SimFold(src *PairSource, model decision.Model) float64 {
-	x1, x2 := src.XTuples()
-	i := argmaxAlt(x1)
-	j := argmaxAlt(x2)
-	if i < 0 || j < 0 {
-		return 0
-	}
-	return model.Similarity(src.At(i, j))
-}
-
-// SimFold implements Folder: the running maximum over the pairs.
-func (d MaxSim) SimFold(src *PairSource, model decision.Model) float64 {
-	w1, w2 := src.Weights(d.Conditioned)
-	k, l := src.Dims()
-	best := mathInfNeg
-	for i := 0; i < k; i++ {
-		for j := 0; j < l; j++ {
-			s := model.Similarity(src.At(i, j))
-			if d.Weighted {
-				s *= w1[i] * w2[j]
-			}
-			if s > best {
-				best = s
-			}
-		}
-	}
-	if best == mathInfNeg {
-		return 0
-	}
-	return best
-}
-
-// Interface conformance: every derivation of this package folds.
-var (
-	_ Folder = SimilarityBased{}
-	_ Folder = DecisionBased{}
-	_ Folder = ExpectedEta{}
-	_ Folder = MostProbableWorld{}
-	_ Folder = MaxSim{}
-)

@@ -9,31 +9,14 @@ import (
 )
 
 // Derivation is the function ϑ of Fig. 6 step 2, generalized over both
-// approaches: it sees the x-tuple pair, the comparison matrix, and the
-// per-alternative decision model.
+// approaches: it folds over the alternative pairs of an x-tuple pair,
+// reading each comparison vector from the pair source as it needs it,
+// under the per-alternative decision model.
 type Derivation interface {
 	// Name identifies the derivation in reports and benchmarks.
 	Name() string
 	// Sim derives sim(t1,t2) ∈ ℝ.
-	Sim(x1, x2 *pdb.XTuple, mat avm.Matrix, model decision.Model) float64
-}
-
-// altWeights returns the per-alternative probabilities, conditioned
-// (p(tⁱ)/p(t)) unless cond is false (ablation).
-func altWeights(x *pdb.XTuple, cond bool) []float64 {
-	w := make([]float64, len(x.Alts))
-	for i, a := range x.Alts {
-		w[i] = a.P
-	}
-	if cond {
-		pt := x.P()
-		if pt > pdb.Eps {
-			for i := range w {
-				w[i] /= pt
-			}
-		}
-	}
-	return w
+	Sim(src *PairSource, model decision.Model) float64
 }
 
 // SimilarityBased is the similarity-based derivation: the conditional
@@ -60,16 +43,8 @@ func (d SimilarityBased) Name() string {
 }
 
 // Sim implements Derivation.
-func (d SimilarityBased) Sim(x1, x2 *pdb.XTuple, mat avm.Matrix, model decision.Model) float64 {
-	w1 := altWeights(x1, d.Conditioned)
-	w2 := altWeights(x2, d.Conditioned)
-	total := 0.0
-	for i := 0; i < mat.K; i++ {
-		for j := 0; j < mat.L; j++ {
-			total += w1[i] * w2[j] * model.Similarity(mat.At(i, j))
-		}
-	}
-	return total
+func (d SimilarityBased) Sim(src *PairSource, model decision.Model) float64 {
+	return src.expect(d.Conditioned, model.Similarity)
 }
 
 // DecisionBased is the decision-based derivation of Eq. 7–9: classify every
@@ -94,8 +69,8 @@ func (d DecisionBased) Name() string {
 }
 
 // Sim implements Derivation.
-func (d DecisionBased) Sim(x1, x2 *pdb.XTuple, mat avm.Matrix, model decision.Model) float64 {
-	pm, pu := d.Probabilities(x1, x2, mat, model)
+func (d DecisionBased) Sim(src *PairSource, model decision.Model) float64 {
+	pm, pu := d.Probabilities(src, model)
 	return matchingWeight(pm, pu)
 }
 
@@ -111,13 +86,14 @@ func matchingWeight(pm, pu float64) float64 {
 	}
 }
 
-// Probabilities returns P(m) and P(u) (Eq. 8 and 9).
-func (d DecisionBased) Probabilities(x1, x2 *pdb.XTuple, mat avm.Matrix, model decision.Model) (pm, pu float64) {
-	w1 := altWeights(x1, d.Conditioned)
-	w2 := altWeights(x2, d.Conditioned)
-	for i := 0; i < mat.K; i++ {
-		for j := 0; j < mat.L; j++ {
-			switch decision.Decide(model, mat.At(i, j)) {
+// Probabilities returns P(m) and P(u) (Eq. 8 and 9), accumulated pair by
+// pair.
+func (d DecisionBased) Probabilities(src *PairSource, model decision.Model) (pm, pu float64) {
+	w1, w2 := src.Weights(d.Conditioned)
+	k, l := src.Dims()
+	for i := 0; i < k; i++ {
+		for j := 0; j < l; j++ {
+			switch decision.Decide(model, src.At(i, j)) {
 			case decision.M:
 				pm += w1[i] * w2[j]
 			case decision.U:
@@ -144,33 +120,24 @@ func (d ExpectedEta) Name() string {
 }
 
 // Sim implements Derivation.
-func (d ExpectedEta) Sim(x1, x2 *pdb.XTuple, mat avm.Matrix, model decision.Model) float64 {
-	w1 := altWeights(x1, d.Conditioned)
-	w2 := altWeights(x2, d.Conditioned)
-	total := 0.0
-	for i := 0; i < mat.K; i++ {
-		for j := 0; j < mat.L; j++ {
-			total += w1[i] * w2[j] * decision.Decide(model, mat.At(i, j)).Score()
-		}
-	}
-	return total
+func (d ExpectedEta) Sim(src *PairSource, model decision.Model) float64 {
+	return src.expect(d.Conditioned, func(c avm.Vector) float64 {
+		return decision.Decide(model, c).Score()
+	})
 }
 
 // Comparer runs the complete adapted decision model of Fig. 6 on x-tuple
 // pairs: attribute value matching, per-alternative combination/
-// classification, derivation ϑ, and final classification.
-//
-// When the derivation implements Folder (every derivation of this
-// package does), Compare streams the alternative-pair similarities
-// through the fold kernel and reuses the comparer's scratch buffers, so
-// no comparison matrix is materialized and the steady state allocates
-// nothing. Other derivations fall back to CompareXTuples.
+// classification, derivation ϑ, and final classification. The
+// derivation folds over the comparer's reusable PairSource, so no
+// comparison matrix is materialized and the steady state allocates
+// nothing.
 //
 // A Comparer is not safe for concurrent use (the scratch is shared
 // across its Compare calls); give each goroutine its own Comparer. The
 // matchers of several comparers may share one avm.Cache.
 type Comparer struct {
-	// Matcher builds comparison matrices.
+	// Matcher computes the alternative-pair comparison vectors.
 	Matcher *avm.Matcher
 	// AltModel is the decision model applied to alternative tuple pairs
 	// (φ in step 1, and for decision-based derivations the per-pair
@@ -181,7 +148,7 @@ type Comparer struct {
 	// Final are the thresholds of step 3 classifying sim(t1,t2).
 	Final decision.Thresholds
 
-	// src is the reusable lazy-matrix scratch of the fold path.
+	// src is the reusable pair source the derivation folds over.
 	src PairSource
 }
 
@@ -195,17 +162,9 @@ type Result struct {
 	Class decision.Class
 }
 
-// Compare executes the full pipeline of Fig. 6 on one x-tuple pair,
-// through the fold kernel when the derivation supports it (see the
-// Comparer doc).
+// Compare executes the full pipeline of Fig. 6 on one x-tuple pair.
 func (c *Comparer) Compare(x1, x2 *pdb.XTuple) Result {
-	var sim float64
-	if f, ok := c.Derive.(Folder); ok {
-		c.src.Reset(c.Matcher, x1, x2)
-		sim = f.SimFold(&c.src, c.AltModel)
-	} else {
-		mat := c.Matcher.CompareXTuples(x1, x2)
-		sim = c.Derive.Sim(x1, x2, mat, c.AltModel)
-	}
+	c.src.Reset(c.Matcher, x1, x2)
+	sim := c.Derive.Sim(&c.src, c.AltModel)
 	return Result{ID1: x1.ID, ID2: x2.ID, Sim: sim, Class: c.Final.Classify(sim)}
 }

@@ -29,15 +29,20 @@ func t32t42() (*pdb.XTuple, *pdb.XTuple) {
 	return paperdata.R3().TupleByID("t32"), paperdata.R4().TupleByID("t42")
 }
 
+// derive runs d on one x-tuple pair through a fresh PairSource.
+func derive(d Derivation, m *avm.Matcher, model decision.Model, x1, x2 *pdb.XTuple) float64 {
+	return d.Sim(NewPairSource(m, x1, x2), model)
+}
+
 func TestAlternativePairSimilarities(t *testing.T) {
 	// The paper's step-1 values: sim(t¹32,t42)=11/15, sim(t²32,t42)=7/15,
 	// sim(t³32,t42)=4/15.
 	m, model := paperSetup()
 	x1, x2 := t32t42()
-	mat := m.CompareXTuples(x1, x2)
+	src := NewPairSource(m, x1, x2)
 	want := []float64{11.0 / 15, 7.0 / 15, 4.0 / 15}
 	for i, w := range want {
-		got := model.Similarity(mat.At(i, 0))
+		got := model.Similarity(src.At(i, 0))
 		if !almost(got, w) {
 			t.Errorf("sim(t%d32,t42) = %v, want %v", i+1, got, w)
 		}
@@ -48,9 +53,7 @@ func TestE03SimilarityBasedDerivation(t *testing.T) {
 	// Eq. 6 example: sim(t32,t42) = 7/15.
 	m, model := paperSetup()
 	x1, x2 := t32t42()
-	mat := m.CompareXTuples(x1, x2)
-	d := SimilarityBased{Conditioned: true}
-	if got := d.Sim(x1, x2, mat, model); !almost(got, 7.0/15) {
+	if got := derive(SimilarityBased{Conditioned: true}, m, model, x1, x2); !almost(got, 7.0/15) {
 		t.Fatalf("sim(t32,t42) = %v, want 7/15", got)
 	}
 }
@@ -59,16 +62,15 @@ func TestE04DecisionBasedDerivation(t *testing.T) {
 	// Eq. 7–9 example with Tλ=0.4, Tμ=0.7: P(m)=3/9, P(u)=4/9, sim=0.75.
 	m, model := paperSetup()
 	x1, x2 := t32t42()
-	mat := m.CompareXTuples(x1, x2)
 	d := DecisionBased{Conditioned: true}
-	pm, pu := d.Probabilities(x1, x2, mat, model)
+	pm, pu := d.Probabilities(NewPairSource(m, x1, x2), model)
 	if !almost(pm, 3.0/9) {
 		t.Errorf("P(m) = %v, want 3/9", pm)
 	}
 	if !almost(pu, 4.0/9) {
 		t.Errorf("P(u) = %v, want 4/9", pu)
 	}
-	if got := d.Sim(x1, x2, mat, model); !almost(got, 0.75) {
+	if got := derive(d, m, model, x1, x2); !almost(got, 0.75) {
 		t.Fatalf("sim(t32,t42) = %v, want 0.75", got)
 	}
 }
@@ -77,9 +79,7 @@ func TestExpectedEtaDerivation(t *testing.T) {
 	// η values of the three worlds: m(2)·3/9 + p(1)·2/9 + u(0)·4/9 = 8/9.
 	m, model := paperSetup()
 	x1, x2 := t32t42()
-	mat := m.CompareXTuples(x1, x2)
-	d := ExpectedEta{Conditioned: true}
-	if got := d.Sim(x1, x2, mat, model); !almost(got, 8.0/9) {
+	if got := derive(ExpectedEta{Conditioned: true}, m, model, x1, x2); !almost(got, 8.0/9) {
 		t.Fatalf("E(η) = %v, want 8/9", got)
 	}
 }
@@ -89,9 +89,8 @@ func TestConditioningMatters(t *testing.T) {
 	// 0.9·0.8 = 0.72, leaking membership into the similarity.
 	m, model := paperSetup()
 	x1, x2 := t32t42()
-	mat := m.CompareXTuples(x1, x2)
-	cond := SimilarityBased{Conditioned: true}.Sim(x1, x2, mat, model)
-	uncond := SimilarityBased{Conditioned: false}.Sim(x1, x2, mat, model)
+	cond := derive(SimilarityBased{Conditioned: true}, m, model, x1, x2)
+	uncond := derive(SimilarityBased{Conditioned: false}, m, model, x1, x2)
 	if !almost(uncond, cond*0.9*0.8) {
 		t.Fatalf("unconditioned %v, conditioned %v: expected factor p(t32)·p(t42)", uncond, cond)
 	}
@@ -99,24 +98,28 @@ func TestConditioningMatters(t *testing.T) {
 
 func TestMembershipInvariance(t *testing.T) {
 	// Scaling all alternative probabilities of an x-tuple by a constant
-	// (changing p(t) only) must not change any conditioned derivation.
+	// (changing p(t) only) must not change any conditioned derivation —
+	// also when p(t) falls to 1e-12, far below pdb.Eps.
 	m, model := paperSetup()
 	x1, x2 := t32t42()
-	scaled := x1.Clone()
-	for i := range scaled.Alts {
-		scaled.Alts[i].P *= 0.5
-	}
-	mat1 := m.CompareXTuples(x1, x2)
-	mat2 := m.CompareXTuples(scaled, x2)
-	for _, d := range []Derivation{
-		SimilarityBased{Conditioned: true},
-		DecisionBased{Conditioned: true},
-		ExpectedEta{Conditioned: true},
-	} {
-		a := d.Sim(x1, x2, mat1, model)
-		b := d.Sim(scaled, x2, mat2, model)
-		if !almost(a, b) {
-			t.Errorf("%s: membership leaked (%v vs %v)", d.Name(), a, b)
+	for _, scale := range []float64{0.5, 1e-12 / x1.P()} {
+		scaled := x1.Clone()
+		for i := range scaled.Alts {
+			scaled.Alts[i].P *= scale
+		}
+		for _, d := range []Derivation{
+			SimilarityBased{Conditioned: true},
+			DecisionBased{Conditioned: true},
+			ExpectedEta{Conditioned: true},
+			MostProbableWorld{Conditioned: true},
+			MaxSim{Conditioned: true},
+			MaxSim{Conditioned: true, Weighted: true},
+		} {
+			a := derive(d, m, model, x1, x2)
+			b := derive(d, m, model, scaled, x2)
+			if !almost(a, b) {
+				t.Errorf("%s at p(t)=%g: membership leaked (%v vs %v)", d.Name(), scaled.P(), a, b)
+			}
 		}
 	}
 }
@@ -127,20 +130,17 @@ func TestDecisionBasedEdgeCases(t *testing.T) {
 	// Identical certain x-tuples: every pair matches → P(u)=0 → +Inf.
 	a := pdb.NewXTuple("a", pdb.NewAlt(1, "Tim", "mechanic"))
 	b := pdb.NewXTuple("b", pdb.NewAlt(1, "Tim", "mechanic"))
-	mat := m.CompareXTuples(a, b)
-	if got := d.Sim(a, b, mat, model); !math.IsInf(got, 1) {
+	if got := derive(d, m, model, a, b); !math.IsInf(got, 1) {
 		t.Errorf("all-match must be +Inf, got %v", got)
 	}
 	// Completely dissimilar: P(m)=0 → 0/positive = 0.
 	c := pdb.NewXTuple("c", pdb.NewAlt(1, "zzzz", "qqqq"))
-	mat = m.CompareXTuples(a, c)
-	if got := d.Sim(a, c, mat, model); !almost(got, 0) {
+	if got := derive(d, m, model, a, c); !almost(got, 0) {
 		t.Errorf("all-unmatch = %v, want 0", got)
 	}
 	// Only possible matches: P(m)=P(u)=0 → 0.
 	pOnly := decision.SimpleModel{Phi: decision.Average, T: decision.Thresholds{Lambda: 0, Mu: 1.5}}
-	mat = m.CompareXTuples(a, b)
-	if got := (DecisionBased{Conditioned: true}).Sim(a, b, mat, pOnly); !almost(got, 0) {
+	if got := derive(d, m, pOnly, a, b); !almost(got, 0) {
 		t.Errorf("all-possible = %v, want 0", got)
 	}
 }
@@ -176,8 +176,7 @@ func TestSimilarityBasedNormalizedRange(t *testing.T) {
 	d := SimilarityBased{Conditioned: true}
 	for i := 0; i < len(all); i++ {
 		for j := i + 1; j < len(all); j++ {
-			mat := m.CompareXTuples(all[i], all[j])
-			s := d.Sim(all[i], all[j], mat, model)
+			s := derive(d, m, model, all[i], all[j])
 			if s < -1e-9 || s > 1+1e-9 {
 				t.Errorf("sim(%s,%s) = %v outside [0,1]", all[i].ID, all[j].ID, s)
 			}
@@ -210,10 +209,8 @@ func TestSymmetry(t *testing.T) {
 	} {
 		for i := 0; i < len(all); i++ {
 			for j := i + 1; j < len(all); j++ {
-				m12 := m.CompareXTuples(all[i], all[j])
-				m21 := m.CompareXTuples(all[j], all[i])
-				a := d.Sim(all[i], all[j], m12, model)
-				b := d.Sim(all[j], all[i], m21, model)
+				a := derive(d, m, model, all[i], all[j])
+				b := derive(d, m, model, all[j], all[i])
 				if !(almost(a, b) || (math.IsInf(a, 1) && math.IsInf(b, 1))) {
 					t.Errorf("%s: sim(%s,%s)=%v but sim(%s,%s)=%v",
 						d.Name(), all[i].ID, all[j].ID, a, all[j].ID, all[i].ID, b)
