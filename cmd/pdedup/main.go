@@ -154,6 +154,10 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pdedup: -k must be >= 0 (0 selects the residents/8 heuristic)")
 		return 2
 	}
+	if df.Worlds < 1 {
+		fmt.Fprintln(stderr, "pdedup: -worlds must be >= 1")
+		return 2
+	}
 	// -qgram shapes the pre-filter's precomputed gram statistics only;
 	// passing it without -prefilter would be silently ignored, so reject.
 	qgramSet := false

@@ -195,6 +195,31 @@ func TestRunErrors(t *testing.T) {
 	}
 }
 
+// TestRunRejectsBadShapeValues: -worlds below 1 compares nothing under
+// snm-multipass and per-alternative thresholds that are NaN or inverted
+// reclassify every pair, so both exit 2 (usage) or 1 (configuration)
+// instead of printing a silently wrong run.
+func TestRunRejectsBadShapeValues(t *testing.T) {
+	r3, r4, _, _ := writeFixtures(t)
+	cases := []struct {
+		name string
+		args []string
+		code int
+	}{
+		{"zero worlds", []string{"-key", "name:3", "-reduce", "snm-multipass", "-worlds", "0", r3, r4}, 2},
+		{"negative worlds", []string{"-key", "name:3", "-reduce", "snm-multipass", "-worlds", "-1", r3, r4}, 2},
+		{"inverted alt thresholds", []string{"-derive", "decision", "-alt-lambda", "0.9", "-alt-mu", "0.1", r3, r4}, 1},
+		{"NaN alt threshold", []string{"-derive", "decision", "-alt-lambda", "NaN", r3, r4}, 1},
+		{"inverted alt thresholds online", []string{"-follow", "-alt-lambda", "0.9", "-alt-mu", "0.1", r3}, 1},
+	}
+	for _, c := range cases {
+		var out, errOut bytes.Buffer
+		if code := run(c.args, strings.NewReader(""), &out, &errOut); code != c.code {
+			t.Errorf("%s: exit %d, want %d (stdout %q, stderr %q)", c.name, code, c.code, out.String(), errOut.String())
+		}
+	}
+}
+
 func TestDecodeAnySniffing(t *testing.T) {
 	var text bytes.Buffer
 	if err := probdedup.EncodeRelation(&text, paperdata.R1()); err != nil {

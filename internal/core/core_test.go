@@ -159,6 +159,52 @@ func TestDetectErrors(t *testing.T) {
 	}
 }
 
+// TestAltModelThresholdsValidated: every built-in per-alternative model
+// with NaN or inverted thresholds is refused by each engine entry point,
+// as an invalid Final is; without the check an inverted pair silently
+// turns most pairs into matches.
+func TestAltModelThresholdsValidated(t *testing.T) {
+	nan := math.NaN()
+	models := map[string]func(decision.Thresholds) decision.Model{
+		"simple": func(th decision.Thresholds) decision.Model {
+			return decision.SimpleModel{Phi: decision.WeightedSum(0.5, 0.5), T: th}
+		},
+		"weighted-sum": func(th decision.Thresholds) decision.Model {
+			return decision.WeightedSumModel{Weights: []float64{0.5, 0.5}, T: th}
+		},
+		"rules": func(th decision.Thresholds) decision.Model {
+			return decision.RuleModel{T: th}
+		},
+		"fellegi-sunter": func(th decision.Thresholds) decision.Model {
+			return &decision.FellegiSunter{M: []float64{0.9, 0.9}, U: []float64{0.1, 0.1}, T: th}
+		},
+	}
+	for name, model := range models {
+		for _, tc := range []struct {
+			th decision.Thresholds
+			ok bool
+		}{
+			{decision.Thresholds{Lambda: 0.4, Mu: 0.7}, true},
+			{decision.Thresholds{Lambda: 0.5, Mu: 0.5}, true},
+			{decision.Thresholds{Lambda: 0.9, Mu: 0.1}, false},
+			{decision.Thresholds{Lambda: nan, Mu: 0.7}, false},
+			{decision.Thresholds{Lambda: 0.4, Mu: nan}, false},
+		} {
+			opts := paperOptions()
+			opts.AltModel = model(tc.th)
+			xr := paperdata.R34()
+			_, detErr := Detect(xr, opts)
+			_, streamErr := DetectStream(xr, opts, func(Match) bool { return true })
+			_, onlineErr := NewDetector(xr.Schema, opts, nil)
+			for entry, err := range map[string]error{"Detect": detErr, "DetectStream": streamErr, "NewDetector": onlineErr} {
+				if (err == nil) != tc.ok {
+					t.Errorf("%s %s thresholds %+v: err = %v, want ok=%v", name, entry, tc.th, err, tc.ok)
+				}
+			}
+		}
+	}
+}
+
 func TestVerifyAndReduction(t *testing.T) {
 	d := dataset.Generate(dataset.DefaultConfig(60, 5))
 	opts := Options{

@@ -86,6 +86,20 @@ func splitAlternative(x *pdb.XTuple) *pdb.XTuple {
 	return x
 }
 
+// reverseAlternatives reverses the order of x's alternatives, which
+// leaves every possible world and its probability as it was, unless
+// that moves the tuple's conflict-resolved blocking key (see
+// splitAlternative): fusion.MostProbable breaks probability ties by
+// position.
+func reverseAlternatives(x *pdb.XTuple) *pdb.XTuple {
+	rev := pdb.NewXTuple(x.ID, slices.Clone(x.Alts)...)
+	slices.Reverse(rev.Alts)
+	if slices.EqualFunc(fusion.MostProbable{}.ResolveX(rev), fusion.MostProbable{}.ResolveX(x), pdb.Value.Equal) {
+		return rev
+	}
+	return x
+}
+
 // sameClasses fails unless got holds exactly want's pairs with equal
 // classes and similarities within 1e-12 (relative beyond 1; ±Inf only
 // equal to itself).
@@ -121,11 +135,10 @@ func detectorFlush(t *testing.T, xr *pdb.XRelation, opts Options) *Result {
 }
 
 // checkMetamorphic runs Detect and a pre-filtering Detector on xr and on
-// its image under f, for every case, and requires every pair's class to
-// stay and its similarity to move by at most 1e-12.
-func checkMetamorphic(t *testing.T, xr *pdb.XRelation, f func(*pdb.XTuple) *pdb.XTuple, cases []metamorphicCase) {
+// its image, for every case, and requires every pair's class to stay
+// and its similarity to move by at most 1e-12.
+func checkMetamorphic(t *testing.T, xr, image *pdb.XRelation, cases []metamorphicCase) {
 	t.Helper()
-	image := transform(xr, f)
 	for _, c := range cases {
 		opts := metamorphicOpts(t, xr.Schema, c, false)
 		want, err := Detect(xr, opts)
@@ -164,7 +177,7 @@ func TestMetamorphicAlternativeSplit(t *testing.T) {
 	if split < len(xr.Tuples)/2 {
 		t.Fatalf("only %d of %d tuples split", split, len(xr.Tuples))
 	}
-	checkMetamorphic(t, xr, splitAlternative, []metamorphicCase{
+	checkMetamorphic(t, xr, transform(xr, splitAlternative), []metamorphicCase{
 		{xmatch.SimilarityBased{Conditioned: true}, similarityScale},
 		{xmatch.DecisionBased{Conditioned: true}, weightScale},
 		{xmatch.ExpectedEta{Conditioned: true}, etaScale},
@@ -186,6 +199,38 @@ func TestMetamorphicMembershipScale(t *testing.T) {
 		{xmatch.MaxSim{Conditioned: true, Weighted: true}, similarityScale},
 	}
 	for _, s := range []float64{0.5, 1e-12} {
-		checkMetamorphic(t, xr, scaleMembership(s), cases)
+		checkMetamorphic(t, xr, transform(xr, scaleMembership(s)), cases)
 	}
+}
+
+// TestMetamorphicPermutation: the order of a tuple's alternatives and
+// the order of the relation's tuples are no part of the data (Sec.
+// IV-B aggregates over worlds and pairs), so permuting either may change
+// only the order of work, never a class or a similarity.
+func TestMetamorphicPermutation(t *testing.T) {
+	xr := metamorphicRelation()
+	cases := []metamorphicCase{
+		{xmatch.SimilarityBased{Conditioned: true}, similarityScale},
+		{xmatch.DecisionBased{Conditioned: true}, weightScale},
+		{xmatch.ExpectedEta{Conditioned: true}, etaScale},
+		{xmatch.MostProbableWorld{Conditioned: true}, similarityScale},
+		{xmatch.MaxSim{Conditioned: true}, similarityScale},
+		{xmatch.MaxSim{Conditioned: true, Weighted: true}, similarityScale},
+	}
+	moved := 0
+	for _, x := range xr.Tuples {
+		if len(x.Alts) > 1 && reverseAlternatives(x) != x {
+			moved++
+		}
+	}
+	if moved < len(xr.Tuples)/4 {
+		t.Fatalf("only %d of %d tuples had their alternatives reversed", moved, len(xr.Tuples))
+	}
+	checkMetamorphic(t, xr, transform(xr, reverseAlternatives), cases)
+
+	backwards := pdb.NewXRelation(xr.Name, xr.Schema...)
+	for _, x := range slices.Backward(xr.Tuples) {
+		backwards.Append(x.Clone())
+	}
+	checkMetamorphic(t, xr, backwards, cases)
 }

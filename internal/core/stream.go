@@ -146,6 +146,9 @@ func newEngine(xr *pdb.XRelation, opts Options) (*engine, error) {
 	if err := decision.ValidateArity(altModel, len(xr.Schema)); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	if err := altThresholds(altModel).Validate(); err != nil {
+		return nil, fmt.Errorf("core: alternative model: %w", err)
+	}
 	derive := opts.Derivation
 	if derive == nil {
 		derive = xmatch.SimilarityBased{Conditioned: true}
@@ -218,6 +221,24 @@ func newEngine(xr *pdb.XRelation, opts Options) (*engine, error) {
 			}
 		},
 	}, nil
+}
+
+// altThresholds returns the thresholds of a built-in per-alternative
+// model, so NaN or inverted ones are refused like an invalid Final
+// instead of silently reclassifying every pair. Other models classify
+// by their own rules and report the zero (valid) Thresholds.
+func altThresholds(m decision.Model) decision.Thresholds {
+	switch m := m.(type) {
+	case decision.SimpleModel:
+		return m.T
+	case decision.WeightedSumModel:
+		return m.T
+	case decision.RuleModel:
+		return m.T
+	case *decision.FellegiSunter:
+		return m.T
+	}
+	return decision.Thresholds{}
 }
 
 // compareJob is one verification the pool runs: the pair (in m) and

@@ -2,14 +2,15 @@ package resolve
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 
 	"probdedup/internal/core"
 	"probdedup/internal/decision"
 	"probdedup/internal/lineage"
 	"probdedup/internal/pdb"
-	"probdedup/internal/verify"
 )
 
 // EntityDeltaKind classifies one change to the live entity set.
@@ -82,13 +83,6 @@ type IntegratorStats struct {
 	Stopped bool
 }
 
-// component is one live connected component of the declared-match
-// graph: its members (sorted by tuple ID) and their fused entity.
-type component struct {
-	members []string
-	entity  Entity
-}
-
 // Integrator is the long-lived online integration engine — the
 // incremental form of Resolve, one layer above the Detector. Tuples
 // arrive (Add/AddBatch) and leave (Remove); a composed core.Detector
@@ -98,7 +92,9 @@ type component struct {
 // the connected components an operation touches are re-grouped and
 // re-fused, never the whole relation), and possible matches (P) are
 // kept as uncertain duplicates whose lineage and confidences are
-// re-derived per touched entity.
+// re-derived per touched entity. A live component is its fused Entity,
+// tracked by pointer; the emitted events fold, in order, to Flush's
+// entities.
 //
 // The exactness contract extends the Detector's one layer up: after
 // any sequence of Add, AddBatch and Remove calls, Flush returns
@@ -118,12 +114,14 @@ type Integrator struct {
 	det *core.Detector
 	cal Calibration
 
-	// compOf locates every resident tuple's live component. It is the
-	// integrator's only per-tuple state: the resident tuples, the match
-	// (M) and possible-match (P) partners and the pair decisions are
-	// the detector's, read through core.Detector.Resident, core.Partners
-	// and core.Detector.Flush instead of mirrored.
-	compOf map[string]*component
+	// compOf locates every resident tuple's live component, which is
+	// its fused Entity, shared by pointer among the members; the pointer
+	// is the component's identity. It is the integrator's only
+	// per-tuple state: the resident tuples, the match (M) and
+	// possible-match (P) partners and the pair decisions are the
+	// detector's, read through core.Detector.Resident, core.Partners and
+	// core.Detector.Flush instead of mirrored.
+	compOf map[string]*Entity
 	ncomps int
 	events int
 
@@ -161,7 +159,7 @@ func NewIntegrator(schema []string, opts core.Options, emit func(EntityDelta) bo
 func newIntegrator(opts core.Options, emit func(EntityDelta) bool, build func(collect func(core.MatchDelta) bool) (*core.Detector, error)) (*Integrator, error) {
 	ig := &Integrator{
 		cal:    LinearCalibration(opts.Final, 0.1, 0.9),
-		compOf: map[string]*component{},
+		compOf: map[string]*Entity{},
 		emits:  core.NewEmitQueue(emit),
 	}
 	det, err := build(func(md core.MatchDelta) bool {
@@ -266,97 +264,131 @@ func snapshotEntity(e Entity) Entity {
 }
 
 // applyOp folds one operation's match deltas into the live entity
-// state: the components an M-edge change, arrival or removal touches
-// are rebuilt locally (re-grouped over the detector's match partners,
-// which already reflect the operation, and re-fused per component), and
-// typed entity deltas are enqueued in a deterministic order —
-// retirements first, then membership changes, then refusals, each
-// sorted by entity ID. removed names a tuple the detector already
-// dropped; added lists tuple IDs that became resident in this
-// operation.
+// state in one pass over the touched components, which it tracks by
+// identity (pointer), never by entity ID. removed names a tuple the
+// detector already dropped; added lists tuple IDs that became resident
+// in this operation.
+//
+// A component is dirty when an M delta or the removal touches it, and
+// refused when a P delta links it to another live component. The
+// touched universe — the arrivals plus the dirty components' surviving
+// members — is re-grouped over the detector's match partners, which
+// already reflect the operation; match edges never cross from a dirty
+// component to a clean one, so the walk stays inside the universe.
+// Groups are disjoint, so compOf of a group's members still names
+// their old components while the group is classified: one source of
+// the group's size is kept as is, anything else is installed as a new
+// entity (created, merged or split). A dirty component left without a
+// survivor is retired. Every component P-adjacent to a new entity holds
+// a renamed dup symbol and is refused, unless it is new or replaced.
+//
+// Events are enqueued in a deterministic order: the retirement, then
+// membership changes, then refusals, each sorted by entity ID.
 func (ig *Integrator) applyOp(deltas []core.MatchDelta, added []string, removed string) error {
-	// Phase 1: mark what the deltas touch. dirty collects components
-	// whose membership may change; refused collects components whose
-	// uncertain-duplicate context changed without a membership change.
-	dirty := map[*component]bool{}
-	refused := map[*component]bool{}
-	mark := func(id string) {
-		if c := ig.compOf[id]; c != nil {
-			dirty[c] = true
-		}
-	}
-	markRefused := func(p verify.Pair) {
-		ca, cb := ig.compOf[p.A], ig.compOf[p.B]
-		// Intra-component possible matches carry no uncertainty in the
-		// result (Resolve ignores them), and endpoints without a
-		// component yet are fresh arrivals the rebuild phase covers.
-		if ca != nil && cb != nil && ca != cb {
-			refused[ca] = true
-			refused[cb] = true
-		}
-	}
+	dirty := map[*Entity]bool{}
+	refused := map[*Entity]bool{}
 	for _, md := range deltas {
-		switch md.Class {
-		case decision.M:
-			mark(md.Pair.A)
-			mark(md.Pair.B)
-		case decision.P:
-			markRefused(md.Pair)
+		a, b := ig.compOf[md.Pair.A], ig.compOf[md.Pair.B]
+		switch {
+		case md.Class == decision.M:
+			for _, e := range [2]*Entity{a, b} {
+				if e != nil {
+					dirty[e] = true
+				}
+			}
+		case md.Class == decision.P && a != nil && b != nil && a != b:
+			// An endpoint without a component is a fresh arrival the
+			// regrouping covers; an intra-component possible match
+			// carries no uncertainty in the result.
+			refused[a], refused[b] = true, true
 		}
 	}
-	if removed != "" {
-		mark(removed)
+	if e := ig.compOf[removed]; e != nil {
+		dirty[e] = true
 	}
 
-	// Phase 2: component-local rebuild. The affected universe is the
-	// union of the dirty components' members (minus the removed
-	// tuple) plus the fresh arrivals; match edges never cross from a
-	// touched component to an untouched one without both being dirty,
-	// so re-grouping within this universe is exact.
-	affected := map[string]bool{}
-	oldComps := make([]*component, 0, len(dirty))
-	for c := range dirty {
-		oldComps = append(oldComps, c)
-		for _, m := range c.members {
+	touched := append([]string(nil), added...)
+	for e := range dirty {
+		for _, m := range e.Members {
 			if m != removed {
-				affected[m] = true
+				touched = append(touched, m)
 			}
 		}
 	}
-	for _, id := range added {
-		affected[id] = true
-	}
-
-	// Snapshot the old assignment for event classification. oldFull is
-	// the old component's complete member count (removed tuple
-	// included) — the reference for the unchanged-membership check —
-	// while oldLive counts survivors, detecting retirement.
-	oldEntityOf := map[string]string{} // surviving member → old entity ID
-	oldFull := map[string]int{}        // old entity ID → full member count
-	oldLive := map[string]int{}        // old entity ID → surviving member count
-	oldEntity := map[string]Entity{}   // old entity ID → entity snapshot
-	oldCompByID := map[string]*component{}
-	for _, c := range oldComps {
-		oldEntity[c.entity.ID] = c.entity
-		oldCompByID[c.entity.ID] = c
-		oldFull[c.entity.ID] = len(c.members)
-		n := 0
-		for _, m := range c.members {
-			if m == removed {
-				continue
+	var changes []EntityDelta
+	var built []*Entity
+	for _, members := range ig.regroup(touched) {
+		var srcs []*Entity
+		old := 0
+		for _, m := range members {
+			if e := ig.compOf[m]; e != nil {
+				old++
+				if !slices.Contains(srcs, e) {
+					srcs = append(srcs, e)
+				}
 			}
-			oldEntityOf[m] = c.entity.ID
-			n++
 		}
-		oldLive[c.entity.ID] = n
+		if len(srcs) == 1 && old == len(members) && len(srcs[0].Members) == len(members) {
+			delete(dirty, srcs[0]) // kept: an M edge inside it changed nothing
+			continue
+		}
+		e, err := ig.install(members)
+		if err != nil {
+			return fmt.Errorf("resolve: re-fusing component %v: %w", members, err)
+		}
+		built = append(built, e)
+		ev := EntityDelta{Kind: EntityCreated, Entity: snapshotEntity(*e)}
+		if old > 0 {
+			ev.Kind = EntitySplit
+			if len(srcs) >= 2 || old < len(members) {
+				ev.Kind = EntityMerged
+			}
+			for _, src := range srcs {
+				ev.From = append(ev.From, src.ID)
+			}
+			sort.Strings(ev.From)
+		}
+		changes = append(changes, ev)
+	}
+	// dirty now holds the replaced components and the retired one: the
+	// removed tuple's, when it was its only member.
+	ig.ncomps -= len(dirty)
+	var events []EntityDelta
+	if gone := ig.compOf[removed]; gone != nil && len(gone.Members) == 1 {
+		events = append(events, EntityDelta{Kind: EntityRetired, Entity: snapshotEntity(*gone)})
 	}
 
-	// Re-group the affected universe over the match partners,
-	// deterministically (seeds in sorted order, members sorted).
-	ids := make([]string, 0, len(affected))
-	for id := range affected {
-		ids = append(ids, id)
+	var partners []string
+	for _, e := range built {
+		for _, m := range e.Members {
+			partners = core.Partners(ig.det, partners[:0], m, decision.P)
+			for _, n := range partners {
+				if cn := ig.compOf[n]; cn != nil && cn != e {
+					refused[cn] = true
+				}
+			}
+		}
 	}
+	for _, e := range built {
+		delete(refused, e)
+	}
+	var refusals []EntityDelta
+	for e := range refused {
+		if !dirty[e] {
+			refusals = append(refusals, EntityDelta{Kind: EntityRefused, Entity: snapshotEntity(*e)})
+		}
+	}
+	byID := func(a, b EntityDelta) int { return strings.Compare(a.Entity.ID, b.Entity.ID) }
+	slices.SortFunc(changes, byID)
+	slices.SortFunc(refusals, byID)
+	ig.enqueueEvents(append(append(events, changes...), refusals...))
+	return nil
+}
+
+// regroup partitions the touched tuple IDs into connected components
+// over the detector's match partners, deterministically: seeds in
+// sorted order, each group's members sorted.
+func (ig *Integrator) regroup(ids []string) [][]string {
 	sort.Strings(ids)
 	assigned := map[string]bool{}
 	var groups [][]string
@@ -364,7 +396,7 @@ func (ig *Integrator) applyOp(deltas []core.MatchDelta, added []string, removed 
 		if assigned[id] {
 			continue
 		}
-		members := []string{}
+		var members []string
 		stack := []string{id}
 		for len(stack) > 0 {
 			cur := stack[len(stack)-1]
@@ -379,120 +411,22 @@ func (ig *Integrator) applyOp(deltas []core.MatchDelta, added []string, removed 
 		sort.Strings(members)
 		groups = append(groups, members)
 	}
+	return groups
+}
 
-	// Phase 3: rebuild and classify. Components whose membership is
-	// unchanged are reused (no re-fusion, no membership event); the
-	// rest are re-fused and reported as created/merged/split.
-	var events []EntityDelta
-	isNew := map[*component]bool{}
-	reused := map[*component]bool{}
-	built := 0
-	for _, members := range groups {
-		srcsSet := map[string]bool{}
-		fromOld := 0
-		for _, m := range members {
-			if eid, ok := oldEntityOf[m]; ok {
-				srcsSet[eid] = true
-				fromOld++
-			}
-		}
-		srcs := make([]string, 0, len(srcsSet))
-		for eid := range srcsSet {
-			srcs = append(srcs, eid)
-		}
-		sort.Strings(srcs)
-
-		if len(srcs) == 1 && fromOld == len(members) && oldFull[srcs[0]] == len(members) {
-			// Identical membership: the component survives as is (an
-			// added or dropped match edge inside it changed nothing).
-			reused[oldCompByID[srcs[0]]] = true
-			continue
-		}
-		e, err := buildEntity(members, ig.det.Resident)
-		if err != nil {
-			return fmt.Errorf("resolve: re-fusing component %v: %w", members, err)
-		}
-		c := &component{members: members, entity: e}
-		for _, m := range members {
-			ig.compOf[m] = c
-		}
-		isNew[c] = true
-		built++
-		kind := EntityCreated
-		var from []string
-		switch {
-		case fromOld == 0:
-			kind = EntityCreated
-		case len(srcs) >= 2 || fromOld < len(members):
-			kind = EntityMerged
-			from = srcs
-		default:
-			kind = EntitySplit
-			from = srcs
-		}
-		events = append(events, EntityDelta{Kind: kind, Entity: snapshotEntity(e), From: from})
+// install fuses one member group (sorted by ID) into a live entity and
+// points every member at it — the one step by which both applyOp and
+// RestoreIntegrator create components.
+func (ig *Integrator) install(members []string) (*Entity, error) {
+	e, err := buildEntity(members, ig.det.Resident)
+	if err != nil {
+		return nil, err
 	}
-
-	// Retired: a dirty component none of whose members survive — the
-	// removed tuple was its last member.
-	for eid, n := range oldLive {
-		if n == 0 {
-			events = append(events, EntityDelta{Kind: EntityRetired, Entity: snapshotEntity(oldEntity[eid])})
-		}
+	for _, m := range members {
+		ig.compOf[m] = &e
 	}
-	ig.ncomps += built + len(reused) - len(oldComps)
-
-	// Phase 4: refusal propagation. A rebuilt component's entity ID
-	// changed, so every uncertain-duplicate partner of its members
-	// holds a renamed dup symbol: unchanged components P-adjacent to a
-	// new component are re-derived. Dead components (replaced or
-	// retired) and new ones (already reported) are filtered out.
-	dead := map[*component]bool{}
-	for _, c := range oldComps {
-		if !reused[c] {
-			dead[c] = true
-		}
-	}
-	var partners []string
-	for c := range isNew {
-		for _, m := range c.members {
-			partners = core.Partners(ig.det, partners[:0], m, decision.P)
-			for _, n := range partners {
-				if cn := ig.compOf[n]; cn != nil && cn != c {
-					refused[cn] = true
-				}
-			}
-		}
-	}
-	var refusedEvents []EntityDelta
-	for c := range refused {
-		if dead[c] || isNew[c] {
-			continue
-		}
-		refusedEvents = append(refusedEvents, EntityDelta{Kind: EntityRefused, Entity: snapshotEntity(c.entity)})
-	}
-
-	// Phase 5: deterministic event order — retirements, then
-	// membership changes, then refusals, each sorted by entity ID.
-	rank := func(k EntityDeltaKind) int {
-		if k == EntityRetired {
-			return 0
-		}
-		return 1
-	}
-	sort.SliceStable(events, func(i, j int) bool {
-		ri, rj := rank(events[i].Kind), rank(events[j].Kind)
-		if ri != rj {
-			return ri < rj
-		}
-		return events[i].Entity.ID < events[j].Entity.ID
-	})
-	sort.Slice(refusedEvents, func(i, j int) bool {
-		return refusedEvents[i].Entity.ID < refusedEvents[j].Entity.ID
-	})
-	events = append(events, refusedEvents...)
-	ig.enqueueEvents(events)
-	return nil
+	ig.ncomps++
+	return &e, nil
 }
 
 // enqueueEvents buffers one operation's entity deltas for delivery
@@ -514,12 +448,12 @@ func (ig *Integrator) drainEvents() { ig.emits.Drain() }
 func (ig *Integrator) Flush() (*Resolution, error) {
 	ig.mu.Lock()
 	defer ig.mu.Unlock()
-	seen := map[*component]bool{}
+	seen := map[*Entity]bool{}
 	var entities []Entity // nil when empty, matching batch Resolve's zero value
-	for _, c := range ig.compOf {
-		if !seen[c] {
-			seen[c] = true
-			entities = append(entities, snapshotEntity(c.entity))
+	for _, e := range ig.compOf {
+		if !seen[e] {
+			seen[e] = true
+			entities = append(entities, snapshotEntity(*e))
 		}
 	}
 	sort.Slice(entities, func(i, j int) bool { return entities[i].Members[0] < entities[j].Members[0] })

@@ -2,8 +2,10 @@ package resolve
 
 import (
 	"fmt"
+	"maps"
 	"math/rand"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -249,6 +251,132 @@ func runRandomSchedule(t *testing.T, cfg scheduleConfig, seed int64) {
 		}
 		want := batchReference(t, residents, opts)
 		requireEqualResolution(t, fmt.Sprintf("%s seed %d op %d (%d residents)", cfg.name, seed, op, len(residents)), got, want)
+	}
+}
+
+// TestIntegratorEventStreamFoldsToFlush checks the entity-delta
+// stream's classification against the live state: folded into an
+// entity ID → members map, the events after every operation must give
+// exactly Flush's entities. A membership event's kind and From follow
+// from which entities held its members before the operation: none is
+// created, one without arrivals is a split (of a strict subset), any
+// other mix is a merge; From lists those entities, and the event
+// replaces them. Retired and refused name a live entity with its
+// current members.
+func TestIntegratorEventStreamFoldsToFlush(t *testing.T) {
+	for _, cfg := range scheduleConfigs() {
+		t.Run(cfg.name, func(t *testing.T) {
+			for seed := int64(0); seed < 11; seed++ {
+				foldSchedule(t, cfg, seed)
+			}
+		})
+	}
+}
+
+func foldSchedule(t *testing.T, cfg scheduleConfig, seed int64) {
+	t.Helper()
+	live := map[string][]string{}
+	var before map[string][]string // live at the start of the operation
+	ownerOf := map[string]string{} // member → its entity in before
+	var foldErr error
+	fail := func(ev EntityDelta, why string) {
+		if foldErr == nil {
+			foldErr = fmt.Errorf("%s %s from=%v: %s", ev.Kind, ev.Entity.ID, ev.From, why)
+		}
+	}
+	emit := func(ev EntityDelta) bool {
+		id, members := ev.Entity.ID, ev.Entity.Members
+		switch ev.Kind {
+		case EntityCreated, EntityMerged, EntitySplit:
+			srcs := map[string]bool{}
+			arrivals := 0
+			for _, m := range members {
+				if eid, ok := ownerOf[m]; ok {
+					srcs[eid] = true
+				} else {
+					arrivals++
+				}
+			}
+			from := slices.Sorted(maps.Keys(srcs))
+			want := EntityMerged
+			switch {
+			case len(from) == 0:
+				want = EntityCreated
+			case len(from) == 1 && arrivals == 0:
+				want = EntitySplit
+				if len(members) == len(before[from[0]]) {
+					fail(ev, "reports an unchanged membership")
+				}
+			}
+			if ev.Kind != want || !slices.Equal(ev.From, from) {
+				fail(ev, fmt.Sprintf("want %s from=%v", want, from))
+			}
+			for _, eid := range from {
+				delete(live, eid)
+			}
+			if _, ok := live[id]; ok {
+				fail(ev, "names a live entity")
+			}
+			live[id] = members
+		case EntityRetired, EntityRefused:
+			if !reflect.DeepEqual(live[id], members) {
+				fail(ev, fmt.Sprintf("live members %v, event members %v", live[id], members))
+			}
+			if ev.Kind == EntityRetired {
+				delete(live, id)
+			}
+		}
+		return true
+	}
+	rng := rand.New(rand.NewSource(seed))
+	ig, err := NewIntegrator([]string{"name", "job"}, integratorOpts(t, cfg.reduction(t), cfg.workers, cfg.std), emit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ids []string
+	next := 0
+	fresh := func() *pdb.XTuple {
+		id := fmt.Sprintf("t%03d", next)
+		next++
+		ids = append(ids, id)
+		return randomTuple(rng, id)
+	}
+	for op := 0; op < 34; op++ {
+		before = maps.Clone(live)
+		clear(ownerOf)
+		for eid, members := range before {
+			for _, m := range members {
+				ownerOf[m] = eid
+			}
+		}
+		switch k := rng.Intn(10); {
+		case k < 4 || len(ids) == 0:
+			mustDo(t, ig.Add(fresh()))
+		case k < 6:
+			batch := make([]*pdb.XTuple, 2+rng.Intn(5))
+			for i := range batch {
+				batch[i] = fresh()
+			}
+			mustDo(t, ig.AddBatch(batch))
+		default:
+			i := rng.Intn(len(ids))
+			mustDo(t, ig.Remove(ids[i]))
+			ids = append(ids[:i], ids[i+1:]...)
+		}
+		if foldErr != nil {
+			t.Fatalf("seed %d op %d: %v", seed, op, foldErr)
+		}
+		r, err := ig.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := map[string][]string{}
+		for _, e := range r.Entities {
+			want[e.ID] = e.Members
+		}
+		if !reflect.DeepEqual(live, want) {
+			t.Fatalf("seed %d op %d: folded events %v, Flush entities %v", seed, op, live, want)
+		}
 	}
 }
 

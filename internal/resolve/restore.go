@@ -32,15 +32,9 @@ func RestoreIntegrator(opts core.Options, emit func(EntityDelta) bool, st *core.
 		return nil, err
 	}
 	for _, members := range matchGroups(ig.det.ResidentIDs(), ig.det.Flush().Matches) {
-		e, err := buildEntity(members, ig.det.Resident)
-		if err != nil {
+		if _, err := ig.install(members); err != nil {
 			return nil, err
 		}
-		c := &component{members: members, entity: e}
-		for _, m := range members {
-			ig.compOf[m] = c
-		}
-		ig.ncomps++
 	}
 	return ig, nil
 }
