@@ -55,18 +55,14 @@ func BenchmarkDetectBlocking1000(b *testing.B) {
 }
 
 // BenchmarkDetectStreamBlocking1000 runs the same detection through
-// the streaming engine, retaining nothing. The custom metrics expose
-// the shared similarity cache: hit rate and final entry count (bounded
-// by Options.CacheCapacity regardless of the worker count).
+// the streaming engine, retaining nothing.
 func BenchmarkDetectStreamBlocking1000(b *testing.B) {
 	u, opts := blockingBenchSetup(b)
 	b.ReportAllocs()
 	b.ResetTimer()
-	var stats probdedup.StreamStats
 	for i := 0; i < b.N; i++ {
 		matches := 0
-		var err error
-		if stats, err = probdedup.DetectStream(u, opts, func(m probdedup.PairMatch) bool {
+		if _, err := probdedup.DetectStream(u, opts, func(m probdedup.PairMatch) bool {
 			if m.Class == probdedup.ClassM {
 				matches++
 			}
@@ -75,13 +71,10 @@ func BenchmarkDetectStreamBlocking1000(b *testing.B) {
 			b.Fatal(err)
 		}
 	}
-	b.ReportMetric(stats.Cache.HitRate(), "cache-hit-rate")
-	b.ReportMetric(float64(stats.Cache.Entries), "cache-entries")
 }
 
 // BenchmarkDetectStreamWorkers sweeps the worker count over the same
-// blocking run: throughput should scale while the shared cache keeps
-// total memo memory constant.
+// blocking run: throughput should scale with the cores available.
 func BenchmarkDetectStreamWorkers(b *testing.B) {
 	u, opts := blockingBenchSetup(b)
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -89,14 +82,11 @@ func BenchmarkDetectStreamWorkers(b *testing.B) {
 		opts.Workers = workers
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			b.ReportAllocs()
-			var stats probdedup.StreamStats
 			for i := 0; i < b.N; i++ {
-				var err error
-				if stats, err = probdedup.DetectStream(u, opts, func(probdedup.PairMatch) bool { return true }); err != nil {
+				if _, err := probdedup.DetectStream(u, opts, func(probdedup.PairMatch) bool { return true }); err != nil {
 					b.Fatal(err)
 				}
 			}
-			b.ReportMetric(float64(stats.Cache.Entries), "cache-entries")
 		})
 	}
 }
@@ -268,10 +258,9 @@ func detectorBenchCorpus(b *testing.B, n int) (resident, pool []*probdedup.XTupl
 // tuples/s scales with the cores actually available (GOMAXPROCS; on a
 // single-core machine the sweep documents that the fan-out costs
 // nothing) and classifications stay identical
-// (TestDetectorWorkersDoNotChangeDeltaStream). Memoization is disabled
-// so every pair pays its real comparison cost, as it would with
-// genuinely new user data; with the default shared cache enabled,
-// repeated values make ingestion faster but mask the scaling.
+// (TestDetectorWorkersDoNotChangeDeltaStream). Without the opt-in
+// similarity memo every pair pays its real comparison cost, as it
+// would with genuinely new user data.
 func BenchmarkDetectorAddBatch(b *testing.B) {
 	const batchSize = 256
 	for _, reduction := range []string{"blocking", "snm"} {
@@ -281,7 +270,6 @@ func BenchmarkDetectorAddBatch(b *testing.B) {
 					resident, pool, schema := detectorBenchCorpus(b, n)
 					opts := detectorBenchOpts(b, schema, reduction)
 					opts.Workers = workers
-					opts.CacheCapacity = -1
 					det, err := probdedup.NewDetector(schema, opts, nil)
 					if err != nil {
 						b.Fatal(err)
@@ -366,9 +354,9 @@ func skewedBenchCorpus(n, arrivals int, seed int64) (resident, pool []*probdedup
 
 // skewedBenchOpts is the scale-suite configuration: blocking on the
 // skewed key, Levenshtein everywhere, thresholds wide enough for the
-// q-gram count filter to prove non-duplicates out. The default shared
-// similarity cache stays on — the symbol-keyed fast path is part of
-// what the prefilter dimension measures.
+// q-gram count filter to prove non-duplicates out. No similarity memo
+// (the default): every verified pair pays its comparison, which is
+// what the prefilter dimension saves.
 func skewedBenchOpts(b *testing.B, schema []string, workers int, filtered bool) probdedup.Options {
 	b.Helper()
 	def, err := probdedup.ParseKeyDef("block:8", schema)

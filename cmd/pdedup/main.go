@@ -102,7 +102,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		integrate  = fs.Bool("integrate", false, "with -follow: fold match deltas into a live entity set and print NDJSON entity deltas (created/merged/split/refused/retired) instead of pair deltas")
 		schemaSpec = fs.String("schema", "", "comma-separated schema for -follow without a seed file, e.g. 'name,job'")
 		stateDir   = fs.String("state", "", "with -follow: durable state directory (snapshot + write-ahead log); recovers on reopen, seed files apply only when fresh")
-		showAll    = fs.Bool("v", false, "print every compared pair, not only matches (batch and -stream), plus filter/cache effectiveness counters")
+		showAll    = fs.Bool("v", false, "print every compared pair, not only matches (batch and -stream), plus pre-filter effectiveness counters")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -150,12 +150,8 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pdedup: -k and -seed apply to -reduce blocking-cluster only")
 		return 2
 	}
-	if df.K < 0 {
-		fmt.Fprintln(stderr, "pdedup: -k must be >= 0 (0 selects the residents/8 heuristic)")
-		return 2
-	}
-	if df.Worlds < 1 {
-		fmt.Fprintln(stderr, "pdedup: -worlds must be >= 1")
+	if err := df.Validate(); err != nil {
+		fmt.Fprintln(stderr, "pdedup:", err)
 		return 2
 	}
 	// -qgram shapes the pre-filter's precomputed gram statistics only;
@@ -168,10 +164,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	})
 	if qgramSet && !df.PreFilter {
 		fmt.Fprintln(stderr, "pdedup: -qgram applies with -prefilter only")
-		return 2
-	}
-	if df.QGram < 0 {
-		fmt.Fprintln(stderr, "pdedup: -qgram must be >= 0 (0 selects the default gram size 2)")
 		return 2
 	}
 
@@ -223,7 +215,7 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "compared %d of %d pairs\n", stats.Compared, stats.TotalPairs)
 		fmt.Fprintf(stdout, "matches=%d possible=%d\n", stats.Matches, stats.Possible)
 		if *showAll {
-			printEffectiveness(stdout, stats.Enumerated, stats.Filtered, stats.Compared, stats.FilterActive, stats.Cache)
+			printEffectiveness(stdout, stats.Enumerated, stats.Filtered, stats.Compared, stats.FilterActive)
 		}
 		return 0
 	}
@@ -243,23 +235,20 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 	}
 	fmt.Fprintf(stdout, "matches=%d possible=%d\n", len(res.Matches), len(res.Possible))
 	if *showAll {
-		printEffectiveness(stdout, stats.Enumerated, stats.Filtered, stats.Compared, stats.FilterActive, stats.Cache)
+		printEffectiveness(stdout, stats.Enumerated, stats.Filtered, stats.Compared, stats.FilterActive)
 	}
 	return 0
 }
 
 // printEffectiveness prints the -v footer: how much verification work
-// the pre-filter removed and how well the shared similarity cache
-// served the rest.
-func printEffectiveness(w io.Writer, enumerated, filtered, verified int, active bool, cache probdedup.SimCacheStats) {
+// the pre-filter removed.
+func printEffectiveness(w io.Writer, enumerated, filtered, verified int, active bool) {
 	state := "off"
 	if active {
 		state = "on"
 	}
 	fmt.Fprintf(w, "prefilter %s: enumerated=%d filtered=%d verified=%d\n",
 		state, enumerated, filtered, verified)
-	fmt.Fprintf(w, "cache: hits=%d misses=%d hit-rate=%.3f\n",
-		cache.Hits, cache.Misses, cache.HitRate())
 }
 
 // followBatchCap bounds one AddBatch unit of the -follow loop: big
@@ -399,7 +388,7 @@ func runFollow(seed *probdedup.XRelation, opts probdedup.Options, stateDir strin
 				st.Residents, st.Live, st.TotalPairs, st.Compared, st.Dropped)
 			fmt.Fprintf(stdout, "matches=%d possible=%d\n", st.Matches, st.Possible)
 			if showAll {
-				printEffectiveness(stdout, st.Enumerated, st.Filtered, st.Compared, st.FilterActive, st.Cache)
+				printEffectiveness(stdout, st.Enumerated, st.Filtered, st.Compared, st.FilterActive)
 			}
 			return finish()
 		}

@@ -196,9 +196,10 @@ func TestRunErrors(t *testing.T) {
 }
 
 // TestRunRejectsBadShapeValues: -worlds below 1 compares nothing under
-// snm-multipass and per-alternative thresholds that are NaN or inverted
-// reclassify every pair, so both exit 2 (usage) or 1 (configuration)
-// instead of printing a silently wrong run.
+// snm-multipass, a -window below 2 was silently run as 2, a negative
+// -workers as 1, and per-alternative thresholds that are NaN or
+// inverted reclassify every pair, so each exits 2 (usage) or 1
+// (configuration) instead of printing a silently wrong run.
 func TestRunRejectsBadShapeValues(t *testing.T) {
 	r3, r4, _, _ := writeFixtures(t)
 	cases := []struct {
@@ -208,6 +209,10 @@ func TestRunRejectsBadShapeValues(t *testing.T) {
 	}{
 		{"zero worlds", []string{"-key", "name:3", "-reduce", "snm-multipass", "-worlds", "0", r3, r4}, 2},
 		{"negative worlds", []string{"-key", "name:3", "-reduce", "snm-multipass", "-worlds", "-1", r3, r4}, 2},
+		{"zero window", []string{"-key", "name:3", "-reduce", "snm-certain", "-window", "0", r3, r4}, 2},
+		{"window of one", []string{"-key", "name:3", "-reduce", "snm-certain", "-window", "1", r3, r4}, 2},
+		{"negative window", []string{"-key", "name:3", "-reduce", "snm-certain", "-window", "-3", r3, r4}, 2},
+		{"negative workers", []string{"-workers", "-2", r3, r4}, 2},
 		{"inverted alt thresholds", []string{"-derive", "decision", "-alt-lambda", "0.9", "-alt-mu", "0.1", r3, r4}, 1},
 		{"NaN alt threshold", []string{"-derive", "decision", "-alt-lambda", "NaN", r3, r4}, 1},
 		{"inverted alt thresholds online", []string{"-follow", "-alt-lambda", "0.9", "-alt-mu", "0.1", r3}, 1},
@@ -482,11 +487,10 @@ func TestRunFollowIntegrateFlagValidation(t *testing.T) {
 }
 
 // TestRunBatchVerboseGolden pins the batch -v -prefilter transcript —
-// per-pair lines, summary, and the effectiveness footer (pre-filter and
-// cache counters) — byte for byte against
-// testdata/batch_verbose.golden. The run is sequential, so the
-// enumeration order, the filter decisions, and the cache counters are
-// all deterministic. Regenerate with PDEDUP_UPDATE_GOLDEN=1.
+// per-pair lines, summary, and the pre-filter effectiveness footer —
+// byte for byte against testdata/batch_verbose.golden. The run is
+// sequential, so the enumeration order and the filter decisions are
+// deterministic. Regenerate with PDEDUP_UPDATE_GOLDEN=1.
 func TestRunBatchVerboseGolden(t *testing.T) {
 	r3, r4, _, _ := writeFixtures(t)
 	var out, errOut bytes.Buffer
@@ -623,8 +627,8 @@ func TestRunStateFlagValidation(t *testing.T) {
 }
 
 // TestRunFollowVerbosePreFilter: the online path prints the filter
-// effectiveness and cache lines under -v, and the filter actually
-// rejects pairs on disjoint long values.
+// effectiveness line under -v and no memo line (no CLI turns the memo
+// on), and the filter actually rejects pairs on disjoint long values.
 func TestRunFollowVerbosePreFilter(t *testing.T) {
 	stdin := strings.NewReader(`
 {"id":"a","attrs":[[{"v":"aaaaaaaaaaaaaaaaaaaa"}],[{"v":"cccccccccccccccccccc"}]]}
@@ -641,8 +645,8 @@ func TestRunFollowVerbosePreFilter(t *testing.T) {
 	if !strings.Contains(s, "prefilter on: enumerated=") {
 		t.Fatalf("missing prefilter summary in:\n%s", s)
 	}
-	if !strings.Contains(s, "cache: hits=") {
-		t.Fatalf("missing cache summary in:\n%s", s)
+	if strings.Contains(s, "cache:") {
+		t.Fatalf("memo line printed without a memo in:\n%s", s)
 	}
 	if !strings.Contains(s, "+m    (a,c)") {
 		t.Fatalf("near-duplicate pair not declared in:\n%s", s)

@@ -113,6 +113,14 @@ func run(args []string, stdout, stderr io.Writer, ready chan<- string) int {
 		fmt.Fprintln(stderr, "pdedupd: -key is required (shard routing and blocking share the key)")
 		return 2
 	}
+	if *shards < 1 || *queue < 1 {
+		fmt.Fprintln(stderr, "pdedupd: -shards and -queue must be >= 1")
+		return 2
+	}
+	if err := df.Validate(); err != nil {
+		fmt.Fprintln(stderr, "pdedupd:", err)
+		return 2
+	}
 	schema, err := cliopts.ParseSchema(*schemaSpec)
 	if err != nil {
 		fmt.Fprintln(stderr, "pdedupd: -schema:", err)

@@ -428,7 +428,7 @@ func TestRemovalsAndAdmissionErrors(t *testing.T) {
 // are refused as what they are, with the item index and nothing of the
 // item applied; a pretty-printed tuple spanning several lines is one
 // value; and the top-level cache counters of /v1/stats are the per-shard
-// sums.
+// sums, all zero without the opt-in memo.
 func TestIngestItemShapes(t *testing.T) {
 	d := startDaemon(t, daemonArgs("-shards", "2")...)
 
@@ -461,13 +461,15 @@ func TestIngestItemShapes(t *testing.T) {
 	if st.Detector.Residents != 2 {
 		t.Fatalf("residents = %d, want 2 (b and c: neither refused item was half applied)", st.Detector.Residents)
 	}
+	// No daemon flag turns the similarity memo on, so every shard's memo
+	// counters read 0, and the top-level ones are still their sums.
 	var misses, capacity uint64
 	for _, ss := range st.PerShard {
 		misses += ss.Detector.Cache.Misses
 		capacity += uint64(ss.Detector.Cache.Capacity)
 	}
-	if c := st.Detector.Cache; capacity == 0 || uint64(c.Capacity) != capacity || c.Misses != misses {
-		t.Fatalf("top-level cache counters %+v are not the per-shard sums (capacity %d, misses %d)", c, capacity, misses)
+	if c := st.Detector.Cache; capacity != 0 || misses != 0 || uint64(c.Capacity) != capacity || c.Misses != misses {
+		t.Fatalf("top-level cache counters %+v, per-shard sums capacity %d, misses %d: want all zero", c, capacity, misses)
 	}
 	if rc := d.stop(); rc != 0 {
 		t.Fatalf("daemon exited %d: %s", rc, d.errOut.String())
@@ -628,6 +630,41 @@ func TestStartupValidation(t *testing.T) {
 			}
 			if !strings.Contains(errOut.String(), tc.want) {
 				t.Fatalf("stderr %q missing %q", errOut.String(), tc.want)
+			}
+		})
+	}
+}
+
+// TestStartupRejectsBadShapeValues: a shape flag out of its domain
+// exits 2 before listening. Each was run silently as something else —
+// one shard, the default queue, q = 2, one worker — so a daemon that
+// comes up anyway fails the case and is stopped.
+func TestStartupRejectsBadShapeValues(t *testing.T) {
+	for _, tc := range []struct{ name, flag, value string }{
+		{"zero shards", "-shards", "0"},
+		{"negative shards", "-shards", "-3"},
+		{"zero queue", "-queue", "0"},
+		{"negative queue", "-queue", "-5"},
+		{"negative qgram", "-qgram", "-1"},
+		{"negative workers", "-workers", "-9"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			args := append([]string{"-addr", "127.0.0.1:0"}, daemonArgs("-prefilter", tc.flag, tc.value)...)
+			var out, errOut bytes.Buffer
+			ready := make(chan string, 1)
+			rc := make(chan int, 1)
+			go func() { rc <- run(args, &out, &errOut, ready) }()
+			select {
+			case code := <-rc:
+				if code != 2 || !strings.Contains(errOut.String(), tc.flag) {
+					t.Fatalf("exit %d, want 2 naming %s (stderr: %s)", code, tc.flag, errOut.String())
+				}
+			case <-ready:
+				if err := syscall.Kill(os.Getpid(), syscall.SIGTERM); err != nil {
+					t.Fatal(err)
+				}
+				<-rc
+				t.Fatalf("%s %s accepted: %s", tc.flag, tc.value, out.String())
 			}
 		})
 	}

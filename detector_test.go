@@ -2,10 +2,12 @@ package probdedup_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"testing"
 
 	"probdedup"
+	"probdedup/internal/shard"
 )
 
 // TestPublicDetectorMatchesDetectStream exercises the exported
@@ -196,5 +198,88 @@ func TestPublicIncrementalIndex(t *testing.T) {
 	_, err = probdedup.NewIncrementalIndex(batchOnlyReduction{})
 	if !errors.Is(err, probdedup.ErrNotIncremental) {
 		t.Fatalf("error %v does not wrap ErrNotIncremental", err)
+	}
+}
+
+// TestMemoOffByDefault: with default Options no engine builds the
+// similarity memo, so every memo counter reads 0 while pairs are
+// compared, and CacheCapacity, the memo's opt-in, refuses a negative
+// value at every entry point instead of reading it as "off".
+func TestMemoOffByDefault(t *testing.T) {
+	u := probdedup.GenerateDataset(probdedup.DefaultDatasetConfig(30, 1)).Union()
+	def, err := probdedup.ParseKeyDef("name:3", u.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Each entry point builds its engine, takes every tuple and reports
+	// its memo counters and compared-pair count.
+	entries := map[string]func(probdedup.Options) (probdedup.SimCacheStats, int, error){
+		"Detect": func(opts probdedup.Options) (probdedup.SimCacheStats, int, error) {
+			_, st, err := probdedup.DetectWithStats(u, opts)
+			return st.Cache, st.Compared, err
+		},
+		"NewDetector": func(opts probdedup.Options) (probdedup.SimCacheStats, int, error) {
+			det, err := probdedup.NewDetector(u.Schema, opts, nil)
+			if err != nil {
+				return probdedup.SimCacheStats{}, 0, err
+			}
+			err = det.AddBatch(u.Tuples)
+			st := det.Stats()
+			return st.Cache, st.Compared, err
+		},
+		"NewIntegrator": func(opts probdedup.Options) (probdedup.SimCacheStats, int, error) {
+			ig, err := probdedup.NewIntegrator(u.Schema, opts, nil)
+			if err != nil {
+				return probdedup.SimCacheStats{}, 0, err
+			}
+			err = ig.AddBatch(u.Tuples)
+			st := ig.Stats().Detector
+			return st.Cache, st.Compared, err
+		},
+		"OpenDurable": func(opts probdedup.Options) (probdedup.SimCacheStats, int, error) {
+			dd, err := probdedup.OpenDurable(t.TempDir(), u.Schema, opts, nil)
+			if err != nil {
+				return probdedup.SimCacheStats{}, 0, err
+			}
+			err = dd.AddBatch(u.Tuples)
+			st := dd.Stats()
+			return st.Cache, st.Compared, errors.Join(err, dd.Close())
+		},
+		"shard.Open": func(opts probdedup.Options) (probdedup.SimCacheStats, int, error) {
+			r, err := shard.Open(shard.Config{Shards: 3, Schema: u.Schema, Opts: opts})
+			if err != nil {
+				return probdedup.SimCacheStats{}, 0, err
+			}
+			for _, x := range u.Tuples {
+				err = errors.Join(err, r.Ingest(x))
+			}
+			err = errors.Join(err, r.Drain())
+			st := r.Stats()
+			for _, ss := range st.PerShard {
+				if ss.Detector.Cache != (probdedup.SimCacheStats{}) {
+					err = errors.Join(err, fmt.Errorf("shard %d memo counters %+v", ss.Shard, ss.Detector.Cache))
+				}
+			}
+			return st.Detector.Cache, st.Detector.Compared, errors.Join(err, r.Close())
+		},
+	}
+	opts := probdedup.Options{
+		Compare:   []probdedup.CompareFunc{probdedup.Levenshtein, probdedup.Levenshtein, probdedup.Levenshtein},
+		Reduction: probdedup.BlockingCertain{Key: def},
+		Final:     probdedup.Thresholds{Lambda: 0.6, Mu: 0.8},
+	}
+	for name, run := range entries {
+		cache, compared, err := run(opts)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if compared == 0 || cache != (probdedup.SimCacheStats{}) {
+			t.Errorf("%s with default Options: compared %d, memo counters %+v, want pairs compared and no memo", name, compared, cache)
+		}
+		neg := opts
+		neg.CacheCapacity = -1
+		if _, _, err := run(neg); err == nil {
+			t.Errorf("%s accepted CacheCapacity -1", name)
+		}
 	}
 }

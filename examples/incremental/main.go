@@ -81,8 +81,8 @@ func main() {
 
 	res := det.Flush()
 	st := det.Stats()
-	fmt.Printf("resident %d tuples, %d live pairs (compared %d, retracted %d, cache hit rate %.0f%%)\n",
-		st.Residents, st.Live, st.Compared, st.Dropped, 100*st.Cache.HitRate())
+	fmt.Printf("resident %d tuples, %d live pairs (compared %d, retracted %d)\n",
+		st.Residents, st.Live, st.Compared, st.Dropped)
 	for _, p := range res.Compared {
 		m := res.ByPair[p]
 		fmt.Printf("  η(%s,%s) = %s (sim %.3f)\n", p.A, p.B, m.Class, m.Sim)

@@ -100,9 +100,10 @@ type Vector []float64
 //
 // A Matcher is safe for concurrent use, and several matchers may share
 // one Cache (NewMatcherWithCache) — the detection engine does exactly
-// that, so parallel workers hit each other's memoized pairs while total
-// cache memory stays bounded by the configured capacity regardless of
-// the worker count.
+// that when Options.CacheCapacity opts in, so parallel workers hit each
+// other's memoized pairs while total cache memory stays bounded by the
+// configured capacity regardless of the worker count; by default its
+// matchers get a nil cache and memoize nothing.
 type Matcher struct {
 	// Funcs holds the comparison function of each attribute, by schema
 	// position.

@@ -5,8 +5,8 @@ import (
 	"sync"
 )
 
-// DefaultCacheCapacity is the entry bound NewMatcher and the detection
-// engine use when no explicit capacity is configured. At 24 bytes per
+// DefaultCacheCapacity is the entry bound of NewMatcher's private cache
+// and of NewCache given no positive capacity. At 24 bytes per
 // slot this is 1.5 MiB — enough to hold every distinct value pair of
 // mid-sized relations while staying bounded on adversarial ones.
 const DefaultCacheCapacity = 1 << 16
@@ -53,7 +53,7 @@ type cacheShard struct {
 
 // Cache is a sharded, bounded, concurrency-safe memo of value-pair
 // similarities, shared by all matchers (and therefore all detection
-// workers) of a run. Entries are striped over cacheShards lock-protected
+// workers) of a run that opts in to it. Entries are striped over cacheShards lock-protected
 // slot arrays by a hash of attribute and value pair, so concurrent
 // lookups of different pairs rarely contend.
 //

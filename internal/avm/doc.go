@@ -12,11 +12,12 @@
 // the probability that both values are equal (Eq. 4).
 //
 // Matcher evaluates Eq. 5 per attribute with one comparison function per
-// schema position, memoizing value-pair similarities in a sharded,
-// bounded, concurrency-safe Cache. One cache is shared by all matchers
-// of a detection run — across workers of a batch run and across the
-// lifetime of an incremental Detector — so total memo memory stays
-// capped while a pair computed once is a hit everywhere. Each stripe of
+// schema position, optionally memoizing value-pair similarities in a
+// sharded, bounded, concurrency-safe Cache. A detection run that opts in
+// (core.Options.CacheCapacity > 0; the default is no memo) shares one
+// cache among all its matchers — across workers of a batch run and
+// across the lifetime of an incremental Detector — so total memo memory
+// stays capped while a pair computed once is a hit everywhere. Each stripe of
 // the cache is a flat open-addressed slot array that never deletes: at
 // its bound an insert overwrites a slot in place, so the memo's bytes,
 // not just its entries, stay bounded however long it churns. Cache

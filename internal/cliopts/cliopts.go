@@ -7,6 +7,7 @@
 package cliopts
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"strings"
@@ -48,6 +49,25 @@ func Register(fs *flag.FlagSet, reduceDefault string, usage map[string]string) *
 	fs.BoolVar(&f.PreFilter, "prefilter", false, usage["prefilter"])
 	fs.IntVar(&f.QGram, "qgram", 0, usage["qgram"])
 	return f
+}
+
+// Validate refuses shape values outside their domain, which the
+// engines would otherwise clamp or read as "compare nothing" without a
+// word. Both commands exit 2 on its error.
+func (f *Flags) Validate() error {
+	switch {
+	case f.Workers < 0:
+		return errors.New("-workers must be >= 0 (0 and 1 verify sequentially)")
+	case f.QGram < 0:
+		return errors.New("-qgram must be >= 0 (0 selects the default gram size 2)")
+	case f.Window < 2:
+		return errors.New("-window must be >= 2")
+	case f.Worlds < 1:
+		return errors.New("-worlds must be >= 1")
+	case f.K < 0:
+		return errors.New("-k must be >= 0 (0 selects the residents/8 heuristic)")
+	}
+	return nil
 }
 
 // Options translates the parsed flags into engine options over schema:

@@ -3,6 +3,7 @@ package cliopts
 import (
 	"flag"
 	"math"
+	"strings"
 	"testing"
 
 	"probdedup/internal/decision"
@@ -153,6 +154,37 @@ func TestFlagsOptions(t *testing.T) {
 	} {
 		if _, err := parse(args...).Options(schema); err == nil {
 			t.Errorf("%s: Options accepted %v", name, args)
+		}
+	}
+}
+
+// TestFlagsValidate: the registered defaults are in their domains, each
+// shape value just outside its domain is refused with the flag named,
+// and the smallest value inside it is accepted.
+func TestFlagsValidate(t *testing.T) {
+	base := *Register(flag.NewFlagSet("test", flag.ContinueOnError), "none", nil)
+	if err := base.Validate(); err != nil {
+		t.Fatalf("defaults refused: %v", err)
+	}
+	for _, tc := range []struct {
+		flag    string
+		set     func(f *Flags, v int)
+		bad, ok int
+	}{
+		{"-workers", func(f *Flags, v int) { f.Workers = v }, -1, 0},
+		{"-qgram", func(f *Flags, v int) { f.QGram = v }, -1, 0},
+		{"-window", func(f *Flags, v int) { f.Window = v }, 1, 2},
+		{"-worlds", func(f *Flags, v int) { f.Worlds = v }, 0, 1},
+		{"-k", func(f *Flags, v int) { f.K = v }, -1, 0},
+	} {
+		f := base
+		tc.set(&f, tc.bad)
+		if err := f.Validate(); err == nil || !strings.Contains(err.Error(), tc.flag+" ") {
+			t.Errorf("%s %d: err = %v, want a refusal naming %s", tc.flag, tc.bad, err, tc.flag)
+		}
+		tc.set(&f, tc.ok)
+		if err := f.Validate(); err != nil {
+			t.Errorf("%s %d refused: %v", tc.flag, tc.ok, err)
 		}
 	}
 }

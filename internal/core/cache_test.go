@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"probdedup/internal/avm"
 	"probdedup/internal/dataset"
 	"probdedup/internal/decision"
 	"probdedup/internal/ssr"
@@ -27,18 +28,18 @@ func cacheTestOptions(t *testing.T, workers, cacheCapacity int) (*dataset.Datase
 }
 
 // TestSharedCacheResultsMatchUncached proves the cache is semantically
-// invisible: cached (tiny, forcing evictions), default-capacity and
-// disabled runs classify identically at any worker count. Run with
-// -race to exercise the concurrent cache paths.
+// invisible: cached (tiny, forcing evictions), avm.DefaultCacheCapacity
+// and memo-less (0, the default) runs classify identically at any
+// worker count. Run with -race to exercise the concurrent cache paths.
 func TestSharedCacheResultsMatchUncached(t *testing.T) {
-	d, base := cacheTestOptions(t, 1, -1)
+	d, base := cacheTestOptions(t, 1, 0)
 	u := d.Union()
 	ref, err := Detect(u, base)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, workers := range []int{1, 4} {
-		for _, capacity := range []int{-1, 0, 128} {
+		for _, capacity := range []int{0, avm.DefaultCacheCapacity, 128} {
 			opts := base
 			opts.Workers = workers
 			opts.CacheCapacity = capacity
@@ -115,9 +116,9 @@ func TestSharedCacheBoundedAndSharedAcrossWorkers(t *testing.T) {
 }
 
 // TestCrossProductStreamSharedCache covers a non-partitioned reduction
-// through the worker pool under -race as well.
+// through the worker pool and the opted-in memo under -race as well.
 func TestCrossProductStreamSharedCache(t *testing.T) {
-	d, opts := cacheTestOptions(t, 4, 0)
+	d, opts := cacheTestOptions(t, 4, avm.DefaultCacheCapacity)
 	opts.Reduction = ssr.CrossProduct{}
 	u := d.Union()
 	seq := opts

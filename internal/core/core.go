@@ -35,18 +35,16 @@ type Options struct {
 	Final decision.Thresholds
 	// Workers parallelizes the matching/decision stage across goroutines
 	// (0 or 1 means sequential): DetectStream's chunks and a Detector's
-	// additions are verified through one worker pool. All workers share
-	// one bounded similarity cache (see CacheCapacity), so they hit each
-	// other's memoized value pairs; comparison functions are
-	// deterministic, so the worker count changes only throughput, in
-	// every engine.
+	// additions are verified through one worker pool. Comparison
+	// functions are deterministic, so the worker count changes only
+	// throughput, in every engine.
 	Workers int
-	// CacheCapacity bounds the run's shared similarity cache (memoized
-	// value pairs across all workers): 0 means
-	// avm.DefaultCacheCapacity, a negative value disables memoization.
-	// The bound holds regardless of the worker count; when it is
-	// exceeded, least-recently-inserted-ish entries are evicted and
-	// simply recomputed on demand.
+	// CacheCapacity opts in to a similarity memo shared by all workers
+	// of the run: a positive value memoizes value-pair similarities in
+	// one avm.Cache bounded to that many entries, whatever the worker
+	// count (past the bound, entries are evicted and recomputed on
+	// demand). 0 means no memo, the default; a negative value is
+	// refused.
 	CacheCapacity int
 	// Nulls overrides the ⊥ semantics of attribute value matching; nil
 	// means the paper's sim(⊥,⊥)=1, sim(a,⊥)=0 (ablation hook,

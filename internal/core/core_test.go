@@ -205,6 +205,54 @@ func TestAltModelThresholdsValidated(t *testing.T) {
 	}
 }
 
+// TestMultiPassWorldCountValidated: a multi-pass sorted neighbourhood
+// that selects K worlds with K ≤ 0 visits no world and compares no
+// pair, so every engine entry point refuses it, also under an
+// ssr.Filter, while K ≥ 1 runs and compares pairs.
+func TestMultiPassWorldCountValidated(t *testing.T) {
+	u := dataset.Generate(dataset.DefaultConfig(30, 1)).Union()
+	def, err := keys.ParseDef("name:3", u.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	multi := func(sel ssr.WorldSelection, k int) ssr.SNMMultiPass {
+		return ssr.SNMMultiPass{Key: def, Window: 3, Select: sel, K: k}
+	}
+	prune := ssr.Pruning{MaxDiff: map[int]int{0: 3}}
+	for _, tc := range []struct {
+		name string
+		red  ssr.Method
+		ok   bool
+	}{
+		{"top K=0", multi(ssr.TopWorlds, 0), false},
+		{"top K=-1", multi(ssr.TopWorlds, -1), false},
+		{"dissimilar K=0", multi(ssr.DissimilarWorlds, 0), false},
+		{"filtered top K=0", ssr.NewFilter(multi(ssr.TopWorlds, 0), prune), false},
+		{"top K=8", multi(ssr.TopWorlds, 8), true},
+		{"dissimilar K=8", multi(ssr.DissimilarWorlds, 8), true},
+		{"filtered top K=8", ssr.NewFilter(multi(ssr.TopWorlds, 8), prune), true},
+	} {
+		opts := Options{Reduction: tc.red, Final: decision.Thresholds{Lambda: 0.4, Mu: 0.7}}
+		st, detErr := DetectStream(u, opts, func(Match) bool { return true })
+		_, batchErr := Detect(u, opts)
+		det, onlineErr := NewDetector(u.Schema, opts, nil)
+		for entry, err := range map[string]error{"Detect": batchErr, "DetectStream": detErr, "NewDetector": onlineErr} {
+			if (err == nil) != tc.ok {
+				t.Errorf("%s %s: err = %v, want ok=%v", tc.name, entry, err, tc.ok)
+			}
+		}
+		if !tc.ok || detErr != nil || onlineErr != nil {
+			continue
+		}
+		if err := det.AddBatch(u.Tuples); err != nil {
+			t.Fatal(err)
+		}
+		if st.Compared == 0 || det.Stats().Compared == 0 {
+			t.Errorf("%s: compared %d pairs in batch, %d online; want some", tc.name, st.Compared, det.Stats().Compared)
+		}
+	}
+}
+
 func TestVerifyAndReduction(t *testing.T) {
 	d := dataset.Generate(dataset.DefaultConfig(60, 5))
 	opts := Options{

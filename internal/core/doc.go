@@ -32,7 +32,7 @@
 //
 // All entry points validate options identically (thresholds, the
 // comparison-function arity against the schema, the decision model's
-// arity per decision.ValidateArity) and share one bounded similarity
-// cache per run (avm.Cache, Options.CacheCapacity) so workers — or
-// successive online arrivals — hit each other's memoized value pairs.
+// arity per decision.ValidateArity). No entry point memoizes value-pair
+// similarities unless Options.CacheCapacity opts in to one bounded
+// avm.Cache per run, shared by its workers and successive arrivals.
 package core

@@ -99,8 +99,8 @@ type DetectorStats struct {
 	// reduction index (ssr.EpochIndex, e.g. BlockingCluster); nil for
 	// exact-tier reductions.
 	Staleness *ssr.Staleness
-	// Cache holds the shared similarity cache counters (zero value
-	// when memoization is disabled).
+	// Cache holds the similarity memo's counters (zero value unless
+	// Options.CacheCapacity opted in).
 	Cache avm.CacheStats
 	// Enumerated counts the add deltas the reduction index presented
 	// to the pre-filter since construction (0 with the filter off).
@@ -149,10 +149,10 @@ type Engine interface {
 // automatic when the fixed drift bound (a quarter of the residents) is
 // crossed, or forced with Reseal. Stats reports the current drift.
 //
-// The detector reuses the batch engine's machinery: one bounded
-// similarity cache (Options.CacheCapacity) shared across the
-// detector's lifetime and all workers, the fold-based comparison
-// kernel, the configured decision model and DetectStream's worker
+// The detector reuses the batch engine's machinery: the fold-based
+// comparison kernel (with Options.CacheCapacity opted in, one bounded
+// similarity memo shared across the detector's lifetime and all
+// workers), the configured decision model and DetectStream's worker
 // pool: an operation's additions are verified through it (small
 // per-arrival candidate sets on the calling goroutine, AddBatch and big
 // blocks across Options.Workers), then state updates and delta
@@ -387,8 +387,8 @@ func (d *Detector) Reseal() error {
 // re-compared), and a defensive sweep guarantees that no pair decision
 // involving the removed tuple survives in the detector's state — so a
 // later re-Add with the same ID is classified from scratch, never from
-// a stale pair decision. The shared avm.Cache needs no invalidation:
-// its entries are keyed by attribute and value content, not tuple
+// a stale pair decision. An opted-in memo needs no invalidation: its
+// entries are keyed by attribute and value content, not tuple
 // identity, and similarities of values are immutable. Removing an ID
 // that is not resident — never added, or already removed — fails with
 // an error wrapping ErrUnknownID and changes nothing.

@@ -489,40 +489,51 @@ func TestDetectorParallelDropReAddDelta(t *testing.T) {
 // contract that Workers only changes throughput: the same AddBatch
 // sequence emits the identical net delta stream (same pairs, same
 // payloads) at Workers 1 and 4 — order included, because state
-// updates are applied sequentially in delta order either way.
+// updates are applied sequentially in delta order either way. The
+// opt-in similarity memo (CacheCapacity 128, small enough to evict)
+// must be just as invisible.
 func TestDetectorWorkersDoNotChangeDeltaStream(t *testing.T) {
 	u := shuffledUnion(t, 30, 23)
 	def, err := keys.ParseDef("name:3+job:2", u.Schema)
 	if err != nil {
 		t.Fatal(err)
 	}
-	streams := map[int][]MatchDelta{}
-	for _, workers := range []int{1, 4} {
-		opts := Options{
-			Compare:   []strsim.Func{strsim.Levenshtein, strsim.Levenshtein, strsim.Levenshtein},
-			Reduction: ssr.SNMCertain{Key: def, Window: 4},
-			Final:     decision.Thresholds{Lambda: 0.6, Mu: 0.8},
-			Workers:   workers,
-		}
-		var got []MatchDelta
-		det, err := NewDetector(u.Schema, opts, func(md MatchDelta) bool {
-			got = append(got, md)
-			return true
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := det.AddBatch(u.Tuples); err != nil {
-			t.Fatal(err)
-		}
-		streams[workers] = got
-	}
-	if len(streams[1]) != len(streams[4]) {
-		t.Fatalf("delta stream lengths differ: %d (workers=1) vs %d (workers=4)", len(streams[1]), len(streams[4]))
-	}
-	for i := range streams[1] {
-		if streams[1][i] != streams[4][i] {
-			t.Fatalf("delta %d differs: %+v (workers=1) vs %+v (workers=4)", i, streams[1][i], streams[4][i])
+	var ref []MatchDelta
+	for _, capacity := range []int{0, 128} {
+		for _, workers := range []int{1, 4} {
+			opts := Options{
+				Compare:       []strsim.Func{strsim.Levenshtein, strsim.Levenshtein, strsim.Levenshtein},
+				Reduction:     ssr.SNMCertain{Key: def, Window: 4},
+				Final:         decision.Thresholds{Lambda: 0.6, Mu: 0.8},
+				Workers:       workers,
+				CacheCapacity: capacity,
+			}
+			var got []MatchDelta
+			det, err := NewDetector(u.Schema, opts, func(md MatchDelta) bool {
+				got = append(got, md)
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := det.AddBatch(u.Tuples); err != nil {
+				t.Fatal(err)
+			}
+			if memo := det.Stats().Cache; (memo.Misses > 0) != (capacity > 0) {
+				t.Fatalf("capacity=%d: memo counters %+v", capacity, memo)
+			}
+			if ref == nil {
+				ref = got
+				continue
+			}
+			if len(got) != len(ref) {
+				t.Fatalf("delta stream lengths differ: %d (workers=1, no memo) vs %d (workers=%d, capacity=%d)", len(ref), len(got), workers, capacity)
+			}
+			for i := range ref {
+				if got[i] != ref[i] {
+					t.Fatalf("delta %d differs: %+v (workers=1, no memo) vs %+v (workers=%d, capacity=%d)", i, ref[i], got[i], workers, capacity)
+				}
+			}
 		}
 	}
 }

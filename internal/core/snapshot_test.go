@@ -6,7 +6,6 @@ import (
 	"strings"
 	"testing"
 
-	"probdedup/internal/avm"
 	"probdedup/internal/decision"
 	"probdedup/internal/keys"
 	"probdedup/internal/pdb"
@@ -68,10 +67,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 				t.Fatalf("restore: %v", err)
 			}
 			sameResult(t, restored.Flush(), det.Flush())
-			// The memo cache is deliberately ephemeral: it is rebuilt on
-			// demand, so its counters are excluded from the equality.
 			a, b := restored.Stats(), det.Stats()
-			a.Cache, b.Cache = avm.CacheStats{}, avm.CacheStats{}
 			if (a.Staleness == nil) != (b.Staleness == nil) {
 				t.Fatalf("staleness presence diverges: %+v vs %+v", a.Staleness, b.Staleness)
 			}

@@ -42,9 +42,9 @@ type StreamStats struct {
 	Partitions int
 	// Stopped reports that the emit callback ended the run early.
 	Stopped bool
-	// Cache holds the end-of-run counters of the shared similarity
-	// cache — entries, capacity, hits, misses, evictions (zero value
-	// when memoization was disabled via Options.CacheCapacity < 0).
+	// Cache holds the end-of-run counters of the similarity memo —
+	// entries, capacity, hits, misses, evictions (zero value unless
+	// Options.CacheCapacity opted in).
 	Cache avm.CacheStats
 	// Enumerated counts the candidate pairs the reduction produced up
 	// to the last emitted pair: Compared plus Filtered.
@@ -70,7 +70,7 @@ type engine struct {
 	reduction   ssr.Method
 	newComparer func() *xmatch.Comparer
 	workers     int
-	// cache is the run's shared similarity memo (nil when disabled);
+	// cache is the run's opt-in similarity memo (nil by default);
 	// every worker's matcher writes into and reads from it.
 	cache *avm.Cache
 	// symtab is the run's symbol plane: every standardized value is
@@ -93,19 +93,22 @@ func newEngine(xr *pdb.XRelation, opts Options) (*engine, error) {
 	if err := opts.Final.Validate(); err != nil {
 		return nil, fmt.Errorf("core: %w", err)
 	}
+	if opts.CacheCapacity < 0 {
+		return nil, fmt.Errorf("core: negative CacheCapacity %d (0 means no memo)", opts.CacheCapacity)
+	}
 
 	// Step A: data preparation.
 	if opts.Standardizer != nil {
 		xr = opts.Standardizer.XRelation(xr)
 	}
 
-	// The run-wide symbol plane: intern every standardized value so the
-	// similarity cache keys value pairs by symbol and the pre-filter
-	// reads precomputed stats. Gram statistics are only computed when
-	// the pre-filter consumes them. Without a Standardizer the relation
-	// is still the caller's — clone before the interning pass replaces
-	// value annotations. A detector's relation starts empty; its
-	// arrivals are interned in prepareTuple.
+	// The run-wide symbol plane: intern every standardized value so an
+	// opted-in similarity memo keys value pairs by symbol and the
+	// pre-filter reads precomputed stats. Gram statistics are only
+	// computed when the pre-filter consumes them. Without a
+	// Standardizer the relation is still the caller's — clone before
+	// the interning pass replaces value annotations. A detector's
+	// relation starts empty; its arrivals are interned in prepareTuple.
 	q := 0
 	if opts.PreFilter {
 		q = opts.FilterQ
@@ -149,6 +152,9 @@ func newEngine(xr *pdb.XRelation, opts Options) (*engine, error) {
 	if err := altThresholds(altModel).Validate(); err != nil {
 		return nil, fmt.Errorf("core: alternative model: %w", err)
 	}
+	if err := validWorlds(opts.Reduction); err != nil {
+		return nil, err
+	}
 	derive := opts.Derivation
 	if derive == nil {
 		derive = xmatch.SimilarityBased{Conditioned: true}
@@ -168,12 +174,11 @@ func newEngine(xr *pdb.XRelation, opts Options) (*engine, error) {
 		workers = 1
 	}
 
-	// One bounded similarity cache per run, shared by every worker's
-	// matcher: total memo memory is capped by CacheCapacity no matter
-	// how many workers run, and a value pair computed by one worker is
-	// a hit for all others.
+	// The opt-in memo: one bounded cache per run, shared by every
+	// worker's matcher, so its memory is capped by CacheCapacity no
+	// matter how many workers run.
 	var cache *avm.Cache
-	if opts.CacheCapacity >= 0 {
+	if opts.CacheCapacity > 0 {
 		cache = avm.NewCache(opts.CacheCapacity)
 	}
 
@@ -241,6 +246,20 @@ func altThresholds(m decision.Model) decision.Thresholds {
 	return decision.Thresholds{}
 }
 
+// validWorlds refuses a multi-pass sorted neighbourhood, bare or under
+// an ssr.Filter, that selects K worlds with K ≤ 0: it would visit no
+// world and so compare no pair.
+func validWorlds(m ssr.Method) error {
+	if f, ok := m.(ssr.Filter); ok {
+		return validWorlds(f.Inner)
+	}
+	mp, ok := m.(ssr.SNMMultiPass)
+	if ok && (mp.Select == ssr.TopWorlds || mp.Select == ssr.DissimilarWorlds) && mp.K <= 0 {
+		return fmt.Errorf("core: %s needs K >= 1 worlds, got %d", mp.Name(), mp.K)
+	}
+	return nil
+}
+
 // compareJob is one verification the pool runs: the pair (in m) and
 // its two tuples go in, m's similarity and class come out. The other
 // fields are the caller's bookkeeping, which the pool leaves alone.
@@ -269,9 +288,10 @@ func (j *compareJob) compare(c *xmatch.Comparer) {
 // caller's goroutine; otherwise the caller and Options.Workers−1 more
 // goroutines take the jobs pair by pair through an atomic cursor, so
 // uneven comparison costs still balance. Each worker owns a pooled
-// comparer (the fold scratch is not shareable) while every matcher
-// memoizes into the engine's one bounded cache. Comparison functions
-// are deterministic, so the results do not depend on the worker count.
+// comparer (the fold scratch is not shareable); with the memo on, every
+// matcher memoizes into the engine's one bounded cache. Comparison
+// functions are deterministic, so the results do not depend on the
+// worker count.
 // The caller serializes calls (DetectStream's goroutine, the
 // Detector's lock).
 func (e *engine) compareAll(jobs []compareJob) {
@@ -329,8 +349,8 @@ func unknownTuples(p verify.Pair) error {
 // ssr.Partitioner, is enumerated partition by partition); it returns
 // false to stop the run early (Stopped is then set in the stats).
 // Options.Workers changes only throughput: the emitted sequence and
-// the stats, apart from the cache counters, are the same at any
-// worker count.
+// the stats, apart from an opted-in memo's counters, are the same at
+// any worker count.
 //
 // On error the matches of the pairs enumerated before the failing one
 // are emitted, the stats cover them, and the error is returned.

@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"probdedup/internal/avm"
 	"probdedup/internal/dataset"
 	"probdedup/internal/decision"
 	"probdedup/internal/keys"
@@ -206,8 +205,7 @@ func TestDetectStreamLargeBlocking(t *testing.T) {
 // run at that pair, and that the worker count changes nothing a caller
 // sees: at Workers 1, 2, 4 and 8, with the pre-filter on and off, and
 // stopping after the first pair, after 50 or never, the emitted
-// sequence and every StreamStats field but the cache counters are the
-// same.
+// sequence and every StreamStats field are the same.
 func TestDetectStreamEarlyStop(t *testing.T) {
 	u := dataset.Generate(dataset.DefaultConfig(400, 9)).Union()
 	def, err := keys.ParseDef("name:2", u.Schema)
@@ -268,7 +266,6 @@ func TestDetectStreamEarlyStop(t *testing.T) {
 					if filter && stop == 0 && stats.Filtered == 0 {
 						t.Fatalf("%s workers=%d: the pre-filter rejected nothing", name, workers)
 					}
-					stats.Cache = avm.CacheStats{}
 					if workers == 1 {
 						ref, refStats = got, stats
 						continue

@@ -254,8 +254,13 @@ func TestFailedShardIsStickyAndIsolated(t *testing.T) {
 	}
 }
 
+// TestStatsAggregatesShards: the router's stats sum the per-shard ones.
+// The shards opt in to the similarity memo, so its counters are summed
+// from live values, not zeros.
 func TestStatsAggregatesShards(t *testing.T) {
-	r := mustOpen(t, Config{Shards: 4, Schema: testSchema, Opts: testOptions(t, testSchema, 1)})
+	opts := testOptions(t, testSchema, 1)
+	opts.CacheCapacity = 1024
+	r := mustOpen(t, Config{Shards: 4, Schema: testSchema, Opts: opts})
 	defer r.Close()
 	names := []string{"Johnson", "Jonson", "Miller", "Millar", "Smith", "Smyth"}
 	for i, n := range names {

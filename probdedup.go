@@ -41,8 +41,8 @@
 //
 // Options.Workers parallelizes matching through one worker pool in
 // every engine. The worker count changes only throughput: never the
-// classifications, DetectStream's emission order or stats (cache
-// counters aside), or a Detector's delta stream.
+// classifications, DetectStream's emission order or stats (an opted-in
+// memo's counters aside), or a Detector's delta stream.
 //
 // For continuously arriving data, NewDetector maintains the classified
 // pair set online (Add/AddBatch/Remove) for every built-in reduction —
@@ -411,7 +411,7 @@ type (
 	// StreamStats summarizes a DetectStream run.
 	StreamStats = core.StreamStats
 	// SimCacheStats reports entry/hit/miss/eviction counters of the
-	// bounded similarity cache shared by a run's workers (see
+	// opt-in similarity memo shared by a run's workers (see
 	// Options.CacheCapacity and StreamStats.Cache).
 	SimCacheStats = avm.CacheStats
 	// CandidateStreamer is a reduction method that enumerates its
@@ -443,7 +443,7 @@ func NewPair(a, b string) Pair { return verify.NewPair(a, b) }
 func Detect(xr *XRelation, opts Options) (*Result, error) { return core.Detect(xr, opts) }
 
 // DetectWithStats is Detect additionally returning the run's
-// StreamStats — similarity-cache counters and, with Options.PreFilter,
+// StreamStats — the opt-in memo's counters and, with Options.PreFilter,
 // the candidate pre-filter's effectiveness (Enumerated, Filtered,
 // FilterActive) — without changing the materialized Result.
 func DetectWithStats(xr *XRelation, opts Options) (*Result, StreamStats, error) {
@@ -471,8 +471,8 @@ func DetectRelations(r1, r2 *Relation, opts Options) (*Result, error) {
 // emit is called sequentially from the caller's goroutine, in the
 // reduction's enumeration order, and returns false to stop the run
 // early. Classifications are identical to Detect, and the emitted
-// sequence and the stats (cache counters aside) are the same at any
-// Workers setting.
+// sequence and the stats (an opted-in memo's counters aside) are the
+// same at any Workers setting.
 func DetectStream(xr *XRelation, opts Options, emit func(PairMatch) bool) (StreamStats, error) {
 	return core.DetectStream(xr, opts, emit)
 }
@@ -570,9 +570,8 @@ var ErrNotIncremental = ssr.ErrNotIncremental
 // quarter of the residents were placed by the stale rule, and
 // Detector.Reseal forces a boundary (see EpochIndex; Detector.Stats
 // reports the staleness in between). Options.Workers fans the verification of a
-// large delta batch (AddBatch, big blocks) across goroutines sharing the
-// detector-lifetime bounded similarity cache, without changing
-// classifications or the emitted delta stream.
+// large delta batch (AddBatch, big blocks) across goroutines, without
+// changing classifications or the emitted delta stream.
 //
 // emit receives every change to the live pair set M ∪ P as it
 // happens and may be nil when only Flush snapshots are needed;
