@@ -154,18 +154,6 @@ func run(args []string, stdin io.Reader, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "pdedup:", err)
 		return 2
 	}
-	// -qgram shapes the pre-filter's precomputed gram statistics only;
-	// passing it without -prefilter would be silently ignored, so reject.
-	qgramSet := false
-	fs.Visit(func(f *flag.Flag) {
-		if f.Name == "qgram" {
-			qgramSet = true
-		}
-	})
-	if qgramSet && !df.PreFilter {
-		fmt.Fprintln(stderr, "pdedup: -qgram applies with -prefilter only")
-		return 2
-	}
 
 	var xr *probdedup.XRelation
 	if fs.NArg() > 0 {

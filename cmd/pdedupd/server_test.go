@@ -635,21 +635,30 @@ func TestStartupValidation(t *testing.T) {
 	}
 }
 
-// TestStartupRejectsBadShapeValues: a shape flag out of its domain
-// exits 2 before listening. Each was run silently as something else —
-// one shard, the default queue, q = 2, one worker — so a daemon that
-// comes up anyway fails the case and is stopped.
+// TestStartupRejectsBadShapeValues: a shape flag out of its domain, or
+// -qgram without -prefilter, exits 2 before listening. Each was run
+// silently as something else — one shard, the default queue, q = 2, one
+// worker, no gram size at all — so a daemon that comes up anyway fails
+// the case and is stopped.
 func TestStartupRejectsBadShapeValues(t *testing.T) {
-	for _, tc := range []struct{ name, flag, value string }{
-		{"zero shards", "-shards", "0"},
-		{"negative shards", "-shards", "-3"},
-		{"zero queue", "-queue", "0"},
-		{"negative queue", "-queue", "-5"},
-		{"negative qgram", "-qgram", "-1"},
-		{"negative workers", "-workers", "-9"},
+	for _, tc := range []struct {
+		name, flag, value string
+		noPreFilter       bool
+	}{
+		{"zero shards", "-shards", "0", false},
+		{"negative shards", "-shards", "-3", false},
+		{"zero queue", "-queue", "0", false},
+		{"negative queue", "-queue", "-5", false},
+		{"negative qgram", "-qgram", "-1", false},
+		{"negative workers", "-workers", "-9", false},
+		{"qgram without prefilter", "-qgram", "5", true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			args := append([]string{"-addr", "127.0.0.1:0"}, daemonArgs("-prefilter", tc.flag, tc.value)...)
+			extra := []string{"-prefilter", tc.flag, tc.value}
+			if tc.noPreFilter {
+				extra = extra[1:]
+			}
+			args := append([]string{"-addr", "127.0.0.1:0"}, daemonArgs(extra...)...)
 			var out, errOut bytes.Buffer
 			ready := make(chan string, 1)
 			rc := make(chan int, 1)

@@ -30,13 +30,15 @@ type Flags struct {
 	PreFilter                    bool
 	Window, Worlds, K            int
 	Seed                         int64
+
+	fs *flag.FlagSet // the set Register declared the flags on
 }
 
 // Register declares the shared detection flags on fs. reduceDefault is
 // the default of -reduce; usage words the flags whose help differs per
 // command (-key, -reduce, -workers, -prefilter, -qgram).
 func Register(fs *flag.FlagSet, reduceDefault string, usage map[string]string) *Flags {
-	f := &Flags{Window: 3, Worlds: 8, Seed: 1}
+	f := &Flags{Window: 3, Worlds: 8, Seed: 1, fs: fs}
 	fs.StringVar(&f.Compare, "compare", "hamming", "comparison function: hamming, levenshtein, damerau, jaro, jarowinkler, dice2, exact")
 	fs.StringVar(&f.Key, "key", "", usage["key"])
 	fs.StringVar(&f.Reduce, "reduce", reduceDefault, usage["reduce"])
@@ -53,13 +55,17 @@ func Register(fs *flag.FlagSet, reduceDefault string, usage map[string]string) *
 
 // Validate refuses shape values outside their domain, which the
 // engines would otherwise clamp or read as "compare nothing" without a
-// word. Both commands exit 2 on its error.
+// word, and -qgram without -prefilter: it shapes the pre-filter's gram
+// statistics only, so it would be ignored. Both commands exit 2 on its
+// error.
 func (f *Flags) Validate() error {
 	switch {
 	case f.Workers < 0:
 		return errors.New("-workers must be >= 0 (0 and 1 verify sequentially)")
 	case f.QGram < 0:
 		return errors.New("-qgram must be >= 0 (0 selects the default gram size 2)")
+	case !f.PreFilter && f.set("qgram"):
+		return errors.New("-qgram applies with -prefilter only")
 	case f.Window < 2:
 		return errors.New("-window must be >= 2")
 	case f.Worlds < 1:
@@ -68,6 +74,15 @@ func (f *Flags) Validate() error {
 		return errors.New("-k must be >= 0 (0 selects the residents/8 heuristic)")
 	}
 	return nil
+}
+
+// set reports whether the command line gave the named flag.
+func (f *Flags) set(name string) bool {
+	given := false
+	if f.fs != nil {
+		f.fs.Visit(func(fl *flag.Flag) { given = given || fl.Name == name })
+	}
+	return given
 }
 
 // Options translates the parsed flags into engine options over schema:

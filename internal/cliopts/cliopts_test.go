@@ -188,3 +188,28 @@ func TestFlagsValidate(t *testing.T) {
 		}
 	}
 }
+
+// TestFlagsValidateQGramNeedsPreFilter: -qgram given without -prefilter
+// is refused, with it or left out it is not.
+func TestFlagsValidateQGramNeedsPreFilter(t *testing.T) {
+	for _, tc := range []struct {
+		args []string
+		ok   bool
+	}{
+		{[]string{"-qgram", "3"}, false},
+		{[]string{"-qgram", "0"}, false},
+		{[]string{"-prefilter", "-qgram", "3"}, true},
+		{[]string{"-prefilter"}, true},
+		{nil, true},
+	} {
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		f := Register(fs, "none", nil)
+		if err := fs.Parse(tc.args); err != nil {
+			t.Fatal(err)
+		}
+		err := f.Validate()
+		if tc.ok != (err == nil) || (err != nil && !strings.Contains(err.Error(), "-qgram applies with -prefilter only")) {
+			t.Errorf("%v: Validate = %v", tc.args, err)
+		}
+	}
+}

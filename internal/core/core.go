@@ -61,9 +61,10 @@ type Options struct {
 	// DetectorStats report FilterActive.
 	PreFilter bool
 	// FilterQ is the gram size of the precomputed symbol statistics
-	// the pre-filter's q-gram count filters use; 0 means 2. Larger
-	// sizes reject less on short values; sizes above sym.MaxExactQ
-	// fall back to hashed grams (still sound).
+	// the pre-filter's q-gram count filters use; 0 means 2, and a
+	// negative size is refused. Larger sizes reject less on short
+	// values; sizes above sym.MaxExactQ fall back to hashed grams
+	// (still sound).
 	FilterQ int
 	// Durability configures the durable online engines (wal.OpenDurable
 	// and the probdedup façade); the batch pipeline and the plain

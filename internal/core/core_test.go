@@ -205,6 +205,36 @@ func TestAltModelThresholdsValidated(t *testing.T) {
 	}
 }
 
+// TestFilterQValidated: a negative pre-filter gram size is refused by
+// every engine entry point, with the filter on or off, instead of
+// running as q = 2; 0 (the default) and positive sizes run.
+func TestFilterQValidated(t *testing.T) {
+	for _, tc := range []struct {
+		q         int
+		preFilter bool
+		ok        bool
+	}{
+		{-7, true, false},
+		{-1, true, false},
+		{-1, false, false},
+		{0, true, true},
+		{3, true, true},
+		{0, false, true},
+	} {
+		opts := paperOptions()
+		opts.PreFilter, opts.FilterQ = tc.preFilter, tc.q
+		xr := paperdata.R34()
+		_, detErr := Detect(xr, opts)
+		_, streamErr := DetectStream(xr, opts, func(Match) bool { return true })
+		_, onlineErr := NewDetector(xr.Schema, opts, nil)
+		for entry, err := range map[string]error{"Detect": detErr, "DetectStream": streamErr, "NewDetector": onlineErr} {
+			if (err == nil) != tc.ok {
+				t.Errorf("%s FilterQ %d PreFilter %v: err = %v, want ok=%v", entry, tc.q, tc.preFilter, err, tc.ok)
+			}
+		}
+	}
+}
+
 // TestMultiPassWorldCountValidated: a multi-pass sorted neighbourhood
 // that selects K worlds with K ≤ 0 visits no world and compares no
 // pair, so every engine entry point refuses it, also under an

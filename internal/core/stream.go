@@ -96,6 +96,9 @@ func newEngine(xr *pdb.XRelation, opts Options) (*engine, error) {
 	if opts.CacheCapacity < 0 {
 		return nil, fmt.Errorf("core: negative CacheCapacity %d (0 means no memo)", opts.CacheCapacity)
 	}
+	if opts.FilterQ < 0 {
+		return nil, fmt.Errorf("core: negative FilterQ %d (0 means the default gram size 2)", opts.FilterQ)
+	}
 
 	// Step A: data preparation.
 	if opts.Standardizer != nil {
@@ -112,7 +115,7 @@ func newEngine(xr *pdb.XRelation, opts Options) (*engine, error) {
 	q := 0
 	if opts.PreFilter {
 		q = opts.FilterQ
-		if q <= 0 {
+		if q == 0 {
 			q = 2
 		}
 	}

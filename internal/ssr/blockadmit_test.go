@@ -229,11 +229,18 @@ func (h *blockAdmit) checkRows(k string) {
 	for j := range blk.ids {
 		for i := range j {
 			rj, ri := h.pairF.sigs[blk.ids[j]], h.pairF.sigs[blk.ids[i]]
-			if got, want := h.scanF.rejects(&blk.rows, j, &blk.rows, i, h.hi), h.pairF.rejects(&rj, 0, &ri, 0, h.hi); got != want {
+			if got, want := rowRejects(h.scanF, &blk.rows, j, &blk.rows, i, h.hi), rowRejects(h.pairF, &rj, 0, &ri, 0, h.hi); got != want {
 				h.t.Fatalf("block %q rows %d,%d: packed rows reject=%v, per-ID rows reject=%v", k, i, j, got, want)
 			}
 		}
 	}
+}
+
+// rowRejects runs the kernel on row i of a, as the probe, against row j
+// of b.
+func rowRejects(f *PreFilter, a *rows, i int, b *rows, j int, hi []float64) bool {
+	p, member := f.probe(a, i), f.probe(b, j)
+	return f.rejects(&p, member.spans, b.stats, member.base, hi)
 }
 
 // run applies one operation per byte: inserts into one of three blocks
@@ -310,16 +317,22 @@ func FuzzBlockAdmit(f *testing.F) {
 
 // TestBlockScanDoesNotAllocate pins the cost model of the scan: a
 // rejected candidate costs no allocation (no pair, no lock, no lookup).
+// A schema wider than the stack scratch pays one allocation per scan,
+// the bound vector, and still none per candidate.
 func TestBlockScanDoesNotAllocate(t *testing.T) {
-	idx, blk, n := hotBlockIndex(t, 62) // the arrival is a planted near-duplicate
-	admitted := 0
-	scan := func() { idx.filter.admitRows(&blk.rows, n, func(int) bool { admitted++; return true }) }
-	scan()
-	if admitted == 0 || admitted == n {
-		t.Fatalf("fixture is vacuous: %d of %d candidates admitted", admitted, n)
-	}
-	if avg := testing.AllocsPerRun(20, scan); avg != 0 {
-		t.Fatalf("a scan over %d candidates allocates %v times, want 0", n, avg)
+	for _, tc := range []struct{ width, allocs int }{{3, 0}, {stackAttrs + 2, 1}} {
+		t.Run(fmt.Sprintf("width=%d", tc.width), func(t *testing.T) {
+			idx, blk, n := hotBlockIndex(t, 62, tc.width) // the arrival is a planted near-duplicate
+			admitted := 0
+			scan := func() { idx.filter.admitRows(&blk.rows, n, func(int) bool { admitted++; return true }) }
+			scan()
+			if admitted == 0 || admitted == n {
+				t.Fatalf("fixture is vacuous: %d of %d candidates admitted", admitted, n)
+			}
+			if avg := testing.AllocsPerRun(20, scan); avg > float64(tc.allocs) {
+				t.Fatalf("a scan over %d candidates allocates %v times, want at most %d", n, avg, tc.allocs)
+			}
+		})
 	}
 }
 

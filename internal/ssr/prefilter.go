@@ -26,11 +26,12 @@ import (
 //
 //  1. per attribute, a similarity upper bound from the precomputed
 //     symbol statistics of the values (length and q-gram count filters,
-//     strsim.BoundFor), maximized over the alternative values and ⊥
+//     strsim.Bound), maximized over the alternative values and ⊥
 //     combinations — an upper bound of the Eq. 5 expectation, which is
 //     a convex combination of exactly those terms;
 //  2. the decision model folds the per-attribute bounds into a
-//     per-cell similarity bound (decision.UpperBounded);
+//     per-cell similarity bound (decision.UpperBounded; the weighted
+//     sum is resolved to its concrete type once, in NewPreFilter);
 //  3. the derivation folds the cell bound into a bound on the derived
 //     x-tuple similarity (xmatch.Bounded).
 //
@@ -41,21 +42,31 @@ import (
 // pointer-free sym.Stats records, and the cascade does no string work
 // and no allocation.
 //
-// The cascade runs over the two tiers of layer 1 (strsim.Tier): the
-// whole chain is first folded with the O(1) signature estimates of the
-// gram overlaps, and only a pair that survives is folded again with the
-// exact gram merges. Every layer is monotone and quick ≥ exact, so the
-// quick fold rejects nothing the exact fold would admit — the outcome is
-// the exact fold's, most rejects just never pay a merge. The quick tier
-// reads the rows alone and performs no table lookup; the exact tier
-// reads the two values' gram multisets from the table, under its read
-// lock.
+// The cascade is one kernel (rejects) over two tiers of layer 1. The
+// quick tier bounds every attribute with the O(1) signature estimate of
+// the gram overlaps (strsim.QuickOverlap) and folds the vector; it
+// reads the rows alone. Only a survivor reaches the exact tier, which
+// refines the quick vector one attribute at a time, in attribute
+// order: attribute k drops to its exact bound (gram merges read through
+// a sym.GramView), the mixed vector is folded again, and the pair is
+// rejected as soon as a fold falls below Tλ. This decides exactly as
+// folding the all-exact vector would: per attribute quick ≥ exact, so
+// every mixed vector dominates the exact one; every layer is monotone
+// (the quick tier's own soundness already relies on it), and rounded
+// addition and multiplication by a positive weight are monotone, so a
+// mixed fold taken in attribute order is ≥ the exact fold — a mixed
+// reject is an exact reject — and once every attribute is refined the
+// vector is the exact one. Most rejects never pay a merge, and most
+// exact rejects pay for the first attributes' merges only.
 //
-// Two loops feed the one cascade. Admit asks it about one pair whose
-// rows live in the filter's per-ID map (Insert/Remove). An index built
-// by IncrementalFiltered keeps its members' rows itself, one rows per
-// block, and admits each arrival against its whole block in one scan;
-// such tuples are never Inserted here.
+// Two loops feed the one kernel, each reading the arrival's row once
+// into a probe: its spans, its value records and, from its first exact
+// evaluation on, the view of the table's gram multisets. Admit asks
+// about one pair whose rows live in the filter's per-ID map
+// (Insert/Remove). An index built by IncrementalFiltered keeps its
+// members' rows itself, one rows per block, and admits each arrival
+// against its whole block in one scan (admitRows) that walks the
+// members' spans forward; such tuples are never Inserted here.
 //
 // A PreFilter is safe for concurrent use: Admit takes only a read lock
 // plus two atomic counters, Insert/Remove a write lock. A block scan
@@ -63,8 +74,13 @@ import (
 // counters, once per scan.
 type PreFilter struct {
 	table  *sym.Table
-	bounds []strsim.SimBound // per attribute; nil = no bound known (UB 1)
+	q      int            // the table's gram size
+	bounds []strsim.Bound // per attribute; the zero Bound (unregistered) bounds to 1
 	model  decision.UpperBounded
+	// ws is the model when it is the engine's weighted sum, resolved
+	// once: called on its concrete type the fold takes the caller's
+	// stack scratch without a copy. nil for any other model.
+	ws     *decision.WeightedSumModel
 	derive xmatch.Bounded
 	lambda float64
 	nulls  avm.NullSemantics
@@ -123,15 +139,6 @@ type span struct {
 	null bool
 }
 
-// values returns the distinct value stats and the ⊥ flag of span s.
-func (r *rows) values(s int) ([]sym.Stats, bool) {
-	start := uint32(0)
-	if s > 0 {
-		start = r.spans[s-1].end
-	}
-	return r.stats[start:r.spans[s].end], r.spans[s].null
-}
-
 // NewPreFilter validates that the configuration supports sound
 // filtering and returns the filter, or an error describing the first
 // obstruction (an opaque decision model, an unboundable derivation, or
@@ -152,21 +159,24 @@ func NewPreFilter(cfg PreFilterConfig) (*PreFilter, error) {
 	if cfg.Nulls.NullNull < 0 || cfg.Nulls.NullNull > 1 || cfg.Nulls.NullValue < 0 || cfg.Nulls.NullValue > 1 {
 		return nil, fmt.Errorf("ssr: pre-filter needs ⊥ similarities in [0,1], got %+v", cfg.Nulls)
 	}
-	bounds := make([]strsim.SimBound, len(cfg.Funcs))
+	bounds := make([]strsim.Bound, len(cfg.Funcs))
 	for k, f := range cfg.Funcs {
-		if b, ok := strsim.BoundFor(f); ok {
-			bounds[k] = b
-		}
+		bounds[k], _ = strsim.BoundFor(f) // unregistered: the zero Bound
 	}
-	return &PreFilter{
+	f := &PreFilter{
 		table:  cfg.Table,
+		q:      cfg.Table.Q(),
 		bounds: bounds,
 		model:  model,
 		derive: derive,
 		lambda: cfg.Lambda,
 		nulls:  cfg.Nulls,
 		sigs:   map[string]rows{},
-	}, nil
+	}
+	if ws, ok := model.(decision.WeightedSumModel); ok {
+		f.ws = &ws
+	}
+	return f, nil
 }
 
 // Insert summarizes the (interned) x-tuple so later Admit calls can
@@ -262,7 +272,8 @@ func (f *PreFilter) Admit(p verify.Pair) bool {
 		return true
 	}
 	var buf [stackAttrs]float64
-	if f.rejects(&r1, 0, &r2, 0, f.scratch(&buf)) {
+	pr := f.probe(&r1, 0)
+	if f.rejects(&pr, r2.spans, r2.stats, 0, f.scratch(&buf)) {
 		f.filtered.Add(1)
 		return false
 	}
@@ -270,21 +281,29 @@ func (f *PreFilter) Admit(p verify.Pair) bool {
 }
 
 // admitRows is the block scan: it offers the arrival in row x of r to
-// every earlier row i < x through the same cascade Admit runs and calls
-// yield(i) for the survivors only. A reject costs no lock, no lookup,
-// no allocation and no pair; the counters move once per scan. It
-// returns false if yield stopped the scan early.
+// every earlier row i < x through the same kernel Admit runs and calls
+// yield(i) for the survivors only. The arrival's row is read once, the
+// members' spans are walked forward, and a reject costs no lock, no
+// lookup, no allocation and no pair; the counters move once per scan.
+// It returns false if yield stopped the scan early.
 func (f *PreFilter) admitRows(r *rows, x int, yield func(i int) bool) bool {
 	var buf [stackAttrs]float64
 	hi := f.scratch(&buf)
+	pr := f.probe(r, x)
+	w := len(f.bounds)
 	scanned, rejected, ok := 0, 0, true
+	start := uint32(0) // where member i's values begin in r.stats
 	for i := 0; i < x && ok; i++ {
+		member := r.spans[i*w : (i+1)*w]
 		scanned++
-		if f.rejects(r, x, r, i, hi) {
+		if f.rejects(&pr, member, r.stats, start, hi) {
 			rejected++
-			continue
+		} else {
+			ok = yield(i)
 		}
-		ok = yield(i)
+		if w > 0 {
+			start = member[w-1].end
+		}
 	}
 	f.enumerated.Add(uint64(scanned))
 	f.filtered.Add(uint64(rejected))
@@ -300,79 +319,103 @@ func (f *PreFilter) scratch(buf *[stackAttrs]float64) []float64 {
 	return buf[:len(f.bounds)]
 }
 
-// rejects is the cascade: the quick tier first, the exact tier only for
-// a quick survivor. It reports whether row i of a and row j of b
-// provably stay below Tλ.
-func (f *PreFilter) rejects(a *rows, i int, b *rows, j int, hi []float64) bool {
-	return f.below(a, i, b, j, hi, strsim.TierQuick) || f.below(a, i, b, j, hi, strsim.TierExact)
+// probe is the arrival's side of the kernel, read once per scan (or per
+// Admit): the row's w spans, whose ends index r.stats, and its value
+// records, which start at r.stats[base]. grams is the view of the
+// table's gram multisets, taken at the row's first exact evaluation.
+type probe struct {
+	spans  []span
+	stats  []sym.Stats
+	base   uint32
+	grams  sym.GramView
+	viewed bool
 }
 
-// below folds the per-attribute bounds of one tier for row i of a and
-// row j of b through the model and the derivation and reports whether
-// the pair provably stays below Tλ. hi is scratch for the bound vector.
-func (f *PreFilter) below(a *rows, i int, b *rows, j int, hi []float64, t strsim.Tier) bool {
+// probe reads row x of r.
+func (f *PreFilter) probe(r *rows, x int) probe {
 	w := len(f.bounds)
-	for k := range f.bounds {
-		av, aNull := a.values(i*w + k)
-		bv, bNull := b.values(j*w + k)
-		hi[k] = f.attrUB(k, av, aNull, bv, bNull, t)
+	p := probe{spans: r.spans[x*w : (x+1)*w]}
+	if x > 0 && w > 0 {
+		p.base = r.spans[x*w-1].end
 	}
-	cellUB := f.cellUB(hi)
+	end := p.base
+	if w > 0 {
+		end = p.spans[w-1].end
+	}
+	p.stats = r.stats[p.base:end]
+	return p
+}
+
+// rejects is the kernel: it reports whether the member whose w spans
+// are member, and whose values start at stats[start], provably stays
+// below Tλ against the probe. hi is scratch for the bound vector. The
+// quick tier bounds every attribute with the signature estimates of the
+// overlaps and folds once; a survivor goes on to the exact tier.
+func (f *PreFilter) rejects(p *probe, member []span, stats []sym.Stats, start uint32, hi []float64) bool {
+	a, b := uint32(0), start
+	for k, bound := range f.bounds {
+		aEnd, bEnd := p.spans[k].end-p.base, member[k].end
+		av, bv := p.stats[a:aEnd], stats[b:bEnd]
+		hi[k] = bound.MaxUB(av, bv, f.q, f.nullUB(av, p.spans[k].null, bv, member[k].null), nil)
+		a, b = aEnd, bEnd
+	}
+	return f.below(hi) || f.refine(p, member, stats, start, hi)
+}
+
+// refine is the exact tier of a quick survivor whose quick vector is
+// hi: attribute by attribute, in attribute order, hi[k] drops to the
+// exact bound and the mixed vector is folded again; the first fold
+// below Tλ rejects. An attribute whose bound does not drop leaves the
+// fold where it was, so it is not folded again.
+func (f *PreFilter) refine(p *probe, member []span, stats []sym.Stats, start uint32, hi []float64) bool {
+	if !p.viewed {
+		p.grams, p.viewed = f.table.GramView(), true
+	}
+	a, b := uint32(0), start
+	for k, bound := range f.bounds {
+		aEnd, bEnd := p.spans[k].end-p.base, member[k].end
+		av, bv := p.stats[a:aEnd], stats[b:bEnd]
+		if v := bound.MaxUB(av, bv, f.q, f.nullUB(av, p.spans[k].null, bv, member[k].null), &p.grams); v < hi[k] {
+			hi[k] = v
+			if f.below(hi) {
+				return true
+			}
+		}
+		a, b = aEnd, bEnd
+	}
+	return false
+}
+
+// below folds the bound vector through the model and the derivation and
+// reports whether the pair provably stays below Tλ. An interface call
+// leaks its argument to the heap, which would cost an allocation per
+// fold: the resolved weighted sum takes hi itself, any other model gets
+// a copy.
+func (f *PreFilter) below(hi []float64) bool {
+	var cellUB float64
+	if f.ws != nil {
+		cellUB = f.ws.SimilarityUpperBound(hi)
+	} else {
+		cellUB = f.model.SimilarityUpperBound(slices.Clone(hi))
+	}
 	if cellUB < 0 {
 		cellUB = 0
 	}
 	return f.derive.SimUpperBound(cellUB, f.model) < f.lambda
 }
 
-// cellUB folds the bound vector through the decision model. An
-// interface call leaks its argument to the heap, which would cost
-// Admit an allocation per pair: the engine's weighted-sum model is
-// called on its concrete type so the caller's scratch stays on the
-// stack, any other model gets a copy.
-func (f *PreFilter) cellUB(hi []float64) float64 {
-	if ws, ok := f.model.(decision.WeightedSumModel); ok {
-		return ws.SimilarityUpperBound(hi)
-	}
-	return f.model.SimilarityUpperBound(slices.Clone(hi))
-}
-
-// attrUB bounds the Eq. 5 attribute similarity over every alternative
-// pair of the two tuples: the expectation is a convex combination of
-// value-pair similarities and ⊥ terms, so its maximum term bounds it.
-func (f *PreFilter) attrUB(k int, a []sym.Stats, aNull bool, b []sym.Stats, bNull bool, t strsim.Tier) float64 {
+// nullUB is the largest ⊥ term of one attribute's Eq. 5 expansion: ⊥
+// against ⊥ when both sides carry ⊥ mass, ⊥ against a value when one
+// side carries ⊥ mass and the other a value, else 0. The expansion is a
+// convex combination of these terms and the value-pair similarities,
+// so the largest of them all (strsim.Bound.MaxUB) bounds it.
+func (f *PreFilter) nullUB(a []sym.Stats, aNull bool, b []sym.Stats, bNull bool) float64 {
 	best := 0.0
-	if aNull && bNull && f.nulls.NullNull > best {
+	if aNull && bNull {
 		best = f.nulls.NullNull
 	}
 	if ((aNull && len(b) > 0) || (bNull && len(a) > 0)) && f.nulls.NullValue > best {
 		best = f.nulls.NullValue
-	}
-	if len(a) > 0 && len(b) > 0 {
-		bound := f.bounds[k]
-		if bound == nil {
-			return 1
-		}
-		q := f.table.Q()
-		for i := range a {
-			for j := range b {
-				if a[i].Sym == b[j].Sym {
-					return 1 // equal strings, the one case every bound answers at once
-				}
-				overlap := strsim.QuickOverlap(&a[i], &b[j], q) // GramOverlap's quick tier, inlined
-				if t == strsim.TierExact {
-					overlap = strsim.GramOverlap(f.table, &a[i], &b[j], t)
-				}
-				if v := bound(&a[i], &b[j], q, overlap); v > best {
-					if v >= 1 {
-						return 1
-					}
-					best = v
-				}
-			}
-		}
-	}
-	if best > 1 {
-		best = 1
 	}
 	return best
 }

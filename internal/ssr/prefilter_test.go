@@ -274,26 +274,28 @@ func TestAdmitMaximizesOverAlternatives(t *testing.T) {
 	}
 }
 
-// hotTuples builds a PreFilter and n interned tuples shaped like one hot
-// block of the serve_skew workload — three attributes (name of 10–14
-// random letters, job from a 512-word vocabulary, one shared block
-// value), 30 % two-alternative x-tuples whose second alternative is
-// unrelated. nullShare of the name distributions additionally carry ⊥
-// mass. The tuples are not summarized yet.
-func hotTuples(tb testing.TB, n int, nullShare float64) (*PreFilter, []*pdb.XTuple) {
+// hotTuples builds a pre-filter configuration and n interned tuples
+// shaped like one hot block of the serve_skew workload — a name of
+// 10–14 random letters, a job from a 512-word vocabulary, width−3 more
+// attributes drawn from the same vocabulary (a planted near-duplicate
+// copies them), and one shared block value last — 30 %
+// two-alternative x-tuples whose second alternative is unrelated.
+// nullShare of the name distributions additionally carry ⊥ mass. The
+// tuples are not summarized yet.
+func hotTuples(tb testing.TB, n int, nullShare float64, width int) (PreFilterConfig, []*pdb.XTuple) {
 	tb.Helper()
 	rng := rand.New(rand.NewSource(16))
 	tab := sym.NewTable(2)
-	pf, err := NewPreFilter(PreFilterConfig{
+	cfg := PreFilterConfig{
 		Table:  tab,
-		Funcs:  []strsim.Func{strsim.Levenshtein, strsim.Levenshtein, strsim.Levenshtein},
-		Model:  decision.WeightedSumModel{Weights: decision.EqualWeights(3), T: decision.Thresholds{Lambda: 0.75, Mu: 0.9}},
+		Funcs:  make([]strsim.Func, width),
+		Model:  decision.WeightedSumModel{Weights: decision.EqualWeights(width), T: decision.Thresholds{Lambda: 0.75, Mu: 0.9}},
 		Derive: xmatch.SimilarityBased{Conditioned: true},
 		Lambda: 0.75,
 		Nulls:  avm.PaperNulls,
-	})
-	if err != nil {
-		tb.Fatal(err)
+	}
+	for k := range cfg.Funcs {
+		cfg.Funcs[k] = strsim.Levenshtein
 	}
 	word := func(min, spread int) string {
 		b := make([]byte, min+rng.Intn(spread))
@@ -307,12 +309,17 @@ func hotTuples(tb testing.TB, n int, nullShare float64) (*PreFilter, []*pdb.XTup
 	for i := range jobs {
 		jobs[i] = word(5, 6)
 	}
+	var extras []string
 	alt := func(p float64, nm string) pdb.Alt {
 		d := pdb.Certain(nm)
 		if rng.Float64() < nullShare {
 			d = pdb.MustDist(pdb.Alternative{Value: pdb.V(nm), P: 0.6})
 		}
-		return pdb.NewAltDists(p, d, pdb.Certain(jobs[rng.Intn(len(jobs))]), pdb.Certain("block-07"))
+		ds := []pdb.Dist{d, pdb.Certain(jobs[rng.Intn(len(jobs))])}
+		for _, v := range extras {
+			ds = append(ds, pdb.Certain(v))
+		}
+		return pdb.NewAltDists(p, append(ds, pdb.Certain("block-07"))...)
 	}
 	xs := make([]*pdb.XTuple, n)
 	prev := ""
@@ -321,6 +328,11 @@ func hotTuples(tb testing.TB, n int, nullShare float64) (*PreFilter, []*pdb.XTup
 		nm := name()
 		if i%7 == 6 {
 			nm = "x" + prev[1:] // a planted near-duplicate: one edit
+		} else {
+			extras = make([]string, width-3)
+			for k := range extras {
+				extras[k] = jobs[rng.Intn(len(jobs))]
+			}
 		}
 		prev = nm
 		x := pdb.NewXTuple(id, alt(1, nm))
@@ -331,14 +343,18 @@ func hotTuples(tb testing.TB, n int, nullShare float64) (*PreFilter, []*pdb.XTup
 		prepare.InternXTuple(tab, x)
 		xs[i] = x
 	}
-	return pf, xs
+	return cfg, xs
 }
 
-// hotBlock summarizes hotTuples in the filter's per-ID map and returns
-// the filter with every pair of the block.
+// hotBlock summarizes three-attribute hotTuples in a filter's per-ID
+// map and returns the filter with every pair of the block.
 func hotBlock(tb testing.TB, n int, nullShare float64) (*PreFilter, []verify.Pair) {
 	tb.Helper()
-	pf, xs := hotTuples(tb, n, nullShare)
+	cfg, xs := hotTuples(tb, n, nullShare, 3)
+	pf, err := NewPreFilter(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
 	var pairs []verify.Pair
 	for j, x := range xs {
 		pf.Insert(x)
@@ -349,14 +365,18 @@ func hotBlock(tb testing.TB, n int, nullShare float64) (*PreFilter, []verify.Pai
 	return pf, pairs
 }
 
-// hotBlockIndex files n+1 hotTuples into a BlockingCertain index that
-// holds the filter — one block, keyed by the shared block value — and
-// returns the index, the block, and the row of the last arrival, which
-// faces the n others.
-func hotBlockIndex(tb testing.TB, n int) (*blockingCertainIndex, block, int) {
+// hotBlockIndex files n+1 hotTuples of the given width into a
+// BlockingCertain index that holds the filter — one block, keyed by the
+// shared block value — and returns the index, the block, and the row of
+// the last arrival, which faces the n others.
+func hotBlockIndex(tb testing.TB, n, width int) (*blockingCertainIndex, block, int) {
 	tb.Helper()
-	pf, xs := hotTuples(tb, n+1, 0)
-	idx := IncrementalFiltered(BlockingCertain{Key: keys.NewDef(keys.Part{Attr: 2})}, pf).(*blockingCertainIndex)
+	cfg, xs := hotTuples(tb, n+1, 0, width)
+	pf, err := NewPreFilter(cfg)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	idx := IncrementalFiltered(BlockingCertain{Key: keys.NewDef(keys.Part{Attr: width - 1})}, pf).(*blockingCertainIndex)
 	for _, x := range xs {
 		idx.Restore(x)
 	}
@@ -368,37 +388,45 @@ func hotBlockIndex(tb testing.TB, n int) (*blockingCertainIndex, block, int) {
 
 // TestAdmitQuickTierNeverChangesOutcome is the cascade's soundness
 // test: on random two-alternative tuples with ⊥ mass, Admit decides
-// exactly as an exact-only evaluation of the bound chain does — the
-// quick tier only ever rejects what the exact tier rejects — while
-// doing real work (it rejects most pairs before any merge).
+// exactly as the exact-overlap reference does — the quick tier only
+// ever rejects what the exact tier rejects — while doing real work (it
+// rejects most pairs before any merge).
 func TestAdmitQuickTierNeverChangesOutcome(t *testing.T) {
-	pf, pairs := hotBlock(t, 96, 0.25)
-	hi := make([]float64, len(pf.bounds))
-	quickRejects, exactRejects := 0, 0
-	for _, p := range pairs {
-		r1, r2 := pf.sigs[p.A], pf.sigs[p.B]
-		quick := pf.below(&r1, 0, &r2, 0, hi, strsim.TierQuick)
-		exact := pf.below(&r1, 0, &r2, 0, hi, strsim.TierExact)
-		if quick && !exact {
-			t.Fatalf("pair %v: quick tier rejects what the exact tier admits", p)
-		}
-		if got := pf.Admit(p); got == exact {
-			t.Fatalf("pair %v: Admit = %v, exact-only evaluation admits = %v", p, got, !exact)
-		}
-		if quick {
-			quickRejects++
-		}
-		if exact {
-			exactRejects++
+	cfg, xs := hotTuples(t, 96, 0.25, 3)
+	pf, err := NewPreFilter(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, x := range xs {
+		pf.Insert(x)
+	}
+	pairs, quickRejects, exactRejects := 0, 0, 0
+	for j, x := range xs {
+		for _, y := range xs[:j] {
+			p := verify.NewPair(y.ID, x.ID)
+			quick, exact := referenceQuickRejects(cfg, y, x), referenceRejects(cfg, y, x)
+			if quick && !exact {
+				t.Fatalf("pair %v: quick tier rejects what the exact tier admits", p)
+			}
+			if got := pf.Admit(p); got == exact {
+				t.Fatalf("pair %v: Admit = %v, exact-only evaluation admits = %v", p, got, !exact)
+			}
+			pairs++
+			if quick {
+				quickRejects++
+			}
+			if exact {
+				exactRejects++
+			}
 		}
 	}
 	st := pf.Stats()
-	if int(st.Enumerated) != len(pairs) || int(st.Filtered) != exactRejects {
-		t.Fatalf("stats %+v, want %d enumerated, %d filtered", st, len(pairs), exactRejects)
+	if int(st.Enumerated) != pairs || int(st.Filtered) != exactRejects {
+		t.Fatalf("stats %+v, want %d enumerated, %d filtered", st, pairs, exactRejects)
 	}
-	t.Logf("%d pairs: %d exact rejects, %d of them at the quick tier", len(pairs), exactRejects, quickRejects)
-	if exactRejects == len(pairs) || quickRejects*2 < exactRejects {
-		t.Fatalf("fixture is vacuous: %d pairs, %d exact rejects, %d quick rejects", len(pairs), exactRejects, quickRejects)
+	t.Logf("%d pairs: %d exact rejects, %d of them at the quick tier", pairs, exactRejects, quickRejects)
+	if exactRejects == pairs || quickRejects*2 < exactRejects {
+		t.Fatalf("fixture is vacuous: %d pairs, %d exact rejects, %d quick rejects", pairs, exactRejects, quickRejects)
 	}
 }
 
@@ -434,22 +462,27 @@ func BenchmarkPreFilterAdmit(b *testing.B) {
 
 // BenchmarkBlockAdmit measures the same work as the block scan does it:
 // one arrival against a hot block of 192, in one pass over the block's
-// packed rows. One iteration is one arrival; ns/candidate is the figure
-// to set beside BenchmarkPreFilterAdmit's ns/op. row-B/member is the
-// footprint of the block's rows: the bytes their spans and value
+// packed rows, at the three attributes of serve_skew and at a width
+// past the stack scratch. One iteration is one arrival; ns/candidate is
+// the figure to set beside BenchmarkPreFilterAdmit's ns/op. row-B/member
+// is the footprint of the block's rows: the bytes their spans and value
 // records hold by capacity, per member.
 func BenchmarkBlockAdmit(b *testing.B) {
-	idx, blk, n := hotBlockIndex(b, 192)
-	b.ReportAllocs()
-	b.ResetTimer()
-	admitted := 0
-	for i := 0; i < b.N; i++ {
-		idx.filter.admitRows(&blk.rows, n, func(int) bool { admitted++; return true })
+	for _, width := range []int{3, stackAttrs + 2} {
+		b.Run(fmt.Sprintf("width=%d", width), func(b *testing.B) {
+			idx, blk, n := hotBlockIndex(b, 192, width)
+			b.ReportAllocs()
+			b.ResetTimer()
+			admitted := 0
+			for i := 0; i < b.N; i++ {
+				idx.filter.admitRows(&blk.rows, n, func(int) bool { admitted++; return true })
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/candidate")
+			b.ReportMetric(float64(admitted)/float64(b.N*n), "admitted/candidate")
+			rowBytes := cap(blk.rows.spans)*int(unsafe.Sizeof(span{})) + cap(blk.rows.stats)*int(unsafe.Sizeof(sym.Stats{}))
+			b.ReportMetric(float64(rowBytes)/float64(len(blk.ids)), "row-B/member")
+		})
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*n), "ns/candidate")
-	b.ReportMetric(float64(admitted)/float64(b.N*n), "admitted/candidate")
-	rowBytes := cap(blk.rows.spans)*int(unsafe.Sizeof(span{})) + cap(blk.rows.stats)*int(unsafe.Sizeof(sym.Stats{}))
-	b.ReportMetric(float64(rowBytes)/float64(len(blk.ids)), "row-B/member")
 }
 
 // TestSymbolPlaneIsPointerFree keeps the symbol records and the
@@ -475,9 +508,10 @@ func TestSymbolPlaneIsPointerFree(t *testing.T) {
 // exact tier must decide exactly as a sequential run does while fresh
 // values are interned into the same tables (run under -race in CI).
 func TestExactTierReadsGramsWhileInterning(t *testing.T) {
+	cfg, xs := hotTuples(t, 64, 0.25, 3)
 	pf, pairs := hotBlock(t, 64, 0.25)
-	idx, blk, n := hotBlockIndex(t, 64)
-	hi := make([]float64, len(pf.bounds))
+	idxCfg, idxXs := hotTuples(t, 65, 0, 3)
+	idx, blk, n := hotBlockIndex(t, 64, 3)
 	admits := func() []bool {
 		out := make([]bool, len(pairs))
 		for i, p := range pairs {
@@ -492,17 +526,19 @@ func TestExactTierReadsGramsWhileInterning(t *testing.T) {
 		}
 		return out
 	}
-	exactPairs := 0
-	for _, p := range pairs {
-		r1, r2 := pf.sigs[p.A], pf.sigs[p.B]
-		if !pf.below(&r1, 0, &r2, 0, hi, strsim.TierQuick) {
-			exactPairs++
+	// hotTuples is deterministic: cfg and xs hold the tuples hotBlock
+	// summarized, idxCfg and idxXs those the index holds.
+	exactPairs, exactRows := 0, 0
+	for x := range xs {
+		for i := range x {
+			if !referenceQuickRejects(cfg, xs[i], xs[x]) {
+				exactPairs++
+			}
 		}
 	}
-	exactRows := 0
 	for x := range n + 1 {
 		for i := range x {
-			if !idx.filter.below(&blk.rows, x, &blk.rows, i, hi, strsim.TierQuick) {
+			if !referenceQuickRejects(idxCfg, idxXs[i], idxXs[x]) {
 				exactRows++
 			}
 		}

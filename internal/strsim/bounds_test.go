@@ -34,10 +34,29 @@ func boundedFuncs() map[string]Func {
 	}
 }
 
+// tier selects the overlap estimate a bound is evaluated at: the quick
+// tier's QuickOverlap, or the exact merge of the two gram multisets.
+type tier uint8
+
+const (
+	tierQuick tier = iota
+	tierExact
+)
+
+// overlapAt returns the tier's estimate of the gram overlap of two
+// records of tab, as MaxUB computes it.
+func overlapAt(tab *sym.Table, a, b *sym.Stats, t tier) int {
+	o := QuickOverlap(a, b, tab.Q())
+	if t == tierExact && o > 0 {
+		return sym.Overlap(tab.Grams(a.Sym), tab.Grams(b.Sym))
+	}
+	return o
+}
+
 // boundAt evaluates bound on two records of tab with the tier's
 // overlap estimate, as the pre-filter's cascade does.
-func boundAt(bound SimBound, tab *sym.Table, a, b *sym.Stats, t Tier) float64 {
-	return bound(a, b, tab.Q(), GramOverlap(tab, a, b, t))
+func boundAt(bound Bound, tab *sym.Table, a, b *sym.Stats, t tier) float64 {
+	return bound.UB(a, b, tab.Q(), overlapAt(tab, a, b, t))
 }
 
 // checkBoundTiers is the property underpinning the whole candidate
@@ -56,7 +75,7 @@ func checkBoundTiers(t testing.TB, a, b string) {
 		tab := sym.NewTable(q)
 		sa := tab.Stats(tab.Intern(a))
 		sb := tab.Stats(tab.Intern(b))
-		oq, oe := GramOverlap(tab, &sa, &sb, TierQuick), GramOverlap(tab, &sa, &sb, TierExact)
+		oq, oe := overlapAt(tab, &sa, &sb, tierQuick), overlapAt(tab, &sa, &sb, tierExact)
 		if want := sym.Overlap(tab.Grams(sa.Sym), tab.Grams(sb.Sym)); oe != want || oq < oe {
 			t.Fatalf("q=%d (%q, %q): overlap quick %d, exact %d, merge %d", q, a, b, oq, oe, want)
 		}
@@ -66,14 +85,14 @@ func checkBoundTiers(t testing.TB, a, b string) {
 				t.Fatalf("%s: no bound registered", name)
 			}
 			actual := f(a, b)
-			quick, exact := boundAt(bound, tab, &sa, &sb, TierQuick), boundAt(bound, tab, &sa, &sb, TierExact)
+			quick, exact := boundAt(bound, tab, &sa, &sb, tierQuick), boundAt(bound, tab, &sa, &sb, tierExact)
 			if exact < actual {
 				t.Fatalf("q=%d %s(%q, %q) = %v exceeds exact bound %v", q, name, a, b, actual, exact)
 			}
 			if quick < exact {
 				t.Fatalf("q=%d %s(%q, %q): quick bound %v below exact bound %v", q, name, a, b, quick, exact)
 			}
-			if quick != boundAt(bound, tab, &sb, &sa, TierQuick) || exact != boundAt(bound, tab, &sb, &sa, TierExact) {
+			if quick != boundAt(bound, tab, &sb, &sa, tierQuick) || exact != boundAt(bound, tab, &sb, &sa, tierExact) {
 				t.Fatalf("q=%d %s(%q, %q): bound is asymmetric", q, name, a, b)
 			}
 			if sa.Sym == sb.Sym && (quick != 1 || exact != 1) {
@@ -144,7 +163,7 @@ func TestBoundsGuardUninterned(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no bound registered", name)
 		}
-		for _, tier := range []Tier{TierQuick, TierExact} {
+		for _, tier := range []tier{tierQuick, tierExact} {
 			if got := boundAt(bound, tab, &sym.Stats{}, &st, tier); got != 1 {
 				t.Fatalf("%s: bound(zero, x) = %v, want 1", name, got)
 			}
@@ -155,11 +174,68 @@ func TestBoundsGuardUninterned(t *testing.T) {
 	}
 }
 
-// TestBoundForUnregistered: an arbitrary custom Func has no bound.
+// TestMaxUBIsTheLargestUB: MaxUB returns the largest of the floor and
+// UB over every pair of two value sets, capped at 1, at the quick
+// overlap without a view and at the exact overlap with one — for every registered
+// bound and the zero Bound, at every gram size, over sets with empty,
+// equal, near and unrelated values and un-interned (zero) records.
+func TestMaxUBIsTheLargestUB(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	words := []string{"", "martha", "marhta", "dixon", "dicksonx", "aaaa", "zzzzzzzz", "é漢", "abcabcabc", "abcabdabc"}
+	bounds := map[string]Bound{"unregistered": 0}
+	for name, f := range boundedFuncs() {
+		bounds[name], _ = BoundFor(f)
+	}
+	for _, q := range []int{0, 1, 2, 3, 4} {
+		tab := sym.NewTable(q)
+		view := tab.GramView()
+		set := func() []sym.Stats {
+			xs := make([]sym.Stats, rng.Intn(4))
+			for i := range xs {
+				if rng.Intn(8) > 0 {
+					xs[i] = tab.Stats(tab.Intern(words[rng.Intn(len(words))]))
+				}
+			}
+			return xs
+		}
+		for range 200 {
+			xs, ys := set(), set()
+			floor := []float64{0, 0.25, 1}[rng.Intn(3)]
+			for name, b := range bounds {
+				quick, exact := floor, floor
+				for i := range xs {
+					for j := range ys {
+						quick = max(quick, boundAt(b, tab, &xs[i], &ys[j], tierQuick))
+						exact = max(exact, boundAt(b, tab, &xs[i], &ys[j], tierExact))
+					}
+				}
+				quick, exact = min(quick, 1), min(exact, 1)
+				if got := b.MaxUB(xs, ys, q, floor, nil); got != quick {
+					t.Fatalf("q=%d %s: MaxUB(%v, %v, %v) = %v, want %v", q, name, xs, ys, floor, got, quick)
+				}
+				if got := b.MaxUB(xs, ys, q, floor, &view); got != exact {
+					t.Fatalf("q=%d %s: exact MaxUB(%v, %v, %v) = %v, want %v", q, name, xs, ys, floor, got, exact)
+				}
+			}
+		}
+	}
+}
+
+// TestBoundForUnregistered: an arbitrary custom Func has no bound, and
+// the zero Bound it gets bounds every pair to 1.
 func TestBoundForUnregistered(t *testing.T) {
 	custom := func(a, b string) float64 { return 0.5 }
-	if _, ok := BoundFor(custom); ok {
+	bound, ok := BoundFor(custom)
+	if ok {
 		t.Fatal("custom func unexpectedly has a bound")
+	}
+	tab := sym.NewTable(2)
+	sa := tab.Stats(tab.Intern("aaaaaaaa"))
+	sb := tab.Stats(tab.Intern("zzzz"))
+	for _, tier := range []tier{tierQuick, tierExact} {
+		if got := boundAt(bound, tab, &sa, &sb, tier); got != 1 {
+			t.Fatalf("tier %d: unregistered bound = %v, want 1", tier, got)
+		}
 	}
 }
 
@@ -185,7 +261,7 @@ func TestBoundsRejectObviousNonMatches(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s: no bound", name)
 		}
-		for _, tier := range []Tier{TierQuick, TierExact} {
+		for _, tier := range []tier{tierQuick, tierExact} {
 			if got := boundAt(bound, tab, &sa, &sb, tier); got > c.max {
 				t.Fatalf("%s: tier %d bound %v, want ≤ %v", name, tier, got, c.max)
 			}

@@ -149,10 +149,40 @@ func (t *Table) Stats(sym uint32) Stats {
 func (t *Table) Grams(sym uint32) []uint64 {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	if sym == NoSym || int(sym) > len(t.grams) {
+	return gramsOf(t.grams, sym)
+}
+
+func gramsOf(grams [][]uint64, sym uint32) []uint64 {
+	if sym == NoSym || int(sym) > len(grams) {
 		return nil
 	}
-	return t.grams[sym-1]
+	return grams[sym-1]
+}
+
+// GramView reads gram multisets without taking the table's lock per
+// lookup: it holds the table's per-symbol gram index as it stood when
+// the view was taken, under one read lock. Interning only appends to
+// that index and never writes a multiset again, so the view stays valid
+// while the table grows; a symbol interned after the view was taken is
+// looked up through Grams.
+type GramView struct {
+	t     *Table
+	grams [][]uint64
+}
+
+// GramView returns a view of the table's gram multisets as of now.
+func (t *Table) GramView() GramView {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return GramView{t: t, grams: t.grams}
+}
+
+// Grams returns what Table.Grams returns for sym.
+func (v GramView) Grams(sym uint32) []uint64 {
+	if int(sym) > len(v.grams) {
+		return v.t.Grams(sym)
+	}
+	return gramsOf(v.grams, sym)
 }
 
 // Str returns the canonical string of sym ("" for NoSym or an unknown

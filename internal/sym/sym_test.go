@@ -355,3 +355,38 @@ func TestInternConcurrent(t *testing.T) {
 		}
 	}
 }
+
+// TestGramViewReadsAsTable: a view answers every lookup as the table
+// does — NoSym, symbols interned before the view, and symbols interned
+// after it, which the view's snapshot does not hold — while other
+// goroutines keep interning (run under -race in CI).
+func TestGramViewReadsAsTable(t *testing.T) {
+	tab := NewTable(2)
+	for _, s := range []string{"", "alpha", "beta", "gamma"} {
+		tab.Intern(s)
+	}
+	view := tab.GramView()
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := range 200 {
+			tab.Intern(fmt.Sprintf("later-%d", i))
+		}
+	}()
+	for range 50 {
+		for sy := NoSym; sy <= 4; sy++ {
+			if got, want := view.Grams(sy), tab.Grams(sy); !slices.Equal(got, want) {
+				t.Fatalf("symbol %d: view %v, table %v", sy, got, want)
+			}
+		}
+	}
+	wg.Wait()
+	later := tab.Intern("delta")
+	if got, want := view.Grams(later), tab.Grams(later); len(want) == 0 || !slices.Equal(got, want) {
+		t.Fatalf("symbol %d interned after the view: view %v, table %v", later, got, want)
+	}
+	if got := view.Grams(later + 1); got != nil {
+		t.Fatalf("unknown symbol: view %v, want nil", got)
+	}
+}
