@@ -20,6 +20,13 @@ type NullSemantics struct {
 // PaperNulls is the paper's ⊥ semantics.
 var PaperNulls = NullSemantics{NullNull: 1, NullValue: 0}
 
+// InUnit reports whether both ⊥ similarities lie in [0,1] (NaN does
+// not), the range Vector promises for every attribute similarity and
+// every bound over one assumes.
+func (ns NullSemantics) InUnit() bool {
+	return ns.NullNull >= 0 && ns.NullNull <= 1 && ns.NullValue >= 0 && ns.NullValue <= 1
+}
+
 // ValueSim compares two certain values under the given ⊥ semantics, using f
 // for pairs of existing values.
 func (ns NullSemantics) ValueSim(f strsim.Func, a, b pdb.Value) float64 {

@@ -48,7 +48,8 @@ type Options struct {
 	CacheCapacity int
 	// Nulls overrides the ⊥ semantics of attribute value matching; nil
 	// means the paper's sim(⊥,⊥)=1, sim(a,⊥)=0 (ablation hook,
-	// EXPERIMENTS.md A02).
+	// EXPERIMENTS.md A02). Both similarities must lie in [0,1], like
+	// every attribute similarity; a value outside, or NaN, is refused.
 	Nulls *avm.NullSemantics
 	// PreFilter enables the symbol-plane candidate pre-filter: between
 	// candidate enumeration and verification, pairs whose derived
@@ -56,9 +57,8 @@ type Options struct {
 	// (ssr.PreFilter). The filter is sound by construction — the M and
 	// P sets are bit-identical with it on or off; only the number of
 	// verified pairs shrinks. When the configuration cannot be bounded
-	// (an opaque AltModel, an unboundable Derivation, ⊥ similarities
-	// outside [0,1]) the filter is silently inert; StreamStats and
-	// DetectorStats report FilterActive.
+	// (an opaque AltModel, an unboundable Derivation) the filter is
+	// silently inert; StreamStats and DetectorStats report FilterActive.
 	PreFilter bool
 	// FilterQ is the gram size of the precomputed symbol statistics
 	// the pre-filter's q-gram count filters use; 0 means 2, and a

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"probdedup/internal/avm"
 	"probdedup/internal/dataset"
 	"probdedup/internal/decision"
 	"probdedup/internal/keys"
@@ -279,6 +280,80 @@ func TestMultiPassWorldCountValidated(t *testing.T) {
 		}
 		if st.Compared == 0 || det.Stats().Compared == 0 {
 			t.Errorf("%s: compared %d pairs in batch, %d online; want some", tc.name, st.Compared, det.Stats().Compared)
+		}
+	}
+}
+
+// TestNullsValidated: ⊥ similarities outside [0,1], or NaN, are refused
+// by every engine entry point, with the pre-filter on or off, instead
+// of running unfiltered with attribute similarities outside [0,1];
+// values inside run.
+func TestNullsValidated(t *testing.T) {
+	for _, tc := range []struct {
+		nulls avm.NullSemantics
+		ok    bool
+	}{
+		{avm.NullSemantics{NullNull: 1.5, NullValue: 0}, false},
+		{avm.NullSemantics{NullNull: 1, NullValue: -0.1}, false},
+		{avm.NullSemantics{NullNull: math.NaN(), NullValue: 0}, false},
+		{avm.NullSemantics{NullNull: 1, NullValue: math.NaN()}, false},
+		{avm.NullSemantics{NullNull: 1, NullValue: 0.5}, true},
+		{avm.NullSemantics{NullNull: 0, NullValue: 1}, true},
+	} {
+		for _, preFilter := range []bool{false, true} {
+			opts := paperOptions()
+			opts.Nulls, opts.PreFilter = &tc.nulls, preFilter
+			xr := paperdata.R34()
+			_, detErr := Detect(xr, opts)
+			_, streamErr := DetectStream(xr, opts, func(Match) bool { return true })
+			_, onlineErr := NewDetector(xr.Schema, opts, nil)
+			for entry, err := range map[string]error{"Detect": detErr, "DetectStream": streamErr, "NewDetector": onlineErr} {
+				if (err == nil) != tc.ok {
+					t.Errorf("%s Nulls %+v PreFilter %v: err = %v, want ok=%v", entry, tc.nulls, preFilter, err, tc.ok)
+				}
+			}
+		}
+	}
+}
+
+// TestWindowValidated: a sorted neighbourhood with a negative window or
+// a window of 1 is refused by every engine entry point, also under an
+// ssr.Filter, instead of running as window 2; 0 (the minimum window)
+// and 2 run, compare the same pairs, and compare some.
+func TestWindowValidated(t *testing.T) {
+	u := dataset.Generate(dataset.DefaultConfig(30, 1)).Union()
+	def, err := keys.ParseDef("name:3", u.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prune := ssr.Pruning{MaxDiff: map[int]int{0: 3}}
+	atZero := map[string]int{} // pairs compared at Window 0
+	for _, window := range []int{-3, -1, 0, 1, 2} {
+		for name, red := range map[string]ssr.Method{
+			"snm-certain":      ssr.SNMCertain{Key: def, Window: window},
+			"snm-alternatives": ssr.SNMAlternatives{Key: def, Window: window},
+			"snm-ranked":       ssr.SNMRanked{Key: def, Window: window},
+			"snm-multipass":    ssr.SNMMultiPass{Key: def, Window: window, Select: ssr.TopWorlds, K: 2},
+			"filtered":         ssr.NewFilter(ssr.SNMCertain{Key: def, Window: window}, prune),
+		} {
+			ok := window == 0 || window >= 2
+			opts := Options{Reduction: red, Final: decision.Thresholds{Lambda: 0.4, Mu: 0.7}}
+			st, streamErr := DetectStream(u, opts, func(Match) bool { return true })
+			_, batchErr := Detect(u, opts)
+			_, onlineErr := NewDetector(u.Schema, opts, nil)
+			for entry, err := range map[string]error{"Detect": batchErr, "DetectStream": streamErr, "NewDetector": onlineErr} {
+				if (err == nil) != ok {
+					t.Errorf("%s Window %d %s: err = %v, want ok=%v", name, window, entry, err, ok)
+				}
+			}
+			switch {
+			case ok && st.Compared == 0:
+				t.Errorf("%s Window %d: compared no pair", name, window)
+			case window == 0:
+				atZero[name] = st.Compared
+			case window == 2 && st.Compared != atZero[name]:
+				t.Errorf("%s: compared %d pairs at Window 2, %d at Window 0", name, st.Compared, atZero[name])
+			}
 		}
 	}
 }

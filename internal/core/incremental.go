@@ -214,6 +214,7 @@ func NewDetector(schema []string, opts Options, emit func(MatchDelta) bool) (*De
 	if err != nil {
 		return nil, err
 	}
+	eng.stopAtU = true // a U outcome is not state (recordMatch)
 	idx, filter := ssr.IncrementalFiltered(opts.Reduction, eng.filter), eng.filter
 	if idx != nil {
 		filter = nil

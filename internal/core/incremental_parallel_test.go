@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -534,6 +535,80 @@ func TestDetectorWorkersDoNotChangeDeltaStream(t *testing.T) {
 					t.Fatalf("delta %d differs: %+v (workers=1, no memo) vs %+v (workers=%d, capacity=%d)", i, ref[i], got[i], workers, capacity)
 				}
 			}
+		}
+	}
+}
+
+// TestDetectorStopsAtProvenU: a Detector's comparers stop verifying a
+// pair once its class U is proven (xmatch.Comparer.StopAtU), and that
+// changes nothing a caller sees. On dataset.Generate data under the
+// sorted neighbourhood over alternatives, at Workers 1 and 4 and with
+// the memo off and on (an opted-in memo must only ever hold full value
+// similarities), the folded delta stream and Flush must equal batch
+// Detect restricted to M ∪ P, similarities bit for bit, while some
+// comparisons stopped early. Part of the relation arrives in batches
+// (the worker pool), part one by one, and a few residents leave and
+// come back.
+func TestDetectorStopsAtProvenU(t *testing.T) {
+	u := shuffledUnion(t, 60, 48)
+	def, err := keys.ParseDef("name:3+job:2", u.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := incrementalOpts(ssr.SNMAlternatives{Key: def, Window: 6})
+	batch, err := Detect(u, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := liveOnly(batch)
+	for _, workers := range []int{1, 4} {
+		for _, capacity := range []int{0, 128} {
+			t.Run(fmt.Sprintf("workers=%d/cache=%d", workers, capacity), func(t *testing.T) {
+				o := opts
+				o.Workers, o.CacheCapacity = workers, capacity
+				emit, folded := foldDeltas()
+				d, err := NewDetector(u.Schema, o, emit)
+				if err != nil {
+					t.Fatal(err)
+				}
+				half := len(u.Tuples) / 2
+				for lo := 0; lo < half; lo += 40 {
+					if err := d.AddBatch(u.Tuples[lo:min(lo+40, half)]); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, x := range u.Tuples[half:] {
+					if err := d.Add(x); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, x := range u.Tuples[:10] {
+					if err := d.Remove(x.ID); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if err := d.AddBatch(u.Tuples[:10]); err != nil {
+					t.Fatal(err)
+				}
+				if len(folded) != len(want.ByPair) {
+					t.Fatalf("folded deltas hold %d pairs, batch M ∪ P %d", len(folded), len(want.ByPair))
+				}
+				for p, wm := range want.ByPair {
+					if gm, ok := folded[p]; !ok || math.Float64bits(gm.Sim) != math.Float64bits(wm.Sim) || gm.Class != wm.Class {
+						t.Fatalf("pair %v: folded %+v (present %v), batch %+v", p, gm, ok, wm)
+					}
+				}
+				sameResult(t, d.Flush(), want)
+				exits := 0
+				for _, c := range d.eng.comparers {
+					exits += c.Exits()
+				}
+				compared := d.Stats().Compared
+				t.Logf("%d of %d comparisons stopped at a proven U", exits, compared)
+				if exits == 0 || exits >= compared {
+					t.Fatalf("%d of %d comparisons stopped; want some, not all", exits, compared)
+				}
+			})
 		}
 	}
 }

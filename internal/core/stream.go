@@ -82,6 +82,11 @@ type engine struct {
 	// comparers is compareAll's lazily grown per-worker comparer pool,
 	// guarded by whoever serializes the calls.
 	comparers []*xmatch.Comparer
+	// stopAtU lets the comparers stop verifying a pair once class U is
+	// proven (xmatch.Comparer.StopAtU). Only a Detector sets it: it
+	// keeps nothing of a U outcome, while batch detection reports every
+	// similarity in full.
+	stopAtU bool
 }
 
 // newEngine validates the options and applies the defaults documented
@@ -98,6 +103,9 @@ func newEngine(xr *pdb.XRelation, opts Options) (*engine, error) {
 	}
 	if opts.FilterQ < 0 {
 		return nil, fmt.Errorf("core: negative FilterQ %d (0 means the default gram size 2)", opts.FilterQ)
+	}
+	if opts.Nulls != nil && !opts.Nulls.InUnit() {
+		return nil, fmt.Errorf("core: ⊥ similarities %+v outside [0,1]", *opts.Nulls)
 	}
 
 	// Step A: data preparation.
@@ -155,7 +163,7 @@ func newEngine(xr *pdb.XRelation, opts Options) (*engine, error) {
 	if err := altThresholds(altModel).Validate(); err != nil {
 		return nil, fmt.Errorf("core: alternative model: %w", err)
 	}
-	if err := validWorlds(opts.Reduction); err != nil {
+	if err := validReduction(opts.Reduction); err != nil {
 		return nil, err
 	}
 	derive := opts.Derivation
@@ -186,9 +194,9 @@ func newEngine(xr *pdb.XRelation, opts Options) (*engine, error) {
 	}
 
 	// The candidate pre-filter: constructed only when the configuration
-	// is provably boundable (explicit model, boundable derivation,
-	// ⊥ similarities in [0,1]); otherwise the run proceeds unfiltered
-	// and the stats report FilterActive=false.
+	// is provably boundable (explicit model, boundable derivation; the
+	// ⊥ similarities were checked above); otherwise the run proceeds
+	// unfiltered and the stats report FilterActive=false.
 	var filter *ssr.PreFilter
 	if opts.PreFilter {
 		nulls := avm.PaperNulls
@@ -210,7 +218,7 @@ func newEngine(xr *pdb.XRelation, opts Options) (*engine, error) {
 		}
 	}
 
-	return &engine{
+	eng := &engine{
 		xr:        xr,
 		byID:      byID,
 		reduction: reduction,
@@ -218,17 +226,19 @@ func newEngine(xr *pdb.XRelation, opts Options) (*engine, error) {
 		cache:     cache,
 		symtab:    symtab,
 		filter:    filter,
-		newComparer: func() *xmatch.Comparer {
-			m := avm.NewMatcherWithCache(cache, compare...)
-			m.Nulls = opts.Nulls
-			return &xmatch.Comparer{
-				Matcher:  m,
-				AltModel: altModel,
-				Derive:   derive,
-				Final:    opts.Final,
-			}
-		},
-	}, nil
+	}
+	eng.newComparer = func() *xmatch.Comparer {
+		m := avm.NewMatcherWithCache(cache, compare...)
+		m.Nulls = opts.Nulls
+		return &xmatch.Comparer{
+			Matcher:  m,
+			AltModel: altModel,
+			Derive:   derive,
+			Final:    opts.Final,
+			StopAtU:  eng.stopAtU,
+		}
+	}
+	return eng, nil
 }
 
 // altThresholds returns the thresholds of a built-in per-alternative
@@ -249,16 +259,30 @@ func altThresholds(m decision.Model) decision.Thresholds {
 	return decision.Thresholds{}
 }
 
-// validWorlds refuses a multi-pass sorted neighbourhood, bare or under
-// an ssr.Filter, that selects K worlds with K ≤ 0: it would visit no
-// world and so compare no pair.
-func validWorlds(m ssr.Method) error {
-	if f, ok := m.(ssr.Filter); ok {
-		return validWorlds(f.Inner)
+// validReduction refuses a sorted neighbourhood, bare or under an
+// ssr.Filter, whose shape would silently run as another: a Window below
+// 2 other than 0, which means the minimum window 2, and a multi-pass
+// that selects K ≤ 0 worlds, which would visit no world and so compare
+// no pair.
+func validReduction(m ssr.Method) error {
+	window := 0
+	switch m := m.(type) {
+	case ssr.Filter:
+		return validReduction(m.Inner)
+	case ssr.SNMCertain:
+		window = m.Window
+	case ssr.SNMAlternatives:
+		window = m.Window
+	case ssr.SNMRanked:
+		window = m.Window
+	case ssr.SNMMultiPass:
+		window = m.Window
+		if (m.Select == ssr.TopWorlds || m.Select == ssr.DissimilarWorlds) && m.K <= 0 {
+			return fmt.Errorf("core: %s needs K >= 1 worlds, got %d", m.Name(), m.K)
+		}
 	}
-	mp, ok := m.(ssr.SNMMultiPass)
-	if ok && (mp.Select == ssr.TopWorlds || mp.Select == ssr.DissimilarWorlds) && mp.K <= 0 {
-		return fmt.Errorf("core: %s needs K >= 1 worlds, got %d", mp.Name(), mp.K)
+	if window < 0 || window == 1 {
+		return fmt.Errorf("core: %s needs Window >= 2 (0 means 2), got %d", m.Name(), window)
 	}
 	return nil
 }

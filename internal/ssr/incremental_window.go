@@ -227,16 +227,6 @@ func (s *chunkSeq) lookup(key string, h uint32) int {
 	return -1
 }
 
-// clone returns a deep copy: no chunk is shared, so either side may be
-// spliced afterwards.
-func (s chunkSeq) clone() chunkSeq {
-	s.chunks = slices.Clone(s.chunks)
-	for i := range s.chunks {
-		s.chunks[i].entries = slices.Clone(s.chunks[i].entries)
-	}
-	return s
-}
-
 // windowSeq maintains an ordered sequence of resident handles and the
 // sorted-neighborhood window pairs over it: every splice appends the
 // window-pair deltas it causes (straddling pairs pushed out or pulled back
@@ -329,11 +319,6 @@ func (s *keyedSeq) remove(key string, h uint32, out []seqDelta) []seqDelta {
 		return s.removeAt(p, out)
 	}
 	return out
-}
-
-// clone returns an independent copy of the sequence.
-func (s keyedSeq) clone() keyedSeq {
-	return keyedSeq{windowSeq{chunkSeq: s.chunkSeq.clone(), window: s.window}}
 }
 
 // pairNet nets a run of pair deltas down to the changes that survive it.

@@ -251,27 +251,6 @@ func TestKeyedSeqMatchesStableSort(t *testing.T) {
 	}
 }
 
-// TestKeyedSeqCloneIsDeep mutates a sequence and its clone independently:
-// a splice into either side must not show in the other.
-func TestKeyedSeqCloneIsDeep(t *testing.T) {
-	a := keyedSeq{newWindowSeq(3, 2)}
-	res := newHandleTable[struct{}]()
-	for i := range 9 {
-		a.insert(fmt.Sprintf("k%d", i%3), res.add(fmt.Sprintf("t%d", i), struct{}{}), nil)
-	}
-	want := seqIDs(&a.chunkSeq, res.ids)
-	b := a.clone()
-	b.insert("k1", res.add("x", struct{}{}), nil)
-	b.remove("k0", res.of["t0"], nil)
-	if got := seqIDs(&a.chunkSeq, res.ids); !slices.Equal(got, want) {
-		t.Fatalf("splicing the clone changed the original: %v, want %v", got, want)
-	}
-	a.insert("k2", res.add("y", struct{}{}), nil)
-	if got := seqIDs(&b.chunkSeq, res.ids); slices.Contains(got, "y") || !slices.Contains(got, "x") {
-		t.Fatalf("clone %v shares state with the original", got)
-	}
-}
-
 // TestSNMAltsEntriesMatchFlatModel drives SNMAlternatives' index at tiny
 // chunk capacities with tuples of one to three nearby alternative keys, so
 // key runs are short and one tuple's entries often sit side by side.

@@ -156,7 +156,7 @@ func NewPreFilter(cfg PreFilterConfig) (*PreFilter, error) {
 	if !ok {
 		return nil, fmt.Errorf("ssr: derivation %T cannot bound its similarity", cfg.Derive)
 	}
-	if cfg.Nulls.NullNull < 0 || cfg.Nulls.NullNull > 1 || cfg.Nulls.NullValue < 0 || cfg.Nulls.NullValue > 1 {
+	if !cfg.Nulls.InUnit() {
 		return nil, fmt.Errorf("ssr: pre-filter needs ⊥ similarities in [0,1], got %+v", cfg.Nulls)
 	}
 	bounds := make([]strsim.Bound, len(cfg.Funcs))

@@ -95,7 +95,11 @@ const (
 // membership must not influence detection), which the conditioned world
 // space guarantees.
 type SNMMultiPass struct {
-	Key    keys.Def
+	Key keys.Def
+	// Window is the number of consecutive entries a pair must fall
+	// within; 0 means the minimum window, 2. The detection engines
+	// (package core) refuse a negative window and a window of 1; the
+	// methods of this package run them as 2.
 	Window int
 	// Select picks the world subset; K bounds TopWorlds/DissimilarWorlds.
 	Select WorldSelection
@@ -126,7 +130,11 @@ func (m SNMMultiPass) Candidates(xr *pdb.XRelation) verify.PairSet {
 // method. With the MostProbable strategy this equals a single pass over the
 // most probable world, so its matchings are a subset of SNMMultiPass's.
 type SNMCertain struct {
-	Key      keys.Def
+	Key keys.Def
+	// Window is the number of consecutive entries a pair must fall
+	// within; 0 means the minimum window, 2. The detection engines
+	// (package core) refuse a negative window and a window of 1; the
+	// methods of this package run them as 2.
 	Window   int
 	Strategy fusion.Strategy
 }
@@ -146,7 +154,11 @@ func (m SNMCertain) Candidates(xr *pdb.XRelation) verify.PairSet {
 // remaining entries while an executed-matching set prevents matching a pair
 // twice.
 type SNMAlternatives struct {
-	Key    keys.Def
+	Key keys.Def
+	// Window is the number of consecutive entries a pair must fall
+	// within; 0 means the minimum window, 2. The detection engines
+	// (package core) refuse a negative window and a window of 1; the
+	// methods of this package run them as 2.
 	Window int
 }
 
@@ -192,7 +204,11 @@ type KeyEntry struct {
 // O(n log n)), then window as usual. Each tuple occurs exactly once in the
 // sorted sequence.
 type SNMRanked struct {
-	Key    keys.Def
+	Key keys.Def
+	// Window is the number of consecutive entries a pair must fall
+	// within; 0 means the minimum window, 2. The detection engines
+	// (package core) refuse a negative window and a window of 1; the
+	// methods of this package run them as 2.
 	Window int
 	// Strategy selects the ordering: ExpectedRank (default, the paper's
 	// ranking-function approach), MedianKey (robust variant) or ModeKey.

@@ -24,4 +24,13 @@
 // steady state through per-comparer scratch. The tests check each
 // derivation against its definition: the aggregate over the possible
 // worlds (internal/worlds) in which both x-tuples exist.
+//
+// A Comparer with StopAtU, which the online engines use, lets the
+// similarity-based fold stop once a bound on what it has not computed
+// proves the similarity below Final.Lambda: it visits the alternative
+// pairs heaviest first and their attributes one at a time, as in the
+// verification step of threshold similarity joins (Ed-Join, Xiao, Wang
+// and Lin, VLDB 2008). A pair it does not stop on is summed in
+// canonical order, so its similarity is bit-identical to the full
+// fold's.
 package xmatch

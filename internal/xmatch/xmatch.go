@@ -42,9 +42,15 @@ func (d SimilarityBased) Name() string {
 	return "similarity-based"
 }
 
-// Sim implements Derivation.
+// Sim implements Derivation. On a source with a floor (a Comparer with
+// StopAtU) under a model that bounds its similarity
+// (decision.UpperBounded) it may stop early: once the pairs it has
+// visited, heaviest first, prove the sum below the floor, it returns
+// that proof, a value below the floor that is at least the sum, instead
+// of the sum. Otherwise it returns the sum, bit-identical whatever the
+// floor.
 func (d SimilarityBased) Sim(src *PairSource, model decision.Model) float64 {
-	return src.expect(d.Conditioned, model.Similarity)
+	return src.expect(d.Conditioned, model.Similarity, model)
 }
 
 // DecisionBased is the decision-based derivation of Eq. 7–9: classify every
@@ -123,7 +129,7 @@ func (d ExpectedEta) Name() string {
 func (d ExpectedEta) Sim(src *PairSource, model decision.Model) float64 {
 	return src.expect(d.Conditioned, func(c avm.Vector) float64 {
 		return decision.Decide(model, c).Score()
-	})
+	}, nil)
 }
 
 // Comparer runs the complete adapted decision model of Fig. 6 on x-tuple
@@ -136,6 +142,12 @@ func (d ExpectedEta) Sim(src *PairSource, model decision.Model) float64 {
 // A Comparer is not safe for concurrent use (the scratch is shared
 // across its Compare calls); give each goroutine its own Comparer. The
 // matchers of several comparers may share one avm.Cache.
+//
+// With StopAtU set, a comparison may stop as soon as class U is proven
+// (see SimilarityBased.Sim); its Result's Sim is then a bound, not a
+// similarity. The online engines set it, because they keep nothing of a
+// U outcome; batch detection does not, and reports every similarity in
+// full.
 type Comparer struct {
 	// Matcher computes the alternative-pair comparison vectors.
 	Matcher *avm.Matcher
@@ -147,24 +159,45 @@ type Comparer struct {
 	Derive Derivation
 	// Final are the thresholds of step 3 classifying sim(t1,t2).
 	Final decision.Thresholds
+	// StopAtU gives the fold Final.Lambda as its floor: a derivation
+	// that can prove sim(t1,t2) < Final.Lambda early stops there. The
+	// zero value folds every pair in full.
+	StopAtU bool
 
 	// src is the reusable pair source the derivation folds over.
 	src PairSource
+	// exits counts the comparisons that stopped at a proven U.
+	exits int
 }
 
 // Result is the outcome of comparing one x-tuple pair.
 type Result struct {
 	// ID1, ID2 are the x-tuple IDs.
 	ID1, ID2 string
-	// Sim is sim(t1,t2) as produced by the derivation function.
+	// Sim is sim(t1,t2) as produced by the derivation function. When a
+	// comparer with StopAtU stopped at a proven U, Sim is the bound that
+	// proved it: at least sim(t1,t2) and below Final.Lambda, but not a
+	// similarity. An M or P result always carries the full similarity.
 	Sim float64
 	// Class is η(t1,t2) ∈ {m,p,u}.
 	Class decision.Class
 }
 
-// Compare executes the full pipeline of Fig. 6 on one x-tuple pair.
+// Compare executes the full pipeline of Fig. 6 on one x-tuple pair. A
+// fold that stopped at its floor returned a value below Final.Lambda,
+// so the pair classifies U like any other.
 func (c *Comparer) Compare(x1, x2 *pdb.XTuple) Result {
 	c.src.Reset(c.Matcher, x1, x2)
+	if c.StopAtU {
+		c.src.floor = c.Final.Lambda
+	}
 	sim := c.Derive.Sim(&c.src, c.AltModel)
+	if c.src.exited {
+		c.exits++
+	}
 	return Result{ID1: x1.ID, ID2: x2.ID, Sim: sim, Class: c.Final.Classify(sim)}
 }
+
+// Exits returns how many of the comparer's comparisons stopped at a
+// proven U.
+func (c *Comparer) Exits() int { return c.exits }
