@@ -91,29 +91,6 @@ func BenchmarkDetectStreamWorkers(b *testing.B) {
 	}
 }
 
-// BenchmarkStreamCandidatesBlocking1000 isolates search-space
-// enumeration: streaming the candidates versus materializing the
-// PairSet.
-func BenchmarkStreamCandidatesBlocking1000(b *testing.B) {
-	u, opts := blockingBenchSetup(b)
-	b.Run("stream", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			n := 0
-			probdedup.StreamCandidates(opts.Reduction, u, func(probdedup.Pair) bool {
-				n++
-				return true
-			})
-		}
-	})
-	b.Run("materialize", func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			_ = opts.Reduction.Candidates(u)
-		}
-	})
-}
-
 // ---- Micro-benchmarks of the hot paths ----
 
 func BenchmarkAttrSimUncertain(b *testing.B) {
@@ -186,7 +163,7 @@ func BenchmarkReductionMethods(b *testing.B) {
 	for _, m := range methods {
 		b.Run(m.Name(), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_ = m.Candidates(u)
+				_ = probdedup.Candidates(m, u)
 			}
 		})
 	}

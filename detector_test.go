@@ -159,8 +159,8 @@ func TestPublicDetectorErrors(t *testing.T) {
 type batchOnlyReduction struct{}
 
 func (batchOnlyReduction) Name() string { return "batch-only" }
-func (batchOnlyReduction) Candidates(*probdedup.XRelation) probdedup.PairSet {
-	return nil
+func (batchOnlyReduction) EnumeratePairs(*probdedup.XRelation, func(probdedup.Pair) bool) bool {
+	return true
 }
 
 // TestPublicIncrementalIndex checks the exported index constructor:
@@ -198,6 +198,52 @@ func TestPublicIncrementalIndex(t *testing.T) {
 	_, err = probdedup.NewIncrementalIndex(batchOnlyReduction{})
 	if !errors.Is(err, probdedup.ErrNotIncremental) {
 		t.Fatalf("error %v does not wrap ErrNotIncremental", err)
+	}
+}
+
+// TestPublicDetectorPrunedCrossProduct: the length-pruned cross
+// product, NewReductionFilter(nil, p), works online like every other
+// built-in reduction — NewDetector accepts it and its Flush equals
+// batch Detect's M and P pairs.
+func TestPublicDetectorPrunedCrossProduct(t *testing.T) {
+	u := probdedup.GenerateDataset(probdedup.DefaultDatasetConfig(20, 5)).Union()
+	red := probdedup.NewReductionFilter(nil, probdedup.Pruning{MaxDiff: map[int]int{0: 2}})
+	if red.Name() != "cross-product+pruned" {
+		t.Fatalf("pruned cross product named %q", red.Name())
+	}
+	opts := probdedup.Options{
+		Compare:   []probdedup.CompareFunc{probdedup.Levenshtein, probdedup.Levenshtein, probdedup.Levenshtein},
+		Reduction: red,
+		Final:     probdedup.Thresholds{Lambda: 0.6, Mu: 0.8},
+	}
+	batch, err := probdedup.Detect(u, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(batch.Matches) == 0 {
+		t.Fatal("corpus yields no match to compare")
+	}
+	det, err := probdedup.NewDetector(u.Schema, opts, nil)
+	if err != nil {
+		t.Fatalf("NewDetector refused the pruned cross product: %v", err)
+	}
+	if err := det.AddBatch(u.Tuples); err != nil {
+		t.Fatal(err)
+	}
+	res := det.Flush()
+	if len(res.Matches) != len(batch.Matches) || len(res.Possible) != len(batch.Possible) {
+		t.Fatalf("online M=%d P=%d, batch M=%d P=%d",
+			len(res.Matches), len(res.Possible), len(batch.Matches), len(batch.Possible))
+	}
+	for p := range batch.Matches {
+		if !res.Matches[p] {
+			t.Fatalf("match %v missing online", p)
+		}
+	}
+	for p := range batch.Possible {
+		if !res.Possible[p] {
+			t.Fatalf("possible %v missing online", p)
+		}
 	}
 }
 

@@ -119,7 +119,7 @@ func ExampleSNMAlternatives() {
 		panic(err)
 	}
 	m := probdedup.SNMAlternatives{Key: def, Window: 2}
-	for _, p := range m.Candidates(xr).Sorted() {
+	for _, p := range probdedup.Candidates(m, xr).Sorted() {
 		fmt.Printf("(%s,%s)\n", p.A, p.B)
 	}
 	// Output:

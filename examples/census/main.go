@@ -90,7 +90,7 @@ func collectPatterns(u *probdedup.XRelation, red probdedup.ReductionMethod, fs [
 		byID[x.ID] = x
 	}
 	var patterns []probdedup.Pattern
-	for p := range red.Candidates(u) {
+	for p := range probdedup.Candidates(red, u) {
 		a, b := byID[p.A], byID[p.B]
 		va := a.Alts[a.MostProbableAlt()].Values
 		vb := b.Alts[b.MostProbableAlt()].Values

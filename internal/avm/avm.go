@@ -40,6 +40,13 @@ func (ns NullSemantics) ValueSim(f strsim.Func, a, b pdb.Value) float64 {
 	}
 }
 
+// MaxMass bounds the total weight of Eq. 5's expansion: the product of
+// the two distributions' masses, ⊥ included, each at most 1 + pdb.Eps
+// (pdb.NewDist's tolerance). An attribute similarity is therefore at
+// most MaxMass times the largest of its value-pair and ⊥ terms, and
+// never more than MaxMass when those lie in [0,1].
+const MaxMass = (1 + pdb.Eps) * (1 + pdb.Eps)
+
 // Sim computes Eq. 5: the expected similarity of two independent uncertain
 // attribute values, using f on pairs of existing domain values and the
 // paper's ⊥ semantics.

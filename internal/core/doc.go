@@ -9,7 +9,7 @@
 // x-tuple whose attribute values stay uncertain).
 //
 // The engine is streaming at its core: candidate pairs are enumerated
-// incrementally by the reduction method (ssr.Streamer) into one bounded
+// one at a time by the reduction method (ssr.Method) into one bounded
 // chunk, verified through the worker pool, and either emitted through
 // a callback (DetectStream, memory proportional to the relation) or
 // collected into an exact, deterministically ordered Result (Detect).

@@ -473,8 +473,10 @@ func TestDetectorStandardizer(t *testing.T) {
 // hook, standing in for user code that has not opted in.
 type batchOnlyMethod struct{}
 
-func (batchOnlyMethod) Name() string                             { return "batch-only" }
-func (batchOnlyMethod) Candidates(*pdb.XRelation) verify.PairSet { return verify.PairSet{} }
+func (batchOnlyMethod) Name() string { return "batch-only" }
+func (batchOnlyMethod) EnumeratePairs(*pdb.XRelation, func(verify.Pair) bool) bool {
+	return true
+}
 
 // TestDetectorErrors exercises the validation surface: unsupported
 // reductions, arity mismatches, duplicate IDs, unknown removals, and

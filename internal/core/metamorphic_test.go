@@ -1,10 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
+	"math/rand"
 	"slices"
 	"testing"
 
+	"probdedup/internal/avm"
 	"probdedup/internal/dataset"
 	"probdedup/internal/decision"
 	"probdedup/internal/fusion"
@@ -12,6 +15,8 @@ import (
 	"probdedup/internal/pdb"
 	"probdedup/internal/ssr"
 	"probdedup/internal/strsim"
+	"probdedup/internal/verify"
+	"probdedup/internal/worlds"
 	"probdedup/internal/xmatch"
 )
 
@@ -233,4 +238,87 @@ func TestMetamorphicPermutation(t *testing.T) {
 		backwards.Append(x.Clone())
 	}
 	checkMetamorphic(t, xr, backwards, cases)
+}
+
+// randomCertainRelation draws n certain tuples (p(t) = 1) over three
+// attributes: every value certain, from a small pool of near-duplicate
+// strings so all three classes occur, or ⊥.
+func randomCertainRelation(rng *rand.Rand, n int) *pdb.Relation {
+	pool := []string{"anna", "ana", "anne", "hanna", "bob", "bobby", "rob", "mechanic", "mechanics"}
+	r := pdb.NewRelation("certain", "name", "job", "city")
+	for i := range n {
+		attrs := make([]pdb.Dist, len(r.Schema))
+		for k := range attrs {
+			if rng.Intn(6) == 0 {
+				attrs[k] = pdb.CertainNull()
+			} else {
+				attrs[k] = pdb.Certain(pool[rng.Intn(len(pool))])
+			}
+		}
+		r.Append(pdb.NewTuple(fmt.Sprintf("t%02d", i), 1, attrs...))
+	}
+	return r
+}
+
+// TestMetamorphicCertainLift: certain data lifted by
+// worlds.FromRelation has one world, so every derivation must reduce,
+// bit for bit, to the certain decision model φ over
+// avm.Matcher.CompareTuples of the two tuples: the similarity-based,
+// max-sim and most-probable-world derivations to φ itself, expected-η
+// to the class score of φ, decision-based to +Inf when φ classifies M
+// and 0 otherwise — each classified by Final.
+func TestMetamorphicCertainLift(t *testing.T) {
+	final := decision.Thresholds{Lambda: 0.6, Mu: 0.8}
+	compare := []strsim.Func{strsim.Levenshtein, strsim.NormalizedHamming, strsim.Levenshtein}
+	model := decision.WeightedSumModel{Weights: []float64{0.5, 0.3, 0.2}, T: final}
+	matcher := avm.NewMatcher(compare...)
+	derivations := []struct {
+		derive xmatch.Derivation
+		want   func(phi float64) float64
+	}{
+		{xmatch.SimilarityBased{Conditioned: true}, func(phi float64) float64 { return phi }},
+		{xmatch.SimilarityBased{}, func(phi float64) float64 { return phi }},
+		{xmatch.MaxSim{Conditioned: true}, func(phi float64) float64 { return phi }},
+		{xmatch.MaxSim{Conditioned: true, Weighted: true}, func(phi float64) float64 { return phi }},
+		{xmatch.MostProbableWorld{Conditioned: true}, func(phi float64) float64 { return phi }},
+		{xmatch.ExpectedEta{Conditioned: true}, func(phi float64) float64 { return final.Classify(phi).Score() }},
+		{xmatch.DecisionBased{Conditioned: true}, func(phi float64) float64 {
+			if final.Classify(phi) == decision.M {
+				return math.Inf(1)
+			}
+			return 0
+		}},
+	}
+	rng := rand.New(rand.NewSource(1))
+	classes := map[decision.Class]int{}
+	for range 50 {
+		r := randomCertainRelation(rng, 10)
+		xr := worlds.FromRelation(r)
+		for _, d := range derivations {
+			res, err := Detect(xr, Options{Compare: compare, AltModel: model, Derivation: d.derive, Final: final})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ssr.TotalPairs(len(r.Tuples)); len(res.ByPair) != want {
+				t.Fatalf("%s: %d pairs compared, want %d", d.derive.Name(), len(res.ByPair), want)
+			}
+			for i, t1 := range r.Tuples {
+				for _, t2 := range r.Tuples[i+1:] {
+					phi := model.Similarity(matcher.CompareTuples(t1, t2))
+					want := d.want(phi)
+					got := res.ByPair[verify.NewPair(t1.ID, t2.ID)]
+					if got.Sim != want || got.Class != final.Classify(want) {
+						t.Fatalf("%s: pair (%s, %s) is (%v, %v), want (%v, %v) from φ = %v",
+							d.derive.Name(), t1.ID, t2.ID, got.Sim, got.Class, want, final.Classify(want), phi)
+					}
+					classes[final.Classify(phi)]++
+				}
+			}
+		}
+	}
+	for _, c := range []decision.Class{decision.M, decision.P, decision.U} {
+		if classes[c] == 0 {
+			t.Fatalf("no pair of class %v: the corpus does not exercise every class", c)
+		}
+	}
 }

@@ -7,7 +7,12 @@ import (
 
 	"probdedup/internal/avm"
 	"probdedup/internal/decision"
+	"probdedup/internal/keys"
+	"probdedup/internal/pdb"
+	"probdedup/internal/ssr"
+	"probdedup/internal/strsim"
 	"probdedup/internal/verify"
+	"probdedup/internal/xmatch"
 )
 
 // TestPreFilterEquivalence is the soundness proof of the candidate
@@ -257,5 +262,61 @@ func TestPreFilterQGramSizes(t *testing.T) {
 		}
 		samePairSet(t, "M", filtered.Matches, plain.Matches)
 		samePairSet(t, "P", filtered.Possible, plain.Possible)
+	}
+}
+
+// TestPreFilterMassTolerance: pdb admits a value distribution, and an
+// x-tuple's alternatives, whose mass exceeds 1 by up to pdb.Eps, so
+// Eq. 5 can exceed its largest term, and an unconditioned derivation
+// its largest cell, by a factor (1+Eps)². Two one-attribute tuples that
+// carry "abc" with such masses score above 1; with Tλ just below that
+// score the pair is P, and the pre-filter must not reject it, in batch
+// or online.
+func TestPreFilterMassTolerance(t *testing.T) {
+	for _, tc := range []struct {
+		name         string
+		valueP, altP float64
+		derive       xmatch.Derivation
+		lambda       float64
+	}{
+		{"value mass", 1 + 0.9e-9, 1, nil, 1 + 1e-9},
+		{"alternative mass", 1 + 0.9e-9, 1 + 0.9e-9, xmatch.SimilarityBased{}, 1 + 3e-9},
+		{"weighted max-sim", 1 + 0.9e-9, 1 + 0.9e-9, xmatch.MaxSim{Weighted: true}, 1 + 3e-9},
+	} {
+		xr := pdb.NewXRelation("X", "name")
+		for _, id := range []string{"t1", "t2"} {
+			d := pdb.MustDist(pdb.Alternative{Value: pdb.V("abc"), P: tc.valueP})
+			xr.Append(pdb.NewXTuple(id, pdb.NewAltDists(tc.altP, d)))
+		}
+		opts := Options{
+			Compare:    []strsim.Func{strsim.Levenshtein},
+			Derivation: tc.derive,
+			Final:      decision.Thresholds{Lambda: tc.lambda, Mu: 2},
+		}
+		pair := verify.NewPair("t1", "t2")
+		for _, filter := range []bool{false, true} {
+			opts.PreFilter = filter
+			opts.Reduction = nil
+			res, stats, err := DetectWithStats(xr, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Possible[pair] {
+				t.Fatalf("%s prefilter=%t: pair not P (stats %+v)", tc.name, filter, stats)
+			}
+			for _, red := range []ssr.Method{nil, ssr.BlockingCertain{Key: keys.NewDef(keys.Part{Attr: 0, Prefix: 1})}} {
+				opts.Reduction = red
+				det, err := NewDetector(xr.Schema, opts, nil)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if err := det.AddBatch(xr.Tuples); err != nil {
+					t.Fatal(err)
+				}
+				if !det.Flush().Possible[pair] {
+					t.Fatalf("%s prefilter=%t %T: Detector lost the P pair", tc.name, filter, red)
+				}
+			}
+		}
 	}
 }

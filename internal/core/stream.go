@@ -37,9 +37,6 @@ type StreamStats struct {
 	// TotalPairs is the unreduced search-space size n(n-1)/2, computed
 	// arithmetically — the full cross product is never materialized.
 	TotalPairs int
-	// Partitions is the number of independent blocks of a reduction
-	// that partitions its search space (ssr.Partitioner); 0 otherwise.
-	Partitions int
 	// Stopped reports that the emit callback ended the run early.
 	Stopped bool
 	// Cache holds the end-of-run counters of the similarity memo —
@@ -361,20 +358,17 @@ func unknownTuples(p verify.Pair) error {
 
 // DetectStream runs the pipeline over an x-relation and emits each
 // compared pair's Match through the callback, without retaining the
-// candidate set or the results: candidate pairs are enumerated
-// incrementally (see ssr.Streamer) into one bounded chunk, the chunk
+// candidate set or the results: candidate pairs are enumerated one at
+// a time (ssr.Method.EnumeratePairs) into one bounded chunk, the chunk
 // is verified through the worker pool, emitted and discarded. The
 // engine holds no other per-pair state, so with the blocking variants,
 // cross product, SNMCertain, SNMRanked and pruning, memory stays
 // proportional to the relation; SNMMultiPass and SNMAlternatives
-// additionally keep their executed-matching set while enumerating, and
-// reduction methods without streaming support are adapted by
-// materializing their candidate set once.
+// additionally keep their executed-matching set while enumerating.
 //
 // emit is always called sequentially from the caller's goroutine, in
-// the reduction method's enumeration order (a partitioning reduction,
-// ssr.Partitioner, is enumerated partition by partition); it returns
-// false to stop the run early (Stopped is then set in the stats).
+// the reduction method's enumeration order; it returns false to stop
+// the run early (Stopped is then set in the stats).
 // Options.Workers changes only throughput: the emitted sequence and
 // the stats, apart from an opted-in memo's counters, are the same at
 // any worker count.
@@ -390,20 +384,6 @@ func DetectStream(xr *pdb.XRelation, opts Options, emit func(Match) bool) (Strea
 		TotalPairs:   ssr.TotalPairs(len(eng.xr.Tuples)),
 		FilterActive: eng.filter != nil,
 	}
-	enumerate := ssr.StreamOf(eng.reduction).EnumeratePairs
-	if part, ok := eng.reduction.(ssr.Partitioner); ok {
-		parts := part.Partitions(eng.xr)
-		stats.Partitions = len(parts)
-		enumerate = func(_ *pdb.XRelation, yield func(verify.Pair) bool) bool {
-			for _, p := range parts {
-				if !p.Enumerate(yield) {
-					return false
-				}
-			}
-			return true
-		}
-	}
-
 	chunk := make([]compareJob, 0, streamChunkSize)
 	filtered := 0
 	// flush verifies the chunk and emits it in order; it reports
@@ -421,7 +401,7 @@ func DetectStream(xr *pdb.XRelation, opts Options, emit func(Match) bool) (Strea
 		chunk = chunk[:0]
 		return true
 	}
-	enumerate(eng.xr, func(p verify.Pair) bool {
+	eng.reduction.EnumeratePairs(eng.xr, func(p verify.Pair) bool {
 		if eng.filter != nil && !eng.filter.Admit(p) {
 			filtered++ // provably class U: skip verification
 			return true

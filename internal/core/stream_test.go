@@ -93,7 +93,7 @@ func TestDetectStreamMatchesDetect(t *testing.T) {
 		"blocking-certain":      ssr.BlockingCertain{Key: def},
 		"blocking-alternatives": ssr.BlockingAlternatives{Key: def},
 		"blocking-cluster":      ssr.BlockingCluster{Key: def, K: 8, Seed: 1},
-		"adapter-only":          firstLastMethod{},
+		"user-defined":          firstLastMethod{},
 	}
 	for name, red := range reductions {
 		opts := streamOptions()
@@ -123,23 +123,20 @@ func TestDetectStreamMatchesDetect(t *testing.T) {
 	}
 }
 
-// firstLastMethod is a Method without a Streamer implementation; it
-// forces the StreamOf adapter path through the engine.
+// firstLastMethod is a user-defined Method: the first and last tuple
+// form the only candidate pair.
 type firstLastMethod struct{}
 
 func (firstLastMethod) Name() string { return "first-last" }
 
-func (firstLastMethod) Candidates(xr *pdb.XRelation) verify.PairSet {
-	s := verify.PairSet{}
-	if n := len(xr.Tuples); n > 1 {
-		s.Add(xr.Tuples[0].ID, xr.Tuples[n-1].ID)
-	}
-	return s
+func (firstLastMethod) EnumeratePairs(xr *pdb.XRelation, yield func(verify.Pair) bool) bool {
+	n := len(xr.Tuples)
+	return n < 2 || yield(verify.NewPair(xr.Tuples[0].ID, xr.Tuples[n-1].ID))
 }
 
 // TestDetectStreamLargeBlocking is the scale acceptance check: a
-// ≥10k-tuple relation streams through a blocking reduction with
-// per-block fan-out and classifies exactly like Detect, while the
+// ≥10k-tuple relation streams through a blocking reduction block by
+// block and classifies exactly like Detect, while the
 // engine never builds the global candidate pair set.
 func TestDetectStreamLargeBlocking(t *testing.T) {
 	if testing.Short() {
@@ -172,9 +169,6 @@ func TestDetectStreamLargeBlocking(t *testing.T) {
 	})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if stats.Partitions < 2 {
-		t.Fatalf("expected block fan-out, got %d partitions", stats.Partitions)
 	}
 	if want := ssr.TotalPairs(len(u.Tuples)); stats.TotalPairs != want {
 		t.Fatalf("TotalPairs %d, want %d", stats.TotalPairs, want)
@@ -228,7 +222,7 @@ func TestDetectStreamEarlyStop(t *testing.T) {
 	}
 	for _, red := range reductions {
 		var enum []verify.Pair
-		ssr.StreamOf(red.m).EnumeratePairs(u, func(p verify.Pair) bool {
+		red.m.EnumeratePairs(u, func(p verify.Pair) bool {
 			enum = append(enum, p)
 			return true
 		})
@@ -285,7 +279,7 @@ func TestDetectStreamEarlyStop(t *testing.T) {
 // TestDetectStreamEmitsEnumerationOrder checks the worker pool against
 // the reduction and one comparer, sharing no code with the pool: for
 // every built-in reduction, with the pre-filter off, DetectStream emits
-// exactly the pairs ssr.StreamOf enumerates, in the same order, each
+// exactly the pairs the reduction enumerates, in the same order, each
 // with the match the comparer computes, at any worker count — no pair
 // dropped, repeated, reordered or left uncompared.
 func TestDetectStreamEmitsEnumerationOrder(t *testing.T) {
@@ -311,7 +305,7 @@ func TestDetectStreamEmitsEnumerationOrder(t *testing.T) {
 	c := eng.newComparer()
 	for name, m := range reductions {
 		var want []Match
-		ssr.StreamOf(m).EnumeratePairs(u, func(p verify.Pair) bool {
+		m.EnumeratePairs(u, func(p verify.Pair) bool {
 			r := c.Compare(eng.byID[p.A], eng.byID[p.B])
 			want = append(want, Match{Pair: p, Sim: r.Sim, Class: r.Class})
 			return true
@@ -343,8 +337,8 @@ type bogusMethod struct{}
 
 func (bogusMethod) Name() string { return "bogus" }
 
-func (bogusMethod) Candidates(xr *pdb.XRelation) verify.PairSet {
-	return verify.NewPairSet(verify.Pair{A: "no-such-a", B: "no-such-b"})
+func (bogusMethod) EnumeratePairs(_ *pdb.XRelation, yield func(verify.Pair) bool) bool {
+	return yield(verify.Pair{A: "no-such-a", B: "no-such-b"})
 }
 
 func TestDetectStreamErrors(t *testing.T) {

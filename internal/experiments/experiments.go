@@ -216,8 +216,8 @@ func E06() string {
 	for _, e := range ents {
 		fmt.Fprintf(&b, "  %s(%s)", e.key, e.id)
 	}
-	certain := ssr.SNMCertain{Key: def, Window: 2}.Candidates(xr)
-	multi := ssr.SNMMultiPass{Key: def, Window: 2, Select: ssr.AllWorlds}.Candidates(xr)
+	certain := ssr.Candidates(ssr.SNMCertain{Key: def, Window: 2}, xr)
+	multi := ssr.Candidates(ssr.SNMMultiPass{Key: def, Window: 2, Select: ssr.AllWorlds}, xr)
 	subset := true
 	for p := range certain {
 		if !multi[p] {
@@ -239,7 +239,7 @@ func E07() string {
 	for _, e := range m.SortedEntries(xr) {
 		fmt.Fprintf(&b, "  %s(%s)", e.Key, e.ID)
 	}
-	cands := m.Candidates(xr)
+	cands := ssr.Candidates(m, xr)
 	fmt.Fprintf(&b, "\n  matchings (%d, paper: 5):", len(cands))
 	for _, p := range cands.Sorted() {
 		fmt.Fprintf(&b, "  (%s,%s)", p.A, p.B)
@@ -272,7 +272,7 @@ func E09() string {
 		sort.Strings(members)
 		fmt.Fprintf(&b, "  block %-3q %v\n", k, members)
 	}
-	cands := m.Candidates(xr)
+	cands := ssr.Candidates(m, xr)
 	fmt.Fprintf(&b, "  matchings (%d, paper: 3):", len(cands))
 	for _, p := range cands.Sorted() {
 		fmt.Fprintf(&b, "  (%s,%s)", p.A, p.B)

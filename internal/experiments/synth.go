@@ -322,7 +322,7 @@ func S04(sizes []int, seed int64) ([]S04Row, string) {
 		}
 		for _, m := range methods {
 			start := time.Now() //pdlint:allow nowallclock -- experiment stopwatch; elapsed time is the measured quantity
-			_ = m.Candidates(u)
+			_ = ssr.Candidates(m, u)
 			el := time.Since(start)
 			rows = append(rows, S04Row{Method: m.Name(), Tuples: len(u.Tuples), Elapsed: el})
 			tab.AddRow(m.Name(), len(u.Tuples), el.String())

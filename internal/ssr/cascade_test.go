@@ -20,9 +20,10 @@ import (
 // referenceBelow is the pre-filter's cascade written from its
 // definition, sharing no code with the kernel (no rows, no probe, no
 // tiers): per attribute, the maximum over the two tuples' value pairs
-// and ⊥ terms of the registered bound at the overlap count gives,
-// capped at 1, folded through the model's SimilarityUpperBound and the
-// derivation's SimUpperBound. It reports whether that bound lies below
+// and ⊥ terms of the registered bound at the overlap count, capped at
+// 1 and scaled by avm.MaxMass (a distribution's mass may exceed 1 by
+// pdb.Eps), gives, folded through the model's SimilarityUpperBound and
+// the derivation's SimUpperBound. It reports whether that bound lies below
 // Tλ.
 func referenceBelow(cfg PreFilterConfig, x1, x2 *pdb.XTuple, count func(a, b *sym.Stats) int) bool {
 	hi := make([]float64, len(cfg.Funcs))
@@ -42,7 +43,7 @@ func referenceBelow(cfg PreFilterConfig, x1, x2 *pdb.XTuple, count func(a, b *sy
 				terms = append(terms, bound.UB(&a, &b, cfg.Table.Q(), count(&a, &b)))
 			}
 		}
-		hi[k] = min(slices.Max(terms), 1)
+		hi[k] = avm.MaxMass * min(slices.Max(terms), 1)
 	}
 	cellUB := max(cfg.Model.(decision.UpperBounded).SimilarityUpperBound(hi), 0)
 	return cfg.Derive.(xmatch.Bounded).SimUpperBound(cellUB, cfg.Model) < cfg.Lambda

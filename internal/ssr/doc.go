@@ -1,7 +1,9 @@
 // Package ssr implements the search-space reduction methods of Sec. V,
 // adapted to probabilistic data. Every method consumes an x-relation (a
-// dependency-free relation is lifted first) and emits the set of candidate
-// tuple pairs that the decision model should compare.
+// dependency-free relation is lifted first) and enumerates, one at a
+// time and each once, the candidate tuple pairs that the decision model
+// should compare: Method is Name plus EnumeratePairs, and Candidates
+// collects an enumeration into a set.
 //
 // Sorted neighborhood (Sec. V-A):
 //
@@ -23,14 +25,9 @@
 //     alternative key value (Fig. 14).
 //  7. BlockingCluster      — clustering of uncertain key values (UK-means).
 //
-// CrossProduct is the no-reduction baseline, and Pruning/Filter add the
-// length-filter heuristic Sec. III-B lists alongside SNM and blocking.
-//
-// Beyond batch Candidates, methods expose two enumeration refinements:
-// every method implements Streamer (candidate pairs one at a time,
-// nothing materialized), and the blocking variants implement
-// Partitioner (independent per-block units, enumerated one after
-// another and counted in the engine's stats).
+// CrossProduct is the no-reduction baseline, and Filter stacks the
+// length-filter heuristic Sec. III-B lists alongside SNM and blocking
+// (configured by Pruning) on any of them, the cross product included.
 //
 // For continuous arrivals, IncrementalIndex maintains a method's
 // candidate set online: inserting a tuple yields exactly the pairs it

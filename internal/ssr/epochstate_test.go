@@ -97,7 +97,7 @@ func TestEpochStateRestoreEmpty(t *testing.T) {
 		idx.Insert(x, on)
 	}
 	idx.Reseal(on)
-	if d := diffSets(maintained, m.Candidates(u)); len(d) != 0 {
+	if d := diffSets(maintained, Candidates(m, u)); len(d) != 0 {
 		t.Fatalf("post-restore behavior diverges from batch: %v", d)
 	}
 }

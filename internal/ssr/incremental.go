@@ -512,15 +512,13 @@ func yieldAll(ds []seqDelta, ids []string, yield func(PairDelta) bool) bool {
 
 // ---- Length-pruned composition ----
 
-// filteredIndex wraps an inner incremental index with the length
-// filter of Filter/Pruning: per-tuple length profiles are computed
-// once at insertion, and deltas of pairs the filter rejects are
-// suppressed in both directions, so the maintained set equals the
-// batch Filter candidates.
+// filteredIndex wraps an inner incremental index with Filter's length
+// filter: a tuple's length profile is computed once at insertion, and
+// deltas of pairs the filter rejects are suppressed in both directions,
+// so the maintained set equals the batch Filter candidates.
 type filteredIndex struct {
-	inner    IncrementalIndex
-	prune    Pruning
-	profiles map[string]map[int]map[int]bool
+	inner IncrementalIndex
+	lengthFilter
 }
 
 // Incremental implements IncrementalMethod: the composition is
@@ -530,42 +528,18 @@ func (f Filter) Incremental() (IncrementalIndex, error) {
 	if err != nil {
 		return nil, fmt.Errorf("ssr: %s: %w", f.Name(), err)
 	}
-	return &filteredIndex{
-		inner:    inner,
-		prune:    f.Prune,
-		profiles: map[string]map[int]map[int]bool{},
-	}, nil
-}
-
-// profile computes the per-attribute length profile of one tuple —
-// the unit of Pruning.lengthProfiles.
-func (f *filteredIndex) profile(x *pdb.XTuple) map[int]map[int]bool {
-	xr := pdb.XRelation{Tuples: []*pdb.XTuple{x}}
-	return f.prune.lengthProfiles(&xr)[0]
-}
-
-// keep reports whether the filter admits the pair.
-func (f *filteredIndex) keep(p verify.Pair) bool {
-	pa, oka := f.profiles[p.A]
-	pb, okb := f.profiles[p.B]
-	if !oka || !okb {
-		return false
-	}
-	return compatibleLengths(f.prune.MaxDiff, pa, pb)
+	return &filteredIndex{inner: inner, lengthFilter: f.Prune.newLengthFilter()}, nil
 }
 
 // relay forwards admitted deltas only.
 func (f *filteredIndex) relay(yield func(PairDelta) bool) func(PairDelta) bool {
 	return func(d PairDelta) bool {
-		if !f.keep(d.Pair) {
-			return true
-		}
-		return yield(d)
+		return !f.keep(d.Pair) || yield(d)
 	}
 }
 
 func (f *filteredIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
-	f.profiles[x.ID] = f.profile(x)
+	f.add(x)
 	return f.inner.Insert(x, f.relay(yield))
 }
 

@@ -50,7 +50,7 @@ func TestBlockingClusterResealMatchesBatch(t *testing.T) {
 		idx.Insert(x, on)
 	}
 	idx.Reseal(on)
-	if d := diffSets(maintained, m.Candidates(u)); len(d) != 0 {
+	if d := diffSets(maintained, Candidates(m, u)); len(d) != 0 {
 		t.Fatalf("resealed set diverges from batch: %v", d[:min(len(d), 8)])
 	}
 
@@ -66,7 +66,7 @@ func TestBlockingClusterResealMatchesBatch(t *testing.T) {
 	if idx.Len() != len(rest.Tuples) {
 		t.Fatalf("Len = %d, want %d", idx.Len(), len(rest.Tuples))
 	}
-	if d := diffSets(maintained, m.Candidates(rest)); len(d) != 0 {
+	if d := diffSets(maintained, Candidates(m, rest)); len(d) != 0 {
 		t.Fatalf("resealed set diverges from batch after removals: %v", d[:min(len(d), 8)])
 	}
 }
@@ -149,7 +149,7 @@ func TestBlockingClusterRecallCurve(t *testing.T) {
 		epochBefore := idx.Epoch()
 		idx.Insert(x, on)
 		resident.Append(x)
-		batch := m.Candidates(resident)
+		batch := Candidates(m, resident)
 		red := verify.Reduction{
 			TotalPairs: len(resident.Tuples) * (len(resident.Tuples) - 1) / 2,
 			TrueTotal:  len(batch),

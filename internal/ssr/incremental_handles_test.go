@@ -124,7 +124,7 @@ func TestWindowIndexesReuseHandles(t *testing.T) {
 				for _, x := range residents {
 					rel.Append(x)
 				}
-				if d := diffSets(maintained, StreamOf(m).Candidates(rel)); len(d) != 0 {
+				if d := diffSets(maintained, Candidates(m, rel)); len(d) != 0 {
 					t.Fatalf("op %d: maintained set diverges from batch: %v", op, d[:min(len(d), 8)])
 				}
 				switch x := idx.(type) {

@@ -8,7 +8,7 @@ import (
 )
 
 // recomputeIndex maintains SNMMultiPass's candidate set by re-running the
-// batch streamer over the residents after every operation. Multi-pass
+// batch enumeration over the residents after every operation. Multi-pass
 // selects its possible worlds (Sec. V-A.1) from the whole relation, so
 // every operation re-selects them anyway; the batch stream is the only
 // implementation of the method's semantics.
@@ -24,7 +24,7 @@ import (
 // without yielding it, so restoring n residents costs one enumeration,
 // not n.
 type recomputeIndex struct {
-	stream Streamer
+	stream Method
 	xr     *pdb.XRelation // the residents in insertion order
 	pairs  []verify.Pair  // the candidate set, in stream order
 	stale  bool           // pairs predates a Restore

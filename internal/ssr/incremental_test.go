@@ -156,7 +156,7 @@ func TestIncrementalInsertEquivalence(t *testing.T) {
 			if idx.Len() != len(u.Tuples) {
 				t.Fatalf("Len = %d, want %d", idx.Len(), len(u.Tuples))
 			}
-			batch := StreamOf(m).Candidates(u)
+			batch := Candidates(m, u)
 			if d := diffSets(maintained, batch); len(d) != 0 {
 				t.Fatalf("maintained set diverges from batch (%d deltas): %v", len(d), d[:min(len(d), 8)])
 			}
@@ -202,7 +202,7 @@ func TestIncrementalRemoveEquivalence(t *testing.T) {
 			if idx.Len() != len(rest.Tuples) {
 				t.Fatalf("Len = %d, want %d", idx.Len(), len(rest.Tuples))
 			}
-			batch := StreamOf(m).Candidates(rest)
+			batch := Candidates(m, rest)
 			if d := diffSets(maintained, batch); len(d) != 0 {
 				t.Fatalf("maintained set diverges from batch after removals: %v", d[:min(len(d), 8)])
 			}
@@ -338,7 +338,7 @@ func TestInsertBatchNetEquivalence(t *testing.T) {
 				if idx.Len() != len(u.Tuples) {
 					t.Fatalf("Len = %d, want %d", idx.Len(), len(u.Tuples))
 				}
-				batch := StreamOf(m).Candidates(u)
+				batch := Candidates(m, u)
 				if d := diffSets(maintained, batch); len(d) != 0 {
 					t.Fatalf("maintained set diverges from batch: %v", d[:min(len(d), 8)])
 				}
@@ -415,13 +415,16 @@ func TestInsertBatchCancelsWindowChurn(t *testing.T) {
 // hook, standing in for user code that has not opted in.
 type nonIncrementalMethod struct{}
 
-func (nonIncrementalMethod) Name() string                                { return "third-party" }
-func (nonIncrementalMethod) Candidates(xr *pdb.XRelation) verify.PairSet { return verify.PairSet{} }
+func (nonIncrementalMethod) Name() string { return "third-party" }
+func (nonIncrementalMethod) EnumeratePairs(*pdb.XRelation, func(verify.Pair) bool) bool {
+	return true
+}
 
 // TestIncrementalOfCoverage checks that every built-in reduction method
-// supports incremental maintenance — the formerly batch-only ones
-// included — and that methods without the hook fail with the typed
-// ErrNotIncremental sentinel (wrapped with the method's name).
+// — the pruned cross product included — names itself and supports
+// incremental maintenance, and that methods without the hook fail with
+// the typed ErrNotIncremental sentinel (wrapped with the method's
+// name).
 func TestIncrementalOfCoverage(t *testing.T) {
 	def := keys.NewDef(keys.Part{Attr: 0, Prefix: 3})
 	for _, m := range []Method{
@@ -436,9 +439,14 @@ func TestIncrementalOfCoverage(t *testing.T) {
 		BlockingAlternatives{Key: def},
 		BlockingCluster{Key: def},
 		NewFilter(SNMRanked{Key: def, Window: 3}, Pruning{}),
+		NewFilter(nil, Pruning{MaxDiff: map[int]int{0: 2}}),
 	} {
+		name := m.Name()
+		if name == "" {
+			t.Errorf("%T: empty name", m)
+		}
 		if _, err := IncrementalOf(m); err != nil {
-			t.Errorf("%s: expected incremental support, got %v", m.Name(), err)
+			t.Errorf("%s: expected incremental support, got %v", name, err)
 		}
 	}
 	for _, m := range []Method{
@@ -517,7 +525,7 @@ func TestIncrementalMultiPassWorldSelection(t *testing.T) {
 			for _, x := range u.Tuples {
 				idx.Insert(x, on)
 			}
-			if d := diffSets(maintained, StreamOf(m).Candidates(u)); len(d) != 0 {
+			if d := diffSets(maintained, Candidates(m, u)); len(d) != 0 {
 				t.Fatalf("maintained set diverges from batch: %v", d[:min(len(d), 8)])
 			}
 			rest := pdb.NewXRelation(u.Name, u.Schema...)
@@ -528,7 +536,7 @@ func TestIncrementalMultiPassWorldSelection(t *testing.T) {
 				}
 				rest.Append(x)
 			}
-			if d := diffSets(maintained, StreamOf(m).Candidates(rest)); len(d) != 0 {
+			if d := diffSets(maintained, Candidates(m, rest)); len(d) != 0 {
 				t.Fatalf("maintained set diverges from batch after removals: %v", d[:min(len(d), 8)])
 			}
 		})
@@ -580,7 +588,7 @@ func TestRecomputeIndex(t *testing.T) {
 	}
 	resident, rest := u.Tuples[:k], u.Tuples[k:]
 	candidates := func(m Method, ts []*pdb.XTuple) verify.PairSet {
-		return StreamOf(m).Candidates(&pdb.XRelation{Schema: u.Schema, Tuples: ts})
+		return Candidates(m, &pdb.XRelation{Schema: u.Schema, Tuples: ts})
 	}
 	inserted := func(t *testing.T, m Method) IncrementalIndex {
 		idx := mustIncremental(t, m)

@@ -356,7 +356,7 @@ func (f *PreFilter) rejects(p *probe, member []span, stats []sym.Stats, start ui
 	for k, bound := range f.bounds {
 		aEnd, bEnd := p.spans[k].end-p.base, member[k].end
 		av, bv := p.stats[a:aEnd], stats[b:bEnd]
-		hi[k] = bound.MaxUB(av, bv, f.q, f.nullUB(av, p.spans[k].null, bv, member[k].null), nil)
+		hi[k] = avm.MaxMass * bound.MaxUB(av, bv, f.q, f.nullUB(av, p.spans[k].null, bv, member[k].null), nil)
 		a, b = aEnd, bEnd
 	}
 	return f.below(hi) || f.refine(p, member, stats, start, hi)
@@ -375,7 +375,7 @@ func (f *PreFilter) refine(p *probe, member []span, stats []sym.Stats, start uin
 	for k, bound := range f.bounds {
 		aEnd, bEnd := p.spans[k].end-p.base, member[k].end
 		av, bv := p.stats[a:aEnd], stats[b:bEnd]
-		if v := bound.MaxUB(av, bv, f.q, f.nullUB(av, p.spans[k].null, bv, member[k].null), &p.grams); v < hi[k] {
+		if v := avm.MaxMass * bound.MaxUB(av, bv, f.q, f.nullUB(av, p.spans[k].null, bv, member[k].null), &p.grams); v < hi[k] {
 			hi[k] = v
 			if f.below(hi) {
 				return true
@@ -406,9 +406,10 @@ func (f *PreFilter) below(hi []float64) bool {
 
 // nullUB is the largest ⊥ term of one attribute's Eq. 5 expansion: ⊥
 // against ⊥ when both sides carry ⊥ mass, ⊥ against a value when one
-// side carries ⊥ mass and the other a value, else 0. The expansion is a
-// convex combination of these terms and the value-pair similarities,
-// so the largest of them all (strsim.Bound.MaxUB) bounds it.
+// side carries ⊥ mass and the other a value, else 0. The expansion
+// weighs these terms and the value-pair similarities with a total
+// weight of at most avm.MaxMass, so MaxMass times the largest of them
+// all (strsim.Bound.MaxUB) bounds it.
 func (f *PreFilter) nullUB(a []sym.Stats, aNull bool, b []sym.Stats, bNull bool) float64 {
 	best := 0.0
 	if aNull && bNull {

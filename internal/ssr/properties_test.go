@@ -39,9 +39,9 @@ func TestQuickMethodContracts(t *testing.T) {
 		for _, x := range u.Tuples {
 			ids[x.ID] = true
 		}
-		full := CrossProduct{}.Candidates(u)
+		full := Candidates(CrossProduct{}, u)
 		for _, m := range allMethods(def) {
-			c1 := m.Candidates(u)
+			c1 := Candidates(m, u)
 			for p := range c1 {
 				if p.A == p.B {
 					t.Fatalf("seed %d %s: self pair %v", seed, m.Name(), p)
@@ -56,7 +56,7 @@ func TestQuickMethodContracts(t *testing.T) {
 					t.Fatalf("seed %d %s: pair %v outside cross product", seed, m.Name(), p)
 				}
 			}
-			c2 := m.Candidates(u)
+			c2 := Candidates(m, u)
 			if len(c1) != len(c2) {
 				t.Fatalf("seed %d %s: nondeterministic sizes %d vs %d", seed, m.Name(), len(c1), len(c2))
 			}
@@ -82,8 +82,8 @@ func TestQuickSNMWindowMonotone(t *testing.T) {
 			func(w int) Method { return SNMRanked{Key: def, Window: w} },
 			func(w int) Method { return SNMRanked{Key: def, Window: w, Strategy: MedianKey} },
 		} {
-			small := mk(3).Candidates(u)
-			large := mk(6).Candidates(u)
+			small := Candidates(mk(3), u)
+			large := Candidates(mk(6), u)
 			name := mk(3).Name()
 			for p := range small {
 				if !large[p] {
@@ -103,7 +103,7 @@ func TestQuickMultiPassMonotoneInWorlds(t *testing.T) {
 		u := d.Union()
 		prev := verify.PairSet{}
 		for _, k := range []int{1, 2, 4, 8} {
-			cur := SNMMultiPass{Key: def, Window: 4, Select: TopWorlds, K: k}.Candidates(u)
+			cur := Candidates(SNMMultiPass{Key: def, Window: 4, Select: TopWorlds, K: k}, u)
 			for p := range prev {
 				if !cur[p] {
 					t.Fatalf("seed %d: k=%d lost pair %v", seed, k, p)
@@ -122,7 +122,7 @@ func TestBlockingPartitions(t *testing.T) {
 	for _, n := range []string{"Anna", "Anton", "Bert", "Berta", "Cleo"} {
 		xr.Append(pdb.NewXTuple("t"+n, pdb.NewAlt(1, n, "job")))
 	}
-	cands := BlockingCertain{Key: def}.Candidates(xr)
+	cands := Candidates(BlockingCertain{Key: def}, xr)
 	// Blocks: An{Anna,Anton}, Be{Bert,Berta}, Cl{Cleo} → exactly 2 pairs.
 	if len(cands) != 2 || !cands.Has("tAnna", "tAnton") || !cands.Has("tBert", "tBerta") {
 		t.Fatalf("blocking pairs %v", cands.Sorted())

@@ -13,8 +13,7 @@ func TestPruningKeepsLengthCompatiblePairs(t *testing.T) {
 		pdb.NewXTuple("short2", pdb.NewAlt(1, "Tom", "mechanic")),
 		pdb.NewXTuple("long", pdb.NewAlt(1, "Maximiliane", "mechanic")),
 	)
-	p := Pruning{MaxDiff: map[int]int{0: 2}}
-	c := p.Candidates(xr)
+	c := Candidates(NewFilter(nil, Pruning{MaxDiff: map[int]int{0: 2}}), xr)
 	if !c.Has("short", "short2") {
 		t.Fatal("similar lengths must survive")
 	}
@@ -32,7 +31,7 @@ func TestPruningUncertaintyAware(t *testing.T) {
 			pdb.NewAlt(0.5, "Maximiliane"),
 			pdb.NewAlt(0.5, "Tom")),
 	)
-	c := Pruning{MaxDiff: map[int]int{0: 1}}.Candidates(xr)
+	c := Candidates(NewFilter(nil, Pruning{MaxDiff: map[int]int{0: 1}}), xr)
 	if !c.Has("a", "b") {
 		t.Fatal("alternative with compatible length must keep the pair")
 	}
@@ -46,7 +45,7 @@ func TestPruningNullLength(t *testing.T) {
 			pdb.Alternative{Value: pdb.V("Maximiliane"), P: 0.5}))), // ⊥ 0.5
 		pdb.NewXTuple("b", pdb.NewAltDists(1, pdb.CertainNull())),
 	)
-	c := Pruning{MaxDiff: map[int]int{0: 0}}.Candidates(xr)
+	c := Candidates(NewFilter(nil, Pruning{MaxDiff: map[int]int{0: 0}}), xr)
 	if !c.Has("a", "b") {
 		t.Fatal("⊥/⊥ lengths must be compatible")
 	}
@@ -54,7 +53,7 @@ func TestPruningNullLength(t *testing.T) {
 
 func TestPruningUnconstrained(t *testing.T) {
 	xr := paperdata.R34()
-	c := Pruning{}.Candidates(xr)
+	c := Candidates(NewFilter(nil, Pruning{}), xr)
 	if len(c) != len(AllPairs(xr)) {
 		t.Fatalf("no constraints must keep all pairs: %d", len(c))
 	}
@@ -64,18 +63,23 @@ func TestFilterComposition(t *testing.T) {
 	xr := paperdata.R34()
 	inner := SNMAlternatives{Key: paperKey(), Window: 2}
 	f := NewFilter(inner, Pruning{MaxDiff: map[int]int{0: 10}})
-	if f.Name() != "snm-alternatives+pruned" {
-		t.Fatalf("name %q", f.Name())
+	for _, g := range []Filter{f, {Inner: inner}} {
+		if g.Name() != "snm-alternatives+pruned" {
+			t.Fatalf("name %q", g.Name())
+		}
+	}
+	if name := NewFilter(nil, Pruning{}).Name(); name != "cross-product+pruned" {
+		t.Fatalf("pruned cross product named %q", name)
 	}
 	// A permissive filter keeps everything the inner method emits.
-	in := inner.Candidates(xr)
-	out := f.Candidates(xr)
+	in := Candidates(inner, xr)
+	out := Candidates(f, xr)
 	if len(out) != len(in) {
 		t.Fatalf("permissive filter changed candidates: %d vs %d", len(out), len(in))
 	}
 	// A strict filter shrinks the set but never adds pairs.
 	strict := NewFilter(inner, Pruning{MaxDiff: map[int]int{0: 0}})
-	sc := strict.Candidates(xr)
+	sc := Candidates(strict, xr)
 	for p := range sc {
 		if !in[p] {
 			t.Fatalf("filter invented pair %v", p)
@@ -106,7 +110,7 @@ func TestSNMRankedStrategies(t *testing.T) {
 			}
 			seen[id] = true
 		}
-		if len(m.Candidates(xr)) == 0 {
+		if len(Candidates(m, xr)) == 0 {
 			t.Fatalf("%s: no candidates", m.Name())
 		}
 	}

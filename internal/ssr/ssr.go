@@ -10,14 +10,41 @@ import (
 	"probdedup/internal/verify"
 )
 
-// Method reduces the search space of an x-relation to candidate pairs.
-// Every method of this package also implements Streamer (see stream.go)
-// so candidates can be enumerated without materializing the set.
+// Method reduces the search space of an x-relation to candidate pairs,
+// which it enumerates one at a time: every engine runs EnumeratePairs,
+// and Candidates collects it when a set is wanted.
+//
+// Most methods enumerate in memory proportional to the relation. Two
+// are algorithm-bound exceptions: SNMMultiPass and SNMAlternatives keep
+// the paper's executed-matching set (Fig. 12) while enumerating, which
+// grows with the emitted pair count.
 type Method interface {
 	// Name identifies the method in reports and benchmarks.
 	Name() string
-	// Candidates returns the set of tuple pairs to compare.
-	Candidates(xr *pdb.XRelation) verify.PairSet
+	// EnumeratePairs yields each candidate pair once, in canonical
+	// order (see verify.NewPair). It returns false if a yield call
+	// stopped the enumeration early, true otherwise.
+	EnumeratePairs(xr *pdb.XRelation, yield func(verify.Pair) bool) bool
+}
+
+// orCross returns m, or the cross product for a nil method — the
+// detection engine's default reduction.
+func orCross(m Method) Method {
+	if m == nil {
+		return CrossProduct{}
+	}
+	return m
+}
+
+// Candidates collects a method's enumeration into a set; a nil method
+// means the cross product.
+func Candidates(m Method, xr *pdb.XRelation) verify.PairSet {
+	out := verify.PairSet{}
+	orCross(m).EnumeratePairs(xr, func(p verify.Pair) bool {
+		out[p] = true
+		return true
+	})
+	return out
 }
 
 // AllPairs returns every unordered tuple pair of the relation (the
@@ -38,11 +65,6 @@ type CrossProduct struct{}
 
 // Name implements Method.
 func (CrossProduct) Name() string { return "cross-product" }
-
-// Candidates implements Method.
-func (m CrossProduct) Candidates(xr *pdb.XRelation) verify.PairSet {
-	return collectPairs(m, xr)
-}
 
 // sortedIDsByKey sorts the tuples of a certain relation by their key value
 // (stable on insertion order) and returns the tuple IDs in sorted order —
@@ -120,11 +142,6 @@ func (m SNMMultiPass) Name() string {
 	}
 }
 
-// Candidates implements Method.
-func (m SNMMultiPass) Candidates(xr *pdb.XRelation) verify.PairSet {
-	return collectPairs(m, xr)
-}
-
 // SNMCertain is approach V-A.2: create certain key values by conflict
 // resolution, then run the classical single-pass sorted neighborhood
 // method. With the MostProbable strategy this equals a single pass over the
@@ -141,11 +158,6 @@ type SNMCertain struct {
 
 // Name implements Method.
 func (m SNMCertain) Name() string { return "snm-certain" }
-
-// Candidates implements Method.
-func (m SNMCertain) Candidates(xr *pdb.XRelation) verify.PairSet {
-	return collectPairs(m, xr)
-}
 
 // SNMAlternatives is approach V-A.3 (Figs. 11–12): every tuple contributes
 // one key value per alternative (identical key values of one tuple merge);
@@ -185,11 +197,6 @@ func (m SNMAlternatives) SortedEntries(xr *pdb.XRelation) []KeyEntry {
 		kept = append(kept, e)
 	}
 	return kept
-}
-
-// Candidates implements Method.
-func (m SNMAlternatives) Candidates(xr *pdb.XRelation) verify.PairSet {
-	return collectPairs(m, xr)
 }
 
 // KeyEntry is one (key value, tuple) row of the sorting-alternatives
@@ -246,11 +253,6 @@ func (m SNMRanked) RankedIDs(xr *pdb.XRelation) []string {
 	return ids
 }
 
-// Candidates implements Method.
-func (m SNMRanked) Candidates(xr *pdb.XRelation) verify.PairSet {
-	return collectPairs(m, xr)
-}
-
 // BlockingCertain is classical blocking over conflict-resolved certain key
 // values (Sec. V-B).
 type BlockingCertain struct {
@@ -260,11 +262,6 @@ type BlockingCertain struct {
 
 // Name implements Method.
 func (m BlockingCertain) Name() string { return "blocking-certain" }
-
-// Candidates implements Method.
-func (m BlockingCertain) Candidates(xr *pdb.XRelation) verify.PairSet {
-	return collectPairs(m, xr)
-}
 
 // BlockingAlternatives inserts an x-tuple into the block of every key value
 // of every alternative (Fig. 14). Multiple insertions of one tuple into the
@@ -296,11 +293,6 @@ func (m BlockingAlternatives) Blocks(xr *pdb.XRelation) map[string][]string {
 	return blocks
 }
 
-// Candidates implements Method.
-func (m BlockingAlternatives) Candidates(xr *pdb.XRelation) verify.PairSet {
-	return collectPairs(m, xr)
-}
-
 // BlockingCluster partitions tuples into K blocks by clustering their
 // uncertain key values (UK-means over expected key positions), the
 // clustering option of Sec. V-B.
@@ -315,17 +307,13 @@ type BlockingCluster struct {
 // Name implements Method.
 func (m BlockingCluster) Name() string { return "blocking-cluster" }
 
-// Candidates implements Method.
-func (m BlockingCluster) Candidates(xr *pdb.XRelation) verify.PairSet {
-	return collectPairs(m, xr)
-}
-
-// Measure computes the reduction quality of a method against ground
-// truth. The method's candidates are streamed, not materialized, and
-// the universe size is computed arithmetically.
+// Measure computes the reduction quality of a method (nil: the cross
+// product) against ground truth. The method's candidates are
+// enumerated, not materialized, and the universe size is computed
+// arithmetically.
 func Measure(m Method, xr *pdb.XRelation, truth verify.PairSet) verify.Reduction {
 	cands, trueIn := 0, 0
-	StreamOf(m).EnumeratePairs(xr, func(p verify.Pair) bool {
+	orCross(m).EnumeratePairs(xr, func(p verify.Pair) bool {
 		cands++
 		if truth[p] {
 			trueIn++

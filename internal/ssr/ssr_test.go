@@ -33,7 +33,7 @@ func TestAllPairs(t *testing.T) {
 
 func TestCrossProduct(t *testing.T) {
 	r := paperdata.R34()
-	c := CrossProduct{}.Candidates(r)
+	c := Candidates(CrossProduct{}, r)
 	if len(c) != 10 {
 		t.Fatalf("cross product %d pairs", len(c))
 	}
@@ -143,8 +143,8 @@ func TestE06CertainKeys(t *testing.T) {
 	r := fusion.ResolveRelation(fusion.MostProbable{}, xr)
 	assertOrder(t, "fig10", sortedIDsByKey(r, paperKey()), []string{"t32", "t31", "t41", "t43", "t42"})
 
-	certain := m.Candidates(xr)
-	multi := SNMMultiPass{Key: paperKey(), Window: 2, Select: AllWorlds}.Candidates(xr)
+	certain := Candidates(m, xr)
+	multi := Candidates(SNMMultiPass{Key: paperKey(), Window: 2, Select: AllWorlds}, xr)
 	for p := range certain {
 		if !multi[p] {
 			t.Fatalf("certain-key matching %v not produced by multi-pass", p)
@@ -176,7 +176,7 @@ func TestE07SortingAlternatives(t *testing.T) {
 		}
 	}
 
-	got := m.Candidates(xr)
+	got := Candidates(m, xr)
 	want := verify.NewPairSet(
 		verify.Pair{A: "t32", B: "t43"},
 		verify.Pair{A: "t43", B: "t31"},
@@ -199,7 +199,7 @@ func TestE08RankedOrder(t *testing.T) {
 	m := SNMRanked{Key: paperKey(), Window: 2}
 	assertOrder(t, "fig13", m.RankedIDs(paperdata.R34()),
 		[]string{"t32", "t31", "t41", "t43", "t42"})
-	cands := m.Candidates(paperdata.R34())
+	cands := Candidates(m, paperdata.R34())
 	// Window 2 over 5 tuples gives 4 pairs.
 	if len(cands) != 4 {
 		t.Fatalf("candidates %v", cands.Sorted())
@@ -238,7 +238,7 @@ func TestE09BlockingAlternatives(t *testing.T) {
 			}
 		}
 	}
-	cands := m.Candidates(xr)
+	cands := Candidates(m, xr)
 	want := verify.NewPairSet(
 		verify.Pair{A: "t31", B: "t41"},
 		verify.Pair{A: "t31", B: "t32"},
@@ -256,7 +256,7 @@ func TestE09BlockingAlternatives(t *testing.T) {
 
 func TestBlockingCertain(t *testing.T) {
 	xr := paperdata.R34()
-	cands := BlockingCertain{Key: paperKey()}.Candidates(xr)
+	cands := Candidates(BlockingCertain{Key: paperKey()}, xr)
 	// Resolved keys: Jimba, Johpi, Johpi, Seapi, Tomme → single pair
 	// (t31,t41).
 	if len(cands) != 1 || !cands.Has("t31", "t41") {
@@ -267,12 +267,12 @@ func TestBlockingCertain(t *testing.T) {
 func TestBlockingCluster(t *testing.T) {
 	xr := paperdata.R34()
 	m := BlockingCluster{Key: paperKey(), K: 2, Seed: 1}
-	cands := m.Candidates(xr)
+	cands := Candidates(m, xr)
 	if len(cands) == 0 {
 		t.Fatal("cluster blocking produced no candidates")
 	}
 	// Deterministic across runs with the same seed.
-	again := m.Candidates(xr)
+	again := Candidates(m, xr)
 	if len(again) != len(cands) {
 		t.Fatal("cluster blocking not deterministic")
 	}
@@ -282,16 +282,16 @@ func TestBlockingCluster(t *testing.T) {
 		}
 	}
 	// Default K derivation works.
-	if got := (BlockingCluster{Key: paperKey(), Seed: 1}).Candidates(xr); len(got) == 0 {
+	if got := Candidates(BlockingCluster{Key: paperKey(), Seed: 1}, xr); len(got) == 0 {
 		t.Fatal("default-K cluster blocking empty")
 	}
 }
 
 func TestSNMMultiPassSelectors(t *testing.T) {
 	xr := paperdata.R34()
-	all := SNMMultiPass{Key: paperKey(), Window: 2, Select: AllWorlds}.Candidates(xr)
-	top := SNMMultiPass{Key: paperKey(), Window: 2, Select: TopWorlds, K: 3}.Candidates(xr)
-	dis := SNMMultiPass{Key: paperKey(), Window: 2, Select: DissimilarWorlds, K: 3}.Candidates(xr)
+	all := Candidates(SNMMultiPass{Key: paperKey(), Window: 2, Select: AllWorlds}, xr)
+	top := Candidates(SNMMultiPass{Key: paperKey(), Window: 2, Select: TopWorlds, K: 3}, xr)
+	dis := Candidates(SNMMultiPass{Key: paperKey(), Window: 2, Select: DissimilarWorlds, K: 3}, xr)
 	if len(top) == 0 || len(dis) == 0 || len(all) == 0 {
 		t.Fatal("empty candidate sets")
 	}
@@ -307,7 +307,7 @@ func TestSNMMultiPassSelectors(t *testing.T) {
 		}
 	}
 	// MaxWorlds guard falls back gracefully.
-	guarded := SNMMultiPass{Key: paperKey(), Window: 2, Select: AllWorlds, MaxWorlds: 2}.Candidates(xr)
+	guarded := Candidates(SNMMultiPass{Key: paperKey(), Window: 2, Select: AllWorlds, MaxWorlds: 2}, xr)
 	if len(guarded) == 0 {
 		t.Fatal("guarded multi-pass empty")
 	}

@@ -1,11 +1,11 @@
 package ssr
 
 import (
+	"slices"
 	"testing"
 
 	"probdedup/internal/dataset"
 	"probdedup/internal/keys"
-	"probdedup/internal/paperdata"
 	"probdedup/internal/pdb"
 	"probdedup/internal/verify"
 )
@@ -24,7 +24,7 @@ func streamMethods(def keys.Def) []Method {
 		BlockingCertain{Key: def},
 		BlockingAlternatives{Key: def},
 		BlockingCluster{Key: def, K: 8, Seed: 1},
-		prune,
+		NewFilter(nil, prune),
 		NewFilter(SNMAlternatives{Key: def, Window: 3}, prune),
 	}
 }
@@ -41,18 +41,13 @@ func streamCorpus(t *testing.T) (*pdb.XRelation, keys.Def) {
 }
 
 // TestStreamMatchesCandidates asserts for every method that the
-// streamed pairs equal the materialized set, with no pair yielded
-// twice.
+// enumeration yields canonical pairs, none twice, and runs to the end,
+// so Candidates loses nothing to collecting it into a set.
 func TestStreamMatchesCandidates(t *testing.T) {
 	u, def := streamCorpus(t)
 	for _, m := range streamMethods(def) {
-		s, ok := m.(Streamer)
-		if !ok {
-			t.Fatalf("%s does not stream", m.Name())
-		}
-		want := m.Candidates(u)
 		got := verify.PairSet{}
-		completed := s.EnumeratePairs(u, func(p verify.Pair) bool {
+		completed := m.EnumeratePairs(u, func(p verify.Pair) bool {
 			if got[p] {
 				t.Fatalf("%s: pair %v yielded twice", m.Name(), p)
 			}
@@ -65,13 +60,8 @@ func TestStreamMatchesCandidates(t *testing.T) {
 		if !completed {
 			t.Fatalf("%s: enumeration reported an early stop", m.Name())
 		}
-		if len(got) != len(want) {
+		if want := Candidates(m, u); len(got) != len(want) {
 			t.Fatalf("%s: streamed %d pairs, candidates %d", m.Name(), len(got), len(want))
-		}
-		for p := range want {
-			if !got[p] {
-				t.Fatalf("%s: pair %v missing from stream", m.Name(), p)
-			}
 		}
 	}
 }
@@ -81,12 +71,11 @@ func TestStreamMatchesCandidates(t *testing.T) {
 func TestStreamEarlyStop(t *testing.T) {
 	u, def := streamCorpus(t)
 	for _, m := range streamMethods(def) {
-		s := m.(Streamer)
-		if len(m.Candidates(u)) < 2 {
+		if len(Candidates(m, u)) < 2 {
 			continue
 		}
 		seen := 0
-		completed := s.EnumeratePairs(u, func(verify.Pair) bool {
+		completed := m.EnumeratePairs(u, func(verify.Pair) bool {
 			seen++
 			return seen < 2
 		})
@@ -99,45 +88,42 @@ func TestStreamEarlyStop(t *testing.T) {
 	}
 }
 
-// TestPartitionsCoverCandidates asserts for every blocking variant
-// that the union of the partitions equals Candidates with no overlap —
-// the invariant that lets the engine fan out per block without a
-// global executed set.
-func TestPartitionsCoverCandidates(t *testing.T) {
-	u, def := streamCorpus(t)
-	for _, m := range []Partitioner{
-		BlockingCertain{Key: def},
-		BlockingAlternatives{Key: def},
-		BlockingCluster{Key: def, K: 8, Seed: 1},
-	} {
-		want := m.Candidates(u)
-		got := verify.PairSet{}
-		for _, part := range m.Partitions(u) {
-			if part.Size < 2 {
-				t.Fatalf("%s: singleton partition %q emitted", m.Name(), part.Label)
-			}
-			part.Enumerate(func(p verify.Pair) bool {
-				if got[p] {
-					t.Fatalf("%s: pair %v in two partitions", m.Name(), p)
-				}
-				got[p] = true
-				return true
-			})
-		}
-		if len(got) != len(want) {
-			t.Fatalf("%s: partitions yielded %d pairs, candidates %d", m.Name(), len(got), len(want))
-		}
-		for p := range want {
-			if !got[p] {
-				t.Fatalf("%s: pair %v missing from partitions", m.Name(), p)
-			}
-		}
+// TestEnumerateBlocks pins the blocking enumeration: a singleton block
+// and a member repeated in its block pair with nothing, blocks come in
+// sorted-label order and members in insertion order, and an own rule
+// keeps a pair shared by two blocks in one of them only.
+func TestEnumerateBlocks(t *testing.T) {
+	blocks := map[string][]string{
+		"b": {"x", "y", "z"},
+		"a": {"z", "y"},
+		"c": {"w"},
+		"d": {"v", "v"},
+	}
+	collect := func(own func(label, a, b string) bool) []verify.Pair {
+		var got []verify.Pair
+		enumerateBlocks(blocks, own, func(p verify.Pair) bool {
+			got = append(got, p)
+			return true
+		})
+		return got
+	}
+	yz, xy, xz := verify.NewPair("y", "z"), verify.NewPair("x", "y"), verify.NewPair("x", "z")
+	if got, want := collect(nil), []verify.Pair{yz, xy, xz, yz}; !slices.Equal(got, want) {
+		t.Fatalf("no own rule: %v, want %v", got, want)
+	}
+	inA := func(label, a, b string) bool { return label == "a" || verify.NewPair(a, b) != yz }
+	if got, want := collect(inA), []verify.Pair{yz, xy, xz}; !slices.Equal(got, want) {
+		t.Fatalf("own rule: %v, want %v", got, want)
+	}
+	n := 0
+	if enumerateBlocks(blocks, nil, func(verify.Pair) bool { n++; return false }) || n != 1 {
+		t.Fatalf("early stop: %d pairs yielded, or not reported", n)
 	}
 }
 
 // TestBlockingAlternativesSharedBlocks pins the canonical-block rule
 // on a handcrafted relation where two tuples share two blocks: the
-// pair must surface exactly once, in the smaller key's partition.
+// pair must surface exactly once.
 func TestBlockingAlternativesSharedBlocks(t *testing.T) {
 	xr := pdb.NewXRelation("shared", "name")
 	xr.Append(pdb.NewXTuple("t1", pdb.NewAlt(0.5, "anna"), pdb.NewAlt(0.5, "berta")))
@@ -145,73 +131,17 @@ func TestBlockingAlternativesSharedBlocks(t *testing.T) {
 	def := keys.NewDef(keys.Part{Attr: 0, Prefix: 3})
 	m := BlockingAlternatives{Key: def}
 
-	if want := m.Candidates(xr); len(want) != 1 || !want.Has("t1", "t2") {
-		t.Fatalf("candidates %v", want.Sorted())
+	if blocks := m.Blocks(xr); len(blocks["ann"]) != 2 || len(blocks["ber"]) != 2 {
+		t.Fatalf("blocks %v, want both tuples in 'ann' and 'ber'", blocks)
 	}
-	var yieldedIn []string
-	for _, part := range m.Partitions(xr) {
-		label := part.Label
-		part.Enumerate(func(p verify.Pair) bool {
-			yieldedIn = append(yieldedIn, label)
-			return true
-		})
-	}
-	if len(yieldedIn) != 1 || yieldedIn[0] != "ann" {
-		t.Fatalf("pair yielded in %v, want exactly once in the smallest shared key 'ann'", yieldedIn)
-	}
-}
-
-// TestStreamOfAdapter wraps a plain Method (no Streamer) and asserts
-// the adapter replays the candidate set.
-func TestStreamOfAdapter(t *testing.T) {
-	u := paperdata.R34()
-	m := plainMethod{}
-	if _, ok := Method(m).(Streamer); ok {
-		t.Fatal("plainMethod must not implement Streamer for this test")
-	}
-	s := StreamOf(m)
-	got := verify.PairSet{}
-	s.EnumeratePairs(u, func(p verify.Pair) bool {
-		got[p] = true
+	var yielded []verify.Pair
+	m.EnumeratePairs(xr, func(p verify.Pair) bool {
+		yielded = append(yielded, p)
 		return true
 	})
-	want := m.Candidates(u)
-	if len(got) != len(want) {
-		t.Fatalf("adapter streamed %d pairs, want %d", len(got), len(want))
+	if len(yielded) != 1 || yielded[0] != verify.NewPair("t1", "t2") {
+		t.Fatalf("yielded %v, want the pair (t1, t2) exactly once", yielded)
 	}
-	// Early stop through the adapter.
-	n := 0
-	if s.EnumeratePairs(u, func(verify.Pair) bool { n++; return false }) {
-		t.Fatal("adapter must report early stop")
-	}
-	if n != 1 {
-		t.Fatalf("adapter yielded %d pairs after stop", n)
-	}
-	// A Streamer passes through unchanged.
-	if _, adapted := StreamOf(CrossProduct{}).(adaptedStreamer); adapted {
-		t.Fatal("StreamOf must not wrap a native Streamer")
-	}
-	// A nil method streams the cross product, like the engine's nil
-	// Options.Reduction default.
-	nilPairs := 0
-	StreamOf(nil).EnumeratePairs(u, func(verify.Pair) bool { nilPairs++; return true })
-	if want := TotalPairs(len(u.Tuples)); nilPairs != want {
-		t.Fatalf("StreamOf(nil) yielded %d pairs, want cross product %d", nilPairs, want)
-	}
-}
-
-// plainMethod is a Method without streaming support: the first and
-// last tuple form the only candidate pair.
-type plainMethod struct{}
-
-func (plainMethod) Name() string { return "plain" }
-
-func (plainMethod) Candidates(xr *pdb.XRelation) verify.PairSet {
-	s := verify.PairSet{}
-	if n := len(xr.Tuples); n > 1 {
-		s.Add(xr.Tuples[0].ID, xr.Tuples[n-1].ID)
-	}
-	return s
 }
 
 // TestFilterDropsForeignPairs pins the Filter's set-intersection
@@ -220,7 +150,7 @@ func (plainMethod) Candidates(xr *pdb.XRelation) verify.PairSet {
 func TestFilterDropsForeignPairs(t *testing.T) {
 	u, _ := streamCorpus(t)
 	f := NewFilter(foreignPairMethod{}, Pruning{MaxDiff: map[int]int{0: 100}})
-	if c := f.Candidates(u); len(c) != 0 {
+	if c := Candidates(f, u); len(c) != 0 {
 		t.Fatalf("foreign pairs survived the filter: %v", c.Sorted())
 	}
 	n := 0
@@ -235,8 +165,8 @@ type foreignPairMethod struct{}
 
 func (foreignPairMethod) Name() string { return "foreign" }
 
-func (foreignPairMethod) Candidates(*pdb.XRelation) verify.PairSet {
-	return verify.NewPairSet(verify.Pair{A: "ghost-a", B: "ghost-b"})
+func (foreignPairMethod) EnumeratePairs(_ *pdb.XRelation, yield func(verify.Pair) bool) bool {
+	return yield(verify.Pair{A: "ghost-a", B: "ghost-b"})
 }
 
 // TestTotalPairs checks the arithmetic pair count against AllPairs.

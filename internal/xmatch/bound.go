@@ -3,6 +3,7 @@ package xmatch
 import (
 	"math"
 
+	"probdedup/internal/avm"
 	"probdedup/internal/decision"
 )
 
@@ -21,17 +22,20 @@ type Bounded interface {
 	SimUpperBound(cellUB float64, model decision.Model) float64
 }
 
-// SimUpperBound implements Bounded: the derivation is a convex-like
-// combination Σ w1ᵢ·w2ⱼ·sim(c⃗ᵢⱼ) with non-negative weight sums ≤ 1
-// per side, so with cellUB ≥ 0 the total is at most cellUB.
+// SimUpperBound implements Bounded: the derivation is a combination
+// Σ w1ᵢ·w2ⱼ·sim(c⃗ᵢⱼ) with non-negative weights whose sum per side is at
+// most 1 + pdb.Eps (an x-tuple's tolerance), so with cellUB ≥ 0 the
+// total is at most avm.MaxMass·cellUB.
 func (d SimilarityBased) SimUpperBound(cellUB float64, model decision.Model) float64 {
-	return cellUB
+	return avm.MaxMass * cellUB
 }
 
-// SimUpperBound implements Bounded: the (optionally weighted) maximum
-// over cells never exceeds the per-cell bound when cellUB ≥ 0.
+// SimUpperBound implements Bounded: a cell's weight, the joint
+// probability of its alternatives, is at most avm.MaxMass, so with
+// cellUB ≥ 0 the (optionally weighted) maximum over cells is at most
+// avm.MaxMass·cellUB.
 func (d MaxSim) SimUpperBound(cellUB float64, model decision.Model) float64 {
-	return cellUB
+	return avm.MaxMass * cellUB
 }
 
 // SimUpperBound implements Bounded: the single most probable cell obeys

@@ -24,18 +24,23 @@ func boundedModel(lambda float64) decision.Model {
 
 // TestPassThroughBounds: the convex-combination-shaped derivations
 // (similarity based, max-sim, most probable world) inherit the cell
-// bound unchanged.
+// bound; those that weigh cells by alternative probabilities widen it
+// by avm.MaxMass, since an x-tuple's alternatives may sum to 1+pdb.Eps.
 func TestPassThroughBounds(t *testing.T) {
 	model := boundedModel(0.6)
-	for name, d := range map[string]Bounded{
-		"similarity-based":    SimilarityBased{},
-		"similarity-cond":     SimilarityBased{Conditioned: true},
-		"max-sim":             MaxSim{},
-		"most-probable-world": MostProbableWorld{},
+	for name, tc := range map[string]struct {
+		d     Bounded
+		scale float64
+	}{
+		"similarity-based":    {SimilarityBased{}, avm.MaxMass},
+		"similarity-cond":     {SimilarityBased{Conditioned: true}, avm.MaxMass},
+		"max-sim":             {MaxSim{}, avm.MaxMass},
+		"max-sim-weighted":    {MaxSim{Weighted: true}, avm.MaxMass},
+		"most-probable-world": {MostProbableWorld{}, 1},
 	} {
 		for _, ub := range []float64{0, 0.25, 0.6, 1} {
-			if got := d.SimUpperBound(ub, model); got != ub {
-				t.Fatalf("%s: SimUpperBound(%v) = %v, want pass-through", name, ub, got)
+			if got := tc.d.SimUpperBound(ub, model); got != tc.scale*ub {
+				t.Fatalf("%s: SimUpperBound(%v) = %v, want %v", name, ub, got, tc.scale*ub)
 			}
 		}
 	}

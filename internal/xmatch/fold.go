@@ -89,7 +89,7 @@ func (p *PairSource) Weights(cond bool) (w1, w2 []float64) {
 // visits the cells heaviest first, computes each cell's vector one
 // attribute at a time, and before every attribute bounds the sum: the
 // visited cells' total, plus this cell's mass × phi's bound over its
-// vector with every unseen attribute at attrTop, plus the unvisited
+// vector with every unseen attribute at avm.MaxMass, plus the unvisited
 // mass × phi's ceiling. Once that bound, widened by foldSlack, is below
 // the floor, the fold returns it and sets exited; the true sum is at
 // most the returned value. It skips whole attributes only, so a value
@@ -114,7 +114,7 @@ func (p *PairSource) expect(cond bool, f func(avm.Vector) float64, phi decision.
 			p.cell[c] = f(p.At(i, j))
 			continue
 		}
-		p.vec = fillVector(p.vec, len(p.matcher.Funcs), attrTop)
+		p.vec = fillVector(p.vec, len(p.matcher.Funcs), avm.MaxMass)
 		v := p.vec
 		a1, a2 := p.x1.Alts[i].Values, p.x2.Alts[j].Values
 		for a := range v {
@@ -136,12 +136,6 @@ func (p *PairSource) expect(cond bool, f func(avm.Vector) float64, phi decision.
 	return sum
 }
 
-// attrTop bounds every attribute similarity Eq. 5 can yield when value
-// similarities and ⊥ similarities lie in [0,1]: it is an expectation
-// over two distributions whose masses, ⊥ included, are each at most
-// 1 + pdb.Eps (pdb.NewDist's tolerance).
-const attrTop = (1 + pdb.Eps) * (1 + pdb.Eps)
-
 // foldSlack absorbs rounding: the bounded fold adds its terms in visit
 // order, the full fold in canonical order, and each sum of k terms may
 // round away from the exact one by k·2⁻⁵³ of the terms' magnitude. A
@@ -153,7 +147,7 @@ const foldSlack = 1e-12
 // foldBound is what the bounded fold knows of its model: φ's bound over
 // a box of attribute bounds (decision.UpperBounded, with the weighted
 // sum resolved to its concrete type once per fold) and φ's ceiling, its
-// bound with every attribute at attrTop.
+// bound with every attribute at avm.MaxMass.
 type foldBound struct {
 	ub   decision.UpperBounded
 	ws   decision.WeightedSumModel
@@ -164,7 +158,7 @@ type foldBound struct {
 // bound resolves the fold's bound. The fold may stop only when the
 // source has a floor above −Inf, f is the similarity of a model that
 // bounds it, and the matcher's ⊥ similarities lie in [0,1], so that no
-// attribute similarity exceeds attrTop.
+// attribute similarity exceeds avm.MaxMass.
 func (p *PairSource) bound(phi decision.Model) (foldBound, bool) {
 	ub, ok := phi.(decision.UpperBounded)
 	if !ok || p.floor == math.Inf(-1) || (p.matcher.Nulls != nil && !p.matcher.Nulls.InUnit()) {
@@ -172,7 +166,7 @@ func (p *PairSource) bound(phi decision.Model) (foldBound, bool) {
 	}
 	b := foldBound{ub: ub}
 	b.ws, b.isWS = ub.(decision.WeightedSumModel)
-	p.vec = fillVector(p.vec, len(p.matcher.Funcs), attrTop)
+	p.vec = fillVector(p.vec, len(p.matcher.Funcs), avm.MaxMass)
 	b.top = b.of(p.vec)
 	return b, true
 }
@@ -187,7 +181,7 @@ func (b *foldBound) of(hi avm.Vector) float64 {
 
 // proof bounds the fold from a partly computed cell: total and abs are
 // the visited cells' sum and magnitude, m the cell's mass, v its vector
-// with every unseen attribute at attrTop, rest the unvisited mass. Each
+// with every unseen attribute at avm.MaxMass, rest the unvisited mass. Each
 // term dominates the fold's term for the same cells (rounded addition,
 // and multiplication by a non-negative mass, are monotone); the slack
 // covers the different summation order.

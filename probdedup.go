@@ -289,7 +289,9 @@ type (
 	KeyDef = keys.Def
 	// KeyPart is one component of a key definition.
 	KeyPart = keys.Part
-	// ReductionMethod is a search-space reduction method.
+	// ReductionMethod is a search-space reduction method: a Name and
+	// EnumeratePairs, which yields each candidate pair once, in
+	// canonical order, until yield returns false.
 	ReductionMethod = ssr.Method
 	// SNMMultiPass is the multi-pass-over-worlds sorted neighborhood.
 	SNMMultiPass = ssr.SNMMultiPass
@@ -307,7 +309,8 @@ type (
 	BlockingCluster = ssr.BlockingCluster
 	// CrossProduct is the no-reduction baseline.
 	CrossProduct = ssr.CrossProduct
-	// Pruning is the length-filter pruning heuristic.
+	// Pruning configures the length-filter pruning heuristic of a
+	// ReductionFilter.
 	Pruning = ssr.Pruning
 	// ReductionFilter composes a reduction method with pruning.
 	ReductionFilter = ssr.Filter
@@ -322,7 +325,10 @@ const (
 	ModeKeyStrategy      = ssr.ModeKey
 )
 
-// NewReductionFilter composes a reduction method with length pruning.
+// NewReductionFilter composes a reduction method with length pruning;
+// a nil inner method prunes the cross product. The filter is named
+// after its inner method plus "+pruned" and, like every built-in
+// reduction, works online.
 func NewReductionFilter(inner ReductionMethod, prune Pruning) ReductionFilter {
 	return ssr.NewFilter(inner, prune)
 }
@@ -414,13 +420,6 @@ type (
 	// opt-in similarity memo shared by a run's workers (see
 	// Options.CacheCapacity and StreamStats.Cache).
 	SimCacheStats = avm.CacheStats
-	// CandidateStreamer is a reduction method that enumerates its
-	// candidate pairs incrementally instead of materializing the set.
-	// All reduction methods of this package implement it.
-	CandidateStreamer = ssr.Streamer
-	// CandidatePartition is one independently enumerable block of a
-	// partitioning reduction method's search space.
-	CandidatePartition = ssr.Partition
 	// Pair is an unordered tuple-ID pair.
 	Pair = verify.Pair
 	// PairSet is a set of unordered pairs.
@@ -464,9 +463,8 @@ func DetectRelations(r1, r2 *Relation, opts Options) (*Result, error) {
 // blocking variants, cross product, SNMCertain, SNMRanked and pruning,
 // memory stays proportional to the relation rather than the candidate
 // pair set; SNMMultiPass and SNMAlternatives keep their
-// executed-matching set while enumerating, and methods without
-// streaming support are adapted by materializing their candidates
-// once. A nil Options.Reduction streams the cross product.
+// executed-matching set while enumerating. A nil Options.Reduction
+// streams the cross product.
 //
 // emit is called sequentially from the caller's goroutine, in the
 // reduction's enumeration order, and returns false to stop the run
@@ -477,15 +475,11 @@ func DetectStream(xr *XRelation, opts Options, emit func(PairMatch) bool) (Strea
 	return core.DetectStream(xr, opts, emit)
 }
 
-// StreamCandidates enumerates the candidate pairs of a reduction
-// method without materializing them, yielding each pair exactly once;
-// enumeration stops early when yield returns false. Methods that do
-// not implement CandidateStreamer are adapted transparently (their
-// candidate set is materialized once and replayed); a nil method
-// enumerates the cross product, mirroring a nil Options.Reduction.
-func StreamCandidates(m ReductionMethod, xr *XRelation, yield func(Pair) bool) bool {
-	return ssr.StreamOf(m).EnumeratePairs(xr, yield)
-}
+// Candidates collects the candidate pairs a reduction method
+// enumerates into a set; a nil method means the cross product,
+// mirroring a nil Options.Reduction. To visit the pairs without
+// materializing them, call the method's EnumeratePairs.
+func Candidates(m ReductionMethod, xr *XRelation) PairSet { return ssr.Candidates(m, xr) }
 
 // ---- Incremental online detection ----
 

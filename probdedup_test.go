@@ -134,9 +134,9 @@ func TestPublicReductionMethods(t *testing.T) {
 		probdedup.BlockingAlternatives{Key: def},
 		probdedup.BlockingCluster{Key: def, K: 8, Seed: 1},
 	}
-	full := len(methods[0].Candidates(u))
+	full := len(probdedup.Candidates(methods[0], u))
 	for _, m := range methods[1:] {
-		c := m.Candidates(u)
+		c := probdedup.Candidates(m, u)
 		if len(c) == 0 {
 			t.Errorf("%s produced no candidates", m.Name())
 		}
@@ -234,7 +234,7 @@ func TestPublicNumericAndPruning(t *testing.T) {
 		probdedup.CrossProduct{},
 		probdedup.Pruning{MaxDiff: map[int]int{0: 2}},
 	)
-	if c := pruned.Candidates(src); len(c) != 0 {
+	if c := probdedup.Candidates(pruned, src); len(c) != 0 {
 		t.Fatalf("pruning kept %v", c.Sorted())
 	}
 	def, _ := probdedup.ParseKeyDef("name:2", []string{"name"})
@@ -301,23 +301,35 @@ func TestPublicDetectStream(t *testing.T) {
 	}
 }
 
-func TestPublicStreamCandidates(t *testing.T) {
+// TestPublicCandidates checks the one collecting function: a nil
+// method collects the cross product, and a method's set holds exactly
+// the pairs its enumeration yields.
+func TestPublicCandidates(t *testing.T) {
 	r1, r2 := r1r2()
 	u, err := r1.ToXRelation().Union("R1+R2", r2.ToXRelation())
 	if err != nil {
 		t.Fatal(err)
 	}
-	var m probdedup.ReductionMethod = probdedup.CrossProduct{}
-	if _, ok := m.(probdedup.CandidateStreamer); !ok {
-		t.Fatal("built-in reductions must stream")
+	if got, want := len(probdedup.Candidates(nil, u)), len(u.Tuples)*(len(u.Tuples)-1)/2; got != want {
+		t.Fatalf("nil method collected %d pairs, want the cross product's %d", got, want)
 	}
-	got := probdedup.PairSet{}
-	probdedup.StreamCandidates(m, u, func(p probdedup.Pair) bool {
-		got[p] = true
+	def, err := probdedup.ParseKeyDef("name:1", u.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m probdedup.ReductionMethod = probdedup.BlockingCertain{Key: def}
+	var streamed []probdedup.Pair
+	m.EnumeratePairs(u, func(p probdedup.Pair) bool {
+		streamed = append(streamed, p)
 		return true
 	})
-	want := m.Candidates(u)
-	if len(got) != len(want) {
-		t.Fatalf("streamed %d, want %d", len(got), len(want))
+	got := probdedup.Candidates(m, u)
+	if len(streamed) == 0 || len(got) != len(streamed) {
+		t.Fatalf("collected %d pairs, enumerated %d", len(got), len(streamed))
+	}
+	for _, p := range streamed {
+		if !got[p] {
+			t.Fatalf("pair %v enumerated but not collected", p)
+		}
 	}
 }
