@@ -88,15 +88,16 @@ func (d *Detector) SnapshotState() *DetectorState {
 // are re-registered in arrival order (re-interning the symbol plane and
 // re-summarizing the pre-filter), exact-tier index state is re-derived
 // by re-filing them — ssr.RestoringIndex.Restore where the index has
-// it, else an Insert whose deltas are discarded; the index contract
-// makes the maintained candidate set a pure function of the residents
-// in insertion order — and the live pair decisions are installed
-// directly from the snapshot. The pre-filter's Enumerated and Filtered
-// counters are not part of the snapshot and start at 0. A
-// bounded-staleness index restores its persisted placement state
-// instead (ssr.StatefulEpochIndex). The state is validated as it is
-// applied; untrusted snapshots (a corrupt or crafted file) fail with
-// an error, never a panic.
+// it, else one ssr.InsertBatch of every resident that admits no add and
+// whose deltas are discarded (an empty window index files it in one
+// pass); the index contract makes the maintained candidate set a pure
+// function of the residents in insertion order — and the live pair
+// decisions are installed directly from the snapshot. The pre-filter's
+// Enumerated and Filtered counters are not part of the snapshot and
+// start at 0. A bounded-staleness index restores its persisted
+// placement state instead (ssr.StatefulEpochIndex). The state is
+// validated as it is applied; untrusted snapshots (a corrupt or crafted
+// file) fail with an error, never a panic.
 func RestoreDetector(opts Options, emit func(MatchDelta) bool, st *DetectorState) (*Detector, error) {
 	d, err := NewDetector(st.Schema, opts, emit)
 	if err != nil {
@@ -107,6 +108,7 @@ func RestoreDetector(opts Options, emit func(MatchDelta) bool, st *DetectorState
 		return nil, fmt.Errorf("core: snapshot epoch state (present=%t) does not match reduction tier (bounded-staleness=%t)",
 			st.Epoch != nil, stateful)
 	}
+	var filed []*pdb.XTuple // the residents the index files in one batch
 	for _, x := range st.Residents {
 		if x == nil {
 			return nil, fmt.Errorf("core: snapshot contains a nil resident")
@@ -123,11 +125,12 @@ func RestoreDetector(opts Options, emit func(MatchDelta) bool, st *DetectorState
 		if ri, ok := d.idx.(ssr.RestoringIndex); ok {
 			ri.Restore(x)
 		} else if !stateful {
-			// Discarded deltas: the maintained candidate set is what the
-			// restore is after; the pair decisions come from the snapshot.
-			d.idx.Insert(x, func(ssr.PairDelta) bool { return true })
+			filed = append(filed, x)
 		}
 	}
+	// Discarded deltas: the maintained candidate set is what the restore
+	// is after; the pair decisions come from the snapshot.
+	ssr.InsertBatch(d.idx, filed, func(verify.Pair) bool { return false })
 	if stateful && st.Epoch != nil {
 		err := d.idx.(ssr.StatefulEpochIndex).RestoreEpochState(st.Epoch, d.live.tuple)
 		if err != nil {

@@ -39,14 +39,17 @@
 // chunkSeq, the one order over handles, in chunks so a splice or position
 // query costs O(chunks + chunk), not O(entries); windowSeq, the only copy
 // of the window arithmetic over it, emitting handle pairs; keyedSeq, its
-// form sorted by key; pairNet, the only delta netting, by ID pair; and
-// pairLedger, the refcounted union of several window passes, keyed by
-// packed handle pairs. A handle becomes an ID only where a pair leaves
-// the index, and never orders anything. SNMMultiPass has no splice of its own: its world
-// selection depends on the whole relation, so its index (recomputeIndex)
-// re-runs the batch stream per operation and nets the old pairs against
-// the new in a pairNet; Restore defers that to the next operation. Every
-// built-in method is incremental, on one of two tiers. On the exact tier
+// form sorted by key; pairNet, the only delta netting, keyed by ID pair
+// or by packed handle pair; and pairLedger, the refcounted union of
+// several window passes, keyed by packed handle pairs. A handle becomes
+// an ID only where a pair leaves the index, and never orders anything.
+// InsertBatch on an empty SNMCertain or SNMAlternatives index skips the
+// splices: one sort, sequences laid out from it, one window pass.
+// SNMMultiPass has no splice of its own: its world selection depends on
+// the whole relation, so its index (recomputeIndex) re-runs the batch
+// stream per operation and nets the old pairs against the new in a
+// pairNet; Restore defers that to the next operation. Every built-in
+// method is incremental, on one of two tiers. On the exact tier
 // — every method except BlockingCluster — the maintained set equals the
 // batch candidate set over the resident tuples after every operation:
 // insert-one-at-a-time ≡ Candidates.

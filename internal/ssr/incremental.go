@@ -94,7 +94,9 @@ type EpochIndex interface {
 // Source is the batch position (0-based) of the insertion that
 // settled the pair's final membership — the attribution callers need
 // to map a delta (or a failure while applying it) back to a tuple of
-// the batch.
+// the batch. On an empty sorted-neighborhood index, which files the
+// batch in one pass, that is the later batch position of the pair's
+// two tuples.
 type BatchDelta struct {
 	PairDelta
 	Source int
@@ -104,7 +106,11 @@ type BatchDelta struct {
 // returns the net pair deltas of the whole batch: intra-batch churn
 // cancels out (a pair admitted by one insertion and pushed out of a
 // sorted-neighborhood window by a later one never surfaces), and each
-// surviving pair appears exactly once, in first-affected order.
+// surviving pair appears exactly once, in first-affected order. An
+// empty SNMCertain or SNMAlternatives index files the whole batch in
+// one pass instead — one sort of every entry, one window pass — and
+// yields its adds in the batch stream's order (EnumeratePairs over
+// xs).
 // Folding the result into a candidate set yields exactly the state
 // that folding every Insert's deltas one at a time would — the
 // equivalence the incremental engine's determinism tests prove — but
@@ -121,18 +127,21 @@ type BatchDelta struct {
 // Structural updates are applied unconditionally for every tuple;
 // the caller is expected to have validated the batch first.
 func InsertBatch(idx IncrementalIndex, xs []*pdb.XTuple, admit func(verify.Pair) bool) []BatchDelta {
-	var net pairNet
+	if b, ok := idx.(bulkBuild); ok && idx.Len() == 0 {
+		return b.build(xs, admit)
+	}
+	var net pairNet[verify.Pair]
 	for i, x := range xs {
 		net.source = i
 		idx.Insert(x, func(pd PairDelta) bool {
 			if pd.Dropped || admit == nil || admit(pd.Pair) {
-				net.add(pd)
+				net.add(pd.Pair, pd.Dropped)
 			}
 			return true
 		})
 	}
 	out := make([]BatchDelta, 0, len(net.entries))
-	net.drain(func(d BatchDelta) bool {
+	net.drain(samePair, func(d BatchDelta) bool {
 		out = append(out, d)
 		return true
 	})
@@ -487,6 +496,22 @@ func (s *snmCertainIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool
 	k := s.key.FromValues(s.strategy.ResolveX(x))
 	s.scratch = s.seq.insert(k, s.res.add(x.ID, k), s.scratch[:0])
 	return yieldAll(s.scratch, s.res.ids, yield)
+}
+
+// build implements bulkBuild: every key sorted once, then one window
+// pass, whose pairs are all distinct.
+func (s *snmCertainIndex) build(xs []*pdb.XTuple, admit func(verify.Pair) bool) []BatchDelta {
+	hs, es := make([]uint32, len(xs)), make([]seqEntry, len(xs))
+	for i, x := range xs {
+		k := s.key.FromValues(s.strategy.ResolveX(x))
+		hs[i] = s.res.add(x.ID, k)
+		es[i] = seqEntry{key: k, h: hs[i]}
+	}
+	adds := newBulkAdds(s.res.ids, hs, admit)
+	slices.SortFunc(es, adds.byKey)
+	s.seq.lay(es)
+	windowPairs(es, s.seq.window, adds.add)
+	return adds.out
 }
 
 func (s *snmCertainIndex) Remove(id string, yield func(PairDelta) bool) bool {

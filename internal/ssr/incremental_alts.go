@@ -1,8 +1,11 @@
 package ssr
 
 import (
+	"slices"
+
 	"probdedup/internal/keys"
 	"probdedup/internal/pdb"
+	"probdedup/internal/verify"
 )
 
 // snmAltsIndex maintains the exact SNMAlternatives candidate set online.
@@ -56,7 +59,7 @@ func (s *snmAltsIndex) flipKept(fpos int) {
 	} else {
 		s.scratch = s.kept.insertAt(kpos, seqEntry{h: e.h}, s.scratch[:0])
 	}
-	s.ledger.coverAll(s.scratch, s.res.ids)
+	s.ledger.coverAll(s.scratch)
 	s.entries.setKept(fpos, !e.kept)
 }
 
@@ -87,19 +90,59 @@ func (s *snmAltsIndex) removeEntry(fpos int) {
 	}
 }
 
-func (s *snmAltsIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
+// keysOf returns a tuple's distinct alternative keys.
+func (s *snmAltsIndex) keysOf(x *pdb.XTuple) []string {
 	kps := s.key.XTupleKeyDist(x, false)
 	ks := make([]string, len(kps))
 	for i, kp := range kps {
 		ks[i] = kp.Key
 	}
+	return ks
+}
+
+func (s *snmAltsIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
+	ks := s.keysOf(x)
 	h := s.res.add(x.ID, ks)
 	for _, k := range ks {
 		// Upper bound: after all equal keys, reproducing the batch
 		// stable sort for the same arrival order.
 		s.insertEntry(s.entries.search(func(e seqEntry) bool { return e.key > k }), k, h)
 	}
-	return s.ledger.flush(yield)
+	return s.ledger.flush(s.res.ids, yield)
+}
+
+// build implements bulkBuild: SortedEntries' construction over handles —
+// every entry sorted once, the kept flags in one scan — then one window
+// pass over the kept entries fills the ledger, a pair's first coverage
+// being its add.
+func (s *snmAltsIndex) build(xs []*pdb.XTuple, admit func(verify.Pair) bool) []BatchDelta {
+	hs := make([]uint32, len(xs))
+	var es, kept []seqEntry
+	for i, x := range xs {
+		ks := s.keysOf(x)
+		hs[i] = s.res.add(x.ID, ks)
+		for _, k := range ks {
+			es = append(es, seqEntry{key: k, h: hs[i]})
+		}
+	}
+	adds := newBulkAdds(s.res.ids, hs, admit)
+	slices.SortFunc(es, adds.byKey)
+	for i := range es {
+		if es[i].kept = i == 0 || es[i-1].h != es[i].h; es[i].kept {
+			kept = append(kept, seqEntry{h: es[i].h})
+		}
+	}
+	s.entries.lay(es)
+	s.kept.lay(kept)
+	windowPairs(kept, s.kept.window, func(a, b uint32) {
+		if a != b {
+			k := handlePair(a, b)
+			if s.ledger.counts[k]++; s.ledger.counts[k] == 1 {
+				adds.add(a, b)
+			}
+		}
+	})
+	return adds.out
 }
 
 func (s *snmAltsIndex) Remove(id string, yield func(PairDelta) bool) bool {
@@ -107,13 +150,13 @@ func (s *snmAltsIndex) Remove(id string, yield func(PairDelta) bool) bool {
 	if !ok {
 		return true
 	}
+	defer s.res.release(h) // after the flush, which reads h's ID
 	for _, k := range s.res.vals[h] {
 		if fpos := s.entries.lookup(k, h); fpos >= 0 {
 			s.removeEntry(fpos)
 		}
 	}
-	s.res.release(h) // the ledger holds no pair of h any more
-	return s.ledger.flush(yield)
+	return s.ledger.flush(s.res.ids, yield)
 }
 
 // Interface conformance check.

@@ -43,7 +43,7 @@ type blockingClusterIndex struct {
 	blocks    map[int][]string
 	drifted   int
 
-	net pairNet // the operation's deltas; re-blocked pairs cancel in it
+	net pairNet[verify.Pair] // the operation's deltas; re-blocked pairs cancel in it
 }
 
 // Incremental implements IncrementalMethod.
@@ -93,7 +93,7 @@ func (b *blockingClusterIndex) reseal() {
 		members := b.blocks[c]
 		for i := 0; i < len(members); i++ {
 			for j := i + 1; j < len(members); j++ {
-				b.net.add(PairDelta{Pair: verify.NewPair(members[i], members[j]), Dropped: true})
+				b.net.add(verify.NewPair(members[i], members[j]), true)
 			}
 		}
 	}
@@ -111,7 +111,7 @@ func (b *blockingClusterIndex) reseal() {
 	for i, a := range c.Assign {
 		id := items[i].ID
 		for _, other := range b.blocks[a] {
-			b.net.add(PairDelta{Pair: verify.NewPair(other, id)})
+			b.net.add(verify.NewPair(other, id), false)
 		}
 		b.blocks[a] = append(b.blocks[a], id)
 		b.labelOf[id] = a
@@ -136,14 +136,14 @@ func (b *blockingClusterIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool)
 	} else {
 		c := nearestCentroid(b.centroids, b.emb.Pos(it.Keys))
 		for _, other := range b.blocks[c] {
-			b.net.add(PairDelta{Pair: verify.NewPair(other, x.ID)})
+			b.net.add(verify.NewPair(other, x.ID), false)
 		}
 		b.blocks[c] = append(b.blocks[c], x.ID)
 		b.labelOf[x.ID] = c
 		b.drifted++
 		b.maybeReseal()
 	}
-	return b.net.flush(yield)
+	return b.net.flush(samePair, yield)
 }
 
 func (b *blockingClusterIndex) Remove(id string, yield func(PairDelta) bool) bool {
@@ -156,7 +156,7 @@ func (b *blockingClusterIndex) Remove(id string, yield func(PairDelta) bool) boo
 	delete(b.labelOf, id)
 	b.blocks[c] = removeID(b.blocks[c], id)
 	for _, other := range b.blocks[c] {
-		b.net.add(PairDelta{Pair: verify.NewPair(other, id), Dropped: true})
+		b.net.add(verify.NewPair(other, id), true)
 	}
 	if len(b.arrivals) == 0 {
 		// Empty index: clear the epoch state so the next insertion
@@ -170,7 +170,7 @@ func (b *blockingClusterIndex) Remove(id string, yield func(PairDelta) bool) boo
 		b.drifted++
 		b.maybeReseal()
 	}
-	return b.net.flush(yield)
+	return b.net.flush(samePair, yield)
 }
 
 // Reseal implements EpochIndex.
@@ -179,7 +179,7 @@ func (b *blockingClusterIndex) Reseal(yield func(PairDelta) bool) bool {
 		return true
 	}
 	b.reseal()
-	return b.net.flush(yield)
+	return b.net.flush(samePair, yield)
 }
 
 // Interface conformance checks.

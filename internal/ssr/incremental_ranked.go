@@ -6,6 +6,7 @@ import (
 	"probdedup/internal/keys"
 	"probdedup/internal/pdb"
 	"probdedup/internal/rank"
+	"probdedup/internal/verify"
 )
 
 // ---- Sorted neighborhood over ranked uncertain keys ----
@@ -49,7 +50,7 @@ type snmRankedIndex struct {
 	strategy RankStrategy
 	seq      windowSeq
 	deltas   []seqDelta // the operation's splices, netted by flush
-	net      pairNet
+	net      pairNet[verify.Pair]
 	res      handleTable[rankedRes]
 	uni      *rank.Universe // ExpectedRank only
 	epoch    int            // universe mutations so far; dates rank memos
@@ -134,10 +135,11 @@ func (s *snmRankedIndex) place(h uint32) {
 // flush nets the operation's splices and delivers what survives.
 func (s *snmRankedIndex) flush(yield func(PairDelta) bool) bool {
 	for _, d := range s.deltas {
-		s.net.add(d.pair(s.res.ids))
+		p := d.pair(s.res.ids)
+		s.net.add(p.Pair, p.Dropped)
 	}
 	s.deltas = s.deltas[:0]
-	return s.net.flush(yield)
+	return s.net.flush(samePair, yield)
 }
 
 // locate finds a resident's current position by binary search under the

@@ -28,7 +28,7 @@ type recomputeIndex struct {
 	xr     *pdb.XRelation // the residents in insertion order
 	pairs  []verify.Pair  // the candidate set, in stream order
 	stale  bool           // pairs predates a Restore
-	net    pairNet
+	net    pairNet[verify.Pair]
 }
 
 // Incremental implements IncrementalMethod.
@@ -84,13 +84,13 @@ func (r *recomputeIndex) enumerate() []verify.Pair {
 // residents and yields what changed.
 func (r *recomputeIndex) recompute(yield func(PairDelta) bool) bool {
 	for _, p := range r.pairs {
-		r.net.add(PairDelta{Pair: p, Dropped: true})
+		r.net.add(p, true)
 	}
 	r.pairs = r.enumerate()
 	for _, p := range r.pairs {
-		r.net.add(PairDelta{Pair: p})
+		r.net.add(p, false)
 	}
-	return r.net.flush(yield)
+	return r.net.flush(samePair, yield)
 }
 
 // Interface conformance checks.

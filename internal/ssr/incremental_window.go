@@ -4,7 +4,9 @@ import (
 	"iter"
 	"slices"
 	"sort"
+	"strings"
 
+	"probdedup/internal/pdb"
 	"probdedup/internal/verify"
 )
 
@@ -12,7 +14,8 @@ import (
 // are assembled from: the residents' handles (handleTable), the order
 // (chunkSeq), the window arithmetic over it (windowSeq), its keyed form
 // (keyedSeq), delta netting (pairNet) and the refcounted union of several
-// window passes (pairLedger).
+// window passes (pairLedger), and the one-pass build of an empty index
+// (bulkBuild).
 
 // handleTable gives every resident of a window index a uint32 handle, the
 // index of its ID and of the index's per-resident value in two slices. A
@@ -227,6 +230,16 @@ func (s *chunkSeq) lookup(key string, h uint32) int {
 	return -1
 }
 
+// lay fills the empty sequence with a copy of es, in order: full chunks,
+// the last holding the rest.
+func (s *chunkSeq) lay(es []seqEntry) {
+	for lo := 0; lo < len(es); lo += s.cap {
+		ch := append(make([]seqEntry, 0, s.cap), es[lo:min(lo+s.cap, len(es))]...)
+		s.chunks = append(s.chunks, seqChunk{ch, countKept(ch)})
+	}
+	s.n = len(es)
+}
+
 // windowSeq maintains an ordered sequence of resident handles and the
 // sorted-neighborhood window pairs over it: every splice appends the
 // window-pair deltas it causes (straddling pairs pushed out or pulled back
@@ -302,6 +315,58 @@ func (s *windowSeq) removeAt(p int, out []seqDelta) []seqDelta {
 	return out
 }
 
+// windowPairs calls f for every window position pair of es, in
+// windowStream's order: by right position, then left position.
+func windowPairs(es []seqEntry, window int, f func(a, b uint32)) {
+	for j := range es {
+		for i := max(j-window+1, 0); i < j; i++ {
+			f(es[i].h, es[j].h)
+		}
+	}
+}
+
+// bulkBuild is a window index that, empty, files a batch in one pass: one
+// sort, the sequences laid out from it (lay), one window pass. It returns
+// the candidate set's adds in the batch stream's order, each attributed
+// to the later batch position of its two tuples; admit as in InsertBatch.
+type bulkBuild interface {
+	build(xs []*pdb.XTuple, admit func(verify.Pair) bool) []BatchDelta
+}
+
+// bulkAdds collects a bulk build's adds.
+type bulkAdds struct {
+	ids   []string
+	at    []int // handle → batch position
+	admit func(verify.Pair) bool
+	out   []BatchDelta
+}
+
+// newBulkAdds indexes the batch positions of the handles hs[i] of xs[i].
+func newBulkAdds(ids []string, hs []uint32, admit func(verify.Pair) bool) *bulkAdds {
+	at := make([]int, len(ids))
+	for i, h := range hs {
+		at[h] = i
+	}
+	return &bulkAdds{ids: ids, at: at, admit: admit}
+}
+
+// byKey orders entries by key, ties by batch position: the batch methods'
+// stable sort over the same arrivals.
+func (b *bulkAdds) byKey(x, y seqEntry) int {
+	if c := strings.Compare(x.key, y.key); c != 0 {
+		return c
+	}
+	return b.at[x.h] - b.at[y.h]
+}
+
+// add yields the pair of two handles if admit takes it.
+func (b *bulkAdds) add(x, y uint32) {
+	p := verify.NewPair(b.ids[x], b.ids[y])
+	if b.admit == nil || b.admit(p) {
+		b.out = append(b.out, BatchDelta{PairDelta{Pair: p}, max(b.at[x], b.at[y])})
+	}
+}
+
 // keyedSeq is a windowSeq ordered by one sort key per entry, ties in
 // arrival order — the order of the batch methods' stable sort over the
 // same arrivals. It is the whole index of SNMCertain.
@@ -326,43 +391,46 @@ func (s *keyedSeq) remove(key string, h uint32, out []seqDelta) []seqDelta {
 // an even count cancels and an odd count nets to the first (= last) kind.
 // Survivors keep first-affected order and carry the source stamp current
 // at their last delta — InsertBatch's batch position; single operations
-// leave it zero. A net is reusable: drain empties it entry by entry, so an
-// operation costs what it touched, not what an earlier one did.
-type pairNet struct {
+// leave it zero. A pair is keyed by K: itself, or in the ledger a packed
+// handle pair, resolved to IDs for survivors only, at drain. A net is
+// reusable: drain empties it entry by entry, so an operation costs what it
+// touched, not what an earlier one did.
+type pairNet[K comparable] struct {
 	source  int
-	entries []netEntry
-	at      map[verify.Pair]int // position in entries
+	entries []netEntry[K]
+	at      map[K]int // position in entries
 }
 
-type netEntry struct {
-	BatchDelta // Dropped is the first delta's kind
-	odd        bool
+type netEntry[K comparable] struct {
+	key          K
+	dropped, odd bool // dropped: the first delta's kind
+	source       int
 }
 
-// add nets one more delta.
-func (n *pairNet) add(d PairDelta) {
-	at, ok := n.at[d.Pair]
+// add nets one more delta of the pair k.
+func (n *pairNet[K]) add(k K, dropped bool) {
+	at, ok := n.at[k]
 	if !ok {
 		if n.at == nil {
-			n.at = map[verify.Pair]int{}
+			n.at = map[K]int{}
 		}
 		at = len(n.entries)
-		n.at[d.Pair] = at
-		n.entries = append(n.entries, netEntry{BatchDelta: BatchDelta{PairDelta: d}})
+		n.at[k] = at
+		n.entries = append(n.entries, netEntry[K]{key: k, dropped: dropped})
 	}
 	e := &n.entries[at]
 	e.odd = !e.odd
-	e.Source = n.source
+	e.source = n.source
 }
 
-// drain delivers the surviving deltas and empties the net. A false from f
-// truncates delivery only.
-func (n *pairNet) drain(f func(BatchDelta) bool) bool {
+// drain delivers the surviving deltas, their keys resolved by pair, and
+// empties the net. A false from f truncates delivery only.
+func (n *pairNet[K]) drain(pair func(K) verify.Pair, f func(BatchDelta) bool) bool {
 	ok := true
 	for _, e := range n.entries {
-		delete(n.at, e.Pair)
+		delete(n.at, e.key)
 		if ok && e.odd {
-			ok = f(e.BatchDelta)
+			ok = f(BatchDelta{PairDelta{pair(e.key), e.dropped}, e.source})
 		}
 	}
 	n.entries = n.entries[:0]
@@ -370,19 +438,23 @@ func (n *pairNet) drain(f func(BatchDelta) bool) bool {
 }
 
 // flush is drain for an index's yield: the tail of every netted operation.
-func (n *pairNet) flush(yield func(PairDelta) bool) bool {
-	return n.drain(func(d BatchDelta) bool { return yield(d.PairDelta) })
+func (n *pairNet[K]) flush(pair func(K) verify.Pair, yield func(PairDelta) bool) bool {
+	return n.drain(pair, func(d BatchDelta) bool { return yield(d.PairDelta) })
 }
+
+// samePair is the key resolution of a net keyed by the pairs themselves.
+func samePair(p verify.Pair) verify.Pair { return p }
 
 // pairLedger refcounts how many window position pairs (kept entries of
 // SNMAlternatives) currently cover each candidate pair and nets the
 // 0↔positive transitions — the incremental form of the executed-matching
-// set (Fig. 12). The counts are keyed by packed handle pairs and hold no
-// pointer, so the collector never scans them; only a transition looks up
-// the two IDs.
+// set (Fig. 12). Counts and net are keyed by packed handle pairs and hold
+// no pointer, so the collector never scans them; only a transition that
+// survives the operation looks up the two IDs, at flush — before either
+// handle is released.
 type pairLedger struct {
 	counts map[uint64]int32 // handlePair → covering position pairs
-	net    pairNet
+	net    pairNet[uint64]
 }
 
 func newPairLedger() *pairLedger { return &pairLedger{counts: map[uint64]int32{}} }
@@ -393,10 +465,10 @@ func handlePair(a, b uint32) uint64 {
 }
 
 // coverAll folds one splice's window deltas into the coverage counts: one
-// more coverage per add, one fewer per drop; the first yields an add, the
-// last a drop, as the pair of the handles' IDs. Same-handle pairs are
-// ignored (windowStream skips same-ID pairs).
-func (l *pairLedger) coverAll(ds []seqDelta, ids []string) {
+// more coverage per add, one fewer per drop; the first nets an add, the
+// last a drop. Same-handle pairs are ignored (windowStream skips same-ID
+// pairs).
+func (l *pairLedger) coverAll(ds []seqDelta) {
 	for _, d := range ds {
 		if d.a == d.b {
 			continue
@@ -406,15 +478,20 @@ func (l *pairLedger) coverAll(ds []seqDelta, ids []string) {
 		if d.dropped {
 			if n--; n == 0 {
 				delete(l.counts, k)
-				l.net.add(d.pair(ids))
+				l.net.add(k, true)
 				continue
 			}
 		} else if n++; n == 1 {
-			l.net.add(d.pair(ids))
+			l.net.add(k, false)
 		}
 		l.counts[k] = n
 	}
 }
 
-// flush delivers the net transitions of the operation.
-func (l *pairLedger) flush(yield func(PairDelta) bool) bool { return l.net.flush(yield) }
+// flush delivers the net transitions of the operation as pairs of the
+// handles' IDs.
+func (l *pairLedger) flush(ids []string, yield func(PairDelta) bool) bool {
+	return l.net.flush(func(k uint64) verify.Pair {
+		return verify.NewPair(ids[k>>32], ids[uint32(k)])
+	}, yield)
+}

@@ -332,7 +332,7 @@ func TestSNMAltsEntriesMatchFlatModel(t *testing.T) {
 // delivery is cut short must still leave it empty.
 func TestPairNetMatchesBruteForce(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	var net pairNet
+	var net pairNet[verify.Pair]
 	for round := 0; round < 300; round++ {
 		type tally struct {
 			first  PairDelta
@@ -347,7 +347,7 @@ func TestPairNetMatchesBruteForce(t *testing.T) {
 				Dropped: rng.Intn(2) == 0,
 			}
 			net.source = rng.Intn(5)
-			net.add(d)
+			net.add(d.Pair, d.Dropped)
 			if seen[d.Pair] == nil {
 				seen[d.Pair] = &tally{first: d}
 				order = append(order, d.Pair)
@@ -367,7 +367,7 @@ func TestPairNetMatchesBruteForce(t *testing.T) {
 			want = want[:stopAfter]
 		}
 		var got []BatchDelta
-		ok := net.drain(func(d BatchDelta) bool {
+		ok := net.drain(samePair, func(d BatchDelta) bool {
 			got = append(got, d)
 			return len(got) < stopAfter
 		})
