@@ -88,16 +88,18 @@ func (d *Detector) SnapshotState() *DetectorState {
 // are re-registered in arrival order (re-interning the symbol plane and
 // re-summarizing the pre-filter), exact-tier index state is re-derived
 // by re-filing them — ssr.RestoringIndex.Restore where the index has
-// it, else one ssr.InsertBatch of every resident that admits no add and
-// whose deltas are discarded (an empty window index files it in one
-// pass); the index contract makes the maintained candidate set a pure
-// function of the residents in insertion order — and the live pair
-// decisions are installed directly from the snapshot. The pre-filter's
-// Enumerated and Filtered counters are not part of the snapshot and
-// start at 0. A bounded-staleness index restores its persisted
-// placement state instead (ssr.StatefulEpochIndex). The state is
-// validated as it is applied; untrusted snapshots (a corrupt or crafted
-// file) fail with an error, never a panic.
+// it (every built-in exact-tier index but SNMCertain and
+// SNMAlternatives), else one ssr.InsertBatch of every resident that
+// admits no add and whose deltas are discarded (those two empty window
+// indexes file it in one pass); the index contract makes the
+// maintained candidate set a pure function of the residents in
+// insertion order — and the live pair decisions are installed directly
+// from the snapshot. The pre-filter's Enumerated and Filtered counters
+// are not part of the snapshot and start at 0. A bounded-staleness
+// index restores its persisted placement state instead
+// (ssr.StatefulEpochIndex). The state is validated as it is applied;
+// untrusted snapshots (a corrupt or crafted file) fail with an error,
+// never a panic.
 func RestoreDetector(opts Options, emit func(MatchDelta) bool, st *DetectorState) (*Detector, error) {
 	d, err := NewDetector(st.Schema, opts, emit)
 	if err != nil {

@@ -9,7 +9,6 @@ import (
 
 	"probdedup/internal/core"
 	"probdedup/internal/decision"
-	"probdedup/internal/lineage"
 	"probdedup/internal/pdb"
 )
 
@@ -61,8 +60,11 @@ func (k EntityDeltaKind) String() string {
 type EntityDelta struct {
 	// Kind classifies the change.
 	Kind EntityDeltaKind
-	// Entity is the entity's state after the change; for
-	// EntityRetired, its last state before leaving the result.
+	// Entity is the entity's state after the change, its Tuple fused
+	// for this event from the members' resident tuples; for
+	// EntityRetired, its last state, built before the member leaves the
+	// Detector. The event owns it: no later event or Flush shares its
+	// Members or Tuple.
 	Entity Entity
 	// From lists the prior entity IDs this entity replaced, in sorted
 	// order: the absorbed entities of a merge, or the split origin.
@@ -89,12 +91,14 @@ type IntegratorStats struct {
 // maintains the live M and P pairs and the Integrator folds its
 // MatchDelta stream into a live Resolution: declared matches (M)
 // maintain entity membership through component-local rebuilds (only
-// the connected components an operation touches are re-grouped and
-// re-fused, never the whole relation), and possible matches (P) are
+// the connected components an operation touches are re-grouped, never
+// the whole relation), and possible matches (P) are
 // kept as uncertain duplicates whose lineage and confidences are
-// re-derived per touched entity. A live component is its fused Entity,
-// tracked by pointer; the emitted events fold, in order, to Flush's
-// entities.
+// re-derived per touched entity. A live component is an Entity that
+// holds only its ID and sorted members, tracked by pointer; the fused
+// tuple is a derived artifact, built from the Detector's residents for
+// the event, Flush or uncertain-duplicate merge that reads it and never
+// retained. The emitted events fold, in order, to Flush's entities.
 //
 // The exactness contract extends the Detector's one layer up: after
 // any sequence of Add, AddBatch and Remove calls, Flush returns
@@ -114,13 +118,14 @@ type Integrator struct {
 	det *core.Detector
 	cal Calibration
 
-	// compOf locates every resident tuple's live component, which is
-	// its fused Entity, shared by pointer among the members; the pointer
-	// is the component's identity. It is the integrator's only
-	// per-tuple state: the resident tuples, the match (M) and
-	// possible-match (P) partners and the pair decisions are the
-	// detector's, read through core.Detector.Resident, core.Partners and
-	// core.Detector.Flush instead of mirrored.
+	// compOf locates every resident tuple's live component, an Entity
+	// with its ID and sorted members but no Tuple, shared by pointer
+	// among the members; the pointer is the component's identity. It is
+	// the integrator's only per-tuple state: the resident tuples, the
+	// match (M) and possible-match (P) partners and the pair decisions
+	// are the detector's, read through core.Detector.Resident,
+	// core.Partners and core.Detector.Flush instead of mirrored, and
+	// fused tuples are built per output (snapshotEntity).
 	compOf map[string]*Entity
 	ncomps int
 	events int
@@ -191,7 +196,7 @@ func (ig *Integrator) addLocked(x *pdb.XTuple) error {
 	if err := ig.det.Add(x); err != nil {
 		return err
 	}
-	return ig.applyOp(ig.pending, []string{x.ID}, "")
+	return ig.applyOp(ig.pending, []string{x.ID}, "", nil)
 }
 
 // AddBatch inserts the tuples as one unit of work: the detector
@@ -223,7 +228,7 @@ func (ig *Integrator) addBatchLocked(xs []*pdb.XTuple) error {
 			added = append(added, x.ID)
 		}
 	}
-	if err := ig.applyOp(ig.pending, added, ""); err != nil {
+	if err := ig.applyOp(ig.pending, added, "", nil); err != nil {
 		return err
 	}
 	return batchErr
@@ -245,29 +250,40 @@ func (ig *Integrator) Remove(id string) error {
 
 func (ig *Integrator) removeLocked(id string) error {
 	ig.pending = core.ReuseScratch(ig.pending)
+	// A singleton's retirement is fused while its member is resident.
+	var retired []EntityDelta
+	if e := ig.compOf[id]; e != nil && len(e.Members) == 1 {
+		ent, err := ig.snapshotEntity(e.Members)
+		if err != nil {
+			return err
+		}
+		retired = append(retired, EntityDelta{Kind: EntityRetired, Entity: ent})
+	}
 	if err := ig.det.Remove(id); err != nil {
 		return err
 	}
-	err := ig.applyOp(ig.pending, nil, id)
+	err := ig.applyOp(ig.pending, nil, id, retired)
 	delete(ig.compOf, id)
 	return err
 }
 
-// snapshotEntity returns an entity whose Members slice is the
-// caller's own copy: events and Flush results may be reordered or
-// truncated by consumers (batch Resolve's output allows it), and
-// handing out the live component's backing array would let such a
-// mutation corrupt the incremental state.
-func snapshotEntity(e Entity) Entity {
-	e.Members = append([]string(nil), e.Members...)
-	return e
+// snapshotEntity fuses a member group (sorted by ID) from the
+// detector's residents into an Entity the caller owns: its Members is
+// a copy and its Tuple is built for this call. Events and Flush results
+// may be edited by consumers (batch Resolve's output allows it), and
+// nothing of them is shared with the live components or with another
+// output.
+func (ig *Integrator) snapshotEntity(members []string) (Entity, error) {
+	return buildEntity(slices.Clone(members), ig.det.Resident)
 }
 
 // applyOp folds one operation's match deltas into the live entity
 // state in one pass over the touched components, which it tracks by
 // identity (pointer), never by entity ID. removed names a tuple the
-// detector already dropped; added lists tuple IDs that became resident
-// in this operation.
+// detector already dropped, and retired holds its entity's retirement
+// when it was the last member (fused by removeLocked before the
+// detector dropped it); added lists tuple IDs that became resident in
+// this operation.
 //
 // A component is dirty when an M delta or the removal touches it, and
 // refused when a P delta links it to another live component. The
@@ -281,10 +297,11 @@ func snapshotEntity(e Entity) Entity {
 // entity (created, merged or split). A dirty component left without a
 // survivor is retired. Every component P-adjacent to a new entity holds
 // a renamed dup symbol and is refused, unless it is new or replaced.
+// Each event's tuple is fused for that event alone.
 //
 // Events are enqueued in a deterministic order: the retirement, then
 // membership changes, then refusals, each sorted by entity ID.
-func (ig *Integrator) applyOp(deltas []core.MatchDelta, added []string, removed string) error {
+func (ig *Integrator) applyOp(deltas []core.MatchDelta, added []string, removed string, retired []EntityDelta) error {
 	dirty := map[*Entity]bool{}
 	refused := map[*Entity]bool{}
 	for _, md := range deltas {
@@ -332,12 +349,12 @@ func (ig *Integrator) applyOp(deltas []core.MatchDelta, added []string, removed 
 			delete(dirty, srcs[0]) // kept: an M edge inside it changed nothing
 			continue
 		}
-		e, err := ig.install(members)
+		ent, err := ig.snapshotEntity(members)
 		if err != nil {
 			return fmt.Errorf("resolve: re-fusing component %v: %w", members, err)
 		}
-		built = append(built, e)
-		ev := EntityDelta{Kind: EntityCreated, Entity: snapshotEntity(*e)}
+		built = append(built, ig.install(members))
+		ev := EntityDelta{Kind: EntityCreated, Entity: ent}
 		if old > 0 {
 			ev.Kind = EntitySplit
 			if len(srcs) >= 2 || old < len(members) {
@@ -353,10 +370,6 @@ func (ig *Integrator) applyOp(deltas []core.MatchDelta, added []string, removed 
 	// dirty now holds the replaced components and the retired one: the
 	// removed tuple's, when it was its only member.
 	ig.ncomps -= len(dirty)
-	var events []EntityDelta
-	if gone := ig.compOf[removed]; gone != nil && len(gone.Members) == 1 {
-		events = append(events, EntityDelta{Kind: EntityRetired, Entity: snapshotEntity(*gone)})
-	}
 
 	var partners []string
 	for _, e := range built {
@@ -375,13 +388,17 @@ func (ig *Integrator) applyOp(deltas []core.MatchDelta, added []string, removed 
 	var refusals []EntityDelta
 	for e := range refused {
 		if !dirty[e] {
-			refusals = append(refusals, EntityDelta{Kind: EntityRefused, Entity: snapshotEntity(*e)})
+			ent, err := ig.snapshotEntity(e.Members)
+			if err != nil {
+				return err
+			}
+			refusals = append(refusals, EntityDelta{Kind: EntityRefused, Entity: ent})
 		}
 	}
 	byID := func(a, b EntityDelta) int { return strings.Compare(a.Entity.ID, b.Entity.ID) }
 	slices.SortFunc(changes, byID)
 	slices.SortFunc(refusals, byID)
-	ig.enqueueEvents(append(append(events, changes...), refusals...))
+	ig.enqueueEvents(append(append(retired, changes...), refusals...))
 	return nil
 }
 
@@ -414,19 +431,17 @@ func (ig *Integrator) regroup(ids []string) [][]string {
 	return groups
 }
 
-// install fuses one member group (sorted by ID) into a live entity and
-// points every member at it — the one step by which both applyOp and
-// RestoreIntegrator create components.
-func (ig *Integrator) install(members []string) (*Entity, error) {
-	e, err := buildEntity(members, ig.det.Resident)
-	if err != nil {
-		return nil, err
-	}
+// install makes one member group (sorted by ID) a live component — its
+// entity ID and members, no fused tuple — and points every member at
+// it: the one step by which both applyOp and RestoreIntegrator create
+// components.
+func (ig *Integrator) install(members []string) *Entity {
+	e := &Entity{ID: strings.Join(members, "+"), Members: members}
 	for _, m := range members {
-		ig.compOf[m] = &e
+		ig.compOf[m] = e
 	}
 	ig.ncomps++
-	return &e, nil
+	return e
 }
 
 // enqueueEvents buffers one operation's entity deltas for delivery
@@ -444,24 +459,22 @@ func (ig *Integrator) drainEvents() { ig.emits.Drain() }
 // — the same Resolution batch Resolve would produce over core.Detect
 // on the resident relation: canonical entity and member order,
 // uncertain duplicates with lineage symbols declared in sorted order,
-// and the lineage-annotated result relation.
+// and the lineage-annotated result relation. Every entity is fused from
+// the residents for this call (the uncertain-duplicate merges read
+// those tuples), so the cost is that of batch Resolve's fusion step.
 func (ig *Integrator) Flush() (*Resolution, error) {
 	ig.mu.Lock()
 	defer ig.mu.Unlock()
 	seen := map[*Entity]bool{}
-	var entities []Entity // nil when empty, matching batch Resolve's zero value
+	var groups [][]string
 	for _, e := range ig.compOf {
 		if !seen[e] {
 			seen[e] = true
-			entities = append(entities, snapshotEntity(*e))
+			groups = append(groups, slices.Clone(e.Members))
 		}
 	}
-	sort.Slice(entities, func(i, j int) bool { return entities[i].Members[0] < entities[j].Members[0] })
-	r := &Resolution{Universe: lineage.NewUniverse(), Entities: entities}
-	if err := finishResolution(r, possibleOf(ig.det.Flush()), ig.cal); err != nil {
-		return nil, err
-	}
-	return r, nil
+	sort.Slice(groups, func(i, j int) bool { return groups[i][0] < groups[j][0] })
+	return resolveGroups(groups, ig.det.Resident, possibleOf(ig.det.Flush()), ig.cal)
 }
 
 // FlushResult exposes the composed detector's exact pairwise Result

@@ -161,17 +161,56 @@ func TestIntegratorEquivalesBatchResolveOnRandomSchedules(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			t.Parallel()
 			for seed := int64(0); seed < seedsPerConfig; seed++ {
-				runRandomSchedule(t, cfg, seed)
+				runRandomSchedule(t, cfg, seed, false)
 			}
 		})
 	}
 }
 
-func runRandomSchedule(t *testing.T, cfg scheduleConfig, seed int64) {
+// TestIntegratorEventTuplesAreFusedFromResidents runs the random
+// schedules of the equivalence test (on other seeds) and checks what the
+// integrator keeps and emits besides Flush: no live component holds a
+// fused tuple, and every event's entity equals buildEntity over its
+// members as they are resident when the event is emitted — for a
+// retired singleton, the removed tuple — read from the test's own copy
+// of the residents, never from the detector.
+func TestIntegratorEventTuplesAreFusedFromResidents(t *testing.T) {
+	for _, cfg := range scheduleConfigs() {
+		cfg := cfg
+		t.Run(cfg.name, func(t *testing.T) {
+			t.Parallel()
+			kinds := map[EntityDeltaKind]int{}
+			for seed := int64(100); seed < 106; seed++ {
+				for k, n := range runRandomSchedule(t, cfg, seed, true) {
+					kinds[k] += n
+				}
+			}
+			for k := EntityCreated; k <= EntityRetired; k++ {
+				if kinds[k] == 0 {
+					t.Fatalf("no %s event was checked: %v", k, kinds)
+				}
+			}
+		})
+	}
+}
+
+// runRandomSchedule drives one random schedule and requires Flush to
+// equal batch Resolve after every operation. With fidelity set it also
+// checks every emitted event's entity against the residents, and that
+// no live component holds a fused tuple. It returns how many events of
+// each kind were emitted.
+func runRandomSchedule(t *testing.T, cfg scheduleConfig, seed int64, fidelity bool) map[EntityDeltaKind]int {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
 	opts := integratorOpts(t, cfg.reduction(t), cfg.workers, cfg.std)
-	ig, err := NewIntegrator([]string{"name", "job"}, opts, nil)
+	var events []EntityDelta
+	kinds := map[EntityDeltaKind]int{}
+	emit := func(ev EntityDelta) bool {
+		events = append(events, ev)
+		kinds[ev.Kind]++
+		return true
+	}
+	ig, err := NewIntegrator([]string{"name", "job"}, opts, emit)
 	if err != nil {
 		t.Fatalf("seed %d: %v", seed, err)
 	}
@@ -198,6 +237,8 @@ func runRandomSchedule(t *testing.T, cfg scheduleConfig, seed int64) {
 
 	const ops = 34
 	for op := 0; op < ops; op++ {
+		events = events[:0]
+		var gone *pdb.XTuple // the tuple this operation removed
 		switch k := rng.Intn(10); {
 		case k < 4 || len(residents) == 0: // add one fresh tuple
 			x := newTuple()
@@ -222,7 +263,8 @@ func runRandomSchedule(t *testing.T, cfg scheduleConfig, seed int64) {
 			if err := ig.Remove(id); err != nil {
 				t.Fatalf("seed %d op %d: Remove(%s): %v", seed, op, id, err)
 			}
-			removed[id] = dropResident(id)
+			gone = dropResident(id)
+			removed[id] = gone
 		default: // re-add a previously removed tuple (drop/re-add churn)
 			var ids []string
 			for id := range removed {
@@ -250,7 +292,139 @@ func runRandomSchedule(t *testing.T, cfg scheduleConfig, seed int64) {
 			t.Fatalf("seed %d op %d: Flush: %v", seed, op, err)
 		}
 		want := batchReference(t, residents, opts)
+		if fidelity {
+			checkEventTuples(t, fmt.Sprintf("%s seed %d op %d", cfg.name, seed, op), ig, events, want, residents, gone, opts.Standardizer)
+		}
 		requireEqualResolution(t, fmt.Sprintf("%s seed %d op %d (%d residents)", cfg.name, seed, op, len(residents)), got, want)
+	}
+	return kinds
+}
+
+// checkEventTuples holds one operation's events to the batch result ref
+// and the residents after it: each event's entity must be buildEntity
+// over the members ref gives its ID, looked up in residents
+// (standardized as the integrator stores them), except a retirement,
+// whose one member is the tuple the operation removed. It also requires
+// every live component to hold no fused tuple.
+func checkEventTuples(t *testing.T, label string, ig *Integrator, events []EntityDelta, ref *Resolution, residents []*pdb.XTuple, gone *pdb.XTuple, std *prepare.Standardizer) {
+	t.Helper()
+	for id, e := range ig.compOf {
+		if e.Tuple != nil {
+			t.Fatalf("%s: the live component of %s holds a fused tuple", label, id)
+		}
+	}
+	stored := func(x *pdb.XTuple) *pdb.XTuple {
+		if std != nil {
+			return std.XTuple(x)
+		}
+		return x
+	}
+	byID := map[string]*pdb.XTuple{}
+	for _, x := range residents {
+		byID[x.ID] = stored(x)
+	}
+	membersOf := map[string][]string{}
+	for _, e := range ref.Entities {
+		membersOf[e.ID] = e.Members
+	}
+	for _, ev := range events {
+		members := membersOf[ev.Entity.ID]
+		lookup := func(id string) (*pdb.XTuple, bool) {
+			x, ok := byID[id]
+			return x, ok
+		}
+		if ev.Kind == EntityRetired {
+			if gone == nil || ev.Entity.ID != gone.ID {
+				t.Fatalf("%s: retirement of %s does not name the removed tuple", label, ev.Entity.ID)
+			}
+			members = []string{gone.ID}
+			lookup = func(id string) (*pdb.XTuple, bool) { return stored(gone), id == gone.ID }
+		}
+		want, err := buildEntity(members, lookup)
+		if err != nil {
+			t.Fatalf("%s: %s %s: members not resident at emit: %v", label, ev.Kind, ev.Entity.ID, err)
+		}
+		if !reflect.DeepEqual(ev.Entity, want) {
+			t.Fatalf("%s: %s event tuple %s, want %s", label, ev.Kind, ev.Entity.Tuple, want.Tuple)
+		}
+	}
+}
+
+// TestIntegratorOutputsDoNotAliasState: consumers may edit what they
+// receive, so an edit to an event's entity (members and fused tuple) or
+// to anything a Flush returned must not reach the integrator's state.
+// Every event is overwritten as it is emitted and every Flush result
+// after it is checked; the next Flush must still equal batch Resolve.
+// The schedule opens with two singletons, then adds and removes tuples
+// until every event kind has been edited.
+func TestIntegratorOutputsDoNotAliasState(t *testing.T) {
+	opts := integratorOpts(t, ssr.SNMAlternatives{Key: keyDef(t, "name:3+job:2"), Window: 3}, 1, nil)
+	kinds := map[EntityDeltaKind]int{}
+	ig, err := NewIntegrator([]string{"name", "job"}, opts, func(ev EntityDelta) bool {
+		kinds[ev.Kind]++
+		overwriteEntity(&ev.Entity)
+		return true
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var residents []*pdb.XTuple
+	check := func(label string) {
+		t.Helper()
+		got, err := ig.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		requireEqualResolution(t, label, got, batchReference(t, residents, opts))
+		for i := range got.Entities {
+			overwriteEntity(&got.Entities[i])
+		}
+		for _, ud := range got.Uncertain {
+			overwriteTuple(ud.Merged)
+		}
+	}
+	for _, x := range []*pdb.XTuple{
+		pdb.NewXTuple("a", pdb.NewAlt(1, "johnson", "pilot")),
+		pdb.NewXTuple("b", pdb.NewAlt(1, "baker", "mechanic")),
+	} {
+		mustDo(t, ig.Add(x))
+		residents = append(residents, x)
+	}
+	check("two singletons")
+	rng := rand.New(rand.NewSource(3))
+	for op := 0; op < 60; op++ {
+		if len(residents) > 2 && rng.Intn(3) == 0 {
+			i := rng.Intn(len(residents))
+			mustDo(t, ig.Remove(residents[i].ID))
+			residents = slices.Delete(residents, i, i+1)
+		} else {
+			x := randomTuple(rng, fmt.Sprintf("t%03d", op))
+			mustDo(t, ig.Add(x))
+			residents = append(residents, x)
+		}
+		check(fmt.Sprintf("op %d", op))
+	}
+	for k := EntityCreated; k <= EntityRetired; k++ {
+		if kinds[k] == 0 {
+			t.Fatalf("no %s event was edited: %v", k, kinds)
+		}
+	}
+}
+
+// overwriteEntity edits everything an output entity carries in place.
+func overwriteEntity(e *Entity) {
+	for i := range e.Members {
+		e.Members[i] = "edited"
+	}
+	overwriteTuple(e.Tuple)
+}
+
+func overwriteTuple(x *pdb.XTuple) {
+	x.ID = "edited"
+	for ai := range x.Alts {
+		for i := range x.Alts[ai].Values {
+			x.Alts[ai].Values[i] = pdb.Certain("edited")
+		}
 	}
 }
 

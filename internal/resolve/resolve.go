@@ -61,7 +61,9 @@ type Entity struct {
 	ID string
 	// Members are the source tuple IDs merged into this entity.
 	Members []string
-	// Tuple is the fused probabilistic representation.
+	// Tuple is the fused probabilistic representation, symbol-free. An
+	// Integrator fuses it for each event and Flush from the members'
+	// resident tuples and keeps none.
 	Tuple *pdb.XTuple
 }
 
@@ -124,19 +126,24 @@ func Resolve(xr *pdb.XRelation, res *core.Result, final decision.Thresholds, cal
 		return x, ok
 	}
 
-	// 1+2. Transitive closure over declared matches, one fused entity
-	// per group.
+	// 1. Transitive closure over declared matches.
+	return resolveGroups(matchGroups(ids, res.Matches), lookup, possibleOf(res), cal)
+}
+
+// resolveGroups runs the steps batch Resolve and Integrator.Flush share
+// on member groups in matchGroups' canonical order: one fused entity per
+// group (step 2), then the uncertain duplicates, lineage and result
+// relation (steps 3+4, finishResolution).
+func resolveGroups(groups [][]string, lookup func(string) (*pdb.XTuple, bool), possible map[verify.Pair]core.Match, cal Calibration) (*Resolution, error) {
 	r := &Resolution{Universe: lineage.NewUniverse()}
-	for _, members := range matchGroups(ids, res.Matches) {
+	for _, members := range groups {
 		e, err := buildEntity(members, lookup)
 		if err != nil {
 			return nil, err
 		}
 		r.Entities = append(r.Entities, e)
 	}
-
-	// 3+4. Uncertain duplicates, lineage and the result relation.
-	if err := finishResolution(r, possibleOf(res), cal); err != nil {
+	if err := finishResolution(r, possible, cal); err != nil {
 		return nil, err
 	}
 	return r, nil
@@ -180,8 +187,8 @@ func possibleOf(res *core.Result) map[verify.Pair]core.Match {
 
 // buildEntity fuses one member group (sorted by ID) into an Entity —
 // the per-component unit of step 2, reused by the incremental
-// Integrator to re-fuse only touched components. lookup finds a member
-// tuple by ID: batch Resolve's map, or the Integrator's detector
+// Integrator to fuse the entity of each event it emits. lookup finds a
+// member tuple by ID: batch Resolve's map, or the Integrator's detector
 // (core.Detector.Resident).
 func buildEntity(members []string, lookup func(string) (*pdb.XTuple, bool)) (Entity, error) {
 	fused, err := fuseMembers(members, lookup)

@@ -19,11 +19,11 @@ func (ig *Integrator) SnapshotState() *core.DetectorState {
 // detector snapshot taken with SnapshotState, bit-identically: the
 // composed detector is restored (core.RestoreDetector), and the entity
 // components are re-derived from its one pair set through the same
-// grouping and fusion steps batch Resolve uses. opts must be the
-// configuration the snapshot was taken under. The restore emits no
-// entity deltas; the first post-restore operation reports changes
-// relative to the restored state, exactly as the never-crashed engine
-// would have.
+// grouping step batch Resolve uses (components hold no fused tuple, so
+// none is built). opts must be the configuration the snapshot was
+// taken under. The restore emits no entity deltas; the first
+// post-restore operation reports changes relative to the restored
+// state, exactly as the never-crashed engine would have.
 func RestoreIntegrator(opts core.Options, emit func(EntityDelta) bool, st *core.DetectorState) (*Integrator, error) {
 	ig, err := newIntegrator(opts, emit, func(collect func(core.MatchDelta) bool) (*core.Detector, error) {
 		return core.RestoreDetector(opts, collect, st)
@@ -32,9 +32,7 @@ func RestoreIntegrator(opts core.Options, emit func(EntityDelta) bool, st *core.
 		return nil, err
 	}
 	for _, members := range matchGroups(ig.det.ResidentIDs(), ig.det.Flush().Matches) {
-		if _, err := ig.install(members); err != nil {
-			return nil, err
-		}
+		ig.install(members)
 	}
 	return ig, nil
 }

@@ -48,7 +48,10 @@
 // SNMMultiPass has no splice of its own: its world selection depends on
 // the whole relation, so its index (recomputeIndex) re-runs the batch
 // stream per operation and nets the old pairs against the new in a
-// pairNet; Restore defers that to the next operation. Every built-in
+// pairNet; Restore defers that to the next operation, as SNMRanked's
+// Restore defers placing the restored residents to one sort. Every
+// exact-tier index but SNMCertain and SNMAlternatives (which a restore
+// bulk-builds) is a RestoringIndex. Every built-in
 // method is incremental, on one of two tiers. On the exact tier
 // — every method except BlockingCluster — the maintained set equals the
 // batch candidate set over the resident tuples after every operation:

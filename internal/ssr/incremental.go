@@ -196,9 +196,14 @@ func (CrossProduct) incremental() *crossIndex {
 // Incremental implements IncrementalMethod.
 func (m CrossProduct) Incremental() (IncrementalIndex, error) { return m.incremental(), nil }
 
-func (c *crossIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
+// Restore implements RestoringIndex.
+func (c *crossIndex) Restore(x *pdb.XTuple) {
 	c.pos[x.ID] = len(c.ids)
 	c.ids = append(c.ids, x.ID)
+}
+
+func (c *crossIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
+	c.Restore(x)
 	for _, id := range c.ids[:len(c.ids)-1] {
 		if !yield(PairDelta{Pair: verify.NewPair(id, x.ID)}) {
 			return false
@@ -405,19 +410,26 @@ func (b *blockingAlternativesIndex) blockKeys(x *pdb.XTuple) []string {
 	return ks
 }
 
-func (b *blockingAlternativesIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
+// Restore implements RestoringIndex: x joins the block of every key.
+func (b *blockingAlternativesIndex) Restore(x *pdb.XTuple) {
 	ks := b.blockKeys(x)
 	b.keysOf[x.ID] = ks
-	paired := map[string]bool{}
-	var counterparts []string
 	for _, k := range ks {
+		b.blocks[k] = append(b.blocks[k], x.ID)
+	}
+}
+
+func (b *blockingAlternativesIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
+	b.Restore(x)
+	paired := map[string]bool{x.ID: true}
+	var counterparts []string
+	for _, k := range b.keysOf[x.ID] {
 		for _, id := range b.blocks[k] {
 			if !paired[id] {
 				paired[id] = true
 				counterparts = append(counterparts, id)
 			}
 		}
-		b.blocks[k] = append(b.blocks[k], x.ID)
 	}
 	for _, id := range counterparts {
 		if !yield(PairDelta{Pair: verify.NewPair(id, x.ID)}) {
@@ -568,6 +580,18 @@ func (f *filteredIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
 	return f.inner.Insert(x, f.relay(yield))
 }
 
+// Restore implements RestoringIndex: the inner index files x by its own
+// Restore, else by an Insert whose yield stops at the first delta (an
+// index applies its structural update whatever the yield answers).
+func (f *filteredIndex) Restore(x *pdb.XTuple) {
+	f.add(x)
+	if ri, ok := f.inner.(RestoringIndex); ok {
+		ri.Restore(x)
+	} else {
+		f.inner.Insert(x, func(PairDelta) bool { return false })
+	}
+}
+
 func (f *filteredIndex) Remove(id string, yield func(PairDelta) bool) bool {
 	// The profile is dropped after delivery: drops of pairs involving
 	// id must still see its profile to be admitted consistently.
@@ -585,5 +609,8 @@ var (
 	_ IncrementalMethod = BlockingCertain{}
 	_ IncrementalMethod = BlockingAlternatives{}
 	_ IncrementalMethod = Filter{}
+	_ RestoringIndex    = (*crossIndex)(nil)
 	_ RestoringIndex    = (*blockingCertainIndex)(nil)
+	_ RestoringIndex    = (*blockingAlternativesIndex)(nil)
+	_ RestoringIndex    = (*filteredIndex)(nil)
 )

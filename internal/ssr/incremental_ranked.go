@@ -55,6 +55,7 @@ type snmRankedIndex struct {
 	uni      *rank.Universe // ExpectedRank only
 	epoch    int            // universe mutations so far; dates rank memos
 	movers   []bool         // by handle: the operation's movers
+	unplaced []uint32       // restored residents not yet in seq (settle)
 }
 
 // rankedRes is what the order reads of one resident.
@@ -81,7 +82,7 @@ func (m SNMRanked) Incremental() (IncrementalIndex, error) {
 	return idx, nil
 }
 
-func (s *snmRankedIndex) Len() int { return s.seq.n }
+func (s *snmRankedIndex) Len() int { return s.seq.n + len(s.unplaced) }
 
 func itemTopKey(it rank.Item) string {
 	if len(it.Keys) == 0 {
@@ -197,7 +198,8 @@ func (s *snmRankedIndex) extractDisordered() []uint32 {
 	}
 }
 
-func (s *snmRankedIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
+// resident registers x's handle and what the order reads of it.
+func (s *snmRankedIndex) resident(x *pdb.XTuple) uint32 {
 	r := rankedRes{item: rank.Item{ID: x.ID, Keys: s.key.XTupleKeyDist(x, true)}}
 	switch s.strategy {
 	case MedianKey:
@@ -207,10 +209,53 @@ func (s *snmRankedIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool 
 	default:
 		r.own = rank.OwnStatsOf(r.item)
 	}
-	h := s.res.add(x.ID, r)
+	return s.res.add(x.ID, r)
+}
+
+// Restore implements RestoringIndex: x joins the residents and the rank
+// universe now, and its place in the order is left to settle, which
+// sorts every restored resident at once.
+func (s *snmRankedIndex) Restore(x *pdb.XTuple) {
+	h := s.resident(x)
 	if s.strategy == ExpectedRank {
-		s.markMovers(rank.KeySpan(r.item))
-		s.uni.Add(r.item)
+		s.uni.Add(s.res.vals[h].item)
+		s.epoch++
+	}
+	s.unplaced = append(s.unplaced, h)
+}
+
+// settle places the restored residents: the sequence is laid out anew
+// from one sort of every resident under the strategy order — the order
+// Insert maintains, since less is a strict total order over the current
+// residents. It yields nothing.
+func (s *snmRankedIndex) settle() {
+	if len(s.unplaced) == 0 {
+		return
+	}
+	es := slices.Collect(s.seq.from(0))
+	for _, h := range s.unplaced {
+		es = append(es, seqEntry{h: h})
+	}
+	slices.SortFunc(es, func(a, b seqEntry) int {
+		if s.less(a.h, b.h) {
+			return -1
+		}
+		if s.less(b.h, a.h) {
+			return 1
+		}
+		return 0
+	})
+	s.seq.chunks, s.unplaced = nil, nil
+	s.seq.lay(es)
+}
+
+func (s *snmRankedIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
+	s.settle()
+	h := s.resident(x)
+	if s.strategy == ExpectedRank {
+		it := s.res.vals[h].item
+		s.markMovers(rank.KeySpan(it))
+		s.uni.Add(it)
 		s.epoch++
 		moved := s.extractDisordered()
 		s.place(h)
@@ -224,6 +269,7 @@ func (s *snmRankedIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool 
 }
 
 func (s *snmRankedIndex) Remove(id string, yield func(PairDelta) bool) bool {
+	s.settle()
 	h, ok := s.res.of[id]
 	if !ok {
 		return true
@@ -243,5 +289,8 @@ func (s *snmRankedIndex) Remove(id string, yield func(PairDelta) bool) bool {
 	return ok
 }
 
-// Interface conformance check.
-var _ IncrementalMethod = SNMRanked{}
+// Interface conformance checks.
+var (
+	_ IncrementalMethod = SNMRanked{}
+	_ RestoringIndex    = (*snmRankedIndex)(nil)
+)

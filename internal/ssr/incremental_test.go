@@ -582,6 +582,41 @@ func TestRecomputeIndex(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	checkRestoringIndexes(t, u, []Method{
+		SNMMultiPass{Key: def, Window: 3, Select: TopWorlds, K: 3},
+		SNMMultiPass{Key: def, Window: 3, Select: DissimilarWorlds, K: 2},
+	})
+}
+
+// TestRestoringIndexes holds every other index with a Restore to the
+// same checks: the cross product, blocking over alternatives, the ranked
+// sorted neighbourhood (whose Restore leaves the order to one sort at
+// the next operation) under each strategy, and Filter over an inner
+// index with and without a Restore of its own.
+func TestRestoringIndexes(t *testing.T) {
+	u := shuffledUnion(10, 23)
+	def, err := keys.ParseDef("name:3+job:2", u.Schema)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pruning := Pruning{MaxDiff: map[int]int{0: 4}}
+	checkRestoringIndexes(t, u, []Method{
+		CrossProduct{},
+		BlockingAlternatives{Key: def},
+		SNMRanked{Key: def, Window: 3},
+		SNMRanked{Key: def, Window: 3, Strategy: MedianKey},
+		SNMRanked{Key: def, Window: 4, Strategy: ModeKey},
+		NewFilter(SNMRanked{Key: def, Window: 4}, pruning),
+		NewFilter(SNMCertain{Key: def, Window: 4}, pruning),
+		NewFilter(SNMAlternatives{Key: def, Window: 3}, pruning),
+	})
+}
+
+// checkRestoringIndexes runs the restore checks on each method's index:
+// the operations after a Restore of k residents yield exactly what they
+// yield after inserting them, a stopped yield keeps the maintained set,
+// and removing an unknown ID changes nothing.
+func checkRestoringIndexes(t *testing.T, u *pdb.XRelation, methods []Method) {
 	const k = 8 // residents filed before the schedule
 	if len(u.Tuples) < k+4 {
 		t.Fatalf("%d tuples, want at least %d", len(u.Tuples), k+4)
@@ -605,6 +640,9 @@ func TestRecomputeIndex(t *testing.T) {
 		for _, x := range resident {
 			idx.Restore(x)
 		}
+		if idx.Len() != len(resident) {
+			t.Fatalf("%s: Len = %d after restoring %d residents", m.Name(), idx.Len(), len(resident))
+		}
 		return idx
 	}
 
@@ -613,11 +651,12 @@ func TestRecomputeIndex(t *testing.T) {
 		check func(t *testing.T, m Method)
 	}{
 		{"restore-yields-as-inserted", func(t *testing.T, m Method) {
-			// The first operation after the restore is a removal in one
-			// schedule and an insertion in the other.
+			// The first operation after the restore is a removal (of the
+			// first or of a later resident) or an insertion.
 			for _, ops := range [][]scheduleOp{
 				{{id: resident[0].ID}, {x: rest[0]}, {id: resident[3].ID}, {x: rest[1]}, {id: rest[0].ID}},
 				{{x: rest[0]}, {id: resident[0].ID}, {x: rest[1]}, {id: resident[5].ID}, {x: rest[2]}},
+				{{id: resident[5].ID}, {id: resident[2].ID}, {x: rest[0]}, {id: resident[7].ID}},
 			} {
 				want := runSchedule(inserted(t, m), ops)
 				got := runSchedule(restored(t, m), ops)
@@ -683,10 +722,7 @@ func TestRecomputeIndex(t *testing.T) {
 		}},
 	}
 	for _, tc := range cases {
-		for _, m := range []Method{
-			SNMMultiPass{Key: def, Window: 3, Select: TopWorlds, K: 3},
-			SNMMultiPass{Key: def, Window: 3, Select: DissimilarWorlds, K: 2},
-		} {
+		for _, m := range methods {
 			t.Run(tc.name+"/"+m.Name(), func(t *testing.T) { tc.check(t, m) })
 		}
 	}

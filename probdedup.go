@@ -663,8 +663,9 @@ const (
 // composed Detector maintains the live M and P pairs and the
 // integrator folds its delta stream into a live entity set: declared
 // matches maintain entity membership through component-local rebuilds
-// (only touched components are re-grouped and re-fused), and possible
-// matches are kept as uncertain duplicates whose lineage and
+// (only touched components are re-grouped; an entity's fused tuple is
+// built for the event or Flush that reads it and not kept), and
+// possible matches are kept as uncertain duplicates whose lineage and
 // confidences are re-derived per touched entity.
 //
 // The exactness contract extends the Detector's one layer up: after
