@@ -41,8 +41,9 @@
 // of the window arithmetic over it, emitting handle pairs; keyedSeq, its
 // form sorted by key; pairNet, the only delta netting, keyed by ID pair
 // or by packed handle pair; and pairLedger, the refcounted union of
-// several window passes, keyed by packed handle pairs. A handle becomes
-// an ID only where a pair leaves the index, and never orders anything.
+// several window passes, keyed by packed handle pairs, that counts only
+// the pairs covered twice or more. A handle becomes an ID only where a
+// pair leaves the index, and never orders anything.
 // InsertBatch on an empty SNMCertain or SNMAlternatives index skips the
 // splices: one sort, sequences laid out from it, one window pass.
 // SNMMultiPass has no splice of its own: its world selection depends on

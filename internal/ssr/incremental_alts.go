@@ -1,6 +1,7 @@
 package ssr
 
 import (
+	"maps"
 	"slices"
 
 	"probdedup/internal/keys"
@@ -26,14 +27,17 @@ import (
 //     its window position pairs currently cover it (the executed-matching
 //     set, refcounted). A pair enters the candidate set when its count
 //     rises from zero and leaves when it returns to zero; intra-operation
-//     churn cancels in the ledger's pairNet.
+//     churn cancels in the ledger's pairNet. A count of 1 is not stored
+//     but re-derived from the kept entries, which carry their keys.
 type snmAltsIndex struct {
 	key     keys.Def
 	entries chunkSeq
-	kept    windowSeq             // handles of kept entries, in entry order
+	kept    windowSeq             // kept entries, in entry order
 	res     handleTable[[]string] // each resident's distinct keys
 	ledger  *pairLedger
 	scratch []seqDelta
+	near    []seqEntry // kept entries around the last splice
+	lo, hi  int        // near[lo:hi] lies within window-1 of it
 }
 
 // Incremental implements IncrementalMethod.
@@ -54,13 +58,48 @@ func (s *snmAltsIndex) Len() int { return len(s.res.of) }
 // splice gains and loses are the ledger's coverage.
 func (s *snmAltsIndex) flipKept(fpos int) {
 	e, _ := s.entries.get(fpos)
-	if kpos := s.entries.keptIndexOf(fpos); e.kept {
+	kpos := s.entries.keptIndexOf(fpos)
+	if e.kept {
 		s.scratch = s.kept.removeAt(kpos, s.scratch[:0])
 	} else {
-		s.scratch = s.kept.insertAt(kpos, seqEntry{h: e.h}, s.scratch[:0])
+		s.scratch = s.kept.insertAt(kpos, seqEntry{key: e.key, h: e.h}, s.scratch[:0])
 	}
-	s.ledger.coverAll(s.scratch)
+	w, lo := s.kept.window, max(kpos-2*s.kept.window+2, 0)
+	s.near = s.kept.read(lo, kpos+2*w-1, s.near)
+	s.lo, s.hi = max(kpos-w+1-lo, 0), min(kpos+w-lo, len(s.near))
+	s.ledger.coverAll(s.scratch, s.cover)
 	s.entries.setKept(fpos, !e.kept)
+}
+
+// cover counts the window position pairs of the kept sequence covering a
+// and b: per kept entry of the one with fewer keys, the other's entries
+// within window-1 of it, read from near if the entry lies there (every
+// delta of a splice does), else around it, found by its key.
+func (s *snmAltsIndex) cover(a, b uint32) (n int32) {
+	if len(s.res.vals[b]) < len(s.res.vals[a]) {
+		a, b = b, a
+	}
+	w := s.kept.window
+	for _, k := range s.res.vals[a] {
+		es, i := s.near, s.lo+slices.IndexFunc(s.near[s.lo:s.hi], func(e seqEntry) bool { return e.h == a && e.key == k })
+		if i < s.lo {
+			c, o, ok := s.kept.locate(k, a)
+			if !ok {
+				continue // not kept
+			}
+			if es, i = s.kept.chunks[c].entries, o; i < w-1 || i+w > len(es) {
+				p := s.kept.pos(c, o) // the window crosses a chunk edge
+				s.kept.nb = s.kept.read(max(p-w+1, 0), p+w, s.kept.nb)
+				es, i = s.kept.nb, min(p, w-1)
+			}
+		}
+		for _, e := range es[max(i-w+1, 0):min(i+w, len(es))] {
+			if e.h == b {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // insertEntry splices one (key, h) entry into the full list at fpos and
@@ -113,8 +152,8 @@ func (s *snmAltsIndex) Insert(x *pdb.XTuple, yield func(PairDelta) bool) bool {
 
 // build implements bulkBuild: SortedEntries' construction over handles —
 // every entry sorted once, the kept flags in one scan — then one window
-// pass over the kept entries fills the ledger, a pair's first coverage
-// being its add.
+// pass over the kept entries counts coverage, a pair's first being its
+// add, and the ledger keeps the counts of 2 or more.
 func (s *snmAltsIndex) build(xs []*pdb.XTuple, admit func(verify.Pair) bool) []BatchDelta {
 	hs := make([]uint32, len(xs))
 	var es, kept []seqEntry
@@ -129,19 +168,22 @@ func (s *snmAltsIndex) build(xs []*pdb.XTuple, admit func(verify.Pair) bool) []B
 	slices.SortFunc(es, adds.byKey)
 	for i := range es {
 		if es[i].kept = i == 0 || es[i-1].h != es[i].h; es[i].kept {
-			kept = append(kept, seqEntry{h: es[i].h})
+			kept = append(kept, seqEntry{key: es[i].key, h: es[i].h})
 		}
 	}
 	s.entries.lay(es)
 	s.kept.lay(kept)
+	counts := map[uint64]int32{}
 	windowPairs(kept, s.kept.window, func(a, b uint32) {
 		if a != b {
 			k := handlePair(a, b)
-			if s.ledger.counts[k]++; s.ledger.counts[k] == 1 {
+			if counts[k]++; counts[k] == 1 {
 				adds.add(a, b)
 			}
 		}
 	})
+	maps.DeleteFunc(counts, func(_ uint64, n int32) bool { return n < 2 })
+	maps.Copy(s.ledger.multi, counts) // counts keeps its full-size buckets
 	return adds.out
 }
 
@@ -152,8 +194,8 @@ func (s *snmAltsIndex) Remove(id string, yield func(PairDelta) bool) bool {
 	}
 	defer s.res.release(h) // after the flush, which reads h's ID
 	for _, k := range s.res.vals[h] {
-		if fpos := s.entries.lookup(k, h); fpos >= 0 {
-			s.removeEntry(fpos)
+		if c, i, ok := s.entries.locate(k, h); ok {
+			s.removeEntry(s.entries.pos(c, i))
 		}
 	}
 	return s.ledger.flush(s.res.ids, yield)

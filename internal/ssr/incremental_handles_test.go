@@ -40,27 +40,36 @@ func checkHandleTable[V any](t *testing.T, tab *handleTable[V], residents []*pdb
 	return len(tab.ids)
 }
 
-// checkLedger fails unless the ledger counts, per pair of resident
-// handles (the smaller in the high half), exactly the window position
-// pairs of the kept sequence covering it — no zero, stale or missing
-// count — and so holds one count per maintained pair.
+// checkLedger fails unless the ledger's counts hold exactly the pairs of
+// resident handles (the smaller in the high half) that two or more window
+// position pairs of the kept sequence cover, at those counts — no count of
+// 1 or less, no stale or missing one — and the maintained set is exactly
+// the pairs covered at all.
 func checkLedger(t *testing.T, idx *snmAltsIndex, maintained verify.PairSet) {
 	t.Helper()
+	cover := streamCover(seqIDs(&idx.kept.chunkSeq, idx.res.ids), idx.kept.window)
 	want := map[uint64]int32{}
-	for p, n := range streamCover(seqIDs(&idx.kept.chunkSeq, idx.res.ids), idx.kept.window) {
-		want[handlePair(idx.res.of[p.A], idx.res.of[p.B])] = int32(n)
+	for p, n := range cover {
+		if n >= 2 {
+			want[handlePair(idx.res.of[p.A], idx.res.of[p.B])] = int32(n)
+		}
 	}
-	for k, n := range idx.ledger.counts {
+	for k, n := range idx.ledger.multi {
 		hi, lo := uint32(k>>32), uint32(k)
-		if n <= 0 || hi >= lo || idx.res.ids[hi] == "" || idx.res.ids[lo] == "" {
+		if n <= 1 || hi >= lo || idx.res.ids[hi] == "" || idx.res.ids[lo] == "" {
 			t.Fatalf("ledger count %d for handles (%d, %d), IDs %q and %q", n, hi, lo, idx.res.ids[hi], idx.res.ids[lo])
 		}
 	}
-	if !maps.Equal(idx.ledger.counts, want) {
-		t.Fatalf("ledger %v, kept window covers %v", idx.ledger.counts, want)
+	if !maps.Equal(idx.ledger.multi, want) {
+		t.Fatalf("ledger %v, kept window covers twice or more %v", idx.ledger.multi, want)
 	}
-	if len(idx.ledger.counts) != len(maintained) {
-		t.Fatalf("ledger counts %d pairs, %d maintained", len(idx.ledger.counts), len(maintained))
+	if len(cover) != len(maintained) {
+		t.Fatalf("kept window covers %d pairs, %d maintained", len(cover), len(maintained))
+	}
+	for p := range cover {
+		if !maintained[p] {
+			t.Fatalf("pair %v covered but not maintained", p)
+		}
 	}
 }
 
@@ -166,15 +175,252 @@ func hasPointers(t reflect.Type) bool {
 	}
 }
 
-// TestPairLedgerCountsArePointerFree keeps the ledger's map out of the
-// collector's mark phase: neither its key nor its value may hold a
+// TestPairLedgerCountsArePointerFree keeps the ledger's map of pairs
+// covered more than once out of the collector's mark phase: neither its key nor its value may hold a
 // pointer, the rule the Detector's pair table keeps for its live pairs.
 func TestPairLedgerCountsArePointerFree(t *testing.T) {
 	if !hasPointers(reflect.TypeOf(struct{ s string }{})) || !hasPointers(reflect.TypeOf([1]*int{})) || hasPointers(reflect.TypeOf([2]uint64{})) {
 		t.Fatal("hasPointers misjudges its own fixtures")
 	}
-	counts := reflect.TypeOf(newPairLedger().counts)
+	counts := reflect.TypeOf(newPairLedger().multi)
 	if hasPointers(counts.Key()) || hasPointers(counts.Elem()) {
 		t.Fatalf("ledger counts %v hold a pointer", counts)
+	}
+}
+
+// ledgerStep is one operation of TestPairLedgerTransitions: insert a tuple
+// of the given keys (one alternative each) or, with no keys, remove it,
+// and the cover count its pair must move from and to.
+type ledgerStep struct {
+	id       string
+	keys     []string
+	pair     [2]string
+	from, to int
+	one      bool // the step splices one kept entry
+	far      bool // a cover of the pair lies more than 2w−2 positions from another
+}
+
+// TestPairLedgerTransitions drives an SNMAlternatives index (window 3)
+// through a fixed schedule in which every coverage transition of a pair
+// occurs: 0→1, 0→2 in one splice (an entry lands beside two kept entries
+// of one tuple), 1→2, 2→3, 3→2, 2→1, 1→0 and 2→0 in one splice, and a
+// 1→2 whose second cover lies more than 2w−2 positions from the first,
+// between two tuples of several keys each. Each step must move its pair's
+// cover count over the kept sequence as stated, a step of a one-key tuple
+// must splice exactly one kept entry, and after every step the ledger
+// must hold exactly the pairs covered twice or more (checkLedger).
+func TestPairLedgerTransitions(t *testing.T) {
+	const w = 3
+	def, err := keys.ParseDef("name", []string{"name"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	steps := []ledgerStep{
+		{id: "Y", keys: []string{"b", "e"}},
+		{id: "F1", keys: []string{"c"}},
+		{id: "F2", keys: []string{"d"}},
+		// b(Y) c(F1) d(F2) d5(X) e(Y): X pairs with Y's e only.
+		{id: "X", keys: []string{"d5"}, pair: [2]string{"X", "Y"}, from: 0, to: 1, one: true},
+		// b(Y) c(F1) d5(X) e(Y): b re-enters X's window, a pair the ledger
+		// has no count for and gains one.
+		{id: "F2", pair: [2]string{"X", "Y"}, from: 1, to: 2, one: true},
+		// b(Y) c(F1) c5(G) d5(X) e(Y): b leaves it again.
+		{id: "G", keys: []string{"c5"}, pair: [2]string{"X", "Y"}, from: 2, to: 1, one: true},
+		{id: "X", pair: [2]string{"X", "Y"}, from: 1, to: 0, one: true},
+		{id: "G"},
+		// b(Y) c(F1) d(X3) e(Y): one splice, both of Y's entries.
+		{id: "X3", keys: []string{"d"}, pair: [2]string{"X3", "Y"}, from: 0, to: 2, one: true},
+		{id: "X3", pair: [2]string{"X3", "Y"}, from: 2, to: 0, one: true},
+		{id: "Z", keys: []string{"f"}},
+		// b(Y) c(F1) d(X4) e(Y) f(Z) g(X4): three covers.
+		{id: "X4", keys: []string{"d", "g"}, pair: [2]string{"X4", "Y"}, from: 0, to: 3},
+		// ... e(Y) e5(W) f(Z) g(X4): W pushes g out of e's window.
+		{id: "W", keys: []string{"e5"}, pair: [2]string{"X4", "Y"}, from: 3, to: 2, one: true},
+		{id: "W", pair: [2]string{"X4", "Y"}, from: 2, to: 3, one: true},
+		// a(P) a5(Q) b(Y) ... s(P) t(R1) t5(R2) u(Q): P and Q meet at a
+		// only, until R2 leaves and s and u meet at the far end too.
+		{id: "P", keys: []string{"a", "s"}},
+		{id: "R1", keys: []string{"t"}},
+		{id: "R2", keys: []string{"t5"}},
+		{id: "Q", keys: []string{"a5", "u"}, pair: [2]string{"P", "Q"}, from: 0, to: 1},
+		{id: "R2", pair: [2]string{"P", "Q"}, from: 1, to: 2, one: true, far: true},
+		{id: "Q", pair: [2]string{"P", "Q"}, from: 2, to: 0},
+	}
+	want := []string{"0→1", "0→2", "1→2", "2→3", "3→2", "2→1", "1→0", "2→0"}
+	for _, chunk := range []int{2, 3, seqChunkCap} {
+		t.Run(fmt.Sprintf("chunk=%d", chunk), func(t *testing.T) {
+			idx := rechunk(mustIncremental(t, SNMAlternatives{Key: def, Window: w}), chunk).(*snmAltsIndex)
+			maintained := verify.PairSet{}
+			on := func(d PairDelta) bool {
+				applyDelta(t, maintained, d)
+				return true
+			}
+			seen, far := map[string]bool{}, false
+			for i, s := range steps {
+				before, n := streamCover(seqIDs(&idx.kept.chunkSeq, idx.res.ids), w), idx.kept.n
+				if s.keys == nil {
+					idx.Remove(s.id, on)
+				} else {
+					var alts []pdb.Alt
+					for _, k := range s.keys {
+						alts = append(alts, pdb.NewAlt(1/float64(len(s.keys)), k))
+					}
+					idx.Insert(pdb.NewXTuple(s.id, alts...), on)
+				}
+				kept := seqIDs(&idx.kept.chunkSeq, idx.res.ids)
+				after := streamCover(kept, w)
+				checkLedger(t, idx, maintained)
+				if d := idx.kept.n - n; s.one && d != 1 && d != -1 {
+					t.Fatalf("step %d (%s): kept entries %d → %d, want one splice", i, s.id, n, idx.kept.n)
+				}
+				if s.pair[0] == "" {
+					continue
+				}
+				p := verify.NewPair(s.pair[0], s.pair[1])
+				if before[p] != s.from || after[p] != s.to {
+					t.Fatalf("step %d (%s) over %v: pair %v covered %d → %d, want %d → %d", i, s.id, kept, p, before[p], after[p], s.from, s.to)
+				}
+				seen[fmt.Sprintf("%d→%d", s.from, s.to)] = true
+				if s.far {
+					var at []int // left positions of the pair's covers
+					for j := range kept {
+						for k := j + 1; k < min(j+w, len(kept)); k++ {
+							if verify.NewPair(kept[j], kept[k]) == p {
+								at = append(at, j)
+							}
+						}
+					}
+					if far = len(at) == 2 && at[1]-at[0] > 2*w-2; !far {
+						t.Fatalf("step %d (%s) over %v: covers of %v at %v, want two more than %d apart", i, s.id, kept, p, at, 2*w-2)
+					}
+				}
+			}
+			for _, tr := range want {
+				if !seen[tr] {
+					t.Fatalf("transition %s never occurred", tr)
+				}
+			}
+			if !far {
+				t.Fatal("no far second cover occurred")
+			}
+		})
+	}
+}
+
+// FuzzPairLedger drives an SNMAlternatives index through Insert, Remove
+// and InsertBatch of tuples of one to four keys drawn from a pool of 64,
+// at a fuzzed window and chunk capacity, and after every operation checks
+// the ledger and the maintained set against the kept sequence's window
+// coverage (checkLedger).
+func FuzzPairLedger(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint8(0), []byte{0, 0, 0, 1, 0, 2, 2, 1, 0, 3})
+	f.Add(int64(5), uint8(4), uint8(1), []byte{2, 2, 0, 0, 1, 1, 0, 2, 1, 1, 1})
+	f.Add(int64(9), uint8(0), uint8(2), []byte{0, 0, 0, 0, 0, 0, 1, 1, 1, 1, 2, 2})
+	def, err := keys.ParseDef("name", []string{"name"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Fuzz(func(t *testing.T, seed int64, window, chunk uint8, ops []byte) {
+		rng := rand.New(rand.NewSource(seed))
+		idx := rechunk(mustIncremental(t, SNMAlternatives{Key: def, Window: 2 + int(window%8)}), 2+int(chunk%4)).(*snmAltsIndex)
+		maintained := verify.PairSet{}
+		on := func(d PairDelta) bool {
+			applyDelta(t, maintained, d)
+			return true
+		}
+		var residents []string
+		id := 0
+		fresh := func() *pdb.XTuple {
+			var alts []pdb.Alt
+			for range 1 + rng.Intn(4) {
+				alts = append(alts, pdb.NewAlt(0.25, fmt.Sprintf("k%02d", rng.Intn(64))))
+			}
+			id++
+			residents = append(residents, fmt.Sprintf("t%03d", id))
+			return pdb.NewXTuple(residents[len(residents)-1], alts...)
+		}
+		for _, op := range ops[:min(len(ops), 200)] {
+			switch {
+			case op%3 == 1 && len(residents) > 0:
+				i := rng.Intn(len(residents))
+				idx.Remove(residents[i], on)
+				residents = slices.Delete(residents, i, i+1)
+			case op%3 == 2:
+				xs := make([]*pdb.XTuple, rng.Intn(6))
+				for i := range xs {
+					xs[i] = fresh()
+				}
+				for _, d := range InsertBatch(idx, xs, nil) {
+					applyDelta(t, maintained, d.PairDelta)
+				}
+			default:
+				idx.Insert(fresh(), on)
+			}
+			checkLedger(t, idx, maintained)
+		}
+	})
+}
+
+// TestPairLedgerManyKeys runs tuples of more than 64 keys through the bulk
+// build and through random inserts and removals beside one-key tuples,
+// checking the ledger after every operation. The bulk-built one keeps only
+// its least probable key, the last of its distinct keys, and a tuple that
+// takes a freed handle then lands beside it, so its cover is counted from
+// that entry.
+func TestPairLedgerManyKeys(t *testing.T) {
+	def, err := keys.ParseDef("name", []string{"name"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(70))
+	idx := rechunk(mustIncremental(t, SNMAlternatives{Key: def, Window: 3}), 4).(*snmAltsIndex)
+	maintained := verify.PairSet{}
+	on := func(d PairDelta) bool {
+		applyDelta(t, maintained, d)
+		return true
+	}
+	alts := []pdb.Alt{pdb.NewAlt(0.01, "a00")}
+	for k := 1; k <= 64; k++ {
+		alts = append(alts, pdb.NewAlt(0.015, fmt.Sprintf("a%02d", k)))
+	}
+	for _, d := range InsertBatch(idx, []*pdb.XTuple{pdb.NewXTuple("A", pdb.NewAlt(1, "m")), pdb.NewXTuple("T", alts...)}, nil) {
+		applyDelta(t, maintained, d.PairDelta)
+	}
+	checkLedger(t, idx, maintained)
+	if h := idx.res.of["T"]; idx.res.vals[h][64] != "a00" {
+		t.Fatalf("T's distinct keys %v, want a00 last", idx.res.vals[h])
+	}
+	idx.Remove("A", on)
+	checkLedger(t, idx, maintained)
+	idx.Insert(pdb.NewXTuple("X", pdb.NewAlt(1, "zz")), on)
+	checkLedger(t, idx, maintained)
+	if !maintained[verify.NewPair("T", "X")] || idx.res.of["X"] != 0 {
+		t.Fatalf("X holds handle %d, pair (T, X) maintained %v", idx.res.of["X"], maintained[verify.NewPair("T", "X")])
+	}
+	idx.Remove("T", on)
+	idx.Remove("X", on)
+	var residents []string
+	wide := 0 // inserts of more than 64 keys
+	for op := range 120 {
+		if len(residents) > 0 && rng.Intn(3) == 0 {
+			i := rng.Intn(len(residents))
+			idx.Remove(residents[i], on)
+			residents = slices.Delete(residents, i, i+1)
+		} else {
+			var alts []pdb.Alt
+			n := 1
+			if rng.Intn(4) == 0 {
+				n, wide = 65+rng.Intn(8), wide+1
+			}
+			for _, k := range rng.Perm(200)[:n] {
+				alts = append(alts, pdb.NewAlt(1/float64(n), fmt.Sprintf("k%03d", k)))
+			}
+			residents = append(residents, fmt.Sprintf("t%03d", op))
+			idx.Insert(pdb.NewXTuple(residents[len(residents)-1], alts...), on)
+		}
+		checkLedger(t, idx, maintained)
+	}
+	if wide == 0 || len(idx.ledger.multi) == 0 {
+		t.Fatalf("%d inserts of more than 64 keys, %d pairs covered twice or more", wide, len(idx.ledger.multi))
 	}
 }

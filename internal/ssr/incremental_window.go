@@ -14,8 +14,8 @@ import (
 // are assembled from: the residents' handles (handleTable), the order
 // (chunkSeq), the window arithmetic over it (windowSeq), its keyed form
 // (keyedSeq), delta netting (pairNet) and the refcounted union of several
-// window passes (pairLedger), and the one-pass build of an empty index
-// (bulkBuild).
+// window passes (pairLedger, counting only pairs covered twice or more),
+// and the one-pass build of an empty index (bulkBuild).
 
 // handleTable gives every resident of a window index a uint32 handle, the
 // index of its ID and of the index's per-resident value in two slices. A
@@ -195,39 +195,43 @@ func (s *chunkSeq) keptIndexOf(p int) int {
 	return n
 }
 
-// search is sort.Search over the entries (f false, then true): a binary
-// search of the chunks by their last entries, then of one chunk.
-func (s *chunkSeq) search(f func(seqEntry) bool) int {
-	c := sort.Search(len(s.chunks), func(c int) bool {
+// at is sort.Search over the entries (f false, then true) as chunk c and
+// offset i: a binary search of the chunks by their last entries, then of one.
+func (s *chunkSeq) at(f func(seqEntry) bool) (c, i int) {
+	c = sort.Search(len(s.chunks), func(c int) bool {
 		es := s.chunks[c].entries
 		return f(es[len(es)-1])
 	})
-	p := 0
-	for _, ch := range s.chunks[:c] {
-		p += len(ch.entries)
-	}
 	if c < len(s.chunks) {
 		es := s.chunks[c].entries
-		p += sort.Search(len(es), func(i int) bool { return f(es[i]) })
+		i = sort.Search(len(es), func(i int) bool { return f(es[i]) })
 	}
-	return p
+	return c, i
 }
 
-// lookup returns the position of the entry (key, h) of a key-ordered
-// sequence, -1 if absent: a binary search to the key's run, then a scan
-// along it.
-func (s *chunkSeq) lookup(key string, h uint32) int {
-	p := s.search(func(e seqEntry) bool { return e.key >= key })
-	for e := range s.from(p) {
-		if e.key != key {
-			break
-		}
-		if e.h == h {
-			return p
-		}
-		p++
+// pos is the position of offset i of chunk c.
+func (s *chunkSeq) pos(c, i int) int {
+	for _, ch := range s.chunks[:c] {
+		i += len(ch.entries)
 	}
-	return -1
+	return i
+}
+
+// search is sort.Search over the entries (f false, then true).
+func (s *chunkSeq) search(f func(seqEntry) bool) int { return s.pos(s.at(f)) }
+
+// locate finds the entry (key, h) of a key-ordered sequence as chunk c and
+// offset i, ok false if absent: a binary search to the key's run, a scan on.
+func (s *chunkSeq) locate(key string, h uint32) (c, i int, ok bool) {
+	for c, i = s.at(func(e seqEntry) bool { return e.key >= key }); c < len(s.chunks); c, i = c+1, 0 {
+		for _, e := range s.chunks[c].entries[i:] {
+			if e.key != key || e.h == h {
+				return c, i, e.key == key
+			}
+			i++
+		}
+	}
+	return c, i, false
 }
 
 // lay fills the empty sequence with a copy of es, in order: full chunks,
@@ -243,19 +247,19 @@ func (s *chunkSeq) lay(es []seqEntry) {
 // windowSeq maintains an ordered sequence of resident handles and the
 // sorted-neighborhood window pairs over it: every splice appends the
 // window-pair deltas it causes (straddling pairs pushed out or pulled back
-// in, neighbor pairs of the spliced handle). It is the only copy of the
-// incremental window arithmetic. The caller owns the order and every
-// splice position — including removal positions, so the sequence never
-// pays for handle→position bookkeeping. Deltas are computed against the
-// pre-splice sequence and returned, never delivered, so a structural
-// update cannot depend on a yield outcome. A handle may occur more than
-// once (SNMAlternatives' kept entries); the deltas are then per position
-// pair, same-handle pairs included, and the consumer refcounts them
-// (pairLedger).
+// in, neighbor pairs of the spliced handle), every drop before the first
+// add. It is the only copy of the incremental window arithmetic. The
+// caller owns the order and every splice position — including removal
+// positions, so the sequence never pays for handle→position bookkeeping.
+// Deltas are computed against the pre-splice sequence and returned, never
+// delivered, so a structural update cannot depend on a yield outcome. A
+// handle may occur more than once (SNMAlternatives' kept entries); the
+// deltas are then per position pair, same-handle pairs included, and the
+// consumer refcounts them (pairLedger).
 type windowSeq struct {
 	chunkSeq
 	window int
-	nb     []uint32 // the handles around one splice
+	nb     []seqEntry // the entries around one splice
 }
 
 func newWindowSeq(window, chunk int) windowSeq {
@@ -265,17 +269,17 @@ func newWindowSeq(window, chunk int) windowSeq {
 	return windowSeq{chunkSeq: chunkSeq{cap: chunk}, window: window}
 }
 
-// neighbors reads the handles at positions [lo, hi) into nb, locating lo
-// once, and returns the end of what it read (hi or len).
-func (s *windowSeq) neighbors(lo, hi int) int {
-	s.nb = s.nb[:0]
+// read appends the entries at positions [lo, hi), or up to the end, to
+// out[:0], locating lo once.
+func (s *chunkSeq) read(lo, hi int, out []seqEntry) []seqEntry {
+	out = out[:0]
 	for e := range s.from(lo) {
-		if lo+len(s.nb) == hi {
+		if lo+len(out) == hi {
 			break
 		}
-		s.nb = append(s.nb, e.h)
+		out = append(out, e)
 	}
-	return lo + len(s.nb)
+	return out
 }
 
 // insertAt splices e in at position p: straddling pairs at distance
@@ -283,15 +287,16 @@ func (s *windowSeq) neighbors(lo, hi int) int {
 // neighbors, nearest left neighbor first, then rightwards.
 func (s *windowSeq) insertAt(p int, e seqEntry, out []seqDelta) []seqDelta {
 	w, lo := s.window, max(p-s.window+1, 0)
-	end, hs := s.neighbors(lo, p+w-1), s.nb // hs[a-lo] is at position a
+	s.nb = s.read(lo, p+w-1, s.nb)
+	end, hs := lo+len(s.nb), s.nb // hs[a-lo] is at position a
 	for a := lo; a <= p-1 && a+w-1 < end; a++ {
-		out = append(out, seqDelta{hs[a-lo], hs[a+w-1-lo], true})
+		out = append(out, seqDelta{hs[a-lo].h, hs[a+w-1-lo].h, true})
 	}
 	for a := p - 1; a >= lo; a-- {
-		out = append(out, seqDelta{hs[a-lo], e.h, false})
+		out = append(out, seqDelta{hs[a-lo].h, e.h, false})
 	}
 	for b := p; b < end; b++ {
-		out = append(out, seqDelta{e.h, hs[b-lo], false})
+		out = append(out, seqDelta{e.h, hs[b-lo].h, false})
 	}
 	s.splice(p, e)
 	return out
@@ -301,15 +306,16 @@ func (s *windowSeq) insertAt(p int, e seqEntry, out []seqDelta) []seqDelta {
 // drops, and straddling pairs at distance exactly window re-enter.
 func (s *windowSeq) removeAt(p int, out []seqDelta) []seqDelta {
 	w, lo := s.window, max(p-s.window+1, 0)
-	end, hs := s.neighbors(lo, p+w), s.nb
-	h := hs[p-lo]
+	s.nb = s.read(lo, p+w, s.nb)
+	end, hs := lo+len(s.nb), s.nb
+	h := hs[p-lo].h
 	for j := lo; j < end; j++ {
 		if j != p {
-			out = append(out, seqDelta{hs[j-lo], h, true})
+			out = append(out, seqDelta{hs[j-lo].h, h, true})
 		}
 	}
 	for a := lo; a <= p-1 && a+w < end; a++ {
-		out = append(out, seqDelta{hs[a-lo], hs[a+w-lo], false})
+		out = append(out, seqDelta{hs[a-lo].h, hs[a+w-lo].h, false})
 	}
 	s.cut(p)
 	return out
@@ -380,8 +386,8 @@ func (s *keyedSeq) insert(key string, h uint32, out []seqDelta) []seqDelta {
 
 // remove splices the entry (key, h) out. An absent entry is a no-op.
 func (s *keyedSeq) remove(key string, h uint32, out []seqDelta) []seqDelta {
-	if p := s.lookup(key, h); p >= 0 {
-		return s.removeAt(p, out)
+	if c, i, ok := s.locate(key, h); ok {
+		return s.removeAt(s.pos(c, i), out)
 	}
 	return out
 }
@@ -448,16 +454,17 @@ func samePair(p verify.Pair) verify.Pair { return p }
 // pairLedger refcounts how many window position pairs (kept entries of
 // SNMAlternatives) currently cover each candidate pair and nets the
 // 0↔positive transitions — the incremental form of the executed-matching
-// set (Fig. 12). Counts and net are keyed by packed handle pairs and hold
-// no pointer, so the collector never scans them; only a transition that
-// survives the operation looks up the two IDs, at flush — before either
-// handle is released.
+// set (Fig. 12). Only pairs covered twice or more have a count (multi).
+// Counts and net are keyed by packed handle pairs and hold no pointer, so
+// the collector never scans them; only a transition that survives the
+// operation looks up the two IDs, at flush — before either handle is
+// released.
 type pairLedger struct {
-	counts map[uint64]int32 // handlePair → covering position pairs
-	net    pairNet[uint64]
+	multi map[uint64]int32 // handlePair → covering position pairs, ≥ 2
+	net   pairNet[uint64]
 }
 
-func newPairLedger() *pairLedger { return &pairLedger{counts: map[uint64]int32{}} }
+func newPairLedger() *pairLedger { return &pairLedger{multi: map[uint64]int32{}} }
 
 // handlePair packs two handles into one key, the smaller in the high half.
 func handlePair(a, b uint32) uint64 {
@@ -466,25 +473,39 @@ func handlePair(a, b uint32) uint64 {
 
 // coverAll folds one splice's window deltas into the coverage counts: one
 // more coverage per add, one fewer per drop; the first nets an add, the
-// last a drop. Same-handle pairs are ignored (windowStream skips same-ID
-// pairs).
-func (l *pairLedger) coverAll(ds []seqDelta) {
-	for _, d := range ds {
+// last a drop. A drop that meets a pair without a count found it covered
+// once; an add, its cover over the post-splice kept sequence less its adds
+// still to come (a splice lists its drops first). Same-handle pairs are
+// ignored (windowStream skips same-ID pairs).
+func (l *pairLedger) coverAll(ds []seqDelta, cover func(a, b uint32) int32) {
+	for i, d := range ds {
 		if d.a == d.b {
 			continue
 		}
 		k := handlePair(d.a, d.b)
-		n := l.counts[k]
+		n, counted := l.multi[k]
+		if !counted && d.dropped {
+			n = 1
+		} else if !counted {
+			n = cover(d.a, d.b)
+			for _, e := range ds[i:] {
+				if !e.dropped && handlePair(e.a, e.b) == k {
+					n--
+				}
+			}
+		}
 		if d.dropped {
 			if n--; n == 0 {
-				delete(l.counts, k)
 				l.net.add(k, true)
-				continue
 			}
 		} else if n++; n == 1 {
 			l.net.add(k, false)
 		}
-		l.counts[k] = n
+		if n >= 2 {
+			l.multi[k] = n
+		} else if counted {
+			delete(l.multi, k)
+		}
 	}
 }
 
